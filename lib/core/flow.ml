@@ -163,7 +163,8 @@ let reset_cache () =
   Hashtbl.reset cache_table;
   Atomic.set cache_hits 0;
   Atomic.set cache_misses 0;
-  Mutex.unlock cache_mutex
+  Mutex.unlock cache_mutex;
+  Vmht_rtl.Eval.reset_memo ()
 
 let sync_cache_metrics m =
   let s = cache_stats () in

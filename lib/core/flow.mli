@@ -156,7 +156,10 @@ type cache_stats = {
 val cache_stats : unit -> cache_stats
 
 val reset_cache : unit -> unit
-(** Drop every entry and zero the counters (tests, micro-benchmarks). *)
+(** Drop every entry and zero the counters (tests, micro-benchmarks).
+    Also empties the RTL evaluator's compiled-program memo
+    ({!Vmht_rtl.Eval.reset_memo}), so nothing derived from a dropped
+    [hw_thread] outlives it. *)
 
 val sync_cache_metrics : Vmht_obs.Metrics.t -> unit
 (** Publish the cache counters into a metrics registry as

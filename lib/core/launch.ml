@@ -67,8 +67,10 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
         "Launch: the rtl backend does not support pipelined schedules \
          (the emitted FSM is unpipelined); drop --pipeline or use the \
          model backend";
-    let m = Vmht_rtl.Parse.parse_memo hw.Flow.verilog in
-    let out = Vmht_rtl.Eval.run ~stats ~ports:(Config.accel_width cfg) m ~port ~args in
+    let prog = Vmht_rtl.Eval.load hw.Flow.verilog in
+    let out =
+      Vmht_rtl.Eval.run ~stats ~ports:(Config.accel_width cfg) prog ~port ~args
+    in
     let returns_value =
       List.exists
         (fun (b : Ir.block) ->

@@ -1,77 +1,107 @@
 module Regset = Set.Make (Int)
 
+(* Registers are small dense integers, so the fixpoint runs over bit
+   vectors — one int per [Sys.int_size] registers — indexed by block
+   position, and a set is built only when a caller asks for one.  The
+   least fixpoint does not depend on the representation. *)
 type t = {
-  live_in_map : (Ir.label, Regset.t) Hashtbl.t;
-  live_out_map : (Ir.label, Regset.t) Hashtbl.t;
+  index : (Ir.label, int) Hashtbl.t;
+  live_in_bits : int array array;
+  live_out_bits : int array array;
 }
 
-let block_use_def (b : Ir.block) =
-  (* [use] = registers read before any write in the block. *)
-  let use, def =
-    List.fold_left
-      (fun (use, def) instr ->
-        let use =
-          List.fold_left
-            (fun use r -> if Regset.mem r def then use else Regset.add r use)
-            use (Ir.uses_of instr)
-        in
-        let def =
-          match Ir.def_of instr with
-          | Some d -> Regset.add d def
-          | None -> def
-        in
-        (use, def))
-      (Regset.empty, Regset.empty)
-      b.instrs
-  in
-  let use =
-    List.fold_left
-      (fun use r -> if Regset.mem r def then use else Regset.add r use)
-      use (Ir.term_uses b.term)
-  in
+let bit_words regs = (regs + Sys.int_size - 1) / Sys.int_size
+
+let add_bit bits r =
+  if r < 0 then invalid_arg "Liveness.compute: negative register";
+  let w = r / Sys.int_size in
+  bits.(w) <- bits.(w) lor (1 lsl (r mod Sys.int_size))
+
+let mem_bit bits r = bits.(r / Sys.int_size) land (1 lsl (r mod Sys.int_size)) <> 0
+
+let to_set bits =
+  let set = ref Regset.empty in
+  Array.iteri
+    (fun w word ->
+      let word = ref word and r = ref (w * Sys.int_size) in
+      while !word <> 0 do
+        if !word land 1 <> 0 then set := Regset.add !r !set;
+        word := !word lsr 1;
+        incr r
+      done)
+    bits;
+  !set
+
+(* [use] = registers read before any write in the block; [def] = every
+   register the block writes. *)
+let block_use_def words (b : Ir.block) =
+  let use = Array.make words 0 and def = Array.make words 0 in
+  let read r = if not (mem_bit def r) then add_bit use r in
+  List.iter
+    (fun instr ->
+      List.iter read (Ir.uses_of instr);
+      match Ir.def_of instr with Some d -> add_bit def d | None -> ())
+    b.instrs;
+  List.iter read (Ir.term_uses b.term);
   (use, def)
 
 let compute (f : Ir.func) =
-  let live_in_map = Hashtbl.create 16 in
-  let live_out_map = Hashtbl.create 16 in
-  let use_def = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace live_in_map b.Ir.label Regset.empty;
-      Hashtbl.replace live_out_map b.Ir.label Regset.empty;
-      Hashtbl.replace use_def b.Ir.label (block_use_def b))
-    f.blocks;
+  (* Reverse block order converges fast for the reducible CFGs the
+     lowerer produces. *)
+  let blocks = Array.of_list (List.rev f.Ir.blocks) in
+  let n = Array.length blocks in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index b.label i) blocks;
+  let succs =
+    Array.map
+      (fun (b : Ir.block) ->
+        Array.of_list (List.map (Hashtbl.find index) (Ir.successors b.term)))
+      blocks
+  in
+  let regs = ref f.Ir.next_reg in
+  let see r = if r >= !regs then regs := r + 1 in
+  Array.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun instr ->
+          List.iter see (Ir.uses_of instr);
+          Option.iter see (Ir.def_of instr))
+        b.instrs;
+      List.iter see (Ir.term_uses b.term))
+    blocks;
+  let words = bit_words !regs in
+  let use_def = Array.map (block_use_def words) blocks in
+  let use = Array.map fst use_def and def = Array.map snd use_def in
+  let live_in = Array.init n (fun _ -> Array.make words 0) in
+  let live_out = Array.init n (fun _ -> Array.make words 0) in
   let changed = ref true in
   while !changed do
     changed := false;
-    (* Iterate in reverse block order: converges fast for reducible
-       CFGs produced by the lowerer. *)
-    List.iter
-      (fun (b : Ir.block) ->
-        let out =
-          List.fold_left
-            (fun acc succ ->
-              Regset.union acc (Hashtbl.find live_in_map succ))
-            Regset.empty
-            (Ir.successors b.term)
-        in
-        let use, def = Hashtbl.find use_def b.label in
-        let inn = Regset.union use (Regset.diff out def) in
-        if not (Regset.equal out (Hashtbl.find live_out_map b.label)) then begin
-          Hashtbl.replace live_out_map b.label out;
+    for i = 0 to n - 1 do
+      let out = live_out.(i) and inn = live_in.(i) in
+      let use = use.(i) and def = def.(i) and succs = succs.(i) in
+      for w = 0 to words - 1 do
+        let o = ref 0 in
+        for k = 0 to Array.length succs - 1 do
+          o := !o lor live_in.(succs.(k)).(w)
+        done;
+        let x = use.(w) lor (!o land lnot def.(w)) in
+        if !o <> out.(w) then begin
+          out.(w) <- !o;
           changed := true
         end;
-        if not (Regset.equal inn (Hashtbl.find live_in_map b.label)) then begin
-          Hashtbl.replace live_in_map b.label inn;
+        if x <> inn.(w) then begin
+          inn.(w) <- x;
           changed := true
-        end)
-      (List.rev f.blocks)
+        end
+      done
+    done
   done;
-  { live_in_map; live_out_map }
+  { index; live_in_bits = live_in; live_out_bits = live_out }
 
-let live_in t label = Hashtbl.find t.live_in_map label
+let live_in t label = to_set t.live_in_bits.(Hashtbl.find t.index label)
 
-let live_out t label = Hashtbl.find t.live_out_map label
+let live_out t label = to_set t.live_out_bits.(Hashtbl.find t.index label)
 
 let live_after_each t (b : Ir.block) =
   let n = List.length b.instrs in

@@ -13,22 +13,24 @@ let reachable_labels (f : Ir.func) =
   visit (Ir.entry f).label;
   seen
 
+(* [ctx] formats the error context only when a check fails: building
+   it for every instruction would dominate the verifier's cost. *)
 let check_operand f ctx = function
   | Ir.Imm _ -> ()
   | Ir.Reg r ->
     if r < 0 || r >= f.Ir.next_reg then
-      fail "%s: register r%d outside allocator range [0, %d)" ctx r
+      fail "%s: register r%d outside allocator range [0, %d)" (ctx ()) r
         f.Ir.next_reg
 
 let check_instr f (b : Ir.block) instr =
-  let ctx =
+  let ctx () =
     Printf.sprintf "%s: block L%d: %s" f.Ir.fname b.label
       (Ir.instr_to_string instr)
   in
   (match Ir.def_of instr with
    | Some d ->
      if d < 0 || d >= f.Ir.next_reg then
-       fail "%s: defined register r%d outside allocator range [0, %d)" ctx d
+       fail "%s: defined register r%d outside allocator range [0, %d)" (ctx ()) d
          f.Ir.next_reg
    | None -> ());
   match instr with
@@ -37,24 +39,24 @@ let check_instr f (b : Ir.block) instr =
   | Ir.Store (a, v) -> check_operand f ctx a; check_operand f ctx v
 
 let check_term f (b : Ir.block) =
-  let ctx =
+  let ctx () =
     Printf.sprintf "%s: block L%d: %s" f.Ir.fname b.label
       (Ir.term_to_string b.term)
   in
   List.iter
     (fun r ->
       if r < 0 || r >= f.Ir.next_reg then
-        fail "%s: register r%d outside allocator range [0, %d)" ctx r
+        fail "%s: register r%d outside allocator range [0, %d)" (ctx ()) r
           f.Ir.next_reg)
     (Ir.term_uses b.term);
   List.iter
     (fun l ->
       if l < 0 || l >= f.Ir.next_label then
-        fail "%s: target L%d outside allocator range [0, %d)" ctx l
+        fail "%s: target L%d outside allocator range [0, %d)" (ctx ()) l
           f.Ir.next_label;
       match Ir.find_block f l with
       | _ -> ()
-      | exception Not_found -> fail "%s: target L%d has no block" ctx l)
+      | exception Not_found -> fail "%s: target L%d has no block" (ctx ()) l)
     (Ir.successors b.term)
 
 let run (f : Ir.func) =
@@ -89,19 +91,16 @@ let run (f : Ir.func) =
    | Some r ->
      fail "%s: register r%d may be read before it is defined" f.Ir.fname r
    | None -> ());
-  (* Every reachable block is dominated by the entry, and terminators on
-     reachable blocks agree with the function's return arity.
-     Unreachable blocks are exempt: they keep the [Ret None] placeholder
-     terminator until [simplify_cfg] deletes them, which never happens
-     under an empty (-O0) schedule. *)
+  (* Terminators on reachable blocks agree with the function's return
+     arity.  Unreachable blocks are exempt: they keep the [Ret None]
+     placeholder terminator until [simplify_cfg] deletes them, which
+     never happens under an empty (-O0) schedule.  (The entry dominates
+     every block reachable from it by definition, so no dominator
+     computation is needed here.) *)
   let reach = reachable_labels f in
-  let doms = Dominators.compute f in
   List.iter
     (fun (b : Ir.block) ->
       if Hashtbl.mem reach b.Ir.label then begin
-        if not (Dominators.dominates doms entry.Ir.label b.Ir.label) then
-          fail "%s: entry does not dominate reachable block L%d" f.Ir.fname
-            b.Ir.label;
         match (b.Ir.term, f.Ir.returns_value) with
         | Ir.Ret (Some _), false ->
           fail "%s: block L%d returns a value from a void function"

@@ -4,8 +4,7 @@
     builds: CFG well-formedness (unique labels, resolvable branch
     targets, entry block first), register/label counters consistent with
     the function's allocators, def-before-use on every path from the
-    entry (via {!Liveness}), entry domination of every reachable block
-    (via {!Dominators}), and return-arity agreement with
+    entry (via {!Liveness}), and return-arity agreement with
     [returns_value] on reachable blocks. *)
 
 exception Error of string

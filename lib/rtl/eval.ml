@@ -1,18 +1,10 @@
 module Engine = Vmht_sim.Engine
 module Accel = Vmht_hls.Accel
+module I = Vmht_lang.Ast_interp
 
 exception Rtl_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Rtl_error s)) fmt
-
-(* Four-state reduced to two: a wire/reg either holds a known word or
-   X.  X flows silently through datapath arithmetic (as in hardware)
-   and becomes a hard error the moment it reaches something that
-   steers the machine — the state register, a branch condition, or a
-   sampled request line.  That discipline is what makes the emitter's
-   missing-reset bug observable on every kernel instead of "works in
-   the simulator". *)
-type value = X | V of int
 
 type outcome = {
   result : int option;  (** [result] output at [done]; [None] when X *)
@@ -20,11 +12,50 @@ type outcome = {
   edges : int;  (** clock edges evaluated *)
 }
 
-(* ------------------------ expression eval -------------------------- *)
+(* -------------------------- per-run state -------------------------- *)
+
+(* Four-state reduced to two: a wire/reg either holds a known word or
+   X.  X flows silently through datapath arithmetic (as in hardware)
+   and becomes a hard error the moment it reaches something that
+   steers the machine — the state register, a branch condition, or a
+   sampled request line.  That discipline is what makes the emitter's
+   missing-reset bug observable on every kernel instead of "works in
+   the simulator".
+
+   Every signal is an integer slot fixed at compile time.  A slot's
+   word lives in [v] and its X-ness in [known]; an expression returns
+   an unboxed word and sets [x] when an X operand reached it, so the
+   word of an X result is meaningless and never observed.  Assignments
+   of one edge buffer in the commit arrays and apply in statement order
+   (nonblocking, last write wins).  All of it is allocated per run; the
+   compiled program only holds closures over slot numbers. *)
+type st = {
+  v : int array;
+  known : bool array;
+  mutable x : bool;  (** an X reached the expression being evaluated *)
+  mutable sgn : bool;  (** signedness of the last {!Dynamic} result *)
+  cslot : int array;
+  cval : int array;
+  cknown : bool array;
+  mutable ncommit : int;
+}
+
+type code = st -> int
+
+(* Verilog signedness is static except for a ternary whose arms differ,
+   which takes the signedness of the arm it selects: such an expression
+   records it in [st.sgn] for the operator consuming it. *)
+type sign = Static of bool | Dynamic
+
+(* ------------------------- expressions ----------------------------- *)
 
 let bool_int b = if b then 1 else 0
 
 let u64 = Int64.of_int
+
+let ucmp a b = Int64.unsigned_compare (u64 a) (u64 b)
+
+let lsr64 a b = Int64.to_int (Int64.shift_right_logical (u64 a) (b land 63))
 
 (* Operator semantics over the project's word model (OCaml 63-bit
    ints, shift counts masked to 6 bits): the signed variants are
@@ -34,126 +65,246 @@ let u64 = Int64.of_int
    emitter casts Div/Rem/Shr operands with [$signed], which is how the
    reference (signed) semantics are selected here; an uncast [>>>] is
    a *logical* shift, which is the Shr bug this evaluator pins. *)
-let apply_binop op ~signed a b =
-  let module I = Vmht_lang.Ast_interp in
+let binop_fn op signed : int -> int -> int =
   match op with
-  | "+" -> a + b
-  | "-" -> a - b
-  | "*" -> a * b
+  | "+" -> ( + )
+  | "-" -> ( - )
+  | "*" -> ( * )
   | "/" ->
-    if signed then I.eval_binop Vmht_lang.Ast.Div a b
-    else begin
+    if signed then I.eval_binop Vmht_lang.Ast.Div
+    else fun a b ->
       if b = 0 then raise (I.Eval_error "division by zero");
       Int64.to_int (Int64.unsigned_div (u64 a) (u64 b))
-    end
   | "%" ->
-    if signed then I.eval_binop Vmht_lang.Ast.Rem a b
-    else begin
+    if signed then I.eval_binop Vmht_lang.Ast.Rem
+    else fun a b ->
       if b = 0 then raise (I.Eval_error "remainder by zero");
       Int64.to_int (Int64.unsigned_rem (u64 a) (u64 b))
-    end
-  | "&" -> a land b
-  | "|" -> a lor b
-  | "^" -> a lxor b
-  | "<<" -> a lsl (b land 63)
-  | ">>" -> Int64.to_int (Int64.shift_right_logical (u64 a) (b land 63))
-  | ">>>" ->
-    if signed then a asr (b land 63)
-    else Int64.to_int (Int64.shift_right_logical (u64 a) (b land 63))
+  | "&" -> ( land )
+  | "|" -> ( lor )
+  | "^" -> ( lxor )
+  | "<<" -> fun a b -> a lsl (b land 63)
+  | ">>" -> lsr64
+  | ">>>" -> if signed then fun a b -> a asr (b land 63) else lsr64
   | "<" ->
-    bool_int
-      (if signed then a < b else Int64.unsigned_compare (u64 a) (u64 b) < 0)
+    if signed then fun (a : int) b -> bool_int (a < b)
+    else fun a b -> bool_int (ucmp a b < 0)
   | "<=" ->
-    bool_int
-      (if signed then a <= b else Int64.unsigned_compare (u64 a) (u64 b) <= 0)
+    if signed then fun (a : int) b -> bool_int (a <= b)
+    else fun a b -> bool_int (ucmp a b <= 0)
   | ">" ->
-    bool_int
-      (if signed then a > b else Int64.unsigned_compare (u64 a) (u64 b) > 0)
+    if signed then fun (a : int) b -> bool_int (a > b)
+    else fun a b -> bool_int (ucmp a b > 0)
   | ">=" ->
-    bool_int
-      (if signed then a >= b else Int64.unsigned_compare (u64 a) (u64 b) >= 0)
-  | "==" -> bool_int (a = b)
-  | "!=" -> bool_int (a <> b)
-  | "&&" -> bool_int (a <> 0 && b <> 0)
-  | "||" -> bool_int (a <> 0 || b <> 0)
+    if signed then fun (a : int) b -> bool_int (a >= b)
+    else fun a b -> bool_int (ucmp a b >= 0)
+  | "==" -> fun (a : int) b -> bool_int (a = b)
+  | "!=" -> fun (a : int) b -> bool_int (a <> b)
+  | "&&" -> fun a b -> bool_int (a <> 0 && b <> 0)
+  | "||" -> fun a b -> bool_int (a <> 0 || b <> 0)
   | _ -> fail "unknown binary operator %S" op
 
-let binop_result_signed op signed =
-  match op with
-  | "<" | "<=" | ">" | ">=" | "==" | "!=" | "&&" | "||" -> false
-  | _ -> signed
+let sign_and a b =
+  match (a, b) with
+  | Static false, _ | _, Static false -> Static false
+  | Static true, s | s, Static true -> s
+  | Dynamic, Dynamic -> Dynamic
 
-(* Evaluate to (value, signedness).  Verilog's rules for the subset:
+let sign_reader = function
+  | Static b -> fun _ -> b
+  | Dynamic -> fun st -> st.sgn
+
+(* Compile to (code, signedness).  Verilog's rules for the subset:
    regs and plain literals are unsigned, ['sd] literals and [$signed]
    casts are signed, an operation is signed only when *both* operands
    are (shifts: only the left operand counts), comparisons yield
-   unsigned bits. *)
-let rec eval_expr lookup e =
+   unsigned bits.  [var] resolves an identifier once, here.  Operands
+   are always evaluated left to right and in full, so an error inside
+   either side surfaces exactly where the tree-walking reading would
+   raise it. *)
+let rec compile_expr var e : code * sign =
   match e with
-  | Ast.Lit l -> (V l.Ast.value, l.Ast.signed)
-  | Ast.Var n -> (lookup n, false)
-  | Ast.Signed e ->
-    let v, _ = eval_expr lookup e in
-    (v, true)
-  | Ast.Concat parts -> (
+  | Ast.Lit l ->
+    let v = l.Ast.value in
+    ((fun _ -> v), Static l.Ast.signed)
+  | Ast.Var n -> (var n, Static false)
+  | Ast.Signed e -> (fst (compile_expr var e), Static true)
+  | Ast.Concat [ Ast.Lit { Ast.value = 0; _ }; e ] ->
     (* The emitter only writes zero-extensions: {63'b0, one-bit-e}. *)
-    match parts with
-    | [ Ast.Lit { Ast.value = 0; _ }; e ] ->
-      let v, _ = eval_expr lookup e in
-      (v, false)
-    | _ -> fail "unsupported concatenation shape")
+    (fst (compile_expr var e), Static false)
+  | Ast.Concat _ -> fail "unsupported concatenation shape"
   | Ast.Unop (op, e) -> (
-    let v, s = eval_expr lookup e in
-    match v with
-    | X -> (X, if op = "!" then false else s)
-    | V a -> (
-      match op with
-      | "-" -> (V (-a), s)
-      | "~" -> (V (lnot a), s)
-      | "!" -> (V (bool_int (a = 0)), false)
-      | _ -> fail "unknown unary operator %S" op))
-  | Ast.Binop (op, l, r) -> (
-    let vl, sl = eval_expr lookup l in
-    let vr, sr = eval_expr lookup r in
-    let signed =
-      match op with "<<" | ">>" | ">>>" -> sl | _ -> sl && sr
+    let c, s = compile_expr var e in
+    match op with
+    | "-" -> ((fun st -> -c st), s)
+    | "~" -> ((fun st -> lnot (c st)), s)
+    | "!" -> ((fun st -> bool_int (c st = 0)), Static false)
+    | _ -> fail "unknown unary operator %S" op)
+  | Ast.Binop (op, l, r) -> compile_binop var op l r
+  | Ast.Ternary (c, t, f) ->
+    let cc, _ = compile_expr var c in
+    let ct, s_t = compile_expr var t in
+    let cf, s_f = compile_expr var f in
+    let sign = if s_t = s_f then s_t else Dynamic in
+    let arm code s =
+      match (sign, s) with
+      | Dynamic, Static b ->
+        fun st ->
+          let v = code st in
+          st.sgn <- b;
+          v
+      | _ -> code
     in
-    let rs = binop_result_signed op signed in
-    match (vl, vr) with
-    | X, _ | _, X -> (X, rs)
-    | V a, V b -> (V (apply_binop op ~signed a b), rs))
-  | Ast.Ternary (c, t, f) -> (
-    match fst (eval_expr lookup c) with
-    | X -> fail "X in a ternary select (uninitialized control)"
-    | V 0 -> eval_expr lookup f
-    | V _ -> eval_expr lookup t)
+    let ct = arm ct s_t and cf = arm cf s_f in
+    ( (fun st ->
+        let outer = st.x in
+        st.x <- false;
+        let cv = cc st in
+        if st.x then fail "X in a ternary select (uninitialized control)";
+        st.x <- outer;
+        if cv <> 0 then ct st else cf st),
+      sign )
 
-(* --------------------------- channels ------------------------------ *)
+and compile_binop var op l r =
+  let cl, sl = compile_expr var l in
+  let cr, sr = compile_expr var r in
+  let shift = match op with "<<" | ">>" | ">>>" -> true | _ -> false in
+  let flag =
+    match op with
+    | "<" | "<=" | ">" | ">=" | "==" | "!=" | "&&" | "||" -> true
+    | _ -> false
+  in
+  let signed = if shift then sl else sign_and sl sr in
+  let result_sign = if flag then Static false else signed in
+  match signed with
+  | Static s -> (
+    let f = binop_fn op s in
+    match op with
+    | "/" | "%" ->
+      (* A division only runs on two known operands: X / 0 is X, not
+         an error, but [a / 0] traps even beside an X elsewhere. *)
+      ( (fun st ->
+          let outer = st.x in
+          st.x <- false;
+          let a = cl st in
+          let b = cr st in
+          if st.x then 0
+          else begin
+            st.x <- outer;
+            f a b
+          end),
+        result_sign )
+    | _ ->
+      ( (fun st ->
+          let a = cl st in
+          let b = cr st in
+          f a b),
+        result_sign ))
+  | Dynamic ->
+    let fs = binop_fn op true and fu = binop_fn op false in
+    let rl = sign_reader sl and rr = sign_reader sr in
+    ( (fun st ->
+        let outer = st.x in
+        st.x <- false;
+        let a = cl st in
+        let sa = rl st in
+        let b = cr st in
+        let sb = rr st in
+        let signed = if shift then sa else sa && sb in
+        if not flag then st.sgn <- signed;
+        if st.x then 0
+        else begin
+          st.x <- outer;
+          (if signed then fs else fu) a b
+        end),
+      result_sign )
+
+(* --------------------------- statements ---------------------------- *)
+
+let rec compile_stmts var target stmts : st -> unit =
+  match Array.of_list (List.map (compile_stmt var target) stmts) with
+  | [||] -> fun _ -> ()
+  | [| s |] -> s
+  | codes ->
+    fun st ->
+      for i = 0 to Array.length codes - 1 do
+        codes.(i) st
+      done
+
+and compile_stmt var target = function
+  | Ast.Assign (n, e) ->
+    let slot = target n in
+    let c, _ = compile_expr var e in
+    fun st ->
+      st.x <- false;
+      let v = c st in
+      let i = st.ncommit in
+      st.cslot.(i) <- slot;
+      st.cval.(i) <- v;
+      st.cknown.(i) <- not st.x;
+      st.ncommit <- i + 1
+  | Ast.If (c, body) ->
+    let cc, _ = compile_expr var c in
+    let cb = compile_stmts var target body in
+    fun st ->
+      st.x <- false;
+      let cv = cc st in
+      if st.x then fail "X in a branch condition (uninitialized control)";
+      if cv <> 0 then cb st
+
+(* Upper bound on one edge's commits: every assignment of the body. *)
+let rec assigns stmts =
+  List.fold_left
+    (fun acc s ->
+      match s with Ast.Assign _ -> acc + 1 | Ast.If (_, b) -> acc + assigns b)
+    0 stmts
+
+(* ---------------------------- channels ----------------------------- *)
+
+type chan_spec = {
+  prefix : string;
+  req : int;
+  ack : int;
+  we : int;
+  addr : int;
+  wdata : int;
+  rdata : int;
+}
 
 type chan_state = Idle | Busy | Ready | Presented
 
 type chan = {
-  prefix : string;
+  spec : chan_spec;
   mutable cst : chan_state;
-  mutable we : bool;
-  mutable addr : int;
-  mutable wdata : int;
+  mutable is_store : bool;
+  mutable at : int;
+  mutable data : int;
   mutable rdval : int;
 }
+
+let ends_with ~suffix s =
+  let n = String.length s and k = String.length suffix in
+  n > k && String.sub s (n - k) k = suffix
 
 (* The emitter names channel 0 [mem] and channel [c > 0] [mem<c>];
    instruction order within a cycle equals channel-number order (the
    binder assigns units greedily in instruction order), so servicing
    channels by index reproduces the model's access order exactly. *)
 let channel_index prefix =
+  let n = String.length prefix in
   if prefix = "mem" then 0
   else
-    match int_of_string_opt (String.sub prefix 3 (String.length prefix - 3)) with
-    | Some n when String.length prefix > 3 && String.sub prefix 0 3 = "mem" ->
-      n
-    | _ -> fail "unrecognized channel prefix %S" prefix
+    match
+      if n > 3 && String.sub prefix 0 3 = "mem" then
+        int_of_string_opt (String.sub prefix 3 (n - 3))
+      else None
+    with
+    | Some i -> i
+    | None -> fail "unrecognized channel prefix %S" prefix
 
-let discover_channels (m : Ast.t) =
+(* Channel prefixes: every output [<p>_req] with an input [<p>_ack],
+   in channel-number order. *)
+let channel_prefixes (m : Ast.t) =
   let has name dir =
     List.exists
       (fun (p : Ast.port) -> p.Ast.pname = name && p.Ast.dir = dir)
@@ -161,47 +312,63 @@ let discover_channels (m : Ast.t) =
   in
   List.filter_map
     (fun (p : Ast.port) ->
-      match p.Ast.dir with
-      | Ast.Output
-        when String.length p.Ast.pname > 4
-             && String.sub p.Ast.pname
-                  (String.length p.Ast.pname - 4)
-                  4
-                = "_req" ->
-        let prefix =
-          String.sub p.Ast.pname 0 (String.length p.Ast.pname - 4)
-        in
+      let n = p.Ast.pname in
+      if p.Ast.dir = Ast.Output && ends_with ~suffix:"_req" n then
+        let prefix = String.sub n 0 (String.length n - 4) in
         if has (prefix ^ "_ack") Ast.Input then
-          Some
-            {
-              prefix;
-              cst = Idle;
-              we = false;
-              addr = 0;
-              wdata = 0;
-              rdval = 0;
-            }
+          Some (channel_index prefix, prefix)
         else None
-      | _ -> None)
+      else None)
     m.Ast.ports
-  |> List.sort (fun a b ->
-         compare (channel_index a.prefix) (channel_index b.prefix))
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
-(* ----------------------------- run --------------------------------- *)
+(* ---------------------------- compile ------------------------------ *)
 
-let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
-    ?(max_edges = 50_000_000) (m : Ast.t) ~(port : Accel.port) ~args =
-  let env : (string, value) Hashtbl.t = Hashtbl.create 64 in
-  let set n v = Hashtbl.replace env n v in
+type program = {
+  mname : string;
+  args : int array;  (** slots of arg0 .. arg<n-1> *)
+  init_v : int array;  (** power-up words, copied per run *)
+  init_known : bool array;
+  rst : int;
+  start : int;
+  state : int;
+  done_ : int;
+  result : int;
+  reset : st -> unit;
+  arms : (st -> unit) array;  (** by state value, [0 .. dense) *)
+  sparse : (int * (st -> unit)) list;  (** labels outside the array *)
+  default : st -> unit;
+  s_idle : int;
+  s_done : int;
+  channels : chan_spec array;
+  max_commits : int;
+}
+
+(* Labels below this index the arm array; the emitter's state encodings
+   are dense from 0, so the sparse list stays empty in practice. *)
+let dense_limit = 1 lsl 16
+
+let is_arg_port (p : Ast.port) =
+  let n = p.Ast.pname in
+  p.Ast.dir = Ast.Input
+  && String.length n > 3
+  && String.sub n 0 3 = "arg"
+  && int_of_string_opt (String.sub n 3 (String.length n - 3)) <> None
+
+let compile (m : Ast.t) =
   let param n = List.assoc_opt n m.Ast.params in
-  let lookup n =
-    match Hashtbl.find_opt env n with
-    | Some v -> v
-    | None -> (
-      match param n with
-      | Some l -> V l.Ast.value
-      | None -> fail "unknown identifier %S" n)
+  let slots : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let powered = ref [] in
+  let slot_of n =
+    match Hashtbl.find_opt slots n with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length slots in
+      Hashtbl.add slots n i;
+      i
   in
+  let power_up n v = powered := (slot_of n, v) :: !powered in
   (* Internal regs and output regs power up X; input wires are driven
      (0) by the harness except the read-data returns, which stay X
      until the adapter presents one. *)
@@ -209,123 +376,297 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
   List.iter
     (fun (r, _) ->
       Hashtbl.replace writable r ();
-      set r X)
+      power_up r None)
     m.Ast.regs;
   List.iter
     (fun (p : Ast.port) ->
+      let n = p.Ast.pname in
       match p.Ast.dir with
       | Ast.Output ->
         if p.Ast.is_reg then begin
-          Hashtbl.replace writable p.Ast.pname ();
-          set p.Ast.pname X
+          Hashtbl.replace writable n ();
+          power_up n None
         end
       | Ast.Input ->
-        let n = p.Ast.pname in
-        if
-          String.length n > 6
-          && String.sub n (String.length n - 6) 6 = "_rdata"
-        then set n X
-        else set n (V 0))
+        power_up n (if ends_with ~suffix:"_rdata" n then None else Some 0))
     m.Ast.ports;
-  let channels = discover_channels m in
-  (* Bind the kernel arguments to the argN input ports. *)
-  let n_args =
-    List.length
-      (List.filter
-         (fun (p : Ast.port) ->
-           p.Ast.dir = Ast.Input
-           && String.length p.Ast.pname > 3
-           && String.sub p.Ast.pname 0 3 = "arg"
-           &&
-           match
-             int_of_string_opt
-               (String.sub p.Ast.pname 3 (String.length p.Ast.pname - 3))
-           with
-           | Some _ -> true
-           | None -> false)
-         m.Ast.ports)
-  in
-  if n_args <> List.length args then
-    invalid_arg
-      (Printf.sprintf "Rtl.Eval.run: %s expects %d args, got %d" m.Ast.mname
-         n_args (List.length args));
-  List.iteri (fun i v -> set (Printf.sprintf "arg%d" i) (V v)) args;
-  (* Statement execution: reads see the register file as of this edge;
-     assignments buffer and apply in statement order (nonblocking with
-     last-write-wins). *)
-  let exec stmts =
-    let commits = ref [] in
-    let rec go stmts =
-      List.iter
-        (fun s ->
-          match s with
-          | Ast.Assign (n, e) ->
-            if not (Hashtbl.mem writable n) then
-              fail "assignment to non-register %S" n;
-            commits := (n, fst (eval_expr lookup e)) :: !commits
-          | Ast.If (c, body) -> (
-            match fst (eval_expr lookup c) with
-            | X -> fail "X in a branch condition (uninitialized control)"
-            | V 0 -> ()
-            | V _ -> go body))
-        stmts
-    in
-    go stmts;
-    List.rev !commits
-  in
-  let apply = List.iter (fun (n, v) -> set n v) in
-  (* Case dispatch table; symbolic labels resolve through localparams. *)
-  let arm_tbl = Hashtbl.create 32 in
-  let default_arm = ref [] in
+  (* Signals the harness drives get a slot whether or not they are
+     declared, so expressions can read them. *)
+  let n_args = List.length (List.filter is_arg_port m.Ast.ports) in
+  let args = Array.init n_args (fun i -> slot_of (Printf.sprintf "arg%d" i)) in
+  let rst = slot_of "rst" and start = slot_of "start" in
+  let prefixes = channel_prefixes m in
   List.iter
-    (fun (k, body) ->
+    (fun p ->
+      ignore (slot_of (p ^ "_ack"));
+      ignore (slot_of (p ^ "_rdata")))
+    prefixes;
+  (* A signal the harness samples: its slot, or a read-only slot
+     holding a localparam's value. *)
+  let sampled n =
+    match Hashtbl.find_opt slots n with
+    | Some i -> i
+    | None -> (
+      match param n with
+      | Some l ->
+        power_up n (Some l.Ast.value);
+        slot_of n
+      | None -> fail "unknown identifier %S" n)
+  in
+  let channels =
+    Array.of_list
+      (List.map
+         (fun p ->
+           {
+             prefix = p;
+             req = sampled (p ^ "_req");
+             ack = slot_of (p ^ "_ack");
+             we = sampled (p ^ "_we");
+             addr = sampled (p ^ "_addr");
+             wdata = sampled (p ^ "_wdata");
+             rdata = slot_of (p ^ "_rdata");
+           })
+         prefixes)
+  in
+  let state = sampled "state" and done_ = sampled "done" in
+  let result = sampled "result" in
+  (* Identifiers and assignment targets resolve here, once: a slot
+     read, or a localparam folded to its constant. *)
+  let var n : code =
+    match Hashtbl.find_opt slots n with
+    | Some i ->
+      fun st ->
+        if not st.known.(i) then st.x <- true;
+        st.v.(i)
+    | None -> (
+      match param n with
+      | Some l ->
+        let v = l.Ast.value in
+        fun _ -> v
+      | None -> fail "unknown identifier %S" n)
+  in
+  let target n =
+    if not (Hashtbl.mem writable n) then fail "assignment to non-register %S" n;
+    slot_of n
+  in
+  let body = compile_stmts var target in
+  let reset = body m.Ast.reset in
+  (* Case dispatch; symbolic labels resolve through localparams and a
+     repeated label keeps its last arm, as a [case] would. *)
+  let labelled = Hashtbl.create 32 in
+  let default = ref (fun _ -> ()) in
+  List.iter
+    (fun (k, stmts) ->
+      let code = body stmts in
       match k with
-      | Ast.Knum v -> Hashtbl.replace arm_tbl v body
+      | Ast.Knum v -> Hashtbl.replace labelled v code
       | Ast.Kid id -> (
         match param id with
-        | Some l -> Hashtbl.replace arm_tbl l.Ast.value body
+        | Some l -> Hashtbl.replace labelled l.Ast.value code
         | None -> fail "case label %S is not a localparam" id)
-      | Ast.Kdefault -> default_arm := body)
+      | Ast.Kdefault -> default := code)
     m.Ast.arms;
+  let dense =
+    Hashtbl.fold
+      (fun v _ acc -> if v >= 0 && v < dense_limit then max acc (v + 1) else acc)
+      labelled 0
+  in
+  let arms =
+    Array.init dense (fun v ->
+        Option.value (Hashtbl.find_opt labelled v) ~default:!default)
+  in
+  let sparse =
+    Hashtbl.fold
+      (fun v code acc -> if v >= 0 && v < dense then acc else (v, code) :: acc)
+      labelled []
+  in
   let param_value n =
     match param n with
     | Some l -> l.Ast.value
     | None -> fail "module has no %S localparam" n
   in
-  let s_idle = param_value "S_IDLE" in
-  let s_done = param_value "S_DONE" in
+  let n_slots = Hashtbl.length slots in
+  let init_v = Array.make n_slots 0 and init_known = Array.make n_slots false in
+  List.iter
+    (fun (i, v) ->
+      match v with
+      | Some w ->
+        init_v.(i) <- w;
+        init_known.(i) <- true
+      | None -> init_known.(i) <- false)
+    (List.rev !powered);
+  {
+    mname = m.Ast.mname;
+    args;
+    init_v;
+    init_known;
+    rst;
+    start;
+    state;
+    done_;
+    result;
+    reset;
+    arms;
+    sparse;
+    default = !default;
+    s_idle = param_value "S_IDLE";
+    s_done = param_value "S_DONE";
+    channels;
+    max_commits =
+      List.fold_left
+        (fun acc (_, stmts) -> max acc (assigns stmts))
+        (assigns m.Ast.reset) m.Ast.arms;
+  }
+
+(* One emitted text compiles to one program; the flow memoizes
+   [hw_thread]s process-wide, so the same Verilog string is executed
+   many times.  Programs are immutable, so domains share them. *)
+let memo : (string, program) Hashtbl.t = Hashtbl.create 16
+
+let memo_mutex = Mutex.create ()
+
+let load text =
+  Mutex.lock memo_mutex;
+  let hit = Hashtbl.find_opt memo text in
+  Mutex.unlock memo_mutex;
+  match hit with
+  | Some p -> p
+  | None ->
+    let p = compile (Parse.parse_module text) in
+    Mutex.lock memo_mutex;
+    let p =
+      match Hashtbl.find_opt memo text with
+      | Some first -> first
+      | None ->
+        Hashtbl.add memo text p;
+        p
+    in
+    Mutex.unlock memo_mutex;
+    p
+
+let reset_memo () =
+  Mutex.lock memo_mutex;
+  Hashtbl.reset memo;
+  Mutex.unlock memo_mutex
+
+(* ------------------------------ run -------------------------------- *)
+
+let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
+    ?(max_edges = 50_000_000) (p : program) ~(port : Accel.port) ~args =
+  if Array.length p.args <> List.length args then
+    invalid_arg
+      (Printf.sprintf "Rtl.Eval.run: %s expects %d args, got %d" p.mname
+         (Array.length p.args) (List.length args));
+  let st =
+    {
+      v = Array.copy p.init_v;
+      known = Array.copy p.init_known;
+      x = false;
+      sgn = false;
+      cslot = Array.make p.max_commits 0;
+      cval = Array.make p.max_commits 0;
+      cknown = Array.make p.max_commits false;
+      ncommit = 0;
+    }
+  in
+  let set i w =
+    st.v.(i) <- w;
+    st.known.(i) <- true
+  in
+  let apply () =
+    for k = 0 to st.ncommit - 1 do
+      let i = st.cslot.(k) in
+      st.v.(i) <- st.cval.(k);
+      st.known.(i) <- st.cknown.(k)
+    done;
+    st.ncommit <- 0
+  in
+  let is i w = st.known.(i) && st.v.(i) = w in
+  (* Would [req] read 1 after this edge's commits?  The last write wins. *)
+  let next_req_high c =
+    let rec find k =
+      if k < 0 then is c.spec.req 1
+      else if st.cslot.(k) = c.spec.req then st.cknown.(k) && st.cval.(k) = 1
+      else find (k - 1)
+    in
+    find (st.ncommit - 1)
+  in
+  List.iteri (fun i w -> set p.args.(i) w) args;
+  let chans =
+    Array.map
+      (fun spec ->
+        { spec; cst = Idle; is_store = false; at = 0; data = 0; rdval = 0 })
+      p.channels
+  in
+  let rec any_presented k =
+    k < Array.length chans
+    && (chans.(k).cst = Presented || any_presented (k + 1))
+  in
+  let rec any_issuing k =
+    k < Array.length chans
+    && ((chans.(k).cst = Idle && next_req_high chans.(k)) || any_issuing (k + 1))
+  in
   (* Reset edge, then hold start high until done. *)
-  set "rst" (V 1);
-  apply (exec m.Ast.reset);
-  set "rst" (V 0);
-  set "start" (V 1);
+  set p.rst 1;
+  p.reset st;
+  apply ();
+  set p.rst 0;
+  set p.start 1;
   let requests = ref 0 in
   let edges = ref 0 in
   let finished = ref false in
-  let sample_req c = lookup (c.prefix ^ "_req") in
+  let read_state () =
+    if st.known.(p.state) then st.v.(p.state) else fail "state register is X"
+  in
   let service c =
-    if c.we then port.Accel.store c.addr c.wdata
-    else c.rdval <- port.Accel.load c.addr
+    if c.is_store then port.Accel.store c.at c.data
+    else c.rdval <- port.Accel.load c.at
   in
   let present c =
-    set (c.prefix ^ "_ack") (V 1);
-    if not c.we then set (c.prefix ^ "_rdata") (V c.rdval);
+    set c.spec.ack 1;
+    if not c.is_store then set c.spec.rdata c.rdval;
     c.cst <- Presented
   in
+  (* Ack-hold handshake: a presented ack is held until the FSM is seen
+     with the request deasserted, then the channel is free for the next
+     access. *)
+  let release c =
+    if c.cst = Presented && is c.spec.req 0 then begin
+      set c.spec.ack 0;
+      c.cst <- Idle
+    end
+  in
+  let sample i c what =
+    if st.known.(i) then st.v.(i)
+    else fail "%s_%s is X at issue" c.spec.prefix what
+  in
+  let accepted = ref [] in
+  let accept c =
+    if c.cst = Idle then begin
+      let req = c.spec.req in
+      if not st.known.(req) then
+        fail "%s_req is X — the output register has no reset" c.spec.prefix;
+      if st.v.(req) <> 0 then begin
+        c.is_store <- sample c.spec.we c "we" <> 0;
+        c.at <- sample c.spec.addr c "addr";
+        c.data <- (if c.is_store then sample c.spec.wdata c "wdata" else 0);
+        incr requests;
+        if c.is_store then stats.Accel.stores <- stats.Accel.stores + 1
+        else stats.Accel.loads <- stats.Accel.loads + 1;
+        accepted := c :: !accepted
+      end
+    end
+  in
+  let present_ready c = if c.cst = Ready then present c in
   while not !finished do
     incr edges;
     if !edges > max_edges then
       fail "edge budget exceeded (%d edges) — runaway or deadlocked FSM"
         max_edges;
-    let sval =
-      match lookup "state" with
-      | V v -> v
-      | X -> fail "state register is X"
-    in
+    let sval = read_state () in
     let arm =
-      match Hashtbl.find_opt arm_tbl sval with
-      | Some a -> a
-      | None -> !default_arm
+      if sval >= 0 && sval < Array.length p.arms then p.arms.(sval)
+      else Option.value (List.assoc_opt sval p.sparse) ~default:p.default
     in
     (* Edge accounting, matched against the model's: the edge that
        consumes an ack coalesces with the successor state's entry (a
@@ -334,95 +675,39 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
        the clock), any other exec-state edge is one pure cycle, and
        the idle/done handshake edges are free — the model has no
        dispatch cost either. *)
-    let consume = List.exists (fun c -> c.cst = Presented) channels in
-    let commits = exec arm in
-    if consume then apply commits
-    else begin
-      let next_req c =
-        List.fold_left
-          (fun acc (n, v) -> if n = c.prefix ^ "_req" then Some v else acc)
-          None commits
-        |> Option.value ~default:(sample_req c)
-      in
-      let will_issue =
-        List.exists (fun c -> c.cst = Idle && next_req c = V 1) channels
-      in
-      if will_issue then begin
-        apply commits;
-        stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
-      end
-      else if sval <> s_idle && sval <> s_done then begin
-        Engine.wait 1;
-        apply commits;
-        stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
-      end
-      else apply commits
-    end;
-    (match lookup "done" with
-     | X -> fail "done is X"
-     | V 0 -> ()
-     | V _ -> finished := true);
+    let consume = any_presented 0 in
+    arm st;
+    if consume then apply ()
+    else if any_issuing 0 then begin
+      apply ();
+      stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
+    end
+    else if sval <> p.s_idle && sval <> p.s_done then begin
+      Engine.wait 1;
+      apply ();
+      stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
+    end
+    else apply ();
+    if not st.known.(p.done_) then fail "done is X";
+    finished := st.v.(p.done_) <> 0;
     if not !finished then begin
-      (* Ack-hold handshake: a presented ack is held until the FSM is
-         seen with the request deasserted, then the channel is free
-         for the next access. *)
-      List.iter
-        (fun c ->
-          if c.cst = Presented && sample_req c = V 0 then begin
-            set (c.prefix ^ "_ack") (V 0);
-            c.cst <- Idle
-          end)
-        channels;
+      Array.iter release chans;
       (* Accept requests (in channel order = the model's instruction
          order) from idle channels whose req samples high. *)
-      let accepted =
-        List.filter
-          (fun c ->
-            c.cst = Idle
-            &&
-            match sample_req c with
-            | X ->
-              fail "%s_req is X — the output register has no reset"
-                c.prefix
-            | V 0 -> false
-            | V _ ->
-              c.we <-
-                (match lookup (c.prefix ^ "_we") with
-                 | X -> fail "%s_we is X at issue" c.prefix
-                 | V 0 -> false
-                 | V _ -> true);
-              c.addr <-
-                (match lookup (c.prefix ^ "_addr") with
-                 | X -> fail "%s_addr is X at issue" c.prefix
-                 | V a -> a);
-              c.wdata <-
-                (if c.we then
-                   match lookup (c.prefix ^ "_wdata") with
-                   | X -> fail "%s_wdata is X at issue" c.prefix
-                   | V v -> v
-                 else 0);
-              incr requests;
-              if c.we then stats.Accel.stores <- stats.Accel.stores + 1
-              else stats.Accel.loads <- stats.Accel.loads + 1;
-              true)
-          channels
-      in
-      if accepted <> [] then begin
-        let stalling =
-          match lookup "state" with
-          | V v -> v = sval
-          | X -> fail "state register is X"
-        in
-        if stalling then begin
+      Array.iter accept chans;
+      if !accepted <> [] then begin
+        let batch = List.rev !accepted in
+        accepted := [];
+        if read_state () = sval then begin
           (* The FSM holds this state for the accesses: run them as
              [ports]-wide lanes exactly like the model's memory cycle
              and present every ack at completion, so the next edge is
              the acked advance. *)
-          let lanes = List.map (fun c () -> service c) accepted in
+          let lanes = List.map (fun c () -> service c) batch in
           List.iter
             (Engine.join_all ~name:"mem-lane")
             (Accel.chunks ports lanes);
-          List.iter present accepted
+          List.iter present batch
         end
         else
           (* The FSM advanced while its request was still out — the
@@ -435,14 +720,13 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
               Engine.fork ~name:"mem-lane" (fun () ->
                   service c;
                   c.cst <- Ready))
-            accepted
+            batch
       end;
-      List.iter (fun c -> if c.cst = Ready then present c) channels
+      Array.iter present_ready chans
     end
   done;
-  let result =
-    match lookup "result" with
-    | V v -> Some v
-    | X -> None
-  in
-  { result; requests = !requests; edges = !edges }
+  {
+    result = (if st.known.(p.result) then Some st.v.(p.result) else None);
+    requests = !requests;
+    edges = !edges;
+  }

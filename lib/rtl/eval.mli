@@ -1,9 +1,24 @@
 (** Clocked evaluator for parsed emitted modules.
 
-    Executes an {!Ast.t} edge by edge against the same
+    A module is compiled once ({!compile}, or {!load} from its text)
+    and then executed edge by edge against the same
     {!Vmht_hls.Accel.port} memory interface the model-level executor
     uses, so translation, banking, and fault draws are shared between
     backends and any divergence is the emitter's.
+
+    Compilation resolves every register, port and [localparam] to an
+    integer slot or a folded constant, fixes each expression's
+    signedness, turns expressions and statements into closures over a
+    per-run state, puts the [case] arms in an array indexed by state
+    value, and resolves each channel's [req/ack/we/addr/wdata/rdata]
+    signals to slots.  Unknown identifiers, assignments to
+    non-registers, unsupported operators or concatenations, case labels
+    that are not [localparam]s, missing [S_IDLE]/[S_DONE] and
+    unrecognized channel prefixes are {!Rtl_error}s at compile time,
+    even inside an arm that never runs.  A {!program} is immutable:
+    every register file, commit buffer and channel state is allocated
+    by {!run}, so one program runs on any number of engines and
+    domains at once.
 
     Per-channel handshake contract (the adapter side of what the
     emitter writes): a request sampled high on an idle channel is
@@ -35,15 +50,32 @@ type outcome = {
   edges : int;  (** clock edges evaluated *)
 }
 
+type program
+(** A compiled module: immutable, shareable across domains. *)
+
+val compile : Ast.t -> program
+(** Compile a parsed module.  Raises {!Rtl_error} on anything the
+    evaluator cannot execute (see above). *)
+
+val load : string -> program
+(** {!Parse.parse_module} then {!compile}, behind a process-wide memo
+    keyed on the exact text — the synthesis flow memoizes
+    [hw_thread]s, so the same emitted string is executed many times.
+    Thread-safe; raises {!Parse.Parse_error} or {!Rtl_error}. *)
+
+val reset_memo : unit -> unit
+(** Empty {!load}'s memo, so the next load of every text parses and
+    compiles again.  [Flow.reset_cache] calls it. *)
+
 val run :
   ?stats:Vmht_hls.Accel.run_stats ->
   ?ports:int ->
   ?max_edges:int ->
-  Ast.t ->
+  program ->
   port:Vmht_hls.Accel.port ->
   args:int list ->
   outcome
-(** Run a parsed module to [done].  [stats] accumulates
+(** Run a compiled module to [done].  [stats] accumulates
     loads/stores/fsm_cycles with the model's meanings; [ports] is the
     same-cycle memory lane width (default 1); [max_edges] bounds the
     run (default 50M edges) so emitter bugs that deadlock or spin the

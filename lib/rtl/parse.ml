@@ -52,15 +52,19 @@ let lit_value ~base ~width digits =
   end;
   Int64.to_int v
 
+(* One shared string per single-character symbol, so lexing a symbol
+   allocates nothing but its token. *)
+let single_char = Array.init 256 (fun i -> String.make 1 (Char.chr i))
+
 let tokenize src =
   let n = String.length src in
   let toks = ref [] in
   let pos = ref 0 in
-  let peek_ahead k = if !pos + k < n then Some src.[!pos + k] else None in
+  let char_at i = if i < n then src.[i] else '\000' in
   while !pos < n do
     let c = src.[!pos] in
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr pos
-    else if c = '/' && peek_ahead 1 = Some '/' then begin
+    else if c = '/' && char_at (!pos + 1) = '/' then begin
       while !pos < n && src.[!pos] <> '\n' do
         incr pos
       done
@@ -109,30 +113,27 @@ let tokenize src =
       toks := TId (String.sub src start (!pos - start)) :: !toks
     end
     else begin
-      let sym2 () =
-        if !pos + 1 < n then Some (String.sub src !pos 2) else None
+      let sym =
+        match (c, char_at (!pos + 1), char_at (!pos + 2)) with
+        | '>', '>', '>' -> ">>>"
+        | '<', '<', _ -> "<<"
+        | '>', '>', _ -> ">>"
+        | '<', '=', _ -> "<="
+        | '>', '=', _ -> ">="
+        | '=', '=', _ -> "=="
+        | '!', '=', _ -> "!="
+        | '&', '&', _ -> "&&"
+        | '|', '|', _ -> "||"
+        | ( ( '(' | ')' | '{' | '}' | '[' | ']' | ':' | ';' | ',' | '?' | '<'
+            | '>' | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '~' | '!'
+            | '=' | '@' | '.' ),
+            _,
+            _ ) ->
+          single_char.(Char.code c)
+        | _ -> fail "unexpected character %C" c
       in
-      let sym3 () =
-        if !pos + 2 < n then Some (String.sub src !pos 3) else None
-      in
-      match sym3 () with
-      | Some ">>>" ->
-        toks := TSym ">>>" :: !toks;
-        pos := !pos + 3
-      | _ -> (
-        match sym2 () with
-        | Some (("<<" | ">>" | "<=" | ">=" | "==" | "!=" | "&&" | "||") as s)
-          ->
-          toks := TSym s :: !toks;
-          pos := !pos + 2
-        | _ ->
-          (match c with
-           | '(' | ')' | '{' | '}' | '[' | ']' | ':' | ';' | ',' | '?' | '<'
-           | '>' | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '~' | '!'
-           | '=' | '@' | '.' ->
-             toks := TSym (String.make 1 c) :: !toks
-           | _ -> fail "unexpected character %C" c);
-          incr pos)
+      toks := TSym sym :: !toks;
+      pos := !pos + String.length sym
     end
   done;
   Array.of_list (List.rev (TEof :: !toks))
@@ -152,7 +153,7 @@ let peek s = s.toks.(s.at)
 
 let next s =
   let t = s.toks.(s.at) in
-  if t <> TEof then s.at <- s.at + 1;
+  (match t with TEof -> () | _ -> s.at <- s.at + 1);
   t
 
 let expect_sym s sym =
@@ -190,20 +191,20 @@ let parse_range_opt s =
 
 (* -------------------------- expressions ---------------------------- *)
 
-(* Binary operators by Verilog precedence, loosest first. *)
-let binop_levels =
-  [|
-    [ "||" ];
-    [ "&&" ];
-    [ "|" ];
-    [ "^" ];
-    [ "&" ];
-    [ "=="; "!=" ];
-    [ "<"; "<="; ">"; ">=" ];
-    [ "<<"; ">>"; ">>>" ];
-    [ "+"; "-" ];
-    [ "*"; "/"; "%" ];
-  |]
+(* Binary operators by Verilog precedence, loosest (0) first; -1 for
+   any other symbol. *)
+let binop_level = function
+  | "||" -> 0
+  | "&&" -> 1
+  | "|" -> 2
+  | "^" -> 3
+  | "&" -> 4
+  | "==" | "!=" -> 5
+  | "<" | "<=" | ">" | ">=" -> 6
+  | "<<" | ">>" | ">>>" -> 7
+  | "+" | "-" -> 8
+  | "*" | "/" | "%" -> 9
+  | _ -> -1
 
 let rec parse_expr s = parse_ternary s
 
@@ -217,22 +218,20 @@ and parse_ternary s =
   end
   else c
 
+(* Precedence climbing: operators at [level] or tighter, each level
+   left-associative. *)
 and parse_binary s level =
-  if level >= Array.length binop_levels then parse_unary s
-  else begin
-    let ops = binop_levels.(level) in
-    let lhs = ref (parse_binary s (level + 1)) in
-    let continue = ref true in
-    while !continue do
-      match peek s with
-      | TSym op when List.mem op ops ->
-        s.at <- s.at + 1;
-        let rhs = parse_binary s (level + 1) in
-        lhs := Ast.Binop (op, !lhs, rhs)
-      | _ -> continue := false
-    done;
-    !lhs
-  end
+  let lhs = ref (parse_unary s) in
+  let continue = ref true in
+  while !continue do
+    match peek s with
+    | TSym op when binop_level op >= level ->
+      s.at <- s.at + 1;
+      let rhs = parse_binary s (binop_level op + 1) in
+      lhs := Ast.Binop (op, !lhs, rhs)
+    | _ -> continue := false
+  done;
+  !lhs
 
 and parse_unary s =
   match peek s with
@@ -435,24 +434,3 @@ let parse_module src =
     reset;
     arms;
   }
-
-(* One emitted text parses to one structure; the flow memoizes
-   [hw_thread]s process-wide, so the same verilog string is executed
-   many times — cache the parse under the same kind of lock
-   discipline. *)
-let memo : (string, Ast.t) Hashtbl.t = Hashtbl.create 16
-
-let memo_mutex = Mutex.create ()
-
-let parse_memo src =
-  Mutex.lock memo_mutex;
-  let hit = Hashtbl.find_opt memo src in
-  Mutex.unlock memo_mutex;
-  match hit with
-  | Some m -> m
-  | None ->
-    let m = parse_module src in
-    Mutex.lock memo_mutex;
-    if not (Hashtbl.mem memo src) then Hashtbl.add memo src m;
-    Mutex.unlock memo_mutex;
-    m

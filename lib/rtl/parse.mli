@@ -20,8 +20,3 @@ exception Parse_error of string
 val parse_module : string -> Ast.t
 (** Parse an emitted module.  Raises {!Parse_error} on anything
     outside the emitted subset. *)
-
-val parse_memo : string -> Ast.t
-(** {!parse_module} behind a process-wide memo keyed on the exact
-    text — the synthesis flow memoizes [hw_thread]s, so the same
-    emitted string is executed many times.  Thread-safe. *)

@@ -39,17 +39,21 @@ let replace ~sub ~by text =
   | Some i ->
     String.sub text 0 i ^ by ^ String.sub text (i + ns) (nt - i - ns)
 
-(* Run parsed RTL inside a private engine, like the model-executor
-   tests do for [Accel.run]. *)
-let eval_run ?(ports = 1) text ~port ~args =
-  let m = Parse.parse_module text in
+(* Run a compiled module inside a private engine, like the
+   model-executor tests do for [Accel.run]. *)
+let run_program ?(ports = 1) prog ~port ~args =
   let eng = Engine.create () in
   let out = ref None in
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"rtl" (fun () ->
-      out := Some (Eval.run ~stats ~ports m ~port ~args));
+      out := Some (Eval.run ~stats ~ports prog ~port ~args));
   Engine.run eng;
   (Option.get !out, stats)
+
+let compile text = Eval.compile (Parse.parse_module text)
+
+let eval_run ?ports text ~port ~args =
+  run_program ?ports (compile text) ~port ~args
 
 (* The same kernel through both executors, untimed memory: returns
    ((ret, data, fsm_cycles) per backend). *)
@@ -91,10 +95,9 @@ let test_parse_all_workloads () =
             true
             (List.mem_assoc "S_IDLE" m.Vmht_rtl.Ast.params
             && List.mem_assoc "S_DONE" m.Vmht_rtl.Ast.params);
-          (* The memo must hand back the same parse. *)
-          check_bool "memoized parse" true
-            (Parse.parse_memo hw.Flow.verilog
-            == Parse.parse_memo hw.Flow.verilog))
+          (* The memo must hand back the same compiled program. *)
+          check_bool "memoized program" true
+            (Eval.load hw.Flow.verilog == Eval.load hw.Flow.verilog))
         [ Vmht.Wrapper.Vm_iface; Vmht.Wrapper.Dma_iface ])
     Vmht_workloads.Registry.all
 
@@ -411,6 +414,101 @@ let test_parser_strictness () =
        ~sub:"result <= arg0;"
        ~by:"if (start) result <= arg0; else result <= 64'd1;")
 
+(* ---------------------- compiled evaluator ------------------------- *)
+
+let expect_compile_error name ~needle text =
+  match compile text with
+  | exception Eval.Rtl_error msg ->
+    check_bool (name ^ ": error names the cause") true (contains msg needle)
+  | _ -> Alcotest.fail (name ^ ": compiled without an error")
+
+(* [pure_module] with one more arm, for state 3 — which the FSM never
+   enters, so only compilation can see what is wrong with it. *)
+let with_dead_arm body =
+  replace (pure_module "arg0 + 64'd1")
+    ~sub:"        S_DONE: begin"
+    ~by:(Printf.sprintf "        2'd3: begin %s end\n        S_DONE: begin" body)
+
+let test_dead_arm_errors () =
+  let data = [||] in
+  let out, _ =
+    eval_run (with_dead_arm "result <= arg0;") ~port:(untimed_of data)
+      ~args:[ 4 ]
+  in
+  check_int "a well-formed dead arm is harmless" 5 (Option.get out.Eval.result);
+  expect_compile_error "assignment to an input" ~needle:"non-register"
+    (with_dead_arm "start <= 1'b1;");
+  expect_compile_error "unknown identifier" ~needle:"bogus"
+    (with_dead_arm "result <= bogus + 64'd1;");
+  expect_compile_error "unknown identifier in a branch" ~needle:"bogus"
+    (with_dead_arm "if (bogus) result <= 64'd1;")
+
+(* A channel prefix shorter than "mem" used to slice out of bounds and
+   escape as [Invalid_argument] instead of the evaluator's own error. *)
+let test_short_channel_prefix () =
+  let text =
+    replace (two_loads ~deassert:true) ~sub:"  input wire mem_ack\n"
+      ~by:"  input wire mem_ack,\n  output reg ab_req,\n  input wire ab_ack\n"
+  in
+  expect_compile_error "two-letter channel prefix" ~needle:"\"ab\"" text
+
+(* One memoized program executed twice on one engine, alone on two
+   more, and twice at once on a shared engine (the runs' pure edges
+   interleave): every run must report the same outcome, statistics and
+   memory — no run state lives in the shared program. *)
+let test_shared_program () =
+  let text = Vmht_hls.Verilog.emit (Fsm.synthesize vecadd_kernel) in
+  let prog = Eval.load text in
+  let data () = Array.init 24 (fun i -> i * 3) in
+  let args = [ 0; 8 * 8; 16 * 8; 8 ] in
+  let observe (out, (s : Accel.run_stats), mem) =
+    ( out,
+      (s.Accel.fsm_cycles, s.Accel.loads, s.Accel.stores, s.Accel.block_visits),
+      mem )
+  in
+  let run_once () =
+    let mem = data () in
+    let stats = Accel.fresh_stats () in
+    let out = Eval.run ~stats prog ~port:(untimed_of mem) ~args in
+    observe (out, stats, mem)
+  in
+  (* [procs] processes on a fresh engine, each running [runs] times. *)
+  let on_engine ~procs ~runs =
+    let eng = Engine.create () in
+    let results = ref [] in
+    for _ = 1 to procs do
+      Engine.spawn eng ~name:"rtl" (fun () ->
+          for _ = 1 to runs do
+            let r = run_once () in
+            results := r :: !results
+          done)
+    done;
+    Engine.run eng;
+    !results
+  in
+  let runs =
+    on_engine ~procs:1 ~runs:2
+    @ on_engine ~procs:1 ~runs:1
+    @ on_engine ~procs:1 ~runs:1
+    @ on_engine ~procs:2 ~runs:1
+  in
+  let first = List.hd runs in
+  let _, _, mem = first in
+  check_int "vecadd computed c[0] = a[0] + b[0]" (0 + (8 * 3)) mem.(16);
+  List.iteri
+    (fun i r -> check_bool (Printf.sprintf "run %d = run 0" i) true (r = first))
+    runs;
+  check_int "six runs" 6 (List.length runs);
+  (* Resetting the memo, directly or through the flow's cache reset,
+     makes the next load parse and compile afresh. *)
+  check_bool "memo hit" true (prog == Eval.load text);
+  Eval.reset_memo ();
+  let fresh = Eval.load text in
+  check_bool "reset_memo compiles afresh" true (prog != fresh);
+  Flow.reset_cache ();
+  check_bool "Flow.reset_cache empties the memo" true
+    (fresh != Eval.load text)
+
 (* ---------------- randomized backend differential ------------------ *)
 
 (* The full-stack differential, modeled on the fastpath one: any
@@ -418,20 +516,21 @@ let test_parser_strictness () =
    identical cycles, return value and final memory on the model
    executor and on the emitted bytes.  Fault injection is the sharp
    edge: both backends draw from the same injector stream through the
-   same port, so a fault lands in the same access either way. *)
-let fuzz_vm_observe ~backend ~banks ~tlb_entries ~rate ~seed kernel =
+   same port, so a fault lands in the same access either way.  Both
+   backends run the one synthesized thread: the backend is a property
+   of the SoC that launches it, not of the hardware. *)
+let fuzz_config ~banks ~tlb_entries ~rate ~seed =
   let config =
     Vmht.Config.with_tlb_entries Vmht.Config.default tlb_entries
   in
   let config = Vmht.Config.with_banks config banks in
   let config = Vmht.Config.with_seed config seed in
-  let config =
-    if rate > 0. then
-      Vmht.Config.with_fault config (Vmht_fault.Plan.uniform ~rate)
-    else config
-  in
-  let config = Vmht.Config.with_backend config backend in
-  let soc = Vmht.Soc.create config in
+  if rate > 0. then
+    Vmht.Config.with_fault config (Vmht_fault.Plan.uniform ~rate)
+  else config
+
+let fuzz_vm_observe ~backend ~seed config hw =
+  let soc = Vmht.Soc.create (Vmht.Config.with_backend config backend) in
   let aspace = Vmht.Soc.aspace soc in
   let base =
     Vmht_vm.Addr_space.alloc aspace ~bytes:(Gen_prog.mem_words * 8)
@@ -439,10 +538,6 @@ let fuzz_vm_observe ~backend ~banks ~tlb_entries ~rate ~seed kernel =
   for i = 0 to Gen_prog.mem_words - 1 do
     Vmht_vm.Addr_space.store_word aspace (base + (i * 8)) ((i * 37) mod 101)
   done;
-  let hw =
-    Flow.run_exn
-      (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface kernel)
-  in
   let result =
     Vmht.Launch.run_to_completion soc (fun () ->
         Vmht.Launch.run_hw soc hw
@@ -469,20 +564,18 @@ let arb_rtl_case =
         (oneofl [ 1; 2; 4 ]))
 
 let prop_rtl_differential =
-  QCheck.Test.make ~count:25
+  QCheck.Test.make ~count:100
     ~name:"emitted RTL = model executor (cycles, ret, memory; incl. faults)"
     arb_rtl_case
     (fun (seed, tlb_entries, rate, banks) ->
-      let kernel = Gen_prog.gen_kernel seed in
-      let model =
-        fuzz_vm_observe ~backend:Vmht.Config.Model ~banks ~tlb_entries ~rate
-          ~seed:1 kernel
+      let config = fuzz_config ~banks ~tlb_entries ~rate ~seed:1 in
+      let hw =
+        Flow.run_exn
+          (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface
+             (Gen_prog.gen_kernel seed))
       in
-      let rtl =
-        fuzz_vm_observe ~backend:Vmht.Config.Rtl ~banks ~tlb_entries ~rate
-          ~seed:1 kernel
-      in
-      model = rtl)
+      let observe backend = fuzz_vm_observe ~backend ~seed:1 config hw in
+      observe Vmht.Config.Model = observe Vmht.Config.Rtl)
 
 let suite =
   [
@@ -500,5 +593,11 @@ let suite =
     Alcotest.test_case "emitter: terminator operands forwarded" `Quick
       test_terminator_forwarding;
     Alcotest.test_case "parser: strictness" `Quick test_parser_strictness;
+    Alcotest.test_case "compile: errors in an arm that never runs" `Quick
+      test_dead_arm_errors;
+    Alcotest.test_case "compile: short channel prefix is an Rtl_error" `Quick
+      test_short_channel_prefix;
+    Alcotest.test_case "eval: one program, many runs and engines" `Quick
+      test_shared_program;
     QCheck_alcotest.to_alcotest prop_rtl_differential;
   ]

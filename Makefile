@@ -18,7 +18,7 @@ fmt:
 
 # Regenerate every evaluation table and figure (EXPERIMENTS.md's data).
 bench:
-	dune exec bench/main.exe
+	dune exec bin/vmht_cli.exe -- bench
 
 examples:
 	dune exec examples/quickstart.exe

@@ -3,10 +3,12 @@
      vmht compile FILE            front end + optimizer, dump IR
      vmht synth FILE [...]        full HLS + wrapper synthesis, dump report/RTL
      vmht run NAME [...]          run a benchmark workload on the simulated SoC
-     vmht bench NAME|all|...      regenerate evaluation tables/figures
+     vmht bench NAME|GROUP|all    regenerate evaluation tables/figures
      vmht serve [...]             batch synthesis server over JSON lines
      vmht loadgen [...]           drive a request mix through the server
      vmht profile NAME            run an experiment under the phase profiler
+     vmht perf micro [NAME...]    Bechamel micro-benchmarks
+     vmht perf snapshot           time every experiment + micro (bench manifest)
      vmht perf diff OLD NEW       compare two bench manifests (regression gate)
      vmht list                    available workloads and experiments
 
@@ -653,19 +655,208 @@ let system_cmd =
 
 (* ------------------------- bench ---------------------------------- *)
 
+(* [vmht bench] and [vmht perf snapshot] both regenerate the
+   evaluation; they share the counter reset, the result check and the
+   manifest writer below. *)
+
+let eval_jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Domain-pool width for experiment sweeps (default: the \
+           machine's recommended domain count; 1 = sequential).  \
+           Output is byte-identical at any width.")
+
+(* Set the pool width and zero every process-wide counter a manifest
+   reads. *)
+let start_eval jobs =
+  Vmht_par.Parmap.set_jobs
+    (Option.value jobs ~default:(Domain.recommended_domain_count ()));
+  Vmht_eval.Common.reset_mismatches ();
+  Vmht_eval.Common.reset_run_stats ();
+  Vmht_ir.Pass_manager.reset_totals ();
+  Vmht_vm.Vm_totals.reset ()
+
+(* Every run checks its outputs against the workload's reference; a
+   wrong answer is printed and fails the command. *)
+let check_results code =
+  match Vmht_eval.Common.mismatch_log () with
+  | [] -> ([], code)
+  | bad ->
+    Printf.eprintf "result mismatches in %d run(s):\n" (List.length bad);
+    List.iter (Printf.eprintf "  %s\n") bad;
+    (bad, max code 1)
+
+(* One manifest row: an experiment's wall time, its output size, and
+   the cycle and host-time histograms of every run inside it. *)
+type row = {
+  name : string;
+  seconds : float;
+  stats : Vmht_eval.Common.run_stats;
+  output_bytes : int;
+}
+
+let timed name f =
+  let t0 = Unix.gettimeofday () in
+  let out, stats = Vmht_eval.Common.with_run_stats f in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (out, { name; seconds; stats; output_bytes = String.length out })
+
+(* The commit the manifest was taken at, read straight from .git (no
+   subprocess): HEAD is either a hash or a "ref: ..." pointer into
+   refs/ or packed-refs. *)
+let git_rev () =
+  let read path =
+    try
+      let ic = open_in path in
+      let n = in_channel_length ic in
+      let s = really_input_string ic n in
+      close_in ic;
+      Some (String.trim s)
+    with Sys_error _ | End_of_file -> None
+  in
+  match read ".git/HEAD" with
+  | None -> "unknown"
+  | Some head when not (String.length head > 5 && String.sub head 0 5 = "ref: ")
+    -> head
+  | Some head -> (
+    let ref_name = String.trim (String.sub head 5 (String.length head - 5)) in
+    match read (".git/" ^ ref_name) with
+    | Some hash -> hash
+    | None -> (
+      match read ".git/packed-refs" with
+      | None -> "unknown"
+      | Some packed -> (
+        let lines = String.split_on_char '\n' packed in
+        let matching =
+          List.find_opt
+            (fun line ->
+              match String.index_opt line ' ' with
+              | Some i ->
+                String.sub line (i + 1) (String.length line - i - 1) = ref_name
+              | None -> false)
+            lines
+        in
+        match matching with
+        | Some line -> String.sub line 0 (String.index line ' ')
+        | None -> "unknown")))
+
+(* The bench manifest, vmht-bench/3, minus the "micro" section only
+   [vmht perf snapshot] appends.  It reads process-wide counters, so
+   build it before running anything that is not part of the record. *)
+let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
+  let module Json = Vmht_obs.Json in
+  let hsummary h =
+    Vmht_obs.Histogram.summary_to_json (Vmht_obs.Histogram.summary h)
+  in
+  let row r =
+    let runs = Vmht_obs.Histogram.count r.stats.Vmht_eval.Common.run_cycles in
+    Json.Obj
+      [
+        ("name", Json.String r.name);
+        (* Experiments that execute nothing (area and synthesis-time
+           studies) have no per-run timing; the explicit kind tells the
+           perf gate that their missing ns_per_run is intentional, not a
+           silently dropped metric. *)
+        ("kind", Json.String (if runs = 0 then "synthesis" else "run"));
+        ("seconds", Json.Float r.seconds);
+        ("runs", Json.Int runs);
+        ( "ns_per_run",
+          if runs = 0 then Json.Null
+          else Json.Float (r.seconds *. 1e9 /. float_of_int runs) );
+        ("cycles", hsummary r.stats.Vmht_eval.Common.run_cycles);
+        ("host_ns", hsummary r.stats.Vmht_eval.Common.run_host_ns);
+        ("output_bytes", Json.Int r.output_bytes);
+      ]
+  in
+  let cache = Vmht.Flow.cache_stats () in
+  let rs = Vmht_eval.Common.global_run_stats () in
+  let tot = Vmht_vm.Vm_totals.totals () in
+  [
+    ("schema", Json.String "vmht-bench/3");
+    ("git_rev", Json.String (git_rev ()));
+    ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
+    ("seed", Json.Int config.Vmht.Config.seed);
+    ("fault", Json.String (Vmht_fault.Plan.to_string config.Vmht.Config.fault));
+    ("fastpath", Json.Bool config.Vmht.Config.fastpath);
+    ("experiments", Json.List (List.map row rows));
+    ("total_seconds", Json.Float total_seconds);
+    ( "synthesis_cache",
+      Json.Obj
+        [
+          ("hits", Json.Int cache.Vmht.Flow.cache_hits);
+          ("misses", Json.Int cache.Vmht.Flow.cache_misses);
+          ("entries", Json.Int cache.Vmht.Flow.cache_entries);
+        ] );
+    ( "passes",
+      Json.Obj
+        [
+          ("schedule", Json.String sched.Vmht_ir.Pass_manager.sname);
+          ( "order",
+            Json.List
+              (List.map
+                 (fun (p : Vmht_ir.Pass.t) -> Json.String p.Vmht_ir.Pass.name)
+                 sched.Vmht_ir.Pass_manager.passes) );
+        ] );
+    ( "pass_stats",
+      Json.List
+        (List.map
+           (fun (pass, runs, rewrites) ->
+             Json.Obj
+               [
+                 ("pass", Json.String pass);
+                 ("runs", Json.Int runs);
+                 ("rewrites", Json.Int rewrites);
+               ])
+           (Vmht_ir.Pass_manager.totals ())) );
+    ( "vm",
+      Json.Obj
+        [
+          ("tlb2.lookups", Json.Int tot.Vmht_vm.Vm_totals.tlb2_lookups);
+          ("tlb2.hits", Json.Int tot.Vmht_vm.Vm_totals.tlb2_hits);
+          ( "tlb2.misses",
+            Json.Int
+              (tot.Vmht_vm.Vm_totals.tlb2_lookups
+             - tot.Vmht_vm.Vm_totals.tlb2_hits) );
+          ("tlb2.evictions", Json.Int tot.Vmht_vm.Vm_totals.tlb2_evictions);
+          ("walk_cache.hits", Json.Int tot.Vmht_vm.Vm_totals.walk_cache_hits);
+          ( "walk_cache.misses",
+            Json.Int tot.Vmht_vm.Vm_totals.walk_cache_misses );
+        ] );
+    ( "run",
+      Json.Obj
+        [
+          ("cycles", hsummary rs.Vmht_eval.Common.run_cycles);
+          ("host_ns", hsummary rs.Vmht_eval.Common.run_host_ns);
+        ] );
+    ("mismatches", Json.List (List.map (fun s -> Json.String s) mismatches));
+    ("exit_code", Json.Int code);
+  ]
+
+let write_manifest path fields =
+  try
+    let oc = open_out path in
+    output_string oc (Vmht_obs.Json.to_string_pretty (Vmht_obs.Json.Obj fields));
+    close_out oc;
+    true
+  with Sys_error msg ->
+    Printf.eprintf "cannot write manifest: %s\n" msg;
+    false
+
+let kind_groups =
+  Vmht_eval.Experiment.
+    [
+      ("tables", Table);
+      ("figures", Figure);
+      ("ablations", Ablation);
+      ("sweeps", Sweep);
+    ]
+
 let bench_cmd =
   let names =
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width for experiment sweeps (default: the \
-             machine's recommended domain count; 1 = sequential).  \
-             Output is byte-identical at any width.")
   in
   let fault_rate =
     Arg.(
@@ -692,9 +883,10 @@ let bench_cmd =
       & opt (some string) None
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
-            "Write a machine-readable run manifest (experiments run, \
-             output sizes, seed, fault plan, per-run histograms, \
-             mismatches) to $(docv).")
+            "Write the bench manifest (vmht-bench/3: per-experiment wall \
+             time and per-run histograms, seed, fault plan, pass and VM \
+             totals, mismatches) to $(docv); $(b,vmht perf diff) compares \
+             two.")
   in
   let spans_out =
     Arg.(
@@ -708,12 +900,7 @@ let bench_cmd =
   in
   let action jobs fault_rate seed metrics_json spans_out no_fastpath opt_level
       passes names =
-    Vmht_par.Parmap.set_jobs
-      (match jobs with
-       | Some n -> n
-       | None -> Domain.recommended_domain_count ());
-    Vmht_eval.Common.reset_mismatches ();
-    Vmht_eval.Common.reset_run_stats ();
+    start_eval jobs;
     if Option.is_some spans_out then Vmht_obs.Span.enable true;
     let config = Vmht.Config.default in
     let config =
@@ -730,36 +917,40 @@ let bench_cmd =
     let config = config_with_opt config opt_level passes in
     let config = Vmht.Config.with_fastpath config (not no_fastpath) in
     with_schedule config @@ fun sched ->
-    Vmht_ir.Pass_manager.reset_totals ();
-    Vmht_vm.Vm_totals.reset ();
-    let ran = ref [] in
+    let rows = ref [] in
+    let run_timed name f =
+      let out, row = timed name f in
+      rows := row :: !rows;
+      out
+    in
+    let run_experiment (e : Vmht_eval.Experiment.t) =
+      print_string
+        (run_timed e.name (fun () -> Vmht_eval.Experiment.run ~config e)
+        ^ "\n")
+    in
     let run_one = function
       | "all" ->
-        let out = Vmht_eval.All_experiments.run_all ~config () in
-        print_string out;
-        ran := ("all", String.length out) :: !ran;
+        print_string
+          (run_timed "all" (fun () -> Vmht_eval.Experiment.run_all ~config ()));
         0
       | name -> (
-        match Vmht_eval.Experiment.find name with
-        | Some e ->
-          let out = Vmht_eval.Experiment.run ~config e in
-          print_string (out ^ "\n");
-          ran := (name, String.length out) :: !ran;
+        match
+          (List.assoc_opt name kind_groups, Vmht_eval.Experiment.find name)
+        with
+        | Some kind, _ ->
+          List.iter run_experiment (Vmht_eval.Experiment.by_kind kind);
           0
-        | None ->
+        | None, Some e ->
+          run_experiment e;
+          0
+        | None, None ->
           Printf.eprintf "unknown experiment '%s'\n" name;
           1)
     in
+    let t0 = Unix.gettimeofday () in
     let code = List.fold_left (fun acc n -> max acc (run_one n)) 0 names in
-    let mismatches = Vmht_eval.Common.mismatch_log () in
-    let code =
-      match mismatches with
-      | [] -> code
-      | bad ->
-        Printf.eprintf "result mismatches in %d run(s):\n" (List.length bad);
-        List.iter (Printf.eprintf "  %s\n") bad;
-        max code 1
-    in
+    let total_seconds = Unix.gettimeofday () -. t0 in
+    let mismatches, code = check_results code in
     let code =
       match spans_out with
       | Some path when not (write_spans path) -> max code exit_write_failed
@@ -767,98 +958,22 @@ let bench_cmd =
     in
     match metrics_json with
     | None -> code
-    | Some path -> (
-      let module Json = Vmht_obs.Json in
-      let rs = Vmht_eval.Common.global_run_stats () in
-      let hsummary h =
-        Vmht_obs.Histogram.summary_to_json (Vmht_obs.Histogram.summary h)
-      in
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "vmht-bench-run/2");
-            ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
-            ("seed", Json.Int config.Vmht.Config.seed);
-            ( "fault",
-              Json.String (Vmht_fault.Plan.to_string config.Vmht.Config.fault)
-            );
-            ("fastpath", Json.Bool config.Vmht.Config.fastpath);
-            ( "experiments",
-              Json.List
-                (List.rev_map
-                   (fun (name, bytes) ->
-                     Json.Obj
-                       [
-                         ("name", Json.String name);
-                         ("output_bytes", Json.Int bytes);
-                       ])
-                   !ran) );
-            ( "passes",
-              Json.Obj
-                [
-                  ( "schedule",
-                    Json.String sched.Vmht_ir.Pass_manager.sname );
-                  ( "order",
-                    Json.List
-                      (List.map
-                         (fun (p : Vmht_ir.Pass.t) ->
-                           Json.String p.Vmht_ir.Pass.name)
-                         sched.Vmht_ir.Pass_manager.passes) );
-                ] );
-            ( "pass_stats",
-              Json.List
-                (List.map
-                   (fun (pass, runs, rewrites) ->
-                     Json.Obj
-                       [
-                         ("pass", Json.String pass);
-                         ("runs", Json.Int runs);
-                         ("rewrites", Json.Int rewrites);
-                       ])
-                   (Vmht_ir.Pass_manager.totals ())) );
-            ( "vm",
-              let tot = Vmht_vm.Vm_totals.totals () in
-              Json.Obj
-                [
-                  ("tlb2.lookups", Json.Int tot.Vmht_vm.Vm_totals.tlb2_lookups);
-                  ("tlb2.hits", Json.Int tot.Vmht_vm.Vm_totals.tlb2_hits);
-                  ( "tlb2.misses",
-                    Json.Int
-                      (tot.Vmht_vm.Vm_totals.tlb2_lookups
-                     - tot.Vmht_vm.Vm_totals.tlb2_hits) );
-                  ( "tlb2.evictions",
-                    Json.Int tot.Vmht_vm.Vm_totals.tlb2_evictions );
-                  ( "walk_cache.hits",
-                    Json.Int tot.Vmht_vm.Vm_totals.walk_cache_hits );
-                  ( "walk_cache.misses",
-                    Json.Int tot.Vmht_vm.Vm_totals.walk_cache_misses );
-                ] );
-            ( "run",
-              Json.Obj
-                [
-                  ("cycles", hsummary rs.Vmht_eval.Common.run_cycles);
-                  ("host_ns", hsummary rs.Vmht_eval.Common.run_host_ns);
-                ] );
-            ( "mismatches",
-              Json.List (List.map (fun s -> Json.String s) mismatches) );
-            ("exit_code", Json.Int code);
-          ]
-      in
-      try
-        let oc = open_out path in
-        output_string oc (Json.to_string_pretty doc);
-        output_char oc '\n';
-        close_out oc;
-        code
-      with Sys_error msg ->
-        Printf.eprintf "cannot write manifest: %s\n" msg;
-        max code exit_write_failed)
+    | Some path ->
+      let rows = List.rev !rows in
+      if
+        write_manifest path
+          (manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches
+             ~code)
+      then code
+      else max code exit_write_failed
   in
   let man =
     `S Manpage.s_description
     :: `P
-         "Run the named experiments — or $(b,all) — and print their \
-          rendered tables and figures.  Experiments (from the registry):"
+         "Run the named experiments, the groups $(b,tables), \
+          $(b,figures), $(b,ablations) and $(b,sweeps), or $(b,all), and \
+          print their rendered tables and figures.  Experiments (from the \
+          registry):"
     :: List.map
          (fun (e : Vmht_eval.Experiment.t) ->
            `P
@@ -870,10 +985,8 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate evaluation tables and figures." ~man)
     Term.(
-      const action $ jobs $ fault_rate $ seed $ metrics_json $ spans_out
-      $ no_fastpath_arg
-      $ opt_level_arg
-      $ passes_arg $ names)
+      const action $ eval_jobs_arg $ fault_rate $ seed $ metrics_json
+      $ spans_out $ no_fastpath_arg $ opt_level_arg $ passes_arg $ names)
 
 (* ------------------------- serve / loadgen ------------------------ *)
 
@@ -1284,12 +1397,15 @@ let perf_diff_cmd =
       & info [ "warn-only" ]
           ~doc:
             "Report regressions but exit 0 anyway (for noisy shared \
-             runners).")
+             runners).  A metric of $(i,OLD) missing from $(i,NEW) still \
+             fails.")
   in
   let action old_path new_path threshold warn_only =
     let read_manifest path =
       match Vmht_obs.Json.of_string (read_file path) with
-      | v -> Ok v
+      | v ->
+        Result.map_error (Printf.sprintf "%s: %s" path)
+          (Vmht_obs.Perf_diff.check_schema v)
       | exception Sys_error msg -> Error msg
       | exception Vmht_obs.Json.Parse_error msg ->
         Error (Printf.sprintf "%s: %s" path msg)
@@ -1303,7 +1419,8 @@ let perf_diff_cmd =
         Vmht_obs.Perf_diff.diff ~threshold ~old_manifest ~new_manifest ()
       in
       print_string (Vmht_obs.Perf_diff.render ~threshold report);
-      if report.Vmht_obs.Perf_diff.regressions = [] then 0
+      if not (Vmht_obs.Perf_diff.complete report) then 1
+      else if report.Vmht_obs.Perf_diff.regressions = [] then 0
       else if warn_only then begin
         print_endline "(warn-only: not failing)";
         0
@@ -1314,14 +1431,95 @@ let perf_diff_cmd =
     (Cmd.info "diff"
        ~doc:
          "Compare two bench manifests and fail when any metric regressed \
-          past the threshold.")
+          past the threshold or is missing from $(i,NEW).")
     Term.(const action $ old_arg $ new_arg $ threshold $ warn_only)
+
+let perf_micro_cmd =
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"NAME"
+          ~doc:"Run only targets whose name contains some $(docv).")
+  in
+  let action names =
+    match Micro.select names with
+    | [] ->
+      Printf.eprintf "no micro target matches %s\n" (String.concat ", " names);
+      1
+    | selected ->
+      Micro.print (Micro.estimates selected);
+      0
+  in
+  Cmd.v
+    (Cmd.info "micro"
+       ~doc:
+         "Run the Bechamel micro-benchmarks and print ns per run for \
+          each target.")
+    Term.(const action $ names)
+
+let perf_snapshot_cmd =
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the snapshot to $(docv) as a bench manifest with a \
+             $(b,micro) section (the committed BENCH_eval.json is one).")
+  in
+  let action jobs json =
+    start_eval jobs;
+    let config = Vmht.Config.default in
+    let sched = Vmht.Config.schedule config in
+    Printf.printf "perf: %d experiments, %d jobs\n%!"
+      (List.length Vmht_eval.Experiment.all)
+      (Vmht_par.Parmap.jobs ());
+    let t0 = Unix.gettimeofday () in
+    let rows =
+      List.map
+        (fun (e : Vmht_eval.Experiment.t) ->
+          let _, row =
+            timed e.name (fun () -> Vmht_eval.Experiment.run ~config e)
+          in
+          Printf.printf "  %-8s %8.3f s  (%d bytes)\n%!" row.name row.seconds
+            row.output_bytes;
+          row)
+        Vmht_eval.Experiment.all
+    in
+    let total_seconds = Unix.gettimeofday () -. t0 in
+    Printf.printf "total: %.3f s\n%!" total_seconds;
+    let mismatches, code = check_results 0 in
+    (* Before the micro targets, which synthesize and simulate too. *)
+    let fields =
+      manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code
+    in
+    let micro = Micro.estimates Micro.targets in
+    Micro.print micro;
+    match json with
+    | None -> code
+    | Some path ->
+      if write_manifest path (fields @ [ ("micro", Micro.to_json micro) ])
+      then begin
+        Printf.printf "wrote %s\n" path;
+        code
+      end
+      else max code exit_write_failed
+  in
+  Cmd.v
+    (Cmd.info "snapshot"
+       ~doc:
+         "Time every experiment, one at a time under the default \
+          configuration, then every micro-benchmark: the perf gate's \
+          input.  Fails on any wrong result.")
+    Term.(const action $ eval_jobs_arg $ json)
 
 let perf_cmd =
   Cmd.group
     (Cmd.info "perf"
-       ~doc:"Performance tooling: the manifest regression gate.")
-    [ perf_diff_cmd ]
+       ~doc:
+         "Performance tooling: micro-benchmarks, the evaluation snapshot \
+          and the manifest regression gate.")
+    [ perf_micro_cmd; perf_snapshot_cmd; perf_diff_cmd ]
 
 (* ------------------------- dse ------------------------------------ *)
 

@@ -13,7 +13,7 @@ type t = {
   run : Vmht.Config.t -> string;
 }
 
-(* Report order; every consumer (CLIs, run_all, help text) derives its
+(* Report order; every consumer (the CLI, run_all, help text) derives its
    listing from this one place. *)
 let all =
   [
@@ -151,10 +151,19 @@ let all =
     };
   ]
 
-let names = List.map (fun e -> e.name) all
-
 let find name = List.find_opt (fun e -> e.name = name) all
 
 let by_kind kind = List.filter (fun e -> e.kind = kind) all
 
 let run ?(config = Vmht.Config.default) e = e.run config
+
+(* Experiments fan out across the domain pool (and, inside each, their
+   sweep points fan out again — [Common.par_map] nests safely).  The
+   rendered sections come back in registry order and mismatches merge
+   in submission order, so the output is byte-identical to a
+   sequential run. *)
+let run_all ?(config = Vmht.Config.default) () =
+  String.concat "\n"
+    (Common.par_map
+       (fun e -> Printf.sprintf "===== %s =====\n%s" e.name (run ~config e))
+       all)

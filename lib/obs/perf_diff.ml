@@ -1,13 +1,14 @@
-(* Comparison of two bench manifests (vmht-bench-eval/1 or /2): the
-   regression gate behind [vmht perf diff].
+(* Comparison of two bench manifests: the regression gate behind
+   [vmht perf diff].  Any "vmht-bench..." schema is comparable — the
+   committed vmht-bench-eval/2 baseline as well as the vmht-bench/3
+   manifests [vmht bench] and [vmht perf snapshot] write.
 
-   Metrics are extracted per experiment (wall seconds, ns/run, and —
-   in v2 manifests — the deterministic simulated-cycle percentiles)
-   and per micro benchmark (ns/run), keyed by dotted names.  Only
-   metrics present in both manifests are compared; everything else is
-   reported as missing so a renamed experiment cannot silently drop
-   out of the gate.  A metric regresses when it grows by at least
-   [threshold] percent. *)
+   Metrics are extracted per experiment (wall seconds, ns/run and the
+   deterministic simulated-cycle percentiles) and per micro benchmark
+   (ns/run), keyed by dotted names.  A metric of OLD that NEW lacks
+   fails the gate, so a rename or a dropped experiment cannot silently
+   weaken it; a metric only NEW has is listed.  A metric regresses
+   when it grows by at least [threshold] percent. *)
 
 type row = {
   metric : string;
@@ -19,12 +20,19 @@ type row = {
 type report = {
   rows : row list; (* compared metrics, manifest order *)
   regressions : row list;
-  missing : string list; (* metrics present on one side only *)
+  dropped : string list; (* in OLD, absent from NEW *)
+  added : string list; (* in NEW only *)
   unattributed : string list;
       (* experiments with no ns_per_run that are not marked
          "kind": "synthesis" — surfaced so a recording bug cannot
          silently drop an experiment out of the per-run gate *)
 }
+
+let check_schema manifest =
+  match Option.bind (Json.member "schema" manifest) Json.to_str with
+  | Some s when String.starts_with ~prefix:"vmht-bench" s -> Ok manifest
+  | Some s -> Error (Printf.sprintf "schema %S is not a bench manifest" s)
+  | None -> Error "no \"schema\" field, not a bench manifest"
 
 let get path j =
   List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
@@ -83,19 +91,19 @@ let diff ?(threshold = 10.) ~old_manifest ~new_manifest () =
   let new_metrics, new_unattr = extract new_manifest in
   let new_tbl = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace new_tbl k v) new_metrics;
-  let rows, missing_old =
+  let rows, dropped =
     List.fold_left
-      (fun (rows, missing) (k, old_v) ->
+      (fun (rows, dropped) (k, old_v) ->
         match Hashtbl.find_opt new_tbl k with
         | Some new_v ->
           ( { metric = k; old_v; new_v; delta_pct = delta_pct old_v new_v }
             :: rows,
-            missing )
-        | None -> (rows, k :: missing))
+            dropped )
+        | None -> (rows, k :: dropped))
       ([], []) old_metrics
   in
   let old_names = List.map fst old_metrics in
-  let missing_new =
+  let added =
     List.filter_map
       (fun (k, _) -> if List.mem k old_names then None else Some k)
       new_metrics
@@ -104,11 +112,14 @@ let diff ?(threshold = 10.) ~old_manifest ~new_manifest () =
   {
     rows;
     regressions = List.filter (fun r -> r.delta_pct >= threshold) rows;
-    missing = List.rev missing_old @ missing_new;
+    dropped = List.rev dropped;
+    added;
     unattributed =
       old_unattr
       @ List.filter (fun n -> not (List.mem n old_unattr)) new_unattr;
   }
+
+let complete r = r.rows <> [] && r.dropped = []
 
 let render ~threshold r =
   let buf = Buffer.create 512 in
@@ -121,9 +132,12 @@ let render ~threshold r =
         (Printf.sprintf "%-40s %14.4g %14.4g %+8.1f%%%s\n" row.metric row.old_v
            row.new_v row.delta_pct flag))
     r.rows;
-  List.iter
-    (fun k -> Buffer.add_string buf (Printf.sprintf "%-40s (only in one manifest)\n" k))
-    r.missing;
+  let only side k =
+    Buffer.add_string buf
+      (Printf.sprintf "%-40s (only in one manifest: %s)\n" k side)
+  in
+  List.iter (only "OLD") r.dropped;
+  List.iter (only "NEW") r.added;
   List.iter
     (fun name ->
       Buffer.add_string buf
@@ -131,13 +145,18 @@ let render ~threshold r =
            "%-40s (no per-run timing recorded and not marked \"synthesis\")\n"
            (name ^ ".ns_per_run")))
     r.unattributed;
-  (match r.regressions with
-  | [] ->
-    Buffer.add_string buf
-      (Printf.sprintf "ok: %d metric(s) within +%.1f%%\n" (List.length r.rows)
-         threshold)
-  | regs ->
+  if r.regressions <> [] then
     Buffer.add_string buf
       (Printf.sprintf "regression: %d metric(s) slower by >= %.1f%%\n"
-         (List.length regs) threshold));
+         (List.length r.regressions) threshold);
+  if r.dropped <> [] then
+    Buffer.add_string buf
+      (Printf.sprintf "incomplete: %d metric(s) of OLD missing from NEW\n"
+         (List.length r.dropped))
+  else if r.rows = [] then
+    Buffer.add_string buf "incomplete: no metric compared\n";
+  if r.regressions = [] && complete r then
+    Buffer.add_string buf
+      (Printf.sprintf "ok: %d metric(s) within +%.1f%%\n" (List.length r.rows)
+         threshold);
   Buffer.contents buf

@@ -20,9 +20,12 @@ let at_width jobs f =
    synthesis-time figure (fig5), and a config-sweep ablation (abl2). *)
 let subset = [ "table3"; "table4"; "fig5"; "abl2" ]
 
+let run_experiment name =
+  Vmht_eval.Experiment.(run (Option.get (find name)))
+
 let test_experiments_width_independent () =
   let render () =
-    String.concat "\n\012\n" (List.map Vmht_eval.All_experiments.run subset)
+    String.concat "\n\012\n" (List.map run_experiment subset)
   in
   let sequential = at_width 1 render in
   let parallel = at_width 4 render in
@@ -38,7 +41,7 @@ let test_abl6_width_independent () =
   (* abl6 is the one experiment whose measurements flow through the
      shared L2 TLB and the walk caches — per-SoC state, so parallel
      evaluation must not bleed between subjects. *)
-  let render () = Vmht_eval.All_experiments.run "abl6" in
+  let render () = run_experiment "abl6" in
   let sequential = at_width 1 render in
   let parallel = at_width 4 render in
   check_string "abl6 byte-identical at -j 4" sequential parallel

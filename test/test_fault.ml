@@ -149,7 +149,7 @@ let prop_recovery_preserves_values =
 (* --- the robust experiment ---------------------------------------- *)
 
 let test_robust_width_independent () =
-  let render () = Vmht_eval.All_experiments.run "robust" in
+  let render () = Vmht_eval.Experiment.(run (Option.get (find "robust"))) in
   let sequential = at_width 1 render in
   let parallel = at_width 4 render in
   Alcotest.(check string) "robust byte-identical at -j 4" sequential parallel

@@ -524,7 +524,9 @@ let test_perf_diff_identical () =
   let m = manifest [ ("fig1", 0.5, 120); ("table2", 1.25, 90) ] in
   let r = Perf_diff.diff ~old_manifest:m ~new_manifest:m () in
   check_bool "no regressions" true (r.Perf_diff.regressions = []);
-  check_bool "no missing" true (r.Perf_diff.missing = []);
+  check_bool "nothing one-sided" true
+    (r.Perf_diff.dropped = [] && r.Perf_diff.added = []);
+  check_bool "complete" true (Perf_diff.complete r);
   check_bool "rows compared" true (List.length r.Perf_diff.rows >= 8);
   check_bool "verdict ok" true
     (contains (Perf_diff.render ~threshold:10. r) "ok:")
@@ -552,10 +554,41 @@ let test_perf_diff_missing_metric () =
   let old_m = manifest [ ("fig1", 0.5, 120); ("fig9", 0.5, 120) ] in
   let new_m = manifest [ ("fig1", 0.5, 120) ] in
   let r = Perf_diff.diff ~old_manifest:old_m ~new_manifest:new_m () in
-  check_bool "renamed metrics are reported, not dropped" true
-    (r.Perf_diff.missing <> []);
-  check_bool "mentioned in render" true
-    (contains (Perf_diff.render ~threshold:10. r) "only in one manifest")
+  Alcotest.(check (list string))
+    "every fig9 metric of OLD is missing from NEW"
+    [
+      "fig9.seconds";
+      "fig9.ns_per_run";
+      "fig9.cycles.p50";
+      "fig9.cycles.p99";
+      "fig9.cycles.max";
+    ]
+    r.Perf_diff.dropped;
+  check_bool "no regression, yet the gate fails" true
+    (r.Perf_diff.regressions = [] && not (Perf_diff.complete r));
+  let text = Perf_diff.render ~threshold:10. r in
+  check_bool "listed in render" true (contains text "only in one manifest: OLD");
+  check_bool "verdict is not ok" true
+    (contains text "incomplete:" && not (contains text "ok:"));
+  (* A metric only NEW has is listed but passes. *)
+  let r = Perf_diff.diff ~old_manifest:new_m ~new_manifest:old_m () in
+  check_bool "new-only metrics listed" true
+    (List.length r.Perf_diff.added = 5 && r.Perf_diff.dropped = []);
+  check_bool "new-only metrics pass" true (Perf_diff.complete r);
+  (* Manifests without a metric to compare fail too. *)
+  let empty = Json.Obj [ ("schema", Json.String "vmht-bench/3") ] in
+  let r = Perf_diff.diff ~old_manifest:empty ~new_manifest:empty () in
+  check_bool "nothing compared fails" true
+    (r.Perf_diff.rows = [] && not (Perf_diff.complete r))
+
+let test_perf_diff_schema () =
+  let ok j = Result.is_ok (Perf_diff.check_schema j) in
+  check_bool "bench-eval baseline accepted" true (ok (manifest []));
+  check_bool "bench manifest accepted" true
+    (ok (Json.Obj [ ("schema", Json.String "vmht-bench/3") ]));
+  check_bool "dse manifest rejected" false
+    (ok (Json.Obj [ ("schema", Json.String "vmht-dse/1") ]));
+  check_bool "schema-less document rejected" false (ok (Json.Obj []))
 
 let suite =
   [
@@ -583,6 +616,8 @@ let suite =
       test_perf_diff_regression;
     Alcotest.test_case "perf diff: missing metric" `Quick
       test_perf_diff_missing_metric;
+    Alcotest.test_case "perf diff: bench schemas only" `Quick
+      test_perf_diff_schema;
     Alcotest.test_case "chrome: export shape" `Quick test_chrome_trace_shape;
     Alcotest.test_case "attribution: waterfall" `Quick test_waterfall_renders;
     Alcotest.test_case "attribution: sums to total (all workloads x styles)"

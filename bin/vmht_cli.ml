@@ -61,19 +61,6 @@ let passes_arg =
         ~doc:
           "Explicit comma-separated pass schedule, overriding            $(b,--opt-level) (see $(b,vmht passes) for the registry).")
 
-(* The simulator fast path (engine wait batching, trace-compiled
-   accelerator blocks, translation memo) changes host time only; this
-   flag is the escape hatch and the ablation baseline. *)
-let no_fastpath_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fastpath" ]
-        ~doc:
-          "Disable the simulator fast path (quiescence fast-forwarding, \
-           trace-compiled accelerator blocks, translation memo).  \
-           Simulated cycles and outputs are identical either way — see \
-           the $(b,abl7) experiment.")
-
 let backend_arg =
   Arg.(
     value
@@ -111,14 +98,22 @@ let config_with_opt config opt_level passes =
             (String.split_on_char ',' list)))
   | None -> config
 
-(* Resolve eagerly so a typo'd pass name fails with exit 1 before any
-   work happens, whatever command carried the flag. *)
-let with_schedule config f =
-  match Vmht.Config.schedule config with
-  | sched -> f sched
+(* Flag values reach the library through setters and constructors that
+   reject what they cannot build with [Invalid_argument]: an unknown
+   pass name, [--banks 0], a TLB geometry that does not divide into
+   sets, a page too small for the page table, [--size 0].  [checked
+   build k] runs [build] and continues with [k]; a rejection becomes a
+   message and exit 1, never an uncaught exception. *)
+let checked build k =
+  match build () with
+  | v -> k v
   | exception Invalid_argument msg ->
     Printf.eprintf "error: %s\n" msg;
     1
+
+(* Resolve eagerly so a typo'd pass name fails with exit 1 before any
+   work happens, whatever command carried the flag. *)
+let with_schedule config f = checked (fun () -> Vmht.Config.schedule config) f
 
 (* ------------------------- compile -------------------------------- *)
 
@@ -181,7 +176,7 @@ let synth_cmd =
         (Vmht.Config.with_unroll Vmht.Config.default unroll)
         pipeline
     in
-    let config = Vmht.Config.with_banks config banks in
+    checked (fun () -> Vmht.Config.with_banks config banks) @@ fun config ->
     let config = config_with_opt config opt_level passes in
     with_schedule config (fun _sched ->
         with_program file (fun program ->
@@ -228,6 +223,29 @@ let mode_conv =
       ("vm", Vmht_eval.Common.Vm);
       ("dma", Vmht_eval.Common.Dma);
     ]
+
+(* Apply a setter only when its optional flag was given. *)
+let if_some set flag config =
+  match flag with Some v -> set config v | None -> config
+
+(* [run] and [trace] build their system the same way: the flags onto
+   the config, then [Common.run] builds the SoC and the workload
+   instance and runs it — all under {!checked}, so a bad geometry flag
+   is exit 1 wherever the library rejects it. *)
+let simulate ?trace_events ~observe ~tlb2 ~walk_cache mode w ~size config k =
+  let enable_tlb2 config entries =
+    Vmht.Config.with_tlb2 config
+      { Vmht_vm.Tlb2.default_config with Vmht_vm.Tlb2.enabled = true; entries }
+  in
+  checked
+    (fun () ->
+      let config =
+        config ()
+        |> if_some enable_tlb2 tlb2
+        |> if_some Vmht.Config.with_walk_cache walk_cache
+      in
+      Vmht_eval.Common.run ~config ?trace_events ~observe mode w ~size)
+    k
 
 let run_cmd =
   let workload_arg =
@@ -305,8 +323,8 @@ let run_cmd =
     Arg.(value & opt int 1 & info [ "unroll" ] ~doc:"Loop unroll factor.")
   in
   let action wname mode size tlb tlb2 walk_cache page_shift stats trace_n
-      trace_out metrics_json spans_out pipeline unroll banks no_fastpath
-      backend opt_level passes =
+      trace_out metrics_json spans_out pipeline unroll banks backend opt_level
+      passes =
     match Vmht_workloads.Registry.find wname with
     | exception Not_found ->
       Printf.eprintf "unknown workload '%s' (try: vmht list)\n" wname;
@@ -319,44 +337,21 @@ let run_cmd =
          unpipelined)\n";
       1
     | w ->
-      let config = config_with_opt Vmht.Config.default opt_level passes in
-      let config = Vmht.Config.with_backend config backend in
-      let config = Vmht.Config.with_unroll config unroll in
-      let config = Vmht.Config.with_banks config banks in
-      let config = Vmht.Config.with_fastpath config (not no_fastpath) in
-      let config =
-        match tlb with
-        | Some entries -> Vmht.Config.with_tlb_entries config entries
-        | None -> config
-      in
-      let config =
-        match tlb2 with
-        | Some entries ->
-          Vmht.Config.with_tlb2 config
-            { Vmht_vm.Tlb2.default_config with Vmht_vm.Tlb2.enabled = true; entries }
-        | None -> config
-      in
-      let config =
-        match walk_cache with
-        | Some entries -> Vmht.Config.with_walk_cache config entries
-        | None -> config
-      in
-      let config =
-        match page_shift with
-        | Some shift -> Vmht.Config.with_page_shift config shift
-        | None -> config
-      in
-      let config = Vmht.Config.with_pipelining config pipeline in
-      with_schedule config @@ fun _sched ->
       let size =
         Option.value ~default:w.Vmht_workloads.Workload.default_size size
       in
       let observe = Option.is_some trace_out || Option.is_some metrics_json in
       if Option.is_some spans_out then Vmht_obs.Span.enable true;
-      let o =
-        Vmht_eval.Common.run ~config ?trace_events:trace_n ~observe mode w
-          ~size
-      in
+      simulate ?trace_events:trace_n ~observe ~tlb2 ~walk_cache mode w ~size
+        (fun () ->
+          let config = config_with_opt Vmht.Config.default opt_level passes in
+          let config = Vmht.Config.with_backend config backend in
+          let config = Vmht.Config.with_unroll config unroll in
+          let config = Vmht.Config.with_banks config banks in
+          let config = Vmht.Config.with_pipelining config pipeline in
+          let config = if_some Vmht.Config.with_tlb_entries tlb config in
+          if_some Vmht.Config.with_page_shift page_shift config)
+      @@ fun o ->
       let r = o.Vmht_eval.Common.result in
       let trace_ok =
         match trace_out with
@@ -459,8 +454,7 @@ let run_cmd =
     Term.(
       const action $ workload_arg $ mode $ size $ tlb $ tlb2 $ walk_cache
       $ page_shift $ stats $ trace_n $ trace_out $ metrics_json $ spans_out
-      $ pipeline $ unroll $ banks_arg $ no_fastpath_arg $ backend_arg
-      $ opt_level_arg
+      $ pipeline $ unroll $ banks_arg $ backend_arg $ opt_level_arg
       $ passes_arg)
 
 (* ------------------------- trace ---------------------------------- *)
@@ -528,23 +522,9 @@ let trace_cmd =
       let size =
         Option.value ~default:w.Vmht_workloads.Workload.default_size size
       in
-      let config =
-        match tlb2 with
-        | Some entries ->
-          Vmht.Config.with_tlb2 Vmht.Config.default
-            {
-              Vmht_vm.Tlb2.default_config with
-              Vmht_vm.Tlb2.enabled = true;
-              entries;
-            }
-        | None -> Vmht.Config.default
-      in
-      let config =
-        match walk_cache with
-        | Some entries -> Vmht.Config.with_walk_cache config entries
-        | None -> config
-      in
-      let o = Vmht_eval.Common.run ~config ~observe:true mode w ~size in
+      simulate ~observe:true ~tlb2 ~walk_cache mode w ~size (fun () ->
+          Vmht.Config.default)
+      @@ fun o ->
       let tr = Vmht.Soc.trace o.Vmht_eval.Common.soc in
       (* "--component mmu" matches every numbered instance ("mmu",
          "mmu1", ...); an exact instance name still selects just it. *)
@@ -780,7 +760,6 @@ let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
     ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
     ("seed", Json.Int config.Vmht.Config.seed);
     ("fault", Json.String (Vmht_fault.Plan.to_string config.Vmht.Config.fault));
-    ("fastpath", Json.Bool config.Vmht.Config.fastpath);
     ("experiments", Json.List (List.map row rows));
     ("total_seconds", Json.Float total_seconds);
     ( "synthesis_cache",
@@ -898,8 +877,8 @@ let bench_cmd =
              write them as Chrome-trace JSON to $(docv): one track per \
              worker, flow arrows from the submitting sweep.")
   in
-  let action jobs fault_rate seed metrics_json spans_out no_fastpath opt_level
-      passes names =
+  let action jobs fault_rate seed metrics_json spans_out opt_level passes names
+      =
     start_eval jobs;
     if Option.is_some spans_out then Vmht_obs.Span.enable true;
     let config = Vmht.Config.default in
@@ -915,7 +894,6 @@ let bench_cmd =
       | None -> config
     in
     let config = config_with_opt config opt_level passes in
-    let config = Vmht.Config.with_fastpath config (not no_fastpath) in
     with_schedule config @@ fun sched ->
     let rows = ref [] in
     let run_timed name f =
@@ -986,7 +964,7 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Regenerate evaluation tables and figures." ~man)
     Term.(
       const action $ eval_jobs_arg $ fault_rate $ seed $ metrics_json
-      $ spans_out $ no_fastpath_arg $ opt_level_arg $ passes_arg $ names)
+      $ spans_out $ opt_level_arg $ passes_arg $ names)
 
 (* ------------------------- serve / loadgen ------------------------ *)
 
@@ -1319,7 +1297,7 @@ let profile_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the profile as JSON to $(docv).")
   in
-  let action name jobs seed no_fastpath json_out =
+  let action name jobs seed json_out =
     match Vmht_eval.Experiment.find name with
     | None ->
       Printf.eprintf "unknown experiment '%s'\n" name;
@@ -1332,15 +1310,12 @@ let profile_cmd =
         | Some s -> Vmht.Config.with_seed config s
         | None -> config
       in
-      let config = Vmht.Config.with_fastpath config (not no_fastpath) in
       (* Enable before any engine exists: the profiling hook is bound
          at [Engine.create]. *)
       Vmht_obs.Profile.enable true;
       ignore (Vmht_eval.Experiment.run ~config e : string);
       let t = Vmht_obs.Profile.totals () in
-      Printf.printf "profile: %s (fastpath %s)\n%s" name
-        (if config.Vmht.Config.fastpath then "on" else "off")
-        (Vmht_obs.Profile.render t);
+      Printf.printf "profile: %s\n%s" name (Vmht_obs.Profile.render t);
       let exact =
         Vmht_obs.Profile.cycle_sum t = t.Vmht_obs.Profile.engine_cycles
       in
@@ -1372,7 +1347,7 @@ let profile_cmd =
          "Run an experiment under the simulator phase profiler and report \
           where simulated cycles and host time go (dispatch, actor, \
           memory, translate).")
-    Term.(const action $ name_arg $ jobs $ seed $ no_fastpath_arg $ json_out)
+    Term.(const action $ name_arg $ jobs $ seed $ json_out)
 
 (* ------------------------- perf ----------------------------------- *)
 
@@ -1594,9 +1569,9 @@ let dse_cmd =
           Vmht_eval.Dse.tlbs = pick tlbs d.Vmht_eval.Dse.tlbs;
         }
       in
-      let points =
-        Vmht_eval.Dse.explore ~size ~axes ~kernels Vmht.Config.default
-      in
+      checked (fun () ->
+          Vmht_eval.Dse.explore ~size ~axes ~kernels Vmht.Config.default)
+      @@ fun points ->
       print_string (Vmht_eval.Dse.render ~size points);
       print_newline ();
       match json_out with

@@ -15,7 +15,6 @@ type t = {
   resources : Vmht_hls.Schedule.resources;
   unroll : int;
   pipeline_loops : bool;
-  accel_mem_ports : int;
   mmu : Vmht_vm.Mmu.config;
   tlb2 : Vmht_vm.Tlb2.config;
   accel_stream_buffer : Vmht_mem.Cache.config;
@@ -29,7 +28,6 @@ type t = {
   cache_maintenance_cycles : int;
   fault : Vmht_fault.Plan.t;
   seed : int;
-  fastpath : bool;
   backend : backend;
 }
 
@@ -48,7 +46,6 @@ let default =
       };
     unroll = 1;
     pipeline_loops = false;
-    accel_mem_ports = 2;
     mmu = Vmht_vm.Mmu.default_config;
     tlb2 = Vmht_vm.Tlb2.default_config;
     (* The VM wrapper's stream buffer: a small write-back cache that
@@ -74,12 +71,6 @@ let default =
     cache_maintenance_cycles = 64;
     fault = Vmht_fault.Plan.none;
     seed = 1;
-    (* Trace-compiled simulator fast path (single-runnable wait
-       batching, steady-state accelerator traces, memoized
-       translation).  Observationally identical — cycle counts and
-       outputs do not depend on it — so it defaults on; --no-fastpath
-       is the escape hatch and the abl7 ablation proves the claim. *)
-    fastpath = true;
     backend = Model;
   }
 
@@ -104,27 +95,13 @@ let with_unroll t unroll = { t with unroll }
 let with_pipelining t pipeline_loops = { t with pipeline_loops }
 
 (* Re-bank the scratchpad, keeping per-bank porting: [n] word-interleaved
-   banks, each with the current ports-per-bank; the outstanding-miss
-   limit scales with the total port count.  [with_banks t 1] is the
+   banks, each with the current ports-per-bank.  [with_banks t 1] is the
    default flat memory (identical fingerprint). *)
 let with_banks t banks =
-  let m = t.resources.Vmht_hls.Schedule.mem in
-  let ppb = m.Vmht_hls.Schedule.ports_per_bank in
-  let mem =
-    {
-      m with
-      Vmht_hls.Schedule.banks;
-      Vmht_hls.Schedule.miss_limit = banks * ppb;
-    }
-  in
-  { t with resources = { t.resources with Vmht_hls.Schedule.mem } }
-
-(* Simulator-side width of the accelerator's memory interface: wide
-   enough for both the wrapper's outstanding-access budget and the peak
-   issue width the schedule was arbitrated for. *)
-let accel_width t =
-  max t.accel_mem_ports
-    (Vmht_hls.Schedule.mem_total_ports t.resources.Vmht_hls.Schedule.mem)
+  if banks < 1 then invalid_arg "Config.with_banks: banks must be >= 1";
+  let r = t.resources in
+  let mem = { r.Vmht_hls.Schedule.mem with Vmht_hls.Schedule.banks } in
+  { t with resources = { r with Vmht_hls.Schedule.mem } }
 
 let with_fault t fault = { t with fault }
 
@@ -133,8 +110,6 @@ let with_seed t seed = { t with seed }
 let with_opt_level t opt_level = { t with opt_level }
 
 let with_windows t wrapper_windows = { t with wrapper_windows }
-
-let with_fastpath t fastpath = { t with fastpath }
 
 let with_backend t backend = { t with backend }
 
@@ -150,94 +125,7 @@ let schedule t =
     | Ok s -> s
     | Error msg -> invalid_arg ("Config.schedule: " ^ msg))
 
-(* Every field, spelled out: the fingerprint keys the synthesis cache,
-   so forgetting a field here would let two configs that synthesize
-   differently share a cache slot.  Enumerating all of them (even the
-   purely runtime ones like DRAM timings) trades a few spurious cache
-   misses for immunity to that bug class. *)
-let fingerprint (t : t) =
-  let b = Buffer.create 160 in
-  let i v = Buffer.add_string b (string_of_int v); Buffer.add_char b ';' in
-  let f v = Buffer.add_string b (string_of_bool v); Buffer.add_char b ';' in
-  i t.phys_bytes;
-  i t.page_shift;
-  i t.va_bits;
-  (let d = t.dram in
-   i d.Vmht_mem.Dram.t_cas;
-   i d.Vmht_mem.Dram.t_rcd;
-   i d.Vmht_mem.Dram.t_rp;
-   i d.Vmht_mem.Dram.row_bytes;
-   i d.Vmht_mem.Dram.banks);
-  i t.bus_arbitration_cycles;
-  let cache (c : Vmht_mem.Cache.config) =
-    i c.Vmht_mem.Cache.size_bytes;
-    i c.Vmht_mem.Cache.line_bytes;
-    i c.Vmht_mem.Cache.ways;
-    i c.Vmht_mem.Cache.hit_latency
-  in
-  cache t.cache;
-  (let r = t.resources in
-   i r.Vmht_hls.Schedule.alu;
-   i r.Vmht_hls.Schedule.cmp;
-   i r.Vmht_hls.Schedule.mul;
-   i r.Vmht_hls.Schedule.div;
-   i r.Vmht_hls.Schedule.shift;
-   (let m = r.Vmht_hls.Schedule.mem in
-    i m.Vmht_hls.Schedule.banks;
-    i m.Vmht_hls.Schedule.ports_per_bank;
-    i m.Vmht_hls.Schedule.interleave_shift;
-    i m.Vmht_hls.Schedule.miss_limit));
-  i t.unroll;
-  f t.pipeline_loops;
-  i t.accel_mem_ports;
-  (let m = t.mmu in
-   i m.Vmht_vm.Mmu.tlb.Vmht_vm.Tlb.entries;
-   i m.Vmht_vm.Mmu.tlb.Vmht_vm.Tlb.assoc;
-   Buffer.add_string b
-     (match m.Vmht_vm.Mmu.tlb.Vmht_vm.Tlb.policy with
-      | Vmht_vm.Tlb.Lru -> "lru;"
-      | Vmht_vm.Tlb.Fifo -> "fifo;");
-   f m.Vmht_vm.Mmu.hw_walk;
-   i m.Vmht_vm.Mmu.tlb_hit_cycles;
-   i m.Vmht_vm.Mmu.sw_refill_penalty;
-   i m.Vmht_vm.Mmu.fault_penalty;
-   i m.Vmht_vm.Mmu.walk_cache_entries);
-  (let l2 = t.tlb2 in
-   f l2.Vmht_vm.Tlb2.enabled;
-   i l2.Vmht_vm.Tlb2.entries;
-   i l2.Vmht_vm.Tlb2.assoc;
-   Buffer.add_string b
-     (match l2.Vmht_vm.Tlb2.policy with
-      | Vmht_vm.Tlb.Lru -> "lru;"
-      | Vmht_vm.Tlb.Fifo -> "fifo;");
-   i l2.Vmht_vm.Tlb2.hit_cycles);
-  cache t.accel_stream_buffer;
-  i t.scratchpad_words;
-  i t.dma_setup_cycles;
-  i t.dma_burst_words;
-  i t.pin_cycles_per_page;
-  i t.wrapper_windows;
-  i t.cache_maintenance_cycles;
-  Buffer.add_string b (Vmht_fault.Plan.fingerprint t.fault);
-  (* The pass schedule changes the synthesized datapath, so it must key
-     the cache: [-O1] and [-O2] results can never be conflated. *)
-  i t.opt_level;
-  Buffer.add_string b
-    (match t.passes with
-     | None -> "preset;"
-     | Some names -> "passes:" ^ String.concat "," names ^ ";");
-  i t.seed;
-  (* Purely a runtime toggle, but the all-fields policy wins: a
-     spurious cache miss is cheaper than a forgotten field. *)
-  f t.fastpath;
-  Buffer.add_string b
-    (match t.backend with Model -> "model;" | Rtl -> "rtl;");
-  Buffer.contents b
-
-let to_string t =
-  Printf.sprintf
-    "page=%dB tlb=%d entries (hw_walk=%b) cache=%dB unroll=%d ports=%d \
-     scratchpad=%d words"
-    (1 lsl t.page_shift) t.mmu.Vmht_vm.Mmu.tlb.Vmht_vm.Tlb.entries
-    t.mmu.Vmht_vm.Mmu.hw_walk t.cache.Vmht_mem.Cache.size_bytes t.unroll
-    t.accel_mem_ports t.scratchpad_words
+(* The synthesis cache key.  [Marshal] renders structurally equal
+   values to equal bytes, so every field — including one added later —
+   keys the cache without being listed here. *)
+let fingerprint (t : t) = Marshal.to_string t [ Marshal.No_sharing ]

@@ -21,7 +21,6 @@ type t = {
   unroll : int;
   pipeline_loops : bool;
       (** modulo-schedule eligible inner loops (extension mode) *)
-  accel_mem_ports : int; (** concurrent outstanding accesses per thread *)
   (* --- VM interface wrapper --- *)
   mmu : Vmht_vm.Mmu.config;
   tlb2 : Vmht_vm.Tlb2.config;
@@ -52,10 +51,6 @@ type t = {
   fault : Vmht_fault.Plan.t;
       (** fault-injection plan; {!Vmht_fault.Plan.none} by default *)
   seed : int;
-  fastpath : bool;
-      (** trace-compiled simulator fast path (wait batching, compiled
-          accelerator traces, memoized translation); observationally
-          identical, on by default, [--no-fastpath] disables *)
   backend : backend;
       (** which executor runs hardware threads; {!Model} by default,
           [--backend rtl] selects the RTL evaluator *)
@@ -79,15 +74,9 @@ val with_pipelining : t -> bool -> t
 
 val with_banks : t -> int -> t
 (** Re-bank the scratchpad: [n] word-interleaved banks, keeping the
-    current ports-per-bank; the outstanding-miss limit scales to
-    [n * ports_per_bank].  [with_banks t 1] equals the default flat
-    memory and fingerprints identically. *)
-
-val accel_width : t -> int
-(** Simulator-side memory interface width of an accelerator: the max of
-    [accel_mem_ports] and the scheduler's total memory port count, so a
-    banked schedule's co-issued accesses are not re-serialized by the
-    simulation harness. *)
+    current ports-per-bank.  [with_banks t 1] equals the default flat
+    memory and fingerprints identically.  Raises [Invalid_argument]
+    when [n < 1]. *)
 
 val with_fault : t -> Vmht_fault.Plan.t -> t
 
@@ -101,9 +90,6 @@ val with_windows : t -> int -> t
 
 val with_passes : t -> string list option -> t
 
-val with_fastpath : t -> bool -> t
-(** Toggle the simulator fast path (the --no-fastpath escape hatch). *)
-
 val with_backend : t -> backend -> t
 (** Select the hardware-thread executor (default {!Model}). *)
 
@@ -113,8 +99,9 @@ val schedule : t -> Vmht_ir.Pass_manager.schedule
     unknown pass names. *)
 
 val fingerprint : t -> string
-(** A compact, injective rendering of every field, used (with the
-    kernel and wrapper style) to key the synthesis cache.  Two configs
-    fingerprint equally iff they are structurally equal. *)
-
-val to_string : t -> string
+(** The marshalled bytes of the whole record, used (with the kernel and
+    wrapper style) to key the synthesis cache.  Two configs fingerprint
+    equally iff they are structurally equal, whatever fields the record
+    gains later (a fault rate of [-0.] against [0.] is the one
+    exception: equal, but keyed apart — a spurious miss, never a wrong
+    hit). *)

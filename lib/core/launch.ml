@@ -56,11 +56,15 @@ let accel_observer soc =
    meaningless. *)
 let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
   let cfg = Soc.config soc in
+  (* Issue as wide as the schedule was arbitrated for, so co-issued
+     accesses are not re-serialized by the simulation harness. *)
+  let ports =
+    Vmht_hls.Schedule.mem_total_ports cfg.Config.resources.Vmht_hls.Schedule.mem
+  in
   match cfg.Config.backend with
   | Config.Model ->
-    Accel.run ?observer:(accel_observer soc) ~stats
-      ~ports:(Config.accel_width cfg) ~fastpath:cfg.Config.fastpath
-      hw.Flow.fsm ~port ~args
+    Accel.run ?observer:(accel_observer soc) ~stats ~ports hw.Flow.fsm ~port
+      ~args
   | Config.Rtl ->
     if hw.Flow.fsm.Vmht_hls.Fsm.plans <> [] then
       invalid_arg
@@ -68,9 +72,7 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
          (the emitted FSM is unpipelined); drop --pipeline or use the \
          model backend";
     let prog = Vmht_rtl.Eval.load hw.Flow.verilog in
-    let out =
-      Vmht_rtl.Eval.run ~stats ~ports:(Config.accel_width cfg) prog ~port ~args
-    in
+    let out = Vmht_rtl.Eval.run ~stats ~ports prog ~port ~args in
     let returns_value =
       List.exists
         (fun (b : Ir.block) ->

@@ -55,7 +55,7 @@ type t = {
 }
 
 let create (config : Config.t) =
-  let engine = Engine.create ~fastpath:config.Config.fastpath () in
+  let engine = Engine.create () in
   let phys = Phys_mem.create ~bytes:config.Config.phys_bytes in
   let dram = Dram.create ~config:config.Config.dram () in
   let bus =
@@ -90,7 +90,7 @@ let create (config : Config.t) =
       cpu;
       tlb2 =
         (if config.Config.tlb2.Tlb2.enabled then
-           Some (Tlb2.create ~memo:config.Config.fastpath config.Config.tlb2)
+           Some (Tlb2.create config.Config.tlb2)
          else None);
       vm_flushed = Vmht_vm.Vm_totals.zero;
       mmu_list = [];
@@ -220,8 +220,7 @@ let enable_tracing t =
 let make_mmu ?aspace t =
   let space, asid = Option.value ~default:(t.aspace, 0) aspace in
   let mmu =
-    Mmu.create ~asid ?tlb2:t.tlb2 ~fastpath:t.config.Config.fastpath
-      t.config.Config.mmu t.bus space
+    Mmu.create ~asid ?tlb2:t.tlb2 t.config.Config.mmu t.bus space
   in
   let name = instance_name "mmu" (List.length t.mmu_list) in
   t.mmu_list <- mmu :: t.mmu_list;

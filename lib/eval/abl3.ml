@@ -21,7 +21,6 @@ let config_with base ~unroll ~ports =
   {
     base with
     Vmht.Config.unroll;
-    accel_mem_ports = ports;
     resources =
       { base.Vmht.Config.resources with Schedule.mem = Schedule.flat_mem ports };
   }

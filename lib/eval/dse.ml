@@ -60,6 +60,9 @@ let mark_pareto points =
     (fun p -> { p with pareto = not (List.exists (fun q -> dominates q p) points) })
     points
 
+(* Every point's config is built before the sweep fans out, so an axis
+   value the config rejects ([with_banks] below 1) raises before any
+   point runs. *)
 let explore ?(size = default_size) ?(axes = default_axes)
     ?(kernels = default_kernels) base =
   let grid =
@@ -72,7 +75,9 @@ let explore ?(size = default_size) ?(axes = default_axes)
                 List.concat_map
                   (fun opt ->
                     List.map
-                      (fun tlb -> (kernel, unroll, banks, opt, tlb))
+                      (fun tlb ->
+                        ( (kernel, unroll, banks, opt, tlb),
+                          config_of base ~unroll ~banks ~opt ~tlb ))
                       axes.tlbs)
                   axes.opts)
               axes.banks)
@@ -81,9 +86,8 @@ let explore ?(size = default_size) ?(axes = default_axes)
   in
   let points =
     Common.par_map
-      (fun (kernel, unroll, banks, opt, tlb) ->
+      (fun ((kernel, unroll, banks, opt, tlb), config) ->
         let w = Vmht_workloads.Registry.find kernel in
-        let config = config_of base ~unroll ~banks ~opt ~tlb in
         let o = Common.run ~config Common.Vm w ~size in
         assert o.Common.correct;
         let area =

@@ -126,12 +126,6 @@ let all =
       run = Abl6.run;
     };
     {
-      name = "abl7";
-      doc = "simulator fast path on vs off: identical cycles, faster host";
-      kind = Ablation;
-      run = Abl7.run;
-    };
-    {
       name = "robust";
       doc = "fault injection: recovery overhead, vm vs copy-based";
       kind = Sweep;

@@ -52,28 +52,6 @@ let uniform ~rate =
       dma_abort_rate = rate;
     }
 
-let fingerprint (t : t) =
-  let b = Buffer.create 96 in
-  let i v = Buffer.add_string b (string_of_int v); Buffer.add_char b ';' in
-  let r v = Buffer.add_string b (Printf.sprintf "%h;" v) in
-  Buffer.add_string b (if t.enabled then "on;" else "off;");
-  i t.max_injections;
-  r t.tlb_shootdown_rate;
-  r t.walk_stall_rate;
-  i t.walk_stall_cycles;
-  r t.walk_transient_rate;
-  i t.walk_retry_limit;
-  i t.walk_retry_cycles;
-  r t.bus_error_rate;
-  i t.bus_error_cycles;
-  r t.bus_contention_rate;
-  i t.bus_contention_cycles;
-  r t.dram_row_failure_rate;
-  i t.dram_row_failure_cycles;
-  r t.dma_abort_rate;
-  i t.dma_abort_cycles;
-  Buffer.contents b
-
 let to_string (t : t) =
   if not t.enabled then "off"
   else begin

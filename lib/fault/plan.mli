@@ -53,10 +53,6 @@ val uniform : rate:float -> t
     costs — the knob the [robust] experiment sweeps.  [rate <= 0.]
     returns {!none}. *)
 
-val fingerprint : t -> string
-(** Injective rendering of every field; spliced into
-    {!Vmht.Config.fingerprint}. *)
-
 val to_string : t -> string
 (** Compact summary: ["off"], ["uniform 0.005"], or the per-class
     rates. *)

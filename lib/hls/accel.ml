@@ -31,8 +31,8 @@ let rec chunks n = function
     let chunk, rest = take n [] l in
     chunk :: chunks n rest
 
-let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ?(fastpath = true)
-    (hw : Fsm.t) ~port ~args =
+let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
+    ~args =
   let f = hw.Fsm.func in
   if List.length args <> List.length f.Ir.arg_regs then
     invalid_arg
@@ -59,10 +59,11 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ?(fastpath = true)
       Hashtbl.add compiled_blocks label c;
       c
   in
-  (* Execute one FSM state (= one schedule cycle of a block).  All
-     operand reads happen against the register file as it was at state
-     entry; commits are buffered and applied at state exit. *)
-  let exec_cycle (b : Schedule.block_schedule) (ids : int array) =
+  (* Execute one memory FSM state (= one schedule cycle of a block
+     holding at least one access).  All operand reads happen against
+     the register file as it was at state entry; commits are buffered
+     and applied at state exit. *)
+  let exec_mem_cycle (b : Schedule.block_schedule) (ids : int array) =
     let commits = ref [] in
     let mem_ops = ref [] in
     Array.iter
@@ -91,21 +92,18 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ?(fastpath = true)
           stats.stores <- stats.stores + 1;
           mem_ops := (fun () -> port.store a v) :: !mem_ops)
       ids;
-    let mem_ops = List.rev !mem_ops in
-    if mem_ops = [] then Engine.wait 1
-    else
-      (* The state holds until every access of the cycle completes;
-         accesses run [ports]-wide. *)
-      List.iter par_run (chunks ports mem_ops);
+    (* The state holds until every access of the cycle completes;
+       accesses run [ports]-wide. *)
+    List.iter par_run (chunks ports (List.rev !mem_ops));
     stats.fsm_cycles <- stats.fsm_cycles + 1;
     List.iter (fun (d, v) -> regs.(d) <- v) (List.rev !commits)
   in
-  (* Fast path over a [Pure] step: no memory, so the unit waits of its
-     cycles fuse into one wait at the end.  Register semantics are
-     preserved exactly — each cycle still reads the file as of its own
-     entry and commits at its own exit (buffered when a cycle holds
-     several ops); only the wait placement moves, which nothing can
-     observe because pure cycles touch no shared structure. *)
+  (* A [Pure] step: no memory, so the unit waits of its cycles fuse
+     into one wait at the end.  Register semantics are preserved
+     exactly — each cycle still reads the file as of its own entry and
+     commits at its own exit (buffered when a cycle holds several ops);
+     only the wait placement moves, which nothing can observe because
+     pure cycles touch no shared structure. *)
   let exec_pure_fused (b : Schedule.block_schedule) (cycles : int array array)
       =
     let n = Array.length cycles in
@@ -212,10 +210,8 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ?(fastpath = true)
           Array.iter
             (fun (step : Fsm.Trace.step) ->
               match step with
-              | Fsm.Trace.Mem ids -> exec_cycle b ids
-              | Fsm.Trace.Pure cycles ->
-                if fastpath then exec_pure_fused b cycles
-                else Array.iter (exec_cycle b) cycles)
+              | Fsm.Trace.Mem ids -> exec_mem_cycle b ids
+              | Fsm.Trace.Pure cycles -> exec_pure_fused b cycles)
             steps);
       let ir_block = Ir.find_block f label in
       (match ir_block.Ir.term with

@@ -36,7 +36,6 @@ val run :
   ?observer:Vmht_obs.Event.emitter ->
   ?stats:run_stats ->
   ?ports:int ->
-  ?fastpath:bool ->
   Fsm.t ->
   port:port ->
   args:int list ->
@@ -49,13 +48,13 @@ val run :
     software-pipelined loop region emits a single event covering all
     its iterations.
 
-    [fastpath] (default [true]) executes blocks through their
-    trace-compiled form ({!Fsm.Trace}): runs of memory-free FSM states
-    advance the clock with one fused wait instead of one per state.
-    Cycle counts, results, stats and emitted events are identical
-    either way; any state touching memory always executes unfused, so
-    faults and contention land exactly where the interpreter would put
-    them. *)
+    Blocks execute through their trace-compiled form ({!Fsm.Trace}):
+    runs of memory-free FSM states advance the clock with one fused
+    wait instead of one per state, which nothing can observe; any state
+    touching memory executes alone, so faults and contention land
+    exactly where a per-state interpreter would put them.  The RTL
+    evaluator ([Vmht_rtl.Eval]) runs the emitted FSM edge by edge and
+    is the per-state reference this path is checked against. *)
 
 val untimed_port : Vmht_lang.Ast_interp.memory -> port
 (** Wrap an untimed memory as a port (for functional tests outside the

@@ -4,29 +4,19 @@ module Ast = Vmht_lang.Ast
 (* --- memory-access model ------------------------------------------- *)
 
 (* The scratchpad/interface memory seen by the scheduler: [banks]
-   word-interleaved banks ([bank = (addr >> interleave_shift) mod
-   banks]), each with [ports_per_bank] same-cycle ports, under a global
-   [miss_limit] cap on accesses in flight.  [flat_mem p] (one bank, p
-   ports) is the pre-banking model and the degenerate case every
-   default goes through. *)
-type mem_model = {
-  banks : int;
-  ports_per_bank : int;
-  interleave_shift : int;
-  miss_limit : int;
-}
+   word-interleaved banks ([bank = (addr / word) mod banks], 8-byte
+   words), each with [ports_per_bank] same-cycle ports.  [flat_mem p]
+   (one bank, p ports) is the pre-banking model and the degenerate case
+   every default goes through. *)
+type mem_model = { banks : int; ports_per_bank : int }
 
-let flat_mem ports =
-  { banks = 1; ports_per_bank = ports; interleave_shift = 3; miss_limit = ports }
+let flat_mem ports = { banks = 1; ports_per_bank = ports }
 
-let banked_mem ?(ports_per_bank = 1) ?miss_limit banks =
+let banked_mem ?(ports_per_bank = 1) banks =
   if banks < 1 then invalid_arg "Schedule.banked_mem: banks must be >= 1";
-  let miss_limit =
-    match miss_limit with Some m -> m | None -> banks * ports_per_bank
-  in
-  { banks; ports_per_bank; interleave_shift = 3; miss_limit }
+  { banks; ports_per_bank }
 
-let mem_total_ports m = min (m.banks * m.ports_per_bank) m.miss_limit
+let mem_total_ports m = m.banks * m.ports_per_bank
 
 type resources = {
   alu : int;
@@ -53,13 +43,7 @@ let unlimited_resources =
     mul = unbounded;
     div = unbounded;
     shift = unbounded;
-    mem =
-      {
-        banks = 1;
-        ports_per_bank = unbounded;
-        interleave_shift = 3;
-        miss_limit = unbounded;
-      };
+    mem = flat_mem unbounded;
   }
 
 (* Total over every class: [Mem] answers with the model's global
@@ -217,15 +201,14 @@ module Bank = struct
   let provably_distinct m a b =
     match (a, b) with
     | Some x, Some y when x.terms = y.terms ->
-      let word = 1 lsl m.interleave_shift in
       let d = x.base - y.base in
-      d mod word = 0 && d / word mod m.banks <> 0
+      d mod Ast.word_bytes = 0 && d / Ast.word_bytes mod m.banks <> 0
     | (Some _ | None), _ -> false
 
   (* Can this set of accesses issue in one cycle?  Each access must
      find a port on its bank: its conflict set (everything not provably
      on another bank, itself included) may not exceed the per-bank
-     ports; the whole set stays within the global cap.  With one bank
+     ports; the whole set stays within the total port count.  With one bank
      nothing is ever provably distinct and this collapses to the old
      [count <= mem_ports]. *)
   let cycle_ok m (accesses : addr option list) =

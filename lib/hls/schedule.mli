@@ -23,12 +23,9 @@
     instructions; the terminator fires at the makespan. *)
 
 type mem_model = {
-  banks : int;  (** word-interleaved banks (>= 1) *)
+  banks : int;
+      (** word-interleaved banks (>= 1): [bank = (addr / 8) mod banks] *)
   ports_per_bank : int;  (** same-cycle accesses one bank can serve *)
-  interleave_shift : int;
-      (** [bank = (addr >> interleave_shift) mod banks]; 3 = 64-bit
-          word interleaving *)
-  miss_limit : int;  (** global cap on accesses in flight per cycle *)
 }
 
 val flat_mem : int -> mem_model
@@ -36,15 +33,14 @@ val flat_mem : int -> mem_model
     under [flat_mem p] is bit-identical to the historical
     [mem_ports = p] scalar. *)
 
-val banked_mem : ?ports_per_bank:int -> ?miss_limit:int -> int -> mem_model
-(** [banked_mem banks] — word-interleaved banking; defaults: one port
-    per bank, [miss_limit = banks * ports_per_bank].  Raises
-    [Invalid_argument] when [banks < 1]. *)
+val banked_mem : ?ports_per_bank:int -> int -> mem_model
+(** [banked_mem banks] — word-interleaved banking, one port per bank by
+    default.  Raises [Invalid_argument] when [banks < 1]. *)
 
 val mem_total_ports : mem_model -> int
-(** The model's whole-cycle concurrency cap:
-    [min (banks * ports_per_bank) miss_limit].  Also what
-    {!resource_limit} answers for [Mem]. *)
+(** The model's whole-cycle concurrency cap, [banks * ports_per_bank]:
+    what {!resource_limit} answers for [Mem], and the width the
+    simulated accelerator issues memory accesses at. *)
 
 type resources = {
   alu : int;

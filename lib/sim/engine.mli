@@ -30,7 +30,9 @@ val create : ?fastpath:bool -> unit -> t
     resumed in place instead of round-tripping the heap.  The schedule
     produced is observationally identical — cycle counts, event order
     and profile attribution do not change — only the heap traffic and
-    dispatch count do. *)
+    dispatch count do.  The simulator always runs with it on;
+    [~fastpath:false] is the reference the unit tests compare it
+    against. *)
 
 val now : t -> time
 (** Current simulated time (usable from any context). *)

@@ -52,14 +52,14 @@ type t = {
   mutable fault : Fi.t option;
 }
 
-let create ?(asid = 0) ?tlb2 ?(fastpath = true) config bus aspace =
+let create ?(asid = 0) ?tlb2 config bus aspace =
   let page_shift = Page_table.page_shift (Addr_space.page_table aspace) in
   {
     config;
     asid;
     bus;
     aspace;
-    tlb = Tlb.create ~memo:fastpath config.tlb;
+    tlb = Tlb.create config.tlb;
     tlb2;
     ptw =
       Ptw.create ~walk_cache_entries:config.walk_cache_entries bus

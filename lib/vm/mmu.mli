@@ -44,7 +44,6 @@ type t
 val create :
   ?asid:int ->
   ?tlb2:Tlb2.t ->
-  ?fastpath:bool ->
   config ->
   Vmht_mem.Bus.t ->
   Addr_space.t ->
@@ -53,8 +52,7 @@ val create :
     different address spaces must carry distinct ASIDs.  [tlb2] shares
     a second-level TLB with the other MMUs of the SoC: an L1 miss pays
     the L2 probe latency, a hit refills the L1 without walking, and a
-    successful walk fills both levels.  [fastpath] (default [true])
-    enables the L1 TLB's translation memo (see {!Tlb.create}). *)
+    successful walk fills both levels. *)
 
 val asid : t -> int
 

@@ -31,7 +31,8 @@ val create : ?memo:bool -> config -> t
     against the slot's own tags, so shootdown, unmap and eviction
     invalidate it implicitly, and it performs the identical counter and
     recency updates — stats and replacement are bit-for-bit unchanged.
-    The simulator's fast-path config turns it off for ablation. *)
+    The simulator always runs with it on; [~memo:false] is the
+    reference the unit tests compare it against. *)
 
 val lookup : ?asid:int -> t -> vpn:int -> entry option
 (** Updates recency and hit/miss counters.  Entries are tagged with an
@@ -70,7 +71,7 @@ val slot_count : t -> int
 
 val memo_hits : t -> int
 (** Lookups answered by the translation memo without an associative
-    scan (a fast-path work measure; 0 when the memo is off). *)
+    scan (a work measure; 0 when the memo is off). *)
 
 val stats : t -> stats
 

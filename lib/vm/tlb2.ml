@@ -21,12 +21,12 @@ let default_config =
 
 type t = { config : config; tlb : Tlb.t }
 
-let create ?memo config =
+let create config =
   if config.hit_cycles < 0 then invalid_arg "Tlb2.create: negative hit cost";
   {
     config;
     tlb =
-      Tlb.create ?memo
+      Tlb.create
         {
           Tlb.entries = config.entries;
           assoc = config.assoc;

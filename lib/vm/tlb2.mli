@@ -20,11 +20,9 @@ val default_config : config
 
 type t
 
-val create : ?memo:bool -> config -> t
+val create : config -> t
 (** Raises [Invalid_argument] on a non-divisible geometry (see
-    {!Tlb.create}) or a negative [hit_cycles].  [memo] enables the
-    underlying {!Tlb}'s translation memo (default on, see
-    {!Tlb.create}). *)
+    {!Tlb.create}) or a negative [hit_cycles]. *)
 
 val config : t -> config
 

@@ -24,9 +24,6 @@ let test_config_with_page_shift () =
   let c = Config.with_page_shift Config.default 14 in
   check_int "shift" 14 c.Config.page_shift
 
-let test_config_to_string () =
-  check_bool "renders" true (String.length (Config.to_string Config.default) > 10)
-
 (* ------------------------- Wrapper -------------------------------- *)
 
 let test_vm_area_grows_with_tlb () =
@@ -255,7 +252,6 @@ let suite =
     Alcotest.test_case "config: with_tlb_entries" `Quick test_config_with_tlb;
     Alcotest.test_case "config: with_page_shift" `Quick
       test_config_with_page_shift;
-    Alcotest.test_case "config: to_string" `Quick test_config_to_string;
     Alcotest.test_case "wrapper: vm area grows with tlb" `Quick
       test_vm_area_grows_with_tlb;
     Alcotest.test_case "wrapper: walker costs" `Quick test_vm_area_walker_costs;

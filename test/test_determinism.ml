@@ -180,79 +180,6 @@ let test_cache_concurrent_single_flight () =
   Alcotest.(check int) "single flight: one synthesis for 8 callers" 1
     (Flow.cache_stats ()).Flow.cache_misses
 
-(* --- simulator fast path ------------------------------------------ *)
-
-(* The fast path (engine wait batching, trace-compiled accelerator
-   blocks, translation memo) is a host-time optimization only: a run
-   must be observably identical with it on and off — same final
-   cycles, same return value, same memory image — for any kernel,
-   configuration, data seed and fault rate.  Nonzero fault rates are
-   the de-optimization witness: every injector draw happens in an
-   unfused memory cycle, so injected faults land at the same cycle
-   either way. *)
-
-let fuzz_vm_observe ~fastpath ~tlb_entries ~rate ~seed kernel =
-  let config =
-    Vmht.Config.with_tlb_entries Vmht.Config.default tlb_entries
-  in
-  let config = Vmht.Config.with_seed config seed in
-  let config =
-    if rate > 0. then
-      Vmht.Config.with_fault config (Vmht_fault.Plan.uniform ~rate)
-    else config
-  in
-  let config = Vmht.Config.with_fastpath config fastpath in
-  let soc = Vmht.Soc.create config in
-  let aspace = Vmht.Soc.aspace soc in
-  let base =
-    Vmht_vm.Addr_space.alloc aspace ~bytes:(Gen_prog.mem_words * 8)
-  in
-  for i = 0 to Gen_prog.mem_words - 1 do
-    Vmht_vm.Addr_space.store_word aspace (base + (i * 8)) ((i * 37) mod 101)
-  done;
-  let hw = Flow.run_exn
-    (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface kernel) in
-  let result =
-    Vmht.Launch.run_to_completion soc (fun () ->
-        Vmht.Launch.run_hw soc hw
-          {
-            Vmht.Launch.args = [ base; seed mod 11; seed mod 7 ];
-            buffers = [];
-          })
-  in
-  let mem =
-    List.init Gen_prog.mem_words (fun i ->
-        Vmht_vm.Addr_space.load_word aspace (base + (i * 8)))
-  in
-  (result.Vmht.Launch.total_cycles, result.Vmht.Launch.ret, mem)
-
-let arb_fastpath_case =
-  QCheck.make
-    ~print:(fun (seed, tlb_entries, rate, cfg_seed) ->
-      Printf.sprintf "(kernel seed %d, tlb=%d, fault rate %.3f, seed %d)"
-        seed tlb_entries rate cfg_seed)
-    QCheck.Gen.(
-      quad (0 -- 20000)
-        (oneofl [ 4; 8; 16 ])
-        (oneofl [ 0.; 0.005; 0.02 ])
-        (oneofl [ 1; 7; 42 ]))
-
-let prop_fastpath_differential =
-  QCheck.Test.make ~count:30
-    ~name:"fastpath on = fastpath off (cycles, ret, memory; incl. faults)"
-    arb_fastpath_case
-    (fun (seed, tlb_entries, rate, cfg_seed) ->
-      let kernel = Gen_prog.gen_kernel seed in
-      let on =
-        fuzz_vm_observe ~fastpath:true ~tlb_entries ~rate ~seed:cfg_seed
-          kernel
-      in
-      let off =
-        fuzz_vm_observe ~fastpath:false ~tlb_entries ~rate ~seed:cfg_seed
-          kernel
-      in
-      on = off)
-
 let suite =
   [
     Alcotest.test_case "experiments: -j 1 = -j 4 (byte-identical)" `Slow
@@ -267,5 +194,4 @@ let suite =
     Alcotest.test_case "cache: concurrent single flight" `Quick
       test_cache_concurrent_single_flight;
     QCheck_alcotest.to_alcotest prop_cached_equals_fresh;
-    QCheck_alcotest.to_alcotest prop_fastpath_differential;
   ]

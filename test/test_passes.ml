@@ -62,6 +62,56 @@ let test_fingerprint_tracks_schedule () =
     (fp (Vmht.Config.with_passes base (Some [ "dce"; "cse" ]))
     <> fp (Vmht.Config.with_passes base (Some [ "cse"; "dce" ])))
 
+(* The fingerprint is the record itself: over configs built from random
+   setter calls (few values per axis, so distinct call sequences often
+   build equal configs), two fingerprint equally exactly when they are
+   structurally equal. *)
+let gen_config =
+  let open QCheck.Gen in
+  let setter name values set =
+    map (fun v -> (name, fun c -> set c v)) (oneofl values)
+  in
+  let module C = Vmht.Config in
+  let tlb2 entries =
+    { Vmht_vm.Tlb2.default_config with Vmht_vm.Tlb2.enabled = true; entries }
+  in
+  let setters =
+    oneof
+      [
+        setter "tlb" [ 8; 16 ] C.with_tlb_entries;
+        setter "tlb2" [ tlb2 8; tlb2 16 ] C.with_tlb2;
+        setter "walk_cache" [ 0; 8 ] C.with_walk_cache;
+        setter "page_shift" [ 12; 13 ] C.with_page_shift;
+        setter "unroll" [ 1; 2 ] C.with_unroll;
+        setter "pipelining" [ false; true ] C.with_pipelining;
+        setter "banks" [ 1; 2 ] C.with_banks;
+        setter "fault"
+          [ Vmht_fault.Plan.none; Vmht_fault.Plan.uniform ~rate:0.01 ]
+          C.with_fault;
+        setter "seed" [ 1; 2 ] C.with_seed;
+        setter "opt_level" [ 0; 2 ] C.with_opt_level;
+        setter "windows" [ 3; 4 ] C.with_windows;
+        setter "backend" [ C.Model; C.Rtl ] C.with_backend;
+        setter "passes" [ None; Some [ "dce" ]; Some [ "cse"; "dce" ] ]
+          C.with_passes;
+      ]
+  in
+  map
+    (fun calls ->
+      ( String.concat ", " (List.map fst calls),
+        List.fold_left (fun c (_, set) -> set c) C.default calls ))
+    (list_size (int_bound 5) setters)
+
+let prop_fingerprint_is_equality =
+  QCheck.Test.make ~count:500
+    ~name:"config fingerprint: equal iff the configs are equal"
+    (QCheck.make
+       ~print:(fun ((a, _), (b, _)) -> Printf.sprintf "[%s] vs [%s]" a b)
+       (QCheck.Gen.pair gen_config gen_config))
+    (fun ((_, a), (_, b)) ->
+      let fp = Vmht.Config.fingerprint in
+      (fp a = fp b) = (a = b))
+
 (* ---------------------- verifier ----------------------------------- *)
 
 let block_with f label instrs term =
@@ -342,6 +392,7 @@ let suite =
       test_of_names_unknown;
     Alcotest.test_case "schedule: in config fingerprint" `Quick
       test_fingerprint_tracks_schedule;
+    QCheck_alcotest.to_alcotest prop_fingerprint_is_equality;
     Alcotest.test_case "verify: accepts lowered IR" `Quick
       test_verify_accepts_lowered;
     Alcotest.test_case "verify: undefined register" `Quick

@@ -511,14 +511,16 @@ let test_shared_program () =
 
 (* ---------------- randomized backend differential ------------------ *)
 
-(* The full-stack differential, modeled on the fastpath one: any
-   generated kernel, TLB geometry, data seed and fault rate must give
-   identical cycles, return value and final memory on the model
-   executor and on the emitted bytes.  Fault injection is the sharp
-   edge: both backends draw from the same injector stream through the
-   same port, so a fault lands in the same access either way.  Both
-   backends run the one synthesized thread: the backend is a property
-   of the SoC that launches it, not of the hardware. *)
+(* The full-stack differential and the per-edge reference for the
+   model's fused accelerator path: any generated kernel, TLB geometry,
+   bank count, data seed and fault rate must give identical cycles,
+   return value and final memory on the model executor (memory-free
+   states fused into one wait) and on the emitted bytes run edge by
+   edge.  It runs 100 cases, fault injection included.  Fault injection
+   is the sharp edge: both backends draw from the same injector stream
+   through the same port, so a fault lands in the same access either
+   way.  Both backends run the one synthesized thread: the backend is a
+   property of the SoC that launches it, not of the hardware. *)
 let fuzz_config ~banks ~tlb_entries ~rate ~seed =
   let config =
     Vmht.Config.with_tlb_entries Vmht.Config.default tlb_entries

@@ -162,6 +162,93 @@ let test_determinism () =
   in
   Alcotest.(check string) "identical runs" (run_once ()) (run_once ())
 
+(* The single-runnable wait fast path against the plain heap
+   round-trip: random process sets mixing waits (0 included), forks,
+   suspend/resume pairs and a [run ~until] stop must log the same
+   (time, process, step) sequence and end at the same time with the
+   fast path on (what the simulator runs) and off (the reference). *)
+type action = Wait of int | Fork of action list | Park | Wake
+
+let rec show_actions acts =
+  String.concat " "
+    (List.map
+       (function
+         | Wait n -> Printf.sprintf "w%d" n
+         | Fork p -> "fork(" ^ show_actions p ^ ")"
+         | Park -> "park"
+         | Wake -> "wake")
+       acts)
+
+let rec gen_actions depth =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (4, map (fun n -> Wait n) (int_bound 4)); (1, return Park);
+        (1, return Wake) ]
+  in
+  let step =
+    if depth = 0 then leaf
+    else
+      frequency
+        [ (6, leaf); (1, map (fun p -> Fork p) (gen_actions (depth - 1))) ]
+  in
+  list_size (int_range 1 6) step
+
+let arb_engine_case =
+  QCheck.make
+    ~print:(fun (procs, until) ->
+      Printf.sprintf "until %s: %s"
+        (match until with Some u -> string_of_int u | None -> "-")
+        (String.concat " | " (List.map show_actions procs)))
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 4) (gen_actions 2))
+        (opt (int_bound 12)))
+
+(* Each process logs (now, pid, step) before every action and once at
+   its end; [Park] hands its resume to a shared queue that [Wake] (or,
+   once the engine drains, the loop below) pops in order. *)
+let run_engine_case ~fastpath (procs, until) =
+  let eng = Engine.create ~fastpath () in
+  let log = ref [] in
+  let parked = Queue.create () in
+  let next_pid = ref 0 in
+  let rec proc acts () =
+    let pid = !next_pid in
+    incr next_pid;
+    let record step = log := (Engine.now_p (), pid, step) :: !log in
+    List.iteri
+      (fun step act ->
+        record step;
+        match act with
+        | Wait n -> Engine.wait n
+        | Fork p -> Engine.fork ~name:"child" (proc p)
+        | Park -> Engine.suspend (fun resume -> Queue.push resume parked)
+        | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt parked))
+      acts;
+    record (List.length acts)
+  in
+  List.iter (fun p -> Engine.spawn eng ~name:"proc" (proc p)) procs;
+  Option.iter
+    (fun u ->
+      Engine.run ~until:u eng;
+      log := (Engine.now eng, -1, -1) :: !log)
+    until;
+  Engine.run eng;
+  while not (Queue.is_empty parked) do
+    Queue.pop parked ();
+    Engine.run eng
+  done;
+  (List.rev !log, Engine.now eng, Engine.fast_forwards eng)
+
+let prop_engine_fastpath_reference =
+  QCheck.Test.make ~count:500
+    ~name:"engine: fast path = reference (log, final now)" arb_engine_case
+    (fun case ->
+      let fast_log, fast_now, _ = run_engine_case ~fastpath:true case in
+      let ref_log, ref_now, ref_ff = run_engine_case ~fastpath:false case in
+      fast_log = ref_log && fast_now = ref_now && ref_ff = 0)
+
 (* --------------------- Resource ----------------------------------- *)
 
 let test_resource_serializes () =
@@ -265,6 +352,7 @@ let suite =
     Alcotest.test_case "engine: stuck detection" `Quick test_stuck_detection;
     Alcotest.test_case "engine: not in process" `Quick test_not_in_process;
     Alcotest.test_case "engine: deterministic" `Quick test_determinism;
+    QCheck_alcotest.to_alcotest prop_engine_fastpath_reference;
     Alcotest.test_case "resource: serializes FIFO" `Quick test_resource_serializes;
     Alcotest.test_case "resource: stats" `Quick test_resource_stats;
     Alcotest.test_case "resource: utilization" `Quick test_resource_utilization;

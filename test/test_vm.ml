@@ -325,6 +325,90 @@ let prop_tlb_never_stale =
           | None -> false)
         ops)
 
+(* The translation memo against the plain associative scan: any
+   sequence of lookups, inserts and shootdowns with ASIDs, over LRU and
+   FIFO, fully- and set-associative geometries, must give the same
+   answers, counters and occupancy with the memo on (what the simulator
+   runs) and off (the reference). *)
+type tlb_op =
+  | Lookup of int * int
+  | Lookup_frame of int * int
+  | Insert of int * int * bool
+  | Invalidate of int * int
+  | Invalidate_vpn of int
+  | Invalidate_asid of int
+  | Invalidate_slot of int
+
+let show_tlb_op = function
+  | Lookup (a, v) -> Printf.sprintf "lookup %d:%d" a v
+  | Lookup_frame (a, v) -> Printf.sprintf "lookup_frame %d:%d" a v
+  | Insert (a, v, w) ->
+    Printf.sprintf "insert %d:%d%s" a v (if w then "w" else "")
+  | Invalidate (a, v) -> Printf.sprintf "invalidate %d:%d" a v
+  | Invalidate_vpn v -> Printf.sprintf "invalidate_vpn %d" v
+  | Invalidate_asid a -> Printf.sprintf "invalidate_asid %d" a
+  | Invalidate_slot n -> Printf.sprintf "invalidate_slot %d" n
+
+let gen_tlb_op =
+  let open QCheck.Gen in
+  (* More vpns than any geometry holds, so sets fill and evict. *)
+  let asid = int_bound 2 and vpn = int_bound 40 in
+  frequency
+    [
+      (4, map2 (fun a v -> Lookup (a, v)) asid vpn);
+      (4, map2 (fun a v -> Lookup_frame (a, v)) asid vpn);
+      (4, map3 (fun a v w -> Insert (a, v, w)) asid vpn bool);
+      (1, map2 (fun a v -> Invalidate (a, v)) asid vpn);
+      (1, map (fun v -> Invalidate_vpn v) vpn);
+      (1, map (fun a -> Invalidate_asid a) asid);
+      (1, map (fun n -> Invalidate_slot n) (int_bound 20));
+    ]
+
+let arb_tlb_case =
+  let geometries = [ (4, 0); (8, 0); (8, 1); (8, 2); (16, 4) ] in
+  QCheck.make
+    ~print:(fun ((entries, assoc), policy, ops) ->
+      Printf.sprintf "%d entries, %d-way, %s: %s" entries assoc
+        (match policy with Tlb.Lru -> "lru" | Tlb.Fifo -> "fifo")
+        (String.concat "; " (List.map show_tlb_op ops)))
+    QCheck.Gen.(
+      triple (oneofl geometries)
+        (oneofl [ Tlb.Lru; Tlb.Fifo ])
+        (list_size (int_range 1 80) gen_tlb_op))
+
+(* Every op's answer as an int: a hit's frame plus its writable bit,
+   -1 for a miss, 0 for the ops that answer nothing.  The [i]-th op
+   inserts frame [i + 1], so a stale translation cannot go unseen. *)
+let run_tlb_case ~memo ((entries, assoc), policy, ops) =
+  let tlb = Tlb.create ~memo { Tlb.entries; assoc; policy } in
+  let answer i = function
+    | Lookup (asid, vpn) -> (
+      match Tlb.lookup ~asid tlb ~vpn with
+      | Some e -> e.Tlb.frame + Bool.to_int e.Tlb.writable
+      | None -> -1)
+    | Lookup_frame (asid, vpn) -> Tlb.lookup_frame ~asid tlb ~vpn
+    | Insert (asid, vpn, writable) ->
+      Tlb.insert ~asid tlb ~vpn { Tlb.frame = (i + 1) * 4096; writable };
+      0
+    | Invalidate (asid, vpn) -> Tlb.invalidate ~asid tlb ~vpn; 0
+    | Invalidate_vpn vpn -> Tlb.invalidate_vpn tlb ~vpn; 0
+    | Invalidate_asid asid -> Tlb.invalidate_asid tlb ~asid; 0
+    | Invalidate_slot n -> Tlb.invalidate_slot tlb ~n; 0
+  in
+  let answers = List.mapi answer ops in
+  (answers, Tlb.stats tlb, Tlb.occupancy tlb, Tlb.memo_hits tlb)
+
+let prop_tlb_memo_reference =
+  QCheck.Test.make ~count:500
+    ~name:"tlb: memo = plain scan (answers, stats, occupancy)" arb_tlb_case
+    (fun case ->
+      let answers, stats, occupancy, _ = run_tlb_case ~memo:true case in
+      let ref_answers, ref_stats, ref_occupancy, ref_memo_hits =
+        run_tlb_case ~memo:false case
+      in
+      answers = ref_answers && stats = ref_stats && occupancy = ref_occupancy
+      && ref_memo_hits = 0)
+
 (* ------------------------- Ptw / Mmu ------------------------------ *)
 
 let test_ptw_walk_times_and_translates () =
@@ -575,6 +659,7 @@ let suite =
     Alcotest.test_case "tlb: invalidate vpn across asids" `Quick
       test_tlb_invalidate_vpn_all_asids;
     QCheck_alcotest.to_alcotest prop_tlb_never_stale;
+    QCheck_alcotest.to_alcotest prop_tlb_memo_reference;
     Alcotest.test_case "ptw: timed walk" `Quick test_ptw_walk_times_and_translates;
     Alcotest.test_case "mmu: hit vs miss" `Quick test_mmu_translate_hit_vs_miss;
     Alcotest.test_case "mmu: miss slower" `Quick test_mmu_miss_slower_than_hit;

@@ -107,6 +107,28 @@ let mmu_translate_churn () =
       done);
   Vmht_sim.Engine.run eng
 
+(* The engine's own machinery, no component model: a lone process's
+   waits (each fast-forwarded), two processes ticking in lockstep (each
+   wait yields to the other) and two-lane joins (fork, suspend, resume). *)
+let engine_wait () =
+  let module Engine = Vmht_sim.Engine in
+  let eng = Engine.create () in
+  let ticks n () =
+    for _ = 1 to n do
+      Engine.wait 1
+    done
+  in
+  Engine.spawn eng ~name:"lone" (ticks 4096);
+  Engine.run eng;
+  Engine.spawn eng ~name:"a" (ticks 1024);
+  Engine.spawn eng ~name:"b" (ticks 1024);
+  Engine.run eng;
+  Engine.spawn eng ~name:"join" (fun () ->
+      for _ = 1 to 256 do
+        Engine.join_all [ ticks 1; ticks 1 ]
+      done);
+  Engine.run eng
+
 let multi_thread_pair () =
   (* Two concurrent hardware threads, as fig6 scales up. *)
   let vecadd = Lazy.force vecadd in
@@ -150,6 +172,7 @@ let targets : (string * Test.t Lazy.t) list =
           (Vmht_eval.Common.synthesize ~config ~cache:false
              Vmht.Wrapper.Vm_iface (Lazy.force vecadd)));
     t "fig6.two-threads" multi_thread_pair;
+    t "sim.engine-wait" engine_wait;
     t "sim.event-queue-churn" event_queue_churn;
     t "sim.mmu-translate" mmu_translate_churn;
   ]

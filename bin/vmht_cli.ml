@@ -101,15 +101,23 @@ let config_with_opt config opt_level passes =
 (* Flag values reach the library through setters and constructors that
    reject what they cannot build with [Invalid_argument]: an unknown
    pass name, [--banks 0], a TLB geometry that does not divide into
-   sets, a page too small for the page table, [--size 0].  [checked
-   build k] runs [build] and continues with [k]; a rejection becomes a
-   message and exit 1, never an uncaught exception. *)
+   sets, a page too small for the page table, [--size 0].  A size the
+   SoC cannot hold fails later, in the run: DMA buffers larger than the
+   scratchpad ([Launch.Window_overflow]) or data larger than physical
+   memory ([Frame_alloc.Out_of_frames]).  [checked build k] runs
+   [build] and continues with [k]; a rejection becomes a message and
+   exit 1, never an uncaught exception. *)
 let checked build k =
-  match build () with
-  | v -> k v
-  | exception Invalid_argument msg ->
+  let fail msg =
     Printf.eprintf "error: %s\n" msg;
     1
+  in
+  match build () with
+  | v -> k v
+  | exception (Invalid_argument msg | Vmht.Launch.Window_overflow msg) ->
+    fail msg
+  | exception Vmht_vm.Frame_alloc.Out_of_frames ->
+    fail "out of physical frames: the data does not fit in physical memory"
 
 (* Resolve eagerly so a typo'd pass name fails with exit 1 before any
    work happens, whatever command carried the flag. *)

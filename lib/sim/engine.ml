@@ -38,23 +38,21 @@ type t = {
   mutable batch_len : int;
   fastpath : bool;
   mutable horizon : time; (* [run ?until] bound; fast-forward never crosses *)
-  mutable ff_active : bool; (* a fast-forward trampoline is on the stack *)
-  mutable ff_pending : (unit -> unit) option; (* deferred resume for it *)
 }
 
 type phase = Vmht_obs.Profile.phase
 
+(* The only two ways a process gives up control: a wait some queued
+   event must precede (wake at the absolute time given) and a park. *)
 type _ Effect.t +=
-  | Wait : t * int -> unit Effect.t
-  | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
-  | Fork : t * string * (unit -> unit) -> unit Effect.t
-  | Now_eff : t -> time Effect.t
+  | Wait : time -> unit Effect.t
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 (* The engine a running process belongs to.  Set for the dynamic extent
-   of each event dispatch; within one domain processes run one at a
-   time.  Domain-local so independent simulations may run concurrently
-   on separate domains (the parallel evaluation harness does exactly
-   that) without clobbering each other's context. *)
+   of each [run]; within one domain processes run one at a time.
+   Domain-local so independent simulations may run concurrently on
+   separate domains (the parallel evaluation harness does exactly that)
+   without clobbering each other's context. *)
 let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let fresh_eprof () =
@@ -84,8 +82,6 @@ let create ?(fastpath = true) () =
     batch_len = 0;
     fastpath;
     horizon = max_int;
-    ff_active = false;
-    ff_pending = None;
   }
 
 let now t = t.now
@@ -115,67 +111,18 @@ let with_phase ph f =
     Fun.protect ~finally:(fun () -> p.cur_phase <- saved) f
   | _ -> f ()
 
-let rec exec_process t fn =
+let exec_process t fn =
   let open Effect.Deep in
-  match_with fn ()
+  try_with fn ()
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Wait (_, n) ->
+          | Wait at ->
             Some
               (fun (k : (a, _) continuation) ->
-                let target = t.now + n in
-                (* Single-runnable fast path: when no queued event can
-                   run at or before [target] (strict compare — an event
-                   tied at [target] carries a smaller sequence number
-                   and must dispatch first) and [target] does not cross
-                   the run horizon, advancing the clock directly is
-                   observationally identical to a heap round-trip.
-                   Profile charging is replicated inline: the advance is
-                   charged to the phase current at the perform point,
-                   exactly what [schedule]'s wrapper would have done. *)
-                if
-                  t.fastpath && target <= t.horizon
-                  && (Event_queue.is_empty t.queue
-                     || Event_queue.min_time_exn t.queue > target)
-                then begin
-                  (match t.profile with
-                  | Some p ->
-                    let dt = target - p.charged_upto in
-                    if dt > 0 then
-                      p.cycles.(p.cur_phase) <- p.cycles.(p.cur_phase) + dt;
-                    p.charged_upto <- target
-                  | None -> ());
-                  t.now <- target;
-                  t.fast_forwards <- t.fast_forwards + 1;
-                  (* Resuming here would nest one handler frame per
-                     fast-forwarded wait and overflow the stack on long
-                     chains, so only the outermost fast-forward drives
-                     the resume; inner ones hand theirs to it. *)
-                  if t.ff_active then
-                    t.ff_pending <- Some (fun () -> continue k ())
-                  else begin
-                    t.ff_active <- true;
-                    Fun.protect
-                      ~finally:(fun () -> t.ff_active <- false)
-                      (fun () ->
-                        continue k ();
-                        let rec drain () =
-                          match t.ff_pending with
-                          | Some f ->
-                            t.ff_pending <- None;
-                            f ();
-                            drain ()
-                          | None -> ()
-                        in
-                        drain ())
-                  end
-                end
-                else schedule t ~at:target (fun () -> continue k ()))
-          | Suspend (_, register) ->
+                schedule t ~at (fun () -> continue k ()))
+          | Suspend register ->
             Some
               (fun (k : (a, _) continuation) ->
                 t.suspended <- t.suspended + 1;
@@ -188,17 +135,10 @@ let rec exec_process t fn =
                   schedule t ~at:t.now (fun () -> continue k ())
                 in
                 register resume)
-          | Fork (_, name, f) ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                spawn t ~name f;
-                continue k ())
-          | Now_eff _ ->
-            Some (fun (k : (a, _) continuation) -> continue k t.now)
           | _ -> None);
     }
 
-and spawn t ~name:_ fn = schedule t ~at:t.now (fun () -> exec_process t fn)
+let spawn t ~name:_ fn = schedule t ~at:t.now (fun () -> exec_process t fn)
 
 let tracking_batches t = t.batch_sink <> None || t.profile <> None
 
@@ -254,9 +194,7 @@ let run ?until ?(check_quiescent = false) t =
             t.batch_at <- at;
             t.batch_len <- 1
           end;
-        let saved = Domain.DLS.get current in
-        Domain.DLS.set current (Some t);
-        Fun.protect ~finally:(fun () -> Domain.DLS.set current saved) action;
+        action ();
         (match t.profile with
         | Some p ->
           p.dispatches <- p.dispatches + 1;
@@ -273,7 +211,9 @@ let run ?until ?(check_quiescent = false) t =
       end
     end
   in
-  loop ();
+  let saved = Domain.DLS.get current in
+  Domain.DLS.set current (Some t);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set current saved) loop;
   flush_batch t;
   flush_profile t;
   if check_quiescent && t.suspended > 0 then
@@ -291,22 +231,43 @@ let fast_forwards t = t.fast_forwards
 let engine_of_context () =
   match Domain.DLS.get current with None -> raise Not_in_process | Some t -> t
 
+(* A wait nothing queued can observe — the queue holds no event at or
+   before [target] (strict compare: an event tied at [target] carries a
+   smaller sequence number and must dispatch first) and [target] does
+   not cross the run horizon — moves the clock here, in the caller:
+   observationally identical to the heap round-trip it replaces, and
+   no effect is performed.  The profiler is charged inline exactly as
+   [schedule]'s wrapper would have charged the dispatch: the advance
+   goes to the phase current at the wait. *)
 let wait n =
   assert (n >= 0);
   let t = engine_of_context () in
-  if n = 0 then () else Effect.perform (Wait (t, n))
+  if n > 0 then begin
+    let target = t.now + n in
+    if
+      t.fastpath && target <= t.horizon
+      && (Event_queue.is_empty t.queue
+         || Event_queue.min_time_exn t.queue > target)
+    then begin
+      (match t.profile with
+      | Some p ->
+        let dt = target - p.charged_upto in
+        if dt > 0 then p.cycles.(p.cur_phase) <- p.cycles.(p.cur_phase) + dt;
+        p.charged_upto <- target
+      | None -> ());
+      t.now <- target;
+      t.fast_forwards <- t.fast_forwards + 1
+    end
+    else Effect.perform (Wait target)
+  end
 
-let now_p () =
-  let t = engine_of_context () in
-  Effect.perform (Now_eff t)
+let now_p () = (engine_of_context ()).now
 
 let suspend register =
-  let t = engine_of_context () in
-  Effect.perform (Suspend (t, register))
+  ignore (engine_of_context () : t);
+  Effect.perform (Suspend register)
 
-let fork ~name fn =
-  let t = engine_of_context () in
-  Effect.perform (Fork (t, name, fn))
+let fork ~name fn = spawn (engine_of_context ()) ~name fn
 
 (* Fork every thunk as a child at the current time and park the caller
    until the last one finishes.  The children run in list order (the

@@ -9,7 +9,13 @@
     The process-context operations ({!wait}, {!suspend}, {!fork},
     {!now_p}) may only be called from inside a process started by
     {!spawn} or {!fork}; calling them elsewhere raises
-    [Not_in_process]. *)
+    [Not_in_process].  Every event the engine dispatches is a process
+    starting or a parked process resuming — there is no way to
+    schedule a bare callback — so the engine that {!run} installs as
+    the context is always the one the running code belongs to.  That
+    is what lets {!now_p}, {!fork} and a {!wait} nothing can observe
+    run as plain calls; only a {!suspend} or a wait that a queued event
+    must precede performs an effect and gives up control. *)
 
 type t
 
@@ -26,13 +32,14 @@ exception Stuck of string
 val create : ?fastpath:bool -> unit -> t
 (** [fastpath] (default [true]) enables the single-runnable wait fast
     path: when the event queue holds no event at or before the target
-    time of a {!wait}, the clock is advanced directly and the process
-    resumed in place instead of round-tripping the heap.  The schedule
-    produced is observationally identical — cycle counts, event order
-    and profile attribution do not change — only the heap traffic and
-    dispatch count do.  The simulator always runs with it on;
-    [~fastpath:false] is the reference the unit tests compare it
-    against. *)
+    time of a {!wait} and the target is within the {!run} horizon,
+    {!wait} advances the clock itself and returns — no effect, no heap
+    round-trip, no dispatch.  The schedule produced is observationally
+    identical — cycle counts, event order and profile attribution do
+    not change — only the heap traffic and dispatch count do: each
+    absorbed wait replaces exactly one dispatch.  The simulator always
+    runs with it on; [~fastpath:false] is the reference the unit tests
+    compare it against. *)
 
 val now : t -> time
 (** Current simulated time (usable from any context). *)
@@ -40,13 +47,12 @@ val now : t -> time
 val spawn : t -> name:string -> (unit -> unit) -> unit
 (** Register a new process to start at the current time. *)
 
-val schedule : t -> at:time -> (unit -> unit) -> unit
-(** Low-level: run a plain callback at absolute time [at] (>= now). *)
-
 val run : ?until:time -> ?check_quiescent:bool -> t -> unit
 (** Execute events until the queue is empty or simulated time would
-    exceed [until].  With [check_quiescent] (default false), raise
-    {!Stuck} if suspended processes remain once the queue drains. *)
+    exceed [until].  The engine is the process context (domain-local)
+    for the whole call, restored to the caller's on return.  With
+    [check_quiescent] (default false), raise {!Stuck} if suspended
+    processes remain once the queue drains. *)
 
 val suspended_count : t -> int
 (** Number of processes currently blocked in {!suspend}. *)
@@ -55,8 +61,10 @@ val events_executed : t -> int
 (** Total events the engine has dispatched (a work measure). *)
 
 val fast_forwards : t -> int
-(** Number of waits the single-runnable fast path absorbed without a
-    heap round-trip (0 when the fast path is disabled). *)
+(** Number of waits the single-runnable fast path absorbed in the
+    caller, without an effect or a heap round-trip (0 when the fast
+    path is disabled).  With the fast path on, {!events_executed} plus
+    this count equals the reference's {!events_executed}. *)
 
 (** {2 Profiling and batch observation} *)
 
@@ -80,10 +88,16 @@ val observe_batches : t -> (int -> unit) -> unit
 (** {2 Process-context operations} *)
 
 val wait : int -> unit
-(** Advance this process's view of time by [n >= 0] cycles. *)
+(** Advance this process's view of time by [n >= 0] cycles.  [wait 0]
+    returns at once.  With the fast path on (see {!create}), when no
+    queued event falls at or before the target and the target is
+    within the {!run} horizon, the clock is moved in place and the call
+    returns without yielding; otherwise the process performs an effect
+    and resumes from the event queue. *)
 
 val now_p : unit -> time
-(** Current simulated time, from inside a process. *)
+(** Current simulated time, from inside a process.  A plain read of
+    the context engine's clock; never yields. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the process and calls [register resume].
@@ -92,7 +106,8 @@ val suspend : ((unit -> unit) -> unit) -> unit
     [Invalid_argument]. *)
 
 val fork : name:string -> (unit -> unit) -> unit
-(** Start a child process at the current time and continue immediately. *)
+(** Start a child process at the current time and continue immediately:
+    {!spawn} on the context engine, a plain call that never yields. *)
 
 val join_all : ?name:string -> (unit -> unit) list -> unit
 (** Run every thunk as a child process (forked in list order at the

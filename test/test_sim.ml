@@ -162,11 +162,72 @@ let test_determinism () =
   in
   Alcotest.(check string) "identical runs" (run_once ()) (run_once ())
 
+(* Where a process performs effects.  [counting effects body] runs
+   [body] under a handler that counts every effect it performs and
+   forwards it ([None]) to the engine's own handler, so the process
+   behaves exactly as without it.  Only a wait some queued event must
+   precede, and a suspend, may yield; fast-forwarded waits, [now_p] and
+   [fork] are plain calls.  A timing gate cannot tell whether the fast
+   path still avoids the effect; this count can. *)
+let counting effects body () =
+  Effect.Deep.match_with body ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (_ : a Effect.t) ->
+          incr effects;
+          None);
+    }
+
+let waits_then_fork ended () =
+  for _ = 1 to 1000 do
+    Engine.wait 1
+  done;
+  ended := Engine.now_p ();
+  Engine.fork ~name:"child" ignore
+
+let test_lone_waits_perform_no_effect () =
+  let eng = Engine.create () in
+  let effects = ref 0 and ended = ref (-1) in
+  Engine.spawn eng ~name:"counted" (counting effects (waits_then_fork ended));
+  Engine.run eng;
+  check_int "effects" 0 !effects;
+  check_int "ended at" 1000 !ended;
+  check_int "fast-forwards" 1000 (Engine.fast_forwards eng)
+
+let test_contended_waits_yield () =
+  let eng = Engine.create () in
+  let effects = ref 0 and ended = ref (-1) in
+  Engine.spawn eng ~name:"counted" (counting effects (waits_then_fork ended));
+  (* Wakes every cycle, so each of the counted waits ties with it. *)
+  Engine.spawn eng ~name:"ticker" (fun () ->
+      for _ = 1 to 1000 do
+        Engine.wait 1
+      done);
+  Engine.run eng;
+  check_int "effects" 1000 !effects;
+  check_int "ended at" 1000 !ended;
+  check_int "engine now" 1000 (Engine.now eng)
+
+(* A fast-forward returns from [wait]; nothing may pile up per wait, so
+   a chain far longer than any stack holds runs in constant space. *)
+let test_long_fast_forward_chain () =
+  let eng = Engine.create () in
+  Engine.spawn eng ~name:"chain" (fun () ->
+      for _ = 1 to 2_000_000 do
+        Engine.wait 1
+      done);
+  Engine.run eng;
+  check_int "now" 2_000_000 (Engine.now eng);
+  check_int "fast-forwards" 2_000_000 (Engine.fast_forwards eng)
+
 (* The single-runnable wait fast path against the plain heap
    round-trip: random process sets mixing waits (0 included), forks,
    suspend/resume pairs and a [run ~until] stop must log the same
    (time, process, step) sequence and end at the same time with the
-   fast path on (what the simulator runs) and off (the reference). *)
+   fast path on (what the simulator runs) and off (the reference), and
+   each absorbed wait must replace exactly one dispatch. *)
 type action = Wait of int | Fork of action list | Park | Wake
 
 let rec show_actions acts =
@@ -239,15 +300,24 @@ let run_engine_case ~fastpath (procs, until) =
     Queue.pop parked ();
     Engine.run eng
   done;
-  (List.rev !log, Engine.now eng, Engine.fast_forwards eng)
+  ( List.rev !log,
+    Engine.now eng,
+    Engine.events_executed eng,
+    Engine.fast_forwards eng )
 
 let prop_engine_fastpath_reference =
   QCheck.Test.make ~count:500
-    ~name:"engine: fast path = reference (log, final now)" arb_engine_case
-    (fun case ->
-      let fast_log, fast_now, _ = run_engine_case ~fastpath:true case in
-      let ref_log, ref_now, ref_ff = run_engine_case ~fastpath:false case in
-      fast_log = ref_log && fast_now = ref_now && ref_ff = 0)
+    ~name:"engine: fast path = reference (log, final now, dispatches)"
+    arb_engine_case (fun case ->
+      let fast_log, fast_now, fast_events, fast_ff =
+        run_engine_case ~fastpath:true case
+      in
+      let ref_log, ref_now, ref_events, ref_ff =
+        run_engine_case ~fastpath:false case
+      in
+      fast_log = ref_log && fast_now = ref_now
+      && fast_events + fast_ff = ref_events
+      && ref_ff = 0)
 
 (* --------------------- Resource ----------------------------------- *)
 
@@ -352,6 +422,12 @@ let suite =
     Alcotest.test_case "engine: stuck detection" `Quick test_stuck_detection;
     Alcotest.test_case "engine: not in process" `Quick test_not_in_process;
     Alcotest.test_case "engine: deterministic" `Quick test_determinism;
+    Alcotest.test_case "engine: lone waits, now_p, fork perform no effect"
+      `Quick test_lone_waits_perform_no_effect;
+    Alcotest.test_case "engine: contended waits yield" `Quick
+      test_contended_waits_yield;
+    Alcotest.test_case "engine: 2M fast-forward chain" `Quick
+      test_long_fast_forward_chain;
     QCheck_alcotest.to_alcotest prop_engine_fastpath_reference;
     Alcotest.test_case "resource: serializes FIFO" `Quick test_resource_serializes;
     Alcotest.test_case "resource: stats" `Quick test_resource_stats;

@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks behind [vmht perf micro] and [vmht perf
    snapshot]: one target per table/figure plus targets for the
-   simulator machinery itself (event queue, MMU translation).  Target
+   simulator machinery itself (event queue, MMU translation) and for
+   single synthesis stages (scheduler, pipeliner, Verilog emit).  Target
    names, bodies and Bechamel settings are what the committed
    BENCH_eval.json measured; change any of them and the perf gate no
    longer compares like with like. *)
@@ -17,6 +18,39 @@ let vecadd = lazy (Registry.find "vecadd")
 let list_sum = lazy (Registry.find "list_sum")
 
 let spmv = lazy (Registry.find "spmv")
+
+(* The largest loop body of the benchmark's synth grid: stencil3 at
+   unroll 8 on four banks, pipelined (133 instructions after O2).  The
+   hls.* targets rerun one stage of its synthesis each. *)
+let stencil3_fsm =
+  lazy
+    (let config =
+       Vmht.Config.with_pipelining
+         (Vmht.Config.with_banks (Vmht.Config.with_unroll Vmht.Config.default 8) 4)
+         true
+     in
+     (Vmht_eval.Common.synthesize ~config ~cache:false Vmht.Wrapper.Vm_iface
+        (Registry.find "stencil3"))
+       .Vmht.Flow.fsm)
+
+let hls_schedule () =
+  let fsm = Lazy.force stencil3_fsm in
+  ignore
+    (Vmht_hls.Schedule.schedule_func
+       ~resources:fsm.Vmht_hls.Fsm.schedule.Vmht_hls.Schedule.resources
+       fsm.Vmht_hls.Fsm.func)
+
+let hls_pipeline () =
+  let fsm = Lazy.force stencil3_fsm in
+  ignore
+    (Vmht_hls.Pipeliner.plan_loops
+       ~resources:fsm.Vmht_hls.Fsm.schedule.Vmht_hls.Schedule.resources
+       fsm.Vmht_hls.Fsm.func)
+
+let hls_emit () =
+  ignore
+    (Vmht_hls.Verilog.emit_with_wrapper (Lazy.force stencil3_fsm)
+       ~wrapper_ports:(Vmht.Wrapper.ports Vmht.Wrapper.Vm_iface))
 
 (* --- micro-benchmark bodies ------------------------------------- *)
 
@@ -172,6 +206,9 @@ let targets : (string * Test.t Lazy.t) list =
           (Vmht_eval.Common.synthesize ~config ~cache:false
              Vmht.Wrapper.Vm_iface (Lazy.force vecadd)));
     t "fig6.two-threads" multi_thread_pair;
+    t "hls.emit" hls_emit;
+    t "hls.pipeline" hls_pipeline;
+    t "hls.schedule" hls_schedule;
     t "sim.engine-wait" engine_wait;
     t "sim.event-queue-churn" event_queue_churn;
     t "sim.mmu-translate" mmu_translate_churn;

@@ -16,22 +16,24 @@ let bind (sched : Schedule.t) =
      unit 0, 1, ... of their class; across cycles units are reused. *)
   List.iter
     (fun (b : Schedule.block_schedule) ->
-      let used_this_cycle : (int * Optypes.op_class, int) Hashtbl.t =
-        Hashtbl.create 16
-      in
       let order = Array.init (Array.length b.instrs) Fun.id in
       Array.sort
-        (fun i j -> compare (b.starts.(i), i) (b.starts.(j), j))
+        (fun i j ->
+          let c = compare (b.starts.(i) : int) b.starts.(j) in
+          if c <> 0 then c else compare (i : int) j)
         order;
+      (* [used.(class_index cls)]: units of [cls] taken in [!cycle], the
+         start cycle of the instructions being visited. *)
+      let used = Array.make Optypes.class_count 0 and cycle = ref (-1) in
       Array.iter
         (fun i ->
-          let cls = Optypes.classify b.instrs.(i) in
-          let key = (b.starts.(i), cls) in
-          let unit_index =
-            Option.value ~default:0 (Hashtbl.find_opt used_this_cycle key)
-          in
-          Hashtbl.replace used_this_cycle key (unit_index + 1);
-          Hashtbl.replace fu_of_instr (b.label, i) unit_index)
+          if b.starts.(i) <> !cycle then begin
+            cycle := b.starts.(i);
+            Array.fill used 0 Optypes.class_count 0
+          end;
+          let k = Optypes.class_index (Optypes.classify b.instrs.(i)) in
+          Hashtbl.replace fu_of_instr (b.label, i) used.(k);
+          used.(k) <- used.(k) + 1)
         order)
     sched.blocks;
   let fu_counts =

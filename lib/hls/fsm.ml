@@ -107,15 +107,7 @@ module Trace = struct
   type block = step array
 
   let compile_block (b : Schedule.block_schedule) : block =
-    let makespan = b.Schedule.makespan in
-    let buckets = Array.make (max makespan 1) [] in
-    Array.iteri
-      (fun i start ->
-        if start >= 0 && start < makespan then buckets.(start) <- i :: buckets.(start))
-      b.Schedule.starts;
-    let per_cycle =
-      Array.init makespan (fun c -> Array.of_list (List.rev buckets.(c)))
-    in
+    let per_cycle = Array.map Array.of_list (Schedule.instrs_by_cycle b) in
     let is_mem i =
       match b.Schedule.instrs.(i) with
       | Ir.Load _ | Ir.Store _ -> true

@@ -5,6 +5,17 @@ type op_class = Alu | Cmp | Mul | Div | Shift | Mem | Move
 
 let all_classes = [ Alu; Cmp; Mul; Div; Shift; Mem; Move ]
 
+let class_count = List.length all_classes
+
+let class_index = function
+  | Alu -> 0
+  | Cmp -> 1
+  | Mul -> 2
+  | Div -> 3
+  | Shift -> 4
+  | Mem -> 5
+  | Move -> 6
+
 let class_name = function
   | Alu -> "alu"
   | Cmp -> "cmp"

@@ -12,6 +12,12 @@ type op_class = Alu | Cmp | Mul | Div | Shift | Mem | Move
 
 val all_classes : op_class list
 
+val class_count : int
+
+val class_index : op_class -> int
+(** The class's position in {!all_classes}: a dense index in
+    [[0, class_count)] for per-class tables. *)
+
 val class_name : op_class -> string
 
 val classify : Vmht_ir.Ir.instr -> op_class

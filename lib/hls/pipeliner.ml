@@ -31,18 +31,18 @@ let is_store = function
    jumping back to the header and nothing else enters the body. *)
 let find_candidate_loops (f : Ir.func) =
   let preds = Ir.predecessors f in
+  let index = Ir.block_index f in
   List.filter_map
     (fun (h : Ir.block) ->
       match h.Ir.term with
       | Ir.Br (_, body_l, exit_l) when body_l <> exit_l -> (
-        match Ir.find_block f body_l with
-        | b when b.Ir.term = Ir.Jmp h.Ir.label ->
+        match Hashtbl.find_opt index body_l with
+        | Some b when b.Ir.term = Ir.Jmp h.Ir.label ->
           let body_preds =
             Option.value ~default:[] (Hashtbl.find_opt preds body_l)
           in
           if body_preds = [ h.Ir.label ] then Some (h, b, exit_l) else None
-        | _ -> None
-        | exception Not_found -> None)
+        | Some _ | None -> None)
       | Ir.Br _ | Ir.Jmp _ | Ir.Ret _ -> None)
     f.Ir.blocks
 
@@ -147,32 +147,36 @@ let inter_iteration_edges instrs defs inductions =
     instrs;
   Array.iteri
     (fun u instr ->
-      List.iter
+      Ir.iter_uses
         (fun r ->
           match Hashtbl.find_opt last_def r with
           | Some p when u <= p ->
             edges := (p, u, lat instrs.(p)) :: !edges
           | Some _ | None -> ())
-        (Ir.uses_of instr))
+        instr)
     instrs;
-  (* Memory recurrences, unless provably streaming-disjoint. *)
-  let base_of i = mem_addr_op instrs.(i)
-    |> Option.map (streaming_base instrs defs inductions)
-    |> Option.join
+  (* Memory recurrences, unless provably streaming-disjoint.  Each
+     access's streaming base takes two scans of the body to derive, so
+     it is derived once per instruction. *)
+  let bases =
+    Array.map
+      (fun instr ->
+        match mem_addr_op instr with
+        | Some addr -> streaming_base instrs defs inductions addr
+        | None -> None)
+      instrs
   in
+  let mems = Array.map is_mem instrs and stores = Array.map is_store instrs in
   for p = 0 to n - 1 do
     for u = 0 to n - 1 do
-      if
-        is_mem instrs.(p) && is_mem instrs.(u)
-        && (is_store instrs.(p) || is_store instrs.(u))
-      then begin
+      if mems.(p) && mems.(u) && (stores.(p) || stores.(u)) then begin
         let disjoint =
-          match (base_of p, base_of u) with
+          match (bases.(p), bases.(u)) with
           | Some bp, Some bu ->
             (* Streaming against distinct restrict bases never recurs;
                the same base recurs only if one is a store to the very
                same induction offset — which streaming rules out. *)
-            bp <> bu || not (is_store instrs.(p) && is_store instrs.(u))
+            bp <> bu || not (stores.(p) && stores.(u))
           | _ -> false
         in
         if not disjoint then edges := (p, u, 1) :: !edges
@@ -233,27 +237,31 @@ let bank_min_ii (m : Schedule.mem_model) instrs addrs =
    when ports are plentiful. *)
 let recurrence_min_ii instrs intra inter =
   let n = Array.length instrs in
-  let longest_path u p =
-    (* intra edges only go forward in program order *)
-    if u > p then None
-    else begin
+  (* Longest intra path from [u] to every later instruction, computed
+     once per consumer [u] that some inter edge names. *)
+  let from = Array.make n [||] in
+  let dist_from u =
+    if Array.length from.(u) = 0 then begin
       let dist = Array.make n min_int in
       dist.(u) <- 0;
-      for j = u + 1 to p do
+      (* intra edges only go forward in program order *)
+      for j = u + 1 to n - 1 do
         List.iter
           (fun (i, delay) ->
             if i >= u && dist.(i) > min_int then
               dist.(j) <- max dist.(j) (dist.(i) + delay))
           intra.(j)
       done;
-      if dist.(p) > min_int then Some dist.(p) else None
-    end
+      from.(u) <- dist
+    end;
+    from.(u)
   in
   List.fold_left
     (fun acc (p, u, delay) ->
-      match longest_path u p with
-      | Some path -> max acc (delay + path)
-      | None -> acc)
+      if u > p then acc
+      else
+        let path = (dist_from u).(p) in
+        if path > min_int then max acc (delay + path) else acc)
     1 inter
 
 (* Greedy program-order schedule under intra-iteration dependences and
@@ -264,29 +272,25 @@ let recurrence_min_ii instrs intra inter =
 let try_schedule resources ~ii instrs intra_edges addrs =
   let n = Array.length instrs in
   let starts = Array.make n 0 in
-  let reservation : (int * Optypes.op_class, int) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let mem_slots : (int, Schedule.Bank.addr option list) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  (* [reservation.(slot * class_count + class_index cls)]: the units of
+     [cls] taken in modulo slot [slot]; [mem_slots.(slot)]: its
+     accesses. *)
+  let class_count = Optypes.class_count and class_index = Optypes.class_index in
+  let reservation = Array.make (ii * class_count) 0 in
+  let mem_slots = Array.make ii [] in
   let fits slot cls j =
     let slot = slot mod ii in
-    Option.value ~default:0 (Hashtbl.find_opt reservation (slot, cls))
+    reservation.((slot * class_count) + class_index cls)
     < Schedule.resource_limit resources cls
     && (cls <> Optypes.Mem
        || Schedule.Bank.cycle_ok resources.Schedule.mem
-            (addrs.(j)
-            :: Option.value ~default:[] (Hashtbl.find_opt mem_slots slot)))
+            (addrs.(j) :: mem_slots.(slot)))
   in
   let reserve slot cls j =
     let slot = slot mod ii in
-    let key = (slot, cls) in
-    Hashtbl.replace reservation key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt reservation key));
-    if cls = Optypes.Mem then
-      Hashtbl.replace mem_slots slot
-        (addrs.(j) :: Option.value ~default:[] (Hashtbl.find_opt mem_slots slot))
+    let k = (slot * class_count) + class_index cls in
+    reservation.(k) <- reservation.(k) + 1;
+    if cls = Optypes.Mem then mem_slots.(slot) <- addrs.(j) :: mem_slots.(slot)
   in
   let ok = ref true in
   for j = 0 to n - 1 do
@@ -316,33 +320,38 @@ let plan_loop ~roots resources (h : Ir.block) (b : Ir.block) exit_l =
   let instrs = Array.of_list (h.Ir.instrs @ b.Ir.instrs) in
   if Array.length instrs = 0 then None
   else begin
+    let n = Array.length instrs in
     let addrs = Schedule.Bank.addr_forms ~roots instrs in
+    (* Dependences without the bank analysis: per block, the plain
+       FSM's; for the whole body, the pipeline's under one bank.  Edges
+       depend only on the two instructions they join, so each block's
+       own edges are the ones within its index range. *)
+    let flat = Schedule.dependence_edges instrs in
     let intra =
-      Schedule.dependence_edges
-        ?addrs:
-          (if resources.Schedule.mem.Schedule.banks > 1 then Some addrs
-           else None)
-        instrs
+      if resources.Schedule.mem.Schedule.banks > 1 then
+        Schedule.dependence_edges ~addrs instrs
+      else flat
     in
     let defs = defs_in instrs in
     let inductions = induction_regs instrs defs in
     let inter = inter_iteration_edges instrs defs inductions in
     (* What the plain FSM charges per iteration: the (resource-
-       unconstrained) ASAP makespans of the two blocks. *)
-    let makespan block_instrs =
-      let arr = Array.of_list block_instrs in
-      let e = Schedule.dependence_edges arr in
-      let starts = Array.make (Array.length arr) 0 in
-      Array.iteri
-        (fun j _ ->
-          starts.(j) <-
-            List.fold_left (fun acc (i, d) -> max acc (starts.(i) + d)) 0 e.(j))
-        arr;
-      Array.to_list arr
-      |> List.mapi (fun i instr -> starts.(i) + lat instr)
-      |> List.fold_left max 1
+       unconstrained) ASAP makespans of the two blocks, [instrs.(lo ..
+       hi - 1)] each. *)
+    let makespan lo hi =
+      let starts = Array.make n 0 in
+      let span = ref 1 in
+      for j = lo to hi - 1 do
+        starts.(j) <-
+          List.fold_left
+            (fun acc (i, d) -> if i >= lo then max acc (starts.(i) + d) else acc)
+            0 flat.(j);
+        span := max !span (starts.(j) + lat instrs.(j))
+      done;
+      !span
     in
-    let unpipelined_cycles = makespan h.Ir.instrs + makespan b.Ir.instrs in
+    let split = List.length h.Ir.instrs in
+    let unpipelined_cycles = makespan 0 split + makespan split n in
     let res_mii =
       max
         (resource_min_ii resources instrs)

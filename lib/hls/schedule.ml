@@ -173,6 +173,14 @@ module Bank = struct
         form)
       instrs
 
+  (* [x.terms = y.terms] without the polymorphic compare: the
+     scheduler and pipeliner ask it for every pair of accesses. *)
+  let rec same_terms a b =
+    match (a, b) with
+    | [], [] -> true
+    | (sa, ca) :: ta, (sb, cb) :: tb -> sa = sb && ca = cb && same_terms ta tb
+    | [], _ :: _ | _ :: _, [] -> false
+
   (* The root argument an address form points into: exactly one
      root-tagged (negative) symbol, with coefficient one.  [a + 8*i]
      is rooted at [a]; [a - c], [2*a] and forms over loaded pointers
@@ -189,7 +197,7 @@ module Bank = struct
   let provably_disjoint a b =
     match (a, b) with
     | Some x, Some y ->
-      (x.terms = y.terms && x.base <> y.base)
+      (same_terms x.terms y.terms && x.base <> y.base)
       || (match (root x, root y) with
          | Some ra, Some rb -> ra <> rb
          | (Some _ | None), _ -> false)
@@ -200,7 +208,7 @@ module Bank = struct
      runtime values (floor((x + word*k) / word) = floor(x / word) + k). *)
   let provably_distinct m a b =
     match (a, b) with
-    | Some x, Some y when x.terms = y.terms ->
+    | Some x, Some y when same_terms x.terms y.terms ->
       let d = x.base - y.base in
       d mod Ast.word_bytes = 0 && d / Ast.word_bytes mod m.banks <> 0
     | (Some _ | None), _ -> false
@@ -258,51 +266,68 @@ let dependence_edges ?addrs instrs =
   let n = Array.length instrs in
   let edges = Array.make n [] in
   (* edges.(j) = list of (i, delay) constraints: start_j >= start_i + delay *)
+  (* What each instruction defines ([no_def] for nothing) and reads,
+     derived once instead of for every pair. *)
+  let no_def = min_int in
+  let defs = Array.make n no_def in
+  Array.iteri (fun i instr -> Ir.iter_def (fun d -> defs.(i) <- d) instr) instrs;
+  let uses =
+    Array.map
+      (fun instr ->
+        let regs = ref [] in
+        Ir.iter_uses (fun r -> regs := r :: !regs) instr;
+        !regs)
+      instrs
+  in
+  let rec mem (r : Ir.reg) = function
+    | [] -> false
+    | x :: rest -> x = r || mem r rest
+  in
+  let reads i r = mem r uses.(i) in
+  let lats = Array.map lat instrs in
+  let mems = Array.map is_mem instrs and stores = Array.map is_store instrs in
   for j = 0 to n - 1 do
-    let uses_j = Ir.uses_of instrs.(j) in
-    let def_j = Ir.def_of instrs.(j) in
+    let def_j = defs.(j) in
     for i = 0 to j - 1 do
-      let def_i = Ir.def_of instrs.(i) in
-      let uses_i = Ir.uses_of instrs.(i) in
-      let delays = ref [] in
+      let def_i = defs.(i) in
+      (* the largest delay among the dependences found; -1 = none *)
+      let delay = ref (-1) in
       (* RAW *)
-      (match def_i with
-       | Some d when List.mem d uses_j -> delays := lat instrs.(i) :: !delays
-       | Some _ | None -> ());
+      if reads j def_i then delay := lats.(i);
       (* WAR: j writes a register i reads *)
-      (match def_j with
-       | Some d when List.mem d uses_i -> delays := 0 :: !delays
-       | Some _ | None -> ());
+      if reads i def_j && !delay < 0 then delay := 0;
       (* WAW: commits in program order *)
-      (match (def_i, def_j) with
-       | Some di, Some dj when di = dj ->
-         delays := max 1 (lat instrs.(i) - lat instrs.(j) + 1) :: !delays
-       | (Some _ | None), _ -> ());
+      (if def_i <> no_def && def_i = def_j then
+         let d = max 1 (lats.(i) - lats.(j) + 1) in
+         if d > !delay then delay := d);
       (* Memory ordering: loads commute, everything else serializes —
          unless the two accesses provably touch different addresses *)
-      if is_mem instrs.(i) && is_mem instrs.(j)
-         && (is_store instrs.(i) || is_store instrs.(j))
+      if !delay < 1 && mems.(i) && mems.(j)
+         && (stores.(i) || stores.(j))
          && not
               (match addrs with
                | Some a -> Bank.provably_disjoint a.(i) a.(j)
                | None -> false)
-      then delays := 1 :: !delays;
-      match !delays with
-      | [] -> ()
-      | ds -> edges.(j) <- (i, List.fold_left max 0 ds) :: edges.(j)
+      then delay := 1;
+      if !delay >= 0 then edges.(j) <- (i, !delay) :: edges.(j)
     done
   done;
   edges
 
-(* Longest path from each instruction to the end of the block —
-   the list scheduler's priority function. *)
-let priorities instrs edges =
-  let n = Array.length instrs in
-  let succ = Array.make n [] in
+(* The dependence graph's out-edges: [(j, delay)] for each edge
+   [i -> j], from the in-edges {!dependence_edges} gives. *)
+let successors edges =
+  let succ = Array.make (Array.length edges) [] in
   Array.iteri
     (fun j preds ->
       List.iter (fun (i, delay) -> succ.(i) <- (j, delay) :: succ.(i)) preds)
     edges;
+  succ
+
+(* Longest path from each instruction to the end of the block —
+   the list scheduler's priority function. *)
+let priorities instrs succ =
+  let n = Array.length instrs in
   let prio = Array.make n 0 in
   for i = n - 1 downto 0 do
     let tail =
@@ -322,32 +347,39 @@ let schedule_block ~roots resources (b : Ir.block) =
     let banked = resources.mem.banks > 1 in
     let addrs = Bank.addr_forms ~roots instrs in
     let edges = dependence_edges ?addrs:(if banked then Some addrs else None) instrs in
-    let prio = priorities instrs edges in
+    let succ = successors edges in
+    let prio = priorities instrs succ in
+    (* An instruction is ready once every predecessor has started and
+       the cycle has reached the latest [start + delay] among them:
+       [waiting.(j)] counts the predecessors not started yet and
+       [earliest.(j)] holds that bound over those started. *)
+    let waiting = Array.map List.length edges in
+    let earliest = Array.make n 0 in
     let starts = Array.make n (-1) in
     let scheduled = ref 0 in
     let cycle = ref 0 in
-    let usage : (Optypes.op_class, int) Hashtbl.t = Hashtbl.create 8 in
+    (* [usage.(class_index cls)]: units of [cls] taken this cycle *)
+    let usage = Array.make Optypes.class_count 0 in
     while !scheduled < n do
-      Hashtbl.reset usage;
+      Array.fill usage 0 Optypes.class_count 0;
       let mems_this_cycle = ref [] in
       (* Instructions ready at this cycle, highest priority first. *)
       let ready = ref [] in
       for j = 0 to n - 1 do
-        if starts.(j) < 0 then begin
-          let ok =
-            List.for_all
-              (fun (i, delay) -> starts.(i) >= 0 && starts.(i) + delay <= !cycle)
-              edges.(j)
-          in
-          if ok then ready := j :: !ready
-        end
+        if starts.(j) < 0 && waiting.(j) = 0 && earliest.(j) <= !cycle then
+          ready := j :: !ready
       done;
+      (* highest priority first, then program order *)
       let ready =
-        List.sort (fun a b -> compare (prio.(b), a) (prio.(a), b)) !ready
+        List.sort
+          (fun a b ->
+            let c = compare (prio.(b) : int) prio.(a) in
+            if c <> 0 then c else compare (a : int) b)
+          !ready
       in
       let try_admit j =
         let cls = Optypes.classify instrs.(j) in
-        let used = Option.value ~default:0 (Hashtbl.find_opt usage cls) in
+        let used = usage.(Optypes.class_index cls) in
         let admit =
           used < resource_limit resources cls
           && (cls <> Optypes.Mem
@@ -355,7 +387,13 @@ let schedule_block ~roots resources (b : Ir.block) =
         in
         if admit then begin
           starts.(j) <- !cycle;
-          Hashtbl.replace usage cls (used + 1);
+          List.iter
+            (fun (k, delay) ->
+              waiting.(k) <- waiting.(k) - 1;
+              let e = !cycle + delay in
+              if e > earliest.(k) then earliest.(k) <- e)
+            succ.(j);
+          usage.(Optypes.class_index cls) <- used + 1;
           if cls = Optypes.Mem then
             mems_this_cycle := addrs.(j) :: !mems_this_cycle;
           incr scheduled
@@ -391,12 +429,11 @@ let schedule_block ~roots resources (b : Ir.block) =
       end;
       incr cycle
     done;
-    let makespan =
-      Array.to_list instrs
-      |> List.mapi (fun i instr -> starts.(i) + lat instr)
-      |> List.fold_left max 1
-    in
-    { label = b.label; instrs; starts; makespan }
+    let makespan = ref 1 in
+    Array.iteri
+      (fun i instr -> makespan := max !makespan (starts.(i) + lat instr))
+      instrs;
+    { label = b.label; instrs; starts; makespan = !makespan }
   end
 
 let schedule_func ?(resources = default_resources) (f : Ir.func) =
@@ -413,20 +450,29 @@ let total_states t =
 let max_concurrency t cls =
   List.fold_left
     (fun acc b ->
-      let per_cycle = Hashtbl.create 16 in
+      (* every start lies below the makespan: latencies are positive *)
+      let per_cycle = Array.make b.makespan 0 in
+      let acc = ref acc in
       Array.iteri
         (fun i start ->
           if Optypes.classify b.instrs.(i) = cls then begin
-            let cur =
-              Option.value ~default:0 (Hashtbl.find_opt per_cycle start)
-            in
-            Hashtbl.replace per_cycle start (cur + 1)
+            per_cycle.(start) <- per_cycle.(start) + 1;
+            acc := max !acc per_cycle.(start)
           end)
         b.starts;
-      Hashtbl.fold (fun _ v acc -> max acc v) per_cycle acc)
+      !acc)
     0 t.blocks
 
 let critical_path_of_block b = b.makespan
+
+let instrs_by_cycle b =
+  let by_cycle = Array.make b.makespan [] in
+  for i = Array.length b.starts - 1 downto 0 do
+    let start = b.starts.(i) in
+    if start >= 0 && start < b.makespan then
+      by_cycle.(start) <- i :: by_cycle.(start)
+  done;
+  by_cycle
 
 let validate t =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -126,6 +126,10 @@ val max_concurrency : t -> Optypes.op_class -> int
 
 val critical_path_of_block : block_schedule -> int
 
+val instrs_by_cycle : block_schedule -> int list array
+(** [(instrs_by_cycle b).(c)]: the indices of the instructions of [b]
+    that start in cycle [c], in program order. *)
+
 val dependence_edges :
   ?addrs:Bank.addr option array ->
   Vmht_ir.Ir.instr array ->

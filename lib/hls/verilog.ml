@@ -116,6 +116,7 @@ let emit_body buf (hw : Fsm.t) =
   List.iter
     (fun (b : Schedule.block_schedule) ->
       let ir_block = Ir.find_block f b.Schedule.label in
+      let starting = Schedule.instrs_by_cycle b in
       for c = 0 to b.Schedule.makespan - 1 do
         let sid = state_of b.Schedule.label c in
         bp "        %d'd%d: begin // L%d cycle %d\n" state_bits sid
@@ -146,35 +147,33 @@ let emit_body buf (hw : Fsm.t) =
            L times where the model commits it once. *)
         let committed = ref [] in
         let commit line = committed := line :: !committed in
-        Array.iteri
-          (fun i start ->
-            if start = c then begin
-              match b.Schedule.instrs.(i) with
-              | Ir.Bin (op, d, x, y) ->
-                let e = binop_expr op (operand x) (operand y) in
-                if final then Hashtbl.replace fwd d e;
-                commit (Printf.sprintf "r%d <= %s;" d e)
-              | Ir.Un (op, d, x) ->
-                let e = unop_expr op (operand x) in
-                if final then Hashtbl.replace fwd d e;
-                commit (Printf.sprintf "r%d <= %s;" d e)
-              | Ir.Mov (d, x) ->
-                let e = operand x in
-                if final then Hashtbl.replace fwd d e;
-                commit (Printf.sprintf "r%d <= %s;" d e)
-              | Ir.Load (d, addr) ->
-                let ch = channel i in
-                if final then Hashtbl.replace fwd d (ch ^ "_rdata");
-                bp "          %s_req <= 1'b1; %s_we <= 1'b0;\n" ch ch;
-                bp "          %s_addr <= %s;\n" ch (operand addr);
-                commit (Printf.sprintf "r%d <= %s_rdata;" d ch)
-              | Ir.Store (addr, v) ->
-                let ch = channel i in
-                bp "          %s_req <= 1'b1; %s_we <= 1'b1;\n" ch ch;
-                bp "          %s_addr <= %s; %s_wdata <= %s;\n" ch
-                  (operand addr) ch (operand v)
-            end)
-          b.Schedule.starts;
+        List.iter
+          (fun i ->
+            match b.Schedule.instrs.(i) with
+            | Ir.Bin (op, d, x, y) ->
+              let e = binop_expr op (operand x) (operand y) in
+              if final then Hashtbl.replace fwd d e;
+              commit (Printf.sprintf "r%d <= %s;" d e)
+            | Ir.Un (op, d, x) ->
+              let e = unop_expr op (operand x) in
+              if final then Hashtbl.replace fwd d e;
+              commit (Printf.sprintf "r%d <= %s;" d e)
+            | Ir.Mov (d, x) ->
+              let e = operand x in
+              if final then Hashtbl.replace fwd d e;
+              commit (Printf.sprintf "r%d <= %s;" d e)
+            | Ir.Load (d, addr) ->
+              let ch = channel i in
+              if final then Hashtbl.replace fwd d (ch ^ "_rdata");
+              bp "          %s_req <= 1'b1; %s_we <= 1'b0;\n" ch ch;
+              bp "          %s_addr <= %s;\n" ch (operand addr);
+              commit (Printf.sprintf "r%d <= %s_rdata;" d ch)
+            | Ir.Store (addr, v) ->
+              let ch = channel i in
+              bp "          %s_req <= 1'b1; %s_we <= 1'b1;\n" ch ch;
+              bp "          %s_addr <= %s; %s_wdata <= %s;\n" ch
+                (operand addr) ch (operand v))
+          starting.(c);
         let t_operand op =
           match op with
           | Ir.Reg r -> (

@@ -9,11 +9,12 @@ let compute (f : Ir.func) =
      blocks get the singleton {b} — nothing dominates code no path
      executes, and no spurious back edge appears from them. *)
   let entry_label = (Ir.entry f).Ir.label in
+  let index = Ir.block_index f in
   let reach = Hashtbl.create 16 in
   let rec visit l =
     if not (Hashtbl.mem reach l) then begin
       Hashtbl.replace reach l ();
-      List.iter visit (Ir.successors (Ir.find_block f l).term)
+      List.iter visit (Ir.successors (Hashtbl.find index l).Ir.term)
     end
   in
   visit entry_label;

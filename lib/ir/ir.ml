@@ -58,6 +58,13 @@ let add_block f label =
 
 let find_block f label = List.find (fun b -> b.label = label) f.blocks
 
+let block_index f =
+  let index = Hashtbl.create (2 * List.length f.blocks) in
+  List.iter
+    (fun b -> if not (Hashtbl.mem index b.label) then Hashtbl.add index b.label b)
+    f.blocks;
+  index
+
 let entry f =
   match f.blocks with
   | [] -> invalid_arg "Ir.entry: empty function"
@@ -67,24 +74,21 @@ let def_of = function
   | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Load (d, _) -> Some d
   | Store _ -> None
 
-let operand_reg = function Reg r -> Some r | Imm _ -> None
+let iter_def k = function
+  | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Load (d, _) -> k d
+  | Store _ -> ()
 
-let uses_of instr =
-  let ops =
-    match instr with
-    | Bin (_, _, a, b) -> [ a; b ]
-    | Un (_, _, a) | Mov (_, a) | Load (_, a) -> [ a ]
-    | Store (addr, value) -> [ addr; value ]
-  in
-  List.filter_map operand_reg ops
+let iter_operand k = function Reg r -> k r | Imm _ -> ()
 
-let term_uses = function
-  | Jmp _ -> []
-  | Br (c, _, _) -> Option.to_list (operand_reg c)
-  | Ret v -> (
-    match v with
-    | None -> []
-    | Some op -> Option.to_list (operand_reg op))
+let iter_uses k = function
+  | Bin (_, _, a, b) | Store (a, b) ->
+    iter_operand k a;
+    iter_operand k b
+  | Un (_, _, a) | Mov (_, a) | Load (_, a) -> iter_operand k a
+
+let iter_term_uses k = function
+  | Jmp _ | Ret None -> ()
+  | Br (c, _, _) | Ret (Some c) -> iter_operand k c
 
 let successors = function
   | Jmp l -> [ l ]
@@ -180,19 +184,19 @@ let validate f =
     (fun b ->
       List.iter
         (fun i ->
-          List.iter
+          iter_uses
             (fun r ->
               if not (Hashtbl.mem defined r) then
                 fail "instruction '%s' reads undefined register r%d"
                   (instr_to_string i) r)
-            (uses_of i))
+            i)
         b.instrs;
-      List.iter
+      iter_term_uses
         (fun r ->
           if not (Hashtbl.mem defined r) then
             fail "terminator '%s' reads undefined register r%d"
               (term_to_string b.term) r)
-        (term_uses b.term);
+        b.term;
       List.iter
         (fun l ->
           if not (Hashtbl.mem labels l) then

@@ -52,16 +52,25 @@ val add_block : func -> label -> block
 val find_block : func -> label -> block
 (** Raises [Not_found] for labels with no block. *)
 
+val block_index : func -> (label, block) Hashtbl.t
+(** Every block by label, built in one pass: the first block wins for a
+    duplicated label, as with {!find_block}. *)
+
 val entry : func -> block
 (** The entry block.  Raises [Invalid_argument] on an empty function. *)
 
 val def_of : instr -> reg option
 (** The register an instruction defines, if any. *)
 
-val uses_of : instr -> reg list
-(** Registers an instruction reads. *)
+val iter_def : (reg -> unit) -> instr -> unit
+(** [iter_def k i] calls [k] on the register [i] defines, if any. *)
 
-val term_uses : terminator -> reg list
+val iter_uses : (reg -> unit) -> instr -> unit
+(** [iter_uses k i] calls [k] on the registers [i] reads, in operand
+    order. *)
+
+val iter_term_uses : (reg -> unit) -> terminator -> unit
+(** The registers a terminator reads. *)
 
 val successors : terminator -> label list
 

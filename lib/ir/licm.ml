@@ -5,11 +5,6 @@ let hoistable_op = function
   | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> true
   | Ir.Load _ | Ir.Store _ -> false (* memory state / faults *)
 
-let operands_of = function
-  | Ir.Bin (_, _, a, b) -> [ a; b ]
-  | Ir.Un (_, _, a) | Ir.Mov (_, a) | Ir.Load (_, a) -> [ a ]
-  | Ir.Store (a, v) -> [ a; v ]
-
 (* Create (or reuse) a preheader for [header]: a block that all
    non-loop predecessors enter instead of the header.  Returns it. *)
 let make_preheader (f : Ir.func) ~header ~loop_labels =
@@ -42,7 +37,7 @@ let make_preheader (f : Ir.func) ~header ~loop_labels =
   end;
   pre
 
-let process_loop (f : Ir.func) ~header ~loop_labels =
+let process_loop (f : Ir.func) ~live ~header ~loop_labels =
   let in_loop l = List.mem l loop_labels in
   let loop_blocks =
     List.filter (fun (b : Ir.block) -> in_loop b.label) f.blocks
@@ -62,8 +57,6 @@ let process_loop (f : Ir.func) ~header ~loop_labels =
     loop_blocks;
   let defined_in_loop r = Hashtbl.mem def_count r in
   (* Liveness constraints. *)
-  let live = Liveness.compute f in
-  let header_live_in = Liveness.live_in live header in
   let exit_targets =
     List.concat_map
       (fun (b : Ir.block) ->
@@ -71,41 +64,48 @@ let process_loop (f : Ir.func) ~header ~loop_labels =
       loop_blocks
     |> List.sort_uniq compare
   in
-  let live_at_exits =
-    List.fold_left
-      (fun acc l -> Liveness.Regset.union acc (Liveness.live_in live l))
-      Liveness.Regset.empty exit_targets
-  in
+  let live_in l d = Liveness.mem_live_in (Lazy.force live) l d in
   (* Fixpoint: grow the set of invariant definitions. *)
   let invariant : (Ir.reg, unit) Hashtbl.t = Hashtbl.create 8 in
-  let operand_invariant = function
-    | Ir.Imm _ -> true
-    | Ir.Reg r -> (not (defined_in_loop r)) || Hashtbl.mem invariant r
+  let operands_invariant instr =
+    let ok = ref true in
+    Ir.iter_uses
+      (fun r ->
+        if defined_in_loop r && not (Hashtbl.mem invariant r) then ok := false)
+      instr;
+    !ok
   in
-  let marked : (Ir.label * int, unit) Hashtbl.t = Hashtbl.create 8 in
+  (* Per loop block, which of its instructions are marked. *)
+  let marks =
+    List.map
+      (fun (b : Ir.block) -> (b, Array.make (List.length b.Ir.instrs) false))
+      loop_blocks
+  in
+  let n_marked = ref 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun (b : Ir.block) ->
+      (fun ((b : Ir.block), marked) ->
         List.iteri
           (fun idx instr ->
-            if not (Hashtbl.mem marked (b.Ir.label, idx)) then
+            if not marked.(idx) then
               match Ir.def_of instr with
               | Some d
                 when hoistable_op instr
                      && Hashtbl.find_opt def_count d = Some 1
-                     && (not (Liveness.Regset.mem d header_live_in))
-                     && (not (Liveness.Regset.mem d live_at_exits))
-                     && List.for_all operand_invariant (operands_of instr) ->
-                Hashtbl.replace marked (b.Ir.label, idx) ();
+                     && (not (live_in header d))
+                     && not (List.exists (fun l -> live_in l d) exit_targets)
+                     && operands_invariant instr ->
+                marked.(idx) <- true;
+                incr n_marked;
                 Hashtbl.replace invariant d ();
                 changed := true
               | Some _ | None -> ())
           b.Ir.instrs)
-      loop_blocks
+      marks
   done;
-  if Hashtbl.length marked = 0 then 0
+  if !n_marked = 0 then 0
   else begin
     let pre = make_preheader f ~header ~loop_labels in
     (* Emit hoisted instructions in dependency order: repeatedly take
@@ -114,25 +114,25 @@ let process_loop (f : Ir.func) ~header ~loop_labels =
     let emitted : (Ir.reg, unit) Hashtbl.t = Hashtbl.create 8 in
     let pending = ref [] in
     List.iter
-      (fun (b : Ir.block) ->
+      (fun ((b : Ir.block), marked) ->
         List.iteri
           (fun idx instr ->
-            if Hashtbl.mem marked (b.Ir.label, idx) then
+            if marked.(idx) then
               pending := (instr, Ir.def_of instr) :: !pending)
           b.Ir.instrs;
         (* Drop the hoisted instructions from the body. *)
-        b.Ir.instrs <-
-          List.filteri
-            (fun idx _ -> not (Hashtbl.mem marked (b.Ir.label, idx)))
-            b.Ir.instrs)
-      (List.filter (fun (b : Ir.block) -> in_loop b.Ir.label) f.blocks);
+        b.Ir.instrs <- List.filteri (fun idx _ -> not marked.(idx)) b.Ir.instrs)
+      marks;
     let pending = ref (List.rev !pending) in
     let hoisted = ref [] in
     let ready (instr, _) =
-      List.for_all
+      let ok = ref true in
+      Ir.iter_uses
         (fun r ->
-          (not (Hashtbl.mem invariant r)) || Hashtbl.mem emitted r)
-        (Ir.uses_of instr)
+          if Hashtbl.mem invariant r && not (Hashtbl.mem emitted r) then
+            ok := false)
+        instr;
+      !ok
     in
     while !pending <> [] do
       let now, later = List.partition ready !pending in
@@ -150,20 +150,27 @@ let process_loop (f : Ir.func) ~header ~loop_labels =
     List.length pre.Ir.instrs
   end
 
+(* Dominators (with the back edges they give) and liveness describe
+   the CFG as it stands; only a hoist changes it, so both are computed
+   again only after one. *)
 let run (f : Ir.func) =
-  let doms = Dominators.compute f in
-  let edges = Dominators.back_edges f doms in
+  let analyses () =
+    lazy
+      (let doms = Dominators.compute f in
+       (Dominators.back_edges f doms, lazy (Liveness.compute f)))
+  in
+  let current = ref (analyses ()) in
+  let edges, _ = Lazy.force !current in
   (* Merge latches per header so each loop is processed once. *)
   let headers = List.sort_uniq compare (List.map snd edges) in
   let total = ref 0 in
   List.iter
     (fun header ->
-      (* Recompute per loop: earlier hoists change the CFG. *)
-      let doms = Dominators.compute f in
+      let edges, live = Lazy.force !current in
       let latches =
         List.filter_map
           (fun (u, h) -> if h = header then Some u else None)
-          (Dominators.back_edges f doms)
+          edges
       in
       if latches <> [] then begin
         let loop_labels =
@@ -172,7 +179,11 @@ let run (f : Ir.func) =
             latches
           |> List.sort_uniq compare
         in
-        total := !total + process_loop f ~header ~loop_labels
+        let hoisted = process_loop f ~live ~header ~loop_labels in
+        if hoisted > 0 then begin
+          total := !total + hoisted;
+          current := analyses ()
+        end
       end)
     headers;
   if !total > 0 then Ir.validate f;

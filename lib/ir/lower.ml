@@ -5,15 +5,21 @@ type ctx = {
   env : (string, Ir.reg) Hashtbl.t;
   mutable current : Ir.block;
   mutable acc : Ir.instr list; (* current block's instructions, reversed *)
+  mutable blocks : Ir.block list;
+      (* every block so far, latest first; [func.blocks] is set once at
+         the end, since appending each block would be quadratic *)
 }
 
 let seal ctx =
   ctx.current.instrs <- List.rev ctx.acc;
   ctx.acc <- []
 
+let new_block label = { Ir.label; instrs = []; term = Ir.Ret None }
+
 let start_block ctx label =
   seal ctx;
-  let b = Ir.add_block ctx.func label in
+  let b = new_block label in
+  ctx.blocks <- b :: ctx.blocks;
   ctx.current <- b
 
 let emit ctx instr = ctx.acc <- instr :: ctx.acc
@@ -142,10 +148,11 @@ let lower_kernel (k : Ast.kernel) =
     (fun i { Ast.pname; _ } -> Hashtbl.replace env pname i)
     k.params;
   let entry_label = Ir.fresh_label func in
-  let entry = Ir.add_block func entry_label in
-  let ctx = { func; env; current = entry; acc = [] } in
+  let entry = new_block entry_label in
+  let ctx = { func; env; current = entry; acc = []; blocks = [ entry ] } in
   lower_body ctx k.body;
   (* A fall-through end of a void kernel keeps the default [Ret None]. *)
   seal ctx;
+  func.blocks <- List.rev ctx.blocks;
   Ir.validate func;
   func

@@ -63,6 +63,16 @@ let const_fold (f : Ir.func) =
 (* Block-local copy/constant propagation                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The block-local passes below keep a table of facts and, per
+   register, a reverse index of the entries that mentioned it when they
+   were recorded.  Redefining a register visits only its own index
+   list: an entry removed or overwritten since stays listed, so each
+   listed entry goes only if it is still in the table and still
+   mentions the register — exactly the entries that mention it. *)
+let push index r x =
+  Hashtbl.replace index r
+    (x :: Option.value ~default:[] (Hashtbl.find_opt index r))
+
 let copy_prop (f : Ir.func) =
   let changed = ref 0 in
   let subst map op =
@@ -78,15 +88,29 @@ let copy_prop (f : Ir.func) =
   List.iter
     (fun (b : Ir.block) ->
       let map : (Ir.reg, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
+      (* [copies_of s]: the registers recorded as copies of [s].  A
+         register whose mapping has changed since stays listed and is
+         skipped when [s] is redefined. *)
+      let copies_of : (Ir.reg, Ir.reg list) Hashtbl.t = Hashtbl.create 16 in
       (* Drop any mapping that mentions a redefined register. *)
       let invalidate d =
         Hashtbl.remove map d;
-        let stale =
-          Hashtbl.fold
-            (fun r v acc -> if v = Ir.Reg d then r :: acc else acc)
-            map []
-        in
-        List.iter (Hashtbl.remove map) stale
+        match Hashtbl.find_opt copies_of d with
+        | None -> ()
+        | Some copies ->
+          Hashtbl.remove copies_of d;
+          List.iter
+            (fun r ->
+              match Hashtbl.find_opt map r with
+              | Some (Ir.Reg s) when s = d -> Hashtbl.remove map r
+              | Some _ | None -> ())
+            copies
+      in
+      let record d src =
+        Hashtbl.replace map d src;
+        match src with
+        | Ir.Reg s -> push copies_of s d
+        | Ir.Imm _ -> ()
       in
       b.instrs <-
         List.map
@@ -103,7 +127,7 @@ let copy_prop (f : Ir.func) =
              | Some d -> invalidate d
              | None -> ());
             (match instr' with
-             | Ir.Mov (d, src) when src <> Ir.Reg d -> Hashtbl.replace map d src
+             | Ir.Mov (d, src) when src <> Ir.Reg d -> record d src
              | Ir.Mov _ | Ir.Bin _ | Ir.Un _ | Ir.Load _ | Ir.Store _ -> ());
             instr')
           b.instrs;
@@ -144,25 +168,41 @@ let cse (f : Ir.func) =
   List.iter
     (fun (b : Ir.block) ->
       let table : (cse_key, Ir.reg) Hashtbl.t = Hashtbl.create 16 in
-      let invalidate_reg d =
-        let stale =
-          Hashtbl.fold
-            (fun k v acc ->
-              if v = d || key_mentions d k then k :: acc else acc)
-            table []
+      (* [keys_of r]: the keys recorded with value [r] or mentioning
+         [r]; [loads]: the load keys recorded since the last store. *)
+      let keys_of : (Ir.reg, cse_key list) Hashtbl.t = Hashtbl.create 16 in
+      let loads = ref [] in
+      let record k d =
+        Hashtbl.replace table k d;
+        push keys_of d k;
+        let mention = function
+          | Ir.Reg r when r <> d -> push keys_of r k
+          | Ir.Reg _ | Ir.Imm _ -> ()
         in
-        List.iter (Hashtbl.remove table) stale
+        match k with
+        | Kbin (_, a, c) ->
+          mention a;
+          if c <> a then mention c
+        | Kun (_, a) -> mention a
+        | Kload a ->
+          mention a;
+          loads := k :: !loads
+      in
+      let invalidate_reg d =
+        match Hashtbl.find_opt keys_of d with
+        | None -> ()
+        | Some keys ->
+          Hashtbl.remove keys_of d;
+          List.iter
+            (fun k ->
+              match Hashtbl.find_opt table k with
+              | Some v when v = d || key_mentions d k -> Hashtbl.remove table k
+              | Some _ | None -> ())
+            keys
       in
       let invalidate_loads () =
-        let stale =
-          Hashtbl.fold
-            (fun k _ acc ->
-              match k with
-              | Kload _ -> k :: acc
-              | Kbin _ | Kun _ -> acc)
-            table []
-        in
-        List.iter (Hashtbl.remove table) stale
+        List.iter (Hashtbl.remove table) !loads;
+        loads := []
       in
       b.instrs <-
         List.map
@@ -193,8 +233,7 @@ let cse (f : Ir.func) =
                match Ir.def_of instr' with
                (* An instruction like [r = r + 1] must not be recorded:
                   its key refers to the pre-redefinition value of [r]. *)
-               | Some d when not (key_mentions d k) ->
-                 Hashtbl.replace table k d
+               | Some d when not (key_mentions d k) -> record k d
                | Some _ | None -> ())
              | _, None -> ());
             (match instr' with
@@ -214,20 +253,18 @@ let dce_once (f : Ir.func) =
   let removed = ref 0 in
   List.iter
     (fun (b : Ir.block) ->
-      let after = Liveness.live_after_each info b in
+      (* Backward, so consing onto [keep] restores program order. *)
       let keep = ref [] in
-      List.iteri
-        (fun i instr ->
+      Liveness.iter_live_after info b (fun instr live ->
           let dead =
             Ir.is_pure instr
             &&
             match Ir.def_of instr with
-            | Some d -> not (Liveness.Regset.mem d after.(i))
+            | Some d -> not (live d)
             | None -> false
           in
-          if dead then incr removed else keep := instr :: !keep)
-        b.instrs;
-      b.instrs <- List.rev !keep)
+          if dead then incr removed else keep := instr :: !keep);
+      b.instrs <- !keep)
     f.blocks;
   !removed
 
@@ -246,11 +283,12 @@ let dce (f : Ir.func) =
 (* ------------------------------------------------------------------ *)
 
 let reachable (f : Ir.func) =
+  let index = Ir.block_index f in
   let seen = Hashtbl.create 16 in
   let rec visit l =
     if not (Hashtbl.mem seen l) then begin
       Hashtbl.replace seen l ();
-      List.iter visit (Ir.successors (Ir.find_block f l).term)
+      List.iter visit (Ir.successors (Hashtbl.find index l).term)
     end
   in
   visit (Ir.entry f).label;
@@ -273,15 +311,52 @@ let thread_jumps (f : Ir.func) =
         Hashtbl.replace forward b.label target
       | _, (Ir.Jmp _ | Ir.Br _ | Ir.Ret _) -> ())
     f.blocks;
-  (* Resolve chains, guarding against forwarding cycles. *)
-  let rec resolve seen l =
-    match Hashtbl.find_opt forward l with
-    | Some next when not (List.mem next seen) -> resolve (l :: seen) next
-    | Some _ | None -> l
+  (* Resolve chains, guarding against forwarding cycles: a walk stops
+     at the first block whose target it has already visited.  So a
+     block on a cycle resolves to its predecessor on the cycle, and a
+     block leading into a cycle to the predecessor of the block where
+     its walk enters it.  Either way every block a walk passes
+     resolves like the first block it reaches whose answer is known,
+     and each walk memoizes the answer of every block it passed. *)
+  let resolved = Hashtbl.create 8 in
+  let settle path r = List.iter (fun p -> Hashtbl.replace resolved p r) path in
+  let walk_from start =
+    (* [path]: the blocks walked before [l], latest first; [pos]: their
+       indices on the walk. *)
+    let pos = Hashtbl.create 8 in
+    let rec walk path i l =
+      match Hashtbl.find_opt resolved l with
+      | Some r ->
+        settle path r;
+        r
+      | None -> (
+        match Hashtbl.find_opt forward l with
+        | None ->
+          settle (l :: path) l;
+          l
+        | Some next -> (
+          match Hashtbl.find_opt pos next with
+          | Some j ->
+            let walked = Array.of_list (List.rev (l :: path)) in
+            Array.iteri
+              (fun m p ->
+                Hashtbl.replace resolved p (if m <= j then l else walked.(m - 1)))
+              walked;
+            l
+          | None ->
+            Hashtbl.replace pos l i;
+            walk (l :: path) (i + 1) next))
+    in
+    walk [] 0 start
+  in
+  let resolve l =
+    match Hashtbl.find_opt resolved l with
+    | Some r -> r
+    | None -> walk_from l
   in
   let changed = ref 0 in
   let redirect l =
-    let l' = resolve [] l in
+    let l' = resolve l in
     if l' <> l then incr changed;
     l'
   in
@@ -295,40 +370,49 @@ let thread_jumps (f : Ir.func) =
     f.blocks;
   !changed
 
-(* Merge [a -> b] when a ends in [Jmp b] and b's only predecessor is a. *)
+(* Merge [a -> b] when a ends in [Jmp b] and b's only predecessor is a.
+   A merge hands b's out-edges to a, so no remaining block's
+   predecessor count changes, no block before a becomes mergeable, and
+   a stops being mergeable for good once it fails.  One sweep in block
+   order, absorbing chains into each block while it qualifies, thus
+   merges in the order a rescan for the first candidate after every
+   merge would. *)
 let merge_chains (f : Ir.func) =
-  let changed = ref 0 in
-  let continue_merging = ref true in
-  while !continue_merging do
-    continue_merging := false;
-    let preds = Ir.predecessors f in
-    let entry_label = (Ir.entry f).Ir.label in
-    let candidate =
-      List.find_opt
-        (fun (a : Ir.block) ->
-          match a.term with
-          | Ir.Jmp target ->
-            target <> entry_label && target <> a.label
-            && (match Hashtbl.find_opt preds target with
-                | Some [ single ] -> single = a.label
-                | Some _ | None -> false)
-          | Ir.Br _ | Ir.Ret _ -> false)
-        f.blocks
-    in
-    match candidate with
-    | Some a ->
-      let target =
-        match a.term with Ir.Jmp t -> t | Ir.Br _ | Ir.Ret _ -> assert false
-      in
-      let b = Ir.find_block f target in
-      a.instrs <- a.instrs @ b.instrs;
+  let index = Ir.block_index f in
+  let pred_count = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun s ->
+          Hashtbl.replace pred_count s
+            (1 + Option.value ~default:0 (Hashtbl.find_opt pred_count s)))
+        (Ir.successors b.term))
+    f.blocks;
+  let entry_label = (Ir.entry f).Ir.label in
+  let merged = Hashtbl.create 8 in
+  (* [tails]: the absorbed blocks' instructions, latest first. *)
+  let rec absorb (a : Ir.block) tails =
+    match a.term with
+    | Ir.Jmp target
+      when target <> entry_label && target <> a.label
+           && Hashtbl.find_opt pred_count target = Some 1 ->
+      let b = Hashtbl.find index target in
       a.term <- b.term;
-      f.blocks <- List.filter (fun blk -> blk.Ir.label <> target) f.blocks;
-      incr changed;
-      continue_merging := true
-    | None -> ()
-  done;
-  !changed
+      Hashtbl.replace merged target ();
+      absorb a (b.instrs :: tails)
+    | Ir.Jmp _ | Ir.Br _ | Ir.Ret _ -> tails
+  in
+  List.iter
+    (fun (a : Ir.block) ->
+      if not (Hashtbl.mem merged a.label) then
+        match absorb a [] with
+        | [] -> ()
+        | tails -> a.instrs <- List.concat (a.instrs :: List.rev tails))
+    f.blocks;
+  let changed = Hashtbl.length merged in
+  if changed > 0 then
+    f.blocks <- List.filter (fun b -> not (Hashtbl.mem merged b.Ir.label)) f.blocks;
+  changed
 
 let simplify_cfg (f : Ir.func) =
   let c1 = thread_jumps f in
@@ -352,17 +436,31 @@ let store_forward (f : Ir.func) =
   List.iter
     (fun (b : Ir.block) ->
       let table : (Ir.operand, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
+      (* [addrs_of r]: the addresses whose entry mentioned [r] on
+         either side when recorded. *)
+      let addrs_of : (Ir.reg, Ir.operand list) Hashtbl.t = Hashtbl.create 16 in
+      let mentions d = function
+        | Ir.Reg r -> r = d
+        | Ir.Imm _ -> false
+      in
+      let record a v =
+        Hashtbl.replace table a v;
+        (match a with Ir.Reg r -> push addrs_of r a | Ir.Imm _ -> ());
+        match v with
+        | Ir.Reg r when not (mentions r a) -> push addrs_of r a
+        | Ir.Reg _ | Ir.Imm _ -> ()
+      in
       let invalidate d =
-        let mentions = function
-          | Ir.Reg r -> r = d
-          | Ir.Imm _ -> false
-        in
-        let stale =
-          Hashtbl.fold
-            (fun a v acc -> if mentions a || mentions v then a :: acc else acc)
-            table []
-        in
-        List.iter (Hashtbl.remove table) stale
+        match Hashtbl.find_opt addrs_of d with
+        | None -> ()
+        | Some addrs ->
+          Hashtbl.remove addrs_of d;
+          List.iter
+            (fun a ->
+              match Hashtbl.find_opt table a with
+              | Some v when mentions d a || mentions d v -> Hashtbl.remove table a
+              | Some _ | None -> ())
+            addrs
       in
       b.instrs <-
         List.map
@@ -383,8 +481,9 @@ let store_forward (f : Ir.func) =
             (match instr' with
              | Ir.Store (a, v) ->
                Hashtbl.reset table;
-               Hashtbl.replace table a v
-             | Ir.Load (d, a) -> Hashtbl.replace table a (Ir.Reg d)
+               Hashtbl.reset addrs_of;
+               record a v
+             | Ir.Load (d, a) -> record a (Ir.Reg d)
              | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> ());
             instr')
           b.instrs)
@@ -406,14 +505,26 @@ let fold_offsets (f : Ir.func) =
     (fun (b : Ir.block) ->
       (* reg -> (base operand, constant offset) with reg = base + offset *)
       let table : (Ir.reg, Ir.operand * int) Hashtbl.t = Hashtbl.create 16 in
+      (* [offsets_of b]: the registers recorded as offsets from [b]. *)
+      let offsets_of : (Ir.reg, Ir.reg list) Hashtbl.t = Hashtbl.create 16 in
+      let record d ((base, _) as entry) =
+        Hashtbl.replace table d entry;
+        match base with
+        | Ir.Reg b -> push offsets_of b d
+        | Ir.Imm _ -> ()
+      in
       let invalidate d =
         Hashtbl.remove table d;
-        let stale =
-          Hashtbl.fold
-            (fun r (base, _) acc -> if base = Ir.Reg d then r :: acc else acc)
-            table []
-        in
-        List.iter (Hashtbl.remove table) stale
+        match Hashtbl.find_opt offsets_of d with
+        | None -> ()
+        | Some regs ->
+          Hashtbl.remove offsets_of d;
+          List.iter
+            (fun r ->
+              match Hashtbl.find_opt table r with
+              | Some (Ir.Reg b, _) when b = d -> Hashtbl.remove table r
+              | Some _ | None -> ())
+            regs
       in
       b.instrs <-
         List.map
@@ -452,13 +563,11 @@ let fold_offsets (f : Ir.func) =
                match base_offset a with
                (* [d = d + n] must not be recorded: the base refers to
                   the pre-redefinition value of [d]. *)
-               | Some (base, k) when base <> Ir.Reg d ->
-                 Hashtbl.replace table d (base, k + n)
+               | Some (base, k) when base <> Ir.Reg d -> record d (base, k + n)
                | Some _ | None -> ())
              | Ir.Bin (Vmht_lang.Ast.Sub, d, a, Ir.Imm n) -> (
                match base_offset a with
-               | Some (base, k) when base <> Ir.Reg d ->
-                 Hashtbl.replace table d (base, k - n)
+               | Some (base, k) when base <> Ir.Reg d -> record d (base, k - n)
                | Some _ | None -> ())
              | Ir.Bin _ | Ir.Un _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ -> ());
             instr')
@@ -529,11 +638,12 @@ let coalesce (f : Ir.func) =
       (* Cross-block liveness of [b] is unaffected by the rewrites (the
          pair defines [d] in [b] either way and [t] never escapes), so
          [live_out] stays valid while the block mutates. *)
-      let live_out = Liveness.live_out info b.Ir.label in
       let used_after rest t =
-        List.exists (fun i -> List.mem t (Ir.uses_of i)) rest
-        || List.mem t (Ir.term_uses b.term)
-        || Liveness.Regset.mem t live_out
+        let read = ref false in
+        let see r = if r = t then read := true in
+        List.iter (fun i -> if not !read then Ir.iter_uses see i) rest;
+        Ir.iter_term_uses see b.term;
+        !read || Liveness.mem_live_out info b.Ir.label t
       in
       let rec rewrite = function
         | instr :: Ir.Mov (d, Ir.Reg t) :: rest

@@ -185,6 +185,24 @@ let test_max_live_positive () =
   let info = Liveness.compute f in
   check_bool "pressure >= 3" true (Liveness.max_live f info >= 3)
 
+(* Registers at or past [next_reg] (IR the verifier would reject) are
+   still analysed: the vectors widen to the registers the blocks
+   mention.  r70 also lands in a second bit-vector word. *)
+let test_liveness_past_next_reg () =
+  let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:true in
+  let l0 = Ir.fresh_label f and l1 = Ir.fresh_label f in
+  let b0 = Ir.add_block f l0 and b1 = Ir.add_block f l1 in
+  b0.Ir.instrs <- [ Ir.Mov (5, Ir.Reg 0) ];
+  b0.Ir.term <- Ir.Jmp l1;
+  b1.Ir.instrs <- [ Ir.Bin (Vmht_lang.Ast.Add, 70, Ir.Reg 5, Ir.Reg 9) ];
+  b1.Ir.term <- Ir.Ret (Some (Ir.Reg 70));
+  let info = Liveness.compute f in
+  let elements l = Liveness.Regset.elements (Liveness.live_in info l) in
+  Alcotest.(check (list int)) "into L1" [ 5; 9 ] (elements l1);
+  Alcotest.(check (list int)) "into L0" [ 0; 9 ] (elements l0);
+  check_bool "r70 live out of L0" false (Liveness.mem_live_out info l0 70);
+  Alcotest.(check int) "pressure" 2 (Liveness.max_live f info)
+
 (* ---------------------- unrolling ---------------------------------- *)
 
 let unrollable_src =
@@ -306,6 +324,8 @@ let suite =
     Alcotest.test_case "pipeline: report" `Quick test_optimize_pipeline_report;
     Alcotest.test_case "liveness: args live" `Quick test_liveness_args_live;
     Alcotest.test_case "liveness: pressure" `Quick test_max_live_positive;
+    Alcotest.test_case "liveness: registers past next_reg" `Quick
+      test_liveness_past_next_reg;
     Alcotest.test_case "unroll: applies" `Quick test_unroll_applies;
     Alcotest.test_case "unroll: preserves semantics" `Quick
       test_unroll_preserves_semantics;

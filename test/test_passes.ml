@@ -128,6 +128,12 @@ let test_verify_accepts_lowered () =
   in
   Verify.run f
 
+(* Each verifier check, with the exact message it reports. *)
+let expect_error f msg =
+  match Verify.check f with
+  | Ok () -> Alcotest.failf "accepted; expected %S" msg
+  | Error got -> Alcotest.(check string) "message" msg got
+
 let test_verify_rejects_undefined_reg () =
   let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:true in
   let r = Ir.fresh_reg f in
@@ -137,23 +143,89 @@ let test_verify_rejects_undefined_reg () =
        [ Ir.Mov (r, Ir.Reg 2) ]
        (Ir.Ret (Some (Ir.Reg r))));
   f.Ir.next_reg <- 3;
-  match Verify.check f with
-  | Ok () -> Alcotest.fail "use of undefined register accepted"
-  | Error _ -> ()
+  expect_error f "f: register r2 may be read before it is defined"
+
+(* Defined on one path only: the then-branch defines r3 and r2 (in that
+   order), the join reads both.  The lowest such register is named. *)
+let test_verify_one_path_def () =
+  let f = Ir.create_func ~name:"f" ~arg_count:2 ~returns_value:true in
+  let r2 = Ir.fresh_reg f and r3 = Ir.fresh_reg f and r4 = Ir.fresh_reg f in
+  let l0 = Ir.fresh_label f and l1 = Ir.fresh_label f in
+  let l2 = Ir.fresh_label f and l3 = Ir.fresh_label f in
+  ignore (block_with f l0 [] (Ir.Br (Ir.Reg 0, l1, l2)));
+  ignore
+    (block_with f l1
+       [ Ir.Mov (r3, Ir.Imm 1); Ir.Mov (r2, Ir.Reg 1) ]
+       (Ir.Jmp l3));
+  ignore (block_with f l2 [] (Ir.Jmp l3));
+  ignore
+    (block_with f l3
+       [ Ir.Bin (Vmht_lang.Ast.Add, r4, Ir.Reg r3, Ir.Reg r2) ]
+       (Ir.Ret (Some (Ir.Reg r4))));
+  expect_error f "f: register r2 may be read before it is defined"
+
+let test_verify_no_blocks () =
+  expect_error
+    (Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false)
+    "f: function has no blocks"
+
+let test_verify_duplicate_label () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  let l0 = Ir.fresh_label f in
+  ignore (block_with f l0 [] (Ir.Ret None));
+  ignore (block_with f l0 [] (Ir.Ret None));
+  expect_error f "f: duplicate block label L0"
+
+let test_verify_label_range () =
+  let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
+  ignore (block_with f (Ir.fresh_label f) [] (Ir.Jmp 5));
+  ignore (block_with f 5 [] (Ir.Ret None));
+  expect_error f "f: block label L5 outside allocator range [0, 1)"
+
+let test_verify_register_range () =
+  let one instrs term =
+    let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:true in
+    ignore (block_with f (Ir.fresh_label f) instrs term);
+    f
+  in
+  let ret0 = Ir.Ret (Some (Ir.Reg 0)) in
+  expect_error
+    (one [ Ir.Mov (5, Ir.Imm 0) ] ret0)
+    "f: block L0: r5 = 0: defined register r5 outside allocator range [0, 1)";
+  expect_error
+    (one [ Ir.Store (Ir.Imm 8, Ir.Reg 7) ] ret0)
+    "f: block L0: mem[8] = r7: register r7 outside allocator range [0, 1)";
+  expect_error
+    (one [] (Ir.Ret (Some (Ir.Reg 9))))
+    "f: block L0: ret r9: register r9 outside allocator range [0, 1)"
 
 let test_verify_rejects_dangling_target () =
   let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:false in
   ignore (block_with f (Ir.fresh_label f) [] (Ir.Jmp 99));
-  match Verify.check f with
-  | Ok () -> Alcotest.fail "jump to missing block accepted"
-  | Error _ -> ()
+  expect_error f "f: block L0: jmp L99: target L99 outside allocator range [0, 1)";
+  (* In range, but no block carries the label. *)
+  let g = Ir.create_func ~name:"g" ~arg_count:1 ~returns_value:false in
+  let l0 = Ir.fresh_label g and l1 = Ir.fresh_label g in
+  ignore (block_with g l0 [] (Ir.Br (Ir.Reg 0, l0, l1)));
+  expect_error g "g: block L0: br r0 ? L0 : L1: target L1 has no block"
 
 let test_verify_rejects_ret_arity () =
   let f = Ir.create_func ~name:"f" ~arg_count:0 ~returns_value:true in
   ignore (block_with f (Ir.fresh_label f) [] (Ir.Ret None));
+  expect_error f "f: block L0 returns no value from a value function";
+  let g = Ir.create_func ~name:"g" ~arg_count:1 ~returns_value:false in
+  ignore (block_with g (Ir.fresh_label g) [] (Ir.Ret (Some (Ir.Reg 0))));
+  expect_error g "g: block L0 returns a value from a void function"
+
+(* An unreachable block keeps the lowerer's [Ret None] placeholder in a
+   value function: only reachable blocks must match the arity. *)
+let test_verify_unreachable_exempt () =
+  let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:true in
+  ignore (block_with f (Ir.fresh_label f) [] (Ir.Ret (Some (Ir.Reg 0))));
+  ignore (block_with f (Ir.fresh_label f) [] (Ir.Ret None));
   match Verify.check f with
-  | Ok () -> Alcotest.fail "bare ret from value-returning function accepted"
-  | Error _ -> ()
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
 
 (* ---------------------- simplify_cfg edge cases -------------------- *)
 
@@ -192,6 +264,24 @@ let test_cfg_thread_into_merged () =
   check_int "merged to one block" 1 (Ir.block_count f);
   check_bool "semantics kept" true
     (ir_run f ~data:[| 0 |] ~args:[ 37 ] = Some 42)
+
+(* Empty forwarders in a cycle (1 -> 2 -> 3 -> 1) and a chain into it
+   (4 -> 5 -> 2).  A walk stops at the first block whose target it has
+   already visited, so each cycle block resolves to its predecessor on
+   the cycle (1 to 3, 2 to 1, 3 to 2) and the chain to the predecessor
+   of its entry point (4 and 5 to 1); only 1 and 3 stay reachable. *)
+let test_cfg_forwarding_cycle () =
+  let f = Ir.create_func ~name:"f" ~arg_count:1 ~returns_value:false in
+  let l = Array.init 6 (fun _ -> Ir.fresh_label f) in
+  ignore (block_with f l.(0) [] (Ir.Br (Ir.Reg 0, l.(1), l.(4))));
+  List.iter
+    (fun (a, b) -> ignore (block_with f l.(a) [] (Ir.Jmp l.(b))))
+    [ (1, 2); (2, 3); (3, 1); (4, 5); (5, 2) ];
+  ignore (Passes.simplify_cfg f);
+  Alcotest.(check string) "threaded"
+    "func f(r0)\nL0:\n  br r0 ? L3 : L1\nL1:\n  jmp L1\nL3:\n  jmp L3\n"
+    (Ir.func_to_string f);
+  Verify.run f
 
 (* ---------------------- dce on loads ------------------------------- *)
 
@@ -400,10 +490,22 @@ let suite =
     Alcotest.test_case "verify: dangling branch target" `Quick
       test_verify_rejects_dangling_target;
     Alcotest.test_case "verify: ret arity" `Quick test_verify_rejects_ret_arity;
+    Alcotest.test_case "verify: defined on one path" `Quick
+      test_verify_one_path_def;
+    Alcotest.test_case "verify: no blocks" `Quick test_verify_no_blocks;
+    Alcotest.test_case "verify: duplicate label" `Quick
+      test_verify_duplicate_label;
+    Alcotest.test_case "verify: label out of range" `Quick
+      test_verify_label_range;
+    Alcotest.test_case "verify: register out of range" `Quick
+      test_verify_register_range;
+    Alcotest.test_case "verify: unreachable block exempt" `Quick
+      test_verify_unreachable_exempt;
     Alcotest.test_case "cfg: unreachable self-loop" `Quick
       test_cfg_unreachable_self_loop;
     Alcotest.test_case "cfg: thread into merged block" `Quick
       test_cfg_thread_into_merged;
+    Alcotest.test_case "cfg: forwarding cycle" `Quick test_cfg_forwarding_cycle;
     Alcotest.test_case "dce: deletes dead load" `Quick
       test_dce_deletes_dead_load;
     Alcotest.test_case "dce: keeps load feeding store" `Quick

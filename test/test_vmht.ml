@@ -13,6 +13,7 @@ let () =
       ("hls", Test_hls.suite);
       ("rtl", Test_rtl.suite);
       ("pipeliner", Test_pipeliner.suite);
+      ("golden", Test_golden.suite);
       ("mem", Test_mem.suite);
       ("vm", Test_vm.suite);
       ("runtime", Test_runtime.suite);

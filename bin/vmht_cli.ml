@@ -22,6 +22,19 @@ let exit_frontend = 2
 
 let exit_write_failed = 3
 
+(* The one JSON file writer.  A failed write prints "cannot write
+   <noun>: <reason>" and returns [false], which the caller turns into
+   [exit_write_failed]. *)
+let write_json noun path json =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Vmht_obs.Json.to_string_pretty json))
+  with
+  | () -> true
+  | exception Sys_error msg ->
+    Printf.eprintf "cannot write %s: %s\n" noun msg;
+    false
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -104,20 +117,19 @@ let config_with_opt config opt_level passes =
    sets, a page too small for the page table, [--size 0].  A size the
    SoC cannot hold fails later, in the run: DMA buffers larger than the
    scratchpad ([Launch.Window_overflow]) or data larger than physical
-   memory ([Frame_alloc.Out_of_frames]).  [checked build k] runs
-   [build] and continues with [k]; a rejection becomes a message and
-   exit 1, never an uncaught exception. *)
+   memory ([Frame_alloc.Out_of_frames], raised by the workload's setup
+   before it builds any host data).  [checked build k] runs [build] and
+   continues with [k]; a rejection ({!Vmht_eval.Common.rejection})
+   becomes a message and exit 1, never an uncaught exception. *)
 let checked build k =
-  let fail msg =
-    Printf.eprintf "error: %s\n" msg;
-    1
-  in
   match build () with
   | v -> k v
-  | exception (Invalid_argument msg | Vmht.Launch.Window_overflow msg) ->
-    fail msg
-  | exception Vmht_vm.Frame_alloc.Out_of_frames ->
-    fail "out of physical frames: the data does not fit in physical memory"
+  | exception e -> (
+    match Vmht_eval.Common.rejection e with
+    | Some msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
+    | None -> raise e)
 
 (* Resolve eagerly so a typo'd pass name fails with exit 1 before any
    work happens, whatever command carried the flag. *)
@@ -210,19 +222,9 @@ let synth_cmd =
 
 (* ------------------------- run ------------------------------------ *)
 
-let write_chrome_trace ?process_name ?pid path events =
-  match Vmht_obs.Chrome_trace.write_file ?process_name ?pid path events with
-  | () -> true
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write trace: %s\n" msg;
-    false
-
 let write_spans path =
-  match Vmht_obs.Span.write_chrome_file path (Vmht_obs.Span.spans ()) with
-  | () -> true
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write spans: %s\n" msg;
-    false
+  write_json "spans" path
+    (Vmht_obs.Span.to_chrome_json (Vmht_obs.Span.spans ()))
 
 let mode_conv =
   Arg.enum
@@ -364,40 +366,29 @@ let run_cmd =
       let trace_ok =
         match trace_out with
         | Some path ->
-          write_chrome_trace
-            ~pid:(Vmht.Soc.id o.Vmht_eval.Common.soc)
-            path
-            (Vmht_sim.Trace.events (Vmht.Soc.trace o.Vmht_eval.Common.soc))
+          write_json "trace" path
+            (Vmht_obs.Chrome_trace.to_json
+               ~pid:(Vmht.Soc.id o.Vmht_eval.Common.soc)
+               (Vmht_sim.Trace.events (Vmht.Soc.trace o.Vmht_eval.Common.soc)))
         | None -> true
       in
       let spans_ok =
         match spans_out with Some path -> write_spans path | None -> true
       in
       let report_json () =
-        let report =
-          Vmht.Report.gather o.Vmht_eval.Common.soc ~workload:wname
-            ~mode:(Vmht_eval.Common.mode_name mode)
-            ~size r
-        in
-        Vmht_obs.Json.to_string_pretty (Vmht.Report.to_json report)
+        Vmht.Report.to_json
+          (Vmht.Report.gather o.Vmht_eval.Common.soc ~workload:wname
+             ~mode:(Vmht_eval.Common.mode_name mode)
+             ~size r)
       in
       let metrics_ok =
         match metrics_json with
-        | Some path when path <> "-" -> (
-          try
-            let oc = open_out path in
-            output_string oc (report_json ());
-            output_char oc '\n';
-            close_out oc;
-            true
-          with Sys_error msg ->
-            Printf.eprintf "cannot write metrics: %s\n" msg;
-            false)
+        | Some path when path <> "-" -> write_json "metrics" path (report_json ())
         | Some _ | None -> true
       in
       if metrics_json = Some "-" then
         (* Machine-readable mode: the report JSON is the only stdout. *)
-        print_endline (report_json ())
+        print_endline (Vmht_obs.Json.to_string_pretty (report_json ()))
       else begin
         Printf.printf "%s / %s / size %d: %s cycles (%s)\n" wname
           (Vmht_eval.Common.mode_name mode)
@@ -559,7 +550,7 @@ let trace_cmd =
       let write_ok = ref true in
       (match out with
        | Some path ->
-         if write_chrome_trace path events then
+         if write_json "trace" path (Vmht_obs.Chrome_trace.to_json events) then
            Printf.printf "%d events written to %s\n" (List.length events)
              path
          else write_ok := false
@@ -822,16 +813,6 @@ let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
     ("exit_code", Json.Int code);
   ]
 
-let write_manifest path fields =
-  try
-    let oc = open_out path in
-    output_string oc (Vmht_obs.Json.to_string_pretty (Vmht_obs.Json.Obj fields));
-    close_out oc;
-    true
-  with Sys_error msg ->
-    Printf.eprintf "cannot write manifest: %s\n" msg;
-    false
-
 let kind_groups =
   Vmht_eval.Experiment.
     [
@@ -947,9 +928,10 @@ let bench_cmd =
     | Some path ->
       let rows = List.rev !rows in
       if
-        write_manifest path
-          (manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches
-             ~code)
+        write_json "manifest" path
+          (Vmht_obs.Json.Obj
+             (manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches
+                ~code))
       then code
       else max code exit_write_failed
   in
@@ -1077,18 +1059,8 @@ let loadgen_cmd =
       let metrics_ok =
         match metrics_json with
         | None -> true
-        | Some path -> (
-          try
-            let oc = open_out path in
-            output_string oc
-              (Vmht_obs.Json.to_string_pretty
-                 report.Vmht_eval.Loadgen.manifest);
-            output_char oc '\n';
-            close_out oc;
-            true
-          with Sys_error msg ->
-            Printf.eprintf "cannot write manifest: %s\n" msg;
-            false)
+        | Some path ->
+          write_json "manifest" path report.Vmht_eval.Loadgen.manifest
       in
       let hit_rate_ok =
         match require_hit_rate with
@@ -1334,18 +1306,10 @@ let profile_cmd =
       let json_ok =
         match json_out with
         | None -> true
-        | Some path -> (
-          try
-            let oc = open_out path in
-            output_string oc
-              (Vmht_obs.Json.to_string_pretty (Vmht_obs.Profile.to_json t));
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "  profile written to %s\n" path;
-            true
-          with Sys_error msg ->
-            Printf.eprintf "cannot write profile: %s\n" msg;
-            false)
+        | Some path ->
+          let ok = write_json "profile" path (Vmht_obs.Profile.to_json t) in
+          if ok then Printf.printf "  profile written to %s\n" path;
+          ok
       in
       if not exact then 1 else if not json_ok then exit_write_failed else 0
   in
@@ -1481,7 +1445,9 @@ let perf_snapshot_cmd =
     match json with
     | None -> code
     | Some path ->
-      if write_manifest path (fields @ [ ("micro", Micro.to_json micro) ])
+      if
+        write_json "manifest" path
+          (Vmht_obs.Json.Obj (fields @ [ ("micro", Micro.to_json micro) ]))
       then begin
         Printf.printf "wrote %s\n" path;
         code
@@ -1584,18 +1550,10 @@ let dse_cmd =
       print_newline ();
       match json_out with
       | None -> 0
-      | Some path -> (
-        try
-          let oc = open_out path in
-          output_string oc
-            (Vmht_obs.Json.to_string_pretty
-               (Vmht_eval.Dse.manifest ~size points));
-          output_char oc '\n';
-          close_out oc;
-          0
-        with Sys_error msg ->
-          Printf.eprintf "cannot write manifest: %s\n" msg;
-          exit_write_failed)
+      | Some path ->
+        if write_json "manifest" path (Vmht_eval.Dse.manifest ~size points)
+        then 0
+        else exit_write_failed
     end
   in
   Cmd.v

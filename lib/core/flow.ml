@@ -178,20 +178,6 @@ let sync_cache_metrics m =
     (Vmht_obs.Metrics.counter m "flow.synth_cache_entries")
     s.cache_entries
 
-(* Process-wide per-pass totals (every synthesis since startup), for
-   the bench manifest's pass statistics — same pull model as the cache
-   counters above. *)
-let sync_pass_metrics m =
-  List.iter
-    (fun (pass, runs, rewrites) ->
-      Vmht_obs.Metrics.set_counter
-        (Vmht_obs.Metrics.counter m (Printf.sprintf "pass.%s.runs" pass))
-        runs;
-      Vmht_obs.Metrics.set_counter
-        (Vmht_obs.Metrics.counter m (Printf.sprintf "pass.%s.rewrites" pass))
-        rewrites)
-    (Vmht_ir.Pass_manager.totals ())
-
 (* The memo-miss producer: consult the persistent backend (if any),
    fall back to a fresh synthesis, write fresh results through.  A
    failed write-back still returns the synthesized hardware alongside

@@ -165,8 +165,3 @@ val sync_cache_metrics : Vmht_obs.Metrics.t -> unit
 (** Publish the cache counters into a metrics registry as
     ["flow.synth_cache_hits"/"flow.synth_cache_misses"/
     "flow.synth_cache_entries"]. *)
-
-val sync_pass_metrics : Vmht_obs.Metrics.t -> unit
-(** Publish the process-wide optimizer totals
-    ({!Vmht_ir.Pass_manager.totals}) as ["pass.<name>.runs"] and
-    ["pass.<name>.rewrites"] counters. *)

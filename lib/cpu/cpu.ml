@@ -106,10 +106,6 @@ let flush_cache t =
   Engine.wait 64;
   Cache.flush t.cache
 
-let invalidate_cache t =
-  flush_cache t;
-  Cache.invalidate_all t.cache
-
 let cache t = t.cache
 
 let stats (t : t) : stats =

@@ -35,10 +35,6 @@ val flush_cache : t -> unit
 (** Timed: write all dirty L1 lines back (performed after a software
     thread finishes, so other masters observe its results). *)
 
-val invalidate_cache : t -> unit
-(** Timed cache maintenance: flush, then discard all lines (performed
-    when joining a hardware thread so the CPU observes its writes). *)
-
 val cache : t -> Vmht_mem.Cache.t
 
 val set_observer : t -> Vmht_obs.Event.emitter -> unit

@@ -145,6 +145,12 @@ let reset_run_stats () =
   Histogram.reset global_stats.run_host_ns;
   Mutex.unlock perf_mutex
 
+let rejection = function
+  | Invalid_argument msg | Launch.Window_overflow msg -> Some msg
+  | Vmht_vm.Frame_alloc.Out_of_frames ->
+    Some "out of physical frames: the data does not fit in physical memory"
+  | _ -> None
+
 let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
     mode (w : Workload.t) ~size =
   Vmht_obs.Span.with_span ~cat:"eval"
@@ -192,6 +198,11 @@ let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
   record_run ~cycles:result.Launch.total_cycles
     ~host_ns:(int_of_float ((Unix.gettimeofday () -. host_t0) *. 1e9));
   { result; correct; soc; instance; hw = !hw })
+
+let host_lines text =
+  String.split_on_char '\n' text
+  |> List.map (fun line -> if line = "" then line else "host: " ^ line)
+  |> String.concat "\n"
 
 let cycles o = o.result.Launch.total_cycles
 

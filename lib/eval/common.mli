@@ -30,6 +30,12 @@ val run :
     same without implying the CLI's textual dump — both turn typed
     event observation on via {!Vmht.Soc.enable_tracing}. *)
 
+val rejection : exn -> string option
+(** The message for an input {!run} cannot build: a flag value a setter
+    or constructor rejects ([Invalid_argument]), DMA buffers beyond the
+    scratchpad, or data beyond physical memory.  [None] for any other
+    exception.  Every command line and the server word these alike. *)
+
 (** {2 Per-run performance recording} *)
 
 type run_stats = {
@@ -68,6 +74,11 @@ val par_map : ('a -> 'b) -> 'a list -> 'b list
     log in submission order, so the mismatch log (like the returned
     list) is independent of the parallel schedule.  Experiments use
     this for every sweep; with jobs = 1 it is exactly [List.map]. *)
+
+val host_lines : string -> string
+(** Prefix every line with ["host: "], the mark of experiment output
+    that carries host wall time.  Everything else an experiment prints
+    is deterministic, and the [vmht bench all] golden keeps only that. *)
 
 val cycles : outcome -> int
 

@@ -29,7 +29,8 @@ let run base =
       workloads
   in
   let plot =
-    Plot.render ~logx:true
+    Common.host_lines
+    @@ Plot.render ~logx:true
       ~title:"Figure 5: synthesis time vs unroll factor"
       ~xlabel:"unroll factor" ~ylabel:"ms"
       (List.map

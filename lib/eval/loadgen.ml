@@ -19,7 +19,18 @@ let exec_size = function
 
 let handle (req : Proto.request) =
   match req.Proto.job with
-  | Proto.Synthesize _ -> Vmht_serve.Worker.default_handle req
+  | Proto.Synthesize { kernel; style; config } -> (
+    match Flow.run (Flow.Request.of_kernel ~config ~style kernel) with
+    | Ok hw ->
+      (* The deterministic projection: no wall-clock field. *)
+      Proto.Synthesized
+        {
+          kname = hw.Flow.kernel.Vmht_lang.Ast.kname;
+          states = hw.Flow.fsm.Vmht_hls.Fsm.stats.Vmht_hls.Fsm.states;
+          total_area = hw.Flow.total_area;
+          verilog_bytes = String.length hw.Flow.verilog;
+        }
+    | Error e -> Proto.Failed (Flow.error_to_string e))
   | Proto.Execute { workload; mode; size; config } -> (
     match Vmht_workloads.Registry.find workload with
     | exception Not_found ->
@@ -31,13 +42,18 @@ let handle (req : Proto.request) =
         | Proto.Vm -> Common.Vm
         | Proto.Dma -> Common.Dma
       in
-      let o = Common.run ~config mode w ~size in
-      Proto.Executed
-        {
-          cycles = Common.cycles o;
-          correct = o.Common.correct;
-          ret = o.Common.result.Launch.ret;
-        })
+      match Common.run ~config mode w ~size with
+      | o ->
+        Proto.Executed
+          {
+            cycles = Common.cycles o;
+            correct = o.Common.correct;
+            ret = o.Common.result.Launch.ret;
+          }
+      | exception e -> (
+        match Common.rejection e with
+        | Some msg -> Proto.Failed msg
+        | None -> raise e))
 
 let mix ~config ~requests ~seed =
   let rng = Random.State.make [| 0x10adc3; seed |] in

@@ -18,7 +18,8 @@ val subjects : string list
 val handle : Vmht_serve.Proto.request -> Vmht_serve.Proto.outcome
 (** The full job handler: [Synthesize] through the flow (and the
     installed store), [Execute] through {!Common.run} on a fresh
-    simulated SoC. *)
+    simulated SoC.  An input {!Common.run} rejects fails with the
+    message the command line prints for it ({!Common.rejection}). *)
 
 val mix :
   config:Vmht.Config.t ->

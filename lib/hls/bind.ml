@@ -58,9 +58,6 @@ let bind (sched : Schedule.t) =
   let mem_channels = Schedule.max_concurrency sched Optypes.Mem in
   { schedule = sched; fu_counts; fu_of_instr; reg_count; mem_banks; mem_channels }
 
-let fu_count t cls =
-  Option.value ~default:0 (List.assoc_opt cls t.fu_counts)
-
 let total_fus t = List.fold_left (fun acc (_, n) -> acc + n) 0 t.fu_counts
 
 let to_string t =

@@ -22,8 +22,6 @@ type t = {
 
 val bind : Schedule.t -> t
 
-val fu_count : t -> Optypes.op_class -> int
-
 val total_fus : t -> int
 
 val to_string : t -> string

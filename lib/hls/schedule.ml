@@ -463,8 +463,6 @@ let max_concurrency t cls =
       !acc)
     0 t.blocks
 
-let critical_path_of_block b = b.makespan
-
 let instrs_by_cycle b =
   let by_cycle = Array.make b.makespan [] in
   for i = Array.length b.starts - 1 downto 0 do

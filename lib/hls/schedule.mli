@@ -124,8 +124,6 @@ val max_concurrency : t -> Optypes.op_class -> int
 (** Peak number of same-class operations in any single cycle — the
     number of functional units binding must provide. *)
 
-val critical_path_of_block : block_schedule -> int
-
 val instrs_by_cycle : block_schedule -> int list array
 (** [(instrs_by_cycle b).(c)]: the indices of the instructions of [b]
     that start in cycle [c], in program order. *)

@@ -67,11 +67,6 @@ let dominates t a b =
   | Some set -> Labelset.mem a set
   | None -> false
 
-let dominators_of t label =
-  match Hashtbl.find_opt t.doms label with
-  | Some set -> Labelset.elements set
-  | None -> []
-
 let back_edges (f : Ir.func) t =
   List.concat_map
     (fun (b : Ir.block) ->

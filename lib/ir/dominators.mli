@@ -8,9 +8,6 @@ val dominates : t -> Ir.label -> Ir.label -> bool
 (** [dominates t a b]: every path from the entry to [b] passes through
     [a].  Reflexive. *)
 
-val dominators_of : t -> Ir.label -> Ir.label list
-(** All dominators of a block, including itself. *)
-
 val back_edges : Ir.func -> t -> (Ir.label * Ir.label) list
 (** Edges [(u, h)] with [u -> h] in the CFG and [h] dominating [u] —
     one per natural loop latch. *)

@@ -58,22 +58,3 @@ let run ?(hooks = no_hooks) ?(max_steps = 100_000_000)
     | Ir.Ret v -> Option.map value v
   in
   exec_block (Ir.entry f).Ir.label
-
-let dynamic_counts mem f ~args =
-  let instrs = ref 0 in
-  let loads = ref 0 in
-  let stores = ref 0 in
-  let hooks =
-    {
-      no_hooks with
-      on_instr =
-        (fun i ->
-          incr instrs;
-          match i with
-          | Ir.Load _ -> incr loads
-          | Ir.Store _ -> incr stores
-          | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> ());
-    }
-  in
-  ignore (run ~hooks mem f ~args);
-  (!instrs, !loads, !stores)

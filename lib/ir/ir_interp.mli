@@ -29,8 +29,3 @@ val run :
 (** Execute a function.  [max_steps] (default 100 million) bounds the
     number of executed instructions to catch non-terminating programs
     in tests.  Raises [Invalid_argument] on argument-count mismatch. *)
-
-val dynamic_counts : Vmht_lang.Ast_interp.memory -> Ir.func -> args:int list ->
-  int * int * int
-(** [(instructions, loads, stores)] executed by a run — used by the
-    workload-characterization table. *)

@@ -213,7 +213,3 @@ let stats (t : t) : stats =
     writebacks = t.writebacks;
     invalidations = t.invalidations;
   }
-
-let hit_rate t =
-  let total = t.read_hits + t.read_misses in
-  if total = 0 then 0. else float_of_int t.read_hits /. float_of_int total

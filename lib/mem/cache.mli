@@ -61,5 +61,3 @@ val set_observer : t -> Vmht_obs.Event.emitter -> unit
 val dirty_lines : t -> int
 
 val stats : t -> stats
-
-val hit_rate : t -> float

@@ -37,10 +37,6 @@ let map_window t ~base ~words =
   t.windows <- { base; words; local_word = t.next_free } :: t.windows;
   t.next_free <- t.next_free + words
 
-let clear_windows t =
-  t.windows <- [];
-  t.next_free <- 0
-
 let local_of_vaddr t vaddr =
   let rec go = function
     | [] -> raise (Out_of_window vaddr)
@@ -65,5 +61,3 @@ let store t vaddr value =
 let read_local t i = t.data.(i)
 
 let write_local t i v = t.data.(i) <- v
-
-let used_words t = t.next_free

@@ -24,8 +24,6 @@ val map_window : t -> base:int -> words:int -> unit
     [\[base, base + 8*words)].  Raises [Invalid_argument] if capacity is
     exceeded or the range overlaps an existing window. *)
 
-val clear_windows : t -> unit
-
 val load : t -> int -> int
 (** Timed (process context): window-translated scratchpad read. *)
 
@@ -38,5 +36,3 @@ val write_local : t -> int -> int -> unit
 
 val local_of_vaddr : t -> int -> int
 (** Word index a virtual address maps to; raises {!Out_of_window}. *)
-
-val used_words : t -> int

@@ -77,17 +77,5 @@ let wrap trace_events =
 let to_json ?(process_name = "vmht-soc") ?(pid = 1) events =
   wrap (group_events ~process_name ~pid events)
 
-let groups_to_json groups =
-  wrap
-    (List.concat_map
-       (fun (pid, process_name, events) -> group_events ~process_name ~pid events)
-       groups)
-
 let to_string ?process_name ?pid events =
   Json.to_string_pretty (to_json ?process_name ?pid events)
-
-let write_file ?process_name ?pid path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?process_name ?pid events))

@@ -11,14 +11,5 @@
 
 val to_json : ?process_name:string -> ?pid:int -> Event.t list -> Json.t
 
-val groups_to_json : (int * string * Event.t list) list -> Json.t
-(** Several SoCs in one document: each [(pid, process_name, events)]
-    group becomes its own process with its own thread tracks, so
-    concurrent simulations render side by side instead of collapsing
-    onto one track. *)
-
 val to_string : ?process_name:string -> ?pid:int -> Event.t list -> string
 (** Pretty-printed {!to_json}. *)
-
-val write_file :
-  ?process_name:string -> ?pid:int -> string -> Event.t list -> unit

@@ -35,11 +35,7 @@ let incr ?(by = 1) c = c.count <- c.count + by
 
 let set_counter c v = c.count <- v
 
-let counter_value c = c.count
-
 let set_gauge g v = g.value <- v
-
-let gauge_value g = g.value
 
 let bucket_index = Histogram.bucket_index
 
@@ -126,19 +122,3 @@ let snapshot_to_json (s : snapshot) =
              (fun (k, h) -> (k, histogram_snapshot_to_json h))
              s.histograms) );
     ]
-
-let snapshot_to_string (s : snapshot) =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%-32s %d\n" k v))
-    s.counters;
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%-32s %g\n" k v))
-    s.gauges;
-  List.iter
-    (fun (k, h) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-32s n=%d sum=%d min=%d p50<=%d p90<=%d p99<=%d max=%d\n"
-           k h.count h.sum h.min h.p50 h.p90 h.p99 h.max))
-    s.histograms;
-  Buffer.contents buf

@@ -31,11 +31,7 @@ val incr : ?by:int -> counter -> unit
 val set_counter : counter -> int -> unit
 (** Absolute set — how component stats structs are synced in. *)
 
-val counter_value : counter -> int
-
 val set_gauge : gauge -> float -> unit
-
-val gauge_value : gauge -> float
 
 val observe : histogram -> int -> unit
 (** Record one sample (clamped below at 0). *)
@@ -74,6 +70,3 @@ val reset : t -> unit
 (** Drop every registered instrument (for SoC reuse across runs). *)
 
 val snapshot_to_json : snapshot -> Json.t
-
-val snapshot_to_string : snapshot -> string
-(** One line per instrument, aligned. *)

@@ -21,49 +21,11 @@ let spawn ?obs ~name f =
   Engine.fork ~name (body completion f);
   t
 
-(* Retry at thread granularity: the body is re-entered from the top on
-   every injected abort, which models a runtime that restarts the whole
-   hardware thread rather than resuming it mid-flight.  [max_attempts]
-   is a backstop — with [Vmht.Launch] bodies the injection budget
-   already bounds the abort storm below it. *)
-let spawn_retry ?obs ?(max_attempts = 3) ~name f =
-  let run () =
-    let rec go attempt =
-      match f () with
-      | v -> v
-      | exception Vmht_fault.Injector.Abort { component; fault }
-        when attempt < max_attempts ->
-        (match (obs : Vmht_obs.Event.emitter option) with
-        | Some e ->
-          e
-            (Vmht_obs.Event.Fault_retry
-               { target = component; fault; attempt })
-        | None -> ());
-        go (attempt + 1)
-    in
-    go 1
-  in
-  spawn ?obs ~name run
-
-let spawn_root ?obs engine ~name f =
-  let completion = Sync.Completion.create () in
-  let t = { tname = name; completion; obs } in
-  emit t (Vmht_obs.Event.Thread_spawn { thread = name });
-  Engine.spawn engine ~name (body completion f);
-  t
-
 let join t =
   match Sync.Completion.await t.completion with
   | Value v ->
     emit t (Vmht_obs.Event.Thread_join { thread = t.tname });
     v
   | Raised e -> raise e
-
-let try_join t =
-  if Sync.Completion.is_completed t.completion then
-    match Sync.Completion.await t.completion with
-    | Value v -> Some v
-    | Raised e -> raise e
-  else None
 
 let name t = t.tname

@@ -15,32 +15,8 @@ val spawn :
     [obs], when given, receives a {!Vmht_obs.Event.kind.Thread_spawn}
     event now and a [Thread_join] event when {!join} returns. *)
 
-val spawn_retry :
-  ?obs:Vmht_obs.Event.emitter ->
-  ?max_attempts:int ->
-  name:string ->
-  (unit -> 'a) ->
-  'a t
-(** Like {!spawn}, but when the body dies with an injected
-    {!Vmht_fault.Injector.Abort} it is re-entered from the top, up to
-    [max_attempts] (default 3) attempts in total; each restart is
-    reported as a [Fault_retry] event on [obs].  The last attempt's
-    exception propagates through {!join} as usual. *)
-
-val spawn_root :
-  ?obs:Vmht_obs.Event.emitter ->
-  Vmht_sim.Engine.t ->
-  name:string ->
-  (unit -> 'a) ->
-  'a t
-(** Start a thread from outside process context (e.g. before
-    [Engine.run]). *)
-
 val join : 'a t -> 'a
 (** Park until the thread finishes and return its result.  If the
     thread raised, the exception is re-raised here. *)
-
-val try_join : 'a t -> 'a option
-(** Non-blocking: [Some result] if finished. *)
 
 val name : 'a t -> string

@@ -1,17 +1,20 @@
 module Histogram = Vmht_obs.Histogram
 
+(* The batch's requests that share a synthesis key, in rid order; an
+   unkeyed request is a group of one.  Dispatching a group runs its
+   first live member once and gives every live member that outcome. *)
+type group = { key : string option; members : Proto.request list }
+
 type worker = {
   mutable pid : int;
   mutable to_w : Unix.file_descr;  (* requests out *)
   mutable from_w : Unix.file_descr;  (* replies in *)
-  pending : Proto.request Queue.t;
-  inflight : (Proto.request * float) Queue.t;  (* dispatch order *)
+  pending : group Queue.t;
+  inflight : (group * float) Queue.t;  (* live members; dispatch order *)
 }
 
 type t = {
   n_shards : int;
-  max_attempts : int;
-  window : int;
   store : Store.t option;
   handle : Proto.request -> Proto.outcome;
   workers : worker array;  (* empty when [n_shards = 0] *)
@@ -25,7 +28,6 @@ type t = {
   mutable key_hits : int;
   mutable key_misses : int;
   latency_us : Histogram.t;
-  latency_mutex : Mutex.t;  (* in-process path observes from pool domains *)
   mutable alive : bool;
 }
 
@@ -40,6 +42,10 @@ type stats = {
   key_misses : int;
   latency : Histogram.summary;
 }
+
+let max_attempts = 3
+
+let window = 8  (* in-flight groups per worker *)
 
 let now = Unix.gettimeofday
 
@@ -74,7 +80,7 @@ let spawn ~handle ~fleet (w : worker) =
     w.to_w <- req_w;
     w.from_w <- rep_r
 
-let create ?(shards = 0) ?(max_attempts = 3) ?(window = 8) ?store ~handle () =
+let create ?(shards = 0) ?store ~handle () =
   let shards = max 0 shards in
   if shards > 0 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let workers =
@@ -90,8 +96,6 @@ let create ?(shards = 0) ?(max_attempts = 3) ?(window = 8) ?store ~handle () =
   Array.iter (fun w -> spawn ~handle ~fleet:workers w) workers;
   {
     n_shards = shards;
-    max_attempts = max 1 max_attempts;
-    window = max 1 window;
     store;
     handle;
     workers;
@@ -105,205 +109,193 @@ let create ?(shards = 0) ?(max_attempts = 3) ?(window = 8) ?store ~handle () =
     key_hits = 0;
     key_misses = 0;
     latency_us = Histogram.create ();
-    latency_mutex = Mutex.create ();
     alive = true;
   }
 
 let shards t = t.n_shards
 
-let observe_latency t seconds =
-  Mutex.lock t.latency_mutex;
-  Histogram.observe t.latency_us (int_of_float (seconds *. 1e6));
-  Mutex.unlock t.latency_mutex
-
 (* Deterministic, process-independent hit accounting: a synthesis
    request is a hit iff its key is already on disk or was seen earlier
    by this server (same batch or a previous one) — exactly the
    requests the store or memo answers without synthesizing. *)
-let account t (req : Proto.request) =
-  match Proto.synthesis_key req.Proto.job with
-  | None -> ()
-  | Some key ->
-    let hit =
-      Hashtbl.mem t.seen key
-      ||
-      match t.store with
-      | Some s -> Store.contains s ~key
-      | None -> false
-    in
-    if hit then t.key_hits <- t.key_hits + 1
-    else t.key_misses <- t.key_misses + 1;
-    Hashtbl.replace t.seen key ()
+let account (t : t) key =
+  let hit =
+    Hashtbl.mem t.seen key
+    ||
+    match t.store with
+    | Some s -> Store.contains s ~key
+    | None -> false
+  in
+  if hit then t.key_hits <- t.key_hits + 1
+  else t.key_misses <- t.key_misses + 1;
+  Hashtbl.replace t.seen key ()
 
-let expired_outcome (req : Proto.request) =
-  Proto.Failed
-    (Printf.sprintf "deadline of %d ms exceeded before dispatch"
-       (Option.value req.Proto.deadline_ms ~default:0))
+(* The planner: derive each request's key once, account it, and group
+   the requests that share it.  Groups come out in leader-rid order. *)
+let plan t (reqs : Proto.request list) =
+  let by_key = Hashtbl.create 16 and groups = ref [] in
+  List.iter
+    (fun (req : Proto.request) ->
+      let key = Proto.synthesis_key req.Proto.job in
+      Option.iter (account t) key;
+      match Option.bind key (Hashtbl.find_opt by_key) with
+      | Some members -> members := req :: !members
+      | None ->
+        let members = ref [ req ] in
+        Option.iter (fun k -> Hashtbl.add by_key k members) key;
+        groups := (key, members) :: !groups)
+    reqs;
+  List.rev_map (fun (key, m) -> { key; members = List.rev !m }) !groups
 
-let is_expired ~batch_t0 (req : Proto.request) =
-  match req.Proto.deadline_ms with
-  | None -> false
-  | Some d -> (now () -. batch_t0) *. 1000. > float_of_int d
+(* Dispatch-time split of a group into its live members (leader first)
+   and those whose [deadline_ms] budget, counted from batch submission,
+   is used up. *)
+let split ~batch_t0 (g : group) =
+  let elapsed_ms = (now () -. batch_t0) *. 1000. in
+  List.partition
+    (fun (req : Proto.request) ->
+      match req.Proto.deadline_ms with
+      | None -> true
+      | Some d -> elapsed_ms < float_of_int d)
+    g.members
 
-let count_outcome (t : t) = function
-  | Proto.Failed _ -> t.failed <- t.failed + 1
-  | Proto.Synthesized _ | Proto.Executed _ -> t.completed <- t.completed + 1
+(* The one place replies and their counters are recorded, on either
+   substrate.  A rid is recorded at most once. *)
+let record (t : t) replies (req : Proto.request) outcome =
+  if not (Hashtbl.mem replies req.Proto.rid) then begin
+    Hashtbl.replace replies req.Proto.rid { Proto.rid = req.Proto.rid; outcome };
+    match outcome with
+    | Proto.Failed _ -> t.failed <- t.failed + 1
+    | Proto.Synthesized _ | Proto.Executed _ -> t.completed <- t.completed + 1
+  end
+
+let expire (t : t) replies =
+  List.iter (fun (req : Proto.request) ->
+      t.expired <- t.expired + 1;
+      record t replies req
+        (Proto.Failed
+           (Printf.sprintf "deadline of %d ms exceeded before dispatch"
+              (Option.value req.Proto.deadline_ms ~default:0))))
+
+(* Every live member of a run gets its leader's outcome. *)
+let answer (t : t) replies ~seconds live outcome =
+  Histogram.observe t.latency_us (int_of_float (seconds *. 1e6));
+  List.iteri
+    (fun i req ->
+      if i > 0 then t.deduped <- t.deduped + 1;
+      record t replies req outcome)
+    live
 
 (* --- in-process substrate ------------------------------------------ *)
 
-let run_inprocess t ~batch_t0 (reqs : Proto.request list) =
-  let replies =
-    Vmht_par.Parmap.map
-      (fun (req : Proto.request) ->
-        if is_expired ~batch_t0 req then
-          { Proto.rid = req.Proto.rid; outcome = expired_outcome req }
-        else begin
-          let t0 = now () in
-          let outcome =
-            try t.handle req with e -> Proto.Failed (Printexc.to_string e)
-          in
-          observe_latency t (now () -. t0);
-          { Proto.rid = req.Proto.rid; outcome }
-        end)
-      reqs
-  in
-  List.iter2
-    (fun (req : Proto.request) (r : Proto.reply) ->
-      if is_expired ~batch_t0 req && r.Proto.outcome = expired_outcome req then
-        t.expired <- t.expired + 1;
-      count_outcome t r.Proto.outcome)
-    reqs replies;
-  replies
+let run_inprocess t replies ~batch_t0 groups =
+  Vmht_par.Parmap.map
+    (fun g ->
+      match split ~batch_t0 g with
+      | [], expired -> (expired, [], None)
+      | (leader :: _ as live), expired ->
+        let t0 = now () in
+        let outcome =
+          try t.handle leader with e -> Proto.Failed (Printexc.to_string e)
+        in
+        (expired, live, Some (outcome, now () -. t0)))
+    groups
+  |> List.iter (fun (expired, live, ran) ->
+         expire t replies expired;
+         Option.iter
+           (fun (outcome, seconds) -> answer t replies ~seconds live outcome)
+           ran)
 
 (* --- sharded substrate --------------------------------------------- *)
 
-let shard_of t (req : Proto.request) =
+let shard_of t (g : group) =
   let h =
-    match Proto.synthesis_key req.Proto.job with
+    match g.key with
     | Some key -> Hashtbl.hash key
-    | None -> Hashtbl.hash req.Proto.rid
+    | None -> Hashtbl.hash (List.hd g.members).Proto.rid
   in
   h mod t.n_shards
 
-(* Remove the in-flight record matching [rid] (workers reply in FIFO
+(* Remove the in-flight group led by [rid] (workers reply in FIFO
    order, so it is almost always the head). *)
 let take_inflight (w : worker) rid =
   let items = List.of_seq (Queue.to_seq w.inflight) in
   Queue.clear w.inflight;
   let found = ref None in
   List.iter
-    (fun (((req : Proto.request), _) as item) ->
-      if Option.is_none !found && req.Proto.rid = rid then found := Some item
+    (fun ((g, _) as item) ->
+      if Option.is_none !found && (List.hd g.members).Proto.rid = rid then
+        found := Some item
       else Queue.add item w.inflight)
     items;
   !found
 
-let run_sharded t ~batch_t0 (reqs : Proto.request list) =
-  let expected = List.length reqs in
-  let replies : (int, Proto.reply) Hashtbl.t = Hashtbl.create expected in
-  let finished = ref 0 in
-  (* In-batch dedup: duplicate-key synthesis requests ride on the first
-     occurrence (the leader); each gets a clone of its reply. *)
-  let followers : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let leader_of_key : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let leaders =
-    List.filter
-      (fun (req : Proto.request) ->
-        match Proto.synthesis_key req.Proto.job with
-        | None -> true
-        | Some key -> (
-          match Hashtbl.find_opt leader_of_key key with
-          | None ->
-            Hashtbl.add leader_of_key key req.Proto.rid;
-            true
-          | Some leader ->
-            Hashtbl.replace followers leader
-              (req.Proto.rid
-              :: Option.value (Hashtbl.find_opt followers leader) ~default:[]);
-            false))
-      reqs
-  in
-  let emit rid outcome =
-    if not (Hashtbl.mem replies rid) then begin
-      Hashtbl.replace replies rid { Proto.rid; outcome };
-      count_outcome t outcome;
-      incr finished
-    end
-  in
-  let emit_with_followers rid outcome =
-    emit rid outcome;
-    List.iter
-      (fun f ->
-        t.deduped <- t.deduped + 1;
-        emit f outcome)
-      (Option.value (Hashtbl.find_opt followers rid) ~default:[])
-  in
-  List.iter
-    (fun (req : Proto.request) ->
-      Queue.add req t.workers.(shard_of t req).pending)
-    leaders;
+let run_sharded t replies ~batch_t0 ~expected groups =
+  List.iter (fun g -> Queue.add g t.workers.(shard_of t g).pending) groups;
   let handle_death (w : worker) =
     (try Unix.close w.to_w with Unix.Unix_error _ -> ());
     (try Unix.close w.from_w with Unix.Unix_error _ -> ());
     (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
     (* Retry what the dead worker held, oldest first, ahead of the
        backlog.  The worker processes its window in FIFO order, so the
-       head of [inflight] is the request it died on: only that one is
-       charged an attempt (and failed once it has had [max_attempts]);
-       the rest were innocent bystanders and requeue unpenalized. *)
+       head of [inflight] is the group it died on: only that group's
+       leader is charged an attempt (and the group fails once it has
+       had [max_attempts]); the rest were innocent bystanders and
+       requeue unpenalized. *)
     let held = List.of_seq (Queue.to_seq w.inflight) in
     Queue.clear w.inflight;
     let backlog = List.of_seq (Queue.to_seq w.pending) in
     Queue.clear w.pending;
     List.iteri
-      (fun i ((req : Proto.request), _) ->
-        if i > 0 then Queue.add req w.pending
-        else if req.Proto.attempt >= t.max_attempts then
-          emit_with_followers req.Proto.rid
+      (fun i ((g : group), t0) ->
+        let leader = List.hd g.members in
+        if i > 0 then Queue.add g w.pending
+        else if leader.Proto.attempt >= max_attempts then
+          answer t replies ~seconds:(now () -. t0) g.members
             (Proto.Failed
-               (Printf.sprintf "worker died (%d attempts)" req.Proto.attempt))
+               (Printf.sprintf "worker died (%d attempts)" leader.Proto.attempt))
         else begin
           t.retried <- t.retried + 1;
-          Queue.add { req with Proto.attempt = req.Proto.attempt + 1 } w.pending
+          let leader = { leader with Proto.attempt = leader.Proto.attempt + 1 } in
+          Queue.add { g with members = leader :: List.tl g.members } w.pending
         end)
       held;
-    List.iter (fun r -> Queue.add r w.pending) backlog;
+    List.iter (fun g -> Queue.add g w.pending) backlog;
     spawn ~handle:t.handle ~fleet:t.workers w
   in
-  while !finished < expected do
+  while Hashtbl.length replies < expected do
     (* Fill every worker's window. *)
     Array.iter
       (fun (w : worker) ->
         let filling = ref true in
         while
           !filling
-          && Queue.length w.inflight < t.window
+          && Queue.length w.inflight < window
           && not (Queue.is_empty w.pending)
         do
-          let req = Queue.pop w.pending in
-          if Hashtbl.mem replies req.Proto.rid then ()
-          else if is_expired ~batch_t0 req then begin
-            t.expired <- t.expired + 1;
-            emit_with_followers req.Proto.rid (expired_outcome req)
-          end
-          else
-            match Proto.write_msg w.to_w req with
-            | () -> Queue.add (req, now ()) w.inflight
+          let g = Queue.pop w.pending in
+          match split ~batch_t0 g with
+          | [], expired -> expire t replies expired
+          | (leader :: _ as live), expired -> (
+            expire t replies expired;
+            let g = { g with members = live } in
+            match Proto.write_msg w.to_w leader with
+            | () -> Queue.add (g, now ()) w.inflight
             | exception Unix.Unix_error _ ->
               (* Dead on arrival: park it in-flight so the death
                  handler routes it through the retry policy. *)
-              Queue.add (req, now ()) w.inflight;
+              Queue.add (g, now ()) w.inflight;
               filling := false;
-              handle_death w
+              handle_death w)
         done)
       t.workers;
-    if !finished < expected then begin
+    if Hashtbl.length replies < expected then begin
       let waiting =
         Array.to_list t.workers
         |> List.filter (fun w -> not (Queue.is_empty w.inflight))
       in
       match waiting with
-      | [] -> ()  (* everything emitted during fill (expired/failed) *)
+      | [] -> ()  (* everything recorded during fill (expired/failed) *)
       | _ -> (
         let fds = List.map (fun w -> w.from_w) waiting in
         match Unix.select fds [] [] 1.0 with
@@ -314,9 +306,9 @@ let run_sharded t ~batch_t0 (reqs : Proto.request list) =
               match Proto.read_msg w.from_w with
               | Some (reply : Proto.reply) -> (
                 match take_inflight w reply.Proto.rid with
-                | Some (_, t0) ->
-                  observe_latency t (now () -. t0);
-                  emit_with_followers reply.Proto.rid reply.Proto.outcome
+                | Some (g, t0) ->
+                  answer t replies ~seconds:(now () -. t0) g.members
+                    reply.Proto.outcome
                 | None ->
                   (* Reply to a request we no longer track (e.g. it
                      already failed through the retry path); drop. *)
@@ -325,8 +317,7 @@ let run_sharded t ~batch_t0 (reqs : Proto.request list) =
             readable
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     end
-  done;
-  List.map (fun (req : Proto.request) -> Hashtbl.find replies req.Proto.rid) reqs
+  done
 
 (* ------------------------------------------------------------------ *)
 
@@ -337,15 +328,15 @@ let run_batch (t : t) (reqs : Proto.request list) =
       reqs
   in
   let batch_t0 = now () in
-  t.submitted <- t.submitted + List.length reqs;
-  List.iter (account t) reqs;
-  if t.n_shards = 0 then run_inprocess t ~batch_t0 reqs
-  else run_sharded t ~batch_t0 reqs
+  let expected = List.length reqs in
+  t.submitted <- t.submitted + expected;
+  let groups = plan t reqs in
+  let replies = Hashtbl.create expected in
+  if t.n_shards = 0 then run_inprocess t replies ~batch_t0 groups
+  else run_sharded t replies ~batch_t0 ~expected groups;
+  List.map (fun (req : Proto.request) -> Hashtbl.find replies req.Proto.rid) reqs
 
-let stats t =
-  Mutex.lock t.latency_mutex;
-  let latency = Histogram.summary t.latency_us in
-  Mutex.unlock t.latency_mutex;
+let stats (t : t) =
   {
     submitted = t.submitted;
     completed = t.completed;
@@ -355,7 +346,7 @@ let stats t =
     deduped = t.deduped;
     key_hits = t.key_hits;
     key_misses = t.key_misses;
-    latency;
+    latency = Histogram.summary t.latency_us;
   }
 
 let hit_rate (t : t) =

@@ -5,22 +5,26 @@
     shared {!Vmht_par.Parmap} pool; with [shards > 0] the server forks
     that many worker processes up front and speaks the {!Proto}
     framing to them over pipes.  The two execution substrates are
-    interchangeable by construction: outcomes carry no timing and
-    replies are returned in request-id order, so the reply stream for
-    a given batch is byte-identical at any shard count.
+    interchangeable by construction: one planner makes every per-batch
+    decision in front of both, outcomes carry no timing, and replies
+    are returned in request-id order, so the reply stream and the
+    counters for a given batch are the same at any shard count.
 
-    Per batch the server
+    Per batch the planner
     - accounts store hits: a [Synthesize] request whose key is already
       on disk (or seen earlier by this server) is a hit — the
       deterministic, process-independent definition the load generator
       reports;
-    - dedups: duplicate-key synthesis requests within a batch dispatch
-      once, and every duplicate receives a copy of the leader's reply;
-    - enforces deadlines: a request whose [deadline_ms] budget (from
-      batch submission) is exhausted before dispatch fails without
-      running;
-    - survives worker death: in-flight requests of a dead worker are
-      retried on a respawned one, [max_attempts] times, then fail.
+    - groups the requests that share a synthesis key (an unkeyed
+      request is a group of one).  A substrate only runs groups: when
+      a group is dispatched, each member whose [deadline_ms] budget
+      (from batch submission) is used up fails without running, the
+      first live member runs once, and every live member gets its
+      outcome (the others count as [deduped]).
+
+    The forked substrate also survives worker death: the group a dead
+    worker was running is retried on a respawned one, up to 3 attempts
+    in all, then fails; each worker holds at most 8 groups in flight.
 
     Forking and OCaml 5 domains do not mix, so a sharded server must
     be created before the process spawns any domain (in particular
@@ -33,27 +37,24 @@ type t
 type stats = {
   submitted : int;
   completed : int;  (** replies with a non-[Failed] outcome *)
-  failed : int;
+  failed : int;  (** replies with a [Failed] outcome, expired included *)
   expired : int;  (** failed by deadline, never dispatched *)
   retried : int;  (** re-dispatches after a worker death *)
-  deduped : int;  (** replies cloned from an in-batch duplicate's leader *)
+  deduped : int;  (** replies that rode on their group's leader *)
   key_hits : int;  (** synthesis requests answerable from the store *)
   key_misses : int;
   latency : Vmht_obs.Histogram.summary;
-      (** per-request dispatch-to-reply wall time, microseconds *)
+      (** dispatch-to-outcome wall time of each run, microseconds *)
 }
 
 val create :
   ?shards:int ->
-  ?max_attempts:int ->
-  ?window:int ->
   ?store:Store.t ->
   handle:(Proto.request -> Proto.outcome) ->
   unit ->
   t
-(** Defaults: [shards = 0], [max_attempts = 3], [window = 8]
-    (in-flight requests per worker).  [store] is only consulted for
-    hit accounting ({!Store.contains}); installing it into the flow
+(** Default [shards = 0].  [store] is only consulted for hit
+    accounting ({!Store.contains}); installing it into the flow
     ({!Store.install}) is the caller's business and must happen before
     [create] so forked workers inherit it. *)
 

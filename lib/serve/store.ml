@@ -187,11 +187,6 @@ let stats (t : t) =
     version_skew = Atomic.get t.version_skew;
   }
 
-let hit_rate t =
-  let s = stats t in
-  let probes = s.hits + s.misses + s.corrupt + s.version_skew in
-  if probes = 0 then 0. else float_of_int s.hits /. float_of_int probes
-
 let reset_stats (t : t) =
   Atomic.set t.hits 0;
   Atomic.set t.misses 0;

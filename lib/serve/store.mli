@@ -82,8 +82,4 @@ type stats = {
 
 val stats : t -> stats
 
-val hit_rate : t -> float
-(** [hits / (hits + misses + corrupt + version_skew)]; [0.] when the
-    store was never probed. *)
-
 val reset_stats : t -> unit

@@ -1,26 +1,3 @@
-module Flow = Vmht.Flow
-
-let synthesized_outcome (hw : Flow.hw_thread) =
-  Proto.Synthesized
-    {
-      kname = hw.Flow.kernel.Vmht_lang.Ast.kname;
-      states = hw.Flow.fsm.Vmht_hls.Fsm.stats.Vmht_hls.Fsm.states;
-      total_area = hw.Flow.total_area;
-      verilog_bytes = String.length hw.Flow.verilog;
-    }
-
-let default_handle (req : Proto.request) =
-  match req.Proto.job with
-  | Proto.Synthesize { kernel; style; config } -> (
-    match Flow.run (Flow.Request.of_kernel ~config ~style kernel) with
-    | Ok hw -> synthesized_outcome hw
-    | Error e -> Proto.Failed (Flow.error_to_string e))
-  | Proto.Execute { workload; _ } ->
-    Proto.Failed
-      (Printf.sprintf
-         "no execute handler for workload %S (server started without one)"
-         workload)
-
 let loop ~handle ~in_fd ~out_fd =
   let running = ref true in
   while !running do

@@ -1,20 +1,10 @@
 (** The worker side of the batch server: a forked child that reads
-    framed {!Proto.request}s from a pipe, runs the handler, and writes
-    framed {!Proto.reply}s back, forever, until EOF on its request
-    pipe (the server closing it is the shutdown signal).
-
-    The default handler covers [Synthesize] jobs through the flow (and
-    whatever store the parent installed before forking — the child
-    inherits it); servers whose requests include [Execute] jobs inject
-    a handler built where the workload registry is visible (the eval
-    layer), which keeps this library free of a dependency cycle. *)
-
-val default_handle : Proto.request -> Proto.outcome
-(** [Synthesize] via {!Vmht.Flow.run}; [Failed] for [Execute]. *)
-
-val synthesized_outcome : Vmht.Flow.hw_thread -> Proto.outcome
-(** The deterministic projection of a synthesis result (drops the
-    wall-clock [synthesis_seconds] and the process-local rest). *)
+    framed {!Proto.request}s from a pipe, runs the one handler the
+    server was created with (injected where the workload registry is
+    visible, which keeps this library free of a dependency cycle), and
+    writes framed {!Proto.reply}s back, forever, until EOF on its
+    request pipe (the server closing it is the shutdown signal).  The
+    child inherits whatever store the parent installed before forking. *)
 
 val loop :
   handle:(Proto.request -> Proto.outcome) ->

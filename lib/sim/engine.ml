@@ -222,8 +222,6 @@ let run ?until ?(check_quiescent = false) t =
          (Printf.sprintf "%d process(es) still suspended at t=%d" t.suspended
             t.now))
 
-let suspended_count t = t.suspended
-
 let events_executed t = t.executed
 
 let fast_forwards t = t.fast_forwards

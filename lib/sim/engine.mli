@@ -54,9 +54,6 @@ val run : ?until:time -> ?check_quiescent:bool -> t -> unit
     [check_quiescent] (default false), raise {!Stuck} if suspended
     processes remain once the queue drains. *)
 
-val suspended_count : t -> int
-(** Number of processes currently blocked in {!suspend}. *)
-
 val events_executed : t -> int
 (** Total events the engine has dispatched (a work measure). *)
 

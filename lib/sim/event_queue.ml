@@ -105,5 +105,3 @@ let pop t =
     let payload = pop_payload_exn t in
     Some (at, payload)
   end
-
-let peek_time t = if t.size = 0 then None else Some t.ats.(0)

@@ -13,9 +13,6 @@ val push : 'a t -> at:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest event, [None] if empty. *)
 
-val peek_time : 'a t -> int option
-(** Timestamp of the earliest event without removing it. *)
-
 (** {2 Allocation-free variants}
 
     The engine's dispatch loop pops millions of events per run; these

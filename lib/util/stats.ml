@@ -23,11 +23,6 @@ let median = function
     let n = Array.length a in
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let min_max = function
-  | [] -> (0., 0.)
-  | x :: xs ->
-    List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) xs
-
 let percentile p = function
   | [] -> 0.
   | xs ->

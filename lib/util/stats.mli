@@ -12,9 +12,6 @@ val stddev : float list -> float
 val median : float list -> float
 (** Median; 0. on the empty list. *)
 
-val min_max : float list -> float * float
-(** [(min, max)]; [(0., 0.)] on the empty list. *)
-
 val percentile : float -> float list -> float
 (** [percentile p xs] is the [p]-quantile ([0. <= p <= 1.], clamped) of
     [xs] with linear interpolation between order statistics; 0. on the

@@ -60,9 +60,6 @@ let region_of t vaddr =
     (fun r -> vaddr >= r.base && vaddr < r.base + r.bytes)
     t.regions
 
-let is_lazy_region t vaddr =
-  match region_of t vaddr with Some r -> r.lazy_ | None -> false
-
 let handle_fault t ~vaddr =
   match region_of t vaddr with
   | Some { lazy_ = true; _ }
@@ -87,6 +84,10 @@ let resolve t vaddr =
 let load_word t vaddr = Phys_mem.read t.mem (resolve t vaddr)
 
 let store_word t vaddr value = Phys_mem.write t.mem (resolve t vaddr) value
+
+let free_bytes t =
+  (Frame_alloc.capacity t.frames - Frame_alloc.allocated_count t.frames)
+  * page_bytes t
 
 let mapped_pages t = Page_table.mapped_pages t.pt
 

@@ -30,9 +30,6 @@ val alloc : ?lazy_:bool -> t -> bytes:int -> int
     address.  Eager regions get frames immediately; lazy regions are
     registered but unmapped until faulted in. *)
 
-val is_lazy_region : t -> int -> bool
-(** Whether the address belongs to a lazy region (mapped or not). *)
-
 val handle_fault : t -> vaddr:int -> bool
 (** Demand-paging: if [vaddr] falls in a lazy region and is unmapped,
     map a zeroed frame and return [true]; otherwise [false] (a true
@@ -45,6 +42,9 @@ val load_word : t -> int -> int
 (** Untimed access for setup/checking; faults lazy pages in silently. *)
 
 val store_word : t -> int -> int -> unit
+
+val free_bytes : t -> int
+(** Physical bytes still unallocated in the frame pool. *)
 
 val mapped_pages : t -> int
 

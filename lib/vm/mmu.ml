@@ -209,8 +209,6 @@ let store t vaddr value =
   let paddr = translate t ~vaddr in
   Vmht_mem.Bus.write_word t.bus paddr value
 
-let invalidate_tlb t = Tlb.invalidate_all t.tlb
-
 let invalidate_page t ~vaddr =
   Tlb.invalidate ~asid:t.asid t.tlb ~vpn:(vaddr lsr page_shift t)
 

@@ -77,8 +77,6 @@ val set_observer : t -> Vmht_obs.Event.emitter -> unit
     = measured walk span, [levels] = page-table reads issued) /
     [Page_fault] (duration = the fault handler penalty) events. *)
 
-val invalidate_tlb : t -> unit
-
 val invalidate_page : t -> vaddr:int -> unit
 (** Drop one translation (the per-page half of a TLB shootdown). *)
 

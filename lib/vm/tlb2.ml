@@ -41,8 +41,5 @@ let insert ?asid t ~vpn entry = Tlb.insert ?asid t.tlb ~vpn entry
 (* The shared level cannot assume the unmapping space is the only one
    holding the page, so shoot down the vpn under every ASID. *)
 let invalidate_vpn t ~vpn = Tlb.invalidate_vpn t.tlb ~vpn
-let invalidate_asid t ~asid = Tlb.invalidate_asid t.tlb ~asid
-let invalidate_all t = Tlb.invalidate_all t.tlb
 let stats t = Tlb.stats t.tlb
-let hit_rate t = Tlb.hit_rate t.tlb
 let occupancy t = Tlb.occupancy t.tlb

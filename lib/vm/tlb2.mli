@@ -34,12 +34,6 @@ val invalidate_vpn : t -> vpn:int -> unit
 (** Shootdown for one page, conservatively across all ASIDs — the
     shared level cannot know which address spaces alias the frame. *)
 
-val invalidate_asid : t -> asid:int -> unit
-
-val invalidate_all : t -> unit
-
 val stats : t -> Tlb.stats
-
-val hit_rate : t -> float
 
 val occupancy : t -> int

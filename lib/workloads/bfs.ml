@@ -58,6 +58,7 @@ let reference_bfs ~n ~rowptr ~colidx ~root =
 
 let setup aspace ~size ~seed =
   let n = max 2 size in
+  Workload.reserve aspace ~words:(3. *. float_of_int n);
   let rng = Vmht_util.Rng.create seed in
   (* Random sparse digraph with a spanning back-edge so most of the
      graph is reachable from the root. *)

@@ -14,6 +14,7 @@ kernel dotprod(a: int*, b: int*, n: int) : int {
 |}
 
 let setup aspace ~size ~seed =
+  Workload.reserve aspace ~words:(2. *. float_of_int size);
   let rng = Vmht_util.Rng.create seed in
   let a_vals = Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 100) in
   let b_vals = Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 100) in

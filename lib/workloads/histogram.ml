@@ -16,6 +16,7 @@ kernel histogram(a: int*, h: int*, n: int) {
 let wb = Vmht_mem.Phys_mem.word_bytes
 
 let setup aspace ~size ~seed =
+  Workload.reserve aspace ~words:(float_of_int (size + bins));
   let rng = Vmht_util.Rng.create seed in
   let a_vals =
     Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 100_000)

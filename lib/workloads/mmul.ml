@@ -23,6 +23,7 @@ let wb = Vmht_mem.Phys_mem.word_bytes
 
 let setup aspace ~size ~seed =
   let n = size in
+  Workload.reserve aspace ~words:(3. *. float_of_int n *. float_of_int n);
   let rng = Vmht_util.Rng.create seed in
   let a_vals =
     Array.init (n * n) (fun _ -> Vmht_util.Rng.int_range rng 0 20)

@@ -13,6 +13,7 @@ kernel saxpy(x: int*, y: int*, n: int, a: int) {
 let wb = Vmht_mem.Phys_mem.word_bytes
 
 let setup aspace ~size ~seed =
+  Workload.reserve aspace ~words:(2. *. float_of_int size);
   let rng = Vmht_util.Rng.create seed in
   let scalar = Vmht_util.Rng.int_range rng 2 9 in
   let x_vals = Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 500) in

@@ -14,6 +14,7 @@ kernel stencil3(a: int*, b: int*, nm1: int) {
 let wb = Vmht_mem.Phys_mem.word_bytes
 
 let setup aspace ~size ~seed =
+  Workload.reserve aspace ~words:(2. *. float_of_int size);
   let rng = Vmht_util.Rng.create seed in
   let a_vals = Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 999) in
   let a = Workload.alloc_array aspace ~words:size ~init:(fun i -> a_vals.(i)) in

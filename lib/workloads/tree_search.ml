@@ -34,6 +34,7 @@ let wb = Vmht_mem.Phys_mem.word_bytes
 
 let setup aspace ~size ~seed =
   let n = max 1 size in
+  Workload.reserve aspace ~words:(3. *. float_of_int n);
   let rng = Vmht_util.Rng.create seed in
   (* Distinct sorted keys: strictly increasing with random gaps. *)
   let keys = Array.make n 0 in

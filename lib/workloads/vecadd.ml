@@ -14,6 +14,7 @@ kernel vecadd(a: int*, b: int*, c: int*, n: int) {
 let wb = Vmht_mem.Phys_mem.word_bytes
 
 let setup aspace ~size ~seed =
+  Workload.reserve aspace ~words:(3. *. float_of_int size);
   let rng = Vmht_util.Rng.create seed in
   let a_vals = Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 1000) in
   let b_vals = Array.init size (fun _ -> Vmht_util.Rng.int_range rng 0 1000) in

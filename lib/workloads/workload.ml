@@ -25,12 +25,13 @@ let kernel t =
 
 let word_bytes = Vmht_mem.Phys_mem.word_bytes
 
+let reserve aspace ~words =
+  if words *. float_of_int word_bytes > float_of_int (Addr_space.free_bytes aspace)
+  then raise Vmht_vm.Frame_alloc.Out_of_frames
+
 let alloc_array aspace ~words ~init =
   let base = Addr_space.alloc aspace ~bytes:(words * word_bytes) in
   for i = 0 to words - 1 do
     Addr_space.store_word aspace (base + (i * word_bytes)) (init i)
   done;
   base
-
-let read_array load ~base ~words =
-  List.init words (fun i -> load (base + (i * word_bytes)))

@@ -31,10 +31,15 @@ val kernel : t -> Vmht_lang.Ast.kernel
 
 (** {2 Setup helpers} *)
 
+val reserve : Vmht_vm.Addr_space.t -> words:float -> unit
+(** Raise {!Vmht_vm.Frame_alloc.Out_of_frames} when [words] words of
+    data cannot fit in the physical memory the address space has left.
+    A setup calls it first, with a lower bound on the data it will
+    allocate, so that a size too big for the SoC is refused before any
+    host array that grows with the size is built.  [words] is a float
+    so that a size product cannot overflow. *)
+
 val alloc_array :
   Vmht_vm.Addr_space.t -> words:int -> init:(int -> int) -> int
 (** Allocate an eager buffer and initialize word [i] to [init i];
     returns the base virtual address. *)
-
-val read_array : (int -> int) -> base:int -> words:int -> int list
-(** Load a whole buffer through a word reader. *)

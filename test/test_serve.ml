@@ -289,7 +289,7 @@ let crashy_handle (req : Proto.request) =
   | _ -> Proto.Failed "unexpected job"
 
 let test_retry_on_worker_death () =
-  let server = Server.create ~shards:1 ~max_attempts:3 ~handle:crashy_handle () in
+  let server = Server.create ~shards:1 ~handle:crashy_handle () in
   let replies = Server.run_batch server [ crash_request 0 2 ] in
   Server.shutdown server;
   (match replies with
@@ -302,58 +302,130 @@ let test_retry_on_worker_death () =
   Alcotest.(check bool) "retry recorded" true (st.Server.retried >= 1)
 
 let test_gives_up_after_max_attempts () =
-  let server = Server.create ~shards:1 ~max_attempts:2 ~handle:crashy_handle () in
+  let server = Server.create ~shards:1 ~handle:crashy_handle () in
   let replies =
     Server.run_batch server [ crash_request 0 99; crash_request 1 1 ]
   in
   Server.shutdown server;
   match List.map reply_sig replies with
   | [ (0, msg); (1, ok) ] ->
-    Alcotest.(check string) "gave up" "failed: worker died (2 attempts)" msg;
+    Alcotest.(check string) "gave up" "failed: worker died (3 attempts)" msg;
     Alcotest.(check bool) "innocent bystander answered" true
       (String.length ok > 0 && String.sub ok 0 8 = "executed")
   | _ -> Alcotest.fail "expected two replies"
 
+(* Every planner test runs on both substrates: in-process and one
+   forked worker. *)
+let substrates = [ 0; 1 ]
+
 let test_deadline_expiry () =
-  let server = Server.create ~shards:1 ~handle:crashy_handle () in
-  let req =
-    {
-      (crash_request 0 1) with
-      Proto.deadline_ms = Some 0 (* expired on arrival *);
-    }
+  List.iter
+    (fun shards ->
+      let server = Server.create ~shards ~handle:crashy_handle () in
+      let req =
+        {
+          (crash_request 0 1) with
+          Proto.deadline_ms = Some 0 (* expired on arrival *);
+        }
+      in
+      let replies = Server.run_batch server [ req ] in
+      Server.shutdown server;
+      (match List.map reply_sig replies with
+      | [ (0, msg) ] ->
+        Alcotest.(check string) "expired without dispatch"
+          "failed: deadline of 0 ms exceeded before dispatch" msg
+      | _ -> Alcotest.fail "expected one reply");
+      Alcotest.(check int)
+        (Printf.sprintf "counted expired (shards %d)" shards)
+        1 (Server.stats server).Server.expired)
+    substrates
+
+let synth_request ?deadline_ms rid wname =
+  let job =
+    Proto.Synthesize
+      { kernel = kernel_of wname; style = Wrapper.Vm_iface; config = Config.default }
   in
-  let replies = Server.run_batch server [ req ] in
-  Server.shutdown server;
-  (match List.map reply_sig replies with
-  | [ (0, msg) ] ->
-    Alcotest.(check string) "expired without dispatch"
-      "failed: deadline of 0 ms exceeded before dispatch" msg
-  | _ -> Alcotest.fail "expected one reply");
-  Alcotest.(check int) "counted expired" 1 (Server.stats server).Server.expired
+  { Proto.rid; attempt = 1; deadline_ms; job }
 
 let test_batch_dedup () =
   Flow.set_store None;
-  let kernel = kernel_of "vecadd" in
-  let job =
-    Proto.Synthesize
-      { kernel; style = Wrapper.Vm_iface; config = Config.default }
+  List.iter
+    (fun shards ->
+      let reqs = List.init 6 (fun rid -> synth_request rid "vecadd") in
+      let server = Server.create ~shards ~handle:Loadgen.handle () in
+      let replies = Server.run_batch server reqs in
+      Server.shutdown server;
+      let st = Server.stats server in
+      let label what = Printf.sprintf "%s (shards %d)" what shards in
+      Alcotest.(check int) (label "five replies deduped") 5 st.Server.deduped;
+      Alcotest.(check int)
+        (label "five key hits (in-batch)")
+        5 st.Server.key_hits;
+      match List.map reply_sig replies with
+      | (_, first) :: rest ->
+        List.iter
+          (fun (_, o) -> Alcotest.(check string) "cloned outcome" first o)
+          rest
+      | [] -> Alcotest.fail "no replies")
+    substrates
+
+(* The planner decides every batch the same way on every substrate.
+   A deadline is a member's own: an expired member neither fails its
+   live group-mates nor rides on their run. *)
+let test_planner_alike () =
+  Flow.set_store None;
+  let counters deduped expired completed failed key_hits =
+    [
+      ("deduped", deduped);
+      ("expired", expired);
+      ("completed", completed);
+      ("failed", failed);
+      ("key_hits", key_hits);
+    ]
   in
-  let reqs =
-    List.init 6 (fun rid ->
-        { Proto.rid; attempt = 1; deadline_ms = None; job })
+  let run shards batch =
+    let server = Server.create ~shards ~handle:Loadgen.handle () in
+    let replies = Server.run_batch server batch in
+    Server.shutdown server;
+    let st = Server.stats server in
+    ( List.map reply_sig replies,
+      counters st.Server.deduped st.Server.expired st.Server.completed
+        st.Server.failed st.Server.key_hits )
   in
-  let server = Server.create ~shards:1 ~handle:Loadgen.handle () in
-  let replies = Server.run_batch server reqs in
-  Server.shutdown server;
-  let st = Server.stats server in
-  Alcotest.(check int) "five replies deduped" 5 st.Server.deduped;
-  Alcotest.(check int) "five key hits (in-batch)" 5 st.Server.key_hits;
-  match List.map reply_sig replies with
-  | (_, first) :: rest ->
-    List.iter
-      (fun (_, o) -> Alcotest.(check string) "cloned outcome" first o)
-      rest
-  | [] -> Alcotest.fail "no replies"
+  let status (rid, msg) =
+    (rid, if String.starts_with ~prefix:"synthesized" msg then "synthesized" else msg)
+  in
+  let expired = "failed: deadline of 0 ms exceeded before dispatch" in
+  List.iter
+    (fun (name, batch, want_replies, want_counters) ->
+      let replies, stats = run 0 batch in
+      Alcotest.(check (list (pair int string)))
+        (name ^ ": replies") want_replies (List.map status replies);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": counters") want_counters stats;
+      List.iter
+        (fun shards ->
+          let label what = Printf.sprintf "%s: %s, shards %d = 0" name what shards in
+          let r, st = run shards batch in
+          Alcotest.(check (list (pair int string))) (label "replies") replies r;
+          Alcotest.(check (list (pair string int))) (label "counters") stats st)
+        [ 1; 2 ])
+    [
+      ( "six vecadd",
+        List.init 6 (fun rid -> synth_request rid "vecadd"),
+        List.init 6 (fun rid -> (rid, "synthesized")),
+        counters 5 0 6 0 5 );
+      (* Expired first: its live duplicate still runs. *)
+      ( "saxpy",
+        [ synth_request ~deadline_ms:0 0 "saxpy"; synth_request 1 "saxpy" ],
+        [ (0, expired); (1, "synthesized") ],
+        counters 0 1 1 1 1 );
+      (* Expired second: it does not ride on its leader's run. *)
+      ( "dotprod",
+        [ synth_request 0 "dotprod"; synth_request ~deadline_ms:0 1 "dotprod" ],
+        [ (0, "synthesized"); (1, expired) ],
+        counters 0 1 1 1 1 );
+    ]
 
 (* --- request-key config folding ------------------------------------ *)
 
@@ -407,6 +479,8 @@ let () =
           Alcotest.test_case "deadlines expire undispatched" `Quick
             test_deadline_expiry;
           Alcotest.test_case "in-batch dedup fans out" `Quick test_batch_dedup;
+          Alcotest.test_case "planner alike on every substrate" `Quick
+            test_planner_alike;
         ] );
       ( "flow-api",
         [

@@ -1085,93 +1085,135 @@ let loadgen_cmd =
       const action $ requests $ shards_arg $ seed $ store_dir_arg
       $ no_store_arg $ serve_jobs_arg $ metrics_json $ require_hit_rate)
 
+(* The keys each op takes.  A key outside its op's list rejects the
+   line, so a misspelt or misplaced field never falls back to a default
+   unseen. *)
+let serve_keys =
+  [
+    ( "synth",
+      [ "op"; "workload"; "source"; "name"; "style"; "unroll"; "opt"; "tlb" ] );
+    ("run", [ "op"; "workload"; "mode"; "size"; "unroll"; "opt"; "tlb" ]);
+  ]
+
 (* One request per JSON line; a blank line (or EOF) flushes the batch.
    Example lines:
      {"op":"synth","workload":"vecadd","style":"dma","unroll":2}
      {"op":"synth","source":"kernel k(n: int): int { return n; }"}
-     {"op":"run","workload":"mmul","mode":"vm","size":8}  *)
+     {"op":"run","workload":"mmul","mode":"vm","size":8}
+   A key of the wrong type or with an unknown value rejects the line
+   with a message that names the key. *)
 let serve_line_to_job line =
   let module J = Vmht_obs.Json in
+  let ( let* ) = Result.bind in
+  let reject fmt = Printf.ksprintf (fun msg -> Error (`Request msg)) fmt in
   match J.of_string line with
   | exception J.Parse_error msg -> Error (`Frontend msg)
-  | j -> (
-    let str k = Option.bind (J.member k j) J.to_str in
-    let int k = Option.bind (J.member k j) J.to_int in
-    let config = Vmht.Config.default in
-    let config =
-      match int "unroll" with
-      | Some u -> Vmht.Config.with_unroll config u
-      | None -> config
+  | J.Obj fields -> (
+    (* [None] when the key is absent; a present key must convert. *)
+    let field key conv expected =
+      match List.assoc_opt key fields with
+      | None -> Ok None
+      | Some v -> (
+        match conv v with
+        | Some x -> Ok (Some x)
+        | None -> reject "%S must be %s" key expected)
     in
-    let config =
-      match int "opt" with
-      | Some o -> Vmht.Config.with_opt_level config o
-      | None -> config
+    let str key = field key J.to_str "a string" in
+    let int key = field key J.to_int "an integer" in
+    let choice key name values =
+      let choices = List.map (fun v -> (name v, v)) values in
+      field key
+        (fun v -> Option.bind (J.to_str v) (fun s -> List.assoc_opt s choices))
+        ("one of "
+        ^ String.concat ", "
+            (List.map (fun (n, _) -> Printf.sprintf "%S" n) choices))
     in
-    let config =
-      match int "tlb" with
-      | Some t -> Vmht.Config.with_tlb_entries config t
-      | None -> config
+    let workload wname =
+      match Vmht_workloads.Registry.find wname with
+      | w -> Ok w
+      | exception Not_found -> reject "unknown workload %S" wname
     in
-    let style =
-      match str "style" with
-      | Some "dma" -> Vmht.Wrapper.Dma_iface
-      | _ -> Vmht.Wrapper.Vm_iface
-    in
-    match str "op" with
-    | Some "synth" -> (
-      match (str "workload", str "source") with
-      | Some wname, _ -> (
-        match Vmht_workloads.Registry.find wname with
-        | exception Not_found ->
-          Error (`Request (Printf.sprintf "unknown workload %S" wname))
-        | w ->
-          Ok
-            (Vmht_serve.Proto.Synthesize
-               {
-                 kernel = Vmht_workloads.Workload.kernel w;
-                 style;
-                 config;
-               }))
-      | None, Some source -> (
-        match Vmht.Flow.frontend_program source with
-        | Error e -> Error (`Frontend (Vmht.Flow.error_to_string e))
-        | Ok [] -> Error (`Request "source contains no kernels")
-        | Ok (first :: _ as program) -> (
-          let kernel =
-            match str "name" with
-            | None -> Some first
-            | Some n ->
-              List.find_opt
-                (fun (k : Vmht_lang.Ast.kernel) -> k.Vmht_lang.Ast.kname = n)
-                program
+    let* op = str "op" in
+    match Option.map (fun op -> (op, List.assoc_opt op serve_keys)) op with
+    | None -> reject "missing \"op\""
+    | Some (op, None) -> reject "unknown op %S" op
+    | Some (op, Some keys) -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k keys)) fields with
+      | Some (k, _) -> reject "unknown key %S for op %S" k op
+      | None -> (
+        let* unroll = int "unroll" in
+        let* opt = int "opt" in
+        let* tlb = int "tlb" in
+        let config =
+          Vmht.Config.default
+          |> if_some Vmht.Config.with_unroll unroll
+          |> if_some Vmht.Config.with_opt_level opt
+          |> if_some Vmht.Config.with_tlb_entries tlb
+        in
+        (* The TLB geometry the SoC would refuse, refused for synthesis
+           too (with the same message), so no reply prices a TLB that
+           cannot exist. *)
+        let* () =
+          match Vmht_vm.Tlb.validate config.Vmht.Config.mmu.Vmht_vm.Mmu.tlb with
+          | () -> Ok ()
+          | exception Invalid_argument msg -> Error (`Request msg)
+        in
+        let* wname = str "workload" in
+        match op with
+        | "synth" -> (
+          let* style =
+            choice "style" Vmht.Wrapper.style_name
+              [ Vmht.Wrapper.Vm_iface; Vmht.Wrapper.Dma_iface ]
           in
-          match kernel with
-          | None -> Error (`Request "no kernel with the requested name")
-          | Some kernel ->
-            Ok (Vmht_serve.Proto.Synthesize { kernel; style; config })))
-      | None, None -> Error (`Request "synth needs \"workload\" or \"source\""))
-    | Some "run" -> (
-      match str "workload" with
-      | None -> Error (`Request "run needs \"workload\"")
-      | Some wname -> (
-        match Vmht_workloads.Registry.find wname with
-        | exception Not_found ->
-          Error (`Request (Printf.sprintf "unknown workload %S" wname))
-        | w ->
-          let mode =
-            Option.value
-              (Option.bind (str "mode") Vmht_serve.Proto.mode_of_name)
-              ~default:Vmht_serve.Proto.Vm
+          let style = Option.value style ~default:Vmht.Wrapper.Vm_iface in
+          let* source = str "source" in
+          let* name = str "name" in
+          match (wname, source) with
+          | Some wname, _ ->
+            let* w = workload wname in
+            Ok
+              (Vmht_serve.Proto.Synthesize
+                 { kernel = Vmht_workloads.Workload.kernel w; style; config })
+          | None, Some source -> (
+            match Vmht.Flow.frontend_program source with
+            | Error e -> Error (`Frontend (Vmht.Flow.error_to_string e))
+            | Ok [] -> reject "source contains no kernels"
+            | Ok (first :: _ as program) -> (
+              let kernel =
+                match name with
+                | None -> Some first
+                | Some n ->
+                  List.find_opt
+                    (fun (k : Vmht_lang.Ast.kernel) ->
+                      k.Vmht_lang.Ast.kname = n)
+                    program
+              in
+              match kernel with
+              | None -> reject "no kernel with the requested name"
+              | Some kernel ->
+                Ok (Vmht_serve.Proto.Synthesize { kernel; style; config })))
+          | None, None -> reject "synth needs \"workload\" or \"source\"")
+        | _ (* run *) -> (
+          let* mode =
+            choice "mode" Vmht_serve.Proto.mode_name
+              Vmht_serve.Proto.[ Sw; Vm; Dma ]
           in
-          let size =
-            Option.value (int "size")
-              ~default:w.Vmht_workloads.Workload.default_size
-          in
-          Ok (Vmht_serve.Proto.Execute { workload = wname; mode; size; config })
-        ))
-    | Some op -> Error (`Request (Printf.sprintf "unknown op %S" op))
-    | None -> Error (`Request "missing \"op\""))
+          let* size = int "size" in
+          match wname with
+          | None -> reject "run needs \"workload\""
+          | Some wname ->
+            let* w = workload wname in
+            Ok
+              (Vmht_serve.Proto.Execute
+                 {
+                   workload = wname;
+                   mode = Option.value mode ~default:Vmht_serve.Proto.Vm;
+                   size =
+                     Option.value size
+                       ~default:w.Vmht_workloads.Workload.default_size;
+                   config;
+                 })))))
+  | _ -> reject "a request must be a JSON object"
 
 let serve_cmd =
   let action shards store_dir no_store jobs =
@@ -1247,8 +1289,36 @@ let serve_cmd =
       Vmht_serve.Server.shutdown server;
       !worst
   in
+  let man =
+    [
+      `S "REQUEST KEYS";
+      `P
+        "Each request line is one JSON object.  A key its op does not take, \
+         a value of the wrong type or an unknown value fails the line with \
+         a message naming the key.";
+      `I ("$(b,op)", "\"synth\" or \"run\"; required.");
+      `I
+        ( "$(b,workload)",
+          "A registry workload ($(b,vmht list)); required by run, and by \
+           synth without $(b,source)." );
+      `I
+        ( "$(b,source), $(b,name)",
+          "synth only: kernel source text, and which of its kernels to \
+           synthesize (default: the first)." );
+      `I ("$(b,style)", "synth only: \"vm\" (default) or \"dma\".");
+      `I ("$(b,mode)", "run only: \"sw\", \"vm\" (default) or \"dma\".");
+      `I
+        ( "$(b,size)",
+          "run only: an integer of at least 1 (default: the workload's \
+           size)." );
+      `I
+        ( "$(b,unroll), $(b,opt), $(b,tlb)",
+          "Integers: loop unroll factor, optimization level, and entries \
+           of the VM wrapper's TLB." );
+    ]
+  in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~man
        ~doc:
          "Batch synthesis server: JSON-line requests on stdin (a blank line \
           or EOF flushes a batch), JSON-line replies in request order on \

@@ -8,10 +8,6 @@ type backend = Model | Rtl
 type t = {
   phys_bytes : int;
   page_shift : int;
-  va_bits : int;
-  dram : Vmht_mem.Dram.config;
-  bus_arbitration_cycles : int;
-  cache : Vmht_mem.Cache.config;
   resources : Vmht_hls.Schedule.resources;
   unroll : int;
   pipeline_loops : bool;
@@ -19,13 +15,8 @@ type t = {
   tlb2 : Vmht_vm.Tlb2.config;
   accel_stream_buffer : Vmht_mem.Cache.config;
   scratchpad_words : int;
-  dma_setup_cycles : int;
-  dma_burst_words : int;
-  pin_cycles_per_page : int;
-  wrapper_windows : int;
   opt_level : int;
   passes : string list option;
-  cache_maintenance_cycles : int;
   fault : Vmht_fault.Plan.t;
   seed : int;
   backend : backend;
@@ -35,10 +26,6 @@ let default =
   {
     phys_bytes = 64 * 1024 * 1024;
     page_shift = 12;
-    va_bits = 26;
-    dram = Vmht_mem.Dram.default_config;
-    bus_arbitration_cycles = 2;
-    cache = Vmht_mem.Cache.default_config;
     resources =
       {
         Vmht_hls.Schedule.default_resources with
@@ -59,16 +46,8 @@ let default =
         hit_latency = 1;
       };
     scratchpad_words = 1 lsl 16; (* 512 KiB window budget (Zynq-class) *)
-    dma_setup_cycles = 120;
-    dma_burst_words = 64;
-    pin_cycles_per_page = 40;
-    (* Address-window comparator bank of the DMA wrapper.  Lives in
-       the config (not as a per-call optional) so the synthesis cache
-       key has a single source of truth. *)
-    wrapper_windows = 3;
     opt_level = 2;
     passes = None;
-    cache_maintenance_cycles = 64;
     fault = Vmht_fault.Plan.none;
     seed = 1;
     backend = Model;
@@ -109,23 +88,23 @@ let with_seed t seed = { t with seed }
 
 let with_opt_level t opt_level = { t with opt_level }
 
-let with_windows t wrapper_windows = { t with wrapper_windows }
-
 let with_backend t backend = { t with backend }
 
 let with_passes t passes = { t with passes }
 
 (* The active schedule: an explicit pass list overrides the preset.
    Unknown pass names are a configuration error, reported eagerly. *)
-let schedule t =
-  match t.passes with
-  | None -> Vmht_ir.Pass_manager.of_opt_level t.opt_level
+let schedule_of ~opt_level ~passes =
+  match passes with
+  | None -> Vmht_ir.Pass_manager.of_opt_level opt_level
   | Some names -> (
     match Vmht_ir.Pass_manager.of_names names with
     | Ok s -> s
     | Error msg -> invalid_arg ("Config.schedule: " ^ msg))
 
-(* The synthesis cache key.  [Marshal] renders structurally equal
-   values to equal bytes, so every field — including one added later —
-   keys the cache without being listed here. *)
+let schedule t = schedule_of ~opt_level:t.opt_level ~passes:t.passes
+
+(* [Marshal] renders structurally equal values to equal bytes, so every
+   field — including one added later — is covered without being listed
+   here. *)
 let fingerprint (t : t) = Marshal.to_string t [ Marshal.No_sharing ]

@@ -1,6 +1,10 @@
-(** All knobs of the system-level synthesis flow and the simulated SoC,
-    with the defaults every experiment starts from.  Each experiment in
-    the evaluation varies exactly the fields its figure sweeps. *)
+(** The knobs of the system-level synthesis flow and the simulated SoC
+    that some caller varies, with the defaults every experiment starts
+    from.  Each experiment in the evaluation varies exactly the fields
+    its figure sweeps.  Values no caller varies are constants where
+    they are used: DRAM, bus, CPU cache and DMA timings in their
+    modules, the rest in {!Soc}, {!Launch} and {!Wrapper}.  Synthesis
+    reads only part of the record (see {!Flow.cache_key}). *)
 
 type backend =
   | Model  (** the model-level FSM executor ({!Vmht_hls.Accel}) *)
@@ -12,10 +16,6 @@ type t = {
   (* --- memory system --- *)
   phys_bytes : int; (** physical memory size *)
   page_shift : int; (** log2 page size (default 12 = 4 KiB) *)
-  va_bits : int; (** virtual address width *)
-  dram : Vmht_mem.Dram.config;
-  bus_arbitration_cycles : int;
-  cache : Vmht_mem.Cache.config; (** CPU L1 *)
   (* --- HLS --- *)
   resources : Vmht_hls.Schedule.resources;
   unroll : int;
@@ -31,14 +31,6 @@ type t = {
           streaming accesses become bursts *)
   (* --- DMA interface wrapper --- *)
   scratchpad_words : int;
-  dma_setup_cycles : int;
-  dma_burst_words : int;
-  pin_cycles_per_page : int;
-      (** CPU cost to pin + translate one page when staging a DMA *)
-  wrapper_windows : int;
-      (** address-window comparators in the DMA wrapper (ignored by the
-          VM style); part of the config so the synthesis cache key has
-          a single source of truth *)
   (* --- optimizer --- *)
   opt_level : int;
       (** [-O0]/[-O1]/[-O2] preset selecting the pass schedule
@@ -46,8 +38,6 @@ type t = {
   passes : string list option;
       (** explicit pass schedule overriding [opt_level] when [Some] *)
   (* --- misc --- *)
-  cache_maintenance_cycles : int;
-      (** CPU cache invalidate after a hardware thread completes *)
   fault : Vmht_fault.Plan.t;
       (** fault-injection plan; {!Vmht_fault.Plan.none} by default *)
   seed : int;
@@ -85,9 +75,6 @@ val with_seed : t -> int -> t
 
 val with_opt_level : t -> int -> t
 
-val with_windows : t -> int -> t
-(** Size the DMA wrapper's address-window comparator bank (default 3). *)
-
 val with_passes : t -> string list option -> t
 
 val with_backend : t -> backend -> t
@@ -98,10 +85,16 @@ val schedule : t -> Vmht_ir.Pass_manager.schedule
     if set, else the [opt_level] preset.  Raises [Invalid_argument] on
     unknown pass names. *)
 
+val schedule_of :
+  opt_level:int -> passes:string list option -> Vmht_ir.Pass_manager.schedule
+(** {!schedule} from the two optimizer fields alone, for a caller that
+    holds them without the rest of the record. *)
+
 val fingerprint : t -> string
-(** The marshalled bytes of the whole record, used (with the kernel and
-    wrapper style) to key the synthesis cache.  Two configs fingerprint
-    equally iff they are structurally equal, whatever fields the record
-    gains later (a fault rate of [-0.] against [0.] is the one
-    exception: equal, but keyed apart — a spurious miss, never a wrong
-    hit). *)
+(** The marshalled bytes of the whole record: the label manifests print
+    for the configuration they ran.  It is not a cache key (synthesis
+    is keyed by {!Flow.cache_key}, which reads only what synthesis
+    reads).  Two configs fingerprint equally iff they are structurally
+    equal, whatever fields the record gains later (a fault rate of
+    [-0.] against [0.] is the one exception: equal, but fingerprinted
+    apart). *)

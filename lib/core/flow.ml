@@ -14,7 +14,30 @@ type hw_thread = {
   synthesis_seconds : float;
 }
 
-let synthesize_uncached (config : Config.t) style kernel =
+(* What synthesis reads, and all it reads: the HLS and optimizer fields
+   of the config and the chosen wrapper's parameters.  Built in one
+   place, so a synthesis that wanted any other config field would have
+   to be given it here — and the key below would then cover it. *)
+type input = {
+  resources : Vmht_hls.Schedule.resources;
+  unroll : int;
+  pipeline_loops : bool;
+  opt_level : int;
+  passes : string list option;
+  wrapper : Wrapper.params;
+}
+
+let input (config : Config.t) style =
+  {
+    resources = config.Config.resources;
+    unroll = config.Config.unroll;
+    pipeline_loops = config.Config.pipeline_loops;
+    opt_level = config.Config.opt_level;
+    passes = config.Config.passes;
+    wrapper = Wrapper.params config style;
+  }
+
+let synthesize_uncached (i : input) kernel =
   Vmht_obs.Span.with_span ~cat:"flow"
     ("synth:" ^ kernel.Ast.kname)
     (fun () ->
@@ -23,12 +46,14 @@ let synthesize_uncached (config : Config.t) style kernel =
     (* Pass scheduling and FSM construction; the optimizer opens its
        own nested "passes" span inside. *)
     Vmht_obs.Span.with_span ~cat:"flow" "schedule" (fun () ->
-        Fsm.synthesize ~resources:config.Config.resources
-          ~unroll:config.Config.unroll
-          ~pipeline:config.Config.pipeline_loops
-          ~schedule:(Config.schedule config) kernel)
+        Fsm.synthesize ~resources:i.resources ~unroll:i.unroll
+          ~pipeline:i.pipeline_loops
+          ~schedule:
+            (Config.schedule_of ~opt_level:i.opt_level ~passes:i.passes)
+          kernel)
   in
-  let wrapper_area = Wrapper.area config style in
+  let style = Wrapper.params_style i.wrapper in
+  let wrapper_area = Wrapper.params_area i.wrapper in
   let verilog =
     Vmht_obs.Span.with_span ~cat:"flow" "emit" (fun () ->
         Verilog.emit_with_wrapper fsm ~wrapper_ports:(Wrapper.ports style))
@@ -73,22 +98,16 @@ let error_to_string = function
 
 (* --- content-addressed synthesis key ------------------------------- *)
 
-(* The persistent store and the batch server address synthesis results
-   by this digest: everything that determines the synthesized hardware
-   — the full config fingerprint (which includes the wrapper window
-   count and the pass schedule), the wrapper style, and a structural
-   hash of the kernel AST — folded through MD5 into one hex name.  Two
-   requests share a key iff they would synthesize identical hardware. *)
-let cache_key (config : Config.t) style (kernel : Ast.kernel) =
-  let kernel_digest = Digest.string (Marshal.to_string kernel []) in
+(* The memo, the persistent store and the batch server all address
+   synthesis results by this digest of the input and the kernel AST.
+   Without sharing, [Marshal] renders structurally equal values to
+   equal bytes, so requests share a key iff they give synthesis equal
+   inputs and kernels, and those give identical hardware. *)
+let key (i : input) (kernel : Ast.kernel) =
   Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          [
-            Config.fingerprint config;
-            Wrapper.style_name style;
-            Digest.to_hex kernel_digest;
-          ]))
+    (Digest.string (Marshal.to_string (i, kernel) [ Marshal.No_sharing ]))
+
+let cache_key config style kernel = key (input config style) kernel
 
 (* --- persistent store backend -------------------------------------- *)
 
@@ -112,19 +131,19 @@ let set_store b = store_backend := b
 (* --- synthesis memo cache ----------------------------------------- *)
 
 (* Synthesis is pure (modulo the wall-clock stamp), so results are
-   memoized process-wide, keyed by kernel name, wrapper style and
-   config fingerprint (which covers the DMA window count).  Sweeps
-   that vary only runtime parameters (data size, seed, thread count)
-   then synthesize each kernel once instead of once per sweep point.
+   memoized process-wide under {!key}.  Sweeps that vary only what
+   synthesis does not read (data size, seed, thread count, page size,
+   fault plan, backend) then synthesize each kernel once instead of
+   once per sweep point.
 
    The cache is single-flight: concurrent requests for the same key
    block on the one in-progress synthesis rather than duplicating it,
    so every caller in a process sees the *same* [hw_thread] value —
    which keeps anything derived from it (including the reported
    synthesis time) identical across callers, whatever the parallel
-   schedule.  Keys add the kernel name, but the stored kernel AST is
-   compared structurally on hit, so a name collision degrades to a
-   miss instead of returning the wrong hardware.
+   schedule.  The stored input and kernel AST are compared
+   structurally on hit, so a digest collision degrades to a miss
+   instead of returning the wrong hardware.
 
    When a persistent backend is installed ({!set_store}), the miss
    path consults it before synthesizing and writes fresh results back;
@@ -133,7 +152,7 @@ let set_store b = store_backend := b
 
 type cache_stats = { cache_hits : int; cache_misses : int; cache_entries : int }
 
-type cache_state = In_flight | Ready of Ast.kernel * hw_thread
+type cache_state = In_flight | Ready of input * Ast.kernel * hw_thread
 
 type cache_slot = { mutable state : cache_state }
 
@@ -141,8 +160,7 @@ let cache_mutex = Mutex.create ()
 
 let cache_cond = Condition.create ()
 
-let cache_table : (string * string * string, cache_slot) Hashtbl.t =
-  Hashtbl.create 64
+let cache_table : (string, cache_slot) Hashtbl.t = Hashtbl.create 64
 
 let cache_hits = Atomic.make 0
 
@@ -183,41 +201,37 @@ let sync_cache_metrics m =
    failed write-back still returns the synthesized hardware alongside
    the error — the memo keeps the result either way, so one unwritable
    directory costs one error per key, not the synthesis work. *)
-let produce config style kernel =
+let produce ~key i kernel =
   match !store_backend with
-  | None -> (synthesize_uncached config style kernel, None)
+  | None -> (synthesize_uncached i kernel, None)
   | Some b -> (
-    let key = cache_key config style kernel in
     match b.store_load ~key kernel with
     | Some hw -> (hw, None)
     | None ->
-      let hw = synthesize_uncached config style kernel in
+      let hw = synthesize_uncached i kernel in
       (match b.store_save ~key kernel hw with
        | Ok () -> (hw, None)
        | Error e -> (hw, Some e)))
 
-let synthesize_cached (config : Config.t) style kernel :
-    (hw_thread, error) result =
-  let key =
-    (kernel.Ast.kname, Wrapper.style_name style, Config.fingerprint config)
-  in
+let synthesize_cached i kernel : (hw_thread, error) result =
+  let key = key i kernel in
   let rec acquire () =
     (* Called with [cache_mutex] held; returns with it released. *)
     match Hashtbl.find_opt cache_table key with
-    | Some { state = Ready (k, hw) } when k = kernel ->
+    | Some { state = Ready (i', k, hw) } when i' = i && k = kernel ->
       Mutex.unlock cache_mutex;
       Atomic.incr cache_hits;
       Ok hw
     | Some ({ state = In_flight } as _slot) ->
       Condition.wait cache_cond cache_mutex;
       acquire ()
-    | Some { state = Ready _ } (* same name, different kernel *) | None ->
+    | Some { state = Ready _ } (* digest collision *) | None ->
       let slot = { state = In_flight } in
       Hashtbl.replace cache_table key slot;
       Mutex.unlock cache_mutex;
       Atomic.incr cache_misses;
       let hw, save_err =
-        try produce config style kernel
+        try produce ~key i kernel
         with e ->
           Mutex.lock cache_mutex;
           Hashtbl.remove cache_table key;
@@ -226,7 +240,7 @@ let synthesize_cached (config : Config.t) style kernel :
           raise e
       in
       Mutex.lock cache_mutex;
-      slot.state <- Ready (kernel, hw);
+      slot.state <- Ready (i, kernel, hw);
       Condition.broadcast cache_cond;
       Mutex.unlock cache_mutex;
       (match save_err with None -> Ok hw | Some e -> Error e)
@@ -283,15 +297,14 @@ let run (r : Request.t) : (hw_thread, error) result =
   (* Typechecking happens inside HLS synthesis for kernels that arrive
      as ASTs, so the capture has to surround synthesis too — [run] is
      total over front-end problems whatever the payload shape. *)
+  let i = input r.Request.config r.Request.style in
   let with_kernel kernel =
     if r.Request.cache then
-      match synthesize_cached r.Request.config r.Request.style kernel with
+      match synthesize_cached i kernel with
       | result -> result
       | exception Vmht_lang.Loc.Error (loc, msg) ->
         Error (Frontend { loc; msg })
-    else
-      capture_frontend (fun () ->
-          synthesize_uncached r.Request.config r.Request.style kernel)
+    else capture_frontend (fun () -> synthesize_uncached i kernel)
   in
   match r.Request.payload with
   | Request.Kernel kernel -> with_kernel kernel

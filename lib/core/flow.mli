@@ -92,10 +92,10 @@ end
 
 val run : Request.t -> (hw_thread, error) result
 (** Execute a synthesis request.  Results are memoized process-wide
-    (see {!cache_stats}): a repeat request with a structurally equal
-    kernel, the same style and an equal {!Config.fingerprint} returns
-    the cached [hw_thread] (the very same value, so its
-    [synthesis_seconds] is the original measurement).  The memo is
+    under {!cache_key} (see {!cache_stats}): a later request with the
+    same key returns the cached [hw_thread] (the very same value, so
+    its [synthesis_seconds] is the original measurement), whatever
+    config fields outside the key it differs in.  The memo is
     single-flight and safe under concurrent callers on multiple
     domains; a persistent backend installed with {!set_store} is
     consulted and written through inside the same single-flight
@@ -106,11 +106,15 @@ val run_exn : Request.t -> hw_thread
     [Not_found] on unknown kernels, [Sys_error] on store faults. *)
 
 val cache_key : Config.t -> Wrapper.style -> Vmht_lang.Ast.kernel -> string
-(** The content-addressed synthesis key: a hex digest over the full
-    config fingerprint, the wrapper style, and a structural hash of
-    the kernel AST.  Two requests share a key iff they synthesize
-    identical hardware; the persistent store and the batch server both
-    address results by it. *)
+(** The content-addressed synthesis key: a hex digest of the kernel AST
+    and of what synthesis reads from the config — resources, unroll,
+    pipelining, opt level, pass list, and the chosen style's
+    {!Wrapper.params} (the MMU config for [Vm_iface], the scratchpad
+    size for [Dma_iface]).  Requests that share a key get identical
+    hardware.  Platform fields (page size, L2 TLB, stream buffer,
+    physical memory, fault plan, seed, backend) never split a key, nor
+    do the other style's wrapper parameters.  The memo, the persistent
+    store and the batch server all address results by it. *)
 
 val frontend_program : string -> (Vmht_lang.Ast.program, error) result
 (** Parse, typecheck and inline a multi-kernel source — the front-end
@@ -150,7 +154,7 @@ val summary : hw_thread -> string
 type cache_stats = {
   cache_hits : int;  (** calls answered from the memo table *)
   cache_misses : int;  (** calls that ran the full flow *)
-  cache_entries : int;  (** distinct (kernel, style, config) keys held *)
+  cache_entries : int;  (** distinct {!cache_key}s held *)
 }
 
 val cache_stats : unit -> cache_stats

@@ -125,9 +125,11 @@ let run_sw soc func request =
 
 (* Cache maintenance the host performs after any hardware thread
    completes, so CPU reads observe the accelerator's writes. *)
+let cache_maintenance_cycles = 64
+
 let host_cache_maintenance soc =
   Engine.with_phase Profile.Memory (fun () ->
-      Engine.wait (Soc.config soc).Config.cache_maintenance_cycles;
+      Engine.wait cache_maintenance_cycles;
       Vmht_mem.Cache.invalidate_all (Cpu.cache (Soc.cpu soc)))
 
 let bus_wait_cycles soc =
@@ -193,6 +195,9 @@ let run_hw_vm soc (hw : Flow.hw_thread) request =
     page_faults = mstats.Mmu.page_faults;
   }
 
+(* CPU cost to pin and translate one page when staging a DMA. *)
+let pin_cycles_per_page = 40
+
 (* Page-sized (phys, words) chunks covering a buffer, pinning (and if
    needed demand-materializing) each page on the way. *)
 let pin_and_chunk soc buffer =
@@ -214,7 +219,7 @@ let pin_and_chunk soc buffer =
   let rec go va acc =
     if va >= buffer.base + bytes then List.rev acc
     else begin
-      Engine.wait config.Config.pin_cycles_per_page;
+      Engine.wait pin_cycles_per_page;
       let phys = resolve va in
       let chunk_words =
         min (page / word_bytes) ((buffer.base + bytes - va) / word_bytes)

@@ -54,29 +54,29 @@ type t = {
   mutable injectors : Fi.t list;
 }
 
+(* Every process gets [va_bits] of virtual space.  Two page-table
+   levels of at most page-sized tables cover 3*page_shift - 6 bits;
+   clamp so small-page configurations (the Figure 3 sweep) stay
+   representable. *)
+let va_bits = 26
+
+let new_address_space phys frames ~page_shift =
+  Addr_space.create phys frames ~page_shift
+    ~va_bits:(min va_bits ((3 * page_shift) - 6))
+
 let create (config : Config.t) =
   let engine = Engine.create () in
   let phys = Phys_mem.create ~bytes:config.Config.phys_bytes in
-  let dram = Dram.create ~config:config.Config.dram () in
-  let bus =
-    Bus.create ~arbitration_cycles:config.Config.bus_arbitration_cycles phys
-      dram
-  in
+  let dram = Dram.create () in
+  let bus = Bus.create phys dram in
   let frames =
     Frame_alloc.create ~base:0 ~bytes:config.Config.phys_bytes
       ~page_bytes:(1 lsl config.Config.page_shift)
   in
-  (* Two page-table levels of at most page-sized tables cover
-     3*page_shift - 6 bits of virtual space; clamp so small-page
-     configurations (the Figure 3 sweep) stay representable. *)
-  let va_bits =
-    min config.Config.va_bits ((3 * config.Config.page_shift) - 6)
-  in
   let aspace =
-    Addr_space.create phys frames ~page_shift:config.Config.page_shift
-      ~va_bits
+    new_address_space phys frames ~page_shift:config.Config.page_shift
   in
-  let cpu = Cpu.create ~cache_config:config.Config.cache bus aspace in
+  let cpu = Cpu.create bus aspace in
   let t =
     {
       id = Atomic.fetch_and_add next_soc_id 1;
@@ -231,12 +231,8 @@ let make_mmu ?aspace t =
   mmu
 
 let create_process t =
-  let va_bits =
-    min t.config.Config.va_bits ((3 * t.config.Config.page_shift) - 6)
-  in
   let space =
-    Addr_space.create t.phys t.frames ~page_shift:t.config.Config.page_shift
-      ~va_bits
+    new_address_space t.phys t.frames ~page_shift:t.config.Config.page_shift
   in
   let asid = t.next_asid in
   t.next_asid <- asid + 1;
@@ -334,10 +330,7 @@ let make_scratchpad ?words t =
     | None -> t.config.Config.scratchpad_words
   in
   let pad = Scratchpad.create ~words ~access_latency:1 in
-  let dma =
-    Dma.create ~setup_cycles:t.config.Config.dma_setup_cycles
-      ~burst_words:t.config.Config.dma_burst_words t.bus
-  in
+  let dma = Dma.create t.bus in
   let dma_name = instance_name "dma" (List.length t.dmas) in
   t.dmas <- dma :: t.dmas;
   if t.observing then Dma.set_observer dma (emitter t ~component:dma_name);

@@ -58,9 +58,8 @@ val unmap_page : t -> Vmht_vm.Addr_space.t -> vaddr:int -> unit
     it: each registered MMU's L1 TLB, the shared L2 TLB, and the walk
     caches of the MMUs serving this space — the coherence step a real
     kernel performs with IPIs.  Timed when called in process context is
-    the caller's concern (charge
-    {!Config.t.cache_maintenance_cycles}-class costs as appropriate);
-    the bookkeeping itself is immediate. *)
+    the caller's concern (charge cache-maintenance-class costs as
+    appropriate); the bookkeeping itself is immediate. *)
 
 val vm_port : t -> Vmht_vm.Mmu.t -> Vmht_hls.Accel.port * (unit -> unit)
 (** The accelerator-facing memory port of a VM wrapper: translation

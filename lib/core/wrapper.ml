@@ -41,6 +41,9 @@ let dma_engine_area = { Optypes.lut = 420; ff = 460; dsp = 0; bram = 0 }
 
 let window_comparator_area = { Optypes.lut = 64; ff = 14; dsp = 0; bram = 0 }
 
+(* The DMA wrapper's address-window comparator bank. *)
+let dma_windows = 3
+
 let dma_area ~scratchpad_words ~windows =
   let bram = bram_halves_for_bytes (scratchpad_words * 8) in
   Optypes.add_area dma_engine_area
@@ -48,12 +51,19 @@ let dma_area ~scratchpad_words ~windows =
        (Optypes.scale_area (max 1 windows) window_comparator_area)
        { Optypes.lut = 90; ff = 30; dsp = 0; bram })
 
-let area (config : Config.t) style =
-  match style with
-  | Vm_iface -> vm_area config.Config.mmu
-  | Dma_iface ->
-    dma_area ~scratchpad_words:config.Config.scratchpad_words
-      ~windows:config.Config.wrapper_windows
+type params = Vm of Mmu.config | Dma of { scratchpad_words : int }
+
+let params (config : Config.t) = function
+  | Vm_iface -> Vm config.Config.mmu
+  | Dma_iface -> Dma { scratchpad_words = config.Config.scratchpad_words }
+
+let params_style = function Vm _ -> Vm_iface | Dma _ -> Dma_iface
+
+let params_area = function
+  | Vm mmu -> vm_area mmu
+  | Dma { scratchpad_words } -> dma_area ~scratchpad_words ~windows:dma_windows
+
+let area config style = params_area (params config style)
 
 let ports = function
   | Vm_iface ->

@@ -23,9 +23,19 @@ val dma_area :
   scratchpad_words:int -> windows:int -> Vmht_hls.Optypes.area
 (** DMA engine + window comparators + scratchpad BRAM. *)
 
+(** All a wrapper's hardware depends on: the MMU config sizes the VM
+    wrapper's TLB and walker, the scratchpad the DMA wrapper's BRAM. *)
+type params = Vm of Vmht_vm.Mmu.config | Dma of { scratchpad_words : int }
+
+val params : Config.t -> style -> params
+(** The chosen style's parameters, read from [config]. *)
+
+val params_style : params -> style
+
+val params_area : params -> Vmht_hls.Optypes.area
+
 val area : Config.t -> style -> Vmht_hls.Optypes.area
-(** Wrapper area for the style under [config]; the DMA style's window
-    comparator bank is sized by [config.wrapper_windows]. *)
+(** [params_area (params config style)]. *)
 
 val ports : style -> string list
 (** Extra top-level RTL ports the wrapper adds to the generated

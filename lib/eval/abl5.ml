@@ -2,8 +2,8 @@
    -O1 and -O2 pass schedules, with the optimizer's instruction counts.
    The pointer-based kernels are where the memory passes (store
    forwarding, address-chain strength reduction) live, so -O2 must
-   strictly beat -O0 on every one of them; the schedule is part of the
-   config fingerprint, so the three variants never share a synthesis
+   strictly beat -O0 on every one of them; the opt level is part of
+   the synthesis key, so the three variants never share a synthesis
    cache slot. *)
 
 module Table = Vmht_util.Table

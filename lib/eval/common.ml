@@ -156,6 +156,10 @@ let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
   Vmht_obs.Span.with_span ~cat:"eval"
     (Printf.sprintf "run:%s/%s" w.Workload.name (mode_name mode))
     (fun () ->
+  (* Refused before set-up, where some workloads would read a size
+     below 1 as an empty instance and report a correct run.  The words
+     are those of the allocation a zero size reaches. *)
+  if size < 1 then invalid_arg "Addr_space.alloc: non-positive size";
   let host_t0 = Unix.gettimeofday () in
   let soc = Soc.create config in
   if observe || Option.is_some trace_events then Soc.enable_tracing soc;

@@ -24,7 +24,8 @@ val run :
   size:int ->
   outcome
 (** Build a fresh SoC, set the workload up, synthesize (hardware
-    styles), execute, and verify the outputs.  [trace_events] enables
+    styles), execute, and verify the outputs.  A [size] below 1 raises
+    [Invalid_argument] before anything is built.  [trace_events] enables
     the SoC trace before running (the value is advisory — the trace's
     own capacity bounds retention); [observe] (default false) does the
     same without implying the CLI's textual dump — both turn typed

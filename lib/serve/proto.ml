@@ -2,12 +2,6 @@ type mode = Sw | Vm | Dma
 
 let mode_name = function Sw -> "sw" | Vm -> "vm" | Dma -> "dma"
 
-let mode_of_name = function
-  | "sw" -> Some Sw
-  | "vm" -> Some Vm
-  | "dma" -> Some Dma
-  | _ -> None
-
 type job =
   | Synthesize of {
       kernel : Vmht_lang.Ast.kernel;

@@ -13,8 +13,6 @@ type mode = Sw | Vm | Dma
 
 val mode_name : mode -> string
 
-val mode_of_name : string -> mode option
-
 type job =
   | Synthesize of {
       kernel : Vmht_lang.Ast.kernel;
@@ -30,9 +28,11 @@ type job =
 
 val synthesis_key : job -> string option
 (** {!Vmht.Flow.cache_key} for [Synthesize] jobs — the dedup and
-    store-hit-accounting identity.  [None] for [Execute] (its inner
-    synthesis still benefits from the store, but the server cannot
-    name the kernel without the workload registry). *)
+    store-hit-accounting identity, and the same key the flow's memo
+    and the store use, so two jobs that differ only in config fields
+    synthesis does not read are one key.  [None] for [Execute] (its
+    inner synthesis still benefits from the store, but the server
+    cannot name the kernel without the workload registry). *)
 
 type request = {
   rid : int;  (** caller-assigned; replies are ordered by it *)

@@ -1,9 +1,12 @@
 (** Persistent content-addressed synthesis store.
 
     One synthesized {!Vmht.Flow.hw_thread} per file, under the key
-    {!Vmht.Flow.cache_key} (full config fingerprint x wrapper style x
-    structural kernel hash), so a result computed by any process on
-    this machine is a disk read for every later one.  Entries are
+    {!Vmht.Flow.cache_key} (what synthesis reads from the config and
+    wrapper style, and the kernel), so a result computed by any process
+    on this machine is a disk read for every later one.  Entries
+    written before the key stopped covering the whole config keep
+    their layout, so the format version is unchanged; they sit under
+    names no request derives any more, and cost only disk space.  Entries are
     written atomically (temp file + [rename]) and carry a format
     version and a payload checksum; a mismatched, truncated or
     otherwise corrupt entry is silently dropped and counted — loads

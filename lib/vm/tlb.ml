@@ -47,7 +47,7 @@ let invalid_slot =
     stamp = 0;
   }
 
-let create ?(memo = true) config =
+let validate config =
   if config.entries <= 0 then invalid_arg "Tlb.create: no entries";
   if config.assoc < 0 then invalid_arg "Tlb.create: negative associativity";
   if config.assoc > 0 && config.entries mod config.assoc <> 0 then
@@ -56,7 +56,10 @@ let create ?(memo = true) config =
          "Tlb.create: %d entries do not divide into %d-way sets (capacity \
           would silently shrink to %d)"
          config.entries config.assoc
-         (config.entries / config.assoc * config.assoc));
+         (config.entries / config.assoc * config.assoc))
+
+let create ?(memo = true) config =
+  validate config;
   let ways = if config.assoc = 0 then config.entries else config.assoc in
   let n_sets = config.entries / ways in
   {

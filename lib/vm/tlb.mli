@@ -21,10 +21,13 @@ type stats = { lookups : int; hits : int; evictions : int }
 
 type t
 
-val create : ?memo:bool -> config -> t
+val validate : config -> unit
 (** Raises [Invalid_argument] when [entries] is non-positive or does not
     divide evenly into [assoc]-way sets — a non-divisible geometry would
-    otherwise silently round the capacity down.
+    otherwise silently round the capacity down.  Allocates nothing. *)
+
+val create : ?memo:bool -> config -> t
+(** Raises [Invalid_argument] as {!validate} does.
 
     [memo] (default [true]) keeps a direct-mapped vpn -> slot pointer
     cache in front of the associative scan.  A memo hit revalidates

@@ -66,7 +66,7 @@ let test_fingerprint_tracks_schedule () =
    setter calls (few values per axis, so distinct call sequences often
    build equal configs), two fingerprint equally exactly when they are
    structurally equal. *)
-let gen_config =
+let gen_calls =
   let open QCheck.Gen in
   let setter name values set =
     map (fun v -> (name, fun c -> set c v)) (oneofl values)
@@ -90,17 +90,18 @@ let gen_config =
           C.with_fault;
         setter "seed" [ 1; 2 ] C.with_seed;
         setter "opt_level" [ 0; 2 ] C.with_opt_level;
-        setter "windows" [ 3; 4 ] C.with_windows;
         setter "backend" [ C.Model; C.Rtl ] C.with_backend;
         setter "passes" [ None; Some [ "dce" ]; Some [ "cse"; "dce" ] ]
           C.with_passes;
       ]
   in
-  map
-    (fun calls ->
-      ( String.concat ", " (List.map fst calls),
-        List.fold_left (fun c (_, set) -> set c) C.default calls ))
-    (list_size (int_bound 5) setters)
+  list_size (int_bound 5) setters
+
+let apply_calls base calls =
+  ( String.concat ", " (List.map fst calls),
+    List.fold_left (fun c (_, set) -> set c) base calls )
+
+let gen_config = QCheck.Gen.map (apply_calls Vmht.Config.default) gen_calls
 
 let prop_fingerprint_is_equality =
   QCheck.Test.make ~count:500
@@ -111,6 +112,122 @@ let prop_fingerprint_is_equality =
     (fun ((_, a), (_, b)) ->
       let fp = Vmht.Config.fingerprint in
       (fp a = fp b) = (a = b))
+
+(* ---------------------- synthesis key ------------------------------ *)
+
+let registry_kernels =
+  List.map Vmht_workloads.Workload.kernel Vmht_workloads.Registry.all
+
+(* The key never merges two designs: over the same random configs, both
+   wrapper styles and every registry kernel, two configs that share a
+   key get identical fresh syntheses.  The second config is the first
+   with more setter calls applied, so the pair often differs only in
+   fields the key leaves out. *)
+let prop_equal_keys_equal_hardware =
+  QCheck.Test.make ~count:300
+    ~name:"synthesis key: configs with one key synthesize alike"
+    (QCheck.make
+       ~print:(fun ((a, _), calls, style, (k : Vmht_lang.Ast.kernel)) ->
+         Printf.sprintf "[%s] then [%s], %s, %s" a
+           (String.concat ", " (List.map fst calls))
+           (Vmht.Wrapper.style_name style)
+           k.Vmht_lang.Ast.kname)
+       QCheck.Gen.(
+         quad gen_config gen_calls
+           (oneofl [ Vmht.Wrapper.Vm_iface; Vmht.Wrapper.Dma_iface ])
+           (oneofl registry_kernels)))
+    (fun ((_, a), calls, style, kernel) ->
+      let _, b = apply_calls a calls in
+      let key c = Vmht.Flow.cache_key c style kernel in
+      key a <> key b
+      ||
+      let synth config =
+        Vmht.Flow.run_exn
+          (Vmht.Flow.Request.of_kernel ~config ~style ~cache:false kernel)
+      in
+      let x = synth a and y = synth b in
+      x.Vmht.Flow.verilog = y.Vmht.Flow.verilog
+      && x.Vmht.Flow.fsm.Vmht_hls.Fsm.stats.Vmht_hls.Fsm.states
+         = y.Vmht.Flow.fsm.Vmht_hls.Fsm.stats.Vmht_hls.Fsm.states
+      && x.Vmht.Flow.datapath_area = y.Vmht.Flow.datapath_area
+      && x.Vmht.Flow.wrapper_area = y.Vmht.Flow.wrapper_area
+      && x.Vmht.Flow.total_area = y.Vmht.Flow.total_area)
+
+(* Which config fields the key reads, one setter per field of
+   [Config.t]: platform fields move no key, each wrapper's parameters
+   move only that style's keys, and the HLS and optimizer fields move
+   both. *)
+let test_key_reads_synthesis_fields () =
+  let module C = Vmht.Config in
+  let kernel = List.hd registry_kernels in
+  let moves set style =
+    Vmht.Flow.cache_key (set C.default) style kernel
+    <> Vmht.Flow.cache_key C.default style kernel
+  in
+  List.iter
+    (fun (name, set, vm, dma) ->
+      check_bool (name ^ " moves the vm key") vm
+        (moves set Vmht.Wrapper.Vm_iface);
+      check_bool (name ^ " moves the dma key") dma
+        (moves set Vmht.Wrapper.Dma_iface))
+    [
+      ("seed", (fun c -> C.with_seed c 2), false, false);
+      ( "fault",
+        (fun c -> C.with_fault c (Vmht_fault.Plan.uniform ~rate:0.01)),
+        false,
+        false );
+      ("backend", (fun c -> C.with_backend c C.Rtl), false, false);
+      ( "tlb2",
+        (fun c ->
+          C.with_tlb2 c
+            { Vmht_vm.Tlb2.default_config with Vmht_vm.Tlb2.enabled = true }),
+        false,
+        false );
+      ("page_shift", (fun c -> C.with_page_shift c 13), false, false);
+      ( "phys_bytes",
+        (fun c -> { c with C.phys_bytes = 1 lsl 20 }),
+        false,
+        false );
+      ( "stream buffer",
+        (fun c ->
+          {
+            c with
+            C.accel_stream_buffer =
+              {
+                c.C.accel_stream_buffer with
+                Vmht_mem.Cache.size_bytes = 8192;
+              };
+          }),
+        false,
+        false );
+      ("tlb", (fun c -> C.with_tlb_entries c 64), true, false);
+      ("walk_cache", (fun c -> C.with_walk_cache c 8), true, false);
+      ( "scratchpad",
+        (fun c -> { c with C.scratchpad_words = 1024 }),
+        false,
+        true );
+      ("unroll", (fun c -> C.with_unroll c 2), true, true);
+      ("opt_level", (fun c -> C.with_opt_level c 0), true, true);
+      ("banks", (fun c -> C.with_banks c 2), true, true);
+      ("pipelining", (fun c -> C.with_pipelining c true), true, true);
+      ("passes", (fun c -> C.with_passes c (Some [ "dce" ])), true, true);
+    ]
+
+(* Two different kernels with one name are two memo entries: requested
+   A, B, A, B they miss twice and then hit. *)
+let test_memo_keys_kernels_not_names () =
+  let parse = Vmht_lang.Parser.parse_kernel in
+  let a = parse "kernel k(x: int) : int { return x + 1; }"
+  and b = parse "kernel k(x: int) : int { return x * 3; }" in
+  Vmht.Flow.reset_cache ();
+  List.iter
+    (fun k -> ignore (Vmht.Flow.run_exn (Vmht.Flow.Request.of_kernel k)))
+    [ a; b; a; b ];
+  let s = Vmht.Flow.cache_stats () in
+  Vmht.Flow.reset_cache ();
+  check_int "misses" 2 s.Vmht.Flow.cache_misses;
+  check_int "hits" 2 s.Vmht.Flow.cache_hits;
+  check_int "entries" 2 s.Vmht.Flow.cache_entries
 
 (* ---------------------- verifier ----------------------------------- *)
 
@@ -483,6 +600,11 @@ let suite =
     Alcotest.test_case "schedule: in config fingerprint" `Quick
       test_fingerprint_tracks_schedule;
     QCheck_alcotest.to_alcotest prop_fingerprint_is_equality;
+    QCheck_alcotest.to_alcotest prop_equal_keys_equal_hardware;
+    Alcotest.test_case "synthesis key: reads only what synthesis reads"
+      `Quick test_key_reads_synthesis_fields;
+    Alcotest.test_case "synthesis key: kernels, not names" `Quick
+      test_memo_keys_kernels_not_names;
     Alcotest.test_case "verify: accepts lowered IR" `Quick
       test_verify_accepts_lowered;
     Alcotest.test_case "verify: undefined register" `Quick

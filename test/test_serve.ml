@@ -441,15 +441,15 @@ let test_request_config_folding () =
       (Flow.Request.of_kernel ~config ~style:Wrapper.Dma_iface kernel)
   in
   Alcotest.(check bool) "same memoized hardware" true (base == again);
-  (* Window count lives in the config (and so in the cache key). *)
-  let windowed =
+  (* The scratchpad size sizes the DMA wrapper (and so its cache key). *)
+  let smaller =
     Flow.run_exn
       (Flow.Request.of_kernel
-         ~config:(Config.with_windows config 5)
+         ~config:{ config with Config.scratchpad_words = 1024 }
          ~style:Wrapper.Dma_iface kernel)
   in
-  Alcotest.(check bool) "windows changes the hardware" true
-    (windowed.Flow.wrapper_area <> base.Flow.wrapper_area)
+  Alcotest.(check bool) "scratchpad changes the hardware" true
+    (smaller.Flow.wrapper_area <> base.Flow.wrapper_area)
 
 let () =
   Alcotest.run "vmht-serve"

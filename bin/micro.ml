@@ -19,6 +19,8 @@ let list_sum = lazy (Registry.find "list_sum")
 
 let spmv = lazy (Registry.find "spmv")
 
+let tree_search = lazy (Registry.find "tree_search")
+
 (* The largest loop body of the benchmark's synth grid: stencil3 at
    unroll 8 on four banks, pipelined (133 instructions after O2).  The
    hls.* targets rerun one stage of its synthesis each. *)
@@ -186,6 +188,17 @@ let multi_thread_pair () =
       ignore (Vmht_rt.Hthreads.join t1);
       ignore (Vmht_rt.Hthreads.join t2))
 
+(* The data set-up of the sim benchmark's largest points, each on a
+   fresh SoC: a streaming kernel's arrays and a scattered search tree. *)
+let workload_setup () =
+  List.iter
+    (fun (w, size) ->
+      let soc = Vmht.Soc.create Vmht.Config.default in
+      ignore
+        ((Lazy.force w).Workload.setup (Vmht.Soc.aspace soc) ~size ~seed:42
+          : Workload.instance))
+    [ (vecadd, 16384); (tree_search, 65536) ]
+
 (* Lazy Test.t per target: selecting a subset by name never builds
    (or forces the workloads of) the rest. *)
 let targets : (string * Test.t Lazy.t) list =
@@ -212,6 +225,7 @@ let targets : (string * Test.t Lazy.t) list =
     t "sim.engine-wait" engine_wait;
     t "sim.event-queue-churn" event_queue_churn;
     t "sim.mmu-translate" mmu_translate_churn;
+    t "workload.setup" workload_setup;
   ]
 
 let contains_substring s sub =

@@ -43,11 +43,12 @@ let set_observer t f = t.observer <- Some f
 let fault_penalty t = t.cost.Cost_model.fault_penalty
 
 (* Resolve a virtual address, paying the fault penalty when demand
-   paging has to install the page. *)
+   paging has to install the page.  The page table is read on every
+   access, so an unmap needs no hook here. *)
 let resolve t vaddr =
-  match Addr_space.translate t.aspace vaddr with
-  | Some paddr -> paddr
-  | None ->
+  let paddr = Addr_space.paddr t.aspace vaddr in
+  if paddr >= 0 then paddr
+  else begin
     t.faults <- t.faults + 1;
     Engine.wait t.cost.Cost_model.fault_penalty;
     (match t.observer with
@@ -55,51 +56,158 @@ let resolve t vaddr =
       f ~duration:t.cost.Cost_model.fault_penalty
         (Vmht_obs.Event.Page_fault { vaddr; asid = 0 })
     | None -> ());
-    if Addr_space.handle_fault t.aspace ~vaddr then
-      match Addr_space.translate t.aspace vaddr with
-      | Some paddr -> paddr
-      | None -> raise (Addr_space.Segfault vaddr)
-    else raise (Addr_space.Segfault vaddr)
+    if not (Addr_space.handle_fault t.aspace ~vaddr) then
+      raise (Addr_space.Segfault vaddr);
+    let paddr = Addr_space.paddr t.aspace vaddr in
+    if paddr < 0 then raise (Addr_space.Segfault vaddr);
+    paddr
+  end
 
-let run_func t (f : Ir.func) ~args =
-  (* The CPU is a single simulation process, so load/store spans never
-     overlap and summing them attributes memory time exactly. *)
-  let timed g =
-    let t0 = Engine.now_p () in
-    let v = g () in
-    t.mem_cycles <- t.mem_cycles + (Engine.now_p () - t0);
-    v
+(* The CPU is a single simulation process, so load/store spans never
+   overlap and summing them attributes memory time exactly. *)
+let load t vaddr =
+  t.mem_accesses <- t.mem_accesses + 1;
+  let t0 = Engine.now_p () in
+  let v = Cache.read t.cache ~addr:vaddr ~phys:(resolve t vaddr) in
+  t.mem_cycles <- t.mem_cycles + (Engine.now_p () - t0);
+  v
+
+let store t vaddr value =
+  t.mem_accesses <- t.mem_accesses + 1;
+  let t0 = Engine.now_p () in
+  Cache.write t.cache ~addr:vaddr ~phys:(resolve t vaddr) value;
+  t.mem_cycles <- t.mem_cycles + (Engine.now_p () - t0)
+
+(* A function compiles, once per run, into one entry per label.  A
+   block is a sequence of segments: the memory-free instructions up to
+   the next load or store, as closures over register slots, then that
+   access.  A segment's costs are its instructions' cycles followed by
+   the access's issue cycle, or in the block's last segment by the
+   branch cost; they go to the engine as one run of waits, so the
+   clock moves once per segment when nothing else is queued, and every
+   access still happens at the cycle a per-instruction wait would put
+   it. *)
+type access =
+  | No_access
+  | Load of Ir.reg * Ir.operand
+  | Store of Ir.operand * Ir.operand
+
+type segment = {
+  ops : (unit -> unit) array;
+  costs : int array;
+  retired : int; (* instructions, the access included *)
+  access : access;
+}
+
+type block = {
+  steps : int; (* toward the runaway bound: the entry and each instruction *)
+  segments : segment array;
+  term : Ir.terminator;
+}
+
+let compile_op regs : Ir.instr -> unit -> unit = function
+  | Ir.Bin (op, d, Ir.Reg a, Ir.Reg b) ->
+    fun () -> regs.(d) <- Ast_interp.eval_binop op regs.(a) regs.(b)
+  | Ir.Bin (op, d, Ir.Reg a, Ir.Imm n) ->
+    fun () -> regs.(d) <- Ast_interp.eval_binop op regs.(a) n
+  | Ir.Bin (op, d, Ir.Imm n, Ir.Reg b) ->
+    fun () -> regs.(d) <- Ast_interp.eval_binop op n regs.(b)
+  | Ir.Bin (op, d, Ir.Imm m, Ir.Imm n) ->
+    fun () -> regs.(d) <- Ast_interp.eval_binop op m n
+  | Ir.Un (op, d, Ir.Reg a) ->
+    fun () -> regs.(d) <- Ast_interp.eval_unop op regs.(a)
+  | Ir.Un (op, d, Ir.Imm n) -> fun () -> regs.(d) <- Ast_interp.eval_unop op n
+  | Ir.Mov (d, Ir.Reg a) -> fun () -> regs.(d) <- regs.(a)
+  | Ir.Mov (d, Ir.Imm n) -> fun () -> regs.(d) <- n
+  | Ir.Load _ | Ir.Store _ -> invalid_arg "Cpu.compile_op: memory access"
+
+let compile_block cost regs (b : Ir.block) =
+  let segments = ref [] and ops = ref [] and costs = ref [] in
+  (* End the open segment with [access] (if any) and the cost [last]. *)
+  let close last access =
+    let run = match last with Some c -> c :: !costs | None -> !costs in
+    let retired =
+      List.length !ops + match access with No_access -> 0 | _ -> 1
+    in
+    if retired > 0 || run <> [] then
+      segments :=
+        {
+          ops = Array.of_list (List.rev !ops);
+          costs = Array.of_list (List.rev run);
+          retired;
+          access;
+        }
+        :: !segments;
+    ops := [];
+    costs := []
   in
-  let memory =
-    {
-      Ast_interp.load =
-        (fun vaddr ->
-          t.mem_accesses <- t.mem_accesses + 1;
-          timed (fun () ->
-              let phys = resolve t vaddr in
-              Cache.read t.cache ~addr:vaddr ~phys));
-      Ast_interp.store =
-        (fun vaddr value ->
-          t.mem_accesses <- t.mem_accesses + 1;
-          timed (fun () ->
-              let phys = resolve t vaddr in
-              Cache.write t.cache ~addr:vaddr ~phys value));
-    }
+  List.iter
+    (fun instr ->
+      let c = Cost_model.instr_cycles cost instr in
+      match instr with
+      | Ir.Load (d, a) -> close (Some c) (Load (d, a))
+      | Ir.Store (a, v) -> close (Some c) (Store (a, v))
+      | Ir.Bin _ | Ir.Un _ | Ir.Mov _ ->
+        ops := compile_op regs instr :: !ops;
+        costs := c :: !costs)
+    b.Ir.instrs;
+  close
+    (match b.Ir.term with
+    | Ir.Br _ -> Some cost.Cost_model.branch
+    | Ir.Jmp _ | Ir.Ret _ -> None)
+    No_access;
+  {
+    steps = 1 + List.length b.Ir.instrs;
+    segments = Array.of_list (List.rev !segments);
+    term = b.Ir.term;
+  }
+
+let run_func ?(max_steps = 100_000_000) t (f : Ir.func) ~args =
+  if List.length args <> List.length f.Ir.arg_regs then
+    invalid_arg
+      (Printf.sprintf "Cpu.run_func: %s expects %d arguments, got %d"
+         f.Ir.fname
+         (List.length f.Ir.arg_regs)
+         (List.length args));
+  let regs = Array.make (max f.Ir.next_reg 1) 0 in
+  List.iter2 (fun r v -> regs.(r) <- v) f.Ir.arg_regs args;
+  let value = function Ir.Reg r -> regs.(r) | Ir.Imm n -> n in
+  let blocks = Array.make (Ir.label_bound f) None in
+  List.iter
+    (fun (b : Ir.block) ->
+      blocks.(b.Ir.label) <- Some (compile_block t.cost regs b))
+    f.Ir.blocks;
+  let exec_segment s =
+    t.instructions <- t.instructions + s.retired;
+    if Array.length s.costs > 0 then Engine.waits s.costs;
+    let ops = s.ops in
+    for i = 0 to Array.length ops - 1 do
+      (Array.unsafe_get ops i) ()
+    done;
+    match s.access with
+    | No_access -> ()
+    | Load (d, a) -> regs.(d) <- load t (value a)
+    | Store (a, v) -> store t (value a) (value v)
   in
-  let hooks =
-    {
-      Ir_interp.no_hooks with
-      Ir_interp.on_instr =
-        (fun instr ->
-          t.instructions <- t.instructions + 1;
-          Engine.wait (Cost_model.instr_cycles t.cost instr));
-      Ir_interp.on_branch =
-        (fun ~taken:_ ->
-          t.branches <- t.branches + 1;
-          Engine.wait t.cost.Cost_model.branch);
-    }
+  (* A block that would take the step count past [max_steps] is not
+     entered, so a runaway thread stops within the budget. *)
+  let steps = ref 0 in
+  let rec exec label =
+    match blocks.(label) with
+    | None -> raise Not_found
+    | Some b -> (
+      let s = !steps + b.steps in
+      if s > max_steps then raise (Ir_interp.Runaway s);
+      steps := s;
+      Array.iter exec_segment b.segments;
+      match b.term with
+      | Ir.Jmp l -> exec l
+      | Ir.Br (c, l1, l2) ->
+        t.branches <- t.branches + 1;
+        exec (if value c <> 0 then l1 else l2)
+      | Ir.Ret v -> Option.map value v)
   in
-  Ir_interp.run ~hooks memory f ~args
+  exec (Ir.entry f).Ir.label
 
 let flush_cache t =
   (* Sweep cost plus the (timed) write-back of every dirty line. *)

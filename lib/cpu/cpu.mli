@@ -27,9 +27,28 @@ val create :
   Vmht_vm.Addr_space.t ->
   t
 
-val run_func : t -> Vmht_ir.Ir.func -> args:int list -> int option
+val run_func :
+  ?max_steps:int -> t -> Vmht_ir.Ir.func -> args:int list -> int option
 (** Timed execution in process context.  Raises
-    {!Vmht_vm.Addr_space.Segfault} on an unrepairable access. *)
+    {!Vmht_vm.Addr_space.Segfault} on an unrepairable access,
+    {!Vmht_lang.Ast_interp.Eval_error} on a division by zero and
+    [Invalid_argument] on an argument-count mismatch.
+
+    The function is compiled once per call into one entry per label:
+    each block becomes segments of closures over register slots, each
+    segment the memory-free instructions up to the next load or store.
+    A segment advances the clock through {!Vmht_sim.Engine.waits} over
+    its instructions' costs plus the access's issue cycle (or, ending
+    the block, the branch cost), so cycles, stats and the cycle of
+    every access are those of a wait per instruction — the IR
+    interpreter driven instruction by instruction, the reference the
+    tests compare this against.  Every access reads the page table
+    afresh, without allocating.
+
+    [max_steps] (default 100 million) bounds block entries plus
+    executed instructions, as {!Vmht_ir.Ir_interp.run} does: a block
+    that would exceed it is not entered, and
+    {!Vmht_ir.Ir_interp.Runaway} is raised instead. *)
 
 val flush_cache : t -> unit
 (** Timed: write all dirty L1 lines back (performed after a software

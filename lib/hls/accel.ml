@@ -31,6 +31,53 @@ let rec chunks n = function
     let chunk, rest = take n [] l in
     chunk :: chunks n rest
 
+(* A block's trace-compiled steps ({!Fsm.Trace}), each [Pure] run
+   carrying the unit cost of each of its cycles for {!Engine.waits}. *)
+type step = Mem of int array | Pure of int array array * int array
+
+(* What entering a label runs, resolved once per run. *)
+type code =
+  | Absent
+  | Pipelined of { plan : Pipeliner.plan; header : Ir.block; body : Ir.block }
+  | Block of {
+      sched : Schedule.block_schedule;
+      steps : step array;
+      term : Ir.terminator;
+    }
+
+(* One entry per label: the first plan headed there, else the label's
+   scheduled block with its terminator. *)
+let label_codes (hw : Fsm.t) =
+  let f = hw.Fsm.func in
+  let sched = hw.Fsm.schedule.Schedule.blocks in
+  let index = Ir.block_index f in
+  let codes = Array.make (Ir.label_bound f) Absent in
+  List.iter
+    (fun (b : Schedule.block_schedule) ->
+      let steps =
+        Array.map
+          (function
+            | Fsm.Trace.Mem ids -> Mem ids
+            | Fsm.Trace.Pure cycles ->
+              Pure (cycles, Array.make (Array.length cycles) 1))
+          (Fsm.Trace.compile_block b)
+      in
+      let term = (Hashtbl.find index b.Schedule.label).Ir.term in
+      codes.(b.Schedule.label) <- Block { sched = b; steps; term })
+    sched;
+  List.iter
+    (fun (plan : Pipeliner.plan) ->
+      let l = plan.Pipeliner.header in
+      codes.(l) <-
+        Pipelined
+          {
+            plan;
+            header = Hashtbl.find index l;
+            body = Hashtbl.find index plan.Pipeliner.body;
+          })
+    (List.rev hw.Fsm.plans);
+  codes
+
 let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
     ~args =
   let f = hw.Fsm.func in
@@ -42,23 +89,7 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
   let regs = Array.make (max f.Ir.next_reg 1) 0 in
   List.iter2 (fun r v -> regs.(r) <- v) f.Ir.arg_regs args;
   let value = function Ir.Reg r -> regs.(r) | Ir.Imm n -> n in
-  let sched_blocks = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Schedule.block_schedule) ->
-      Hashtbl.replace sched_blocks b.Schedule.label b)
-    hw.Fsm.schedule.Schedule.blocks;
-  (* Blocks execute their trace-compiled form (instruction indices
-     bucketed by start cycle, see {!Fsm.Trace}); compiled lazily, once
-     per label per run. *)
-  let compiled_blocks = Hashtbl.create 16 in
-  let compiled_for label b =
-    match Hashtbl.find_opt compiled_blocks label with
-    | Some c -> c
-    | None ->
-      let c = Fsm.Trace.compile_block b in
-      Hashtbl.add compiled_blocks label c;
-      c
-  in
+  let codes = label_codes hw in
   (* Execute one memory FSM state (= one schedule cycle of a block
      holding at least one access).  All operand reads happen against
      the register file as it was at state entry; commits are buffered
@@ -98,14 +129,15 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
     stats.fsm_cycles <- stats.fsm_cycles + 1;
     List.iter (fun (d, v) -> regs.(d) <- v) (List.rev !commits)
   in
-  (* A [Pure] step: no memory, so the unit waits of its cycles fuse
-     into one wait at the end.  Register semantics are preserved
-     exactly — each cycle still reads the file as of its own entry and
-     commits at its own exit (buffered when a cycle holds several ops);
-     only the wait placement moves, which nothing can observe because
-     pure cycles touch no shared structure. *)
+  (* A [Pure] step: no memory, so its cycles' unit waits go to the
+     engine as one run ({!Engine.waits}), which moves the clock once
+     when nothing else is queued before the run ends and otherwise
+     breaks every same-cycle tie as the per-state waits would.  Register
+     semantics are preserved exactly — each cycle still reads the file
+     as of its own entry and commits at its own exit (buffered when a
+     cycle holds several ops). *)
   let exec_pure_fused (b : Schedule.block_schedule) (cycles : int array array)
-      =
+      units =
     let n = Array.length cycles in
     for c = 0 to n - 1 do
       let ids = cycles.(c) in
@@ -133,7 +165,7 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
       end
     done;
     stats.fsm_cycles <- stats.fsm_cycles + n;
-    Engine.wait n
+    Engine.waits units
   in
   (* Sequential functional execution of one instruction, used by the
      software-pipelined loop path: results are exact (program order);
@@ -155,9 +187,8 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
   (* Run a modulo-scheduled loop: one iteration initiates every II
      cycles once the pipeline is full; iterations whose memory exceeds
      the II stall the pipeline for the difference. *)
-  let exec_pipelined (plan : Pipeliner.plan) =
-    let header = Ir.find_block f plan.Pipeliner.header in
-    let body = Ir.find_block f plan.Pipeliner.body in
+  let exec_pipelined (plan : Pipeliner.plan) (header : Ir.block)
+      (body : Ir.block) =
     let cond =
       match header.Ir.term with
       | Ir.Br (c, _, _) -> c
@@ -180,43 +211,45 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
     iterate ();
     plan.Pipeliner.exit
   in
-  let plan_for label =
-    List.find_opt
-      (fun (p : Pipeliner.plan) -> p.Pipeliner.header = label)
-      hw.Fsm.plans
+  let exec_steps sched steps =
+    for i = 0 to Array.length steps - 1 do
+      match steps.(i) with
+      | Mem ids -> exec_mem_cycle sched ids
+      | Pure (cycles, units) -> exec_pure_fused sched cycles units
+    done
   in
   (* One FSM-state event per block entry (a pipelined region counts as
      one state spanning all its iterations), with the measured span. *)
-  let observe_block label body =
-    match observer with
-    | None -> body ()
-    | Some (emit : Vmht_obs.Event.emitter) ->
-      let t0 = Engine.now_p () in
-      let r = body () in
-      emit
-        ~duration:(Engine.now_p () - t0)
-        (Vmht_obs.Event.Fsm_state { block = Printf.sprintf "L%d" label });
-      r
+  let emit_state (emit : Vmht_obs.Event.emitter) label t0 =
+    emit
+      ~duration:(Engine.now_p () - t0)
+      (Vmht_obs.Event.Fsm_state { block = Printf.sprintf "L%d" label })
   in
   let rec exec_block label =
-    match plan_for label with
-    | Some plan ->
-      exec_block (observe_block label (fun () -> exec_pipelined plan))
-    | None ->
+    match codes.(label) with
+    | Absent -> raise Not_found
+    | Pipelined { plan; header; body } ->
+      let next =
+        match observer with
+        | None -> exec_pipelined plan header body
+        | Some emit ->
+          let t0 = Engine.now_p () in
+          let next = exec_pipelined plan header body in
+          emit_state emit label t0;
+          next
+      in
+      exec_block next
+    | Block { sched; steps; term } -> (
       stats.block_visits <- stats.block_visits + 1;
-      let b = Hashtbl.find sched_blocks label in
-      let steps = compiled_for label b in
-      observe_block label (fun () ->
-          Array.iter
-            (fun (step : Fsm.Trace.step) ->
-              match step with
-              | Fsm.Trace.Mem ids -> exec_mem_cycle b ids
-              | Fsm.Trace.Pure cycles -> exec_pure_fused b cycles)
-            steps);
-      let ir_block = Ir.find_block f label in
-      (match ir_block.Ir.term with
-       | Ir.Jmp l -> exec_block l
-       | Ir.Br (c, l1, l2) -> exec_block (if value c <> 0 then l1 else l2)
-       | Ir.Ret v -> Option.map value v)
+      (match observer with
+      | None -> exec_steps sched steps
+      | Some emit ->
+        let t0 = Engine.now_p () in
+        exec_steps sched steps;
+        emit_state emit label t0);
+      match term with
+      | Ir.Jmp l -> exec_block l
+      | Ir.Br (c, l1, l2) -> exec_block (if value c <> 0 then l1 else l2)
+      | Ir.Ret v -> Option.map value v)
   in
   exec_block (Ir.entry f).Ir.label

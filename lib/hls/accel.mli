@@ -48,13 +48,16 @@ val run :
     software-pipelined loop region emits a single event covering all
     its iterations.
 
-    Blocks execute through their trace-compiled form ({!Fsm.Trace}):
-    runs of memory-free FSM states advance the clock with one fused
-    wait instead of one per state, which nothing can observe; any state
-    touching memory executes alone, so faults and contention land
-    exactly where a per-state interpreter would put them.  The RTL
-    evaluator ([Vmht_rtl.Eval]) runs the emitted FSM edge by edge and
-    is the per-state reference this path is checked against. *)
+    Blocks execute through their trace-compiled form ({!Fsm.Trace}),
+    compiled for every label when the run starts: a run of memory-free
+    FSM states advances the clock through {!Vmht_sim.Engine.waits},
+    which is one clock move when nothing else is queued before the run
+    ends and otherwise breaks every same-cycle tie as the per-state
+    waits would; any state touching memory executes alone, so faults
+    and contention land exactly where a per-state interpreter would put
+    them.  The RTL evaluator ([Vmht_rtl.Eval]) runs the emitted FSM
+    edge by edge and is the per-state reference this path is checked
+    against, alone and with several threads on one SoC. *)
 
 val untimed_port : Vmht_lang.Ast_interp.memory -> port
 (** Wrap an untimed memory as a port (for functional tests outside the

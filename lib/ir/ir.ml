@@ -95,6 +95,13 @@ let successors = function
   | Br (_, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
   | Ret _ -> []
 
+let label_bound f =
+  List.fold_left
+    (fun n b ->
+      List.fold_left (fun n l -> max n (l + 1)) (max n (b.label + 1))
+        (successors b.term))
+    0 f.blocks
+
 let predecessors f =
   let preds = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace preds b.label []) f.blocks;

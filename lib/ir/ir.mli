@@ -74,6 +74,10 @@ val iter_term_uses : (reg -> unit) -> terminator -> unit
 
 val successors : terminator -> label list
 
+val label_bound : func -> int
+(** One more than the largest label a block carries or a terminator
+    targets: the length of an array indexed by label. *)
+
 val predecessors : func -> (label, label list) Hashtbl.t
 (** Map from block label to the labels of its predecessors. *)
 

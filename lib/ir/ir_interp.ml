@@ -1,17 +1,8 @@
 module Ast_interp = Vmht_lang.Ast_interp
 
-type hooks = {
-  on_instr : Ir.instr -> unit;
-  on_branch : taken:bool -> unit;
-  on_block : Ir.label -> unit;
-}
+type hooks = { on_instr : Ir.instr -> unit; on_branch : taken:bool -> unit }
 
-let no_hooks =
-  {
-    on_instr = (fun _ -> ());
-    on_branch = (fun ~taken:_ -> ());
-    on_block = (fun _ -> ());
-  }
+let no_hooks = { on_instr = (fun _ -> ()); on_branch = (fun ~taken:_ -> ()) }
 
 exception Runaway of int
 
@@ -46,7 +37,6 @@ let run ?(hooks = no_hooks) ?(max_steps = 100_000_000)
        empty blocks cannot run away. *)
     incr steps;
     if !steps > max_steps then raise (Runaway !steps);
-    hooks.on_block label;
     let b = Hashtbl.find blocks label in
     List.iter step b.Ir.instrs;
     match b.Ir.term with

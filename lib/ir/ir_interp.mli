@@ -1,20 +1,17 @@
 (** IR-level interpreter.
 
-    Serves two roles: (1) semantic oracle for the optimization passes
-    (its results must match the AST interpreter), and (2) execution
-    core of the simulated CPU — the CPU drives it with hooks that
-    charge cycle costs per instruction, and with a memory whose
-    [load]/[store] perform timed bus transactions. *)
+    The semantic oracle for the optimization passes (its results must
+    match the AST interpreter).  Driven with hooks that charge cycle
+    costs per instruction and a memory whose [load]/[store] perform
+    timed bus transactions, it is also the per-instruction reference
+    the compiled CPU ([Vmht_cpu.Cpu]) is tested against. *)
 
 type hooks = {
   on_instr : Ir.instr -> unit;
       (** called before each executed instruction *)
   on_branch : taken:bool -> unit;
       (** called at each conditional branch *)
-  on_block : Ir.label -> unit;  (** called on entry to each block *)
 }
-
-val no_hooks : hooks
 
 exception Runaway of int
 (** Raised when execution exceeds the step bound. *)

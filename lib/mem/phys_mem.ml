@@ -3,9 +3,9 @@ let word_bytes = 8
 (* Backing store is chunked and demand-allocated: a flat array would
    cost a 64 MiB allocate-and-zero on every [create] — per-run setup
    that dwarfs a small simulation.  A chunk springs into existence
-   (zeroed) on first write; unwritten chunks read as zero through a
-   shared empty sentinel, so observable contents are identical to the
-   flat array. *)
+   (zeroed) on its first non-zero write; unwritten chunks read as zero
+   through a shared empty sentinel, so observable contents are
+   identical to the flat array. *)
 let chunk_shift = 13 (* 8192 words = 64 KiB per chunk *)
 
 let chunk_words = 1 lsl chunk_shift
@@ -41,12 +41,9 @@ let write t addr value =
   let i = index t addr in
   let ci = i lsr chunk_shift in
   let c = Array.unsafe_get t.chunks ci in
-  let c =
-    if c != empty_chunk then c
-    else begin
-      let fresh = Array.make chunk_words 0 in
-      Array.unsafe_set t.chunks ci fresh;
-      fresh
-    end
-  in
-  Array.unsafe_set c (i land chunk_mask) value
+  if c != empty_chunk then Array.unsafe_set c (i land chunk_mask) value
+  else if value <> 0 then begin
+    let fresh = Array.make chunk_words 0 in
+    Array.unsafe_set t.chunks ci fresh;
+    Array.unsafe_set fresh (i land chunk_mask) value
+  end

@@ -234,30 +234,60 @@ let engine_of_context () =
    smaller sequence number and must dispatch first) and [target] does
    not cross the run horizon — moves the clock here, in the caller:
    observationally identical to the heap round-trip it replaces, and
-   no effect is performed.  The profiler is charged inline exactly as
-   [schedule]'s wrapper would have charged the dispatch: the advance
-   goes to the phase current at the wait. *)
-let wait n =
-  assert (n >= 0);
-  let t = engine_of_context () in
+   no effect is performed. *)
+let can_fast_forward t target =
+  t.fastpath && target <= t.horizon
+  && (Event_queue.is_empty t.queue || Event_queue.min_time_exn t.queue > target)
+
+(* The profiler is charged inline exactly as [schedule]'s wrapper would
+   have charged the dispatch: the advance goes to the phase current at
+   the wait. *)
+let fast_forward t target =
+  (match t.profile with
+  | Some p ->
+    let dt = target - p.charged_upto in
+    if dt > 0 then p.cycles.(p.cur_phase) <- p.cycles.(p.cur_phase) + dt;
+    p.charged_upto <- target
+  | None -> ());
+  t.now <- target;
+  t.fast_forwards <- t.fast_forwards + 1
+
+let wait_on t n =
   if n > 0 then begin
     let target = t.now + n in
-    if
-      t.fastpath && target <= t.horizon
-      && (Event_queue.is_empty t.queue
-         || Event_queue.min_time_exn t.queue > target)
-    then begin
-      (match t.profile with
-      | Some p ->
-        let dt = target - p.charged_upto in
-        if dt > 0 then p.cycles.(p.cur_phase) <- p.cycles.(p.cur_phase) + dt;
-        p.charged_upto <- target
-      | None -> ());
-      t.now <- target;
-      t.fast_forwards <- t.fast_forwards + 1
-    end
+    if can_fast_forward t target then fast_forward t target
     else Effect.perform (Wait target)
   end
+
+let wait n =
+  assert (n >= 0);
+  wait_on (engine_of_context ()) n
+
+(* The rest of a run, from wait [i] on, [remaining] cycles in all.  It
+   moves the clock once when nothing queued falls at or before its end:
+   no other process can run in between, so each of its waits would
+   have fast-forwarded too.  Otherwise it issues wait [i] on its own —
+   where a queued event ties with it, the tie goes exactly as it would
+   for that unit wait — and tries the rest again. *)
+let rec waits_from t costs i remaining =
+  if remaining > 0 then begin
+    let target = t.now + remaining in
+    if can_fast_forward t target then fast_forward t target
+    else begin
+      let c = costs.(i) in
+      wait_on t c;
+      waits_from t costs (i + 1) (remaining - c)
+    end
+  end
+
+let waits costs =
+  let total = ref 0 in
+  for i = 0 to Array.length costs - 1 do
+    let c = Array.unsafe_get costs i in
+    assert (c >= 0);
+    total := !total + c
+  done;
+  waits_from (engine_of_context ()) costs 0 !total
 
 let now_p () = (engine_of_context ()).now
 

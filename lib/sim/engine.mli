@@ -13,9 +13,10 @@
     starting or a parked process resuming — there is no way to
     schedule a bare callback — so the engine that {!run} installs as
     the context is always the one the running code belongs to.  That
-    is what lets {!now_p}, {!fork} and a {!wait} nothing can observe
-    run as plain calls; only a {!suspend} or a wait that a queued event
-    must precede performs an effect and gives up control. *)
+    is what lets {!now_p}, {!fork} and a {!wait} (or {!waits} run)
+    nothing can observe run as plain calls; only a {!suspend} or a wait
+    that a queued event must precede performs an effect and gives up
+    control. *)
 
 type t
 
@@ -32,14 +33,14 @@ exception Stuck of string
 val create : ?fastpath:bool -> unit -> t
 (** [fastpath] (default [true]) enables the single-runnable wait fast
     path: when the event queue holds no event at or before the target
-    time of a {!wait} and the target is within the {!run} horizon,
-    {!wait} advances the clock itself and returns — no effect, no heap
-    round-trip, no dispatch.  The schedule produced is observationally
-    identical — cycle counts, event order and profile attribution do
-    not change — only the heap traffic and dispatch count do: each
-    absorbed wait replaces exactly one dispatch.  The simulator always
-    runs with it on; [~fastpath:false] is the reference the unit tests
-    compare it against. *)
+    time of a {!wait} (or the end of a {!waits} run) and the target is
+    within the {!run} horizon, the clock is advanced in the caller and
+    the call returns — no effect, no heap round-trip, no dispatch.  The
+    schedule produced is observationally identical — cycle counts,
+    event order and profile attribution do not change — only the heap
+    traffic and dispatch count do.  The simulator always runs with it
+    on; [~fastpath:false] is the reference the unit tests compare it
+    against. *)
 
 val now : t -> time
 (** Current simulated time (usable from any context). *)
@@ -58,10 +59,11 @@ val events_executed : t -> int
 (** Total events the engine has dispatched (a work measure). *)
 
 val fast_forwards : t -> int
-(** Number of waits the single-runnable fast path absorbed in the
-    caller, without an effect or a heap round-trip (0 when the fast
-    path is disabled).  With the fast path on, {!events_executed} plus
-    this count equals the reference's {!events_executed}. *)
+(** Number of clock moves the fast path made in the caller, without an
+    effect or a heap round-trip (0 when the fast path is disabled).  A
+    fast-forwarded {!wait} replaces exactly one dispatch of the
+    reference; a fused {!waits} run counts once however many waits it
+    covers. *)
 
 (** {2 Profiling and batch observation} *)
 
@@ -91,6 +93,18 @@ val wait : int -> unit
     within the {!run} horizon, the clock is moved in place and the call
     returns without yielding; otherwise the process performs an effect
     and resumes from the event queue. *)
+
+val waits : int array -> unit
+(** [waits costs] is [Array.iter wait costs], cycle for cycle and tie
+    for tie: every same-cycle race a queued event runs against one of
+    the waits goes the way it would for that wait.  With the fast path
+    on, when no queued event falls at or before the end of the whole
+    run and the end is within the {!run} horizon, the clock moves once
+    (one fast-forward); otherwise the next wait is issued on its own
+    and the rest of the run is tried again after it.  On
+    [~fastpath:false] the waits are always issued one at a time.  The
+    primitive a memory-free stretch of accelerator states or CPU
+    instructions advances time with. *)
 
 val now_p : unit -> time
 (** Current simulated time, from inside a process.  A plain read of

@@ -29,13 +29,11 @@ let page_table t = t.pt
 
 let page_bytes t = Page_table.page_bytes t.pt
 
+(* Every free frame reads zero ([Page_table.unmap] clears a frame as
+   it frees it), so a fresh frame needs no clearing here. *)
 let map_fresh_frame t vaddr =
-  let frame = Frame_alloc.alloc t.frames in
-  (* Zero the frame: allocators hand out recycled frames too. *)
-  for i = 0 to (page_bytes t / Phys_mem.word_bytes) - 1 do
-    Phys_mem.write t.mem (frame + (i * Phys_mem.word_bytes)) 0
-  done;
-  Page_table.map t.pt ~vaddr ~frame ~writable:true
+  Page_table.map t.pt ~vaddr ~frame:(Frame_alloc.alloc t.frames)
+    ~writable:true
 
 let alloc ?(lazy_ = false) t ~bytes =
   if bytes <= 0 then invalid_arg "Addr_space.alloc: non-positive size";
@@ -71,19 +69,38 @@ let handle_fault t ~vaddr =
 
 let translate t vaddr = Page_table.translate t.pt ~vaddr
 
+let paddr t vaddr = Page_table.paddr t.pt ~vaddr
+
 let resolve t vaddr =
-  match translate t vaddr with
-  | Some paddr -> paddr
-  | None ->
-    if handle_fault t ~vaddr then
-      match translate t vaddr with
-      | Some paddr -> paddr
-      | None -> raise (Segfault vaddr)
-    else raise (Segfault vaddr)
+  let p = paddr t vaddr in
+  if p >= 0 then p
+  else if handle_fault t ~vaddr then begin
+    let p = paddr t vaddr in
+    if p < 0 then raise (Segfault vaddr);
+    p
+  end
+  else raise (Segfault vaddr)
 
 let load_word t vaddr = Phys_mem.read t.mem (resolve t vaddr)
 
 let store_word t vaddr value = Phys_mem.write t.mem (resolve t vaddr) value
+
+(* One translation per page: the words up to the page's end are
+   consecutive in the frame it maps to. *)
+let store_words t vaddr ~words init =
+  let page = page_bytes t and wb = Phys_mem.word_bytes in
+  let rec from i =
+    if i < words then begin
+      let va = vaddr + (i * wb) in
+      let p = resolve t va in
+      let stop = min words (i + ((page - (va land (page - 1))) / wb)) in
+      for j = i to stop - 1 do
+        Phys_mem.write t.mem (p + ((j - i) * wb)) (init j)
+      done;
+      from stop
+    end
+  in
+  from 0
 
 let free_bytes t =
   (Frame_alloc.capacity t.frames - Frame_alloc.allocated_count t.frames)

@@ -38,10 +38,19 @@ val handle_fault : t -> vaddr:int -> bool
 val translate : t -> int -> int option
 (** Untimed translation (no faulting). *)
 
+val paddr : t -> int -> int
+(** {!translate} without allocating: [-1] when unmapped. *)
+
 val load_word : t -> int -> int
 (** Untimed access for setup/checking; faults lazy pages in silently. *)
 
 val store_word : t -> int -> int -> unit
+
+val store_words : t -> int -> words:int -> (int -> int) -> unit
+(** [store_words t vaddr ~words init] stores [init i] at
+    [vaddr + 8 i] for each [i < words], as {!store_word} would (lazy
+    pages fault in), translating once per page rather than once per
+    word.  [vaddr] must be word-aligned. *)
 
 val free_bytes : t -> int
 (** Physical bytes still unallocated in the frame pool. *)

@@ -13,12 +13,15 @@ val create : base:int -> bytes:int -> page_bytes:int -> t
     [page_bytes]. *)
 
 val alloc : t -> int
-(** Physical address of a fresh (zeroed by the caller) frame.
+(** Physical address of a free frame.  The allocator never touches
+    memory: a frame reads zero because it was never written or because
+    {!Page_table.unmap}, the only caller of {!free}, zeroes it first.
     Raises {!Out_of_frames} when exhausted. *)
 
 val free : t -> int -> unit
-(** Return a frame to the pool.  Raises [Invalid_argument] if the
-    address was not allocated by this allocator. *)
+(** Return a frame to the pool; the caller zeroes it first.  Raises
+    [Invalid_argument] if the address was not allocated by this
+    allocator. *)
 
 val allocated_count : t -> int
 

@@ -30,8 +30,9 @@ let create mem frames ~page_shift ~va_bits =
   let l1_bits = vpn_bits - l2_bits in
   if l1_bits + 3 > page_shift then
     invalid_arg "Page_table.create: level-1 table does not fit a page";
+  (* Every frame the allocator hands out reads zero — never written, or
+     zeroed by [unmap] when freed — so every entry starts invalid. *)
   let root = Frame_alloc.alloc frames in
-  (* Fresh frames come zeroed from Phys_mem; entries are invalid. *)
   { mem; frames; page_shift; l1_bits; l2_bits; root; mapped = 0 }
 
 let page_bytes t = 1 lsl t.page_shift
@@ -80,11 +81,9 @@ let map t ~vaddr ~frame ~writable =
     match decode t (Phys_mem.read t.mem l1_addr) with
     | Some { frame = table; _ } -> table
     | None ->
+      (* A fresh frame reads zero: every entry of the new table is
+         invalid. *)
       let table = Frame_alloc.alloc t.frames in
-      (* Zero the new level-2 table. *)
-      for i = 0 to (1 lsl t.l2_bits) - 1 do
-        Phys_mem.write t.mem (table + (i * Phys_mem.word_bytes)) 0
-      done;
       Phys_mem.write t.mem l1_addr (encode t ~frame:table ~writable:true);
       table
   in
@@ -104,9 +103,14 @@ let unmap t ~vaddr =
      | Some { frame; _ } ->
        Phys_mem.write t.mem entry_addr 0;
        t.mapped <- t.mapped - 1;
-       (* Return the data frame, and the level-2 table itself once its
-          last entry is gone — otherwise map/unmap churn leaks physical
-          memory until Out_of_frames. *)
+       (* Return the data frame, zeroed — every free frame reads zero,
+          which is what lets [map] and demand paging use a frame as
+          allocated — and the level-2 table itself once its last entry
+          is gone (all zero already), so that map/unmap churn does not
+          leak physical memory until Out_of_frames. *)
+       for i = 0 to (page_bytes t / Phys_mem.word_bytes) - 1 do
+         Phys_mem.write t.mem (frame + (i * Phys_mem.word_bytes)) 0
+       done;
        Frame_alloc.free t.frames frame;
        let entries = 1 lsl t.l2_bits in
        let rec empty i =
@@ -127,6 +131,20 @@ let lookup t ~vaddr =
     decode t
       (Phys_mem.read t.mem (table + (l2_index t vaddr * Phys_mem.word_bytes)))
 
+(* The walk on raw entry words: no option, no entry record. *)
+let paddr t ~vaddr =
+  let l1 = Phys_mem.read t.mem (l1_entry_addr t vaddr) in
+  if l1 land valid_bit = 0 then -1
+  else
+    let table = (l1 lsr t.page_shift) lsl t.page_shift in
+    let leaf =
+      Phys_mem.read t.mem (table + (l2_index t vaddr * Phys_mem.word_bytes))
+    in
+    if leaf land valid_bit = 0 then -1
+    else
+      (leaf lsr t.page_shift) lsl t.page_shift
+      lor (vaddr land ((1 lsl t.page_shift) - 1))
+
 let walk_addrs t ~vaddr =
   let l1_addr = l1_entry_addr t vaddr in
   match l2_table t vaddr with
@@ -135,8 +153,7 @@ let walk_addrs t ~vaddr =
     [ l1_addr; table + (l2_index t vaddr * Phys_mem.word_bytes) ]
 
 let translate t ~vaddr =
-  match lookup t ~vaddr with
-  | None -> None
-  | Some { frame; _ } -> Some (frame lor (vaddr land (page_bytes t - 1)))
+  let p = paddr t ~vaddr in
+  if p < 0 then None else Some p
 
 let mapped_pages t = t.mapped

@@ -27,7 +27,9 @@ val page_shift : t -> int
 
 val root : t -> int
 (** Physical address of the level-1 table (the "page-table base
-    register" the MMU is programmed with). *)
+    register" the MMU is programmed with).  Like every table frame it
+    comes from the allocator reading zero, so all entries start
+    invalid. *)
 
 val map : t -> vaddr:int -> frame:int -> writable:bool -> unit
 (** Install a translation for the page containing [vaddr].  Allocates
@@ -35,11 +37,13 @@ val map : t -> vaddr:int -> frame:int -> writable:bool -> unit
     already has a valid entry. *)
 
 val unmap : t -> vaddr:int -> unit
-(** Clears the entry and returns the data frame to the allocator; once
-    the page's level-2 table holds no more valid entries, the table
-    frame is freed too and the level-1 entry cleared.  No-op if not
-    mapped.  Callers owning TLBs or walk caches must shoot them down —
-    freed frames are eligible for immediate reuse. *)
+(** Clears the entry and returns the data frame to the allocator,
+    zeroed; once the page's level-2 table holds no more valid entries,
+    the table frame (all zero by then) is freed too and the level-1
+    entry cleared.  This is the one place a frame is freed, so every
+    free frame reads zero.  No-op if not mapped.  Callers owning TLBs
+    or walk caches must shoot them down — freed frames are eligible for
+    immediate reuse. *)
 
 val lookup : t -> vaddr:int -> entry option
 (** Untimed functional walk (what a TLB refill ultimately returns). *)
@@ -50,5 +54,9 @@ val walk_addrs : t -> vaddr:int -> int list
 
 val translate : t -> vaddr:int -> int option
 (** Full virtual-to-physical translation of a byte address. *)
+
+val paddr : t -> vaddr:int -> int
+(** {!translate} without allocating: the physical address, or [-1]
+    when the page is not mapped. *)
 
 val mapped_pages : t -> int

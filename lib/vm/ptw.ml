@@ -28,6 +28,10 @@ type t = {
 let create ?(per_level_overhead = 2) ?(walk_cache_entries = 0) bus pt =
   if walk_cache_entries < 0 then
     invalid_arg "Ptw.create: negative walk-cache size";
+  if walk_cache_entries > Tlb.max_entries then
+    invalid_arg
+      (Printf.sprintf "Ptw.create: %d walk-cache entries exceed the bound of %d"
+         walk_cache_entries Tlb.max_entries);
   {
     bus;
     pt;

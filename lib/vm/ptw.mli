@@ -23,7 +23,8 @@ val create :
 (** Default per-level overhead: 2 cycles.  [walk_cache_entries] sizes a
     direct-mapped page-walk cache over level-1 entries; a hit skips the
     L1 bus read so a warm two-level walk issues one read instead of
-    two.  Default 0 = disabled. *)
+    two.  Default 0 = disabled.  Raises [Invalid_argument], before
+    allocating, on a negative size or one above {!Tlb.max_entries}. *)
 
 val set_fault : t -> Vmht_fault.Injector.t -> unit
 (** Attach a fault injector: per-level stalls ([walk_stall]) and

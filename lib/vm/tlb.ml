@@ -47,8 +47,14 @@ let invalid_slot =
     stamp = 0;
   }
 
+let max_entries = 65_536
+
 let validate config =
   if config.entries <= 0 then invalid_arg "Tlb.create: no entries";
+  if config.entries > max_entries then
+    invalid_arg
+      (Printf.sprintf "Tlb.create: %d entries exceed the bound of %d"
+         config.entries max_entries);
   if config.assoc < 0 then invalid_arg "Tlb.create: negative associativity";
   if config.assoc > 0 && config.entries mod config.assoc <> 0 then
     invalid_arg

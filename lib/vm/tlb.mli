@@ -21,10 +21,16 @@ type stats = { lookups : int; hits : int; evictions : int }
 
 type t
 
+val max_entries : int
+(** 65,536: the most entries a TLB (or a walk cache, {!Ptw.create}) may
+    have.  Every experiment uses 128 or fewer; the bound keeps an
+    oversized request from exhausting host memory. *)
+
 val validate : config -> unit
-(** Raises [Invalid_argument] when [entries] is non-positive or does not
-    divide evenly into [assoc]-way sets — a non-divisible geometry would
-    otherwise silently round the capacity down.  Allocates nothing. *)
+(** Raises [Invalid_argument] when [entries] is non-positive, exceeds
+    {!max_entries} or does not divide evenly into [assoc]-way sets — a
+    non-divisible geometry would otherwise silently round the capacity
+    down.  Allocates nothing. *)
 
 val create : ?memo:bool -> config -> t
 (** Raises [Invalid_argument] as {!validate} does.

@@ -44,30 +44,27 @@ let setup aspace ~size ~seed =
     keys.(i) <- !cur
   done;
   let arena_words = 3 * n in
-  let arena =
-    Workload.alloc_array aspace ~words:arena_words ~init:(fun _ -> 0)
-  in
+  (* Fresh frames read zero: the arena needs no clearing. *)
+  let arena = Vmht_vm.Addr_space.alloc aspace ~bytes:(arena_words * wb) in
   (* Scatter the node slots so tree edges jump across the arena. *)
   let slots = Array.init n Fun.id in
   Vmht_util.Rng.shuffle rng slots;
   let node_addr i = arena + (3 * slots.(i) * wb) in
   let store = Vmht_vm.Addr_space.store_word aspace in
   (* Build a balanced BST over keys[lo..hi]; returns the subtree root's
-     node id (= key index) or none for an empty range. *)
+     address, or 0 (null) for an empty range. *)
   let rec build lo hi =
-    if lo > hi then None
+    if lo > hi then 0
     else begin
       let mid = (lo + hi) / 2 in
       let addr = node_addr mid in
-      let left = build lo (mid - 1) in
-      let right = build (mid + 1) hi in
       store addr keys.(mid);
-      store (addr + wb) (match left with Some a -> a | None -> 0);
-      store (addr + (2 * wb)) (match right with Some a -> a | None -> 0);
-      Some addr
+      store (addr + wb) (build lo (mid - 1));
+      store (addr + (2 * wb)) (build (mid + 1) hi);
+      addr
     end
   in
-  let root = match build 0 (n - 1) with Some a -> a | None -> 0 in
+  let root = build 0 (n - 1) in
   (* Few queries over a big tree: the traversal touches a small
      fraction of the arena, which is where shared virtual memory beats
      staging the whole structure. *)
@@ -80,11 +77,20 @@ let setup aspace ~size ~seed =
   let qbuf =
     Workload.alloc_array aspace ~words:nq ~init:(fun i -> queries.(i))
   in
+  (* The keys are sorted: a binary search per query. *)
+  let present q =
+    let rec search lo hi =
+      if lo > hi then false
+      else
+        let mid = (lo + hi) / 2 in
+        if q = keys.(mid) then true
+        else if q < keys.(mid) then search lo (mid - 1)
+        else search (mid + 1) hi
+    in
+    search 0 (n - 1)
+  in
   let expected =
-    Array.fold_left
-      (fun acc q ->
-        if Array.exists (fun k -> k = q) keys then acc + 1 else acc)
-      0 queries
+    Array.fold_left (fun acc q -> if present q then acc + 1 else acc) 0 queries
   in
   {
     Workload.args = [ root; qbuf; nq ];

@@ -31,7 +31,5 @@ let reserve aspace ~words =
 
 let alloc_array aspace ~words ~init =
   let base = Addr_space.alloc aspace ~bytes:(words * word_bytes) in
-  for i = 0 to words - 1 do
-    Addr_space.store_word aspace (base + (i * word_bytes)) (init i)
-  done;
+  Addr_space.store_words aspace base ~words init;
   base

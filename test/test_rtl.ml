@@ -579,6 +579,86 @@ let prop_rtl_differential =
       let observe backend = fuzz_vm_observe ~backend ~seed:1 config hw in
       observe Vmht.Config.Model = observe Vmht.Config.Rtl)
 
+(* ---------------- concurrent hardware threads ---------------------- *)
+
+(* Fig. 6's set-up — N VM threads of one kernel on one SoC, each over
+   its own data — on one backend: the span from the first spawn to the
+   last join, and whether every thread returned its expected value and
+   left correct outputs. *)
+let concurrent_run ~backend ~banks (w : Vmht_workloads.Workload.t) ~size n =
+  let module W = Vmht_workloads.Workload in
+  let config =
+    Vmht.Config.with_backend
+      (Vmht.Config.with_banks Vmht.Config.default banks)
+      backend
+  in
+  let soc = Vmht.Soc.create config in
+  let aspace = Vmht.Soc.aspace soc in
+  let instances =
+    List.init n (fun i -> w.W.setup aspace ~size ~seed:(i + 1))
+  in
+  let hw =
+    Flow.run_exn
+      (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface
+         (W.kernel w))
+  in
+  let span, rets =
+    Vmht.Launch.run_to_completion soc (fun () ->
+        let t0 = Engine.now_p () in
+        let threads =
+          List.mapi
+            (fun i (inst : W.instance) ->
+              Vmht_rt.Hthreads.spawn ~name:(Printf.sprintf "ht%d" i)
+                (fun () ->
+                  Vmht.Launch.run_hw soc hw
+                    { Vmht.Launch.args = inst.W.args; buffers = [] }))
+            instances
+        in
+        let rets =
+          List.map
+            (fun t -> (Vmht_rt.Hthreads.join t).Vmht.Launch.ret)
+            threads
+        in
+        (Engine.now_p () - t0, rets))
+  in
+  let load = Vmht_vm.Addr_space.load_word aspace in
+  let correct =
+    List.for_all2
+      (fun (inst : W.instance) ret ->
+        ret = inst.W.expected_ret && inst.W.check load)
+      instances rets
+  in
+  (span, correct)
+
+(* Threads that share the bus race each other for it, so a memory-free
+   run of one thread's FSM states can end in the very cycle another
+   thread requests the bus.  The model must break that tie as the
+   emitted RTL, which waits state by state, does: equal spans and
+   correct results on both backends at every point. *)
+let test_concurrent_threads_match_rtl () =
+  List.iter
+    (fun (name, size) ->
+      let w = Vmht_workloads.Registry.find name in
+      List.iter
+        (fun banks ->
+          List.iter
+            (fun n ->
+              let at =
+                Printf.sprintf "%s %d, banks %d, %d threads" name size banks n
+              in
+              let model_span, model_ok =
+                concurrent_run ~backend:Vmht.Config.Model ~banks w ~size n
+              in
+              let rtl_span, rtl_ok =
+                concurrent_run ~backend:Vmht.Config.Rtl ~banks w ~size n
+              in
+              check_bool (at ^ ": model correct") true model_ok;
+              check_bool (at ^ ": rtl correct") true rtl_ok;
+              check_int (at ^ ": cycles") rtl_span model_span)
+            [ 1; 2; 4; 8 ])
+        [ 1; 4 ])
+    [ ("mmul", 16); ("bfs", 64); ("vecadd", 256) ]
+
 let suite =
   [
     Alcotest.test_case "parse: every workload, both styles" `Quick
@@ -602,4 +682,6 @@ let suite =
     Alcotest.test_case "eval: one program, many runs and engines" `Quick
       test_shared_program;
     QCheck_alcotest.to_alcotest prop_rtl_differential;
+    Alcotest.test_case "concurrent threads: model = rtl (fig6 set-up)" `Quick
+      test_concurrent_threads_match_rtl;
   ]

@@ -222,40 +222,103 @@ let test_long_fast_forward_chain () =
   check_int "now" 2_000_000 (Engine.now eng);
   check_int "fast-forwards" 2_000_000 (Engine.fast_forwards eng)
 
+(* A run of waits issued through [Engine.waits]: the same as issuing
+   each on its own, without an effect when nothing else is queued. *)
+let test_lone_run_performs_no_effect () =
+  let eng = Engine.create () in
+  let effects = ref 0 and ended = ref (-1) in
+  let costs = Array.init 1000 (fun i -> if i mod 7 = 3 then 3 else 1) in
+  let total = Array.fold_left ( + ) 0 costs in
+  Engine.spawn eng ~name:"counted"
+    (counting effects (fun () ->
+         Engine.waits costs;
+         ended := Engine.now_p ()));
+  Engine.run eng;
+  check_int "effects" 0 !effects;
+  check_int "ended at" total !ended;
+  check_int "one fast-forward" 1 (Engine.fast_forwards eng)
+
+(* Beside a process that wakes every cycle, each wait of the run ties
+   with a queued event, so the run yields exactly where the separate
+   waits would. *)
+let test_contended_run_yields_per_wait () =
+  let effects_of issue =
+    let eng = Engine.create () in
+    let effects = ref 0 and ended = ref (-1) in
+    Engine.spawn eng ~name:"counted"
+      (counting effects (fun () ->
+           issue (Array.make 1000 1);
+           ended := Engine.now_p ()));
+    Engine.spawn eng ~name:"ticker" (fun () ->
+        for _ = 1 to 1000 do
+          Engine.wait 1
+        done);
+    Engine.run eng;
+    check_int "ended at" 1000 !ended;
+    !effects
+  in
+  let per_wait = effects_of (Array.iter Engine.wait) in
+  check_int "per-wait effects" 1000 per_wait;
+  check_int "run effects" per_wait (effects_of Engine.waits)
+
 (* The single-runnable wait fast path against the plain heap
    round-trip: random process sets mixing waits (0 included), forks,
    suspend/resume pairs and a [run ~until] stop must log the same
    (time, process, step) sequence and end at the same time with the
    fast path on (what the simulator runs) and off (the reference), and
-   each absorbed wait must replace exactly one dispatch. *)
-type action = Wait of int | Fork of action list | Park | Wake
+   each absorbed wait must replace exactly one dispatch.  A second
+   property adds runs of waits ([Run]), issued through [Engine.waits]
+   or as separate [wait]s. *)
+type action =
+  | Wait of int
+  | Run of int array
+  | Fork of action list
+  | Park
+  | Wake
 
 let rec show_actions acts =
   String.concat " "
     (List.map
        (function
          | Wait n -> Printf.sprintf "w%d" n
+         | Run costs ->
+           Printf.sprintf "r[%s]"
+             (String.concat "," (Array.to_list (Array.map string_of_int costs)))
          | Fork p -> "fork(" ^ show_actions p ^ ")"
          | Park -> "park"
          | Wake -> "wake")
        acts)
 
-let rec gen_actions depth =
+(* Cost arrays of a run: mixed costs (0 included) or a run of unit
+   waits, as an accelerator's memory-free states issue. *)
+let gen_run =
+  let open QCheck.Gen in
+  map
+    (fun costs -> Run costs)
+    (oneof
+       [
+         array_size (int_range 0 6) (int_bound 4);
+         map (fun n -> Array.make n 1) (int_range 1 8);
+       ])
+
+let rec gen_actions ?(runs = false) depth =
   let open QCheck.Gen in
   let leaf =
     frequency
-      [ (4, map (fun n -> Wait n) (int_bound 4)); (1, return Park);
-        (1, return Wake) ]
+      ([ (4, map (fun n -> Wait n) (int_bound 4)); (1, return Park);
+         (1, return Wake) ]
+      @ if runs then [ (3, gen_run) ] else [])
   in
   let step =
     if depth = 0 then leaf
     else
       frequency
-        [ (6, leaf); (1, map (fun p -> Fork p) (gen_actions (depth - 1))) ]
+        [ (6, leaf);
+          (1, map (fun p -> Fork p) (gen_actions ~runs (depth - 1))) ]
   in
   list_size (int_range 1 6) step
 
-let arb_engine_case =
+let arb_engine_case ?runs () =
   QCheck.make
     ~print:(fun (procs, until) ->
       Printf.sprintf "until %s: %s"
@@ -263,13 +326,14 @@ let arb_engine_case =
         (String.concat " | " (List.map show_actions procs)))
     QCheck.Gen.(
       pair
-        (list_size (int_range 1 4) (gen_actions 2))
+        (list_size (int_range 1 4) (gen_actions ?runs 2))
         (opt (int_bound 12)))
 
 (* Each process logs (now, pid, step) before every action and once at
    its end; [Park] hands its resume to a shared queue that [Wake] (or,
-   once the engine drains, the loop below) pops in order. *)
-let run_engine_case ~fastpath (procs, until) =
+   once the engine drains, the loop below) pops in order.  [split]
+   issues a [Run]'s costs as separate waits. *)
+let run_engine_case ?(split = false) ~fastpath (procs, until) =
   let eng = Engine.create ~fastpath () in
   let log = ref [] in
   let parked = Queue.create () in
@@ -283,6 +347,8 @@ let run_engine_case ~fastpath (procs, until) =
         record step;
         match act with
         | Wait n -> Engine.wait n
+        | Run costs ->
+          if split then Array.iter Engine.wait costs else Engine.waits costs
         | Fork p -> Engine.fork ~name:"child" (proc p)
         | Park -> Engine.suspend (fun resume -> Queue.push resume parked)
         | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt parked))
@@ -308,7 +374,7 @@ let run_engine_case ~fastpath (procs, until) =
 let prop_engine_fastpath_reference =
   QCheck.Test.make ~count:500
     ~name:"engine: fast path = reference (log, final now, dispatches)"
-    arb_engine_case (fun case ->
+    (arb_engine_case ()) (fun case ->
       let fast_log, fast_now, fast_events, fast_ff =
         run_engine_case ~fastpath:true case
       in
@@ -318,6 +384,27 @@ let prop_engine_fastpath_reference =
       fast_log = ref_log && fast_now = ref_now
       && fast_events + fast_ff = ref_events
       && ref_ff = 0)
+
+(* A run's fast-forward stands for several waits, so dispatches plus
+   fast-forwards need not add up to the reference's dispatches here;
+   the log and the final time must match all the same, and a run must
+   dispatch exactly what its separate waits dispatch on the same
+   path. *)
+let prop_engine_waits_reference =
+  QCheck.Test.make ~count:500
+    ~name:"engine: waits = separate waits (log, final now; both paths)"
+    (arb_engine_case ~runs:true ()) (fun case ->
+      let observe ~split ~fastpath =
+        let log, now, events, _ = run_engine_case ~split ~fastpath case in
+        ((log, now), events)
+      in
+      let reference, ref_events = observe ~split:true ~fastpath:false in
+      let fast, fast_events = observe ~split:false ~fastpath:true in
+      let slow, slow_events = observe ~split:false ~fastpath:false in
+      let split_fast, split_fast_events = observe ~split:true ~fastpath:true in
+      fast = reference && slow = reference && split_fast = reference
+      && fast_events = split_fast_events
+      && slow_events = ref_events)
 
 (* --------------------- Resource ----------------------------------- *)
 
@@ -429,6 +516,11 @@ let suite =
     Alcotest.test_case "engine: 2M fast-forward chain" `Quick
       test_long_fast_forward_chain;
     QCheck_alcotest.to_alcotest prop_engine_fastpath_reference;
+    Alcotest.test_case "engine: lone wait run performs no effect" `Quick
+      test_lone_run_performs_no_effect;
+    Alcotest.test_case "engine: contended wait run yields per wait" `Quick
+      test_contended_run_yields_per_wait;
+    QCheck_alcotest.to_alcotest prop_engine_waits_reference;
     Alcotest.test_case "resource: serializes FIFO" `Quick test_resource_serializes;
     Alcotest.test_case "resource: stats" `Quick test_resource_stats;
     Alcotest.test_case "resource: utilization" `Quick test_resource_utilization;

@@ -17,6 +17,7 @@ let () =
       ("mem", Test_mem.suite);
       ("vm", Test_vm.suite);
       ("runtime", Test_runtime.suite);
+      ("cpu", Test_cpu.suite);
       ("core", Test_core.suite);
       ("isolation", Test_isolation.suite);
       ("system", Test_system.suite);

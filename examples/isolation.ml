@@ -39,7 +39,7 @@ let () =
   let mmu_a = Soc.make_mmu soc in
   let mmu_b = Soc.make_mmu ~aspace:(space_b, asid_b) soc in
   let run mmu =
-    let port, flush = Soc.vm_port soc mmu in
+    let port, flush, _meter = Soc.vm_port_metered soc mmu in
     let r = Vmht_hls.Accel.run hw.Flow.fsm ~port ~args:[ va ] in
     flush ();
     r

@@ -48,18 +48,23 @@ let accel_observer soc =
 (* The compute phase of a hardware thread, dispatched to the configured
    backend.  [Model] interprets the scheduled FSM directly; [Rtl]
    parses the emitted Verilog text back and executes the emitted bytes
-   against the very same [port] — identical translation, banking and
-   fault draws — so the two backends are contractually result- and
-   cycle-identical (the rtl1 experiment enforces it).  The RTL path
-   reports [ret] only when the kernel returns a value: the emitted
-   module always has a [result] register, but a void kernel's is
-   meaningless. *)
+   against the very same [port] at the same issue width — identical
+   translation, banking and fault draws — so the two backends are
+   contractually result- and cycle-identical (the rtl1 experiment
+   enforces it).  The RTL path reports [ret] only when the kernel
+   returns a value: the emitted module always has a [result] register,
+   but a void kernel's is meaningless. *)
 let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
   let cfg = Soc.config soc in
-  (* Issue as wide as the schedule was arbitrated for, so co-issued
-     accesses are not re-serialized by the simulation harness. *)
+  (* A VM wrapper's TLB and stream buffer take one request at a time;
+     a copy-based wrapper's scratchpad is multi-ported, so a DMA thread
+     issues as wide as the schedule was arbitrated for. *)
   let ports =
-    Vmht_hls.Schedule.mem_total_ports cfg.Config.resources.Vmht_hls.Schedule.mem
+    match hw.Flow.style with
+    | Wrapper.Vm_iface -> 1
+    | Wrapper.Dma_iface ->
+      Vmht_hls.Schedule.mem_total_ports
+        cfg.Config.resources.Vmht_hls.Schedule.mem
   in
   match cfg.Config.backend with
   | Config.Model ->
@@ -155,8 +160,8 @@ let run_hw_vm soc (hw : Flow.hw_thread) request =
   phase_end soc "drain";
   let t2 = Engine.now_p () in
   let mstats = Mmu.stats mmu in
-  (* The port meter's two spans are measured inside the vm-port arbiter
-     (never overlapping), and the MMU is private to this run, so the
+  (* The port meter's two spans never overlap (the thread issues one
+     access at a time), and the MMU is private to this run, so the
      split below partitions [t1 - t0] exactly: translate covers TLB
      pipeline time outside walks, walks cover refills net of fault
      handling, and what the meter never saw is FSM compute.  Bus

@@ -260,9 +260,10 @@ let unmap_page t space ~vaddr =
 
 (* The VM wrapper's data path: translate through the thread's private
    TLB/walker, then go through its small stream buffer so consecutive
-   words ride one bus burst.  The returned [flush] drains the buffer's
-   dirty lines (timed); the launcher calls it when the thread
-   completes, before handing results back to the host. *)
+   words ride one bus burst.  The launcher drives it one access at a
+   time, so the meter's spans never overlap.  The returned [flush]
+   drains the buffer's dirty lines (timed); the launcher calls it when
+   the thread completes, before handing results back to the host. *)
 let vm_port_metered t mmu =
   let buffer =
     Cache.create ~config:t.config.Config.accel_stream_buffer t.bus
@@ -271,57 +272,38 @@ let vm_port_metered t mmu =
   t.stream_buffers <- buffer :: t.stream_buffers;
   if t.observing then
     Cache.set_observer buffer (emitter t ~component:buf_name);
-  (* The buffer (like the TLB in front of it) is a single-issue
-     structure: concurrent accesses from a multi-ported datapath
-     serialize at its request port.  The scratchpad of the copy-based
-     wrapper, being true dual-ported BRAM, has no such arbiter. *)
-  let arbiter = Vmht_sim.Resource.create ~name:"vm-port" in
-  let exclusively f =
-    Vmht_sim.Resource.acquire arbiter;
-    Fun.protect ~finally:(fun () -> Vmht_sim.Resource.release arbiter) f
-  in
-  (* Spans are measured inside the arbiter's critical section, so they
-     never overlap even with a multi-ported datapath: the two meters
-     plus compute partition the thread's wall clock exactly. *)
   let meter = { translate_cycles = 0; mem_cycles = 0 } in
+  let translate vaddr =
+    let t0 = Engine.now_p () in
+    let phys =
+      Engine.with_phase Vmht_obs.Profile.Translate (fun () ->
+          Mmu.translate mmu ~vaddr)
+    in
+    meter.translate_cycles <- meter.translate_cycles + (Engine.now_p () - t0);
+    phys
+  in
   let port =
     {
       Accel.load =
         (fun vaddr ->
-          exclusively (fun () ->
-              let t0 = Engine.now_p () in
-              let phys =
-                Engine.with_phase Vmht_obs.Profile.Translate (fun () ->
-                    Mmu.translate mmu ~vaddr)
-              in
-              let t1 = Engine.now_p () in
-              meter.translate_cycles <- meter.translate_cycles + (t1 - t0);
-              let v =
-                Engine.with_phase Vmht_obs.Profile.Memory (fun () ->
-                    Cache.read buffer ~addr:vaddr ~phys)
-              in
-              meter.mem_cycles <- meter.mem_cycles + (Engine.now_p () - t1);
-              v));
+          let phys = translate vaddr in
+          let t1 = Engine.now_p () in
+          let v =
+            Engine.with_phase Vmht_obs.Profile.Memory (fun () ->
+                Cache.read buffer ~addr:vaddr ~phys)
+          in
+          meter.mem_cycles <- meter.mem_cycles + (Engine.now_p () - t1);
+          v);
       Accel.store =
         (fun vaddr value ->
-          exclusively (fun () ->
-              let t0 = Engine.now_p () in
-              let phys =
-                Engine.with_phase Vmht_obs.Profile.Translate (fun () ->
-                    Mmu.translate mmu ~vaddr)
-              in
-              let t1 = Engine.now_p () in
-              meter.translate_cycles <- meter.translate_cycles + (t1 - t0);
-              Engine.with_phase Vmht_obs.Profile.Memory (fun () ->
-                  Cache.write buffer ~addr:vaddr ~phys value);
-              meter.mem_cycles <- meter.mem_cycles + (Engine.now_p () - t1)));
+          let phys = translate vaddr in
+          let t1 = Engine.now_p () in
+          Engine.with_phase Vmht_obs.Profile.Memory (fun () ->
+              Cache.write buffer ~addr:vaddr ~phys value);
+          meter.mem_cycles <- meter.mem_cycles + (Engine.now_p () - t1));
     }
   in
   (port, (fun () -> Cache.flush buffer), meter)
-
-let vm_port t mmu =
-  let port, flush, _meter = vm_port_metered t mmu in
-  (port, flush)
 
 let make_scratchpad ?words t =
   let words =
@@ -397,6 +379,7 @@ let sync_metrics t =
   c "tlb.evictions"
     (sum (fun m -> (Mmu.tlb_stats m).Tlb.evictions) t.mmu_list);
   c "tlb.memo_hits" (sum Mmu.tlb_memo_hits t.mmu_list);
+  c "engine.dispatches" (Engine.events_executed t.engine);
   c "engine.fast_forwards" (Engine.fast_forwards t.engine);
   c "ptw.walks" (sum (fun m -> (Mmu.ptw_stats m).Ptw.walks) t.mmu_list);
   c "ptw.level_reads"

@@ -15,10 +15,11 @@ type port_meter = {
   mutable mem_cycles : int;
       (** cycles in the stream buffer and on the bus behind it *)
 }
-(** Wall-clock attribution meter of one VM wrapper port.  Spans are
-    measured inside the port's single-issue arbiter, so they never
-    overlap and [translate_cycles + mem_cycles + compute] partitions
-    the thread's execution exactly. *)
+(** Wall-clock attribution meter of one VM wrapper port.  The launcher
+    issues a VM thread's accesses one at a time, as the wrapper's
+    single request port takes them, so the spans never overlap and
+    [translate_cycles + mem_cycles + compute] partitions the thread's
+    execution exactly. *)
 
 val create : Config.t -> t
 
@@ -61,19 +62,17 @@ val unmap_page : t -> Vmht_vm.Addr_space.t -> vaddr:int -> unit
     the caller's concern (charge cache-maintenance-class costs as
     appropriate); the bookkeeping itself is immediate. *)
 
-val vm_port : t -> Vmht_vm.Mmu.t -> Vmht_hls.Accel.port * (unit -> unit)
-(** The accelerator-facing memory port of a VM wrapper: translation
-    through the given MMU plus a private stream buffer
-    ([Config.accel_stream_buffer]) in front of the shared bus.  The
-    second component is the timed flush of that buffer, to be called
-    when the thread completes. *)
-
 val vm_port_metered :
   t ->
   Vmht_vm.Mmu.t ->
   Vmht_hls.Accel.port * (unit -> unit) * port_meter
-(** Like {!vm_port}, additionally returning the port's attribution
-    meter (read it after the thread completes). *)
+(** The accelerator-facing memory port of a VM wrapper: translation
+    through the given MMU plus a private stream buffer
+    ([Config.accel_stream_buffer]) in front of the shared bus.  Like
+    the hardware, the port serves one access at a time: drive it with
+    an issue width of 1.  The second component is the timed flush of
+    the buffer, to be called when the thread completes; the third is
+    the port's attribution meter (read it after the thread completes). *)
 
 val make_scratchpad : ?words:int -> t -> Vmht_mem.Scratchpad.t * Vmht_mem.Dma.t
 (** Scratchpad + DMA engine for one copy-based accelerator. *)

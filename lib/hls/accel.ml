@@ -17,9 +17,6 @@ let fresh_stats () =
 let untimed_port (mem : Ast_interp.memory) =
   { load = mem.Ast_interp.load; store = mem.Ast_interp.store }
 
-(* Run every thunk as a child process and block until all complete. *)
-let par_run fns = Engine.join_all ~name:"mem-lane" fns
-
 let rec chunks n = function
   | [] -> []
   | l ->
@@ -124,8 +121,10 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
           mem_ops := (fun () -> port.store a v) :: !mem_ops)
       ids;
     (* The state holds until every access of the cycle completes;
-       accesses run [ports]-wide. *)
-    List.iter par_run (chunks ports (List.rev !mem_ops));
+       accesses issue [ports] at a time. *)
+    List.iter
+      (Engine.join_all ~name:"mem-lane")
+      (chunks ports (List.rev !mem_ops));
     stats.fsm_cycles <- stats.fsm_cycles + 1;
     List.iter (fun (d, v) -> regs.(d) <- v) (List.rev !commits)
   in

@@ -7,9 +7,11 @@
     their start cycle, writes commit afterwards — so the result always
     equals the IR interpreter's (a property the test suite checks).
 
-    Memory operations scheduled in the same cycle are issued through
-    the available ports: up to [ports] accesses go out concurrently
-    (fork/join); further ones queue behind them. *)
+    Memory operations scheduled in the same cycle issue [ports] at a
+    time: each group goes out concurrently (fork/join), later groups
+    queue behind it, and at width 1 they run one after another with no
+    fork.  A VM thread runs at width 1 (its wrapper takes one request
+    at a time), a copy-based one at its scratchpad's scheduled width. *)
 
 type port = {
   load : int -> int; (** timed word load; called in process context *)
@@ -27,7 +29,7 @@ val fresh_stats : unit -> run_stats
 
 val chunks : int -> 'a list -> 'a list list
 (** Split a list into consecutive chunks of at most [n] elements — the
-    port-width discipline for same-cycle memory accesses ([ports]-wide
+    issue-width discipline for same-cycle memory accesses ([ports]-wide
     issue groups, later groups queueing behind earlier ones).  Exposed
     so the RTL evaluator drives its channel lanes through the very same
     grouping and the two backends stay cycle-identical. *)
@@ -41,7 +43,8 @@ val run :
   args:int list ->
   int option
 (** Execute the hardware thread to completion.  Must be called from a
-    simulation process; simulated time advances as it runs.
+    simulation process; simulated time advances as it runs.  [ports]
+    (default 1) is the issue width of a memory state (see above).
 
     [observer] receives one {!Vmht_obs.Event.kind.Fsm_state} event per
     basic-block entry, spanning the block's execution; a

@@ -27,7 +27,7 @@ let create ?(arbitration_cycles = 2) mem dram =
     arbitration_cycles;
     mem;
     dram;
-    resource = Resource.create ~name:"bus";
+    resource = Resource.create ();
     reads = 0;
     writes = 0;
     words_moved = 0;

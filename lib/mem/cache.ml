@@ -97,11 +97,13 @@ let victim t set =
     lines;
   !best
 
+(* Clean from the moment the burst copies the data: a store that lands
+   while the burst waits for the bus re-dirties the line. *)
 let write_back t line =
   if line.valid && line.dirty then begin
     t.writebacks <- t.writebacks + 1;
-    Bus.write_burst t.bus ~addr:line.phys_base (Array.copy line.data);
-    line.dirty <- false
+    line.dirty <- false;
+    Bus.write_burst t.bus ~addr:line.phys_base (Array.copy line.data)
   end
 
 (* Bring the line containing [addr]/[phys] into the cache, evicting
@@ -121,6 +123,25 @@ let fill t addr phys =
   line.data <- data;
   line
 
+(* A hit's latency, reported to the observer. *)
+let hit t op addr =
+  Vmht_sim.Engine.wait t.config.hit_latency;
+  match t.observer with
+  | Some f ->
+    f ~duration:t.config.hit_latency (Vmht_obs.Event.Cache_hit { op; addr })
+  | None -> ()
+
+(* A miss's fill, its measured latency reported to the observer. *)
+let miss t op addr phys =
+  match t.observer with
+  | Some f ->
+    let t0 = Vmht_sim.Engine.now_p () in
+    let line = fill t addr phys in
+    let duration = Vmht_sim.Engine.now_p () - t0 in
+    f ~duration (Vmht_obs.Event.Cache_miss { op; addr });
+    line
+  | None -> fill t addr phys
+
 let read t ~addr ~phys =
   t.clock <- t.clock + 1;
   let set, tag = set_and_tag t addr in
@@ -128,62 +149,38 @@ let read t ~addr ~phys =
   | Some line ->
     t.read_hits <- t.read_hits + 1;
     line.last_use <- t.clock;
-    Vmht_sim.Engine.wait t.config.hit_latency;
-    (match t.observer with
-    | Some f ->
-      f ~duration:t.config.hit_latency
-        (Vmht_obs.Event.Cache_hit { op = Vmht_obs.Event.Read; addr })
-    | None -> ());
+    hit t Vmht_obs.Event.Read addr;
     line.data.(word_in_line t addr)
   | None ->
     t.read_misses <- t.read_misses + 1;
-    (match t.observer with
-    | Some f ->
-      let t0 = Vmht_sim.Engine.now_p () in
-      let line = fill t addr phys in
-      let duration = Vmht_sim.Engine.now_p () - t0 in
-      f ~duration (Vmht_obs.Event.Cache_miss { op = Vmht_obs.Event.Read; addr });
-      line.data.(word_in_line t addr)
-    | None ->
-      let line = fill t addr phys in
-      line.data.(word_in_line t addr))
+    (miss t Vmht_obs.Event.Read addr phys).data.(word_in_line t addr)
 
 let write t ~addr ~phys value =
   t.clock <- t.clock + 1;
   let set, tag = set_and_tag t addr in
-  let line =
-    match find_line t set tag with
-    | Some line ->
-      t.write_hits <- t.write_hits + 1;
-      Vmht_sim.Engine.wait t.config.hit_latency;
-      (match t.observer with
-      | Some f ->
-        f ~duration:t.config.hit_latency
-          (Vmht_obs.Event.Cache_hit { op = Vmht_obs.Event.Write; addr })
-      | None -> ());
-      line
-    | None ->
-      t.write_misses <- t.write_misses + 1;
-      (match t.observer with
-      | Some f ->
-        let t0 = Vmht_sim.Engine.now_p () in
-        let line = fill t addr phys in
-        let duration = Vmht_sim.Engine.now_p () - t0 in
-        f ~duration
-          (Vmht_obs.Event.Cache_miss { op = Vmht_obs.Event.Write; addr });
-        line
-      | None -> fill t addr phys)
+  let store line =
+    line.last_use <- t.clock;
+    line.data.(word_in_line t addr) <- value;
+    line.dirty <- true
   in
-  line.last_use <- t.clock;
-  line.data.(word_in_line t addr) <- value;
-  line.dirty <- true
+  match find_line t set tag with
+  | Some line ->
+    t.write_hits <- t.write_hits + 1;
+    (* A hit stores before its latency elapses, so maintenance that
+       runs meanwhile finds the line dirty and writes the store back. *)
+    store line;
+    hit t Vmht_obs.Event.Write addr
+  | None ->
+    t.write_misses <- t.write_misses + 1;
+    store (miss t Vmht_obs.Event.Write addr phys)
 
 let flush t =
   Array.iter (fun set -> Array.iter (write_back t) set) t.sets
 
 (* Dirty lines are written back before the kill: silently discarding
    them would lose stores that never reached memory (the bug class a
-   host invalidate after accelerator completion must not have). *)
+   host invalidate after accelerator completion must not have).  A
+   line a store re-dirtied during its own write-back stays. *)
 let invalidate_all t =
   t.invalidations <- t.invalidations + 1;
   Array.iter
@@ -191,7 +188,7 @@ let invalidate_all t =
       Array.iter
         (fun l ->
           write_back t l;
-          l.valid <- false)
+          if not l.dirty then l.valid <- false)
         set)
     t.sets
 

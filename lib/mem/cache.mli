@@ -49,8 +49,9 @@ val flush : t -> unit
 
 val invalidate_all : t -> unit
 (** Drop every line, writing dirty ones back first (timed, like
-    {!flush}) — an invalidate must never lose stores.  Free when the
-    cache is clean. *)
+    {!flush}) — an invalidate must never lose stores.  A line that a
+    concurrent process stores to while its write-back waits for the
+    bus stays valid and dirty.  Free when the cache is clean. *)
 
 val set_observer : t -> Vmht_obs.Event.emitter -> unit
 (** Install an observer receiving a typed

@@ -699,8 +699,8 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
         let batch = List.rev !accepted in
         accepted := [];
         if read_state () = sval then begin
-          (* The FSM holds this state for the accesses: run them as
-             [ports]-wide lanes exactly like the model's memory cycle
+          (* The FSM holds this state for the accesses: issue them
+             [ports] at a time exactly like the model's memory cycle
              and present every ack at completion, so the next edge is
              the acked advance. *)
           let lanes = List.map (fun c () -> service c) batch in

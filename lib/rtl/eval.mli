@@ -24,17 +24,19 @@
     emitter writes): a request sampled high on an idle channel is
     accepted, its access is serviced through the port, and [ack] (plus
     [rdata] for loads) is presented and *held* until the FSM is seen
-    with the request deasserted.  Same-cycle accesses are serviced as
-    [ports]-wide lanes through {!Vmht_hls.Accel.chunks} and
+    with the request deasserted.  Same-cycle accesses are serviced
+    [ports] at a time through {!Vmht_hls.Accel.chunks} and
     {!Vmht_sim.Engine.join_all} — the exact grouping and event order
     of the model's memory cycle — so cycle counts match, not just
-    results.
+    results.  At width 1 (a VM thread) they are serviced one after
+    another in the evaluator's own process.
 
     Edge accounting: the entry edge of a state costs one cycle (pure
     states advance simulated time by one; memory states advance it by
-    the lane latency), the edge that consumes a held ack is free (it
-    coalesces into the access latency), and the S_IDLE/S_DONE
-    handshake edges are free, matching the model's zero dispatch cost.
+    the time their accesses take, issued [ports] at a time), the edge
+    that consumes a held ack is free (it coalesces into the access
+    latency), and the S_IDLE/S_DONE handshake edges are free, matching
+    the model's zero dispatch cost.
 
     X discipline: registers power up X.  X flows silently through
     datapath arithmetic but is a hard {!Rtl_error} when it reaches the
@@ -77,7 +79,7 @@ val run :
   outcome
 (** Run a compiled module to [done].  [stats] accumulates
     loads/stores/fsm_cycles with the model's meanings; [ports] is the
-    same-cycle memory lane width (default 1); [max_edges] bounds the
+    issue width of same-cycle accesses (default 1); [max_edges] bounds the
     run (default 50M edges) so emitter bugs that deadlock or spin the
     FSM fail loudly instead of hanging.  Raises {!Rtl_error} on
     protocol or X violations, [Invalid_argument] on an argument-count

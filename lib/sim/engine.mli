@@ -125,6 +125,8 @@ val join_all : ?name:string -> (unit -> unit) list -> unit
     current time, [name] defaults to ["join"]) and block until all of
     them complete.  [[]] is a no-op and [[f]] runs [f] inline — no
     events are created unless real concurrency is needed.  The barrier
-    the accelerator model's memory lanes and the RTL evaluator's
-    channel adapter share, so both backends schedule identical event
-    sequences for the same access set. *)
+    of a copy-based thread's same-cycle scratchpad accesses, in the
+    accelerator model and the RTL evaluator's channel adapter alike, so
+    both backends schedule identical event sequences for the same
+    access set; a VM thread issues one access at a time and never
+    forks. *)

@@ -6,7 +6,6 @@ type stats = {
 }
 
 type t = {
-  rname : string;
   mutable busy : bool;
   waiters : (unit -> unit) Queue.t;
   mutable acquired_at : int;
@@ -16,9 +15,8 @@ type t = {
   mutable max_queue : int;
 }
 
-let create ~name =
+let create () =
   {
-    rname = name;
     busy = false;
     waiters = Queue.create ();
     acquired_at = 0;
@@ -27,8 +25,6 @@ let create ~name =
     wait_cycles = 0;
     max_queue = 0;
   }
-
-let name t = t.rname
 
 let acquire t =
   if not t.busy then begin

@@ -11,9 +11,7 @@ type stats = {
   max_queue : int;         (** high-water mark of the wait queue *)
 }
 
-val create : name:string -> t
-
-val name : t -> string
+val create : unit -> t
 
 val acquire : t -> unit
 (** Block (FIFO) until the resource is free, then hold it.

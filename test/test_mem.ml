@@ -199,6 +199,47 @@ let test_cache_invalidate_preserves_dirty () =
   check_int "read missed after invalidate" (misses_before + 1)
     (Cache.stats cache).Cache.read_misses
 
+(* Host cache maintenance runs in its own process while another one
+   keeps storing to the same cache.  Whenever the store lands — while
+   a dirty line's write-back waits for the bus, in the cycle the pass
+   reaches a clean line, or after the pass — it must reach memory. *)
+let test_cache_invalidate_keeps_racing_store () =
+  (* A dirty line at 0 and a clean one at 32.  [race ~store:(addr, at)]
+     runs the pass beside a store of 7 to [addr] issued at cycle [at]
+     (alone without [store]), then flushes, and returns memory's words
+     at 0 and 32 and the cycle the pass ended. *)
+  let race ?store () =
+    let phys, bus = make_bus () in
+    let cache = Cache.create bus in
+    in_sim (fun () ->
+        Cache.write cache ~addr:0 ~phys:0 1;
+        ignore (Cache.read cache ~addr:32 ~phys:32));
+    let eng = Engine.create () in
+    let pass_end = ref 0 in
+    Engine.spawn eng ~name:"host" (fun () ->
+        Cache.invalidate_all cache;
+        pass_end := Engine.now_p ());
+    Option.iter
+      (fun (addr, at) ->
+        Engine.spawn eng ~name:"cpu" (fun () ->
+            Engine.wait at;
+            Cache.write cache ~addr ~phys:addr 7))
+      store;
+    Engine.run eng;
+    in_sim (fun () -> Cache.flush cache);
+    (Phys_mem.read phys 0, Phys_mem.read phys 32, !pass_end)
+  in
+  let _, _, pass = race () in
+  check_bool "the write-back takes several cycles" true (pass > 2);
+  for at = 0 to pass + 1 do
+    let m0, m32, _ = race ~store:(0, at) () in
+    check_int (Printf.sprintf "store to the dirty line at %d" at) 7 m0;
+    check_int (Printf.sprintf "clean line untouched (%d)" at) 0 m32;
+    let m0, m32, _ = race ~store:(32, at) () in
+    check_int (Printf.sprintf "store to the clean line at %d" at) 7 m32;
+    check_int (Printf.sprintf "dirty line written back (%d)" at) 1 m0
+  done
+
 let test_cache_eviction () =
   let phys, bus = make_bus () in
   let config =
@@ -382,6 +423,8 @@ let suite =
     Alcotest.test_case "cache: invalidate" `Quick test_cache_invalidate;
     Alcotest.test_case "cache: invalidate preserves dirty" `Quick
       test_cache_invalidate_preserves_dirty;
+    Alcotest.test_case "cache: invalidate keeps a racing store" `Quick
+      test_cache_invalidate_keeps_racing_store;
     Alcotest.test_case "cache: eviction" `Quick test_cache_eviction;
     Alcotest.test_case "scratchpad: windows" `Quick test_scratchpad_windows;
     Alcotest.test_case "scratchpad: overlap rejected" `Quick

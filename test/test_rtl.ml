@@ -581,83 +581,154 @@ let prop_rtl_differential =
 
 (* ---------------- concurrent hardware threads ---------------------- *)
 
-(* Fig. 6's set-up — N VM threads of one kernel on one SoC, each over
-   its own data — on one backend: the span from the first spawn to the
-   last join, and whether every thread returned its expected value and
-   left correct outputs. *)
-let concurrent_run ~backend ~banks (w : Vmht_workloads.Workload.t) ~size n =
-  let module W = Vmht_workloads.Workload in
+module W = Vmht_workloads.Workload
+module Registry = Vmht_workloads.Registry
+
+(* Fig. 6's set-up — VM threads on one SoC, each over its own data — on
+   one backend, scheduled for [banks] memory banks of [ports] ports
+   each.  [threads] gives each thread's kernel and size.  Returns the
+   span from the first spawn to the last join, and whether every
+   thread returned its expected value and left correct outputs. *)
+let concurrent_run ~backend ~banks ~ports threads =
+  let module S = Vmht_hls.Schedule in
+  let base = Vmht.Config.with_banks Vmht.Config.default banks in
+  let r = base.Vmht.Config.resources in
+  let mem = { r.S.mem with S.ports_per_bank = ports } in
   let config =
     Vmht.Config.with_backend
-      (Vmht.Config.with_banks Vmht.Config.default banks)
+      { base with Vmht.Config.resources = { r with S.mem } }
       backend
   in
   let soc = Vmht.Soc.create config in
   let aspace = Vmht.Soc.aspace soc in
-  let instances =
-    List.init n (fun i -> w.W.setup aspace ~size ~seed:(i + 1))
-  in
-  let hw =
-    Flow.run_exn
-      (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface
-         (W.kernel w))
+  let threads =
+    List.mapi
+      (fun i ((w : W.t), size) ->
+        let inst = w.W.setup aspace ~size ~seed:(i + 1) in
+        let hw =
+          Flow.run_exn
+            (Flow.Request.of_kernel ~config ~style:Vmht.Wrapper.Vm_iface
+               (W.kernel w))
+        in
+        (inst, hw))
+      threads
   in
   let span, rets =
     Vmht.Launch.run_to_completion soc (fun () ->
         let t0 = Engine.now_p () in
-        let threads =
+        let running =
           List.mapi
-            (fun i (inst : W.instance) ->
+            (fun i ((inst : W.instance), hw) ->
               Vmht_rt.Hthreads.spawn ~name:(Printf.sprintf "ht%d" i)
                 (fun () ->
                   Vmht.Launch.run_hw soc hw
                     { Vmht.Launch.args = inst.W.args; buffers = [] }))
-            instances
+            threads
         in
         let rets =
           List.map
             (fun t -> (Vmht_rt.Hthreads.join t).Vmht.Launch.ret)
-            threads
+            running
         in
         (Engine.now_p () - t0, rets))
   in
   let load = Vmht_vm.Addr_space.load_word aspace in
   let correct =
     List.for_all2
-      (fun (inst : W.instance) ret ->
+      (fun ((inst : W.instance), _) ret ->
         ret = inst.W.expected_ret && inst.W.check load)
-      instances rets
+      threads rets
   in
   (span, correct)
 
+(* Each registry kernel at a size that keeps eight threads quick. *)
+let small_size (w : W.t) =
+  match w.W.name with
+  | "mmul" -> 8
+  | "spmv" | "bfs" -> 64
+  | "list_sum" -> 128
+  | _ -> 256
+
+(* The points, named as {!Concurrent_spans} pins them: fig6's mmul 16
+   at its thread counts, every registry kernel alone at 1 to 8 threads
+   on 1 or 4 banks of 1 or 2 ports, and mixed sets of 2, 4 and 8
+   threads taken in registry order from offsets 0, 3 and 6 ("mixed x4
+   from stencil3" runs stencil3, mmul, histogram and spmv). *)
+let concurrent_points =
+  let point name ~banks ~ports threads =
+    ( Printf.sprintf "%s, banks %d, ports %d" name banks ports,
+      (banks, ports, threads) )
+  in
+  let alone (w : W.t) size ~banks ~ports counts =
+    List.map
+      (fun n ->
+        point
+          (Printf.sprintf "%s %d x%d" w.W.name size n)
+          ~banks ~ports
+          (List.init n (fun _ -> (w, size))))
+      counts
+  in
+  let fig6 =
+    List.concat_map
+      (fun banks ->
+        alone (Registry.find "mmul") 16 ~banks ~ports:2 [ 1; 2; 4; 8 ])
+      [ 1; 4 ]
+  in
+  let grid =
+    List.concat_map
+      (fun w ->
+        List.concat_map
+          (fun ports ->
+            List.concat_map
+              (fun banks ->
+                alone w (small_size w) ~banks ~ports [ 1; 2; 3; 4; 6; 8 ])
+              [ 1; 4 ])
+          [ 1; 2 ])
+      Registry.all
+  in
+  let registry = Array.of_list Registry.all in
+  let mixed =
+    List.concat_map
+      (fun offset ->
+        List.map
+          (fun n ->
+            point
+              (Printf.sprintf "mixed x%d from %s" n registry.(offset).W.name)
+              ~banks:1 ~ports:2
+              (List.init n (fun i ->
+                   let w = registry.((offset + i) mod Array.length registry) in
+                   (w, small_size w))))
+          [ 2; 4; 8 ])
+      [ 0; 3; 6 ]
+  in
+  fig6 @ grid @ mixed
+
 (* Threads that share the bus race each other for it, so a memory-free
    run of one thread's FSM states can end in the very cycle another
-   thread requests the bus.  The model must break that tie as the
-   emitted RTL, which waits state by state, does: equal spans and
-   correct results on both backends at every point. *)
+   thread requests the bus, and two threads' accesses can fall in one
+   cycle.  The model must break those ties as the emitted RTL, which
+   waits state by state, does: equal spans and correct results on both
+   backends at every point.  A tie change both backends share leaves
+   them equal, so the model's spans are also pinned. *)
 let test_concurrent_threads_match_rtl () =
   List.iter
-    (fun (name, size) ->
-      let w = Vmht_workloads.Registry.find name in
-      List.iter
-        (fun banks ->
-          List.iter
-            (fun n ->
-              let at =
-                Printf.sprintf "%s %d, banks %d, %d threads" name size banks n
-              in
-              let model_span, model_ok =
-                concurrent_run ~backend:Vmht.Config.Model ~banks w ~size n
-              in
-              let rtl_span, rtl_ok =
-                concurrent_run ~backend:Vmht.Config.Rtl ~banks w ~size n
-              in
-              check_bool (at ^ ": model correct") true model_ok;
-              check_bool (at ^ ": rtl correct") true rtl_ok;
-              check_int (at ^ ": cycles") rtl_span model_span)
-            [ 1; 2; 4; 8 ])
-        [ 1; 4 ])
-    [ ("mmul", 16); ("bfs", 64); ("vecadd", 256) ]
+    (fun (at, (banks, ports, threads)) ->
+      let model_span, model_ok =
+        concurrent_run ~backend:Vmht.Config.Model ~banks ~ports threads
+      in
+      let rtl_span, rtl_ok =
+        concurrent_run ~backend:Vmht.Config.Rtl ~banks ~ports threads
+      in
+      check_bool (at ^ ": model correct") true model_ok;
+      check_bool (at ^ ": rtl correct") true rtl_ok;
+      check_int (at ^ ": cycles") rtl_span model_span;
+      match List.assoc_opt at Concurrent_spans.spans with
+      | Some pinned -> check_int (at ^ ": pinned span") pinned model_span
+      | None -> Alcotest.failf "%s: no pinned span (model: %d)" at model_span)
+    concurrent_points;
+  check_int "every pinned span is a point"
+    (List.length concurrent_points)
+    (List.length Concurrent_spans.spans)
 
 let suite =
   [

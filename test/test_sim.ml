@@ -410,7 +410,7 @@ let prop_engine_waits_reference =
 
 let test_resource_serializes () =
   let eng = Engine.create () in
-  let bus = Resource.create ~name:"bus" in
+  let bus = Resource.create () in
   let finish = ref [] in
   for i = 1 to 3 do
     Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
@@ -425,7 +425,7 @@ let test_resource_serializes () =
 
 let test_resource_stats () =
   let eng = Engine.create () in
-  let r = Resource.create ~name:"r" in
+  let r = Resource.create () in
   for _ = 1 to 4 do
     Engine.spawn eng ~name:"u" (fun () -> Resource.use r ~cycles:5)
   done;
@@ -439,7 +439,7 @@ let test_resource_stats () =
 
 let test_resource_utilization () =
   let eng = Engine.create () in
-  let r = Resource.create ~name:"r" in
+  let r = Resource.create () in
   Engine.spawn eng ~name:"u" (fun () ->
       Engine.wait 10;
       Resource.use r ~cycles:10);

@@ -1,10 +1,11 @@
 (* Bechamel micro-benchmarks behind [vmht perf micro] and [vmht perf
    snapshot]: one target per table/figure plus targets for the
-   simulator machinery itself (event queue, MMU translation) and for
-   single synthesis stages (scheduler, pipeliner, Verilog emit).  Target
-   names, bodies and Bechamel settings are what the committed
-   BENCH_eval.json measured; change any of them and the perf gate no
-   longer compares like with like. *)
+   simulator machinery itself (event queue, MMU translation), for
+   single synthesis stages (scheduler, pipeliner, Verilog emit) and for
+   the RTL evaluator's parse and run.  Target names, bodies and
+   Bechamel settings are what the committed BENCH_eval.json measured;
+   change any of them and the perf gate no longer compares like with
+   like. *)
 
 open Bechamel
 module Workload = Vmht_workloads.Workload
@@ -53,6 +54,42 @@ let hls_emit () =
   ignore
     (Vmht_hls.Verilog.emit_with_wrapper (Lazy.force stencil3_fsm)
        ~wrapper_ports:(Vmht.Wrapper.ports Vmht.Wrapper.Vm_iface))
+
+(* The rtl benchmark's stencil3 point at unroll 4 on four banks (VM
+   style, unpipelined): four memory channels and 61 arms.  rtl.parse
+   reads its text back; rtl.eval runs its compiled program. *)
+let stencil3_verilog =
+  lazy
+    (let config =
+       Vmht.Config.with_banks (Vmht.Config.with_unroll Vmht.Config.default 4) 4
+     in
+     (Vmht_eval.Common.synthesize ~config ~cache:false Vmht.Wrapper.Vm_iface
+        (Registry.find "stencil3"))
+       .Vmht.Flow.verilog)
+
+let rtl_parse () =
+  ignore (Vmht_rtl.Parse.parse_module (Lazy.force stencil3_verilog))
+
+let stencil3_program =
+  lazy
+    (Vmht_rtl.Eval.compile
+       (Vmht_rtl.Parse.parse_module (Lazy.force stencil3_verilog)))
+
+(* The evaluator alone: stencil3 over 64 words on an untimed array port
+   in a private engine, so no memory system runs. *)
+let rtl_eval () =
+  let n = 64 in
+  let data = Array.init (2 * n) (fun i -> i) in
+  let port =
+    Vmht_hls.Accel.untimed_port (Vmht_lang.Ast_interp.array_memory data)
+  in
+  let eng = Vmht_sim.Engine.create () in
+  Vmht_sim.Engine.spawn eng ~name:"rtl" (fun () ->
+      ignore
+        (Vmht_rtl.Eval.run (Lazy.force stencil3_program) ~port
+           ~args:[ 0; n * 8; n - 1 ]));
+  Vmht_sim.Engine.run eng;
+  assert (data.(n + 1) = (0 + 1 + 2) / 3)
 
 (* --- micro-benchmark bodies ------------------------------------- *)
 
@@ -222,6 +259,8 @@ let targets : (string * Test.t Lazy.t) list =
     t "hls.emit" hls_emit;
     t "hls.pipeline" hls_pipeline;
     t "hls.schedule" hls_schedule;
+    t "rtl.eval" rtl_eval;
+    t "rtl.parse" rtl_parse;
     t "sim.engine-wait" engine_wait;
     t "sim.event-queue-churn" event_queue_churn;
     t "sim.mmu-translate" mmu_translate_churn;

@@ -149,6 +149,18 @@ let rejection = function
   | Invalid_argument msg | Launch.Window_overflow msg -> Some msg
   | Vmht_vm.Frame_alloc.Out_of_frames ->
     Some "out of physical frames: the data does not fit in physical memory"
+  | Vmht_rtl.Eval.Edge_budget edges ->
+    Some
+      (Printf.sprintf
+         "edge budget exceeded: the RTL run had not reached done after %d \
+          clock edges"
+         edges)
+  | Vmht_ir.Ir_interp.Runaway steps ->
+    Some
+      (Printf.sprintf
+         "step budget exceeded: the software thread had not returned after \
+          %d steps"
+         steps)
   | _ -> None
 
 let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)

@@ -32,10 +32,13 @@ val run :
     event observation on via {!Vmht.Soc.enable_tracing}. *)
 
 val rejection : exn -> string option
-(** The message for an input {!run} cannot build: a flag value a setter
-    or constructor rejects ([Invalid_argument]), DMA buffers beyond the
-    scratchpad, or data beyond physical memory.  [None] for any other
-    exception.  Every command line and the server word these alike. *)
+(** The message for an input {!run} cannot build or finish: a flag
+    value a setter or constructor rejects ([Invalid_argument]), DMA
+    buffers beyond the scratchpad, data beyond physical memory, or a run
+    longer than the RTL evaluator's edge budget
+    ({!Vmht_rtl.Eval.Edge_budget}) or the software thread's step budget
+    ({!Vmht_ir.Ir_interp.Runaway}).  [None] for any other exception.
+    Every command line and the server word these alike. *)
 
 (** {2 Per-run performance recording} *)
 

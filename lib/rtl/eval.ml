@@ -4,6 +4,8 @@ module I = Vmht_lang.Ast_interp
 
 exception Rtl_error of string
 
+exception Edge_budget of int
+
 let fail fmt = Printf.ksprintf (fun s -> raise (Rtl_error s)) fmt
 
 type outcome = {
@@ -25,8 +27,10 @@ type outcome = {
    Every signal is an integer slot fixed at compile time.  A slot's
    word lives in [v] and its X-ness in [known]; an expression returns
    an unboxed word and sets [x] when an X operand reached it, so the
-   word of an X result is meaningless and never observed.  Assignments
-   of one edge buffer in the commit arrays and apply in statement order
+   word of an X result is meaningless and never observed.  A body in
+   which no statement reads what an earlier one assigns commits each
+   assignment straight into its slot; any other body buffers its edge's
+   assignments in the commit arrays, applied in statement order
    (nonblocking, last write wins).  All of it is allocated per run; the
    compiled program only holds closures over slot numbers. *)
 type st = {
@@ -114,6 +118,22 @@ let sign_reader = function
   | Static b -> fun _ -> b
   | Dynamic -> fun st -> st.sgn
 
+(* An operand that needs no code of its own: a slot, or a literal or
+   localparam folded to its constant. *)
+type leaf = Slot of int | Const of int
+
+let read = function
+  | Slot i ->
+    fun st ->
+      if not st.known.(i) then st.x <- true;
+      st.v.(i)
+  | Const v -> fun _ -> v
+
+let leaf var = function
+  | Ast.Lit l -> Some (Const l.Ast.value)
+  | Ast.Var n -> Some (var n)
+  | _ -> None
+
 (* Compile to (code, signedness).  Verilog's rules for the subset:
    regs and plain literals are unsigned, ['sd] literals and [$signed]
    casts are signed, an operation is signed only when *both* operands
@@ -124,10 +144,8 @@ let sign_reader = function
    raise it. *)
 let rec compile_expr var e : code * sign =
   match e with
-  | Ast.Lit l ->
-    let v = l.Ast.value in
-    ((fun _ -> v), Static l.Ast.signed)
-  | Ast.Var n -> (var n, Static false)
+  | Ast.Lit l -> (read (Const l.Ast.value), Static l.Ast.signed)
+  | Ast.Var n -> (read (var n), Static false)
   | Ast.Signed e -> (fst (compile_expr var e), Static true)
   | Ast.Concat [ Ast.Lit { Ast.value = 0; _ }; e ] ->
     (* The emitter only writes zero-extensions: {63'b0, one-bit-e}. *)
@@ -179,8 +197,28 @@ and compile_binop var op l r =
   match signed with
   | Static s -> (
     let f = binop_fn op s in
-    match op with
-    | "/" | "%" ->
+    (* The commonest datapath shapes read their slots inline: [+] of
+       two registers or of a register and a constant, and [<<] by a
+       constant (neither depends on signedness). *)
+    match (op, leaf var l, leaf var r) with
+    | "+", Some (Slot a), Some (Slot b) ->
+      ( (fun st ->
+          if not (st.known.(a) && st.known.(b)) then st.x <- true;
+          st.v.(a) + st.v.(b)),
+        result_sign )
+    | "+", Some (Slot a), Some (Const k) | "+", Some (Const k), Some (Slot a)
+      ->
+      ( (fun st ->
+          if not st.known.(a) then st.x <- true;
+          st.v.(a) + k),
+        result_sign )
+    | "<<", Some (Slot a), Some (Const k) ->
+      let k = k land 63 in
+      ( (fun st ->
+          if not st.known.(a) then st.x <- true;
+          st.v.(a) lsl k),
+        result_sign )
+    | ("/" | "%"), _, _ ->
       (* A division only runs on two known operands: X / 0 is X, not
          an error, but [a / 0] traps even beside an X elsewhere. *)
       ( (fun st ->
@@ -221,8 +259,19 @@ and compile_binop var op l r =
 
 (* --------------------------- statements ---------------------------- *)
 
-let rec compile_stmts var target stmts : st -> unit =
-  match Array.of_list (List.map (compile_stmt var target) stmts) with
+let[@inline] buffer st slot v known =
+  let i = st.ncommit in
+  st.cslot.(i) <- slot;
+  st.cval.(i) <- v;
+  st.cknown.(i) <- known;
+  st.ncommit <- i + 1
+
+(* [in_place] bodies write each slot as they assign it; the others
+   buffer the write for [run] to apply at the end of the edge.  A
+   constant commits as it is and a register is copied with its X bit,
+   with no expression code in between. *)
+let rec compile_stmts var target ~in_place stmts : st -> unit =
+  match Array.of_list (List.map (compile_stmt var target ~in_place) stmts) with
   | [||] -> fun _ -> ()
   | [| s |] -> s
   | codes ->
@@ -231,33 +280,84 @@ let rec compile_stmts var target stmts : st -> unit =
         codes.(i) st
       done
 
-and compile_stmt var target = function
-  | Ast.Assign (n, e) ->
+and compile_stmt var target ~in_place = function
+  | Ast.Assign (n, e) -> (
     let slot = target n in
     let c, _ = compile_expr var e in
-    fun st ->
-      st.x <- false;
-      let v = c st in
-      let i = st.ncommit in
-      st.cslot.(i) <- slot;
-      st.cval.(i) <- v;
-      st.cknown.(i) <- not st.x;
-      st.ncommit <- i + 1
-  | Ast.If (c, body) ->
+    match (leaf var e, in_place) with
+    | Some (Const k), true ->
+      fun st ->
+        st.v.(slot) <- k;
+        st.known.(slot) <- true
+    | Some (Const k), false -> fun st -> buffer st slot k true
+    | Some (Slot i), true ->
+      fun st ->
+        st.v.(slot) <- st.v.(i);
+        st.known.(slot) <- st.known.(i)
+    | Some (Slot i), false -> fun st -> buffer st slot st.v.(i) st.known.(i)
+    | None, true ->
+      fun st ->
+        st.x <- false;
+        let v = c st in
+        st.v.(slot) <- v;
+        st.known.(slot) <- not st.x
+    | None, false ->
+      fun st ->
+        st.x <- false;
+        let v = c st in
+        buffer st slot v (not st.x))
+  | Ast.If (c, body) -> (
     let cc, _ = compile_expr var c in
-    let cb = compile_stmts var target body in
-    fun st ->
-      st.x <- false;
-      let cv = cc st in
-      if st.x then fail "X in a branch condition (uninitialized control)";
-      if cv <> 0 then cb st
+    let cb = compile_stmts var target ~in_place body in
+    match leaf var c with
+    | Some (Slot i) ->
+      fun st ->
+        if not st.known.(i) then
+          fail "X in a branch condition (uninitialized control)";
+        if st.v.(i) <> 0 then cb st
+    | _ ->
+      fun st ->
+        st.x <- false;
+        let cv = cc st in
+        if st.x then fail "X in a branch condition (uninitialized control)";
+        if cv <> 0 then cb st)
 
-(* Upper bound on one edge's commits: every assignment of the body. *)
-let rec assigns stmts =
+(* The names a body assigns, [if] bodies included, with repeats: their
+   count bounds one edge's commits. *)
+let rec assigned acc stmts =
   List.fold_left
     (fun acc s ->
-      match s with Ast.Assign _ -> acc + 1 | Ast.If (_, b) -> acc + assigns b)
-    0 stmts
+      match s with
+      | Ast.Assign (n, _) -> n :: acc
+      | Ast.If (_, b) -> assigned acc b)
+    acc stmts
+
+let rec reads acc = function
+  | Ast.Lit _ -> acc
+  | Ast.Var n -> n :: acc
+  | Ast.Signed e | Ast.Unop (_, e) -> reads acc e
+  | Ast.Concat es -> List.fold_left reads acc es
+  | Ast.Binop (_, l, r) -> reads (reads acc l) r
+  | Ast.Ternary (c, t, f) -> reads (reads (reads acc c) t) f
+
+(* Committing in place is buffering by another name when no statement —
+   [if] conditions included — reads a name an earlier statement of the
+   body assigns: every read still sees the edge's entry value, and the
+   writes land in statement order, so the last one wins. *)
+let in_place stmts =
+  let written = ref [] in
+  let fresh e = not (List.exists (fun n -> List.mem n !written) (reads [] e)) in
+  let rec ok stmts =
+    List.for_all
+      (function
+        | Ast.Assign (n, e) ->
+          let f = fresh e in
+          written := n :: !written;
+          f
+        | Ast.If (c, body) -> fresh c && ok body)
+      stmts
+  in
+  ok stmts
 
 (* ---------------------------- channels ----------------------------- *)
 
@@ -325,6 +425,11 @@ let channel_prefixes (m : Ast.t) =
 
 (* ---------------------------- compile ------------------------------ *)
 
+(* A [case] arm: its code, and the channels whose [<p>_req] it assigns
+   ([if] bodies included), by index in channel order — the only channels
+   whose request an edge in this arm can raise. *)
+type arm = { code : st -> unit; drives : int array }
+
 type program = {
   mname : string;
   args : int array;  (** slots of arg0 .. arg<n-1> *)
@@ -336,9 +441,9 @@ type program = {
   done_ : int;
   result : int;
   reset : st -> unit;
-  arms : (st -> unit) array;  (** by state value, [0 .. dense) *)
-  sparse : (int * (st -> unit)) list;  (** labels outside the array *)
-  default : st -> unit;
+  arms : arm array;  (** by state value, [0 .. dense) *)
+  sparse : (int * arm) list;  (** labels outside the array *)
+  default : arm;
   s_idle : int;
   s_done : int;
   channels : chan_spec array;
@@ -432,32 +537,38 @@ let compile (m : Ast.t) =
   let result = sampled "result" in
   (* Identifiers and assignment targets resolve here, once: a slot
      read, or a localparam folded to its constant. *)
-  let var n : code =
+  let var n =
     match Hashtbl.find_opt slots n with
-    | Some i ->
-      fun st ->
-        if not st.known.(i) then st.x <- true;
-        st.v.(i)
+    | Some i -> Slot i
     | None -> (
       match param n with
-      | Some l ->
-        let v = l.Ast.value in
-        fun _ -> v
+      | Some l -> Const l.Ast.value
       | None -> fail "unknown identifier %S" n)
   in
   let target n =
     if not (Hashtbl.mem writable n) then fail "assignment to non-register %S" n;
     slot_of n
   in
-  let body = compile_stmts var target in
+  let body stmts =
+    compile_stmts var target ~in_place:(in_place stmts) stmts
+  in
   let reset = body m.Ast.reset in
+  let arm stmts =
+    let names = assigned [] stmts in
+    let drives =
+      List.filter
+        (fun k -> List.mem (channels.(k).prefix ^ "_req") names)
+        (List.init (Array.length channels) Fun.id)
+    in
+    { code = body stmts; drives = Array.of_list drives }
+  in
   (* Case dispatch; symbolic labels resolve through localparams and a
      repeated label keeps its last arm, as a [case] would. *)
   let labelled = Hashtbl.create 32 in
-  let default = ref (fun _ -> ()) in
+  let default = ref { code = (fun _ -> ()); drives = [||] } in
   List.iter
     (fun (k, stmts) ->
-      let code = body stmts in
+      let code = arm stmts in
       match k with
       | Ast.Knum v -> Hashtbl.replace labelled v code
       | Ast.Kid id -> (
@@ -514,8 +625,9 @@ let compile (m : Ast.t) =
     channels;
     max_commits =
       List.fold_left
-        (fun acc (_, stmts) -> max acc (assigns stmts))
-        (assigns m.Ast.reset) m.Ast.arms;
+        (fun acc (_, stmts) -> max acc (List.length (assigned [] stmts)))
+        (List.length (assigned [] m.Ast.reset))
+        m.Ast.arms;
   }
 
 (* One emitted text compiles to one program; the flow memoizes
@@ -582,15 +694,6 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
     st.ncommit <- 0
   in
   let is i w = st.known.(i) && st.v.(i) = w in
-  (* Would [req] read 1 after this edge's commits?  The last write wins. *)
-  let next_req_high c =
-    let rec find k =
-      if k < 0 then is c.spec.req 1
-      else if st.cslot.(k) = c.spec.req then st.cknown.(k) && st.cval.(k) = 1
-      else find (k - 1)
-    in
-    find (st.ncommit - 1)
-  in
   List.iteri (fun i w -> set p.args.(i) w) args;
   let chans =
     Array.map
@@ -598,13 +701,15 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
         { spec; cst = Idle; is_store = false; at = 0; data = 0; rdval = 0 })
       p.channels
   in
-  let rec any_presented k =
-    k < Array.length chans
-    && (chans.(k).cst = Presented || any_presented (k + 1))
-  in
-  let rec any_issuing k =
-    k < Array.length chans
-    && ((chans.(k).cst = Idle && next_req_high chans.(k)) || any_issuing (k + 1))
+  let every = Array.init (Array.length chans) Fun.id in
+  (* Channels in [Presented], and in [Busy] or [Ready]: while both
+     counts are 0 no channel needs releasing or presenting. *)
+  let presented = ref 0 and in_flight = ref 0 in
+  let rec any_issuing cands k =
+    k < Array.length cands
+    &&
+    let c = chans.(cands.(k)) in
+    (c.cst = Idle && is c.spec.req 1) || any_issuing cands (k + 1)
   in
   (* Reset edge, then hold start high until done. *)
   set p.rst 1;
@@ -625,7 +730,8 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
   let present c =
     set c.spec.ack 1;
     if not c.is_store then set c.spec.rdata c.rdval;
-    c.cst <- Presented
+    c.cst <- Presented;
+    incr presented
   in
   (* Ack-hold handshake: a presented ack is held until the FSM is seen
      with the request deasserted, then the channel is free for the next
@@ -633,14 +739,15 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
   let release c =
     if c.cst = Presented && is c.spec.req 0 then begin
       set c.spec.ack 0;
-      c.cst <- Idle
+      c.cst <- Idle;
+      decr presented
     end
   in
   let sample i c what =
     if st.known.(i) then st.v.(i)
     else fail "%s_%s is X at issue" c.spec.prefix what
   in
-  let accepted = ref [] in
+  let accepted = Array.copy chans and n_accepted = ref 0 in
   let accept c =
     if c.cst = Idle then begin
       let req = c.spec.req in
@@ -653,76 +760,99 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
         incr requests;
         if c.is_store then stats.Accel.stores <- stats.Accel.stores + 1
         else stats.Accel.loads <- stats.Accel.loads + 1;
-        accepted := c :: !accepted
+        accepted.(!n_accepted) <- c;
+        incr n_accepted
       end
     end
   in
-  let present_ready c = if c.cst = Ready then present c in
+  let present_ready c =
+    if c.cst = Ready then begin
+      decr in_flight;
+      present c
+    end
+  in
   while not !finished do
     incr edges;
-    if !edges > max_edges then
-      fail "edge budget exceeded (%d edges) — runaway or deadlocked FSM"
-        max_edges;
+    if !edges > max_edges then raise (Edge_budget max_edges);
     let sval = read_state () in
     let arm =
       if sval >= 0 && sval < Array.length p.arms then p.arms.(sval)
       else Option.value (List.assoc_opt sval p.sparse) ~default:p.default
     in
+    (* The channels whose request this edge can raise.  After an edge's
+       accept step every idle channel's [req] reads 0 (or accept has
+       raised), so only the arm's own channels can start requesting —
+       except on the first edge, whose accept step must see a [req]
+       the reset left X. *)
+    let cands = if !edges = 1 then every else arm.drives in
     (* Edge accounting, matched against the model's: the edge that
        consumes an ack coalesces with the successor state's entry (a
        memory state costs exactly its access latency), the edge that
        issues requests is the state's entry edge (lanes below advance
        the clock), any other exec-state edge is one pure cycle, and
        the idle/done handshake edges are free — the model has no
-       dispatch cost either. *)
-    let consume = any_presented 0 in
-    arm st;
-    if consume then apply ()
-    else if any_issuing 0 then begin
-      apply ();
+       dispatch cost either.  The edge commits before it is classified:
+       the issue check reads each request as the edge leaves it, and
+       the other processes a pure edge's wait yields to never read this
+       run's slots. *)
+    let consume = !presented > 0 in
+    arm.code st;
+    apply ();
+    if consume then ()
+    else if any_issuing cands 0 then
       stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
-    end
     else if sval <> p.s_idle && sval <> p.s_done then begin
       Engine.wait 1;
-      apply ();
       stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
-    end
-    else apply ();
+    end;
     if not st.known.(p.done_) then fail "done is X";
     finished := st.v.(p.done_) <> 0;
     if not !finished then begin
-      Array.iter release chans;
+      if !presented > 0 then Array.iter release chans;
       (* Accept requests (in channel order = the model's instruction
          order) from idle channels whose req samples high. *)
-      Array.iter accept chans;
-      if !accepted <> [] then begin
-        let batch = List.rev !accepted in
-        accepted := [];
+      for k = 0 to Array.length cands - 1 do
+        accept chans.(cands.(k))
+      done;
+      if !n_accepted > 0 then begin
+        let n = !n_accepted in
+        n_accepted := 0;
         if read_state () = sval then begin
           (* The FSM holds this state for the accesses: issue them
              [ports] at a time exactly like the model's memory cycle
              and present every ack at completion, so the next edge is
-             the acked advance. *)
-          let lanes = List.map (fun c () -> service c) batch in
-          List.iter
-            (Engine.join_all ~name:"mem-lane")
-            (Accel.chunks ports lanes);
-          List.iter present batch
+             the acked advance.  At width 1 they run one after another
+             in this process. *)
+          if ports = 1 then
+            for k = 0 to n - 1 do
+              service accepted.(k)
+            done
+          else
+            List.iter
+              (Engine.join_all ~name:"mem-lane")
+              (Accel.chunks ports
+                 (List.init n (fun k ->
+                      let c = accepted.(k) in
+                      fun () -> service c)));
+          for k = 0 to n - 1 do
+            present accepted.(k)
+          done
         end
         else
           (* The FSM advanced while its request was still out — the
              emitted hold bug.  Service asynchronously so the run
              still makes progress and the divergence (spurious
              requests, wrong cycles) is observable. *)
-          List.iter
-            (fun c ->
-              c.cst <- Busy;
-              Engine.fork ~name:"mem-lane" (fun () ->
-                  service c;
-                  c.cst <- Ready))
-            batch
+          for k = 0 to n - 1 do
+            let c = accepted.(k) in
+            c.cst <- Busy;
+            incr in_flight;
+            Engine.fork ~name:"mem-lane" (fun () ->
+                service c;
+                c.cst <- Ready)
+          done
       end;
-      Array.iter present_ready chans
+      if !in_flight > 0 then Array.iter present_ready chans
     end
   done;
   {

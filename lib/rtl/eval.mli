@@ -11,32 +11,39 @@
     signedness, turns expressions and statements into closures over a
     per-run state, puts the [case] arms in an array indexed by state
     value, and resolves each channel's [req/ack/we/addr/wdata/rdata]
-    signals to slots.  Unknown identifiers, assignments to
-    non-registers, unsupported operators or concatenations, case labels
-    that are not [localparam]s, missing [S_IDLE]/[S_DONE] and
-    unrecognized channel prefixes are {!Rtl_error}s at compile time,
-    even inside an arm that never runs.  A {!program} is immutable:
-    every register file, commit buffer and channel state is allocated
-    by {!run}, so one program runs on any number of engines and
-    domains at once.
+    signals to slots.  Each arm also records the channels whose [req]
+    it assigns, so an edge checks and accepts requests only there; a
+    body in which no statement reads a name an earlier one assigns
+    commits in place instead of through the buffer; and a constant or
+    register assignment, a [+] of registers and constants and a [<<] by
+    a constant read their slots with no closure in between.  Unknown
+    identifiers, assignments to non-registers, unsupported operators or
+    concatenations, case labels that are not [localparam]s, missing
+    [S_IDLE]/[S_DONE] and unrecognized channel prefixes are
+    {!Rtl_error}s at compile time, even inside an arm that never runs.
+    A {!program} is immutable: every register file, commit buffer and
+    channel state is allocated by {!run}, so one program runs on any
+    number of engines and domains at once.
 
     Per-channel handshake contract (the adapter side of what the
     emitter writes): a request sampled high on an idle channel is
     accepted, its access is serviced through the port, and [ack] (plus
     [rdata] for loads) is presented and *held* until the FSM is seen
-    with the request deasserted.  Same-cycle accesses are serviced
-    [ports] at a time through {!Vmht_hls.Accel.chunks} and
+    with the request deasserted.  At width 1 (a VM thread) same-cycle
+    accesses are serviced one after another, in channel order, in the
+    evaluator's own process; wider (the DMA scratchpad) they are
+    serviced [ports] at a time through {!Vmht_hls.Accel.chunks} and
     {!Vmht_sim.Engine.join_all} — the exact grouping and event order
     of the model's memory cycle — so cycle counts match, not just
-    results.  At width 1 (a VM thread) they are serviced one after
-    another in the evaluator's own process.
+    results.
 
     Edge accounting: the entry edge of a state costs one cycle (pure
     states advance simulated time by one; memory states advance it by
     the time their accesses take, issued [ports] at a time), the edge
     that consumes a held ack is free (it coalesces into the access
     latency), and the S_IDLE/S_DONE handshake edges are free, matching
-    the model's zero dispatch cost.
+    the model's zero dispatch cost.  Every pure edge is its own
+    [Engine.wait 1]: the reference never fuses waits.
 
     X discipline: registers power up X.  X flows silently through
     datapath arithmetic but is a hard {!Rtl_error} when it reaches the
@@ -45,6 +52,13 @@
     which is what makes missing-reset emitter bugs observable. *)
 
 exception Rtl_error of string
+(** The module is malformed, or its run broke the protocol or the X
+    discipline: an emitter bug. *)
+
+exception Edge_budget of int
+(** The run had not reached [done] after this many clock edges (the
+    [max_edges] of {!run}): the run is longer than the budget, or the
+    FSM never finishes. *)
 
 type outcome = {
   result : int option;  (** [result] output at [done]; [None] when X *)
@@ -80,8 +94,13 @@ val run :
 (** Run a compiled module to [done].  [stats] accumulates
     loads/stores/fsm_cycles with the model's meanings; [ports] is the
     issue width of same-cycle accesses (default 1); [max_edges] bounds the
-    run (default 50M edges) so emitter bugs that deadlock or spin the
-    FSM fail loudly instead of hanging.  Raises {!Rtl_error} on
-    protocol or X violations, [Invalid_argument] on an argument-count
-    mismatch, and lets port-side exceptions (faults, aborts) pass
-    through unchanged. *)
+    run (default 50M edges) so an FSM that deadlocks or spins fails
+    instead of hanging.  Each edge runs its arm's code, applies what it
+    buffered, then classifies itself; only the arm's own channels are
+    checked for new requests (every channel on the first edge, where a
+    [req] the reset left X must fail), and releasing and presenting
+    cost nothing while no ack is held and no access is out.  Raises
+    {!Edge_budget} past [max_edges], {!Rtl_error} on protocol or X
+    violations, [Invalid_argument] on an argument-count mismatch, and
+    lets port-side exceptions (faults, aborts) pass through
+    unchanged. *)

@@ -41,12 +41,12 @@ let replace ~sub ~by text =
 
 (* Run a compiled module inside a private engine, like the
    model-executor tests do for [Accel.run]. *)
-let run_program ?(ports = 1) prog ~port ~args =
+let run_program ?(ports = 1) ?max_edges prog ~port ~args =
   let eng = Engine.create () in
   let out = ref None in
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"rtl" (fun () ->
-      out := Some (Eval.run ~stats ~ports prog ~port ~args));
+      out := Some (Eval.run ~stats ~ports ?max_edges prog ~port ~args));
   Engine.run eng;
   (Option.get !out, stats)
 
@@ -509,6 +509,86 @@ let test_shared_program () =
   check_bool "Flow.reset_cache empties the memo" true
     (fresh != Eval.load text)
 
+(* A request raised only inside an [if] body of its arm: the evaluator
+   must still see the arm drive the channel.  A missed request would
+   spin the FSM in its load state, so the small budget fails it fast. *)
+let test_request_inside_if () =
+  let text =
+    replace (two_loads ~deassert:true) ~sub:"          mem_req <= 1'b1;\n"
+      ~by:"          if (start) mem_req <= 1'b1;\n"
+  in
+  let out, stats =
+    run_program ~max_edges:20 (compile text) ~port:(untimed_of [| 5; 9 |])
+      ~args:[ 0 ]
+  in
+  check_int "result" 14 (Option.get out.Eval.result);
+  check_int "requests" 2 out.Eval.requests;
+  check_int "loads" 2 stats.Accel.loads;
+  check_int "edges" 6 out.Eval.edges
+
+(* [pure_module]'s state 0 running [body] instead, over a register [r1]
+   that holds arg0 on entry. *)
+let with_r1 body =
+  pure_module "arg0"
+  |> replace ~sub:"  reg [1:0] state;\n"
+       ~by:"  reg [1:0] state;\n  reg [63:0] r1;\n"
+  |> replace ~sub:"            done <= 1'b0;\n"
+       ~by:"            done <= 1'b0;\n            r1 <= arg0;\n"
+  |> replace ~sub:"          result <= arg0;\n" ~by:("          " ^ body ^ "\n")
+
+(* Assignments are nonblocking: a statement reading a register an
+   earlier statement of its arm assigns sees the edge's entry value,
+   whichever order the two are written in. *)
+let test_read_after_write () =
+  let run body =
+    let out, _ =
+      eval_run (with_r1 body) ~port:(untimed_of [||]) ~args:[ 41 ]
+    in
+    Option.get out.Eval.result
+  in
+  check_int "write, then read" 41 (run "r1 <= r1 + 64'd1; result <= r1;");
+  check_int "read, then write" 41 (run "result <= r1; r1 <= r1 + 64'd1;");
+  check_int "write, then a sum that reads it" 82
+    (run "r1 <= r1 + 64'd1; result <= r1 + r1;");
+  check_int "write, then a condition that reads it" 41
+    (run "r1 <= r1 + 64'd1; if (r1 == 64'd41) result <= r1;")
+
+(* The edge budget is its own exception, not an emitter bug's
+   [Rtl_error], and the command line and the server word it, as they do
+   the software thread's step budget. *)
+let test_budgets () =
+  let spin =
+    replace (pure_module "arg0")
+      ~sub:"          done <= 1'b1;\n          state <= S_DONE;\n" ~by:""
+  in
+  let eng = Engine.create () in
+  let stopped = ref None in
+  Engine.spawn eng ~name:"rtl" (fun () ->
+      match
+        Eval.run ~max_edges:100 (compile spin) ~port:(untimed_of [||])
+          ~args:[ 1 ]
+      with
+      | _ -> ()
+      | exception Eval.Edge_budget n -> stopped := Some (n, Engine.now_p ()));
+  Engine.run eng;
+  (match !stopped with
+  | Some (n, cycle) ->
+    check_int "the budget" 100 n;
+    check_int "cycle at the budget (one per pure edge)" 99 cycle
+  | None -> Alcotest.fail "a run that never finishes finished");
+  let worded e needles =
+    match Common.rejection e with
+    | Some msg ->
+      List.iter
+        (fun needle ->
+          check_bool (msg ^ " names " ^ needle) true (contains msg needle))
+        needles;
+      check_bool (msg ^ ": not a runaway FSM") false (contains msg "runaway")
+    | None -> Alcotest.fail "a budget is not worded"
+  in
+  worded (Eval.Edge_budget 50_000_000) [ "edge budget"; "50000000" ];
+  worded (Vmht_ir.Ir_interp.Runaway 100_000_002) [ "step budget"; "100000002" ]
+
 (* ---------------- randomized backend differential ------------------ *)
 
 (* The full-stack differential and the per-edge reference for the
@@ -752,6 +832,11 @@ let suite =
       test_short_channel_prefix;
     Alcotest.test_case "eval: one program, many runs and engines" `Quick
       test_shared_program;
+    Alcotest.test_case "eval: a request raised inside an if body" `Quick
+      test_request_inside_if;
+    Alcotest.test_case "eval: a read after a write sees the old value" `Quick
+      test_read_after_write;
+    Alcotest.test_case "eval: the edge and step budgets" `Quick test_budgets;
     QCheck_alcotest.to_alcotest prop_rtl_differential;
     Alcotest.test_case "concurrent threads: model = rtl (fig6 set-up)" `Quick
       test_concurrent_threads_match_rtl;

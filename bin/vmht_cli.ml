@@ -635,8 +635,8 @@ let system_cmd =
 (* ------------------------- bench ---------------------------------- *)
 
 (* [vmht bench] and [vmht perf snapshot] both regenerate the
-   evaluation; they share the counter reset, the result check and the
-   manifest writer below. *)
+   evaluation; they share the set-up, the manifest rows, the result
+   check and the manifest writer below. *)
 
 let eval_jobs_arg =
   Arg.(
@@ -648,40 +648,38 @@ let eval_jobs_arg =
            machine's recommended domain count; 1 = sequential).  \
            Output is byte-identical at any width.")
 
-(* Set the pool width and zero every process-wide counter a manifest
-   reads. *)
+(* Set the pool width and zero the pass totals the manifest reads. *)
 let start_eval jobs =
   Vmht_par.Parmap.set_jobs
     (Option.value jobs ~default:(Domain.recommended_domain_count ()));
-  Vmht_eval.Common.reset_mismatches ();
-  Vmht_eval.Common.reset_run_stats ();
-  Vmht_ir.Pass_manager.reset_totals ();
-  Vmht_vm.Vm_totals.reset ()
-
-(* Every run checks its outputs against the workload's reference; a
-   wrong answer is printed and fails the command. *)
-let check_results code =
-  match Vmht_eval.Common.mismatch_log () with
-  | [] -> ([], code)
-  | bad ->
-    Printf.eprintf "result mismatches in %d run(s):\n" (List.length bad);
-    List.iter (Printf.eprintf "  %s\n") bad;
-    (bad, max code 1)
+  Vmht_ir.Pass_manager.reset_totals ()
 
 (* One manifest row: an experiment's wall time, its output size, and
-   the cycle and host-time histograms of every run inside it. *)
+   the ledger of every run inside it. *)
 type row = {
   name : string;
   seconds : float;
-  stats : Vmht_eval.Common.run_stats;
+  ledger : Vmht_eval.Common.ledger;
   output_bytes : int;
 }
 
 let timed name f =
   let t0 = Unix.gettimeofday () in
-  let out, stats = Vmht_eval.Common.with_run_stats f in
+  let out, ledger = Vmht_eval.Common.with_ledger f in
   let seconds = Unix.gettimeofday () -. t0 in
-  (out, { name; seconds; stats; output_bytes = String.length out })
+  (out, { name; seconds; ledger; output_bytes = String.length out })
+
+(* Every run checks its outputs against the workload's reference; a
+   wrong answer is printed and fails the command. *)
+let check_results rows code =
+  match
+    List.concat_map (fun r -> r.ledger.Vmht_eval.Common.mismatches) rows
+  with
+  | [] -> ([], code)
+  | bad ->
+    Printf.eprintf "result mismatches in %d run(s):\n" (List.length bad);
+    List.iter (Printf.eprintf "  %s\n") bad;
+    (bad, max code 1)
 
 (* The commit the manifest was taken at, read straight from .git (no
    subprocess): HEAD is either a hash or a "ref: ..." pointer into
@@ -722,16 +720,14 @@ let git_rev () =
         | Some line -> String.sub line 0 (String.index line ' ')
         | None -> "unknown")))
 
-(* The bench manifest, vmht-bench/3, minus the "micro" section only
-   [vmht perf snapshot] appends.  It reads process-wide counters, so
-   build it before running anything that is not part of the record. *)
+(* The bench manifest, vmht-bench/4, minus the "micro" section only
+   [vmht perf snapshot] appends.  It reads the process-wide synthesis
+   and pass totals, so build it before running anything that is not
+   part of the record. *)
 let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
   let module Json = Vmht_obs.Json in
-  let hsummary h =
-    Vmht_obs.Histogram.summary_to_json (Vmht_obs.Histogram.summary h)
-  in
   let row r =
-    let runs = Vmht_obs.Histogram.count r.stats.Vmht_eval.Common.run_cycles in
+    let runs = r.ledger.Vmht_eval.Common.runs in
     Json.Obj
       [
         ("name", Json.String r.name);
@@ -745,16 +741,17 @@ let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
         ( "ns_per_run",
           if runs = 0 then Json.Null
           else Json.Float (r.seconds *. 1e9 /. float_of_int runs) );
-        ("cycles", hsummary r.stats.Vmht_eval.Common.run_cycles);
-        ("host_ns", hsummary r.stats.Vmht_eval.Common.run_host_ns);
+        ( "counts",
+          Json.Obj
+            (List.map
+               (fun (k, v) -> (k, Json.Int v))
+               r.ledger.Vmht_eval.Common.counts) );
         ("output_bytes", Json.Int r.output_bytes);
       ]
   in
   let cache = Vmht.Flow.cache_stats () in
-  let rs = Vmht_eval.Common.global_run_stats () in
-  let tot = Vmht_vm.Vm_totals.totals () in
   [
-    ("schema", Json.String "vmht-bench/3");
+    ("schema", Json.String "vmht-bench/4");
     ("git_rev", Json.String (git_rev ()));
     ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
     ("seed", Json.Int config.Vmht.Config.seed);
@@ -789,26 +786,6 @@ let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
                  ("rewrites", Json.Int rewrites);
                ])
            (Vmht_ir.Pass_manager.totals ())) );
-    ( "vm",
-      Json.Obj
-        [
-          ("tlb2.lookups", Json.Int tot.Vmht_vm.Vm_totals.tlb2_lookups);
-          ("tlb2.hits", Json.Int tot.Vmht_vm.Vm_totals.tlb2_hits);
-          ( "tlb2.misses",
-            Json.Int
-              (tot.Vmht_vm.Vm_totals.tlb2_lookups
-             - tot.Vmht_vm.Vm_totals.tlb2_hits) );
-          ("tlb2.evictions", Json.Int tot.Vmht_vm.Vm_totals.tlb2_evictions);
-          ("walk_cache.hits", Json.Int tot.Vmht_vm.Vm_totals.walk_cache_hits);
-          ( "walk_cache.misses",
-            Json.Int tot.Vmht_vm.Vm_totals.walk_cache_misses );
-        ] );
-    ( "run",
-      Json.Obj
-        [
-          ("cycles", hsummary rs.Vmht_eval.Common.run_cycles);
-          ("host_ns", hsummary rs.Vmht_eval.Common.run_host_ns);
-        ] );
     ("mismatches", Json.List (List.map (fun s -> Json.String s) mismatches));
     ("exit_code", Json.Int code);
   ]
@@ -851,10 +828,9 @@ let bench_cmd =
       & opt (some string) None
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
-            "Write the bench manifest (vmht-bench/3: per-experiment wall \
-             time and per-run histograms, seed, fault plan, pass and VM \
-             totals, mismatches) to $(docv); $(b,vmht perf diff) compares \
-             two.")
+            "Write the bench manifest (vmht-bench/4: per-experiment wall \
+             time and summed run counts, seed, fault plan, pass totals, \
+             mismatches) to $(docv); $(b,vmht perf diff) compares two.")
   in
   let spans_out =
     Arg.(
@@ -901,23 +877,34 @@ let bench_cmd =
           (run_timed "all" (fun () -> Vmht_eval.Experiment.run_all ~config ()));
         0
       | name -> (
-        match
-          (List.assoc_opt name kind_groups, Vmht_eval.Experiment.find name)
-        with
-        | Some kind, _ ->
-          List.iter run_experiment (Vmht_eval.Experiment.by_kind kind);
-          0
-        | None, Some e ->
+        match Vmht_eval.Experiment.find name with
+        | Some e ->
           run_experiment e;
           0
-        | None, None ->
+        | None ->
           Printf.eprintf "unknown experiment '%s'\n" name;
           1)
     in
+    (* Each experiment runs once, in first-mention order: a group
+       stands for its members, and [all] is a row of its own. *)
+    let expand name =
+      match List.assoc_opt name kind_groups with
+      | Some kind ->
+        List.map
+          (fun (e : Vmht_eval.Experiment.t) -> e.name)
+          (Vmht_eval.Experiment.by_kind kind)
+      | None -> [ name ]
+    in
+    let plan =
+      List.fold_left
+        (fun plan n -> if List.mem n plan then plan else plan @ [ n ])
+        [] (List.concat_map expand names)
+    in
     let t0 = Unix.gettimeofday () in
-    let code = List.fold_left (fun acc n -> max acc (run_one n)) 0 names in
+    let code = List.fold_left (fun acc n -> max acc (run_one n)) 0 plan in
     let total_seconds = Unix.gettimeofday () -. t0 in
-    let mismatches, code = check_results code in
+    let rows = List.rev !rows in
+    let mismatches, code = check_results rows code in
     let code =
       match spans_out with
       | Some path when not (write_spans path) -> max code exit_write_failed
@@ -926,7 +913,6 @@ let bench_cmd =
     match metrics_json with
     | None -> code
     | Some path ->
-      let rows = List.rev !rows in
       if
         write_json "manifest" path
           (Vmht_obs.Json.Obj
@@ -940,7 +926,8 @@ let bench_cmd =
     :: `P
          "Run the named experiments, the groups $(b,tables), \
           $(b,figures), $(b,ablations) and $(b,sweeps), or $(b,all), and \
-          print their rendered tables and figures.  Experiments (from the \
+          print their rendered tables and figures.  Each experiment runs \
+          once, in the order first named.  Experiments (from the \
           registry):"
     :: List.map
          (fun (e : Vmht_eval.Experiment.t) ->
@@ -1400,29 +1387,44 @@ let perf_diff_cmd =
   let new_arg =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json")
   in
+  (* A percentage the comparison can hold to: nan and inf pass any
+     growth, and a negative bound fails a manifest against itself. *)
+  let percent =
+    let parse s =
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v && v >= 0. -> Ok v
+      | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "invalid value '%s', expected a finite percentage >= 0" s))
+    in
+    Arg.conv ~docv:"PCT" (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+  in
   let threshold =
     Arg.(
-      value & opt float 10.
+      value & opt percent 10.
       & info [ "threshold" ] ~docv:"PCT"
           ~doc:
-            "Flag a metric as regressed when it grows by at least \
-             $(docv) percent (default 10).")
+            "Flag a host-time metric as regressed when it grows by at \
+             least $(docv) percent (default 10).  Counts are held \
+             exact whatever $(docv) is.")
   in
   let warn_only =
     Arg.(
       value & flag
       & info [ "warn-only" ]
           ~doc:
-            "Report regressions but exit 0 anyway (for noisy shared \
-             runners).  A metric of $(i,OLD) missing from $(i,NEW) still \
-             fails.")
+            "Report host-time regressions but exit 0 anyway (for noisy \
+             shared runners).  A moved count, or a metric of $(i,OLD) \
+             missing from $(i,NEW), still fails.")
   in
   let action old_path new_path threshold warn_only =
     let read_manifest path =
       match Vmht_obs.Json.of_string (read_file path) with
       | v ->
         Result.map_error (Printf.sprintf "%s: %s" path)
-          (Vmht_obs.Perf_diff.check_schema v)
+          (Vmht_obs.Perf_diff.check_manifest v)
       | exception Sys_error msg -> Error msg
       | exception Vmht_obs.Json.Parse_error msg ->
         Error (Printf.sprintf "%s: %s" path msg)
@@ -1436,7 +1438,10 @@ let perf_diff_cmd =
         Vmht_obs.Perf_diff.diff ~threshold ~old_manifest ~new_manifest ()
       in
       print_string (Vmht_obs.Perf_diff.render ~threshold report);
-      if not (Vmht_obs.Perf_diff.complete report) then 1
+      if
+        (not (Vmht_obs.Perf_diff.complete report))
+        || report.Vmht_obs.Perf_diff.moved <> []
+      then 1
       else if report.Vmht_obs.Perf_diff.regressions = [] then 0
       else if warn_only then begin
         print_endline "(warn-only: not failing)";
@@ -1447,8 +1452,9 @@ let perf_diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two bench manifests and fail when any metric regressed \
-          past the threshold or is missing from $(i,NEW).")
+         "Compare two bench manifests and fail when a host-time metric \
+          regressed past the threshold, a count moved, or a metric is \
+          missing from $(i,NEW).")
     Term.(const action $ old_arg $ new_arg $ threshold $ warn_only)
 
 let perf_micro_cmd =
@@ -1505,7 +1511,7 @@ let perf_snapshot_cmd =
     in
     let total_seconds = Unix.gettimeofday () -. t0 in
     Printf.printf "total: %.3f s\n%!" total_seconds;
-    let mismatches, code = check_results 0 in
+    let mismatches, code = check_results rows 0 in
     (* Before the micro targets, which synthesize and simulate too. *)
     let fields =
       manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code

@@ -399,9 +399,6 @@ let run_to_completion soc main =
       Soc.run soc (fun () ->
           outcome :=
             Some (match main () with v -> Ok v | exception e -> Error e)));
-  (* Every run funnels through here, so this is where the SoC's
-     translation-hierarchy counters reach the process-wide totals. *)
-  Soc.flush_vm_totals soc;
   match !outcome with
   | Some (Ok v) -> v
   | Some (Error e) -> raise e

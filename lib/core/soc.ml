@@ -43,7 +43,6 @@ type t = {
   aspace : Addr_space.t;
   cpu : Cpu.t;
   tlb2 : Tlb2.t option; (* one shared second-level TLB for all MMUs *)
-  mutable vm_flushed : Vmht_vm.Vm_totals.totals;
   mutable mmu_list : Mmu.t list;
   mutable next_asid : int;
   trace : Vmht_sim.Trace.t;
@@ -92,7 +91,6 @@ let create (config : Config.t) =
         (if config.Config.tlb2.Tlb2.enabled then
            Some (Tlb2.create config.Config.tlb2)
          else None);
-      vm_flushed = Vmht_vm.Vm_totals.zero;
       mmu_list = [];
       next_asid = 1;
       trace = Vmht_sim.Trace.create ();
@@ -326,29 +324,6 @@ let scratchpad_port pad =
 let mmus t = t.mmu_list
 
 let tlb2 t = t.tlb2
-
-(* Push this SoC's translation-hierarchy counters into the process-wide
-   totals as a delta since the previous flush, so the launcher can call
-   this after every completed run without double counting. *)
-let flush_vm_totals t =
-  let module V = Vmht_vm.Vm_totals in
-  let s =
-    match t.tlb2 with
-    | Some l2 -> Tlb2.stats l2
-    | None -> { Tlb.lookups = 0; hits = 0; evictions = 0 }
-  in
-  let sum f = List.fold_left (fun acc m -> acc + f (Mmu.ptw_stats m)) 0 t.mmu_list in
-  let cur =
-    {
-      V.tlb2_lookups = s.Tlb.lookups;
-      tlb2_hits = s.Tlb.hits;
-      tlb2_evictions = s.Tlb.evictions;
-      walk_cache_hits = sum (fun p -> p.Ptw.walk_cache_hits);
-      walk_cache_misses = sum (fun p -> p.Ptw.walk_cache_misses);
-    }
-  in
-  V.add (V.sub cur t.vm_flushed);
-  t.vm_flushed <- cur
 
 let fault_stats t =
   List.fold_left

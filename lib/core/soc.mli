@@ -84,12 +84,6 @@ val mmus : t -> Vmht_vm.Mmu.t list
 val tlb2 : t -> Vmht_vm.Tlb2.t option
 (** The SoC's shared second-level TLB, when [Config.tlb2.enabled]. *)
 
-val flush_vm_totals : t -> unit
-(** Push this SoC's L2-TLB and walk-cache counters into the
-    process-wide {!Vmht_vm.Vm_totals} sums, as a delta since the last
-    flush (safe to call repeatedly).  The launcher flushes after every
-    completed run. *)
-
 val make_injector : t -> component:string -> Vmht_fault.Injector.t
 (** The fault-injector stream for one component class, drawn from
     [(Config.seed, component)] and memoized by name — all MMUs share
@@ -122,9 +116,11 @@ val metrics : t -> Vmht_obs.Metrics.t
 
 val sync_metrics : t -> unit
 (** Copy every component's counters into the registry
-    (["mmu.tlb_misses"], ["bus.wait_cycles"], ["dram.row_hits"],
-    ["cache.read_misses"], ["dma.words_in"], ...).  Works whether or
-    not tracing was enabled. *)
+    (["mmu.tlb_misses"], ["tlb2.hits"], ["walk_cache.misses"],
+    ["bus.wait_cycles"], ["dram.row_hits"], ["cache.read_misses"],
+    ["dma.words_in"], ...).  Works whether or not tracing was enabled.
+    The bench's run ledger ([Vmht_eval.Common.record]) sums the synced
+    counters of every run into its manifest. *)
 
 val emit :
   t -> component:string -> ?duration:int -> Vmht_obs.Event.kind -> unit

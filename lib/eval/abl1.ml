@@ -31,11 +31,11 @@ let run base =
          (default sizes)"
       ~headers:("buffer" :: List.map (fun w -> w.Workload.name) workloads)
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun bytes ->
       let config = config_with_buffer base bytes in
       let cells =
-        Common.par_map
+        Vmht_par.Parmap.map
           (fun w ->
             let o = Common.run ~config Common.Vm w ~size:w.Workload.default_size in
             assert o.Common.correct;

@@ -38,10 +38,10 @@ let run base =
         "Ablation 2: TLB organization at 16 entries — cycles (hit rate)"
       ~headers:("organization" :: List.map (fun w -> w.Workload.name) workloads)
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun (name, tlb) ->
       let cells =
-        Common.par_map
+        Vmht_par.Parmap.map
           (fun w ->
             let cycles, hr = measure base tlb w in
             Printf.sprintf "%s (%.3f)" (Table.fmt_int cycles) hr)

@@ -37,10 +37,10 @@ let run base =
         :: List.map (fun p -> Printf.sprintf "%d port(s)" p) port_counts
         @ [ "LUT" ])
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun unroll ->
       let cells =
-        Common.par_map
+        Vmht_par.Parmap.map
           (fun ports ->
             let config = config_with base ~unroll ~ports in
             let o = Common.run ~config Common.Dma w ~size:w.Workload.default_size in

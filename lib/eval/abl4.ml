@@ -20,7 +20,7 @@ let run base =
          modulo-scheduled (achieved II vs FSM iteration length)"
       ~headers:[ "kernel"; "FSM"; "pipelined"; "gain"; "II"; "iter cycles" ]
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun name ->
       let w = Vmht_workloads.Registry.find name in
       let size = w.Workload.default_size in

@@ -22,7 +22,7 @@ let run base =
       ~headers:
         [ "kernel"; "O0"; "O1"; "O2"; "O2 gain"; "IR O0"; "IR O2" ]
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun name ->
       let w = Vmht_workloads.Registry.find name in
       let size = w.Workload.default_size in

@@ -56,10 +56,10 @@ let run base =
         :: List.map fst variants
         @ [ "walk reduction" ])
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun w ->
       let results =
-        Common.par_map (fun (_, cfg) -> measure (cfg base) w) variants
+        Vmht_par.Parmap.map (fun (_, cfg) -> measure (cfg base) w) variants
       in
       let _, l1_walk = List.hd results in
       let _, full_walk = List.nth results (List.length results - 1) in

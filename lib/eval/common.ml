@@ -14,136 +14,68 @@ type outcome = {
   hw : Flow.hw_thread option;
 }
 
-(* Result-mismatch log: [run] appends here whenever a workload's output
-   disagrees with the reference, so batch drivers (bench) can report
-   failure at exit without threading outcomes through every table.
+(* --- the run ledger -------------------------------------------------- *)
 
-   Under the parallel harness the global list is mutex-guarded, and
-   [par_map] gives each task a domain-local sink whose contents are
-   merged back in submission order — so the log reads identically
-   whatever the parallel schedule (and exactly as the old sequential
-   code wrote it when jobs = 1). *)
-let mismatch_mutex = Mutex.create ()
+(* One ledger at a time is open process-wide; runs finish on any domain
+   of the pool, so its tallies sit behind one mutex.  The tallies are
+   integer sums and a list the ledger sorts when it closes, so the
+   closed ledger does not depend on the order in which runs finished. *)
 
-let mismatches : string list ref = ref [] (* newest first; guarded *)
-
-(* The active sink of the calling domain: [Some r] inside a [par_map]
-   task, [None] (= the shared global) otherwise. *)
-let mismatch_sink : string list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let record_mismatch m =
-  match Domain.DLS.get mismatch_sink with
-  | Some local -> local := m :: !local
-  | None ->
-    Mutex.lock mismatch_mutex;
-    mismatches := m :: !mismatches;
-    Mutex.unlock mismatch_mutex
-
-(* Append an oldest-first batch [ms] to the calling context's sink. *)
-let merge_mismatches ms =
-  if ms <> [] then
-    match Domain.DLS.get mismatch_sink with
-    | Some local -> local := List.rev_append ms !local
-    | None ->
-      Mutex.lock mismatch_mutex;
-      mismatches := List.rev_append ms !mismatches;
-      Mutex.unlock mismatch_mutex
-
-let reset_mismatches () =
-  Mutex.lock mismatch_mutex;
-  mismatches := [];
-  Mutex.unlock mismatch_mutex
-
-let mismatch_log () =
-  Mutex.lock mismatch_mutex;
-  let l = !mismatches in
-  Mutex.unlock mismatch_mutex;
-  List.rev l
-
-let par_map f xs =
-  Vmht_par.Parmap.map
-    (fun x ->
-      let local = ref [] in
-      let saved = Domain.DLS.get mismatch_sink in
-      Domain.DLS.set mismatch_sink (Some local);
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Domain.DLS.set mismatch_sink saved)
-          (fun () -> f x)
-      in
-      (r, List.rev !local))
-    xs
-  |> List.map (fun (r, ms) ->
-         merge_mismatches ms;
-         r)
-
-(* --- per-run performance recording --------------------------------- *)
-
-(* Every [run] records its simulated cycle count and host wall time
-   into process-wide histograms (and, when a batch driver installed
-   one with [with_run_stats], into a scoped recorder too — that is how
-   the bench harness gets per-experiment distributions).  Recording is
-   two histogram observes under one mutex per run — noise-free for the
-   experiments' printed output, which never reads these. *)
-
-module Histogram = Vmht_obs.Histogram
-
-type run_stats = {
-  run_cycles : Histogram.t;
-  run_host_ns : Histogram.t;
+type ledger = {
+  runs : int;
+  counts : (string * int) list;
+  mismatches : string list;
 }
 
-let fresh_run_stats () =
-  { run_cycles = Histogram.create (); run_host_ns = Histogram.create () }
+type tally = {
+  mutable run_count : int;
+  sums : (string, int) Hashtbl.t;
+  mutable wrong : string list;
+}
 
-let perf_mutex = Mutex.create ()
+let ledger_mutex = Mutex.create ()
 
-let global_stats = fresh_run_stats () (* guarded by [perf_mutex] *)
+let open_ledger : tally option Atomic.t = Atomic.make None
 
-let scoped_stats : run_stats option ref = ref None (* guarded *)
+let record ~label ~correct ~cycles ?attribution soc =
+  match Atomic.get open_ledger with
+  | None -> ()
+  | Some t ->
+    Soc.sync_metrics soc;
+    let segments =
+      match attribution with
+      | None -> []
+      | Some a ->
+        List.map
+          (fun (k, v) -> ("attr." ^ k, v))
+          (Vmht_obs.Attribution.to_list a)
+    in
+    let counts =
+      (("cycles", cycles) :: segments)
+      @ Vmht_obs.Metrics.counters (Soc.metrics soc)
+    in
+    Mutex.protect ledger_mutex (fun () ->
+        t.run_count <- t.run_count + 1;
+        List.iter
+          (fun (k, v) ->
+            Hashtbl.replace t.sums k
+              (v + Option.value ~default:0 (Hashtbl.find_opt t.sums k)))
+          counts;
+        if not correct then t.wrong <- label :: t.wrong)
 
-let record_run ~cycles ~host_ns =
-  Mutex.lock perf_mutex;
-  Histogram.observe global_stats.run_cycles cycles;
-  Histogram.observe global_stats.run_host_ns host_ns;
-  (match !scoped_stats with
-  | Some r ->
-    Histogram.observe r.run_cycles cycles;
-    Histogram.observe r.run_host_ns host_ns
-  | None -> ());
-  Mutex.unlock perf_mutex
-
-let with_run_stats f =
-  let r = fresh_run_stats () in
-  Mutex.lock perf_mutex;
-  let saved = !scoped_stats in
-  scoped_stats := Some r;
-  Mutex.unlock perf_mutex;
-  let restore () =
-    Mutex.lock perf_mutex;
-    scoped_stats := saved;
-    Mutex.unlock perf_mutex
-  in
-  let v = Fun.protect ~finally:restore f in
-  (v, r)
-
-let global_run_stats () =
-  Mutex.lock perf_mutex;
-  let r =
-    {
-      run_cycles = Histogram.copy global_stats.run_cycles;
-      run_host_ns = Histogram.copy global_stats.run_host_ns;
-    }
-  in
-  Mutex.unlock perf_mutex;
-  r
-
-let reset_run_stats () =
-  Mutex.lock perf_mutex;
-  Histogram.reset global_stats.run_cycles;
-  Histogram.reset global_stats.run_host_ns;
-  Mutex.unlock perf_mutex
+let with_ledger f =
+  let t = { run_count = 0; sums = Hashtbl.create 128; wrong = [] } in
+  let saved = Atomic.exchange open_ledger (Some t) in
+  let v = Fun.protect ~finally:(fun () -> Atomic.set open_ledger saved) f in
+  Mutex.protect ledger_mutex (fun () ->
+      ( v,
+        {
+          runs = t.run_count;
+          counts =
+            List.sort compare
+              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.sums []);
+          mismatches = List.sort compare t.wrong;
+        } ))
 
 let rejection = function
   | Invalid_argument msg | Launch.Window_overflow msg -> Some msg
@@ -172,7 +104,6 @@ let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
      below 1 as an empty instance and report a correct run.  The words
      are those of the allocation a zero size reaches. *)
   if size < 1 then invalid_arg "Addr_space.alloc: non-positive size";
-  let host_t0 = Unix.gettimeofday () in
   let soc = Soc.create config in
   if observe || Option.is_some trace_events then Soc.enable_tracing soc;
   let instance = w.Workload.setup (Soc.aspace soc) ~size ~seed in
@@ -208,11 +139,11 @@ let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
     result.Launch.ret = instance.Workload.expected_ret
     && instance.Workload.check load
   in
-  if not correct then
-    record_mismatch
-      (Printf.sprintf "%s/%s/size %d" w.Workload.name (mode_name mode) size);
-  record_run ~cycles:result.Launch.total_cycles
-    ~host_ns:(int_of_float ((Unix.gettimeofday () -. host_t0) *. 1e9));
+  record
+    ~label:
+      (Printf.sprintf "%s/%s/size %d" w.Workload.name (mode_name mode) size)
+    ~correct ~cycles:result.Launch.total_cycles
+    ~attribution:result.Launch.attribution soc;
   { result; correct; soc; instance; hw = !hw })
 
 let host_lines text =

@@ -24,7 +24,8 @@ val run :
   size:int ->
   outcome
 (** Build a fresh SoC, set the workload up, synthesize (hardware
-    styles), execute, and verify the outputs.  A [size] below 1 raises
+    styles), execute, verify the outputs, and {!record} the run in the
+    open ledger, if any.  A [size] below 1 raises
     [Invalid_argument] before anything is built.  [trace_events] enables
     the SoC trace before running (the value is advisory — the trace's
     own capacity bounds retention); [observe] (default false) does the
@@ -40,44 +41,37 @@ val rejection : exn -> string option
     ({!Vmht_ir.Ir_interp.Runaway}).  [None] for any other exception.
     Every command line and the server word these alike. *)
 
-(** {2 Per-run performance recording} *)
+(** {2 The run ledger} *)
 
-type run_stats = {
-  run_cycles : Vmht_obs.Histogram.t;  (** simulated cycles per run *)
-  run_host_ns : Vmht_obs.Histogram.t;  (** host wall time per run, ns *)
+type ledger = {
+  runs : int;  (** runs recorded while the ledger was open *)
+  counts : (string * int) list;
+      (** integer sums over those runs, sorted by name: ["cycles"], one
+          ["attr.<segment>"] per {!Vmht_obs.Attribution} segment (runs
+          that pass one), and every counter of the SoC's metrics
+          registry after {!Vmht.Soc.sync_metrics} *)
+  mismatches : string list;  (** labels of the wrong runs, sorted *)
 }
 
-val record_run : cycles:int -> host_ns:int -> unit
-(** Add one run to the per-run histograms (global and any scoped
-    recorder).  {!run} does this itself; experiments that drive
-    {!Vmht.Launch} directly (multi-thread scaling, for instance) call
-    it so the bench manifest still sees their runs. *)
+val record :
+  label:string ->
+  correct:bool ->
+  cycles:int ->
+  ?attribution:Vmht_obs.Attribution.t ->
+  Vmht.Soc.t ->
+  unit
+(** Add one finished run on [soc] to the open ledger: its [cycles], its
+    [attribution] segments and its SoC's counters, and [label] to the
+    mismatches unless [correct].  {!run} does this itself; an experiment
+    that drives {!Vmht.Launch} directly calls it once per measured point.
+    With no ledger open it returns at once: no sync, no lock. *)
 
-val with_run_stats : (unit -> 'a) -> 'a * run_stats
-(** Run the thunk with a scoped recorder installed: every {!run} that
-    completes inside it (on any domain — the harness records under one
-    mutex) is added to the returned histograms as well as the global
-    ones.  The bench harness wraps each experiment in this to get
-    per-experiment distributions. *)
-
-val global_run_stats : unit -> run_stats
-(** A consistent copy of the process-wide per-run histograms. *)
-
-val reset_run_stats : unit -> unit
-
-val mismatch_log : unit -> string list
-(** Workload/mode/size identifiers of every incorrect run since the
-    last {!reset_mismatches}, oldest first.  Safe (and deterministic:
-    merged in submission order by {!par_map}) under parallel runs. *)
-
-val reset_mismatches : unit -> unit
-
-val par_map : ('a -> 'b) -> 'a list -> 'b list
-(** {!Vmht_par.Parmap.map} with mismatch capture: each task records
-    into a private sink, and the sinks are merged into the caller's
-    log in submission order, so the mismatch log (like the returned
-    list) is independent of the parallel schedule.  Experiments use
-    this for every sweep; with jobs = 1 it is exactly [List.map]. *)
+val with_ledger : (unit -> 'a) -> 'a * ledger
+(** Run the thunk with a fresh ledger open and return its value with
+    the closed ledger.  Every {!record} made before the thunk returns,
+    on any domain, lands in it; sums and sorted lists do not depend on
+    the order runs finished in, so the ledger is the same at any pool
+    width.  A nested ledger hides the enclosing one until it closes. *)
 
 val host_lines : string -> string
 (** Prefix every line with ["host: "], the mark of experiment output

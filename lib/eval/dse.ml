@@ -2,7 +2,7 @@
 
    One synthesis + simulation per point of the cross product
    unroll x scratchpad banks x optimization level x TLB entries, per
-   kernel, fanned out over the domain pool ([Common.par_map], so the
+   kernel, fanned out over the domain pool ([Vmht_par.Parmap.map], so the
    output is byte-identical at any -j width and every point reuses the
    synthesis cache across repeat invocations).  Each kernel gets a
    Pareto front over (total cycles, total LUT): banks and unroll buy
@@ -85,7 +85,7 @@ let explore ?(size = default_size) ?(axes = default_axes)
       kernels
   in
   let points =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun ((kernel, unroll, banks, opt, tlb), config) ->
         let w = Vmht_workloads.Registry.find kernel in
         let o = Common.run ~config Common.Vm w ~size in

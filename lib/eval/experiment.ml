@@ -152,12 +152,11 @@ let by_kind kind = List.filter (fun e -> e.kind = kind) all
 let run ?(config = Vmht.Config.default) e = e.run config
 
 (* Experiments fan out across the domain pool (and, inside each, their
-   sweep points fan out again — [Common.par_map] nests safely).  The
-   rendered sections come back in registry order and mismatches merge
-   in submission order, so the output is byte-identical to a
-   sequential run. *)
+   sweep points fan out again — [Vmht_par.Parmap.map] nests safely).
+   The rendered sections come back in registry order, so the output is
+   byte-identical to a sequential run. *)
 let run_all ?(config = Vmht.Config.default) () =
   String.concat "\n"
-    (Common.par_map
+    (Vmht_par.Parmap.map
        (fun e -> Printf.sprintf "===== %s =====\n%s" e.name (run ~config e))
        all)

@@ -13,7 +13,7 @@ let sizes = [ 256; 512; 1024; 2048; 4096; 8192; 16384; 32768; 65536 ]
    simply have no DMA point — which is itself part of the result. *)
 let series_for base (w : Workload.t) mode =
   let points =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun size ->
         match Common.run ~config:base mode w ~size with
         | hw ->
@@ -39,7 +39,7 @@ let run base =
        copy-based (dma) vs VM-enabled (vm); dma series end at the \
        scratchpad capacity cliff"
     ~xlabel:"elements" ~ylabel:"speedup"
-    (Common.par_map
+    (Vmht_par.Parmap.map
        (fun (w, mode) -> series_for base w mode)
        [
          (vecadd, Common.Dma);

@@ -21,9 +21,9 @@ let run base =
     List.map Vmht_workloads.Registry.find [ "vecadd"; "spmv"; "list_sum" ]
   in
   let measurements =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun w ->
-        (w, Common.par_map (fun e -> (e, measure base w e)) entry_counts))
+        (w, Vmht_par.Parmap.map (fun e -> (e, measure base w e)) entry_counts))
       workloads
   in
   let series =

@@ -10,7 +10,7 @@ let page_shifts = [ 10; 11; 12; 13; 14; 15; 16 ]
 
 let series_for base (w : Workload.t) =
   let points =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun shift ->
         let config = Vmht.Config.with_page_shift base shift in
         let o = Common.run ~config Common.Vm w ~size:w.Workload.default_size in
@@ -24,6 +24,6 @@ let run base =
   Plot.render ~logx:true
     ~title:"Figure 3: VM-thread runtime vs page size (bytes)"
     ~xlabel:"page bytes" ~ylabel:"cycles"
-    (Common.par_map
+    (Vmht_par.Parmap.map
        (fun name -> series_for base (Vmht_workloads.Registry.find name))
        [ "list_sum"; "mmul"; "spmv" ])

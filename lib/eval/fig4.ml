@@ -10,7 +10,7 @@ let entry_counts = [ 2; 4; 8; 16; 32 ]
 
 let series_for base (w : Workload.t) ~hw_walk =
   let points =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun entries ->
         let sized = Vmht.Config.with_tlb_entries base entries in
         let config =
@@ -39,7 +39,7 @@ let run base =
       "Figure 4: miss-handling style — hardware walker vs software TLB \
        refill, runtime vs TLB size"
     ~xlabel:"TLB entries" ~ylabel:"cycles"
-    (Common.par_map
+    (Vmht_par.Parmap.map
        (fun (w, hw_walk) -> series_for base w ~hw_walk)
        [
          (spmv, true);

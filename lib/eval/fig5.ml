@@ -23,9 +23,11 @@ let run base =
     List.map Vmht_workloads.Registry.find [ "vecadd"; "mmul"; "spmv" ]
   in
   let measurements =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun w ->
-        (w, Common.par_map (fun u -> (u, measure base w u)) unroll_factors))
+        ( w,
+          Vmht_par.Parmap.map (fun u -> (u, measure base w u)) unroll_factors
+        ))
       workloads
   in
   let plot =

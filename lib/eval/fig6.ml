@@ -20,7 +20,6 @@ let thread_counts = [ 1; 2; 3; 4; 6; 8 ]
 type point = { span : int; utilization : float }
 
 let measure config (w : Workload.t) ~size n =
-  let host_t0 = Unix.gettimeofday () in
   let soc = Soc.create config in
   let instances =
     List.init n (fun i -> w.Workload.setup (Soc.aspace soc) ~size ~seed:(i + 1))
@@ -45,13 +44,16 @@ let measure config (w : Workload.t) ~size n =
         Vmht_sim.Engine.now_p () - t0)
   in
   let load = Vmht_vm.Addr_space.load_word (Soc.aspace soc) in
-  List.iter
-    (fun (inst : Workload.instance) -> assert (inst.Workload.check load))
-    instances;
-  (* One N-thread point = one run as far as the bench manifest is
-     concerned; [Common.run] never sees these launches. *)
-  Common.record_run ~cycles:span
-    ~host_ns:(int_of_float ((Unix.gettimeofday () -. host_t0) *. 1e9));
+  (* One N-thread point is one run of the ledger, [Common.run] never
+     sees these launches.  Its threads overlap, so it has a span and no
+     attribution. *)
+  Common.record
+    ~label:(Printf.sprintf "%s/vm/size %d/%d threads" w.Workload.name size n)
+    ~correct:
+      (List.for_all
+         (fun (inst : Workload.instance) -> inst.Workload.check load)
+         instances)
+    ~cycles:span soc;
   { span; utilization = Vmht_mem.Bus.utilization (Soc.bus soc) ~total_cycles:span }
 
 let run base =
@@ -59,12 +61,13 @@ let run base =
     [ (Vmht_workloads.Registry.find "mmul", 16); (Vmht_workloads.Registry.find "vecadd", 2048) ]
   in
   let measurements =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun (w, size) ->
         ( w,
           size,
-          Common.par_map (fun n -> (n, measure base w ~size n)) thread_counts
-        ))
+          Vmht_par.Parmap.map
+            (fun n -> (n, measure base w ~size n))
+            thread_counts ))
       subjects
   in
   (* Aggregate speedup over the single-thread run of the same kernel:

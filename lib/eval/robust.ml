@@ -67,12 +67,15 @@ let measure base plan (w : Workload.t) style =
 let run base =
   let workloads = List.map Vmht_workloads.Registry.find kernels in
   let measurements =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun plan ->
         ( plan,
-          Common.par_map
+          Vmht_par.Parmap.map
             (fun w ->
-              (w, Common.par_map (fun style -> (style, measure base plan w style)) styles))
+              ( w,
+                Vmht_par.Parmap.map
+                  (fun style -> (style, measure base plan w style))
+                  styles ))
             workloads ))
       (plans base)
   in

@@ -10,7 +10,7 @@
    accounting at every point — any divergence is an emitter bug and
    fails the experiment loudly.  A DMA section covers the scratchpad
    port path at the default knobs.  Points fan out over the domain
-   pool ([Common.par_map]), so the manifest is byte-identical at any
+   pool ([Vmht_par.Parmap.map]), so the manifest is byte-identical at any
    -j width. *)
 
 module Table = Vmht_util.Table
@@ -105,7 +105,7 @@ let point_label p =
 let run base =
   let size = Dse.default_size in
   let rows =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun p ->
         let m = measure base Vmht.Config.Model p ~size in
         let r = measure base Vmht.Config.Rtl p ~size in

@@ -18,7 +18,7 @@ let run base =
           "dyn instrs"; "loads"; "stores"; "data words";
         ]
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun (w : Workload.t) ->
       let hw = Common.synthesize ~config:base Vmht.Wrapper.Vm_iface w in
       let stats = hw.Vmht.Flow.fsm.Fsm.stats in

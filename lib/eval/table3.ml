@@ -17,7 +17,7 @@ let run base =
         ]
   in
   let measured =
-    Common.par_map
+    Vmht_par.Parmap.map
       (fun (w : Workload.t) ->
         let size = w.Workload.default_size in
         let sw = Common.run ~config:base Common.Sw w ~size in

@@ -22,7 +22,7 @@ let run base =
     Table.create ~title:"Table 4 (host): synthesis wall time per kernel"
       ~headers:[ "kernel"; "synth ms" ]
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun (w : Workload.t) ->
       let hw = Common.synthesize ~config:base Vmht.Wrapper.Vm_iface w in
       let stats = hw.Vmht.Flow.fsm.Fsm.stats in

@@ -32,7 +32,7 @@ let run base =
       ~headers:
         [ "kernel"; "kernel LoC"; "buffers"; "VM lines"; "DMA lines" ]
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun (w : Workload.t) ->
       let soc = Vmht.Soc.create base in
       let instance =

@@ -21,7 +21,7 @@ let run base =
           "VM/DMA (7020)";
         ]
   in
-  Common.par_map
+  Vmht_par.Parmap.map
     (fun (w : Workload.t) ->
       let vm = Common.synthesize ~config Vmht.Wrapper.Vm_iface w in
       let dma = Common.synthesize ~config Vmht.Wrapper.Dma_iface w in

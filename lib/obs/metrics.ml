@@ -79,9 +79,11 @@ let sorted_bindings table value =
   Hashtbl.fold (fun k v acc -> (k, value v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let counters (t : t) = sorted_bindings t.counters (fun c -> c.count)
+
 let snapshot (t : t) : snapshot =
   {
-    counters = sorted_bindings t.counters (fun c -> c.count);
+    counters = counters t;
     gauges = sorted_bindings t.gauges (fun g -> g.value);
     histograms = sorted_bindings t.histograms histogram_snapshot;
   }

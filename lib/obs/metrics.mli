@@ -64,6 +64,9 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
+val counters : t -> (string * int) list
+(** The snapshot's counters alone, sorted by name. *)
+
 val histogram_snapshot : histogram -> histogram_snapshot
 
 val reset : t -> unit

@@ -1,14 +1,15 @@
-(* Comparison of two bench manifests: the regression gate behind
-   [vmht perf diff].  Any "vmht-bench..." schema is comparable — the
-   committed vmht-bench-eval/2 baseline as well as the vmht-bench/3
-   manifests [vmht bench] and [vmht perf snapshot] write.
+(* Comparison of two vmht-bench/4 manifests: the regression gate behind
+   [vmht perf diff].
 
-   Metrics are extracted per experiment (wall seconds, ns/run and the
-   deterministic simulated-cycle percentiles) and per micro benchmark
-   (ns/run), keyed by dotted names.  A metric of OLD that NEW lacks
-   fails the gate, so a rename or a dropped experiment cannot silently
-   weaken it; a metric only NEW has is listed.  A metric regresses
-   when it grows by at least [threshold] percent. *)
+   Metrics are keyed by dotted names and come in two kinds.  Host time
+   (each experiment's wall seconds and ns/run, each micro benchmark's
+   ns/run, the total seconds) regresses when it grows by at least
+   [threshold] percent.  Counts (the sums of an experiment's run
+   ledger, [<experiment>.counts.<name>]) are simulated and therefore
+   deterministic: any difference is a move, whatever the threshold.  A
+   metric of OLD that NEW lacks fails the gate, so a rename or a
+   dropped experiment cannot silently weaken it; a metric only NEW has
+   is listed. *)
 
 type row = {
   metric : string;
@@ -17,146 +18,157 @@ type row = {
   delta_pct : float;
 }
 
+type moved = { count : string; old_c : int; new_c : int }
+
 type report = {
-  rows : row list; (* compared metrics, manifest order *)
+  rows : row list; (* compared host-time metrics, manifest order *)
   regressions : row list;
+  counts : int; (* counts compared *)
+  moved : moved list; (* manifest order *)
   dropped : string list; (* in OLD, absent from NEW *)
   added : string list; (* in NEW only *)
-  unattributed : string list;
-      (* experiments with no ns_per_run that are not marked
-         "kind": "synthesis" — surfaced so a recording bug cannot
-         silently drop an experiment out of the per-run gate *)
 }
 
-let check_schema manifest =
+let schema = "vmht-bench/4"
+
+let named_rows section j =
+  match Option.bind (Json.member section j) Json.to_list with
+  | None -> []
+  | Some rows ->
+    List.filter_map
+      (fun r ->
+        Option.map (fun name -> (name, r))
+          (Option.bind (Json.member "name" r) Json.to_str))
+      rows
+
+(* The first name that [rows] holds twice: a diff keyed on names would
+   pair both rows with one of the other manifest's. *)
+let rec repeated = function
+  | [] -> None
+  | (name, _) :: rest ->
+    if List.mem_assoc name rest then Some name else repeated rest
+
+let check_manifest manifest =
   match Option.bind (Json.member "schema" manifest) Json.to_str with
-  | Some s when String.starts_with ~prefix:"vmht-bench" s -> Ok manifest
-  | Some s -> Error (Printf.sprintf "schema %S is not a bench manifest" s)
-  | None -> Error "no \"schema\" field, not a bench manifest"
+  | Some s when s = schema -> (
+    let repeat section what =
+      Option.map
+        (Printf.sprintf "%s %S appears more than once" what)
+        (repeated (named_rows section manifest))
+    in
+    match
+      (repeat "experiments" "experiment", repeat "micro" "micro target")
+    with
+    | Some msg, _ | None, Some msg -> Error msg
+    | None, None -> Ok manifest)
+  | Some s ->
+    Error
+      (Printf.sprintf
+         "schema %S is not %s; re-take the baseline with 'vmht perf snapshot'"
+         s schema)
+  | None ->
+    Error (Printf.sprintf "no \"schema\" field, not a %s manifest" schema)
 
-let get path j =
-  List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
+type value = Time of float | Count of int
 
-let get_float path j = Option.bind (get path j) Json.to_float
-
-(* (metric name, value) pairs in manifest order, plus the names of
-   experiments whose ns_per_run is absent without the "synthesis" kind
-   explaining why. *)
+(* (metric name, value) pairs in manifest order. *)
 let extract manifest =
   let acc = ref [] in
-  let unattributed = ref [] in
   let push name v = acc := (name, v) :: !acc in
-  let named_rows section j =
-    match Option.bind (Json.member section j) Json.to_list with
-    | None -> []
-    | Some rows ->
-      List.filter_map
-        (fun r ->
-          match Option.bind (Json.member "name" r) Json.to_str with
-          | Some name -> Some (name, r)
-          | None -> None)
-        rows
+  let time name j field =
+    Option.iter
+      (fun v -> push name (Time v))
+      (Option.bind (Json.member field j) Json.to_float)
   in
   List.iter
     (fun (name, r) ->
-      Option.iter (push (name ^ ".seconds")) (get_float [ "seconds" ] r);
-      (match get_float [ "ns_per_run" ] r with
-      | Some v -> push (name ^ ".ns_per_run") v
-      | None ->
-        let kind = Option.bind (Json.member "kind" r) Json.to_str in
-        if kind <> Some "synthesis" then
-          unattributed := name :: !unattributed);
-      List.iter
-        (fun q ->
-          Option.iter
-            (push (Printf.sprintf "%s.cycles.%s" name q))
-            (get_float [ "cycles"; q ] r))
-        [ "p50"; "p99"; "max" ])
+      time (name ^ ".seconds") r "seconds";
+      time (name ^ ".ns_per_run") r "ns_per_run";
+      match Json.member "counts" r with
+      | Some (Json.Obj counts) ->
+        List.iter
+          (fun (k, v) ->
+            Option.iter
+              (fun c -> push (Printf.sprintf "%s.counts.%s" name k) (Count c))
+              (Json.to_int v))
+          counts
+      | _ -> ())
     (named_rows "experiments" manifest);
   List.iter
-    (fun (name, r) ->
-      Option.iter
-        (push ("micro." ^ name ^ ".ns_per_run"))
-        (get_float [ "ns_per_run" ] r))
+    (fun (name, r) -> time ("micro." ^ name ^ ".ns_per_run") r "ns_per_run")
     (named_rows "micro" manifest);
-  Option.iter (push "total_seconds") (get_float [ "total_seconds" ] manifest);
-  (List.rev !acc, List.rev !unattributed)
+  time "total_seconds" manifest "total_seconds";
+  List.rev !acc
 
 let delta_pct old_v new_v =
   if old_v = 0. then if new_v = 0. then 0. else infinity
   else (new_v -. old_v) /. old_v *. 100.
 
 let diff ?(threshold = 10.) ~old_manifest ~new_manifest () =
-  let old_metrics, old_unattr = extract old_manifest in
-  let new_metrics, new_unattr = extract new_manifest in
-  let new_tbl = Hashtbl.create 64 in
+  let old_metrics = extract old_manifest in
+  let new_metrics = extract new_manifest in
+  let new_tbl = Hashtbl.create 1024 in
   List.iter (fun (k, v) -> Hashtbl.replace new_tbl k v) new_metrics;
-  let rows, dropped =
-    List.fold_left
-      (fun (rows, dropped) (k, old_v) ->
-        match Hashtbl.find_opt new_tbl k with
-        | Some new_v ->
-          ( { metric = k; old_v; new_v; delta_pct = delta_pct old_v new_v }
-            :: rows,
-            dropped )
-        | None -> (rows, k :: dropped))
-      ([], []) old_metrics
-  in
-  let old_names = List.map fst old_metrics in
-  let added =
-    List.filter_map
-      (fun (k, _) -> if List.mem k old_names then None else Some k)
-      new_metrics
-  in
-  let rows = List.rev rows in
+  let old_tbl = Hashtbl.create 1024 in
+  List.iter (fun (k, v) -> Hashtbl.replace old_tbl k v) old_metrics;
+  let rows = ref [] and counts = ref 0 in
+  let moved = ref [] and dropped = ref [] in
+  List.iter
+    (fun (k, old_v) ->
+      match (old_v, Hashtbl.find_opt new_tbl k) with
+      | Time old_v, Some (Time new_v) ->
+        rows :=
+          { metric = k; old_v; new_v; delta_pct = delta_pct old_v new_v }
+          :: !rows
+      | Count old_c, Some (Count new_c) ->
+        incr counts;
+        if old_c <> new_c then moved := { count = k; old_c; new_c } :: !moved
+      | _ -> dropped := k :: !dropped)
+    old_metrics;
+  let rows = List.rev !rows in
   {
     rows;
     regressions = List.filter (fun r -> r.delta_pct >= threshold) rows;
-    dropped = List.rev dropped;
-    added;
-    unattributed =
-      old_unattr
-      @ List.filter (fun n -> not (List.mem n old_unattr)) new_unattr;
+    counts = !counts;
+    moved = List.rev !moved;
+    dropped = List.rev !dropped;
+    added =
+      List.filter_map
+        (fun (k, _) -> if Hashtbl.mem old_tbl k then None else Some k)
+        new_metrics;
   }
 
-let complete r = r.rows <> [] && r.dropped = []
+let complete r = (r.rows <> [] || r.counts > 0) && r.dropped = []
 
 let render ~threshold r =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-40s %14s %14s %9s\n" "metric" "old" "new" "delta");
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  line "%-40s %14s %14s %9s" "metric" "old" "new" "delta";
   List.iter
     (fun row ->
-      let flag = if row.delta_pct >= threshold then "  REGRESSED" else "" in
-      Buffer.add_string buf
-        (Printf.sprintf "%-40s %14.4g %14.4g %+8.1f%%%s\n" row.metric row.old_v
-           row.new_v row.delta_pct flag))
+      line "%-40s %14.4g %14.4g %+8.1f%%%s" row.metric row.old_v row.new_v
+        row.delta_pct
+        (if row.delta_pct >= threshold then "  REGRESSED" else ""))
     r.rows;
-  let only side k =
-    Buffer.add_string buf
-      (Printf.sprintf "%-40s (only in one manifest: %s)\n" k side)
-  in
+  List.iter
+    (fun m ->
+      line "%-40s %14d %14d %+9d  MOVED" m.count m.old_c m.new_c
+        (m.new_c - m.old_c))
+    r.moved;
+  let only side k = line "%-40s (only in one manifest: %s)" k side in
   List.iter (only "OLD") r.dropped;
   List.iter (only "NEW") r.added;
-  List.iter
-    (fun name ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%-40s (no per-run timing recorded and not marked \"synthesis\")\n"
-           (name ^ ".ns_per_run")))
-    r.unattributed;
+  if r.moved <> [] then
+    line "moved: %d count(s) differ; counts are exact at any threshold"
+      (List.length r.moved);
   if r.regressions <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "regression: %d metric(s) slower by >= %.1f%%\n"
-         (List.length r.regressions) threshold);
+    line "regression: %d metric(s) slower by >= %.1f%%"
+      (List.length r.regressions) threshold;
   if r.dropped <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "incomplete: %d metric(s) of OLD missing from NEW\n"
-         (List.length r.dropped))
-  else if r.rows = [] then
-    Buffer.add_string buf "incomplete: no metric compared\n";
-  if r.regressions = [] && complete r then
-    Buffer.add_string buf
-      (Printf.sprintf "ok: %d metric(s) within +%.1f%%\n" (List.length r.rows)
-         threshold);
+    line "incomplete: %d metric(s) of OLD missing from NEW"
+      (List.length r.dropped)
+  else if not (complete r) then line "incomplete: no metric compared";
+  if r.regressions = [] && r.moved = [] && complete r then
+    line "ok: %d metric(s) within +%.1f%%, %d count(s) equal"
+      (List.length r.rows) threshold r.counts;
   Buffer.contents buf

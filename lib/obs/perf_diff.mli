@@ -1,12 +1,13 @@
-(** Perf-regression gate: compare two bench manifests (any
-    ["vmht-bench..."] schema).
+(** Perf-regression gate: compare two [vmht-bench/4] manifests.
 
-    Extracts per-experiment wall seconds, ns/run and simulated cycle
-    percentiles, plus micro-benchmark ns/run, and flags every metric
-    that grew by at least the threshold percentage.  A metric of the
-    old manifest that the new one lacks makes the comparison
-    incomplete (see {!complete}), so renames can't silently weaken
-    the gate. *)
+    Host time (per-experiment wall seconds and ns/run, micro-benchmark
+    ns/run, total seconds) regresses when it grows by at least the
+    threshold percentage.  Counts (each experiment's run-ledger sums,
+    named [<experiment>.counts.<name>]) are deterministic and must be
+    equal: a count that differs has moved, whatever the threshold.  A
+    metric of the old manifest that the new one lacks makes the
+    comparison incomplete (see {!complete}), so renames can't silently
+    weaken the gate. *)
 
 type row = {
   metric : string;  (** e.g. ["fig1.seconds"], ["micro.vm/.../run.ns_per_run"] *)
@@ -15,29 +16,36 @@ type row = {
   delta_pct : float;  (** positive = slower *)
 }
 
-type report = {
-  rows : row list;  (** compared metrics, manifest order *)
-  regressions : row list;  (** rows with [delta_pct >= threshold] *)
-  dropped : string list;  (** metrics of OLD that NEW lacks *)
-  added : string list;  (** metrics only NEW has — listed, never failing *)
-  unattributed : string list;
-      (** experiments (from either manifest) with no [ns_per_run] and
-          no ["kind": "synthesis"] marking to explain its absence —
-          reported, never silently skipped *)
+type moved = {
+  count : string;  (** e.g. ["fig6.counts.engine.dispatches"] *)
+  old_c : int;
+  new_c : int;
 }
 
-val check_schema : Json.t -> (Json.t, string) result
-(** [Ok] for a manifest whose ["schema"] starts with ["vmht-bench"];
-    an error naming the schema (or its absence) otherwise. *)
+type report = {
+  rows : row list;  (** compared host-time metrics, manifest order *)
+  regressions : row list;  (** rows with [delta_pct >= threshold] *)
+  counts : int;  (** counts compared, equal or not *)
+  moved : moved list;  (** counts that differ, manifest order *)
+  dropped : string list;  (** metrics of OLD that NEW lacks *)
+  added : string list;  (** metrics only NEW has — listed, never failing *)
+}
+
+val check_manifest : Json.t -> (Json.t, string) result
+(** [Ok] for a manifest whose ["schema"] is ["vmht-bench/4"] and whose
+    experiment and micro-target names are each unique; an error naming
+    the schema (or its absence) or the repeated name otherwise. *)
 
 val diff :
   ?threshold:float -> old_manifest:Json.t -> new_manifest:Json.t -> unit -> report
-(** [threshold] is a percentage; default 10. *)
+(** [threshold] is a percentage; default 10.  It applies to host time
+    only. *)
 
 val complete : report -> bool
 (** At least one metric compared and none of OLD's missing from NEW.
     An incomplete report fails the gate whatever the deltas. *)
 
 val render : threshold:float -> report -> string
-(** Aligned table plus the verdict: regressions, an incomplete
-    comparison, or ok. *)
+(** Aligned table of the host-time rows and the moved counts, plus the
+    verdict: moved counts, regressions, an incomplete comparison, or
+    ok. *)

@@ -1,6 +1,7 @@
 (* The parallel-evaluation contract: experiment output, report JSON and
-   the mismatch log must be byte-identical whatever the domain-pool
-   width, and the synthesis cache must hand back results
+   the run ledger (runs, summed counts, mismatches) must be identical
+   whatever the domain-pool width, a ledger holds exactly the runs made
+   while it is open, and the synthesis cache must hand back results
    indistinguishable from a fresh flow. *)
 
 module Common = Vmht_eval.Common
@@ -23,28 +24,95 @@ let subset = [ "table3"; "table4"; "fig5"; "abl2" ]
 let run_experiment name =
   Vmht_eval.Experiment.(run (Option.get (find name)))
 
+(* The rendered experiment and its ledger, one per name. *)
+let with_ledgers names () =
+  List.map
+    (fun name -> Common.with_ledger (fun () -> run_experiment name))
+    names
+
+let check_ledger what (a : Common.ledger) (b : Common.ledger) =
+  Alcotest.(check int) (what ^ ": runs") a.Common.runs b.Common.runs;
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": counts") a.Common.counts b.Common.counts;
+  Alcotest.(check (list string))
+    (what ^ ": mismatches") a.Common.mismatches b.Common.mismatches
+
 let test_experiments_width_independent () =
-  let render () =
-    String.concat "\n\012\n" (List.map run_experiment subset)
-  in
-  let sequential = at_width 1 render in
-  let parallel = at_width 4 render in
-  List.iteri
-    (fun i name ->
-      let nth s = List.nth (String.split_on_char '\012' s) i in
-      check_string (name ^ " byte-identical at -j 4") (nth sequential)
-        (nth parallel))
-    subset;
-  check_string "whole subset byte-identical" sequential parallel
+  let sequential = at_width 1 (with_ledgers subset) in
+  let parallel = at_width 4 (with_ledgers subset) in
+  List.iter2
+    (fun name ((s, ls), (p, lp)) ->
+      check_string (name ^ " byte-identical at -j 4") s p;
+      check_ledger (name ^ " ledger at -j 4") ls lp)
+    subset
+    (List.combine sequential parallel)
 
 let test_abl6_width_independent () =
   (* abl6 is the one experiment whose measurements flow through the
      shared L2 TLB and the walk caches — per-SoC state, so parallel
      evaluation must not bleed between subjects. *)
-  let render () = run_experiment "abl6" in
-  let sequential = at_width 1 render in
-  let parallel = at_width 4 render in
-  check_string "abl6 byte-identical at -j 4" sequential parallel
+  let abl6 = with_ledgers [ "abl6" ] in
+  match (at_width 1 abl6, at_width 4 abl6) with
+  | [ (s, ls) ], [ (p, lp) ] ->
+    check_string "abl6 byte-identical at -j 4" s p;
+    check_ledger "abl6 ledger at -j 4" ls lp;
+    Alcotest.(check bool) "abl6 counts its L2 TLB" true
+      (List.assoc "tlb2.hits" ls.Common.counts > 0)
+  | _ -> Alcotest.fail "one ledger per experiment"
+
+let vecadd = Vmht_workloads.Registry.find "vecadd"
+
+let test_ledger_scope () =
+  (* A run made before the ledger opened is not in it; one made inside
+     is, with its cycles and all eight attribution segments. *)
+  let before = Common.run Common.Vm vecadd ~size:64 in
+  let inside, ledger =
+    Common.with_ledger (fun () -> Common.run Common.Vm vecadd ~size:64)
+  in
+  Alcotest.(check int) "one run" 1 ledger.Common.runs;
+  Alcotest.(check int) "its cycles, not the earlier run's too"
+    (Common.cycles inside)
+    (List.assoc "cycles" ledger.Common.counts);
+  Alcotest.(check int) "runs are deterministic" (Common.cycles before)
+    (Common.cycles inside);
+  Alcotest.(check int) "eight attribution segments" 8
+    (List.length
+       (List.filter
+          (fun (k, _) -> String.starts_with ~prefix:"attr." k)
+          ledger.Common.counts));
+  Alcotest.(check (list string)) "no mismatch" [] ledger.Common.mismatches
+
+let test_ledger_mismatch () =
+  (* vecadd whose check always fails: the run is counted and named. *)
+  let wrong =
+    {
+      vecadd with
+      Vmht_workloads.Workload.setup =
+        (fun aspace ~size ~seed ->
+          {
+            (vecadd.Vmht_workloads.Workload.setup aspace ~size ~seed) with
+            Vmht_workloads.Workload.check = (fun _ -> false);
+          });
+    }
+  in
+  let o, ledger =
+    Common.with_ledger (fun () -> Common.run Common.Vm wrong ~size:64)
+  in
+  Alcotest.(check bool) "the run is wrong" false o.Common.correct;
+  Alcotest.(check int) "and counted" 1 ledger.Common.runs;
+  Alcotest.(check (list string))
+    "and named" [ "vecadd/vm/size 64" ] ledger.Common.mismatches
+
+let test_ledger_fig6 () =
+  (* fig6 drives Launch itself: one record per N-thread point (two
+     kernels x six thread counts), spans only. *)
+  let _, ledger = at_width 1 (with_ledgers [ "fig6" ]) |> List.hd in
+  Alcotest.(check int) "12 points" 12 ledger.Common.runs;
+  Alcotest.(check (list string)) "no attribution" []
+    (List.filter
+       (fun k -> String.starts_with ~prefix:"attr." k)
+       (List.map fst ledger.Common.counts));
+  Alcotest.(check (list string)) "all correct" [] ledger.Common.mismatches
 
 let report_json ~seed () =
   let o =
@@ -66,19 +134,19 @@ let test_report_json_width_independent () =
   in
   let parallel =
     at_width 4 (fun () ->
-        Common.par_map (fun seed -> report_json ~seed ()) seeds)
+        Parmap.map (fun seed -> report_json ~seed ()) seeds)
   in
   List.iteri
     (fun i (s, p) ->
       check_string (Printf.sprintf "report.to_json for seed %d" (i + 1)) s p)
     (List.combine sequential parallel)
 
-let test_par_map_ordered () =
+let test_parmap_ordered () =
   at_width 4 (fun () ->
       Alcotest.(check (list int))
-        "par_map returns submission order"
+        "Parmap.map returns submission order"
         (List.init 200 (fun i -> i * i))
-        (Common.par_map (fun i -> i * i) (List.init 200 Fun.id)))
+        (Parmap.map (fun i -> i * i) (List.init 200 Fun.id)))
 
 (* --- synthesis cache ---------------------------------------------- *)
 
@@ -164,7 +232,7 @@ let test_cache_concurrent_single_flight () =
   let config = Vmht.Config.default in
   let results =
     at_width 4 (fun () ->
-        Common.par_map
+        Parmap.map
           (fun _ -> Common.synthesize ~config Vmht.Wrapper.Vm_iface w)
           (List.init 8 Fun.id))
   in
@@ -186,9 +254,15 @@ let suite =
       test_experiments_width_independent;
     Alcotest.test_case "abl6: -j 1 = -j 4 (byte-identical)" `Slow
       test_abl6_width_independent;
+    Alcotest.test_case "ledger: only runs made while open" `Quick
+      test_ledger_scope;
+    Alcotest.test_case "ledger: a wrong run is counted and named" `Quick
+      test_ledger_mismatch;
+    Alcotest.test_case "ledger: fig6 records one run per point" `Slow
+      test_ledger_fig6;
     Alcotest.test_case "report JSON: width-independent" `Quick
       test_report_json_width_independent;
-    Alcotest.test_case "par_map: submission order" `Quick test_par_map_ordered;
+    Alcotest.test_case "par_map: submission order" `Quick test_parmap_ordered;
     Alcotest.test_case "cache: counters, reuse, bypass" `Quick
       test_cache_counters;
     Alcotest.test_case "cache: concurrent single flight" `Quick

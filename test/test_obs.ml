@@ -495,45 +495,52 @@ let test_profile_exact_attribution_end_to_end () =
 
 (* ------------------------- Perf diff ------------------------------ *)
 
-let manifest names_seconds =
+(* A vmht-bench/4 manifest: per experiment, its wall seconds and the
+   sums of its run ledger. *)
+let manifest ?(schema = "vmht-bench/4") rows =
   Json.Obj
     [
-      ("schema", Json.String "vmht-bench-eval/2");
+      ("schema", Json.String schema);
       ( "experiments",
         Json.List
           (List.map
-             (fun (name, seconds, p99) ->
+             (fun (name, seconds, counts) ->
                Json.Obj
                  [
                    ("name", Json.String name);
+                   ("kind", Json.String "run");
                    ("seconds", Json.Float seconds);
-                   ("ns_per_run", Json.Float (seconds *. 1e6));
-                   ( "cycles",
-                     Json.Obj
-                       [
-                         ("p50", Json.Int 100);
-                         ("p99", Json.Int p99);
-                         ("max", Json.Int (2 * p99));
-                       ] );
+                   ("runs", Json.Int 4);
+                   ("ns_per_run", Json.Float (seconds *. 1e9 /. 4.));
+                   ( "counts",
+                     Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counts)
+                   );
+                   ("output_bytes", Json.Int 100);
                  ])
-             names_seconds) );
+             rows) );
       ("total_seconds", Json.Float 1.0);
     ]
 
+let counts cycles = [ ("cycles", cycles); ("engine.dispatches", 7) ]
+
 let test_perf_diff_identical () =
-  let m = manifest [ ("fig1", 0.5, 120); ("table2", 1.25, 90) ] in
+  let m = manifest [ ("fig1", 0.5, counts 120); ("table2", 1.25, counts 90) ] in
   let r = Perf_diff.diff ~old_manifest:m ~new_manifest:m () in
   check_bool "no regressions" true (r.Perf_diff.regressions = []);
+  check_bool "nothing moved" true (r.Perf_diff.moved = []);
   check_bool "nothing one-sided" true
     (r.Perf_diff.dropped = [] && r.Perf_diff.added = []);
   check_bool "complete" true (Perf_diff.complete r);
-  check_bool "rows compared" true (List.length r.Perf_diff.rows >= 8);
+  check_int "host-time rows compared" 5 (List.length r.Perf_diff.rows);
+  check_int "counts compared" 4 r.Perf_diff.counts;
   check_bool "verdict ok" true
-    (contains (Perf_diff.render ~threshold:10. r) "ok:")
+    (contains
+       (Perf_diff.render ~threshold:10. r)
+       "ok: 5 metric(s) within +10.0%, 4 count(s) equal")
 
 let test_perf_diff_regression () =
-  let old_m = manifest [ ("fig1", 0.5, 120) ] in
-  let new_m = manifest [ ("fig1", 0.5 *. 1.25, 120) ] in
+  let old_m = manifest [ ("fig1", 0.5, counts 120) ] in
+  let new_m = manifest [ ("fig1", 0.5 *. 1.25, counts 120) ] in
   let r = Perf_diff.diff ~threshold:10. ~old_manifest:old_m ~new_manifest:new_m () in
   check_bool "seconds + ns_per_run regressed" true
     (List.length r.Perf_diff.regressions = 2);
@@ -550,18 +557,48 @@ let test_perf_diff_regression () =
   in
   check_bool "speedup is not a regression" true (r.Perf_diff.regressions = [])
 
+let test_perf_diff_counts_exact () =
+  let old_m = manifest [ ("fig1", 0.5, counts 120) ] in
+  let new_m = manifest [ ("fig1", 0.5, counts 121) ] in
+  (* A count that moves by one is reported at any threshold, *)
+  let r =
+    Perf_diff.diff ~threshold:1000. ~old_manifest:old_m ~new_manifest:new_m ()
+  in
+  check_bool "no host-time regression" true (r.Perf_diff.regressions = []);
+  check_bool "the moved count, both values" true
+    (r.Perf_diff.moved
+    = [ { Perf_diff.count = "fig1.counts.cycles"; old_c = 120; new_c = 121 } ]);
+  let text = Perf_diff.render ~threshold:1000. r in
+  check_bool "MOVED with the signed delta" true
+    (contains text "fig1.counts.cycles" && contains text "+1  MOVED");
+  check_bool "verdict is not ok" true
+    (contains text "moved: 1 count(s)" && not (contains text "ok:"));
+  (* a count only NEW has is listed and passes, *)
+  let extra =
+    manifest [ ("fig1", 0.5, counts 120 @ [ ("dram.row_hits", 3) ]) ]
+  in
+  let r = Perf_diff.diff ~old_manifest:old_m ~new_manifest:extra () in
+  Alcotest.(check (list string))
+    "new count listed" [ "fig1.counts.dram.row_hits" ] r.Perf_diff.added;
+  check_bool "new count passes" true
+    (Perf_diff.complete r && r.Perf_diff.moved = []);
+  (* and a count of OLD that NEW lacks fails. *)
+  let r = Perf_diff.diff ~old_manifest:extra ~new_manifest:old_m () in
+  Alcotest.(check (list string))
+    "dropped count" [ "fig1.counts.dram.row_hits" ] r.Perf_diff.dropped;
+  check_bool "dropped count fails" false (Perf_diff.complete r)
+
 let test_perf_diff_missing_metric () =
-  let old_m = manifest [ ("fig1", 0.5, 120); ("fig9", 0.5, 120) ] in
-  let new_m = manifest [ ("fig1", 0.5, 120) ] in
+  let old_m = manifest [ ("fig1", 0.5, counts 120); ("fig9", 0.5, counts 120) ] in
+  let new_m = manifest [ ("fig1", 0.5, counts 120) ] in
   let r = Perf_diff.diff ~old_manifest:old_m ~new_manifest:new_m () in
   Alcotest.(check (list string))
     "every fig9 metric of OLD is missing from NEW"
     [
       "fig9.seconds";
       "fig9.ns_per_run";
-      "fig9.cycles.p50";
-      "fig9.cycles.p99";
-      "fig9.cycles.max";
+      "fig9.counts.cycles";
+      "fig9.counts.engine.dispatches";
     ]
     r.Perf_diff.dropped;
   check_bool "no regression, yet the gate fails" true
@@ -573,22 +610,46 @@ let test_perf_diff_missing_metric () =
   (* A metric only NEW has is listed but passes. *)
   let r = Perf_diff.diff ~old_manifest:new_m ~new_manifest:old_m () in
   check_bool "new-only metrics listed" true
-    (List.length r.Perf_diff.added = 5 && r.Perf_diff.dropped = []);
+    (List.length r.Perf_diff.added = 4 && r.Perf_diff.dropped = []);
   check_bool "new-only metrics pass" true (Perf_diff.complete r);
   (* Manifests without a metric to compare fail too. *)
-  let empty = Json.Obj [ ("schema", Json.String "vmht-bench/3") ] in
+  let empty = Json.Obj [ ("schema", Json.String "vmht-bench/4") ] in
   let r = Perf_diff.diff ~old_manifest:empty ~new_manifest:empty () in
   check_bool "nothing compared fails" true
     (r.Perf_diff.rows = [] && not (Perf_diff.complete r))
 
 let test_perf_diff_schema () =
-  let ok j = Result.is_ok (Perf_diff.check_schema j) in
-  check_bool "bench-eval baseline accepted" true (ok (manifest []));
-  check_bool "bench manifest accepted" true
-    (ok (Json.Obj [ ("schema", Json.String "vmht-bench/3") ]));
+  let check j = Perf_diff.check_manifest j in
+  let ok j = Result.is_ok (check j) in
+  let error j = match check j with Error e -> e | Ok _ -> "" in
+  check_bool "bench manifest accepted" true (ok (manifest []));
+  check_bool "older bench schema rejected" false
+    (ok (manifest ~schema:"vmht-bench/3" []));
+  check_bool "rejection says how to re-take" true
+    (contains (error (manifest ~schema:"vmht-bench-eval/2" [])) "perf snapshot");
   check_bool "dse manifest rejected" false
     (ok (Json.Obj [ ("schema", Json.String "vmht-dse/1") ]));
-  check_bool "schema-less document rejected" false (ok (Json.Obj []))
+  check_bool "schema-less document rejected" false (ok (Json.Obj []));
+  (* A repeated experiment or micro name would pair rows wrongly. *)
+  let twice = manifest [ ("fig4", 0.5, []); ("fig4", 0.6, []) ] in
+  check_bool "repeated experiment named" true
+    (contains (error twice) "\"fig4\"");
+  let micro =
+    Json.Obj
+      [
+        ("schema", Json.String "vmht-bench/4");
+        ( "micro",
+          Json.List
+            (List.init 2 (fun _ ->
+                 Json.Obj
+                   [
+                     ("name", Json.String "rtl.eval");
+                     ("ns_per_run", Json.Float 1.);
+                   ])) );
+      ]
+  in
+  check_bool "repeated micro target named" true
+    (contains (error micro) "\"rtl.eval\"")
 
 let suite =
   [
@@ -614,6 +675,8 @@ let suite =
       test_perf_diff_identical;
     Alcotest.test_case "perf diff: regression + improvement" `Quick
       test_perf_diff_regression;
+    Alcotest.test_case "perf diff: counts are exact" `Quick
+      test_perf_diff_counts_exact;
     Alcotest.test_case "perf diff: missing metric" `Quick
       test_perf_diff_missing_metric;
     Alcotest.test_case "perf diff: bench schemas only" `Quick

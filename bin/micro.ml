@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks behind [vmht perf micro] and [vmht perf
    snapshot]: one target per table/figure plus targets for the
    simulator machinery itself (event queue, MMU translation), for
-   single synthesis stages (scheduler, pipeliner, Verilog emit) and for
-   the RTL evaluator's parse and run.  Target names, bodies and
+   single synthesis stages (scheduler, pipeliner, Verilog emit), for
+   the model's accelerator run alone and for the RTL evaluator's parse
+   and run.  Target names, bodies and
    Bechamel settings are what the committed BENCH_eval.json measured;
    change any of them and the perf gate no longer compares like with
    like. *)
@@ -57,15 +58,17 @@ let hls_emit () =
 
 (* The rtl benchmark's stencil3 point at unroll 4 on four banks (VM
    style, unpipelined): four memory channels and 61 arms.  rtl.parse
-   reads its text back; rtl.eval runs its compiled program. *)
-let stencil3_verilog =
+   reads its text back; rtl.eval runs its compiled program and
+   hls.accel the model's FSM. *)
+let stencil3_u4b4 =
   lazy
     (let config =
        Vmht.Config.with_banks (Vmht.Config.with_unroll Vmht.Config.default 4) 4
      in
-     (Vmht_eval.Common.synthesize ~config ~cache:false Vmht.Wrapper.Vm_iface
-        (Registry.find "stencil3"))
-       .Vmht.Flow.verilog)
+     Vmht_eval.Common.synthesize ~config ~cache:false Vmht.Wrapper.Vm_iface
+       (Registry.find "stencil3"))
+
+let stencil3_verilog = lazy (Lazy.force stencil3_u4b4).Vmht.Flow.verilog
 
 let rtl_parse () =
   ignore (Vmht_rtl.Parse.parse_module (Lazy.force stencil3_verilog))
@@ -86,8 +89,24 @@ let rtl_eval () =
   let eng = Vmht_sim.Engine.create () in
   Vmht_sim.Engine.spawn eng ~name:"rtl" (fun () ->
       ignore
-        (Vmht_rtl.Eval.run (Lazy.force stencil3_program) ~port
+        (Vmht_rtl.Eval.run ~engine:eng (Lazy.force stencil3_program) ~port
            ~args:[ 0; n * 8; n - 1 ]));
+  Vmht_sim.Engine.run eng;
+  assert (data.(n + 1) = (0 + 1 + 2) / 3)
+
+(* The model's accelerator alone, on rtl.eval's set-up: the same
+   point, words, untimed port and private engine. *)
+let hls_accel () =
+  let n = 64 in
+  let data = Array.init (2 * n) (fun i -> i) in
+  let port =
+    Vmht_hls.Accel.untimed_port (Vmht_lang.Ast_interp.array_memory data)
+  in
+  let eng = Vmht_sim.Engine.create () in
+  Vmht_sim.Engine.spawn eng ~name:"accel" (fun () ->
+      ignore
+        (Vmht_hls.Accel.run ~engine:eng (Lazy.force stencil3_u4b4).Vmht.Flow.fsm
+           ~port ~args:[ 0; n * 8; n - 1 ]));
   Vmht_sim.Engine.run eng;
   assert (data.(n + 1) = (0 + 1 + 2) / 3)
 
@@ -164,14 +183,14 @@ let mmu_translate_churn () =
   let bytes = 1 lsl 21 in
   let phys = Vmht_mem.Phys_mem.create ~bytes in
   let dram = Vmht_mem.Dram.create () in
-  let bus = Vmht_mem.Bus.create phys dram in
+  let eng = Vmht_sim.Engine.create () in
+  let bus = Vmht_mem.Bus.create ~engine:eng phys dram in
   let frames = Vmht_vm.Frame_alloc.create ~base:0 ~bytes ~page_bytes:4096 in
   let aspace =
     Vmht_vm.Addr_space.create phys frames ~page_shift:12 ~va_bits:24
   in
   let base = Vmht_vm.Addr_space.alloc aspace ~bytes:(8 * 4096) in
   let mmu = Vmht_vm.Mmu.create Vmht_vm.Mmu.default_config bus aspace in
-  let eng = Vmht_sim.Engine.create () in
   Vmht_sim.Engine.spawn eng ~name:"bench" (fun () ->
       (* 8 pages of working set against a 16-entry TLB: after the 8
          cold misses every translate is a hit — the fast path. *)
@@ -188,7 +207,7 @@ let engine_wait () =
   let eng = Engine.create () in
   let ticks n () =
     for _ = 1 to n do
-      Engine.wait 1
+      Engine.wait_on eng 1
     done
   in
   Engine.spawn eng ~name:"lone" (ticks 4096);
@@ -256,6 +275,7 @@ let targets : (string * Test.t Lazy.t) list =
           (Vmht_eval.Common.synthesize ~config ~cache:false
              Vmht.Wrapper.Vm_iface (Lazy.force vecadd)));
     t "fig6.two-threads" multi_thread_pair;
+    t "hls.accel" hls_accel;
     t "hls.emit" hls_emit;
     t "hls.pipeline" hls_pipeline;
     t "hls.schedule" hls_schedule;

@@ -40,7 +40,10 @@ let () =
   let mmu_b = Soc.make_mmu ~aspace:(space_b, asid_b) soc in
   let run mmu =
     let port, flush, _meter = Soc.vm_port_metered soc mmu in
-    let r = Vmht_hls.Accel.run hw.Flow.fsm ~port ~args:[ va ] in
+    let r =
+      Vmht_hls.Accel.run ~engine:(Soc.engine soc) hw.Flow.fsm ~port
+        ~args:[ va ]
+    in
     flush ();
     r
   in

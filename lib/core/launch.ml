@@ -68,8 +68,8 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
   in
   match cfg.Config.backend with
   | Config.Model ->
-    Accel.run ?observer:(accel_observer soc) ~stats ~ports hw.Flow.fsm ~port
-      ~args
+    Accel.run ?observer:(accel_observer soc) ~stats ~ports
+      ~engine:(Soc.engine soc) hw.Flow.fsm ~port ~args
   | Config.Rtl ->
     if hw.Flow.fsm.Vmht_hls.Fsm.plans <> [] then
       invalid_arg
@@ -77,7 +77,10 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
          (the emitted FSM is unpipelined); drop --pipeline or use the \
          model backend";
     let prog = Vmht_rtl.Eval.load hw.Flow.verilog in
-    let out = Vmht_rtl.Eval.run ~stats ~ports prog ~port ~args in
+    let out =
+      Vmht_rtl.Eval.run ~stats ~ports ~engine:(Soc.engine soc) prog ~port
+        ~args
+    in
     let returns_value =
       List.exists
         (fun (b : Ir.block) ->
@@ -87,21 +90,22 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
     if returns_value then out.Vmht_rtl.Eval.result else None
 
 let run_sw soc func request =
-  let t0 = Engine.now_p () in
+  let engine = Soc.engine soc in
+  let t0 = Soc.now soc in
   let cpu = Soc.cpu soc in
   let before = Cpu.stats cpu in
   phase_begin soc "compute";
   let ret =
-    Engine.with_phase Profile.Actor (fun () ->
+    Engine.with_phase engine Profile.Actor (fun () ->
         Cpu.run_func cpu func ~args:request.args)
   in
   phase_end soc "compute";
-  let tm = Engine.now_p () in
+  let tm = Soc.now soc in
   (* Make the thread's results visible to the rest of the system. *)
   phase_begin soc "drain";
-  Engine.with_phase Profile.Memory (fun () -> Cpu.flush_cache cpu);
+  Engine.with_phase engine Profile.Memory (fun () -> Cpu.flush_cache cpu);
   phase_end soc "drain";
-  let t1 = Engine.now_p () in
+  let t1 = Soc.now soc in
   let after = Cpu.stats cpu in
   let faults = after.Cpu.faults - before.Cpu.faults in
   let mem = after.Cpu.mem_cycles - before.Cpu.mem_cycles in
@@ -133,32 +137,34 @@ let run_sw soc func request =
 let cache_maintenance_cycles = 64
 
 let host_cache_maintenance soc =
-  Engine.with_phase Profile.Memory (fun () ->
-      Engine.wait cache_maintenance_cycles;
+  let engine = Soc.engine soc in
+  Engine.with_phase engine Profile.Memory (fun () ->
+      Engine.wait_on engine cache_maintenance_cycles;
       Vmht_mem.Cache.invalidate_all (Cpu.cache (Soc.cpu soc)))
 
 let bus_wait_cycles soc =
   (Soc.bus_stats soc).Vmht_mem.Bus.bus.Vmht_sim.Resource.wait_cycles
 
 let run_hw_vm soc (hw : Flow.hw_thread) request =
-  let t0 = Engine.now_p () in
+  let engine = Soc.engine soc in
+  let t0 = Soc.now soc in
   let bw0 = bus_wait_cycles soc in
   let mmu = Soc.make_mmu soc in
   let port, flush_buffer, meter = Soc.vm_port_metered soc mmu in
   let stats = Accel.fresh_stats () in
   phase_begin soc "compute";
   let ret =
-    Engine.with_phase Profile.Actor (fun () ->
+    Engine.with_phase engine Profile.Actor (fun () ->
         exec_thread soc hw ~stats ~port ~args:request.args)
   in
   phase_end soc "compute";
-  let t1 = Engine.now_p () in
+  let t1 = Soc.now soc in
   let bw1 = bus_wait_cycles soc in
   phase_begin soc "drain";
-  Engine.with_phase Profile.Memory flush_buffer;
+  Engine.with_phase engine Profile.Memory flush_buffer;
   host_cache_maintenance soc;
   phase_end soc "drain";
-  let t2 = Engine.now_p () in
+  let t2 = Soc.now soc in
   let mstats = Mmu.stats mmu in
   (* The port meter's two spans never overlap (the thread issues one
      access at a time), and the MMU is private to this run, so the
@@ -206,6 +212,7 @@ let pin_cycles_per_page = 40
 (* Page-sized (phys, words) chunks covering a buffer, pinning (and if
    needed demand-materializing) each page on the way. *)
 let pin_and_chunk soc buffer =
+  let engine = Soc.engine soc in
   let aspace = Soc.aspace soc in
   let config = Soc.config soc in
   let page = 1 lsl config.Config.page_shift in
@@ -224,7 +231,7 @@ let pin_and_chunk soc buffer =
   let rec go va acc =
     if va >= buffer.base + bytes then List.rev acc
     else begin
-      Engine.wait pin_cycles_per_page;
+      Engine.wait_on engine pin_cycles_per_page;
       let phys = resolve va in
       let chunk_words =
         min (page / word_bytes) ((buffer.base + bytes - va) / word_bytes)
@@ -232,10 +239,11 @@ let pin_and_chunk soc buffer =
       go (va + page) ((phys, chunk_words) :: acc)
     end
   in
-  Engine.with_phase Profile.Translate (fun () -> go buffer.base [])
+  Engine.with_phase engine Profile.Translate (fun () -> go buffer.base [])
 
 let run_hw_dma soc (hw : Flow.hw_thread) request =
-  let t0 = Engine.now_p () in
+  let engine = Soc.engine soc in
+  let t0 = Soc.now soc in
   let pad, dma = Soc.make_scratchpad soc in
   let total_words =
     List.fold_left (fun acc b -> acc + b.words) 0 request.buffers
@@ -251,9 +259,9 @@ let run_hw_dma soc (hw : Flow.hw_thread) request =
      time.  All of this runs in the launching process, serially. *)
   let pin_cycles = ref 0 in
   let timed_pin b =
-    let p0 = Engine.now_p () in
+    let p0 = Soc.now soc in
     let chunks = pin_and_chunk soc b in
-    pin_cycles := !pin_cycles + (Engine.now_p () - p0);
+    pin_cycles := !pin_cycles + (Soc.now soc - p0);
     chunks
   in
   (* Stage: pin pages, program windows, DMA the inputs in. *)
@@ -266,24 +274,24 @@ let run_hw_dma soc (hw : Flow.hw_thread) request =
       let chunks = timed_pin b in
       match b.dir with
       | In | InOut ->
-        Engine.with_phase Profile.Memory (fun () ->
+        Engine.with_phase engine Profile.Memory (fun () ->
             Dma.copy_in_scattered dma pad ~chunks
               ~dst_word:(Scratchpad.local_of_vaddr pad b.base))
       | Out -> ())
     request.buffers;
   phase_end soc "stage";
-  let t1 = Engine.now_p () in
+  let t1 = Soc.now soc in
   let pin_stage = !pin_cycles in
   (* Compute on the scratchpad. *)
   let port = Soc.scratchpad_port pad in
   let stats = Accel.fresh_stats () in
   phase_begin soc "compute";
   let ret =
-    Engine.with_phase Profile.Actor (fun () ->
+    Engine.with_phase engine Profile.Actor (fun () ->
         exec_thread soc hw ~stats ~port ~args:request.args)
   in
   phase_end soc "compute";
-  let t2 = Engine.now_p () in
+  let t2 = Soc.now soc in
   (* Drain: DMA the outputs back, then cache maintenance. *)
   phase_begin soc "drain";
   List.iter
@@ -291,7 +299,7 @@ let run_hw_dma soc (hw : Flow.hw_thread) request =
       match b.dir with
       | Out | InOut ->
         let chunks = timed_pin b in
-        Engine.with_phase Profile.Memory (fun () ->
+        Engine.with_phase engine Profile.Memory (fun () ->
             Dma.copy_out_scattered dma pad
               ~src_word:(Scratchpad.local_of_vaddr pad b.base)
               ~chunks)
@@ -299,7 +307,7 @@ let run_hw_dma soc (hw : Flow.hw_thread) request =
     request.buffers;
   host_cache_maintenance soc;
   phase_end soc "drain";
-  let t3 = Engine.now_p () in
+  let t3 = Soc.now soc in
   let pin_drain = !pin_cycles - pin_stage in
   let attribution =
     {
@@ -363,7 +371,7 @@ let observe_passes soc (hw : Flow.hw_thread) =
 
 let run_hw soc hw request =
   observe_passes soc hw;
-  let t_start = Engine.now_p () in
+  let t_start = Soc.now soc in
   let rec go attempt ~last_abort =
     match run_hw_once soc hw request with
     | result -> (
@@ -372,7 +380,7 @@ let run_hw soc hw request =
       | Some (target, fault) ->
         Soc.emit soc ~component:"launch"
           (Vmht_obs.Event.Fault_recover { target; fault; attempt });
-        let total = Engine.now_p () - t_start in
+        let total = Soc.now soc - t_start in
         let lost = total - result.total_cycles in
         {
           result with

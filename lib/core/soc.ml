@@ -67,7 +67,7 @@ let create (config : Config.t) =
   let engine = Engine.create () in
   let phys = Phys_mem.create ~bytes:config.Config.phys_bytes in
   let dram = Dram.create () in
-  let bus = Bus.create phys dram in
+  let bus = Bus.create ~engine phys dram in
   let frames =
     Frame_alloc.create ~base:0 ~bytes:config.Config.phys_bytes
       ~page_bytes:(1 lsl config.Config.page_shift)
@@ -259,10 +259,14 @@ let unmap_page t space ~vaddr =
 (* The VM wrapper's data path: translate through the thread's private
    TLB/walker, then go through its small stream buffer so consecutive
    words ride one bus burst.  The launcher drives it one access at a
-   time, so the meter's spans never overlap.  The returned [flush]
-   drains the buffer's dirty lines (timed); the launcher calls it when
-   the thread completes, before handing results back to the host. *)
+   time, so the meter's spans never overlap.  The meter reads the SoC's
+   own engine; only a profiled engine enters the Translate and Memory
+   phases, so an unprofiled access builds no closure.  The returned
+   [flush] drains the buffer's dirty lines (timed); the launcher calls
+   it when the thread completes, before handing results back to the
+   host. *)
 let vm_port_metered t mmu =
+  let engine = t.engine in
   let buffer =
     Cache.create ~config:t.config.Config.accel_stream_buffer t.bus
   in
@@ -271,13 +275,16 @@ let vm_port_metered t mmu =
   if t.observing then
     Cache.set_observer buffer (emitter t ~component:buf_name);
   let meter = { translate_cycles = 0; mem_cycles = 0 } in
+  let profiled = Engine.profiled engine in
   let translate vaddr =
-    let t0 = Engine.now_p () in
+    let t0 = Engine.now engine in
     let phys =
-      Engine.with_phase Vmht_obs.Profile.Translate (fun () ->
-          Mmu.translate mmu ~vaddr)
+      if profiled then
+        Engine.with_phase engine Vmht_obs.Profile.Translate (fun () ->
+            Mmu.translate mmu ~vaddr)
+      else Mmu.translate mmu ~vaddr
     in
-    meter.translate_cycles <- meter.translate_cycles + (Engine.now_p () - t0);
+    meter.translate_cycles <- meter.translate_cycles + (Engine.now engine - t0);
     phys
   in
   let port =
@@ -285,20 +292,24 @@ let vm_port_metered t mmu =
       Accel.load =
         (fun vaddr ->
           let phys = translate vaddr in
-          let t1 = Engine.now_p () in
+          let t1 = Engine.now engine in
           let v =
-            Engine.with_phase Vmht_obs.Profile.Memory (fun () ->
-                Cache.read buffer ~addr:vaddr ~phys)
+            if profiled then
+              Engine.with_phase engine Vmht_obs.Profile.Memory (fun () ->
+                  Cache.read buffer ~addr:vaddr ~phys)
+            else Cache.read buffer ~addr:vaddr ~phys
           in
-          meter.mem_cycles <- meter.mem_cycles + (Engine.now_p () - t1);
+          meter.mem_cycles <- meter.mem_cycles + (Engine.now engine - t1);
           v);
       Accel.store =
         (fun vaddr value ->
           let phys = translate vaddr in
-          let t1 = Engine.now_p () in
-          Engine.with_phase Vmht_obs.Profile.Memory (fun () ->
-              Cache.write buffer ~addr:vaddr ~phys value);
-          meter.mem_cycles <- meter.mem_cycles + (Engine.now_p () - t1));
+          let t1 = Engine.now engine in
+          if profiled then
+            Engine.with_phase engine Vmht_obs.Profile.Memory (fun () ->
+                Cache.write buffer ~addr:vaddr ~phys value)
+          else Cache.write buffer ~addr:vaddr ~phys value;
+          meter.mem_cycles <- meter.mem_cycles + (Engine.now engine - t1));
     }
   in
   (port, (fun () -> Cache.flush buffer), meter)
@@ -309,7 +320,7 @@ let make_scratchpad ?words t =
     | Some w -> w
     | None -> t.config.Config.scratchpad_words
   in
-  let pad = Scratchpad.create ~words ~access_latency:1 in
+  let pad = Scratchpad.create ~engine:t.engine ~words ~access_latency:1 in
   let dma = Dma.create t.bus in
   let dma_name = instance_name "dma" (List.length t.dmas) in
   t.dmas <- dma :: t.dmas;

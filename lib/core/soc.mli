@@ -70,9 +70,12 @@ val vm_port_metered :
     through the given MMU plus a private stream buffer
     ([Config.accel_stream_buffer]) in front of the shared bus.  Like
     the hardware, the port serves one access at a time: drive it with
-    an issue width of 1.  The second component is the timed flush of
-    the buffer, to be called when the thread completes; the third is
-    the port's attribution meter (read it after the thread completes). *)
+    an issue width of 1.  Every access runs on the SoC's engine and
+    allocates nothing; it enters the profiler's Translate and Memory
+    phases only when that engine is profiled.  The second component is
+    the timed flush of the buffer, to be called when the thread
+    completes; the third is the port's attribution meter (read it after
+    the thread completes). *)
 
 val make_scratchpad : ?words:int -> t -> Vmht_mem.Scratchpad.t * Vmht_mem.Dma.t
 (** Scratchpad + DMA engine for one copy-based accelerator. *)

@@ -3,7 +3,6 @@ module Cache = Vmht_mem.Cache
 module Addr_space = Vmht_vm.Addr_space
 module Ir = Vmht_ir.Ir
 module Ir_interp = Vmht_ir.Ir_interp
-module Ast_interp = Vmht_lang.Ast_interp
 
 type stats = {
   instructions : int;
@@ -15,6 +14,7 @@ type stats = {
 
 type t = {
   cost : Cost_model.t;
+  engine : Engine.t;
   cache : Cache.t;
   aspace : Addr_space.t;
   mutable instructions : int;
@@ -28,6 +28,7 @@ type t = {
 let create ?(cost = Cost_model.default) ?cache_config bus aspace =
   {
     cost;
+    engine = Vmht_mem.Bus.engine bus;
     cache = Cache.create ?config:cache_config bus;
     aspace;
     instructions = 0;
@@ -50,7 +51,7 @@ let resolve t vaddr =
   if paddr >= 0 then paddr
   else begin
     t.faults <- t.faults + 1;
-    Engine.wait t.cost.Cost_model.fault_penalty;
+    Engine.wait_on t.engine t.cost.Cost_model.fault_penalty;
     (match t.observer with
     | Some f ->
       f ~duration:t.cost.Cost_model.fault_penalty
@@ -67,16 +68,16 @@ let resolve t vaddr =
    overlap and summing them attributes memory time exactly. *)
 let load t vaddr =
   t.mem_accesses <- t.mem_accesses + 1;
-  let t0 = Engine.now_p () in
+  let t0 = Engine.now t.engine in
   let v = Cache.read t.cache ~addr:vaddr ~phys:(resolve t vaddr) in
-  t.mem_cycles <- t.mem_cycles + (Engine.now_p () - t0);
+  t.mem_cycles <- t.mem_cycles + (Engine.now t.engine - t0);
   v
 
 let store t vaddr value =
   t.mem_accesses <- t.mem_accesses + 1;
-  let t0 = Engine.now_p () in
+  let t0 = Engine.now t.engine in
   Cache.write t.cache ~addr:vaddr ~phys:(resolve t vaddr) value;
-  t.mem_cycles <- t.mem_cycles + (Engine.now_p () - t0)
+  t.mem_cycles <- t.mem_cycles + (Engine.now t.engine - t0)
 
 (* A function compiles, once per run, into one entry per label.  A
    block is a sequence of segments: the memory-free instructions up to
@@ -105,22 +106,6 @@ type block = {
   term : Ir.terminator;
 }
 
-let compile_op regs : Ir.instr -> unit -> unit = function
-  | Ir.Bin (op, d, Ir.Reg a, Ir.Reg b) ->
-    fun () -> regs.(d) <- Ast_interp.eval_binop op regs.(a) regs.(b)
-  | Ir.Bin (op, d, Ir.Reg a, Ir.Imm n) ->
-    fun () -> regs.(d) <- Ast_interp.eval_binop op regs.(a) n
-  | Ir.Bin (op, d, Ir.Imm n, Ir.Reg b) ->
-    fun () -> regs.(d) <- Ast_interp.eval_binop op n regs.(b)
-  | Ir.Bin (op, d, Ir.Imm m, Ir.Imm n) ->
-    fun () -> regs.(d) <- Ast_interp.eval_binop op m n
-  | Ir.Un (op, d, Ir.Reg a) ->
-    fun () -> regs.(d) <- Ast_interp.eval_unop op regs.(a)
-  | Ir.Un (op, d, Ir.Imm n) -> fun () -> regs.(d) <- Ast_interp.eval_unop op n
-  | Ir.Mov (d, Ir.Reg a) -> fun () -> regs.(d) <- regs.(a)
-  | Ir.Mov (d, Ir.Imm n) -> fun () -> regs.(d) <- n
-  | Ir.Load _ | Ir.Store _ -> invalid_arg "Cpu.compile_op: memory access"
-
 let compile_block cost regs (b : Ir.block) =
   let segments = ref [] and ops = ref [] and costs = ref [] in
   (* End the open segment with [access] (if any) and the cost [last]. *)
@@ -147,8 +132,8 @@ let compile_block cost regs (b : Ir.block) =
       match instr with
       | Ir.Load (d, a) -> close (Some c) (Load (d, a))
       | Ir.Store (a, v) -> close (Some c) (Store (a, v))
-      | Ir.Bin _ | Ir.Un _ | Ir.Mov _ ->
-        ops := compile_op regs instr :: !ops;
+      | Ir.Bin (_, d, _, _) | Ir.Un (_, d, _) | Ir.Mov (d, _) ->
+        ops := Ir_interp.compile_op regs ~into:regs ~slot:d instr :: !ops;
         costs := c :: !costs)
     b.Ir.instrs;
   close
@@ -179,7 +164,7 @@ let run_func ?(max_steps = 100_000_000) t (f : Ir.func) ~args =
     f.Ir.blocks;
   let exec_segment s =
     t.instructions <- t.instructions + s.retired;
-    if Array.length s.costs > 0 then Engine.waits s.costs;
+    if Array.length s.costs > 0 then Engine.waits_on t.engine s.costs;
     let ops = s.ops in
     for i = 0 to Array.length ops - 1 do
       (Array.unsafe_get ops i) ()
@@ -211,7 +196,7 @@ let run_func ?(max_steps = 100_000_000) t (f : Ir.func) ~args =
 
 let flush_cache t =
   (* Sweep cost plus the (timed) write-back of every dirty line. *)
-  Engine.wait 64;
+  Engine.wait_on t.engine 64;
   Cache.flush t.cache
 
 let cache t = t.cache

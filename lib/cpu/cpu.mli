@@ -37,13 +37,13 @@ val run_func :
     The function is compiled once per call into one entry per label:
     each block becomes segments of closures over register slots, each
     segment the memory-free instructions up to the next load or store.
-    A segment advances the clock through {!Vmht_sim.Engine.waits} over
-    its instructions' costs plus the access's issue cycle (or, ending
-    the block, the branch cost), so cycles, stats and the cycle of
-    every access are those of a wait per instruction — the IR
-    interpreter driven instruction by instruction, the reference the
-    tests compare this against.  Every access reads the page table
-    afresh, without allocating.
+    A segment advances the clock of the bus's engine through
+    {!Vmht_sim.Engine.waits_on} over its instructions' costs plus the
+    access's issue cycle (or, ending the block, the branch cost), so
+    cycles, stats and the cycle of every access are those of a wait
+    per instruction — the IR interpreter driven instruction by
+    instruction, the reference the tests compare this against.  Every
+    access reads the page table afresh, without allocating.
 
     [max_steps] (default 100 million) bounds block entries plus
     executed instructions, as {!Vmht_ir.Ir_interp.run} does: a block

@@ -1,6 +1,7 @@
 module Ir = Vmht_ir.Ir
 module Engine = Vmht_sim.Engine
 module Ast_interp = Vmht_lang.Ast_interp
+module Ir_interp = Vmht_ir.Ir_interp
 
 type port = { load : int -> int; store : int -> int -> unit }
 
@@ -28,40 +29,172 @@ let rec chunks n = function
     let chunk, rest = take n [] l in
     chunk :: chunks n rest
 
-(* A block's trace-compiled steps ({!Fsm.Trace}), each [Pure] run
-   carrying the unit cost of each of its cycles for {!Engine.waits}. *)
-type step = Mem of int array | Pure of int array array * int array
-
-(* What entering a label runs, resolved once per run. *)
+(* A block compiles, once per run, into one closure per trace step
+   ({!Fsm.Trace}) over the run's register file.  The closures are
+   built when the run starts, so executing a state allocates
+   nothing. *)
 type code =
   | Absent
   | Pipelined of { plan : Pipeliner.plan; header : Ir.block; body : Ir.block }
-  | Block of {
-      sched : Schedule.block_schedule;
-      steps : step array;
-      term : Ir.terminator;
-    }
+  | Block of { steps : (unit -> unit) array; term : Ir.terminator }
+
+(* The register a datapath op writes. *)
+let dest instr = Option.get (Ir.def_of instr)
+
+let no_op () = ()
+
+(* One memory-free cycle.  Every op reads the register file as of the
+   cycle's entry: a lone op writes its register directly, several
+   evaluate into a scratch array and commit in instruction order. *)
+let compile_pure_cycle regs (instrs : Ir.instr array) ids =
+  match ids with
+  | [||] -> no_op
+  | [| i |] ->
+    Ir_interp.compile_op regs ~into:regs ~slot:(dest instrs.(i)) instrs.(i)
+  | _ ->
+    let n = Array.length ids in
+    let scratch = Array.make n 0 in
+    let evals =
+      Array.mapi
+        (fun k i -> Ir_interp.compile_op regs ~into:scratch ~slot:k instrs.(i))
+        ids
+    in
+    let dsts = Array.map (fun i -> dest instrs.(i)) ids in
+    fun () ->
+      for k = 0 to n - 1 do
+        (Array.unsafe_get evals k) ()
+      done;
+      for k = 0 to n - 1 do
+        regs.(Array.unsafe_get dsts k) <- Array.unsafe_get scratch k
+      done
+
+(* A run of memory-free cycles: each cycle's ops, then the run's unit
+   waits as one {!Engine.waits_on}, which moves the clock once when
+   nothing else is queued before the run ends and otherwise breaks
+   every same-cycle tie as the per-state waits would. *)
+let compile_pure ~engine ~stats regs instrs cycles =
+  let ops = Array.map (compile_pure_cycle regs instrs) cycles in
+  let n = Array.length ops in
+  let units = Array.make n 1 in
+  fun () ->
+    for c = 0 to n - 1 do
+      (Array.unsafe_get ops c) ()
+    done;
+    stats.fsm_cycles <- stats.fsm_cycles + n;
+    Engine.waits_on engine units
+
+(* One memory state.  At entry it walks its instructions in order:
+   datapath ops evaluate into a scratch array, accesses snapshot their
+   address (and a store its data) and count themselves.  Then it issues
+   the accesses: one after another in instruction order, or, when the
+   port is wider than one and the state holds several, [ports] at a
+   time through {!Engine.join_all} lanes, later groups queueing behind
+   earlier ones.  At exit it commits the datapath results in
+   instruction order, then the loaded values in completion order. *)
+let compile_mem ~stats ~port ~ports regs (instrs : Ir.instr array) ids =
+  let is_access i =
+    match instrs.(i) with
+    | Ir.Load _ | Ir.Store _ -> true
+    | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> false
+  in
+  let n_acc =
+    Array.fold_left (fun n i -> if is_access i then n + 1 else n) 0 ids
+  in
+  let n_dp = Array.length ids - n_acc in
+  let scratch = Array.make n_dp 0 and dsts = Array.make n_dp 0 in
+  (* Per access: its address, a store's data, a load's destination
+     register (-1 for a store) and its loaded value. *)
+  let addr = Array.make n_acc 0 and data = Array.make n_acc 0 in
+  let load_dst = Array.make n_acc (-1) and loaded = Array.make n_acc 0 in
+  (* Accesses whose load completed, in completion order. *)
+  let completed = Array.make n_acc 0 and n_completed = ref 0 in
+  let value = function Ir.Reg r -> regs.(r) | Ir.Imm n -> n in
+  let next_slot = ref 0 and next_access = ref 0 in
+  let snapshot =
+    Array.map
+      (fun i ->
+        match instrs.(i) with
+        | Ir.Load (d, a) ->
+          let j = !next_access in
+          incr next_access;
+          load_dst.(j) <- d;
+          fun () ->
+            addr.(j) <- value a;
+            stats.loads <- stats.loads + 1
+        | Ir.Store (a, v) ->
+          let j = !next_access in
+          incr next_access;
+          fun () ->
+            addr.(j) <- value a;
+            data.(j) <- value v;
+            stats.stores <- stats.stores + 1
+        | (Ir.Bin _ | Ir.Un _ | Ir.Mov _) as instr ->
+          let slot = !next_slot in
+          incr next_slot;
+          dsts.(slot) <- dest instr;
+          Ir_interp.compile_op regs ~into:scratch ~slot instr)
+      ids
+  in
+  let access j () =
+    if load_dst.(j) >= 0 then begin
+      (* Complete the access before recording it: a lane that suspends
+         must not claim a completion slot it has not reached. *)
+      let v = port.load addr.(j) in
+      loaded.(j) <- v;
+      completed.(!n_completed) <- j;
+      incr n_completed
+    end
+    else port.store addr.(j) data.(j)
+  in
+  let issue =
+    if ports > 1 && n_acc > 1 then begin
+      let lanes = chunks ports (List.init n_acc access) in
+      let join = Engine.join_all ~name:"mem-lane" in
+      fun () -> List.iter join lanes
+    end
+    else
+      fun () ->
+        for j = 0 to n_acc - 1 do
+          access j ()
+        done
+  in
+  let n_snap = Array.length snapshot in
+  fun () ->
+    for s = 0 to n_snap - 1 do
+      (Array.unsafe_get snapshot s) ()
+    done;
+    n_completed := 0;
+    issue ();
+    stats.fsm_cycles <- stats.fsm_cycles + 1;
+    for k = 0 to n_dp - 1 do
+      regs.(dsts.(k)) <- scratch.(k)
+    done;
+    for m = 0 to !n_completed - 1 do
+      let j = completed.(m) in
+      regs.(load_dst.(j)) <- loaded.(j)
+    done
 
 (* One entry per label: the first plan headed there, else the label's
-   scheduled block with its terminator. *)
-let label_codes (hw : Fsm.t) =
+   scheduled block compiled over [regs], with its terminator. *)
+let label_codes ~engine ~stats ~port ~ports regs (hw : Fsm.t) =
   let f = hw.Fsm.func in
-  let sched = hw.Fsm.schedule.Schedule.blocks in
   let index = Ir.block_index f in
   let codes = Array.make (Ir.label_bound f) Absent in
   List.iter
     (fun (b : Schedule.block_schedule) ->
+      let instrs = b.Schedule.instrs in
       let steps =
         Array.map
           (function
-            | Fsm.Trace.Mem ids -> Mem ids
+            | Fsm.Trace.Mem ids ->
+              compile_mem ~stats ~port ~ports regs instrs ids
             | Fsm.Trace.Pure cycles ->
-              Pure (cycles, Array.make (Array.length cycles) 1))
+              compile_pure ~engine ~stats regs instrs cycles)
           (Fsm.Trace.compile_block b)
       in
       let term = (Hashtbl.find index b.Schedule.label).Ir.term in
-      codes.(b.Schedule.label) <- Block { sched = b; steps; term })
-    sched;
+      codes.(b.Schedule.label) <- Block { steps; term })
+    hw.Fsm.schedule.Schedule.blocks;
   List.iter
     (fun (plan : Pipeliner.plan) ->
       let l = plan.Pipeliner.header in
@@ -75,8 +208,8 @@ let label_codes (hw : Fsm.t) =
     (List.rev hw.Fsm.plans);
   codes
 
-let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
-    ~args =
+let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ~engine (hw : Fsm.t)
+    ~port ~args =
   let f = hw.Fsm.func in
   if List.length args <> List.length f.Ir.arg_regs then
     invalid_arg
@@ -86,86 +219,7 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
   let regs = Array.make (max f.Ir.next_reg 1) 0 in
   List.iter2 (fun r v -> regs.(r) <- v) f.Ir.arg_regs args;
   let value = function Ir.Reg r -> regs.(r) | Ir.Imm n -> n in
-  let codes = label_codes hw in
-  (* Execute one memory FSM state (= one schedule cycle of a block
-     holding at least one access).  All operand reads happen against
-     the register file as it was at state entry; commits are buffered
-     and applied at state exit. *)
-  let exec_mem_cycle (b : Schedule.block_schedule) (ids : int array) =
-    let commits = ref [] in
-    let mem_ops = ref [] in
-    Array.iter
-      (fun i ->
-        match b.Schedule.instrs.(i) with
-        | Ir.Bin (op, d, x, y) ->
-          let v = Ast_interp.eval_binop op (value x) (value y) in
-          commits := (d, v) :: !commits
-        | Ir.Un (op, d, x) ->
-          commits := (d, Ast_interp.eval_unop op (value x)) :: !commits
-        | Ir.Mov (d, x) -> commits := (d, value x) :: !commits
-        | Ir.Load (d, addr) ->
-          let a = value addr in
-          stats.loads <- stats.loads + 1;
-          mem_ops :=
-            (fun () ->
-              (* Complete the access before touching the commit list:
-                 concurrent lanes must not capture a stale snapshot
-                 of it across their suspension. *)
-              let v = port.load a in
-              commits := (d, v) :: !commits)
-            :: !mem_ops
-        | Ir.Store (addr, v) ->
-          let a = value addr in
-          let v = value v in
-          stats.stores <- stats.stores + 1;
-          mem_ops := (fun () -> port.store a v) :: !mem_ops)
-      ids;
-    (* The state holds until every access of the cycle completes;
-       accesses issue [ports] at a time. *)
-    List.iter
-      (Engine.join_all ~name:"mem-lane")
-      (chunks ports (List.rev !mem_ops));
-    stats.fsm_cycles <- stats.fsm_cycles + 1;
-    List.iter (fun (d, v) -> regs.(d) <- v) (List.rev !commits)
-  in
-  (* A [Pure] step: no memory, so its cycles' unit waits go to the
-     engine as one run ({!Engine.waits}), which moves the clock once
-     when nothing else is queued before the run ends and otherwise
-     breaks every same-cycle tie as the per-state waits would.  Register
-     semantics are preserved exactly — each cycle still reads the file
-     as of its own entry and commits at its own exit (buffered when a
-     cycle holds several ops). *)
-  let exec_pure_fused (b : Schedule.block_schedule) (cycles : int array array)
-      units =
-    let n = Array.length cycles in
-    for c = 0 to n - 1 do
-      let ids = cycles.(c) in
-      if Array.length ids = 1 then
-        (match b.Schedule.instrs.(ids.(0)) with
-        | Ir.Bin (op, d, x, y) ->
-          regs.(d) <- Ast_interp.eval_binop op (value x) (value y)
-        | Ir.Un (op, d, x) -> regs.(d) <- Ast_interp.eval_unop op (value x)
-        | Ir.Mov (d, x) -> regs.(d) <- value x
-        | Ir.Load _ | Ir.Store _ -> assert false)
-      else begin
-        let commits = ref [] in
-        Array.iter
-          (fun i ->
-            match b.Schedule.instrs.(i) with
-            | Ir.Bin (op, d, x, y) ->
-              let v = Ast_interp.eval_binop op (value x) (value y) in
-              commits := (d, v) :: !commits
-            | Ir.Un (op, d, x) ->
-              commits := (d, Ast_interp.eval_unop op (value x)) :: !commits
-            | Ir.Mov (d, x) -> commits := (d, value x) :: !commits
-            | Ir.Load _ | Ir.Store _ -> assert false)
-          ids;
-        List.iter (fun (d, v) -> regs.(d) <- v) (List.rev !commits)
-      end
-    done;
-    stats.fsm_cycles <- stats.fsm_cycles + n;
-    Engine.waits units
-  in
+  let codes = label_codes ~engine ~stats ~port ~ports regs hw in
   (* Sequential functional execution of one instruction, used by the
      software-pipelined loop path: results are exact (program order);
      only memory advances simulated time — compute time is charged at
@@ -193,16 +247,16 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
       | Ir.Br (c, _, _) -> c
       | Ir.Jmp _ | Ir.Ret _ -> assert false
     in
-    Engine.wait (max 0 (plan.Pipeliner.depth - plan.Pipeliner.ii));
+    Engine.wait_on engine (max 0 (plan.Pipeliner.depth - plan.Pipeliner.ii));
     let rec iterate () =
-      let t0 = Engine.now_p () in
+      let t0 = Engine.now engine in
       stats.block_visits <- stats.block_visits + 1;
       List.iter exec_seq header.Ir.instrs;
       if value cond <> 0 then begin
         stats.block_visits <- stats.block_visits + 1;
         List.iter exec_seq body.Ir.instrs;
-        let elapsed = Engine.now_p () - t0 in
-        Engine.wait (max 0 (plan.Pipeliner.ii - elapsed));
+        let elapsed = Engine.now engine - t0 in
+        Engine.wait_on engine (max 0 (plan.Pipeliner.ii - elapsed));
         stats.fsm_cycles <- stats.fsm_cycles + max plan.Pipeliner.ii elapsed;
         iterate ()
       end
@@ -210,18 +264,16 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
     iterate ();
     plan.Pipeliner.exit
   in
-  let exec_steps sched steps =
+  let exec_steps steps =
     for i = 0 to Array.length steps - 1 do
-      match steps.(i) with
-      | Mem ids -> exec_mem_cycle sched ids
-      | Pure (cycles, units) -> exec_pure_fused sched cycles units
+      (Array.unsafe_get steps i) ()
     done
   in
   (* One FSM-state event per block entry (a pipelined region counts as
      one state spanning all its iterations), with the measured span. *)
   let emit_state (emit : Vmht_obs.Event.emitter) label t0 =
     emit
-      ~duration:(Engine.now_p () - t0)
+      ~duration:(Engine.now engine - t0)
       (Vmht_obs.Event.Fsm_state { block = Printf.sprintf "L%d" label })
   in
   let rec exec_block label =
@@ -232,19 +284,19 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) (hw : Fsm.t) ~port
         match observer with
         | None -> exec_pipelined plan header body
         | Some emit ->
-          let t0 = Engine.now_p () in
+          let t0 = Engine.now engine in
           let next = exec_pipelined plan header body in
           emit_state emit label t0;
           next
       in
       exec_block next
-    | Block { sched; steps; term } -> (
+    | Block { steps; term } -> (
       stats.block_visits <- stats.block_visits + 1;
       (match observer with
-      | None -> exec_steps sched steps
+      | None -> exec_steps steps
       | Some emit ->
-        let t0 = Engine.now_p () in
-        exec_steps sched steps;
+        let t0 = Engine.now engine in
+        exec_steps steps;
         emit_state emit label t0);
       match term with
       | Ir.Jmp l -> exec_block l

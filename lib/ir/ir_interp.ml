@@ -48,3 +48,20 @@ let run ?(hooks = no_hooks) ?(max_steps = 100_000_000)
     | Ir.Ret v -> Option.map value v
   in
   exec_block (Ir.entry f).Ir.label
+
+let compile_op regs ~into ~slot : Ir.instr -> unit -> unit = function
+  | Ir.Bin (op, _, Ir.Reg a, Ir.Reg b) ->
+    fun () -> into.(slot) <- Ast_interp.eval_binop op regs.(a) regs.(b)
+  | Ir.Bin (op, _, Ir.Reg a, Ir.Imm n) ->
+    fun () -> into.(slot) <- Ast_interp.eval_binop op regs.(a) n
+  | Ir.Bin (op, _, Ir.Imm n, Ir.Reg b) ->
+    fun () -> into.(slot) <- Ast_interp.eval_binop op n regs.(b)
+  | Ir.Bin (op, _, Ir.Imm m, Ir.Imm n) ->
+    fun () -> into.(slot) <- Ast_interp.eval_binop op m n
+  | Ir.Un (op, _, Ir.Reg a) ->
+    fun () -> into.(slot) <- Ast_interp.eval_unop op regs.(a)
+  | Ir.Un (op, _, Ir.Imm n) ->
+    fun () -> into.(slot) <- Ast_interp.eval_unop op n
+  | Ir.Mov (_, Ir.Reg a) -> fun () -> into.(slot) <- regs.(a)
+  | Ir.Mov (_, Ir.Imm n) -> fun () -> into.(slot) <- n
+  | Ir.Load _ | Ir.Store _ -> invalid_arg "Ir_interp.compile_op: memory access"

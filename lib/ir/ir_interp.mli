@@ -4,7 +4,9 @@
     match the AST interpreter).  Driven with hooks that charge cycle
     costs per instruction and a memory whose [load]/[store] perform
     timed bus transactions, it is also the per-instruction reference
-    the compiled CPU ([Vmht_cpu.Cpu]) is tested against. *)
+    the compiled CPU ([Vmht_cpu.Cpu]) is tested against.  {!compile_op}
+    gives the compiled executors the same datapath semantics as
+    closures. *)
 
 type hooks = {
   on_instr : Ir.instr -> unit;
@@ -26,3 +28,14 @@ val run :
 (** Execute a function.  [max_steps] (default 100 million) bounds the
     number of executed instructions to catch non-terminating programs
     in tests.  Raises [Invalid_argument] on argument-count mismatch. *)
+
+val compile_op :
+  int array -> into:int array -> slot:int -> Ir.instr -> unit -> unit
+(** [compile_op regs ~into ~slot op] compiles the datapath op [op] (a
+    [Bin], [Un] or [Mov]) into a closure that evaluates it on [regs] as
+    they are when it runs and writes the value to [into.(slot)]: the
+    register transfers of the compiled executors ([Vmht_cpu.Cpu],
+    [Vmht_hls.Accel]), which pass their register file or a scratch
+    array.  A division by zero raises
+    {!Vmht_lang.Ast_interp.Eval_error} when the closure runs.  Raises
+    [Invalid_argument] on a load or store. *)

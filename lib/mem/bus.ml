@@ -1,3 +1,4 @@
+module Engine = Vmht_sim.Engine
 module Resource = Vmht_sim.Resource
 module Event = Vmht_obs.Event
 module Fi = Vmht_fault.Injector
@@ -11,6 +12,7 @@ type stats = {
 }
 
 type t = {
+  engine : Engine.t;
   arbitration_cycles : int;
   mem : Phys_mem.t;
   dram : Dram.t;
@@ -20,29 +22,37 @@ type t = {
   mutable words_moved : int;
   mutable observer : Event.emitter option;
   mutable fault : Fi.t option;
+  (* The fault the current transaction drew ([""] = none) and its
+     extra cycles, recorded once its wait is over.  From the draw to
+     the record the transaction holds the bus or runs without
+     yielding, so no other transaction draws in between. *)
+  mutable drawn : string;
+  mutable drawn_cycles : int;
 }
 
-let create ?(arbitration_cycles = 2) mem dram =
+let create ?(arbitration_cycles = 2) ~engine mem dram =
   {
+    engine;
     arbitration_cycles;
     mem;
     dram;
-    resource = Resource.create ();
+    resource = Resource.create ~engine;
     reads = 0;
     writes = 0;
     words_moved = 0;
     observer = None;
     fault = None;
+    drawn = "";
+    drawn_cycles = 0;
   }
+
+let engine t = t.engine
 
 let phys t = t.mem
 
 let set_observer t f = t.observer <- Some f
 
 let set_fault t inj = t.fault <- Some inj
-
-let emit t ~duration kind =
-  match t.observer with Some f -> f ~duration kind | None -> ()
 
 (* Stretch one transaction's latency when the injector fires: a slave
    error costs the error turnaround plus a full re-issue (fresh
@@ -51,7 +61,7 @@ let emit t ~duration kind =
    event spans cycles the transaction actually paid. *)
 let with_fault t ~addr latency =
   match t.fault with
-  | None -> (latency, None)
+  | None -> latency
   | Some inj ->
     let plan = Fi.plan inj in
     if Fi.fires inj ~rate:plan.Fp.bus_error_rate then begin
@@ -59,81 +69,92 @@ let with_fault t ~addr latency =
         plan.Fp.bus_error_cycles + t.arbitration_cycles
         + Dram.access_latency t.dram ~addr
       in
-      (latency + extra, Some ("bus_error", extra))
+      t.drawn <- "bus_error";
+      t.drawn_cycles <- extra;
+      latency + extra
     end
-    else if Fi.fires inj ~rate:plan.Fp.bus_contention_rate then
+    else if Fi.fires inj ~rate:plan.Fp.bus_contention_rate then begin
       let extra = plan.Fp.bus_contention_cycles in
-      (latency + extra, Some ("bus_contention", extra))
-    else (latency, None)
+      t.drawn <- "bus_contention";
+      t.drawn_cycles <- extra;
+      latency + extra
+    end
+    else latency
 
-let record_fault t = function
+let record_fault t =
+  match t.fault with
+  | Some inj when t.drawn <> "" ->
+    Fi.injected inj ~fault:t.drawn ~cycles:t.drawn_cycles;
+    t.drawn <- ""
+  | Some _ | None -> ()
+
+(* The transaction event is built only for an installed observer. *)
+let observe t ~duration op addr words =
+  match t.observer with
+  | Some f -> f ~duration (Event.Bus_txn { op; addr; words })
   | None -> ()
-  | Some (fault, cycles) -> (
-    match t.fault with
-    | Some inj -> Fi.injected inj ~fault ~cycles
-    | None -> ())
 
 let read_word t addr =
   Resource.acquire t.resource;
-  let latency, fault =
+  let latency =
     with_fault t ~addr (t.arbitration_cycles + Dram.access_latency t.dram ~addr)
   in
-  Vmht_sim.Engine.wait latency;
+  Engine.wait_on t.engine latency;
   let v = Phys_mem.read t.mem addr in
   Resource.release t.resource;
   t.reads <- t.reads + 1;
   t.words_moved <- t.words_moved + 1;
-  record_fault t fault;
-  emit t ~duration:latency (Event.Bus_txn { op = Event.Read; addr; words = 1 });
+  record_fault t;
+  observe t ~duration:latency Event.Read addr 1;
   v
 
 let write_word t addr value =
   Resource.acquire t.resource;
-  let latency, fault =
+  let latency =
     with_fault t ~addr (t.arbitration_cycles + Dram.access_latency t.dram ~addr)
   in
-  Vmht_sim.Engine.wait latency;
+  Engine.wait_on t.engine latency;
   Phys_mem.write t.mem addr value;
   Resource.release t.resource;
   t.writes <- t.writes + 1;
   t.words_moved <- t.words_moved + 1;
-  record_fault t fault;
-  emit t ~duration:latency (Event.Bus_txn { op = Event.Write; addr; words = 1 })
+  record_fault t;
+  observe t ~duration:latency Event.Write addr 1
 
 let read_burst t ~addr ~words =
   Resource.acquire t.resource;
-  let latency, fault =
+  let latency =
     with_fault t ~addr
       (t.arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
   in
-  Vmht_sim.Engine.wait latency;
-  let data =
-    Array.init words (fun i ->
-        Phys_mem.read t.mem (addr + (i * Phys_mem.word_bytes)))
-  in
+  Engine.wait_on t.engine latency;
+  let data = Array.make words 0 in
+  for i = 0 to words - 1 do
+    data.(i) <- Phys_mem.read t.mem (addr + (i * Phys_mem.word_bytes))
+  done;
   Resource.release t.resource;
   t.reads <- t.reads + 1;
   t.words_moved <- t.words_moved + words;
-  record_fault t fault;
-  emit t ~duration:latency (Event.Bus_txn { op = Event.Read; addr; words });
+  record_fault t;
+  observe t ~duration:latency Event.Read addr words;
   data
 
 let write_burst t ~addr data =
   let words = Array.length data in
   Resource.acquire t.resource;
-  let latency, fault =
+  let latency =
     with_fault t ~addr
       (t.arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
   in
-  Vmht_sim.Engine.wait latency;
-  Array.iteri
-    (fun i v -> Phys_mem.write t.mem (addr + (i * Phys_mem.word_bytes)) v)
-    data;
+  Engine.wait_on t.engine latency;
+  for i = 0 to words - 1 do
+    Phys_mem.write t.mem (addr + (i * Phys_mem.word_bytes)) data.(i)
+  done;
   Resource.release t.resource;
   t.writes <- t.writes + 1;
   t.words_moved <- t.words_moved + words;
-  record_fault t fault;
-  emit t ~duration:latency (Event.Bus_txn { op = Event.Write; addr; words })
+  record_fault t;
+  observe t ~duration:latency Event.Write addr words
 
 let stats (t : t) : stats =
   {

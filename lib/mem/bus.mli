@@ -15,8 +15,19 @@ type stats = {
   bus : Vmht_sim.Resource.stats;
 }
 
-val create : ?arbitration_cycles:int -> Phys_mem.t -> Dram.t -> t
-(** Default arbitration latency: 2 cycles per transaction. *)
+val create :
+  ?arbitration_cycles:int ->
+  engine:Vmht_sim.Engine.t ->
+  Phys_mem.t ->
+  Dram.t ->
+  t
+(** A bus whose transactions run as processes of [engine] (default
+    arbitration latency: 2 cycles per transaction).  The bus waits on
+    that handle, and every component built on the bus (caches, the
+    CPU, MMUs, walkers, DMA engines) takes it from {!engine}, so no
+    access on the memory path looks its engine up. *)
+
+val engine : t -> Vmht_sim.Engine.t
 
 val phys : t -> Phys_mem.t
 
@@ -27,7 +38,8 @@ val write_word : t -> int -> int -> unit
 (** Timed single-word write. *)
 
 val read_burst : t -> addr:int -> words:int -> int array
-(** Timed sequential burst read (one bus transaction). *)
+(** Timed sequential burst read (one bus transaction) into a fresh
+    array. *)
 
 val write_burst : t -> addr:int -> int array -> unit
 (** Timed sequential burst write (one bus transaction). *)
@@ -36,7 +48,7 @@ val set_observer : t -> Vmht_obs.Event.emitter -> unit
 (** Install an observer invoked (in process context) once per
     transaction with a typed {!Vmht_obs.Event.kind.Bus_txn} event
     carrying the transaction's latency — the hook the SoC's
-    observability layer uses. *)
+    observability layer uses.  Without one no event is built. *)
 
 val set_fault : t -> Vmht_fault.Injector.t -> unit
 (** Attach a fault injector: a transaction may suffer a slave error

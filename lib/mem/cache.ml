@@ -29,7 +29,11 @@ type line = {
 type t = {
   config : config;
   bus : Bus.t;
+  engine : Vmht_sim.Engine.t;
   sets : line array array;
+  line_shift : int; (* log2 line_bytes *)
+  set_mask : int; (* sets - 1: the set index is the line address's low bits *)
+  tag_shift : int; (* log2 line_bytes + log2 sets *)
   mutable clock : int;
   mutable read_hits : int;
   mutable read_misses : int;
@@ -44,10 +48,16 @@ let create ?(config = default_config) bus =
   let lines = config.size_bytes / config.line_bytes in
   let n_sets = max 1 (lines / config.ways) in
   assert (Vmht_util.Bits.is_pow2 config.line_bytes);
+  assert (Vmht_util.Bits.is_pow2 n_sets);
   let words_per_line = config.line_bytes / Phys_mem.word_bytes in
+  let line_shift = Vmht_util.Bits.log2 config.line_bytes in
   {
     config;
     bus;
+    engine = Bus.engine bus;
+    line_shift;
+    set_mask = n_sets - 1;
+    tag_shift = line_shift + Vmht_util.Bits.log2 n_sets;
     sets =
       Array.init n_sets (fun _ ->
           Array.init config.ways (fun _ ->
@@ -71,30 +81,29 @@ let create ?(config = default_config) bus =
 
 let set_observer t f = t.observer <- Some f
 
-let set_and_tag t addr =
-  let line_addr = addr / t.config.line_bytes in
-  let n_sets = Array.length t.sets in
-  (line_addr mod n_sets, line_addr / n_sets)
+(* Addresses are non-negative, so shifts and masks pick the same set,
+   tag and word as division and remainder would. *)
+let set_of t addr = t.sets.((addr lsr t.line_shift) land t.set_mask)
 
-let word_in_line t addr = addr mod t.config.line_bytes / Phys_mem.word_bytes
+let tag_of t addr = addr lsr t.tag_shift
 
-let find_line t set tag =
-  let lines = t.sets.(set) in
-  let rec go i =
-    if i >= Array.length lines then None
-    else if lines.(i).valid && lines.(i).tag = tag then Some lines.(i)
-    else go (i + 1)
-  in
-  go 0
+let word_in_line t addr =
+  (addr land (t.config.line_bytes - 1)) / Phys_mem.word_bytes
 
-let victim t set =
-  let lines = t.sets.(set) in
+(* The way of [lines] holding [tag], from [i] on; -1 when none does. *)
+let rec find_way lines tag i =
+  if i >= Array.length lines then -1
+  else
+    let l = lines.(i) in
+    if l.valid && l.tag = tag then i else find_way lines tag (i + 1)
+
+let victim lines =
   let best = ref lines.(0) in
-  Array.iter
-    (fun l ->
-      if not l.valid then best := l
-      else if !best.valid && l.last_use < !best.last_use then best := l)
-    lines;
+  for i = 0 to Array.length lines - 1 do
+    let l = lines.(i) in
+    if not l.valid then best := l
+    else if !best.valid && l.last_use < !best.last_use then best := l
+  done;
   !best
 
 (* Clean from the moment the burst copies the data: a store that lands
@@ -109,15 +118,14 @@ let write_back t line =
 (* Bring the line containing [addr]/[phys] into the cache, evicting
    (and writing back) the victim.  Returns the filled line. *)
 let fill t addr phys =
-  let set, tag = set_and_tag t addr in
   let line_base_phys = Vmht_util.Bits.align_down phys t.config.line_bytes in
   let words = t.config.line_bytes / Phys_mem.word_bytes in
-  let line = victim t set in
+  let line = victim (set_of t addr) in
   write_back t line;
   let data = Bus.read_burst t.bus ~addr:line_base_phys ~words in
   line.valid <- true;
   line.dirty <- false;
-  line.tag <- tag;
+  line.tag <- tag_of t addr;
   line.phys_base <- line_base_phys;
   line.last_use <- t.clock;
   line.data <- data;
@@ -125,7 +133,7 @@ let fill t addr phys =
 
 (* A hit's latency, reported to the observer. *)
 let hit t op addr =
-  Vmht_sim.Engine.wait t.config.hit_latency;
+  Vmht_sim.Engine.wait_on t.engine t.config.hit_latency;
   match t.observer with
   | Some f ->
     f ~duration:t.config.hit_latency (Vmht_obs.Event.Cache_hit { op; addr })
@@ -135,44 +143,49 @@ let hit t op addr =
 let miss t op addr phys =
   match t.observer with
   | Some f ->
-    let t0 = Vmht_sim.Engine.now_p () in
+    let t0 = Vmht_sim.Engine.now t.engine in
     let line = fill t addr phys in
-    let duration = Vmht_sim.Engine.now_p () - t0 in
+    let duration = Vmht_sim.Engine.now t.engine - t0 in
     f ~duration (Vmht_obs.Event.Cache_miss { op; addr });
     line
   | None -> fill t addr phys
 
 let read t ~addr ~phys =
   t.clock <- t.clock + 1;
-  let set, tag = set_and_tag t addr in
-  match find_line t set tag with
-  | Some line ->
+  let lines = set_of t addr in
+  let way = find_way lines (tag_of t addr) 0 in
+  if way >= 0 then begin
+    let line = lines.(way) in
     t.read_hits <- t.read_hits + 1;
     line.last_use <- t.clock;
     hit t Vmht_obs.Event.Read addr;
     line.data.(word_in_line t addr)
-  | None ->
+  end
+  else begin
     t.read_misses <- t.read_misses + 1;
     (miss t Vmht_obs.Event.Read addr phys).data.(word_in_line t addr)
+  end
+
+let store t line addr value =
+  line.last_use <- t.clock;
+  line.data.(word_in_line t addr) <- value;
+  line.dirty <- true
 
 let write t ~addr ~phys value =
   t.clock <- t.clock + 1;
-  let set, tag = set_and_tag t addr in
-  let store line =
-    line.last_use <- t.clock;
-    line.data.(word_in_line t addr) <- value;
-    line.dirty <- true
-  in
-  match find_line t set tag with
-  | Some line ->
+  let lines = set_of t addr in
+  let way = find_way lines (tag_of t addr) 0 in
+  if way >= 0 then begin
     t.write_hits <- t.write_hits + 1;
     (* A hit stores before its latency elapses, so maintenance that
        runs meanwhile finds the line dirty and writes the store back. *)
-    store line;
+    store t lines.(way) addr value;
     hit t Vmht_obs.Event.Write addr
-  | None ->
+  end
+  else begin
     t.write_misses <- t.write_misses + 1;
-    store (miss t Vmht_obs.Event.Write addr phys)
+    store t (miss t Vmht_obs.Event.Write addr phys) addr value
+  end
 
 let flush t =
   Array.iter (fun set -> Array.iter (write_back t) set) t.sets

@@ -35,10 +35,14 @@ type stats = {
 }
 
 val create : ?config:config -> Bus.t -> t
+(** A cache in front of [bus], waiting on the bus's engine.  The line
+    size and the number of sets ([size_bytes / line_bytes / ways]) must
+    be powers of two: a line is found by shift and mask. *)
 
 val read : t -> addr:int -> phys:int -> int
 (** Timed.  On a miss the containing line is fetched over the bus
-    (evicting — and writing back, if dirty — the victim). *)
+    (evicting — and writing back, if dirty — the victim).  A hit
+    allocates nothing. *)
 
 val write : t -> addr:int -> phys:int -> int -> unit
 (** Timed write-allocate: the line is fetched on a miss, updated in

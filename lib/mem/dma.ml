@@ -5,6 +5,7 @@ type stats = { transfers : int; words_in : int; words_out : int }
 
 type t = {
   bus : Bus.t;
+  engine : Vmht_sim.Engine.t;
   setup_cycles : int;
   burst_words : int;
   mutable transfers : int;
@@ -17,6 +18,7 @@ type t = {
 let create ?(setup_cycles = 120) ?(burst_words = 64) bus =
   {
     bus;
+    engine = Bus.engine bus;
     setup_cycles;
     burst_words;
     transfers = 0;
@@ -37,9 +39,9 @@ let observed t ~op ~words body =
   match t.observer with
   | None -> body ()
   | Some f ->
-    let t0 = Vmht_sim.Engine.now_p () in
+    let t0 = Vmht_sim.Engine.now t.engine in
     body ();
-    let duration = Vmht_sim.Engine.now_p () - t0 in
+    let duration = Vmht_sim.Engine.now t.engine - t0 in
     f ~duration (Vmht_obs.Event.Dma_burst { op; words })
 
 (* Transfer aborts are injected on staging (copy-in) bursts only: a
@@ -49,7 +51,7 @@ let observed t ~op ~words body =
 let maybe_abort t =
   match t.fault with
   | Some inj when Fi.fires inj ~rate:(Fi.plan inj).Fp.dma_abort_rate ->
-    Vmht_sim.Engine.wait (Fi.plan inj).Fp.dma_abort_cycles;
+    Vmht_sim.Engine.wait_on t.engine (Fi.plan inj).Fp.dma_abort_cycles;
     Fi.abort inj ~fault:"dma_abort"
   | _ -> ()
 
@@ -93,21 +95,21 @@ let copy_in t pad ~src_phys ~dst_word ~words =
   t.transfers <- t.transfers + 1;
   t.words_in <- t.words_in + words;
   observed t ~op:Vmht_obs.Event.Read ~words (fun () ->
-      Vmht_sim.Engine.wait t.setup_cycles;
+      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
       burst_in_raw t pad ~src_phys ~dst_word ~words)
 
 let copy_out t pad ~src_word ~dst_phys ~words =
   t.transfers <- t.transfers + 1;
   t.words_out <- t.words_out + words;
   observed t ~op:Vmht_obs.Event.Write ~words (fun () ->
-      Vmht_sim.Engine.wait t.setup_cycles;
+      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
       burst_out_raw t pad ~src_word ~dst_phys ~words)
 
 let copy_in_scattered t pad ~chunks ~dst_word =
   t.transfers <- t.transfers + 1;
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 chunks in
   observed t ~op:Vmht_obs.Event.Read ~words:total (fun () ->
-      Vmht_sim.Engine.wait t.setup_cycles;
+      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
       let _ =
         List.fold_left
           (fun dst (src_phys, words) ->
@@ -122,7 +124,7 @@ let copy_out_scattered t pad ~src_word ~chunks =
   t.transfers <- t.transfers + 1;
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 chunks in
   observed t ~op:Vmht_obs.Event.Write ~words:total (fun () ->
-      Vmht_sim.Engine.wait t.setup_cycles;
+      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
       let _ =
         List.fold_left
           (fun src (dst_phys, words) ->

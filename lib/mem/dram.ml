@@ -42,8 +42,6 @@ let set_observer t f = t.observer <- Some f
 
 let set_fault t inj = t.fault <- Some inj
 
-let emit t kind = match t.observer with Some f -> f kind | None -> ()
-
 let row_of t addr = addr / t.config.row_bytes
 
 let bank_of t addr = row_of t addr land (t.config.banks - 1)
@@ -55,12 +53,16 @@ let access_latency t ~addr =
   let base =
     if t.open_rows.(bank) = row then begin
       t.row_hits <- t.row_hits + 1;
-      emit t (Vmht_obs.Event.Dram_row_hit { bank });
+      (match t.observer with
+      | Some f -> f (Vmht_obs.Event.Dram_row_hit { bank })
+      | None -> ());
       t.config.t_cas
     end
     else begin
       t.row_misses <- t.row_misses + 1;
-      emit t (Vmht_obs.Event.Dram_row_miss { bank });
+      (match t.observer with
+      | Some f -> f (Vmht_obs.Event.Dram_row_miss { bank })
+      | None -> ());
       let penalty =
         if t.open_rows.(bank) = -1 then t.config.t_rcd + t.config.t_cas
         else t.config.t_rp + t.config.t_rcd + t.config.t_cas
@@ -83,21 +85,18 @@ let burst_latency t ~addr ~words =
   if words <= 0 then 0
   else begin
     let word = Phys_mem.word_bytes in
-    let first = access_latency t ~addr in
-    let rec beats i acc =
-      if i >= words then acc
+    let latency = ref (access_latency t ~addr) in
+    for i = 1 to words - 1 do
+      let a = addr + (i * word) in
+      if row_of t a <> row_of t (a - word) then
+        latency := !latency + access_latency t ~addr:a
       else begin
-        let a = addr + (i * word) in
-        if row_of t a <> row_of t (a - word) then
-          beats (i + 1) (acc + access_latency t ~addr:a)
-        else begin
-          t.accesses <- t.accesses + 1;
-          t.row_hits <- t.row_hits + 1;
-          beats (i + 1) (acc + 1)
-        end
+        t.accesses <- t.accesses + 1;
+        t.row_hits <- t.row_hits + 1;
+        latency := !latency + 1
       end
-    in
-    beats 1 first
+    done;
+    !latency
   end
 
 let stats (t : t) : stats =

@@ -36,7 +36,8 @@ val set_observer : t -> Vmht_obs.Event.emitter -> unit
 (** Install an observer that receives an instant
     {!Vmht_obs.Event.kind.Dram_row_hit} / [Dram_row_miss] event per
     latency computation.  Inner beats of a burst that stay within an
-    open row are counted as hits in {!stats} but do not emit events. *)
+    open row are counted as hits in {!stats} but do not emit events.
+    Without an observer no event is built. *)
 
 val set_fault : t -> Vmht_fault.Injector.t -> unit
 (** Attach a fault injector: each latency computation may suffer a row

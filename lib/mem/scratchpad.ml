@@ -1,6 +1,7 @@
 type window = { base : int; words : int; local_word : int }
 
 type t = {
+  engine : Vmht_sim.Engine.t;
   data : int array;
   latency : int;
   mutable windows : window list;
@@ -9,8 +10,9 @@ type t = {
 
 exception Out_of_window of int
 
-let create ~words ~access_latency =
+let create ~engine ~words ~access_latency =
   {
+    engine;
     data = Array.make words 0;
     latency = access_latency;
     windows = [];
@@ -37,25 +39,24 @@ let map_window t ~base ~words =
   t.windows <- { base; words; local_word = t.next_free } :: t.windows;
   t.next_free <- t.next_free + words
 
-let local_of_vaddr t vaddr =
-  let rec go = function
-    | [] -> raise (Out_of_window vaddr)
-    | w :: rest ->
-      let offset = vaddr - w.base in
-      if offset >= 0 && offset < w.words * Phys_mem.word_bytes then
-        w.local_word + (offset / Phys_mem.word_bytes)
-      else go rest
-  in
-  go t.windows
+let rec find_window vaddr = function
+  | [] -> raise (Out_of_window vaddr)
+  | w :: rest ->
+    let offset = vaddr - w.base in
+    if offset >= 0 && offset < w.words * Phys_mem.word_bytes then
+      w.local_word + (offset / Phys_mem.word_bytes)
+    else find_window vaddr rest
+
+let local_of_vaddr t vaddr = find_window vaddr t.windows
 
 let load t vaddr =
   let i = local_of_vaddr t vaddr in
-  Vmht_sim.Engine.wait t.latency;
+  Vmht_sim.Engine.wait_on t.engine t.latency;
   t.data.(i)
 
 let store t vaddr value =
   let i = local_of_vaddr t vaddr in
-  Vmht_sim.Engine.wait t.latency;
+  Vmht_sim.Engine.wait_on t.engine t.latency;
   t.data.(i) <- value
 
 let read_local t i = t.data.(i)

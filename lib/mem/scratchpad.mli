@@ -13,7 +13,8 @@ type t
 
 exception Out_of_window of int
 
-val create : words:int -> access_latency:int -> t
+val create : engine:Vmht_sim.Engine.t -> words:int -> access_latency:int -> t
+(** A scratchpad whose timed accesses wait on [engine]. *)
 
 val capacity_words : t -> int
 

@@ -1,15 +1,16 @@
 (* Process-wide simulator phase profile.
 
    The engine does the cheap per-dispatch work locally (an array
-   increment, a batch counter, an occasional clock sample) and flushes
-   deltas here under one mutex at the end of each [run] — so the hot
-   loop never takes a lock.  Cycle attribution is exact by
+   increment, a batch counter, a clock read when the phase changes)
+   and flushes deltas here under one mutex at the end of each [run] —
+   so the hot loop never takes a lock.  Cycle attribution is exact by
    construction: every dispatched event is charged the simulated time
    it advanced past the previous charge point, so the per-phase cycle
    counts partition each engine's timeline and their sum equals the
-   summed engine totals.  Host time is sampled (every 64th dispatch),
-   so it is approximate — useful for "where do the milliseconds go",
-   not for regressions gating. *)
+   summed engine totals.  Host time is read from the clock wherever the
+   current phase changes, so a phase is charged the wall time spent
+   inside it — useful for "where do the milliseconds go", not for
+   regression gating (the reads themselves cost time). *)
 
 type phase = Dispatch | Actor | Memory | Translate
 
@@ -31,7 +32,7 @@ let all_phases = [ Dispatch; Actor; Memory; Translate ]
 
 type totals = {
   cycles : int array; (* per phase, indexed by [phase_index] *)
-  host_ns : float array; (* per phase, sampled *)
+  host_ns : float array; (* per phase, wall clock *)
   dispatches : int;
   engine_cycles : int; (* summed final [now] of every profiled engine *)
   engines : int;

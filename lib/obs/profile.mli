@@ -6,8 +6,11 @@
     engine bookkeeping, {!Actor}/{!Memory}/{!Translate} for code run
     under [Engine.with_phase] — and flushes per-run deltas here.  The
     per-phase cycle counts partition each profiled engine's timeline
-    exactly: their sum equals [engine_cycles].  Host nanoseconds are
-    sampled every 64th dispatch and are approximate.
+    exactly: their sum equals [engine_cycles].  Host nanoseconds come
+    from clock reads wherever the current phase changes (a phase entry
+    or exit, a dispatch resuming another phase), each slice charged to
+    the phase current over it; they include the cost of the reads
+    themselves.
 
     Disabled by default; {!enable} before creating engines (the hook
     is bound at [Engine.create]). *)
@@ -24,7 +27,7 @@ val all_phases : phase list
 
 type totals = {
   cycles : int array;  (** per phase, indexed by {!phase_index}; exact *)
-  host_ns : float array;  (** per phase; sampled, approximate *)
+  host_ns : float array;  (** per phase; wall clock, see above *)
   dispatches : int;
   engine_cycles : int;  (** summed final simulated time of profiled engines *)
   engines : int;  (** profiled engine-run flushes observed *)

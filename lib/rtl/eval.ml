@@ -664,7 +664,8 @@ let reset_memo () =
 (* ------------------------------ run -------------------------------- *)
 
 let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
-    ?(max_edges = 50_000_000) (p : program) ~(port : Accel.port) ~args =
+    ?(max_edges = 50_000_000) ~engine (p : program) ~(port : Accel.port)
+    ~args =
   if Array.length p.args <> List.length args then
     invalid_arg
       (Printf.sprintf "Rtl.Eval.run: %s expects %d args, got %d" p.mname
@@ -802,7 +803,7 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
     else if any_issuing cands 0 then
       stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
     else if sval <> p.s_idle && sval <> p.s_done then begin
-      Engine.wait 1;
+      Engine.wait_on engine 1;
       stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
     end;
     if not st.known.(p.done_) then fail "done is X";

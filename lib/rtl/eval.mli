@@ -43,7 +43,8 @@
     that consumes a held ack is free (it coalesces into the access
     latency), and the S_IDLE/S_DONE handshake edges are free, matching
     the model's zero dispatch cost.  Every pure edge is its own
-    [Engine.wait 1]: the reference never fuses waits.
+    [Engine.wait_on engine 1] on the handle {!run} is given: the
+    reference never fuses waits.
 
     X discipline: registers power up X.  X flows silently through
     datapath arithmetic but is a hard {!Rtl_error} when it reaches the
@@ -87,19 +88,22 @@ val run :
   ?stats:Vmht_hls.Accel.run_stats ->
   ?ports:int ->
   ?max_edges:int ->
+  engine:Vmht_sim.Engine.t ->
   program ->
   port:Vmht_hls.Accel.port ->
   args:int list ->
   outcome
-(** Run a compiled module to [done].  [stats] accumulates
-    loads/stores/fsm_cycles with the model's meanings; [ports] is the
-    issue width of same-cycle accesses (default 1); [max_edges] bounds the
-    run (default 50M edges) so an FSM that deadlocks or spins fails
-    instead of hanging.  Each edge runs its arm's code, applies what it
-    buffered, then classifies itself; only the arm's own channels are
-    checked for new requests (every channel on the first edge, where a
-    [req] the reset left X must fail), and releasing and presenting
-    cost nothing while no ack is held and no access is out.  Raises
+(** Run a compiled module to [done], from a process of [engine] (the
+    launcher passes the SoC's), whose clock its edges advance.  [stats]
+    accumulates loads/stores/fsm_cycles with the model's meanings;
+    [ports] is the issue width of same-cycle accesses (default 1);
+    [max_edges] bounds the run (default 50M edges) so an FSM that
+    deadlocks or spins fails instead of hanging.  Each edge runs its
+    arm's code, applies what it buffered, then classifies itself; only
+    the arm's own channels are checked for new requests (every channel
+    on the first edge, where a [req] the reset left X must fail), and
+    releasing and presenting cost nothing while no ack is held and no
+    access is out.  Raises
     {!Edge_budget} past [max_edges], {!Rtl_error} on protocol or X
     violations, [Invalid_argument] on an argument-count mismatch, and
     lets port-side exceptions (faults, aborts) pass through

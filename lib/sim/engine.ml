@@ -12,8 +12,12 @@ exception Stuck of string
    passed since the previous charge point ([charged_upto]) to that
    phase.  Charge points advance monotonically through every
    dispatch, so the per-phase sums telescope to exactly the engine's
-   final [now].  Host time is only sampled (every 64th dispatch) —
-   cheap enough to leave on for whole evaluation runs. *)
+   final [now].  Host time is read from the clock only where
+   [cur_phase] changes — a dispatch resuming another phase, a phase
+   entry or exit — and the slice since the previous read goes to the
+   phase that was current over all of it, so a phase that burns host
+   time inside one dispatch is charged for it.  A read where the phase
+   stays would charge the same phase, so it is skipped. *)
 type eprof = {
   mutable cur_phase : int; (* phase of the code currently executing *)
   mutable charged_upto : time;
@@ -38,6 +42,7 @@ type t = {
   mutable batch_len : int;
   fastpath : bool;
   mutable horizon : time; (* [run ?until] bound; fast-forward never crosses *)
+  mutable running : bool; (* inside [run]: its processes may wait *)
 }
 
 type phase = Vmht_obs.Profile.phase
@@ -82,11 +87,28 @@ let create ?(fastpath = true) () =
     batch_len = 0;
     fastpath;
     horizon = max_int;
+    running = false;
   }
 
 let now t = t.now
 
 let observe_batches t sink = t.batch_sink <- Some sink
+
+(* Charge the host time since the previous clock read to the phase
+   current until now. *)
+let charge_host p =
+  let h = Unix.gettimeofday () in
+  p.host_ns.(p.cur_phase) <-
+    p.host_ns.(p.cur_phase) +. ((h -. p.last_host) *. 1e9);
+  p.last_host <- h
+
+(* Make [ph] the current phase, charging the slice that ends here to
+   the phase it replaces. *)
+let switch_phase p ph =
+  if ph <> p.cur_phase then begin
+    charge_host p;
+    p.cur_phase <- ph
+  end
 
 let schedule t ~at action =
   assert (at >= t.now);
@@ -94,22 +116,32 @@ let schedule t ~at action =
   | None -> Event_queue.push t.queue ~at action
   | Some p ->
     (* Capture the scheduling phase; on dispatch, charge the timeline
-       advance since the previous charge point to it. *)
+       advance since the previous charge point to it.  The host slice
+       up to the dispatch belongs to the phase the previous action left
+       current (where it finished or yielded). *)
     let ph = p.cur_phase in
     Event_queue.push t.queue ~at (fun () ->
         let dt = t.now - p.charged_upto in
         if dt > 0 then p.cycles.(ph) <- p.cycles.(ph) + dt;
         p.charged_upto <- t.now;
-        p.cur_phase <- ph;
+        switch_phase p ph;
         action ())
 
-let with_phase ph f =
-  match Domain.DLS.get current with
-  | Some { profile = Some p; _ } ->
+let profiled t = t.profile <> None
+
+let with_phase t ph f =
+  match t.profile with
+  | None -> f ()
+  | Some p -> (
     let saved = p.cur_phase in
-    p.cur_phase <- Vmht_obs.Profile.phase_index ph;
-    Fun.protect ~finally:(fun () -> p.cur_phase <- saved) f
-  | _ -> f ()
+    switch_phase p (Vmht_obs.Profile.phase_index ph);
+    match f () with
+    | v ->
+      switch_phase p saved;
+      v
+    | exception e ->
+      switch_phase p saved;
+      raise e)
 
 let exec_process t fn =
   let open Effect.Deep in
@@ -157,11 +189,7 @@ let flush_profile t =
   | None -> ()
   | Some p ->
     flush_batch t;
-    let h = Unix.gettimeofday () in
-    if p.last_host > 0. then
-      p.host_ns.(p.cur_phase) <-
-        p.host_ns.(p.cur_phase) +. ((h -. p.last_host) *. 1e9);
-    p.last_host <- h;
+    charge_host p;
     Vmht_obs.Profile.flush ~cycles:p.cycles ~host_ns:p.host_ns
       ~dispatches:p.dispatches
       ~engine_cycles:(t.now - p.flushed_now)
@@ -194,26 +222,22 @@ let run ?until ?(check_quiescent = false) t =
             t.batch_at <- at;
             t.batch_len <- 1
           end;
-        action ();
         (match t.profile with
-        | Some p ->
-          p.dispatches <- p.dispatches + 1;
-          (* Sample the host clock every 64th dispatch, charging the
-             elapsed slice to the phase of the action that just ran. *)
-          if p.dispatches land 63 = 0 then begin
-            let h = Unix.gettimeofday () in
-            p.host_ns.(p.cur_phase) <-
-              p.host_ns.(p.cur_phase) +. ((h -. p.last_host) *. 1e9);
-            p.last_host <- h
-          end
+        | Some p -> p.dispatches <- p.dispatches + 1
         | None -> ());
+        action ();
         loop ()
       end
     end
   in
-  let saved = Domain.DLS.get current in
+  let saved = Domain.DLS.get current and was_running = t.running in
   Domain.DLS.set current (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current saved) loop;
+  t.running <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      t.running <- was_running;
+      Domain.DLS.set current saved)
+    loop;
   flush_batch t;
   flush_profile t;
   if check_quiescent && t.suspended > 0 then
@@ -252,16 +276,17 @@ let fast_forward t target =
   t.now <- target;
   t.fast_forwards <- t.fast_forwards + 1
 
-let wait_on t n =
+let advance t n =
   if n > 0 then begin
     let target = t.now + n in
     if can_fast_forward t target then fast_forward t target
     else Effect.perform (Wait target)
   end
 
-let wait n =
+let wait_on t n =
   assert (n >= 0);
-  wait_on (engine_of_context ()) n
+  if not t.running then raise Not_in_process;
+  advance t n
 
 (* The rest of a run, from wait [i] on, [remaining] cycles in all.  It
    moves the clock once when nothing queued falls at or before its end:
@@ -275,19 +300,23 @@ let rec waits_from t costs i remaining =
     if can_fast_forward t target then fast_forward t target
     else begin
       let c = costs.(i) in
-      wait_on t c;
+      advance t c;
       waits_from t costs (i + 1) (remaining - c)
     end
   end
 
-let waits costs =
+let total_cost costs =
   let total = ref 0 in
   for i = 0 to Array.length costs - 1 do
     let c = Array.unsafe_get costs i in
     assert (c >= 0);
     total := !total + c
   done;
-  waits_from (engine_of_context ()) costs 0 !total
+  !total
+
+let waits_on t costs =
+  if not t.running then raise Not_in_process;
+  waits_from t costs 0 (total_cost costs)
 
 let now_p () = (engine_of_context ()).now
 

@@ -2,21 +2,32 @@
 
     Simulated components are ordinary OCaml functions run as lightweight
     processes on top of OCaml 5 effect handlers.  A process advances
-    simulated time with {!wait}, blocks on external conditions with
+    simulated time with {!wait_on}, blocks on external conditions with
     {!suspend} and starts children with {!fork}.  The engine executes
     events in (time, insertion-order) order, so runs are deterministic.
 
-    The process-context operations ({!wait}, {!suspend}, {!fork},
-    {!now_p}) may only be called from inside a process started by
-    {!spawn} or {!fork}; calling them elsewhere raises
-    [Not_in_process].  Every event the engine dispatches is a process
-    starting or a parked process resuming — there is no way to
-    schedule a bare callback — so the engine that {!run} installs as
-    the context is always the one the running code belongs to.  That
-    is what lets {!now_p}, {!fork} and a {!wait} (or {!waits} run)
-    nothing can observe run as plain calls; only a {!suspend} or a wait
-    that a queued event must precede performs an effect and gives up
-    control. *)
+    Time advances only on a held handle: {!wait_on} and {!waits_on}
+    take the engine, and the caller reads the clock with {!now}.  The
+    bus, its resource, the scratchpad, and through the bus every cache,
+    CPU, MMU, walker and DMA engine hold their SoC's engine, and the
+    launcher hands it to the two accelerator executors.  A handle is a
+    field read; nothing on that path looks the engine up.  Each SoC
+    owns its engine, so simulations running on separate domains share
+    no handle.
+
+    The process-context operations ({!now_p}, {!suspend}, {!fork},
+    {!join_all}) find their engine instead: they may only be called
+    from inside a process started by {!spawn} or {!fork}, and calling
+    them elsewhere raises [Not_in_process].  They serve code that holds
+    no handle (the thread runtime, synchronisation primitives, the
+    scratchpad's lanes, experiments and tests).  Every event the engine
+    dispatches is a process starting or a parked process resuming —
+    there is no way to schedule a bare callback — so the engine that
+    {!run} installs as the context is always the one the running code
+    belongs to.  That is what lets {!now_p}, {!fork} and a wait (or
+    run of waits) nothing can observe run as plain calls; only a
+    {!suspend} or a wait that a queued event must precede performs an
+    effect and gives up control. *)
 
 type t
 
@@ -33,17 +44,39 @@ exception Stuck of string
 val create : ?fastpath:bool -> unit -> t
 (** [fastpath] (default [true]) enables the single-runnable wait fast
     path: when the event queue holds no event at or before the target
-    time of a {!wait} (or the end of a {!waits} run) and the target is
-    within the {!run} horizon, the clock is advanced in the caller and
-    the call returns — no effect, no heap round-trip, no dispatch.  The
-    schedule produced is observationally identical — cycle counts,
-    event order and profile attribution do not change — only the heap
-    traffic and dispatch count do.  The simulator always runs with it
-    on; [~fastpath:false] is the reference the unit tests compare it
-    against. *)
+    time of a {!wait_on} (or the end of a {!waits_on} run) and the
+    target is within the {!run} horizon, the clock is advanced in the
+    caller and the call returns — no effect, no heap round-trip, no
+    dispatch.  The schedule produced is observationally identical —
+    cycle counts, event order and profile attribution do not change —
+    only the heap traffic and dispatch count do.  The simulator always
+    runs with it on; [~fastpath:false] is the reference the unit tests
+    compare it against. *)
 
 val now : t -> time
 (** Current simulated time (usable from any context). *)
+
+val wait_on : t -> int -> unit
+(** [wait_on t n] advances the calling process, which must be a
+    process of [t], by [n >= 0] cycles (raises [Not_in_process] when
+    [t] is not running).  [wait_on t 0] returns at once.  With the fast
+    path on (see {!create}), when no queued event falls at or before
+    the target and the target is within the {!run} horizon, the clock
+    is moved in place and the call returns without yielding; otherwise
+    the process performs an effect and resumes from the event queue. *)
+
+val waits_on : t -> int array -> unit
+(** [waits_on t costs] is [Array.iter (wait_on t) costs], cycle for
+    cycle and tie for tie: every same-cycle race a queued event runs
+    against one of the waits goes the way it would for that wait.  With
+    the fast path on, when no queued event falls at or before the end
+    of the whole run and the end is within the {!run} horizon, the
+    clock moves once (one fast-forward); otherwise the next wait is
+    issued on its own and the rest of the run is tried again after it.
+    On [~fastpath:false] the waits are always issued one at a time.
+    The primitive a memory-free stretch of accelerator states or CPU
+    instructions advances time with.  Same precondition as
+    {!wait_on}. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> unit
 (** Register a new process to start at the current time. *)
@@ -61,22 +94,30 @@ val events_executed : t -> int
 val fast_forwards : t -> int
 (** Number of clock moves the fast path made in the caller, without an
     effect or a heap round-trip (0 when the fast path is disabled).  A
-    fast-forwarded {!wait} replaces exactly one dispatch of the
-    reference; a fused {!waits} run counts once however many waits it
-    covers. *)
+    fast-forwarded {!wait_on} replaces exactly one dispatch of the
+    reference; a fused {!waits_on} run counts once however many waits
+    it covers. *)
 
 (** {2 Profiling and batch observation} *)
 
 type phase = Vmht_obs.Profile.phase
 
-val with_phase : phase -> (unit -> 'a) -> 'a
-(** Attribute simulated time consumed by [f] (its [wait]s and the
-    waits of events it schedules) to the given phase.  Free unless the
-    process-wide profile ({!Vmht_obs.Profile.enable}) was on when this
-    engine was created; profile-enabled engines charge every timeline
-    advance to the phase of the event that consumed it, so the
-    per-phase sums partition the engine's total exactly.  Deltas are
-    flushed to {!Vmht_obs.Profile} at the end of every {!run}. *)
+val profiled : t -> bool
+(** Whether the process-wide profile ({!Vmht_obs.Profile.enable}) was
+    on when this engine was created.  A caller on a hot path tests it
+    once and enters no phase (and builds no closure) when it is off. *)
+
+val with_phase : t -> phase -> (unit -> 'a) -> 'a
+(** Attribute simulated time consumed by [f] (its waits and the waits
+    of events it schedules) to the given phase.  Calls [f] directly
+    unless the engine is {!profiled}; profiled engines charge every
+    timeline advance to the phase of the event that consumed it, so
+    the per-phase sums partition the engine's total exactly.  Host
+    time is read from the clock wherever the current phase changes (a
+    phase entry or exit, a dispatch resuming another phase) and each
+    slice goes to the phase current over it; entering the phase that
+    is already current reads nothing.  Deltas are flushed to
+    {!Vmht_obs.Profile} at the end of every {!run}. *)
 
 val observe_batches : t -> (int -> unit) -> unit
 (** Install a sink called with the size of every batch of events
@@ -85,26 +126,6 @@ val observe_batches : t -> (int -> unit) -> unit
     ["engine.dispatch_batch"] metrics histogram when observing. *)
 
 (** {2 Process-context operations} *)
-
-val wait : int -> unit
-(** Advance this process's view of time by [n >= 0] cycles.  [wait 0]
-    returns at once.  With the fast path on (see {!create}), when no
-    queued event falls at or before the target and the target is
-    within the {!run} horizon, the clock is moved in place and the call
-    returns without yielding; otherwise the process performs an effect
-    and resumes from the event queue. *)
-
-val waits : int array -> unit
-(** [waits costs] is [Array.iter wait costs], cycle for cycle and tie
-    for tie: every same-cycle race a queued event runs against one of
-    the waits goes the way it would for that wait.  With the fast path
-    on, when no queued event falls at or before the end of the whole
-    run and the end is within the {!run} horizon, the clock moves once
-    (one fast-forward); otherwise the next wait is issued on its own
-    and the rest of the run is tried again after it.  On
-    [~fastpath:false] the waits are always issued one at a time.  The
-    primitive a memory-free stretch of accelerator states or CPU
-    instructions advances time with. *)
 
 val now_p : unit -> time
 (** Current simulated time, from inside a process.  A plain read of

@@ -6,6 +6,7 @@ type stats = {
 }
 
 type t = {
+  engine : Engine.t;
   mutable busy : bool;
   waiters : (unit -> unit) Queue.t;
   mutable acquired_at : int;
@@ -15,8 +16,9 @@ type t = {
   mutable max_queue : int;
 }
 
-let create () =
+let create ~engine =
   {
+    engine;
     busy = false;
     waiters = Queue.create ();
     acquired_at = 0;
@@ -29,15 +31,15 @@ let create () =
 let acquire t =
   if not t.busy then begin
     t.busy <- true;
-    t.acquired_at <- Engine.now_p ()
+    t.acquired_at <- Engine.now t.engine
   end
   else begin
-    let enqueued_at = Engine.now_p () in
+    let enqueued_at = Engine.now t.engine in
     Engine.suspend (fun resume ->
         Queue.add resume t.waiters;
         t.max_queue <- max t.max_queue (Queue.length t.waiters));
     (* Ownership was transferred to us by [release]; busy stays true. *)
-    let woke_at = Engine.now_p () in
+    let woke_at = Engine.now t.engine in
     t.wait_cycles <- t.wait_cycles + (woke_at - enqueued_at);
     t.acquired_at <- woke_at
   end
@@ -45,14 +47,13 @@ let acquire t =
 let release t =
   assert t.busy;
   t.transactions <- t.transactions + 1;
-  t.busy_cycles <- t.busy_cycles + (Engine.now_p () - t.acquired_at);
-  match Queue.take_opt t.waiters with
-  | Some resume -> resume () (* hand over ownership without going idle *)
-  | None -> t.busy <- false
+  t.busy_cycles <- t.busy_cycles + (Engine.now t.engine - t.acquired_at);
+  if Queue.is_empty t.waiters then t.busy <- false
+  else (Queue.take t.waiters) () (* hand over ownership without going idle *)
 
 let use t ~cycles =
   acquire t;
-  Engine.wait cycles;
+  Engine.wait_on t.engine cycles;
   release t
 
 let stats t =

@@ -11,7 +11,8 @@ type stats = {
   max_queue : int;         (** high-water mark of the wait queue *)
 }
 
-val create : unit -> t
+val create : engine:Engine.t -> t
+(** A free resource whose processes run on [engine]. *)
 
 val acquire : t -> unit
 (** Block (FIFO) until the resource is free, then hold it.

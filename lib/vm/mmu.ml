@@ -37,6 +37,7 @@ type t = {
   config : config;
   asid : int;
   bus : Vmht_mem.Bus.t;
+  engine : Engine.t;
   aspace : Addr_space.t;
   tlb : Tlb.t;
   tlb2 : Tlb2.t option; (* SoC-shared second level, probed on L1 miss *)
@@ -58,6 +59,7 @@ let create ?(asid = 0) ?tlb2 config bus aspace =
     config;
     asid;
     bus;
+    engine = Vmht_mem.Bus.engine bus;
     aspace;
     tlb = Tlb.create config.tlb;
     tlb2;
@@ -104,7 +106,7 @@ and probe_tlb2 t ~vaddr =
   | None -> None
   | Some l2 ->
     let hit_cycles = (Tlb2.config l2).Tlb2.hit_cycles in
-    if hit_cycles > 0 then Engine.wait hit_cycles;
+    if hit_cycles > 0 then Engine.wait_on t.engine hit_cycles;
     let vpn = vaddr lsr t.page_shift in
     (match Tlb2.lookup ~asid:t.asid l2 ~vpn with
     | Some entry ->
@@ -117,19 +119,19 @@ and probe_tlb2 t ~vaddr =
       None)
 
 and refill_walk t ~vaddr =
-  let walk_start = Engine.now_p () in
+  let walk_start = Engine.now t.engine in
   let reads_before = (Ptw.stats t.ptw).Ptw.level_reads in
   let entry =
     if t.config.hw_walk then Ptw.walk t.ptw ~vaddr
     else begin
       (* Software refill: trap to the CPU, which walks in software —
          charged as a fixed handler penalty plus the same table reads. *)
-      Engine.wait t.config.sw_refill_penalty;
+      Engine.wait_on t.engine t.config.sw_refill_penalty;
       Ptw.walk t.ptw ~vaddr
     end
   in
   emit t
-    ~duration:(Engine.now_p () - walk_start)
+    ~duration:(Engine.now t.engine - walk_start)
     (Vmht_obs.Event.Ptw_walk
        { vaddr; levels = (Ptw.stats t.ptw).Ptw.level_reads - reads_before });
   match entry with
@@ -144,15 +146,15 @@ and refill_walk t ~vaddr =
   | None ->
     (* Page not present: software fault path (demand paging). *)
     t.page_faults <- t.page_faults + 1;
-    Engine.wait t.config.fault_penalty;
+    Engine.wait_on t.engine t.config.fault_penalty;
     emit t ~duration:t.config.fault_penalty
       (Vmht_obs.Event.Page_fault { vaddr; asid = t.asid });
     if Addr_space.handle_fault t.aspace ~vaddr then refill t ~vaddr
     else raise (Mmu_fault vaddr)
 
 (* The translate fast path: a TLB hit must not touch the event queue
-   (no [Engine.wait 0] round-trip scheduling a continuation) and must
-   not allocate (no option from the lookup, no event payload unless an
+   (no wait round-trip scheduling a continuation) and must not
+   allocate (no option from the lookup, no event payload unless an
    observer is installed).  Nearly every simulated memory access of a
    VM-enabled thread comes through here. *)
 (* TLB shootdowns arrive asynchronously (another core remapping a
@@ -178,7 +180,7 @@ let translate t ~vaddr =
   | Some inj -> maybe_shootdown t inj
   | None -> ());
   let hit_cycles = t.config.tlb_hit_cycles in
-  if hit_cycles > 0 then Engine.wait hit_cycles;
+  if hit_cycles > 0 then Engine.wait_on t.engine hit_cycles;
   let vpn = vaddr lsr t.page_shift in
   let offset = vaddr land t.page_mask in
   let frame = Tlb.lookup_frame ~asid:t.asid t.tlb ~vpn in
@@ -195,9 +197,9 @@ let translate t ~vaddr =
     (match t.observer with
      | None -> ()
      | Some f -> f (Vmht_obs.Event.Tlb_miss { vaddr; asid = t.asid }));
-    let before = Engine.now_p () in
+    let before = Engine.now t.engine in
     let frame = refill t ~vaddr in
-    t.walk_cycles <- t.walk_cycles + (Engine.now_p () - before);
+    t.walk_cycles <- t.walk_cycles + (Engine.now t.engine - before);
     frame lor offset
   end
 

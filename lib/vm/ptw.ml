@@ -11,6 +11,7 @@ type stats = {
 
 type t = {
   bus : Vmht_mem.Bus.t;
+  engine : Vmht_sim.Engine.t;
   pt : Page_table.t;
   per_level_overhead : int;
   (* Direct-mapped page-walk cache: memoizes which level-1 entries were
@@ -34,6 +35,7 @@ let create ?(per_level_overhead = 2) ?(walk_cache_entries = 0) bus pt =
          walk_cache_entries Tlb.max_entries);
   {
     bus;
+    engine = Vmht_mem.Bus.engine bus;
     pt;
     per_level_overhead;
     walk_cache = Array.make walk_cache_entries (-1);
@@ -56,11 +58,11 @@ let set_fault t inj = t.fault <- Some inj
 let read_levels t addrs =
   List.iter
     (fun addr ->
-      Vmht_sim.Engine.wait t.per_level_overhead;
+      Vmht_sim.Engine.wait_on t.engine t.per_level_overhead;
       (match t.fault with
       | Some inj when Fi.fires inj ~rate:(Fi.plan inj).Fp.walk_stall_rate ->
         let cycles = (Fi.plan inj).Fp.walk_stall_cycles in
-        Vmht_sim.Engine.wait cycles;
+        Vmht_sim.Engine.wait_on t.engine cycles;
         Fi.injected inj ~fault:"walk_stall" ~cycles
       | _ -> ());
       ignore (Vmht_mem.Bus.read_word t.bus addr);
@@ -103,7 +105,7 @@ let walk t ~vaddr =
         attempt <= plan.Fp.walk_retry_limit
         && Fi.fires inj ~rate:plan.Fp.walk_transient_rate
       then begin
-        Vmht_sim.Engine.wait plan.Fp.walk_retry_cycles;
+        Vmht_sim.Engine.wait_on t.engine plan.Fp.walk_retry_cycles;
         Fi.retry inj ~fault:"walk_transient" ~attempt
           ~cycles:plan.Fp.walk_retry_cycles;
         read_levels t addrs;

@@ -105,7 +105,7 @@ let test_soc_run_executes () =
   let soc = Soc.create Config.default in
   let ran = ref false in
   Soc.run soc (fun () ->
-      Vmht_sim.Engine.wait 5;
+      Vmht_sim.Engine.wait_on (Soc.engine soc) 5;
       ran := true);
   check_bool "main ran" true !ran;
   check_int "time advanced" 5 (Soc.now soc)

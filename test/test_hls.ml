@@ -16,7 +16,7 @@ let accel_run ?resources ?(unroll = 1) ?(ports = 1) kernel ~data ~args =
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"accel" (fun () ->
       let port = Accel.untimed_port (Ast_interp.array_memory data) in
-      result := Some (Accel.run ~stats ~ports hw ~port ~args));
+      result := Some (Accel.run ~stats ~ports ~engine:eng hw ~port ~args));
   Engine.run eng;
   (Option.get !result, stats)
 
@@ -139,15 +139,15 @@ let test_accel_timed_port_stalls () =
         {
           Accel.load =
             (fun a ->
-              Engine.wait 5;
+              Engine.wait_on eng 5;
               mem.Ast_interp.load a);
           Accel.store =
             (fun a v ->
-              Engine.wait 5;
+              Engine.wait_on eng 5;
               mem.Ast_interp.store a v);
         }
       in
-      let ret = Accel.run hw ~port ~args:[ 0 ] in
+      let ret = Accel.run ~engine:eng hw ~port ~args:[ 0 ] in
       check_bool "sum" true (ret = Some 60);
       finished := Engine.now_p ());
   Engine.run eng;
@@ -175,12 +175,12 @@ let test_dual_port_overlaps () =
           {
             Accel.load =
               (fun a ->
-                Engine.wait 10;
+                Engine.wait_on eng 10;
                 mem.Ast_interp.load a);
             Accel.store = (fun _ _ -> ());
           }
         in
-        ignore (Accel.run ~ports hw ~port ~args:[ 0; 8 ]);
+        ignore (Accel.run ~ports ~engine:eng hw ~port ~args:[ 0; 8 ]);
         span := Engine.now_p ());
     Engine.run eng;
     !span
@@ -245,7 +245,8 @@ let prop_dual_port_equivalence =
         let result = ref None in
         Engine.spawn eng ~name:"accel" (fun () ->
             let port = Accel.untimed_port (Ast_interp.array_memory data) in
-            result := Some (Accel.run ~ports hw ~port ~args:[ 0; a; b ]));
+            result :=
+              Some (Accel.run ~ports ~engine:eng hw ~port ~args:[ 0; a; b ]));
         Engine.run eng;
         Option.get !result
       in

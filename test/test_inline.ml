@@ -137,7 +137,8 @@ let test_inline_end_to_end_synthesis () =
   Vmht_sim.Engine.spawn eng ~name:"accel" (fun () ->
       let port = Vmht_hls.Accel.untimed_port (Ast_interp.array_memory data) in
       ignore
-        (Vmht_hls.Accel.run hw.Vmht.Flow.fsm ~port ~args:[ 0; 64; 8; 5 ]));
+        (Vmht_hls.Accel.run ~engine:eng hw.Vmht.Flow.fsm ~port
+           ~args:[ 0; 64; 8; 5 ]));
   Vmht_sim.Engine.run eng;
   for i = 0 to 7 do
     check_int (Printf.sprintf "dst[%d]" i) expected.(i) data.(8 + i)

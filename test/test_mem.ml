@@ -5,27 +5,26 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-(* Run a simulated process to completion and return its value. *)
-let in_sim f =
-  let eng = Engine.create () in
+(* Run a simulated process on [eng] to completion and return its
+   value (with the cycles it took). *)
+let in_sim eng f =
   let result = ref None in
   Engine.spawn eng ~name:"test" (fun () -> result := Some (f ()));
   Engine.run eng;
   Option.get !result
 
-let in_sim_timed f =
-  let eng = Engine.create () in
-  let result = ref None in
-  Engine.spawn eng ~name:"test" (fun () ->
+let in_sim_timed eng f =
+  let start = Engine.now eng in
+  in_sim eng (fun () ->
       let v = f () in
-      result := Some (v, Engine.now_p ()));
-  Engine.run eng;
-  Option.get !result
+      (v, Engine.now_p () - start))
 
+(* A bus on its own engine: the components built on it, and the
+   processes that drive them, run there. *)
 let make_bus () =
   let phys = Phys_mem.create ~bytes:(1 lsl 20) in
   let dram = Dram.create () in
-  (phys, Bus.create phys dram)
+  (phys, Bus.create ~engine:(Engine.create ()) phys dram)
 
 (* ------------------------- Phys_mem ------------------------------- *)
 
@@ -79,23 +78,27 @@ let test_dram_stats () =
 
 let test_bus_moves_data () =
   let phys, bus = make_bus () in
+  let eng = Bus.engine bus in
   Phys_mem.write phys 64 123;
-  let v = in_sim (fun () -> Bus.read_word bus 64) in
+  let v = in_sim eng (fun () -> Bus.read_word bus 64) in
   check_int "read over bus" 123 v;
-  ignore (in_sim (fun () -> Bus.write_word bus 72 9));
+  ignore (in_sim eng (fun () -> Bus.write_word bus 72 9));
   check_int "write over bus" 9 (Phys_mem.read phys 72)
 
 let test_bus_burst_roundtrip () =
   let phys, bus = make_bus () in
+  let eng = Bus.engine bus in
   let data = Array.init 32 (fun i -> i * i) in
-  ignore (in_sim (fun () -> Bus.write_burst bus ~addr:256 data));
-  let back = in_sim (fun () -> Bus.read_burst bus ~addr:256 ~words:32) in
+  ignore (in_sim eng (fun () -> Bus.write_burst bus ~addr:256 data));
+  let back =
+    in_sim eng (fun () -> Bus.read_burst bus ~addr:256 ~words:32)
+  in
   Alcotest.(check (array int)) "burst roundtrip" data back;
   ignore phys
 
 let test_bus_serializes_masters () =
   let _, bus = make_bus () in
-  let eng = Engine.create () in
+  let eng = Bus.engine bus in
   let finish_times = ref [] in
   for i = 0 to 2 do
     Engine.spawn eng ~name:(Printf.sprintf "m%d" i) (fun () ->
@@ -108,7 +111,9 @@ let test_bus_serializes_masters () =
 
 let test_bus_takes_time () =
   let _, bus = make_bus () in
-  let _, elapsed = in_sim_timed (fun () -> Bus.read_word bus 0) in
+  let _, elapsed =
+    in_sim_timed (Bus.engine bus) (fun () -> Bus.read_word bus 0)
+  in
   check_bool "nonzero latency" true (elapsed > 0)
 
 (* ------------------------- Cache ---------------------------------- *)
@@ -117,8 +122,9 @@ let test_cache_hits_after_miss () =
   let phys, bus = make_bus () in
   Phys_mem.write phys 128 5;
   let cache = Cache.create bus in
+  let eng = Bus.engine bus in
   let v1, v2 =
-    in_sim (fun () ->
+    in_sim eng (fun () ->
         let v1 = Cache.read cache ~addr:128 ~phys:128 in
         let v2 = Cache.read cache ~addr:128 ~phys:128 in
         (v1, v2))
@@ -135,18 +141,20 @@ let test_cache_line_granularity () =
     Phys_mem.write phys (i * 8) (100 + i)
   done;
   let cache = Cache.create bus in
-  ignore (in_sim (fun () -> Cache.read cache ~addr:0 ~phys:0));
-  let v = in_sim (fun () -> Cache.read cache ~addr:8 ~phys:8) in
+  let eng = Bus.engine bus in
+  ignore (in_sim eng (fun () -> Cache.read cache ~addr:0 ~phys:0));
+  let v = in_sim eng (fun () -> Cache.read cache ~addr:8 ~phys:8) in
   check_int "neighbor fetched with line" 101 v;
   check_int "only one miss" 1 (Cache.stats cache).Cache.read_misses
 
 let test_cache_write_back () =
   let phys, bus = make_bus () in
   let cache = Cache.create bus in
-  ignore (in_sim (fun () -> Cache.write cache ~addr:64 ~phys:64 77));
+  let eng = Bus.engine bus in
+  ignore (in_sim eng (fun () -> Cache.write cache ~addr:64 ~phys:64 77));
   check_bool "not in DRAM before flush" true (Phys_mem.read phys 64 <> 77);
   check_int "one dirty line" 1 (Cache.dirty_lines cache);
-  ignore (in_sim (fun () -> Cache.flush cache));
+  ignore (in_sim eng (fun () -> Cache.flush cache));
   check_int "visible after flush" 77 (Phys_mem.read phys 64);
   check_int "clean after flush" 0 (Cache.dirty_lines cache)
 
@@ -156,7 +164,8 @@ let test_cache_eviction_writes_back () =
     { Cache.size_bytes = 64; line_bytes = 32; ways = 1; hit_latency = 1 }
   in
   let cache = Cache.create ~config bus in
-  in_sim (fun () ->
+  let eng = Bus.engine bus in
+  in_sim eng (fun () ->
       Cache.write cache ~addr:0 ~phys:0 11;
       (* Touch conflicting lines until line 0 is evicted. *)
       for i = 1 to 7 do
@@ -169,13 +178,14 @@ let test_cache_invalidate () =
   let phys, bus = make_bus () in
   Phys_mem.write phys 0 1;
   let cache = Cache.create bus in
-  ignore (in_sim (fun () -> Cache.read cache ~addr:0 ~phys:0));
+  let eng = Bus.engine bus in
+  ignore (in_sim eng (fun () -> Cache.read cache ~addr:0 ~phys:0));
   (* An accelerator writes DRAM behind the cache's back. *)
   Phys_mem.write phys 0 2;
-  let stale = in_sim (fun () -> Cache.read cache ~addr:0 ~phys:0) in
+  let stale = in_sim eng (fun () -> Cache.read cache ~addr:0 ~phys:0) in
   check_int "stale before maintenance" 1 stale;
   Cache.invalidate_all cache;
-  let fresh = in_sim (fun () -> Cache.read cache ~addr:0 ~phys:0) in
+  let fresh = in_sim eng (fun () -> Cache.read cache ~addr:0 ~phys:0) in
   check_int "fresh after invalidate" 2 fresh
 
 let test_cache_invalidate_preserves_dirty () =
@@ -185,16 +195,17 @@ let test_cache_invalidate_preserves_dirty () =
      flush-then-drop. *)
   let phys, bus = make_bus () in
   let cache = Cache.create bus in
-  ignore (in_sim (fun () -> Cache.write cache ~addr:96 ~phys:96 41));
+  let eng = Bus.engine bus in
+  ignore (in_sim eng (fun () -> Cache.write cache ~addr:96 ~phys:96 41));
   check_int "line is dirty" 1 (Cache.dirty_lines cache);
-  in_sim (fun () -> Cache.invalidate_all cache);
+  in_sim eng (fun () -> Cache.invalidate_all cache);
   check_int "store reached DRAM" 41 (Phys_mem.read phys 96);
   check_int "no dirty lines left" 0 (Cache.dirty_lines cache);
   check_bool "write-back counted" true
     ((Cache.stats cache).Cache.writebacks >= 1);
   (* And the line really was dropped: the next read misses and refetches. *)
   let misses_before = (Cache.stats cache).Cache.read_misses in
-  let v = in_sim (fun () -> Cache.read cache ~addr:96 ~phys:96) in
+  let v = in_sim eng (fun () -> Cache.read cache ~addr:96 ~phys:96) in
   check_int "refetched value" 41 v;
   check_int "read missed after invalidate" (misses_before + 1)
     (Cache.stats cache).Cache.read_misses
@@ -211,22 +222,23 @@ let test_cache_invalidate_keeps_racing_store () =
   let race ?store () =
     let phys, bus = make_bus () in
     let cache = Cache.create bus in
-    in_sim (fun () ->
+    let eng = Bus.engine bus in
+    in_sim eng (fun () ->
         Cache.write cache ~addr:0 ~phys:0 1;
         ignore (Cache.read cache ~addr:32 ~phys:32));
-    let eng = Engine.create () in
+    let start = Engine.now eng in
     let pass_end = ref 0 in
     Engine.spawn eng ~name:"host" (fun () ->
         Cache.invalidate_all cache;
-        pass_end := Engine.now_p ());
+        pass_end := Engine.now_p () - start);
     Option.iter
       (fun (addr, at) ->
         Engine.spawn eng ~name:"cpu" (fun () ->
-            Engine.wait at;
+            Engine.wait_on eng at;
             Cache.write cache ~addr ~phys:addr 7))
       store;
     Engine.run eng;
-    in_sim (fun () -> Cache.flush cache);
+    in_sim eng (fun () -> Cache.flush cache);
     (Phys_mem.read phys 0, Phys_mem.read phys 32, !pass_end)
   in
   let _, _, pass = race () in
@@ -246,8 +258,9 @@ let test_cache_eviction () =
     { Cache.size_bytes = 256; line_bytes = 32; ways = 2; hit_latency = 1 }
   in
   let cache = Cache.create ~config bus in
+  let eng = Bus.engine bus in
   ignore phys;
-  in_sim (fun () ->
+  in_sim eng (fun () ->
       (* Touch many distinct lines mapping to few sets. *)
       for i = 0 to 63 do
         ignore (Cache.read cache ~addr:(i * 32) ~phys:(i * 32))
@@ -256,8 +269,11 @@ let test_cache_eviction () =
 
 (* ------------------------- Scratchpad ----------------------------- *)
 
+(* A scratchpad no process drives: its engine never runs. *)
+let idle_pad ~words = Scratchpad.create ~engine:(Engine.create ()) ~words
+
 let test_scratchpad_windows () =
-  let pad = Scratchpad.create ~words:64 ~access_latency:1 in
+  let pad = idle_pad ~words:64 ~access_latency:1 in
   Scratchpad.map_window pad ~base:0x10000 ~words:16;
   Scratchpad.map_window pad ~base:0x40000 ~words:16;
   check_int "first window at 0" 0 (Scratchpad.local_of_vaddr pad 0x10000);
@@ -271,7 +287,7 @@ let test_scratchpad_windows () =
      | exception Scratchpad.Out_of_window _ -> true)
 
 let test_scratchpad_overlap_rejected () =
-  let pad = Scratchpad.create ~words:64 ~access_latency:1 in
+  let pad = idle_pad ~words:64 ~access_latency:1 in
   Scratchpad.map_window pad ~base:0x1000 ~words:16;
   check_bool "overlap rejected" true
     (match Scratchpad.map_window pad ~base:0x1000 ~words:4 with
@@ -279,17 +295,18 @@ let test_scratchpad_overlap_rejected () =
      | exception Invalid_argument _ -> true)
 
 let test_scratchpad_capacity () =
-  let pad = Scratchpad.create ~words:8 ~access_latency:1 in
+  let pad = idle_pad ~words:8 ~access_latency:1 in
   check_bool "over capacity rejected" true
     (match Scratchpad.map_window pad ~base:0 ~words:9 with
      | () -> false
      | exception Invalid_argument _ -> true)
 
 let test_scratchpad_rw () =
-  let pad = Scratchpad.create ~words:8 ~access_latency:2 in
+  let eng = Engine.create () in
+  let pad = Scratchpad.create ~engine:eng ~words:8 ~access_latency:2 in
   Scratchpad.map_window pad ~base:0x2000 ~words:8;
   let v, elapsed =
-    in_sim_timed (fun () ->
+    in_sim_timed eng (fun () ->
         Scratchpad.store pad 0x2008 55;
         Scratchpad.load pad 0x2008)
   in
@@ -303,9 +320,10 @@ let test_dma_copy_roundtrip () =
   for i = 0 to 99 do
     Phys_mem.write phys (i * 8) (i + 1)
   done;
-  let pad = Scratchpad.create ~words:128 ~access_latency:1 in
+  let eng = Bus.engine bus in
+  let pad = Scratchpad.create ~engine:eng ~words:128 ~access_latency:1 in
   let dma = Dma.create bus in
-  in_sim (fun () ->
+  in_sim eng (fun () ->
       Dma.copy_in dma pad ~src_phys:0 ~dst_word:0 ~words:100;
       (* mirror back to a different DRAM region *)
       Dma.copy_out dma pad ~src_word:0 ~dst_phys:4096 ~words:100);
@@ -322,9 +340,10 @@ let test_dma_scattered () =
     Phys_mem.write phys (8192 + (i * 8)) (500 + i);
     Phys_mem.write phys (32768 + (i * 8)) (900 + i)
   done;
-  let pad = Scratchpad.create ~words:64 ~access_latency:1 in
+  let eng = Bus.engine bus in
+  let pad = Scratchpad.create ~engine:eng ~words:64 ~access_latency:1 in
   let dma = Dma.create bus in
-  in_sim (fun () ->
+  in_sim eng (fun () ->
       Dma.copy_in_scattered dma pad
         ~chunks:[ (8192, 32); (32768, 32) ]
         ~dst_word:0);
@@ -333,15 +352,16 @@ let test_dma_scattered () =
 
 let test_dma_burst_cheaper_than_words () =
   let _, bus = make_bus () in
-  let pad = Scratchpad.create ~words:256 ~access_latency:1 in
+  let eng = Bus.engine bus in
+  let pad = Scratchpad.create ~engine:eng ~words:256 ~access_latency:1 in
   let dma = Dma.create ~setup_cycles:0 bus in
   let _, burst_time =
-    in_sim_timed (fun () ->
+    in_sim_timed eng (fun () ->
         Dma.copy_in dma pad ~src_phys:0 ~dst_word:0 ~words:256)
   in
   let _, bus2 = make_bus () in
   let _, word_time =
-    in_sim_timed (fun () ->
+    in_sim_timed (Bus.engine bus2) (fun () ->
         for i = 0 to 255 do
           ignore (Bus.read_word bus2 (i * 8))
         done)
@@ -362,7 +382,8 @@ let prop_cache_matches_flat_memory =
         { Cache.size_bytes = 256; line_bytes = 32; ways = 2; hit_latency = 1 }
       in
       let cache = Cache.create ~config bus in
-      in_sim (fun () ->
+      let eng = Bus.engine bus in
+      in_sim eng (fun () ->
           List.iter
             (fun (word, write) ->
               let addr = word * 8 in
@@ -396,7 +417,7 @@ let prop_scratchpad_window_translation =
   QCheck.Test.make ~count:100 ~name:"scratchpad: window translation is affine"
     QCheck.(pair (int_range 1 64) (int_bound 63))
     (fun (words, probe) ->
-      let pad = Scratchpad.create ~words:128 ~access_latency:1 in
+      let pad = idle_pad ~words:128 ~access_latency:1 in
       let base = 0x4000 in
       Scratchpad.map_window pad ~base ~words;
       let probe = probe mod words in

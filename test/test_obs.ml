@@ -444,16 +444,29 @@ let test_profile_exact_attribution_engine () =
     ~finally:(fun () -> Profile.enable false)
     (fun () ->
       let eng = Vmht_sim.Engine.create () in
+      (* Host time spent in a phase within one dispatch: no wait, so
+         no dispatch boundary falls inside it. *)
+      let burn_ms = 5. in
+      let burn () =
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < burn_ms /. 1e3 do
+          ()
+        done
+      in
       Vmht_sim.Engine.spawn eng ~name:"t" (fun () ->
-          Vmht_sim.Engine.with_phase Profile.Actor (fun () ->
-              Vmht_sim.Engine.wait 10);
-          Vmht_sim.Engine.with_phase Profile.Memory (fun () ->
-              Vmht_sim.Engine.wait 5;
-              Vmht_sim.Engine.with_phase Profile.Translate (fun () ->
-                  Vmht_sim.Engine.wait 7));
-          Vmht_sim.Engine.wait 3);
+          Vmht_sim.Engine.with_phase eng Profile.Actor (fun () ->
+              Vmht_sim.Engine.wait_on eng 10);
+          Vmht_sim.Engine.with_phase eng Profile.Memory (fun () ->
+              Vmht_sim.Engine.wait_on eng 5;
+              Vmht_sim.Engine.with_phase eng Profile.Translate (fun () ->
+                  Vmht_sim.Engine.wait_on eng 7);
+              burn ());
+          Vmht_sim.Engine.wait_on eng 3);
       Vmht_sim.Engine.run eng;
       let t = Profile.totals () in
+      let host_ms p = t.Profile.host_ns.(Profile.phase_index p) /. 1e6 in
+      check_bool "the burn is charged to memory" true
+        (host_ms Profile.Memory >= burn_ms);
       check_int "one engine" 1 t.Profile.engines;
       check_int "engine total" 25 t.Profile.engine_cycles;
       let ph p = t.Profile.cycles.(Profile.phase_index p) in

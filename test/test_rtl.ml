@@ -46,7 +46,8 @@ let run_program ?(ports = 1) ?max_edges prog ~port ~args =
   let out = ref None in
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"rtl" (fun () ->
-      out := Some (Eval.run ~stats ~ports ?max_edges prog ~port ~args));
+      out :=
+        Some (Eval.run ~stats ~ports ?max_edges ~engine:eng prog ~port ~args));
   Engine.run eng;
   (Option.get !out, stats)
 
@@ -65,7 +66,8 @@ let both_backends ?(ports = 1) ?(unroll = 1) kernel ~data ~args =
   let eng = Engine.create () in
   Engine.spawn eng ~name:"accel" (fun () ->
       let port = Accel.untimed_port (Ast_interp.array_memory model_data) in
-      model_ret := Some (Accel.run ~stats:model_stats ~ports hw ~port ~args));
+      model_ret :=
+        Some (Accel.run ~stats:model_stats ~ports ~engine:eng hw ~port ~args));
   Engine.run eng;
   let text = Vmht_hls.Verilog.emit hw in
   let rtl_data = Array.copy data in
@@ -466,10 +468,10 @@ let test_shared_program () =
       (s.Accel.fsm_cycles, s.Accel.loads, s.Accel.stores, s.Accel.block_visits),
       mem )
   in
-  let run_once () =
+  let run_once eng =
     let mem = data () in
     let stats = Accel.fresh_stats () in
-    let out = Eval.run ~stats prog ~port:(untimed_of mem) ~args in
+    let out = Eval.run ~stats ~engine:eng prog ~port:(untimed_of mem) ~args in
     observe (out, stats, mem)
   in
   (* [procs] processes on a fresh engine, each running [runs] times. *)
@@ -479,7 +481,7 @@ let test_shared_program () =
     for _ = 1 to procs do
       Engine.spawn eng ~name:"rtl" (fun () ->
           for _ = 1 to runs do
-            let r = run_once () in
+            let r = run_once eng in
             results := r :: !results
           done)
     done;
@@ -565,8 +567,8 @@ let test_budgets () =
   let stopped = ref None in
   Engine.spawn eng ~name:"rtl" (fun () ->
       match
-        Eval.run ~max_edges:100 (compile spin) ~port:(untimed_of [||])
-          ~args:[ 1 ]
+        Eval.run ~max_edges:100 ~engine:eng (compile spin)
+          ~port:(untimed_of [||]) ~args:[ 1 ]
       with
       | _ -> ()
       | exception Eval.Edge_budget n -> stopped := Some (n, Engine.now_p ()));

@@ -7,7 +7,7 @@ let check_bool = Alcotest.(check bool)
 
 let run_sim f =
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"main" f;
+  Engine.spawn eng ~name:"main" (fun () -> f eng);
   Engine.run eng;
   eng
 
@@ -17,15 +17,15 @@ let test_mutex_exclusion () =
   let m = Sync.Mutex.create () in
   let inside = ref 0 in
   let max_inside = ref 0 in
+  let eng = Engine.create () in
   let worker () =
     Sync.Mutex.lock m;
     incr inside;
     max_inside := max !max_inside !inside;
-    Engine.wait 5;
+    Engine.wait_on eng 5;
     decr inside;
     Sync.Mutex.unlock m
   in
-  let eng = Engine.create () in
   for i = 1 to 4 do
     Engine.spawn eng ~name:(Printf.sprintf "w%d" i) worker
   done;
@@ -35,7 +35,7 @@ let test_mutex_exclusion () =
 let test_mutex_with_lock_releases_on_exn () =
   let m = Sync.Mutex.create () in
   ignore
-    (run_sim (fun () ->
+    (run_sim (fun _ ->
          (try Sync.Mutex.with_lock m (fun () -> failwith "boom")
           with Failure _ -> ());
          (* If the lock leaked, this second lock would deadlock and the
@@ -44,7 +44,7 @@ let test_mutex_with_lock_releases_on_exn () =
 
 let test_mutex_unlock_unheld () =
   ignore
-    (run_sim (fun () ->
+    (run_sim (fun _ ->
          let m = Sync.Mutex.create () in
          check_bool "raises" true
            (match Sync.Mutex.unlock m with
@@ -67,7 +67,7 @@ let test_condvar_signal () =
       observed_at := Engine.now_p ();
       Sync.Mutex.unlock m);
   Engine.spawn eng ~name:"producer" (fun () ->
-      Engine.wait 50;
+      Engine.wait_on eng 50;
       Sync.Mutex.lock m;
       ready := true;
       Sync.Condvar.signal cv;
@@ -91,7 +91,7 @@ let test_condvar_broadcast () =
         Sync.Mutex.unlock m)
   done;
   Engine.spawn eng ~name:"waker" (fun () ->
-      Engine.wait 10;
+      Engine.wait_on eng 10;
       Sync.Mutex.lock m;
       go := true;
       Sync.Condvar.broadcast cv;
@@ -108,7 +108,7 @@ let test_barrier_releases_together () =
   List.iteri
     (fun i delay ->
       Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
-          Engine.wait delay;
+          Engine.wait_on eng delay;
           Sync.Barrier.await b;
           times := Engine.now_p () :: !times))
     [ 5; 20; 35 ];
@@ -120,10 +120,10 @@ let test_barrier_releases_together () =
 
 let test_completion_before_and_after () =
   ignore
-    (run_sim (fun () ->
+    (run_sim (fun eng ->
          let c = Sync.Completion.create () in
          Engine.fork ~name:"producer" (fun () ->
-             Engine.wait 7;
+             Engine.wait_on eng 7;
              Sync.Completion.complete c 42);
          check_int "await" 42 (Sync.Completion.await c);
          (* Await after completion returns immediately. *)
@@ -132,10 +132,10 @@ let test_completion_before_and_after () =
 let test_hthreads_join () =
   let joined = ref 0 in
   ignore
-    (run_sim (fun () ->
+    (run_sim (fun eng ->
          let t =
            Hthreads.spawn ~name:"child" (fun () ->
-               Engine.wait 11;
+               Engine.wait_on eng 11;
                123)
          in
          joined := Hthreads.join t));
@@ -144,7 +144,7 @@ let test_hthreads_join () =
 let test_hthreads_exception_propagates () =
   let caught = ref false in
   ignore
-    (run_sim (fun () ->
+    (run_sim (fun _ ->
          let t = Hthreads.spawn ~name:"bad" (fun () -> failwith "kaput") in
          match Hthreads.join t with
          | _ -> ()
@@ -154,11 +154,11 @@ let test_hthreads_exception_propagates () =
 let test_hthreads_parallel_joins () =
   let total = ref 0 in
   ignore
-    (run_sim (fun () ->
+    (run_sim (fun eng ->
          let threads =
            List.init 5 (fun i ->
                Hthreads.spawn ~name:(Printf.sprintf "t%d" i) (fun () ->
-                   Engine.wait (i * 3);
+                   Engine.wait_on eng (i * 3);
                    i * 10))
          in
          total := List.fold_left (fun acc t -> acc + Hthreads.join t) 0 threads));

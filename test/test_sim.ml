@@ -56,8 +56,8 @@ let test_wait_advances_time () =
   let eng = Engine.create () in
   let finished_at = ref (-1) in
   Engine.spawn eng ~name:"p" (fun () ->
-      Engine.wait 10;
-      Engine.wait 5;
+      Engine.wait_on eng 10;
+      Engine.wait_on eng 5;
       finished_at := Engine.now_p ());
   Engine.run eng;
   check_int "time advanced" 15 !finished_at
@@ -66,7 +66,7 @@ let test_parallel_processes () =
   let eng = Engine.create () in
   let order = ref [] in
   let proc name delay () =
-    Engine.wait delay;
+    Engine.wait_on eng delay;
     order := name :: !order
   in
   Engine.spawn eng ~name:"slow" (proc "slow" 20);
@@ -81,9 +81,9 @@ let test_fork () =
   let results = ref [] in
   Engine.spawn eng ~name:"parent" (fun () ->
       Engine.fork ~name:"child" (fun () ->
-          Engine.wait 3;
+          Engine.wait_on eng 3;
           results := ("child", Engine.now_p ()) :: !results);
-      Engine.wait 1;
+      Engine.wait_on eng 1;
       results := ("parent", Engine.now_p ()) :: !results);
   Engine.run eng;
   Alcotest.(check (list (pair string int)))
@@ -98,7 +98,7 @@ let test_suspend_resume () =
       Engine.suspend (fun resume -> resumer := Some resume);
       woke_at := Engine.now_p ());
   Engine.spawn eng ~name:"waker" (fun () ->
-      Engine.wait 42;
+      Engine.wait_on eng 42;
       match !resumer with Some r -> r () | None -> Alcotest.fail "no resumer");
   Engine.run eng;
   check_int "woke at waker's time" 42 !woke_at
@@ -109,7 +109,7 @@ let test_double_resume_rejected () =
   Engine.spawn eng ~name:"sleeper" (fun () ->
       Engine.suspend (fun resume -> resumer := Some resume));
   Engine.spawn eng ~name:"waker" (fun () ->
-      Engine.wait 1;
+      Engine.wait_on eng 1;
       match !resumer with
       | Some r ->
         r ();
@@ -123,7 +123,7 @@ let test_run_until () =
   let progress = ref 0 in
   Engine.spawn eng ~name:"ticker" (fun () ->
       let rec loop () =
-        Engine.wait 10;
+        Engine.wait_on eng 10;
         incr progress;
         if !progress < 100 then loop ()
       in
@@ -143,10 +143,27 @@ let test_stuck_detection () =
      | exception Engine.Stuck _ -> true)
 
 let test_not_in_process () =
-  check_bool "wait outside process raises" true
-    (match Engine.wait 1 with
-     | () -> false
-     | exception Engine.Not_in_process -> true)
+  let raises f =
+    match f () with () -> false | exception Engine.Not_in_process -> true
+  in
+  check_bool "now_p outside process raises" true
+    (raises (fun () -> ignore (Engine.now_p ())));
+  check_bool "fork outside process raises" true
+    (raises (fun () -> Engine.fork ~name:"p" ignore));
+  (* A held handle waits only while its engine runs: not outside any
+     run, and not from a process of another engine. *)
+  let eng = Engine.create () in
+  check_bool "wait_on outside run raises" true
+    (raises (fun () -> Engine.wait_on eng 1));
+  check_bool "waits_on outside run raises" true
+    (raises (fun () -> Engine.waits_on eng [| 1 |]));
+  let other = Engine.create () in
+  let from_other = ref false in
+  Engine.spawn other ~name:"p" (fun () ->
+      from_other := raises (fun () -> Engine.wait_on eng 1));
+  Engine.run other;
+  check_bool "wait_on from another engine's process raises" true !from_other;
+  check_int "the idle engine's clock did not move" 0 (Engine.now eng)
 
 let test_determinism () =
   let run_once () =
@@ -154,7 +171,7 @@ let test_determinism () =
     let log = Buffer.create 64 in
     for i = 0 to 9 do
       Engine.spawn eng ~name:(string_of_int i) (fun () ->
-          Engine.wait (i * 3 mod 7);
+          Engine.wait_on eng (i * 3 mod 7);
           Buffer.add_string log (Printf.sprintf "%d@%d;" i (Engine.now_p ())))
     done;
     Engine.run eng;
@@ -180,9 +197,9 @@ let counting effects body () =
           None);
     }
 
-let waits_then_fork ended () =
+let waits_then_fork eng ended () =
   for _ = 1 to 1000 do
-    Engine.wait 1
+    Engine.wait_on eng 1
   done;
   ended := Engine.now_p ();
   Engine.fork ~name:"child" ignore
@@ -190,7 +207,8 @@ let waits_then_fork ended () =
 let test_lone_waits_perform_no_effect () =
   let eng = Engine.create () in
   let effects = ref 0 and ended = ref (-1) in
-  Engine.spawn eng ~name:"counted" (counting effects (waits_then_fork ended));
+  Engine.spawn eng ~name:"counted"
+    (counting effects (waits_then_fork eng ended));
   Engine.run eng;
   check_int "effects" 0 !effects;
   check_int "ended at" 1000 !ended;
@@ -199,30 +217,31 @@ let test_lone_waits_perform_no_effect () =
 let test_contended_waits_yield () =
   let eng = Engine.create () in
   let effects = ref 0 and ended = ref (-1) in
-  Engine.spawn eng ~name:"counted" (counting effects (waits_then_fork ended));
+  Engine.spawn eng ~name:"counted"
+    (counting effects (waits_then_fork eng ended));
   (* Wakes every cycle, so each of the counted waits ties with it. *)
   Engine.spawn eng ~name:"ticker" (fun () ->
       for _ = 1 to 1000 do
-        Engine.wait 1
+        Engine.wait_on eng 1
       done);
   Engine.run eng;
   check_int "effects" 1000 !effects;
   check_int "ended at" 1000 !ended;
   check_int "engine now" 1000 (Engine.now eng)
 
-(* A fast-forward returns from [wait]; nothing may pile up per wait, so
+(* A fast-forward returns from [wait_on]; nothing may pile up per wait, so
    a chain far longer than any stack holds runs in constant space. *)
 let test_long_fast_forward_chain () =
   let eng = Engine.create () in
   Engine.spawn eng ~name:"chain" (fun () ->
       for _ = 1 to 2_000_000 do
-        Engine.wait 1
+        Engine.wait_on eng 1
       done);
   Engine.run eng;
   check_int "now" 2_000_000 (Engine.now eng);
   check_int "fast-forwards" 2_000_000 (Engine.fast_forwards eng)
 
-(* A run of waits issued through [Engine.waits]: the same as issuing
+(* A run of waits issued through [Engine.waits_on]: the same as issuing
    each on its own, without an effect when nothing else is queued. *)
 let test_lone_run_performs_no_effect () =
   let eng = Engine.create () in
@@ -231,7 +250,7 @@ let test_lone_run_performs_no_effect () =
   let total = Array.fold_left ( + ) 0 costs in
   Engine.spawn eng ~name:"counted"
     (counting effects (fun () ->
-         Engine.waits costs;
+         Engine.waits_on eng costs;
          ended := Engine.now_p ()));
   Engine.run eng;
   check_int "effects" 0 !effects;
@@ -247,19 +266,19 @@ let test_contended_run_yields_per_wait () =
     let effects = ref 0 and ended = ref (-1) in
     Engine.spawn eng ~name:"counted"
       (counting effects (fun () ->
-           issue (Array.make 1000 1);
+           issue eng (Array.make 1000 1);
            ended := Engine.now_p ()));
     Engine.spawn eng ~name:"ticker" (fun () ->
         for _ = 1 to 1000 do
-          Engine.wait 1
+          Engine.wait_on eng 1
         done);
     Engine.run eng;
     check_int "ended at" 1000 !ended;
     !effects
   in
-  let per_wait = effects_of (Array.iter Engine.wait) in
+  let per_wait = effects_of (fun eng -> Array.iter (Engine.wait_on eng)) in
   check_int "per-wait effects" 1000 per_wait;
-  check_int "run effects" per_wait (effects_of Engine.waits)
+  check_int "run effects" per_wait (effects_of Engine.waits_on)
 
 (* The single-runnable wait fast path against the plain heap
    round-trip: random process sets mixing waits (0 included), forks,
@@ -267,7 +286,7 @@ let test_contended_run_yields_per_wait () =
    (time, process, step) sequence and end at the same time with the
    fast path on (what the simulator runs) and off (the reference), and
    each absorbed wait must replace exactly one dispatch.  A second
-   property adds runs of waits ([Run]), issued through [Engine.waits]
+   property adds runs of waits ([Run]), issued through [Engine.waits_on]
    or as separate [wait]s. *)
 type action =
   | Wait of int
@@ -346,9 +365,10 @@ let run_engine_case ?(split = false) ~fastpath (procs, until) =
       (fun step act ->
         record step;
         match act with
-        | Wait n -> Engine.wait n
+        | Wait n -> Engine.wait_on eng n
         | Run costs ->
-          if split then Array.iter Engine.wait costs else Engine.waits costs
+          if split then Array.iter (Engine.wait_on eng) costs
+          else Engine.waits_on eng costs
         | Fork p -> Engine.fork ~name:"child" (proc p)
         | Park -> Engine.suspend (fun resume -> Queue.push resume parked)
         | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt parked))
@@ -410,7 +430,7 @@ let prop_engine_waits_reference =
 
 let test_resource_serializes () =
   let eng = Engine.create () in
-  let bus = Resource.create () in
+  let bus = Resource.create ~engine:eng in
   let finish = ref [] in
   for i = 1 to 3 do
     Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
@@ -425,7 +445,7 @@ let test_resource_serializes () =
 
 let test_resource_stats () =
   let eng = Engine.create () in
-  let r = Resource.create () in
+  let r = Resource.create ~engine:eng in
   for _ = 1 to 4 do
     Engine.spawn eng ~name:"u" (fun () -> Resource.use r ~cycles:5)
   done;
@@ -439,9 +459,9 @@ let test_resource_stats () =
 
 let test_resource_utilization () =
   let eng = Engine.create () in
-  let r = Resource.create () in
+  let r = Resource.create ~engine:eng in
   Engine.spawn eng ~name:"u" (fun () ->
-      Engine.wait 10;
+      Engine.wait_on eng 10;
       Resource.use r ~cycles:10);
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "50%" 0.5 (Resource.utilization r ~total_cycles:20)

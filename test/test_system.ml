@@ -198,6 +198,44 @@ let test_deterministic_cycles () =
   in
   check_int "same cycle count across runs" (run ()) (run ())
 
+(* A VM thread's memory access allocates nothing on its way through
+   the accelerator, the wrapper port, the TLB, the stream buffer and
+   the bus: what a lone run allocates is set-up (the compiled states,
+   the MMU, the buffer's lines) plus a line's fill now and then, a few
+   words per access in all where per-access lists and closures cost
+   about a hundred. *)
+let minor_words_per_access name ~size =
+  let config = Config.default in
+  let w = Registry.find name in
+  let soc = Soc.create config in
+  let instance = w.Workload.setup (Soc.aspace soc) ~size ~seed:42 in
+  let request =
+    { Launch.args = instance.Workload.args; buffers = instance.Workload.buffers }
+  in
+  let hw =
+    Flow.run_exn
+      (Flow.Request.of_kernel ~config ~style:Wrapper.Vm_iface
+         (Workload.kernel w))
+  in
+  let before = Gc.minor_words () in
+  let result =
+    Launch.run_to_completion soc (fun () -> Launch.run_hw soc hw request)
+  in
+  let words = Gc.minor_words () -. before in
+  check_result w Vm instance result;
+  let s = Option.get result.Launch.accel_stats in
+  words /. float_of_int (s.Vmht_hls.Accel.loads + s.Vmht_hls.Accel.stores)
+
+let test_vm_access_allocation_budget () =
+  List.iter
+    (fun (name, size) ->
+      let per_access = minor_words_per_access name ~size in
+      check_bool
+        (Printf.sprintf "%s vm %d: %.1f minor words per access < 32" name size
+           per_access)
+        true (per_access < 32.))
+    [ ("vecadd", 4096); ("stencil3", 4096); ("spmv", 512) ]
+
 let suite =
   [
     Alcotest.test_case "all workloads x all modes" `Slow
@@ -218,4 +256,6 @@ let suite =
       test_dma_phases_sum_to_total;
     Alcotest.test_case "deterministic cycle counts" `Quick
       test_deterministic_cycles;
+    Alcotest.test_case "vm: access allocation budget" `Quick
+      test_vm_access_allocation_budget;
   ]

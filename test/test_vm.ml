@@ -12,28 +12,27 @@ let make_world ?(page_shift = 12) () =
   let bytes = 1 lsl 22 in
   let phys = Phys_mem.create ~bytes in
   let dram = Dram.create () in
-  let bus = Bus.create phys dram in
+  let bus = Bus.create ~engine:(Engine.create ()) phys dram in
   let frames =
     Frame_alloc.create ~base:0 ~bytes ~page_bytes:(1 lsl page_shift)
   in
   let aspace = Addr_space.create phys frames ~page_shift ~va_bits:24 in
   (phys, bus, frames, aspace)
 
-let in_sim f =
-  let eng = Engine.create () in
+(* Run a simulated process on the bus's engine to completion and
+   return its value (with the cycles it took). *)
+let in_sim bus f =
+  let eng = Bus.engine bus in
   let result = ref None in
   Engine.spawn eng ~name:"test" (fun () -> result := Some (f ()));
   Engine.run eng;
   Option.get !result
 
-let in_sim_timed f =
-  let eng = Engine.create () in
-  let result = ref None in
-  Engine.spawn eng ~name:"test" (fun () ->
+let in_sim_timed bus f =
+  let start = Engine.now (Bus.engine bus) in
+  in_sim bus (fun () ->
       let v = f () in
-      result := Some (v, Engine.now_p ()));
-  Engine.run eng;
-  Option.get !result
+      (v, Engine.now_p () - start))
 
 (* ------------------------- Frame_alloc ---------------------------- *)
 
@@ -415,7 +414,7 @@ let test_ptw_walk_times_and_translates () =
   let _, bus, _, aspace = make_world () in
   let base = Addr_space.alloc aspace ~bytes:4096 in
   let ptw = Ptw.create bus (Addr_space.page_table aspace) in
-  let entry, elapsed = in_sim_timed (fun () -> Ptw.walk ptw ~vaddr:base) in
+  let entry, elapsed = in_sim_timed bus (fun () -> Ptw.walk ptw ~vaddr:base) in
   check_bool "found" true (entry <> None);
   check_bool "walk takes bus time" true (elapsed > 0);
   check_int "two level reads" 2 (Ptw.stats ptw).Ptw.level_reads
@@ -425,7 +424,7 @@ let test_mmu_translate_hit_vs_miss () =
   let base = Addr_space.alloc aspace ~bytes:8192 in
   let mmu = Mmu.create Mmu.default_config bus aspace in
   let (p1, p2), _ =
-    in_sim_timed (fun () ->
+    in_sim_timed bus (fun () ->
         let p1 = Mmu.translate mmu ~vaddr:base in
         let p2 = Mmu.translate mmu ~vaddr:(base + 8) in
         (p1, p2))
@@ -441,15 +440,15 @@ let test_mmu_miss_slower_than_hit () =
   let _, bus, _, aspace = make_world () in
   let base = Addr_space.alloc aspace ~bytes:4096 in
   let mmu = Mmu.create Mmu.default_config bus aspace in
-  let _, miss_time = in_sim_timed (fun () -> Mmu.translate mmu ~vaddr:base) in
-  let _, hit_time = in_sim_timed (fun () -> Mmu.translate mmu ~vaddr:base) in
+  let _, miss_time = in_sim_timed bus (fun () -> Mmu.translate mmu ~vaddr:base) in
+  let _, hit_time = in_sim_timed bus (fun () -> Mmu.translate mmu ~vaddr:base) in
   check_bool "miss slower" true (miss_time > hit_time)
 
 let test_mmu_demand_paging () =
   let _, bus, _, aspace = make_world () in
   let base = Addr_space.alloc ~lazy_:true aspace ~bytes:4096 in
   let mmu = Mmu.create Mmu.default_config bus aspace in
-  let v = in_sim (fun () ->
+  let v = in_sim bus (fun () ->
       Mmu.store mmu base 99;
       Mmu.load mmu base)
   in
@@ -460,7 +459,7 @@ let test_mmu_fault_on_wild_access () =
   let _, bus, _, aspace = make_world () in
   let mmu = Mmu.create Mmu.default_config bus aspace in
   check_bool "raises Mmu_fault" true
-    (in_sim (fun () ->
+    (in_sim bus (fun () ->
          match Mmu.load mmu 0x200000 with
          | _ -> false
          | exception Mmu.Mmu_fault _ -> true))
@@ -470,7 +469,7 @@ let test_mmu_sw_refill_slower () =
     let _, bus, _, aspace = make_world () in
     let base = Addr_space.alloc aspace ~bytes:4096 in
     let mmu = Mmu.create { Mmu.default_config with Mmu.hw_walk } bus aspace in
-    snd (in_sim_timed (fun () -> Mmu.translate mmu ~vaddr:base))
+    snd (in_sim_timed bus (fun () -> Mmu.translate mmu ~vaddr:base))
   in
   check_bool "software refill costs more" true (run false > run true)
 
@@ -479,7 +478,7 @@ let test_mmu_loads_data () =
   let base = Addr_space.alloc aspace ~bytes:4096 in
   Addr_space.store_word aspace base 1234;
   let mmu = Mmu.create Mmu.default_config bus aspace in
-  check_int "load via mmu" 1234 (in_sim (fun () -> Mmu.load mmu base));
+  check_int "load via mmu" 1234 (in_sim bus (fun () -> Mmu.load mmu base));
   ignore phys
 
 (* ------------------------- Tlb2 / walk cache ---------------------- *)
@@ -492,8 +491,8 @@ let test_tlb2_shared_between_mmus () =
   let l2 = Tlb2.create enabled_l2 in
   let mmu1 = Mmu.create ~tlb2:l2 Mmu.default_config bus aspace in
   let mmu2 = Mmu.create ~tlb2:l2 Mmu.default_config bus aspace in
-  let _, cold = in_sim_timed (fun () -> Mmu.translate mmu1 ~vaddr:base) in
-  let _, warm = in_sim_timed (fun () -> Mmu.translate mmu2 ~vaddr:base) in
+  let _, cold = in_sim_timed bus (fun () -> Mmu.translate mmu1 ~vaddr:base) in
+  let _, warm = in_sim_timed bus (fun () -> Mmu.translate mmu2 ~vaddr:base) in
   (* mmu1's walk filled the shared L2, so mmu2's L1 miss never walks. *)
   check_int "first mmu walked" 1 (Mmu.ptw_stats mmu1).Ptw.walks;
   check_int "second mmu never walks" 0 (Mmu.ptw_stats mmu2).Ptw.walks;
@@ -507,7 +506,7 @@ let test_tlb2_miss_accounting () =
   let base = Addr_space.alloc aspace ~bytes:8192 in
   let l2 = Tlb2.create enabled_l2 in
   let mmu = Mmu.create ~tlb2:l2 Mmu.default_config bus aspace in
-  in_sim (fun () ->
+  in_sim bus (fun () ->
       ignore (Mmu.translate mmu ~vaddr:base);
       ignore (Mmu.translate mmu ~vaddr:(base + 4096));
       (* L1 hit: the L2 must not even be probed. *)
@@ -553,7 +552,7 @@ let test_walk_cache_warm_walk_single_read () =
   Page_table.map pt ~vaddr:0x6000 ~frame:(Frame_alloc.alloc frames)
     ~writable:true;
   let ptw = Ptw.create ~walk_cache_entries:4 bus pt in
-  in_sim (fun () ->
+  in_sim bus (fun () ->
       ignore (Ptw.walk ptw ~vaddr:0x5000);
       ignore (Ptw.walk ptw ~vaddr:0x6000));
   let s = Ptw.stats ptw in
@@ -571,7 +570,7 @@ let test_walk_cache_warm_walk_faster () =
       ~writable:true;
     let ptw = Ptw.create ~walk_cache_entries bus pt in
     snd
-      (in_sim_timed (fun () ->
+      (in_sim_timed bus (fun () ->
            ignore (Ptw.walk ptw ~vaddr:0x5000);
            ignore (Ptw.walk ptw ~vaddr:0x6000)))
   in
@@ -583,13 +582,13 @@ let test_walk_cache_invalidation () =
   Page_table.map pt ~vaddr:0x5000 ~frame:(Frame_alloc.alloc frames)
     ~writable:true;
   let ptw = Ptw.create ~walk_cache_entries:4 bus pt in
-  in_sim (fun () -> ignore (Ptw.walk ptw ~vaddr:0x5000));
+  in_sim bus (fun () -> ignore (Ptw.walk ptw ~vaddr:0x5000));
   Ptw.invalidate_walk_cache_entry ptw ~vaddr:0x5000;
-  in_sim (fun () -> ignore (Ptw.walk ptw ~vaddr:0x5000));
+  in_sim bus (fun () -> ignore (Ptw.walk ptw ~vaddr:0x5000));
   check_int "memo was dropped, walk missed again" 2
     (Ptw.stats ptw).Ptw.walk_cache_misses;
   Ptw.invalidate_walk_cache ptw;
-  in_sim (fun () -> ignore (Ptw.walk ptw ~vaddr:0x5000));
+  in_sim bus (fun () -> ignore (Ptw.walk ptw ~vaddr:0x5000));
   check_int "full shootdown drops everything" 3
     (Ptw.stats ptw).Ptw.walk_cache_misses
 
@@ -615,7 +614,7 @@ let prop_walk_cache_matches_functional =
              | None ->
                Page_table.map pt ~vaddr ~frame:(Frame_alloc.alloc frames)
                  ~writable:true);
-          let walked = in_sim (fun () -> Ptw.walk ptw ~vaddr) in
+          let walked = in_sim bus (fun () -> Ptw.walk ptw ~vaddr) in
           match (walked, Page_table.lookup pt ~vaddr) with
           | Some a, Some b -> a.Page_table.frame = b.Page_table.frame
           | None, None -> true

@@ -201,7 +201,8 @@ let mmu_translate_churn () =
 
 (* The engine's own machinery, no component model: a lone process's
    waits (each fast-forwarded), two processes ticking in lockstep (each
-   wait yields to the other) and two-lane joins (fork, suspend, resume). *)
+   wait yields to the other) and two-child joins (two spawns, a suspend
+   and the resume of the child that finishes last). *)
 let engine_wait () =
   let module Engine = Vmht_sim.Engine in
   let eng = Engine.create () in
@@ -217,7 +218,15 @@ let engine_wait () =
   Engine.run eng;
   Engine.spawn eng ~name:"join" (fun () ->
       for _ = 1 to 256 do
-        Engine.join_all [ ticks 1; ticks 1 ]
+        let remaining = ref 2 and parked = ref ignore in
+        let child () =
+          ticks 1 ();
+          decr remaining;
+          if !remaining = 0 then !parked ()
+        in
+        Engine.spawn eng ~name:"child" child;
+        Engine.spawn eng ~name:"child" child;
+        Engine.suspend (fun resume -> parked := resume)
       done);
   Engine.run eng
 
@@ -235,7 +244,8 @@ let multi_thread_pair () =
   in
   Vmht.Launch.run_to_completion soc (fun () ->
       let spawn inst =
-        Vmht_rt.Hthreads.spawn ~name:"ht" (fun () ->
+        Vmht_rt.Hthreads.spawn ~engine:(Vmht.Soc.engine soc) ~name:"ht"
+          (fun () ->
             Vmht.Launch.run_hw soc hw
               { Vmht.Launch.args = inst.Workload.args; buffers = [] })
       in

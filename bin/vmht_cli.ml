@@ -113,12 +113,13 @@ let config_with_opt config opt_level passes =
 
 (* Flag values reach the library through setters and constructors that
    reject what they cannot build with [Invalid_argument]: an unknown
-   pass name, [--banks 0], a TLB geometry that does not divide into
-   sets, a page too small for the page table, [--size 0].  A size the
-   SoC cannot hold fails later, in the run: DMA buffers larger than the
-   scratchpad ([Launch.Window_overflow]) or data larger than physical
-   memory ([Frame_alloc.Out_of_frames], raised by the workload's setup
-   before it builds any host data).  [checked build k] runs [build] and
+   pass name, [--banks 0], [--unroll 0], [--opt-level 9], a TLB
+   geometry that does not divide into sets, a page too small for the
+   page table, [--size 0].  A size the SoC cannot hold fails later, in
+   the run: DMA buffers larger than the scratchpad
+   ([Launch.Window_overflow]) or data larger than physical memory
+   ([Frame_alloc.Out_of_frames], raised by the workload's setup before
+   it builds any host data).  [checked build k] runs [build] and
    continues with [k]; a rejection ({!Vmht_eval.Common.rejection})
    becomes a message and exit 1, never an uncaught exception. *)
 let checked build k =
@@ -131,9 +132,15 @@ let checked build k =
       1
     | None -> raise e)
 
-(* Resolve eagerly so a typo'd pass name fails with exit 1 before any
-   work happens, whatever command carried the flag. *)
-let with_schedule config f = checked (fun () -> Vmht.Config.schedule config) f
+(* The optimizer flags onto [config], with the schedule resolved eagerly
+   so a typo'd pass name or a level out of range fails with exit 1
+   before any work happens, whatever command carried the flag. *)
+let with_schedule config opt_level passes k =
+  checked
+    (fun () ->
+      let config = config_with_opt config opt_level passes in
+      (config, Vmht.Config.schedule config))
+    k
 
 (* ------------------------- compile -------------------------------- *)
 
@@ -145,9 +152,7 @@ let compile_cmd =
     Arg.(value & flag & info [ "no-opt" ] ~doc:"Skip the optimizer.")
   in
   let action file no_opt opt_level passes =
-    with_schedule
-      (config_with_opt Vmht.Config.default opt_level passes)
-      (fun sched ->
+    with_schedule Vmht.Config.default opt_level passes (fun (_, sched) ->
         with_program file (fun program ->
             List.iter
               (fun kernel ->
@@ -191,14 +196,14 @@ let synth_cmd =
     Arg.(value & flag & info [ "pipeline" ] ~doc:"Modulo-schedule inner loops.")
   in
   let action file iface unroll banks emit_rtl pipeline opt_level passes =
-    let config =
-      Vmht.Config.with_pipelining
-        (Vmht.Config.with_unroll Vmht.Config.default unroll)
-        pipeline
-    in
-    checked (fun () -> Vmht.Config.with_banks config banks) @@ fun config ->
-    let config = config_with_opt config opt_level passes in
-    with_schedule config (fun _sched ->
+    checked
+      (fun () ->
+        Vmht.Config.with_banks
+          (Vmht.Config.with_unroll Vmht.Config.default unroll)
+          banks)
+    @@ fun config ->
+    let config = Vmht.Config.with_pipelining config pipeline in
+    with_schedule config opt_level passes (fun (config, _) ->
         with_program file (fun program ->
             List.iter
               (fun kernel ->
@@ -858,8 +863,7 @@ let bench_cmd =
         Vmht.Config.with_fault config (Vmht_fault.Plan.uniform ~rate)
       | None -> config
     in
-    let config = config_with_opt config opt_level passes in
-    with_schedule config @@ fun sched ->
+    with_schedule config opt_level passes @@ fun (config, sched) ->
     let rows = ref [] in
     let run_timed name f =
       let out, row = timed name f in
@@ -1131,18 +1135,23 @@ let serve_line_to_job line =
         let* unroll = int "unroll" in
         let* opt = int "opt" in
         let* tlb = int "tlb" in
-        let config =
-          Vmht.Config.default
-          |> if_some Vmht.Config.with_unroll unroll
-          |> if_some Vmht.Config.with_opt_level opt
-          |> if_some Vmht.Config.with_tlb_entries tlb
-        in
-        (* The TLB geometry the SoC would refuse, refused for synthesis
-           too (with the same message), so no reply prices a TLB that
-           cannot exist. *)
-        let* () =
-          match Vmht_vm.Tlb.validate config.Vmht.Config.mmu.Vmht_vm.Mmu.tlb with
-          | () -> Ok ()
+        (* An unroll factor or optimization level out of range, and the
+           TLB geometry the SoC would refuse, refused for synthesis too
+           (with the message [run] gives), so no reply prices hardware
+           that cannot exist and no line synthesizes an unroll without
+           bound. *)
+        let* config =
+          match
+            let config =
+              Vmht.Config.default
+              |> if_some Vmht.Config.with_unroll unroll
+              |> if_some Vmht.Config.with_opt_level opt
+              |> if_some Vmht.Config.with_tlb_entries tlb
+            in
+            Vmht_vm.Tlb.validate config.Vmht.Config.mmu.Vmht_vm.Mmu.tlb;
+            config
+          with
+          | config -> Ok config
           | exception Invalid_argument msg -> Error (`Request msg)
         in
         let* wname = str "workload" in

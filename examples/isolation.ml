@@ -49,8 +49,12 @@ let () =
   in
   let ra, rb =
     Launch.run_to_completion soc (fun () ->
-        let ta = Vmht_rt.Hthreads.spawn ~name:"proc-a" (fun () -> run mmu_a) in
-        let tb = Vmht_rt.Hthreads.spawn ~name:"proc-b" (fun () -> run mmu_b) in
+        let spawn name mmu =
+          Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) ~name (fun () ->
+              run mmu)
+        in
+        let ta = spawn "proc-a" mmu_a in
+        let tb = spawn "proc-b" mmu_b in
         (Vmht_rt.Hthreads.join ta, Vmht_rt.Hthreads.join tb))
   in
   Printf.printf

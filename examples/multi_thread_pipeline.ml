@@ -54,25 +54,25 @@ let () =
   in
   let total_cycles =
     Launch.run_to_completion soc (fun () ->
-        let t0 = Vmht_sim.Engine.now_p () in
+        let t0 = Soc.now soc in
         for frame = 1 to frames do
           produce frame;
           (* Hardware stage 2: smooth.  Runs as its own thread. *)
           let t_sm =
-            Hthreads.spawn ~name:"stencil" (fun () ->
+            Hthreads.spawn ~engine:(Soc.engine soc) ~name:"stencil" (fun () ->
                 Launch.run_hw soc stencil
                   { Launch.args = [ raw; smooth; n - 1 ]; buffers = [] })
           in
           ignore (Hthreads.join t_sm);
           (* Hardware stage 3: histogram the smoothed frame. *)
           let t_h =
-            Hthreads.spawn ~name:"hist" (fun () ->
+            Hthreads.spawn ~engine:(Soc.engine soc) ~name:"hist" (fun () ->
                 Launch.run_hw soc hist
                   { Launch.args = [ smooth; histo; n ]; buffers = [] })
           in
           ignore (Hthreads.join t_h)
         done;
-        Vmht_sim.Engine.now_p () - t0)
+        Soc.now soc - t0)
   in
   (* Validate: the histogram counts every processed sample. *)
   let total_binned = ref 0 in

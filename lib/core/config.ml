@@ -69,7 +69,15 @@ let with_walk_cache t entries =
 
 let with_page_shift t page_shift = { t with page_shift }
 
-let with_unroll t unroll = { t with unroll }
+(* Unroll factors and optimization levels are refused, not clamped:
+   the synthesis key stores the integer, so a clamped value would key a
+   second copy of the same hardware.  64 is four times the largest
+   factor any experiment uses. *)
+let with_unroll t unroll =
+  if unroll < 1 || unroll > 64 then
+    invalid_arg
+      (Printf.sprintf "Config.with_unroll: unroll %d is outside 1..64" unroll);
+  { t with unroll }
 
 let with_pipelining t pipeline_loops = { t with pipeline_loops }
 
@@ -86,7 +94,12 @@ let with_fault t fault = { t with fault }
 
 let with_seed t seed = { t with seed }
 
-let with_opt_level t opt_level = { t with opt_level }
+let with_opt_level t opt_level =
+  if opt_level < 0 || opt_level > 2 then
+    invalid_arg
+      (Printf.sprintf "Config.with_opt_level: level %d is outside 0..2"
+         opt_level);
+  { t with opt_level }
 
 let with_backend t backend = { t with backend }
 

@@ -59,6 +59,8 @@ val with_walk_cache : t -> int -> t
 val with_page_shift : t -> int -> t
 
 val with_unroll : t -> int -> t
+(** Raises [Invalid_argument] naming the factor when it is outside
+    1..64. *)
 
 val with_pipelining : t -> bool -> t
 
@@ -74,6 +76,8 @@ val with_seed : t -> int -> t
 (** Seed for workload data and the fault schedule. *)
 
 val with_opt_level : t -> int -> t
+(** Raises [Invalid_argument] naming the level when it is outside
+    0..2. *)
 
 val with_passes : t -> string list option -> t
 

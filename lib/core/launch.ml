@@ -48,28 +48,17 @@ let accel_observer soc =
 (* The compute phase of a hardware thread, dispatched to the configured
    backend.  [Model] interprets the scheduled FSM directly; [Rtl]
    parses the emitted Verilog text back and executes the emitted bytes
-   against the very same [port] at the same issue width — identical
-   translation, banking and fault draws — so the two backends are
-   contractually result- and cycle-identical (the rtl1 experiment
-   enforces it).  The RTL path reports [ret] only when the kernel
-   returns a value: the emitted module always has a [result] register,
-   but a void kernel's is meaningless. *)
+   against the very same [port] — identical translation, banking, port
+   pricing and fault draws — so the two backends are contractually
+   result- and cycle-identical (the rtl1 experiment enforces it).  The
+   RTL path reports [ret] only when the kernel returns a value: the
+   emitted module always has a [result] register, but a void kernel's
+   is meaningless. *)
 let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
-  let cfg = Soc.config soc in
-  (* A VM wrapper's TLB and stream buffer take one request at a time;
-     a copy-based wrapper's scratchpad is multi-ported, so a DMA thread
-     issues as wide as the schedule was arbitrated for. *)
-  let ports =
-    match hw.Flow.style with
-    | Wrapper.Vm_iface -> 1
-    | Wrapper.Dma_iface ->
-      Vmht_hls.Schedule.mem_total_ports
-        cfg.Config.resources.Vmht_hls.Schedule.mem
-  in
-  match cfg.Config.backend with
+  match (Soc.config soc).Config.backend with
   | Config.Model ->
-    Accel.run ?observer:(accel_observer soc) ~stats ~ports
-      ~engine:(Soc.engine soc) hw.Flow.fsm ~port ~args
+    Accel.run ?observer:(accel_observer soc) ~stats ~engine:(Soc.engine soc)
+      hw.Flow.fsm ~port ~args
   | Config.Rtl ->
     if hw.Flow.fsm.Vmht_hls.Fsm.plans <> [] then
       invalid_arg
@@ -78,8 +67,7 @@ let exec_thread soc (hw : Flow.hw_thread) ~stats ~port ~args =
          model backend";
     let prog = Vmht_rtl.Eval.load hw.Flow.verilog in
     let out =
-      Vmht_rtl.Eval.run ~stats ~ports ~engine:(Soc.engine soc) prog ~port
-        ~args
+      Vmht_rtl.Eval.run ~stats ~engine:(Soc.engine soc) prog ~port ~args
     in
     let returns_value =
       List.exists

@@ -310,6 +310,7 @@ let vm_port_metered t mmu =
                 Cache.write buffer ~addr:vaddr ~phys value)
           else Cache.write buffer ~addr:vaddr ~phys value;
           meter.mem_cycles <- meter.mem_cycles + (Engine.now engine - t1));
+      Accel.hold = Fun.const 0;
     }
   in
   (port, (fun () -> Cache.flush buffer), meter)
@@ -320,7 +321,12 @@ let make_scratchpad ?words t =
     | Some w -> w
     | None -> t.config.Config.scratchpad_words
   in
-  let pad = Scratchpad.create ~engine:t.engine ~words ~access_latency:1 in
+  let pad =
+    Scratchpad.create ~words ~access_latency:1
+      ~ports:
+        (Vmht_hls.Schedule.mem_total_ports
+           t.config.Config.resources.Vmht_hls.Schedule.mem)
+  in
   let dma = Dma.create t.bus in
   let dma_name = instance_name "dma" (List.length t.dmas) in
   t.dmas <- dma :: t.dmas;
@@ -330,7 +336,11 @@ let make_scratchpad ?words t =
   (pad, dma)
 
 let scratchpad_port pad =
-  { Accel.load = Scratchpad.load pad; Accel.store = Scratchpad.store pad }
+  {
+    Accel.load = Scratchpad.load pad;
+    store = Scratchpad.store pad;
+    hold = Scratchpad.hold pad;
+  }
 
 let mmus t = t.mmu_list
 

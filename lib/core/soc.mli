@@ -69,8 +69,9 @@ val vm_port_metered :
 (** The accelerator-facing memory port of a VM wrapper: translation
     through the given MMU plus a private stream buffer
     ([Config.accel_stream_buffer]) in front of the shared bus.  Like
-    the hardware, the port serves one access at a time: drive it with
-    an issue width of 1.  Every access runs on the SoC's engine and
+    the hardware, the port serves one access at a time: each access
+    times itself and the port holds nothing.  Every access runs on the
+    SoC's engine and
     allocates nothing; it enters the profiler's Translate and Memory
     phases only when that engine is profiled.  The second component is
     the timed flush of the buffer, to be called when the thread
@@ -78,9 +79,14 @@ val vm_port_metered :
     the thread completes). *)
 
 val make_scratchpad : ?words:int -> t -> Vmht_mem.Scratchpad.t * Vmht_mem.Dma.t
-(** Scratchpad + DMA engine for one copy-based accelerator. *)
+(** Scratchpad + DMA engine for one copy-based accelerator.  The
+    scratchpad has the ports the schedule was arbitrated for
+    ({!Vmht_hls.Schedule.mem_total_ports} of [Config.resources]) and a
+    one-cycle access latency. *)
 
 val scratchpad_port : Vmht_mem.Scratchpad.t -> Vmht_hls.Accel.port
+(** The scratchpad as an accelerator port: untimed accesses, priced by
+    {!Vmht_mem.Scratchpad.hold}. *)
 
 val mmus : t -> Vmht_vm.Mmu.t list
 

@@ -31,17 +31,18 @@ let measure config (w : Workload.t) ~size n =
   in
   let span =
     Launch.run_to_completion soc (fun () ->
-        let t0 = Vmht_sim.Engine.now_p () in
+        let t0 = Soc.now soc in
         let threads =
           List.mapi
             (fun i (inst : Workload.instance) ->
-              Hthreads.spawn ~name:(Printf.sprintf "ht%d" i) (fun () ->
+              Hthreads.spawn ~engine:(Soc.engine soc)
+                ~name:(Printf.sprintf "ht%d" i) (fun () ->
                   Launch.run_hw soc hw
                     { Launch.args = inst.Workload.args; buffers = [] }))
             instances
         in
         List.iter (fun t -> ignore (Hthreads.join t)) threads;
-        Vmht_sim.Engine.now_p () - t0)
+        Soc.now soc - t0)
   in
   let load = Vmht_vm.Addr_space.load_word (Soc.aspace soc) in
   (* One N-thread point is one run of the ledger, [Common.run] never

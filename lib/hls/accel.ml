@@ -3,7 +3,11 @@ module Engine = Vmht_sim.Engine
 module Ast_interp = Vmht_lang.Ast_interp
 module Ir_interp = Vmht_ir.Ir_interp
 
-type port = { load : int -> int; store : int -> int -> unit }
+type port = {
+  load : int -> int;
+  store : int -> int -> unit;
+  hold : int -> int;
+}
 
 type run_stats = {
   mutable fsm_cycles : int;
@@ -16,18 +20,11 @@ let fresh_stats () =
   { fsm_cycles = 0; loads = 0; stores = 0; block_visits = 0 }
 
 let untimed_port (mem : Ast_interp.memory) =
-  { load = mem.Ast_interp.load; store = mem.Ast_interp.store }
-
-let rec chunks n = function
-  | [] -> []
-  | l ->
-    let rec take k acc = function
-      | rest when k = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-    in
-    let chunk, rest = take n [] l in
-    chunk :: chunks n rest
+  {
+    load = mem.Ast_interp.load;
+    store = mem.Ast_interp.store;
+    hold = Fun.const 0;
+  }
 
 (* A block compiles, once per run, into one closure per trace step
    ({!Fsm.Trace}) over the run's register file.  The closures are
@@ -86,12 +83,10 @@ let compile_pure ~engine ~stats regs instrs cycles =
 (* One memory state.  At entry it walks its instructions in order:
    datapath ops evaluate into a scratch array, accesses snapshot their
    address (and a store its data) and count themselves.  Then it issues
-   the accesses: one after another in instruction order, or, when the
-   port is wider than one and the state holds several, [ports] at a
-   time through {!Engine.join_all} lanes, later groups queueing behind
-   earlier ones.  At exit it commits the datapath results in
-   instruction order, then the loaded values in completion order. *)
-let compile_mem ~stats ~port ~ports regs (instrs : Ir.instr array) ids =
+   the accesses one after another in instruction order and waits the
+   port's price for all of them, once.  At exit it commits the datapath
+   results in instruction order, then the loaded values. *)
+let compile_mem ~engine ~stats ~port regs (instrs : Ir.instr array) ids =
   let is_access i =
     match instrs.(i) with
     | Ir.Load _ | Ir.Store _ -> true
@@ -100,14 +95,13 @@ let compile_mem ~stats ~port ~ports regs (instrs : Ir.instr array) ids =
   let n_acc =
     Array.fold_left (fun n i -> if is_access i then n + 1 else n) 0 ids
   in
+  let hold = port.hold n_acc in
   let n_dp = Array.length ids - n_acc in
   let scratch = Array.make n_dp 0 and dsts = Array.make n_dp 0 in
   (* Per access: its address, a store's data, a load's destination
      register (-1 for a store) and its loaded value. *)
   let addr = Array.make n_acc 0 and data = Array.make n_acc 0 in
   let load_dst = Array.make n_acc (-1) and loaded = Array.make n_acc 0 in
-  (* Accesses whose load completed, in completion order. *)
-  let completed = Array.make n_acc 0 and n_completed = ref 0 in
   let value = function Ir.Reg r -> regs.(r) | Ir.Imm n -> n in
   let next_slot = ref 0 and next_access = ref 0 in
   let snapshot =
@@ -135,48 +129,27 @@ let compile_mem ~stats ~port ~ports regs (instrs : Ir.instr array) ids =
           Ir_interp.compile_op regs ~into:scratch ~slot instr)
       ids
   in
-  let access j () =
-    if load_dst.(j) >= 0 then begin
-      (* Complete the access before recording it: a lane that suspends
-         must not claim a completion slot it has not reached. *)
-      let v = port.load addr.(j) in
-      loaded.(j) <- v;
-      completed.(!n_completed) <- j;
-      incr n_completed
-    end
-    else port.store addr.(j) data.(j)
-  in
-  let issue =
-    if ports > 1 && n_acc > 1 then begin
-      let lanes = chunks ports (List.init n_acc access) in
-      let join = Engine.join_all ~name:"mem-lane" in
-      fun () -> List.iter join lanes
-    end
-    else
-      fun () ->
-        for j = 0 to n_acc - 1 do
-          access j ()
-        done
-  in
   let n_snap = Array.length snapshot in
   fun () ->
     for s = 0 to n_snap - 1 do
       (Array.unsafe_get snapshot s) ()
     done;
-    n_completed := 0;
-    issue ();
+    for j = 0 to n_acc - 1 do
+      if load_dst.(j) >= 0 then loaded.(j) <- port.load addr.(j)
+      else port.store addr.(j) data.(j)
+    done;
+    Engine.wait_on engine hold;
     stats.fsm_cycles <- stats.fsm_cycles + 1;
     for k = 0 to n_dp - 1 do
       regs.(dsts.(k)) <- scratch.(k)
     done;
-    for m = 0 to !n_completed - 1 do
-      let j = completed.(m) in
-      regs.(load_dst.(j)) <- loaded.(j)
+    for j = 0 to n_acc - 1 do
+      if load_dst.(j) >= 0 then regs.(load_dst.(j)) <- loaded.(j)
     done
 
 (* One entry per label: the first plan headed there, else the label's
    scheduled block compiled over [regs], with its terminator. *)
-let label_codes ~engine ~stats ~port ~ports regs (hw : Fsm.t) =
+let label_codes ~engine ~stats ~port regs (hw : Fsm.t) =
   let f = hw.Fsm.func in
   let index = Ir.block_index f in
   let codes = Array.make (Ir.label_bound f) Absent in
@@ -187,7 +160,7 @@ let label_codes ~engine ~stats ~port ~ports regs (hw : Fsm.t) =
         Array.map
           (function
             | Fsm.Trace.Mem ids ->
-              compile_mem ~stats ~port ~ports regs instrs ids
+              compile_mem ~engine ~stats ~port regs instrs ids
             | Fsm.Trace.Pure cycles ->
               compile_pure ~engine ~stats regs instrs cycles)
           (Fsm.Trace.compile_block b)
@@ -208,8 +181,7 @@ let label_codes ~engine ~stats ~port ~ports regs (hw : Fsm.t) =
     (List.rev hw.Fsm.plans);
   codes
 
-let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ~engine (hw : Fsm.t)
-    ~port ~args =
+let run ?observer ?(stats = fresh_stats ()) ~engine (hw : Fsm.t) ~port ~args =
   let f = hw.Fsm.func in
   if List.length args <> List.length f.Ir.arg_regs then
     invalid_arg
@@ -219,11 +191,13 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ~engine (hw : Fsm.t)
   let regs = Array.make (max f.Ir.next_reg 1) 0 in
   List.iter2 (fun r v -> regs.(r) <- v) f.Ir.arg_regs args;
   let value = function Ir.Reg r -> regs.(r) | Ir.Imm n -> n in
-  let codes = label_codes ~engine ~stats ~port ~ports regs hw in
+  let codes = label_codes ~engine ~stats ~port regs hw in
   (* Sequential functional execution of one instruction, used by the
      software-pipelined loop path: results are exact (program order);
-     only memory advances simulated time — compute time is charged at
-     the initiation-interval granularity by the caller. *)
+     only memory advances simulated time, each access issued alone —
+     compute time is charged at the initiation-interval granularity by
+     the caller. *)
+  let hold1 = port.hold 1 in
   let exec_seq instr =
     match instr with
     | Ir.Bin (op, d, x, y) ->
@@ -232,10 +206,12 @@ let run ?observer ?(stats = fresh_stats ()) ?(ports = 1) ~engine (hw : Fsm.t)
     | Ir.Mov (d, x) -> regs.(d) <- value x
     | Ir.Load (d, addr) ->
       stats.loads <- stats.loads + 1;
-      regs.(d) <- port.load (value addr)
+      regs.(d) <- port.load (value addr);
+      Engine.wait_on engine hold1
     | Ir.Store (addr, v) ->
       stats.stores <- stats.stores + 1;
-      port.store (value addr) (value v)
+      port.store (value addr) (value v);
+      Engine.wait_on engine hold1
   in
   (* Run a modulo-scheduled loop: one iteration initiates every II
      cycles once the pipeline is full; iterations whose memory exceeds

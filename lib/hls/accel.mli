@@ -7,15 +7,20 @@
     their start cycle, writes commit afterwards — so the result always
     equals the IR interpreter's (a property the test suite checks).
 
-    Memory operations scheduled in the same cycle issue [ports] at a
-    time: each group goes out concurrently (fork/join), later groups
-    queue behind it, and at width 1 they run one after another with no
-    fork.  A VM thread runs at width 1 (its wrapper takes one request
-    at a time), a copy-based one at its scratchpad's scheduled width. *)
+    Memory operations scheduled in the same cycle issue one after
+    another in instruction order, then the state waits the port's
+    [hold] for all of them, once.  A VM wrapper times each access
+    itself (it takes one request at a time) and holds nothing; a
+    copy-based wrapper's multi-ported scratchpad answers untimed and
+    prices the group. *)
 
 type port = {
-  load : int -> int; (** timed word load; called in process context *)
-  store : int -> int -> unit; (** timed word store *)
+  load : int -> int;  (** word load; called in process context *)
+  store : int -> int -> unit;  (** word store *)
+  hold : int -> int;
+      (** [hold n]: the cycles [n] accesses issued together take beyond
+          the time their own calls spend, waited once after the last of
+          them; [0] for a port whose accesses time themselves *)
 }
 
 type run_stats = {
@@ -27,17 +32,9 @@ type run_stats = {
 
 val fresh_stats : unit -> run_stats
 
-val chunks : int -> 'a list -> 'a list list
-(** Split a list into consecutive chunks of at most [n] elements — the
-    issue-width discipline for same-cycle memory accesses ([ports]-wide
-    issue groups, later groups queueing behind earlier ones).  Exposed
-    so the RTL evaluator drives its channel lanes through the very same
-    grouping and the two backends stay cycle-identical. *)
-
 val run :
   ?observer:Vmht_obs.Event.emitter ->
   ?stats:run_stats ->
-  ?ports:int ->
   engine:Vmht_sim.Engine.t ->
   Fsm.t ->
   port:port ->
@@ -45,8 +42,7 @@ val run :
   int option
 (** Execute the hardware thread to completion.  Must be called from a
     process of [engine] (the launcher passes the SoC's); simulated time
-    advances on it as the thread runs.  [ports] (default 1) is the
-    issue width of a memory state (see above).
+    advances on it as the thread runs.
 
     [observer] receives one {!Vmht_obs.Event.kind.Fsm_state} event per
     basic-block entry, spanning the block's execution; a
@@ -68,16 +64,16 @@ val run :
       snapshotting each access's operands (so a division by zero
       raises {!Vmht_lang.Ast_interp.Eval_error} at the same point as
       before any access issues); then it issues the accesses one after
-      another, or, when [ports > 1] and it holds several, through
-      {!Vmht_sim.Engine.join_all} lanes built once, [ports] per group
-      in instruction order ({!chunks}); at exit it commits the datapath
-      results in instruction order, then the loaded values in
-      completion order.
+      another and waits [port.hold n] for its [n] accesses; at exit it
+      commits the datapath results in instruction order, then the
+      loaded values;
+    - a software-pipelined loop issues each access alone and waits
+      [port.hold 1] after it.
 
     The RTL evaluator ([Vmht_rtl.Eval]) runs the emitted FSM edge by
     edge and is the per-state reference this path is checked against,
     alone and with several threads on one SoC. *)
 
 val untimed_port : Vmht_lang.Ast_interp.memory -> port
-(** Wrap an untimed memory as a port (for functional tests outside the
-    simulator the accesses still cost the caller nothing). *)
+(** Wrap an untimed memory as a port that holds nothing (for functional
+    tests: the accesses cost the thread no time). *)

@@ -1,27 +1,27 @@
 type window = { base : int; words : int; local_word : int }
 
 type t = {
-  engine : Vmht_sim.Engine.t;
   data : int array;
   latency : int;
+  ports : int;
   mutable windows : window list;
   mutable next_free : int;
 }
 
 exception Out_of_window of int
 
-let create ~engine ~words ~access_latency =
+let create ~words ~access_latency ~ports =
   {
-    engine;
     data = Array.make words 0;
     latency = access_latency;
+    ports;
     windows = [];
     next_free = 0;
   }
 
 let capacity_words t = Array.length t.data
 
-let access_latency t = t.latency
+let hold t n = t.latency * Vmht_util.Bits.ceil_div n t.ports
 
 let overlaps a_base a_words b_base b_words =
   let a_end = a_base + (a_words * Phys_mem.word_bytes) in
@@ -49,15 +49,9 @@ let rec find_window vaddr = function
 
 let local_of_vaddr t vaddr = find_window vaddr t.windows
 
-let load t vaddr =
-  let i = local_of_vaddr t vaddr in
-  Vmht_sim.Engine.wait_on t.engine t.latency;
-  t.data.(i)
+let load t vaddr = t.data.(local_of_vaddr t vaddr)
 
-let store t vaddr value =
-  let i = local_of_vaddr t vaddr in
-  Vmht_sim.Engine.wait_on t.engine t.latency;
-  t.data.(i) <- value
+let store t vaddr value = t.data.(local_of_vaddr t vaddr) <- value
 
 let read_local t i = t.data.(i)
 

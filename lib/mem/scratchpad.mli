@@ -13,12 +13,17 @@ type t
 
 exception Out_of_window of int
 
-val create : engine:Vmht_sim.Engine.t -> words:int -> access_latency:int -> t
-(** A scratchpad whose timed accesses wait on [engine]. *)
+val create : words:int -> access_latency:int -> ports:int -> t
+(** A scratchpad of [words] words with [ports >= 1] same-cycle ports,
+    each access taking [access_latency] cycles.  Its accesses are
+    untimed; {!hold} prices them. *)
 
 val capacity_words : t -> int
 
-val access_latency : t -> int
+val hold : t -> int -> int
+(** [hold t n] is the cycles [n] accesses issued together take:
+    [access_latency] per group of [ports], later groups queueing behind
+    earlier ones.  [hold t 0 = 0]. *)
 
 val map_window : t -> base:int -> words:int -> unit
 (** Bind the next free scratchpad region to virtual range
@@ -26,9 +31,11 @@ val map_window : t -> base:int -> words:int -> unit
     exceeded or the range overlaps an existing window. *)
 
 val load : t -> int -> int
-(** Timed (process context): window-translated scratchpad read. *)
+(** Untimed window-translated read ({!hold} gives its time); raises
+    {!Out_of_window}. *)
 
 val store : t -> int -> int -> unit
+(** Untimed window-translated write; raises {!Out_of_window}. *)
 
 val read_local : t -> int -> int
 (** Untimed access by scratchpad word index (used by the DMA engine). *)

@@ -663,9 +663,8 @@ let reset_memo () =
 
 (* ------------------------------ run -------------------------------- *)
 
-let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
-    ?(max_edges = 50_000_000) ~engine (p : program) ~(port : Accel.port)
-    ~args =
+let run ?(stats = Accel.fresh_stats ()) ?(max_edges = 50_000_000) ~engine
+    (p : program) ~(port : Accel.port) ~args =
   if Array.length p.args <> List.length args then
     invalid_arg
       (Printf.sprintf "Rtl.Eval.run: %s expects %d args, got %d" p.mname
@@ -789,9 +788,9 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
     (* Edge accounting, matched against the model's: the edge that
        consumes an ack coalesces with the successor state's entry (a
        memory state costs exactly its access latency), the edge that
-       issues requests is the state's entry edge (lanes below advance
-       the clock), any other exec-state edge is one pure cycle, and
-       the idle/done handshake edges are free — the model has no
+       issues requests is the state's entry edge (its accesses below
+       advance the clock), any other exec-state edge is one pure cycle,
+       and the idle/done handshake edges are free — the model has no
        dispatch cost either.  The edge commits before it is classified:
        the issue check reads each request as the edge leaves it, and
        the other processes a pure edge's wait yields to never read this
@@ -819,37 +818,31 @@ let run ?(stats = Accel.fresh_stats ()) ?(ports = 1)
         let n = !n_accepted in
         n_accepted := 0;
         if read_state () = sval then begin
-          (* The FSM holds this state for the accesses: issue them
-             [ports] at a time exactly like the model's memory cycle
-             and present every ack at completion, so the next edge is
-             the acked advance.  At width 1 they run one after another
-             in this process. *)
-          if ports = 1 then
-            for k = 0 to n - 1 do
-              service accepted.(k)
-            done
-          else
-            List.iter
-              (Engine.join_all ~name:"mem-lane")
-              (Accel.chunks ports
-                 (List.init n (fun k ->
-                      let c = accepted.(k) in
-                      fun () -> service c)));
+          (* The FSM holds this state for the accesses: issue them one
+             after another in channel order and wait the port's price
+             for the group, exactly like the model's memory cycle, and
+             present every ack at completion, so the next edge is the
+             acked advance. *)
+          for k = 0 to n - 1 do
+            service accepted.(k)
+          done;
+          Engine.wait_on engine (port.Accel.hold n);
           for k = 0 to n - 1 do
             present accepted.(k)
           done
         end
         else
           (* The FSM advanced while its request was still out — the
-             emitted hold bug.  Service asynchronously so the run
-             still makes progress and the divergence (spurious
-             requests, wrong cycles) is observable. *)
+             emitted hold bug.  Service each access in a process of its
+             own, so the run still makes progress and the divergence
+             (spurious requests, wrong cycles) is observable. *)
           for k = 0 to n - 1 do
             let c = accepted.(k) in
             c.cst <- Busy;
             incr in_flight;
-            Engine.fork ~name:"mem-lane" (fun () ->
+            Engine.spawn engine ~name:"mem-async" (fun () ->
                 service c;
+                Engine.wait_on engine (port.Accel.hold 1);
                 c.cst <- Ready)
           done
       end;

@@ -29,17 +29,15 @@
     emitter writes): a request sampled high on an idle channel is
     accepted, its access is serviced through the port, and [ack] (plus
     [rdata] for loads) is presented and *held* until the FSM is seen
-    with the request deasserted.  At width 1 (a VM thread) same-cycle
-    accesses are serviced one after another, in channel order, in the
-    evaluator's own process; wider (the DMA scratchpad) they are
-    serviced [ports] at a time through {!Vmht_hls.Accel.chunks} and
-    {!Vmht_sim.Engine.join_all} — the exact grouping and event order
-    of the model's memory cycle — so cycle counts match, not just
-    results.
+    with the request deasserted.  Same-cycle accesses are serviced one
+    after another, in channel order, in the evaluator's own process,
+    which then waits the port's [hold] for the group — the order and
+    the waits of the model's memory cycle — so cycle counts match, not
+    just results.
 
     Edge accounting: the entry edge of a state costs one cycle (pure
     states advance simulated time by one; memory states advance it by
-    the time their accesses take, issued [ports] at a time), the edge
+    the time their accesses take, the port's [hold] included), the edge
     that consumes a held ack is free (it coalesces into the access
     latency), and the S_IDLE/S_DONE handshake edges are free, matching
     the model's zero dispatch cost.  Every pure edge is its own
@@ -86,7 +84,6 @@ val reset_memo : unit -> unit
 
 val run :
   ?stats:Vmht_hls.Accel.run_stats ->
-  ?ports:int ->
   ?max_edges:int ->
   engine:Vmht_sim.Engine.t ->
   program ->
@@ -96,7 +93,6 @@ val run :
 (** Run a compiled module to [done], from a process of [engine] (the
     launcher passes the SoC's), whose clock its edges advance.  [stats]
     accumulates loads/stores/fsm_cycles with the model's meanings;
-    [ports] is the issue width of same-cycle accesses (default 1);
     [max_edges] bounds the run (default 50M edges) so an FSM that
     deadlocks or spins fails instead of hanging.  Each edge runs its
     arm's code, applies what it buffered, then classifies itself; only

@@ -14,11 +14,11 @@ let body completion f () =
 
 let emit t kind = match t.obs with Some f -> f kind | None -> ()
 
-let spawn ?obs ~name f =
+let spawn ?obs ~engine ~name f =
   let completion = Sync.Completion.create () in
   let t = { tname = name; completion; obs } in
   emit t (Vmht_obs.Event.Thread_spawn { thread = name });
-  Engine.fork ~name (body completion f);
+  Engine.spawn engine ~name (body completion f);
   t
 
 let join t =

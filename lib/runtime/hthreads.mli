@@ -10,10 +10,16 @@
 type 'a t
 
 val spawn :
-  ?obs:Vmht_obs.Event.emitter -> name:string -> (unit -> 'a) -> 'a t
-(** Start a thread at the current simulated time (process context).
-    [obs], when given, receives a {!Vmht_obs.Event.kind.Thread_spawn}
-    event now and a [Thread_join] event when {!join} returns. *)
+  ?obs:Vmht_obs.Event.emitter ->
+  engine:Vmht_sim.Engine.t ->
+  name:string ->
+  (unit -> 'a) ->
+  'a t
+(** Start a thread as a process of [engine] at its current time (from a
+    process of [engine], the SoC's when the caller runs inside
+    [Soc.run]).  [obs], when given, receives a
+    {!Vmht_obs.Event.kind.Thread_spawn} event now and a [Thread_join]
+    event when {!join} returns. *)
 
 val join : 'a t -> 'a
 (** Park until the thread finishes and return its result.  If the

@@ -53,13 +53,6 @@ type _ Effect.t +=
   | Wait : time -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
-(* The engine a running process belongs to.  Set for the dynamic extent
-   of each [run]; within one domain processes run one at a time.
-   Domain-local so independent simulations may run concurrently on
-   separate domains (the parallel evaluation harness does exactly that)
-   without clobbering each other's context. *)
-let current : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
 let fresh_eprof () =
   {
     cur_phase = Vmht_obs.Profile.phase_index Vmht_obs.Profile.Dispatch;
@@ -230,14 +223,9 @@ let run ?until ?(check_quiescent = false) t =
       end
     end
   in
-  let saved = Domain.DLS.get current and was_running = t.running in
-  Domain.DLS.set current (Some t);
+  let was_running = t.running in
   t.running <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      t.running <- was_running;
-      Domain.DLS.set current saved)
-    loop;
+  Fun.protect ~finally:(fun () -> t.running <- was_running) loop;
   flush_batch t;
   flush_profile t;
   if check_quiescent && t.suspended > 0 then
@@ -249,9 +237,6 @@ let run ?until ?(check_quiescent = false) t =
 let events_executed t = t.executed
 
 let fast_forwards t = t.fast_forwards
-
-let engine_of_context () =
-  match Domain.DLS.get current with None -> raise Not_in_process | Some t -> t
 
 (* A wait nothing queued can observe — the queue holds no event at or
    before [target] (strict compare: an event tied at [target] carries a
@@ -318,34 +303,8 @@ let waits_on t costs =
   if not t.running then raise Not_in_process;
   waits_from t costs 0 (total_cost costs)
 
-let now_p () = (engine_of_context ()).now
-
+(* Only a process's handler ({!exec_process}) handles [Suspend], so
+   outside every process the effect is unhandled. *)
 let suspend register =
-  ignore (engine_of_context () : t);
-  Effect.perform (Suspend register)
-
-let fork ~name fn = spawn (engine_of_context ()) ~name fn
-
-(* Fork every thunk as a child at the current time and park the caller
-   until the last one finishes.  The children run in list order (the
-   event queue is FIFO within a timestamp), so two callers passing the
-   same thunks observe identical event interleavings — the property the
-   accelerator model and the RTL evaluator rely on to stay
-   cycle-identical. *)
-let join_all ?(name = "join") = function
-  | [] -> ()
-  | [ f ] -> f ()
-  | fns ->
-    let remaining = ref (List.length fns) in
-    let resumer = ref None in
-    List.iter
-      (fun f ->
-        fork ~name (fun () ->
-            f ();
-            decr remaining;
-            if !remaining = 0 then
-              match !resumer with
-              | Some resume -> resume ()
-              | None -> ()))
-      fns;
-    if !remaining > 0 then suspend (fun r -> resumer := Some r)
+  try Effect.perform (Suspend register)
+  with Effect.Unhandled (Suspend _) -> raise Not_in_process

@@ -3,31 +3,24 @@
     Simulated components are ordinary OCaml functions run as lightweight
     processes on top of OCaml 5 effect handlers.  A process advances
     simulated time with {!wait_on}, blocks on external conditions with
-    {!suspend} and starts children with {!fork}.  The engine executes
-    events in (time, insertion-order) order, so runs are deterministic.
+    {!suspend} and starts other processes with {!spawn}.  The engine
+    executes events in (time, insertion-order) order, so runs are
+    deterministic.
 
-    Time advances only on a held handle: {!wait_on} and {!waits_on}
-    take the engine, and the caller reads the clock with {!now}.  The
-    bus, its resource, the scratchpad, and through the bus every cache,
-    CPU, MMU, walker and DMA engine hold their SoC's engine, and the
-    launcher hands it to the two accelerator executors.  A handle is a
-    field read; nothing on that path looks the engine up.  Each SoC
-    owns its engine, so simulations running on separate domains share
-    no handle.
+    An engine is reached one way, by its handle: {!wait_on}, {!waits_on},
+    {!now} and {!spawn} take it.  The bus, its resource, and through the
+    bus every cache, CPU, MMU, walker and DMA engine hold their SoC's
+    engine, the launcher hands it to the two accelerator executors and
+    the thread runtime takes it at [Hthreads.spawn].  A handle is a
+    field read; nothing looks the engine up, and engines share no state,
+    so simulations on separate domains share nothing.
 
-    The process-context operations ({!now_p}, {!suspend}, {!fork},
-    {!join_all}) find their engine instead: they may only be called
-    from inside a process started by {!spawn} or {!fork}, and calling
-    them elsewhere raises [Not_in_process].  They serve code that holds
-    no handle (the thread runtime, synchronisation primitives, the
-    scratchpad's lanes, experiments and tests).  Every event the engine
-    dispatches is a process starting or a parked process resuming —
-    there is no way to schedule a bare callback — so the engine that
-    {!run} installs as the context is always the one the running code
-    belongs to.  That is what lets {!now_p}, {!fork} and a wait (or
-    run of waits) nothing can observe run as plain calls; only a
+    {!suspend} is the one operation without a handle: it performs an
+    effect that the running process's own engine handles, so it needs
+    none, and outside every process it raises [Not_in_process].  Only a
     {!suspend} or a wait that a queued event must precede performs an
-    effect and gives up control. *)
+    effect and gives up control; {!now}, {!spawn} and a wait (or run of
+    waits) nothing can observe are plain calls. *)
 
 type t
 
@@ -35,7 +28,8 @@ type time = int
 (** Simulated time in clock cycles of the (single) fabric clock. *)
 
 exception Not_in_process
-(** Raised when a process-context operation is used outside [run]. *)
+(** Raised by {!wait_on} and {!waits_on} while their engine is not
+    running, and by {!suspend} outside every process. *)
 
 exception Stuck of string
 (** Raised by {!run} when [check_quiescent] is set and processes remain
@@ -79,14 +73,22 @@ val waits_on : t -> int array -> unit
     {!wait_on}. *)
 
 val spawn : t -> name:string -> (unit -> unit) -> unit
-(** Register a new process to start at the current time. *)
+(** Register a new process to start at the current time.  From one of
+    the engine's own processes it is a plain call that never yields:
+    the caller runs on and the child starts after it gives up control. *)
+
+val suspend : ((unit -> unit) -> unit) -> unit
+(** [suspend register] parks the calling process and calls [register
+    resume].  Calling [resume] (exactly once, from any context)
+    reschedules the process at its engine's current time.  Resuming
+    twice raises [Invalid_argument]; calling [suspend] outside a process
+    raises [Not_in_process]. *)
 
 val run : ?until:time -> ?check_quiescent:bool -> t -> unit
 (** Execute events until the queue is empty or simulated time would
-    exceed [until].  The engine is the process context (domain-local)
-    for the whole call, restored to the caller's on return.  With
-    [check_quiescent] (default false), raise {!Stuck} if suspended
-    processes remain once the queue drains. *)
+    exceed [until]; the engine's processes may wait only during the
+    call.  With [check_quiescent] (default false), raise {!Stuck} if
+    suspended processes remain once the queue drains. *)
 
 val events_executed : t -> int
 (** Total events the engine has dispatched (a work measure). *)
@@ -124,30 +126,3 @@ val observe_batches : t -> (int -> unit) -> unit
     dispatched at the same timestamp (a measure of event-queue
     contention).  Independent of profiling; the SoC points this at its
     ["engine.dispatch_batch"] metrics histogram when observing. *)
-
-(** {2 Process-context operations} *)
-
-val now_p : unit -> time
-(** Current simulated time, from inside a process.  A plain read of
-    the context engine's clock; never yields. *)
-
-val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] parks the process and calls [register resume].
-    Calling [resume] (exactly once, from any context) reschedules the
-    process at the resumer's current time.  Resuming twice raises
-    [Invalid_argument]. *)
-
-val fork : name:string -> (unit -> unit) -> unit
-(** Start a child process at the current time and continue immediately:
-    {!spawn} on the context engine, a plain call that never yields. *)
-
-val join_all : ?name:string -> (unit -> unit) list -> unit
-(** Run every thunk as a child process (forked in list order at the
-    current time, [name] defaults to ["join"]) and block until all of
-    them complete.  [[]] is a no-op and [[f]] runs [f] inline — no
-    events are created unless real concurrency is needed.  The barrier
-    of a copy-based thread's same-cycle scratchpad accesses, in the
-    accelerator model and the RTL evaluator's channel adapter alike, so
-    both backends schedule identical event sequences for the same
-    access set; a VM thread issues one access at a time and never
-    forks. *)

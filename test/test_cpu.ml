@@ -64,9 +64,9 @@ let reference_run ?max_steps ?(cost = Cost_model.default) counts ~engine
       | None -> raise (Addr_space.Segfault vaddr))
   in
   let timed g =
-    let t0 = Engine.now_p () in
+    let t0 = Engine.now engine in
     let v = g () in
-    counts.mem_cycles <- counts.mem_cycles + (Engine.now_p () - t0);
+    counts.mem_cycles <- counts.mem_cycles + (Engine.now engine - t0);
     v
   in
   let memory =
@@ -150,14 +150,13 @@ let observe ~compiled ~beside ~prepare f =
   in
   let ret, beside, cycles =
     Launch.run_to_completion soc (fun () ->
-        let t0 = Engine.now_p () in
-        let sw_thread = Hthreads.spawn ~name:"sw" sw in
-        let hw_thread =
-          Option.map (fun run -> Hthreads.spawn ~name:"hw" run) partner
-        in
+        let t0 = Soc.now soc in
+        let spawn = Hthreads.spawn ~engine:(Soc.engine soc) in
+        let sw_thread = spawn ~name:"sw" sw in
+        let hw_thread = Option.map (fun run -> spawn ~name:"hw" run) partner in
         let ret = Hthreads.join sw_thread in
         let beside = Option.map Hthreads.join hw_thread in
-        (ret, beside, Engine.now_p () - t0))
+        (ret, beside, Soc.now soc - t0))
   in
   {
     ret;

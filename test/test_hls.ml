@@ -7,16 +7,24 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-(* Run a synthesized accelerator functionally (untimed memory) inside a
-   private engine and return (result, final data, fsm cycles). *)
+(* A memory with [ports] one-cycle ports: untimed accesses, a group of
+   [n] issued together held for [ceil (n / ports)] cycles. *)
+let ported_port ~ports data =
+  {
+    (Accel.untimed_port (Ast_interp.array_memory data)) with
+    Accel.hold = (fun n -> Vmht_util.Bits.ceil_div n ports);
+  }
+
+(* Run a synthesized accelerator inside a private engine over [data]
+   and return (result, stats). *)
 let accel_run ?resources ?(unroll = 1) ?(ports = 1) kernel ~data ~args =
   let hw = Fsm.synthesize ?resources ~unroll kernel in
   let eng = Engine.create () in
   let result = ref None in
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"accel" (fun () ->
-      let port = Accel.untimed_port (Ast_interp.array_memory data) in
-      result := Some (Accel.run ~stats ~ports ~engine:eng hw ~port ~args));
+      let port = ported_port ~ports data in
+      result := Some (Accel.run ~stats ~engine:eng hw ~port ~args));
   Engine.run eng;
   (Option.get !result, stats)
 
@@ -145,18 +153,19 @@ let test_accel_timed_port_stalls () =
             (fun a v ->
               Engine.wait_on eng 5;
               mem.Ast_interp.store a v);
+          Accel.hold = Fun.const 0;
         }
       in
       let ret = Accel.run ~engine:eng hw ~port ~args:[ 0 ] in
       check_bool "sum" true (ret = Some 60);
-      finished := Engine.now_p ());
+      finished := Engine.now eng);
   Engine.run eng;
   check_bool "3 loads stall >= 15 cycles" true (!finished >= 15)
 
 let test_dual_port_overlaps () =
   (* Two loads whose addresses are both argument registers are ready in
-     cycle 0; with 2 ports they issue together and their 10-cycle
-     accesses overlap. *)
+     cycle 0; with 2 ports they issue together and the port holds them
+     for one 10-cycle access, with 1 port for two. *)
   let k =
     Parser.parse_kernel
       "kernel f(p: int*, q: int*) : int { return p[0] + q[0]; }"
@@ -173,15 +182,13 @@ let test_dual_port_overlaps () =
         let mem = Ast_interp.array_memory data in
         let port =
           {
-            Accel.load =
-              (fun a ->
-                Engine.wait_on eng 10;
-                mem.Ast_interp.load a);
+            Accel.load = mem.Ast_interp.load;
             Accel.store = (fun _ _ -> ());
+            Accel.hold = (fun n -> 10 * Vmht_util.Bits.ceil_div n ports);
           }
         in
-        ignore (Accel.run ~ports ~engine:eng hw ~port ~args:[ 0; 8 ]);
-        span := Engine.now_p ());
+        ignore (Accel.run ~engine:eng hw ~port ~args:[ 0; 8 ]);
+        span := Engine.now eng);
     Engine.run eng;
     !span
   in
@@ -244,9 +251,8 @@ let prop_dual_port_equivalence =
         let eng = Engine.create () in
         let result = ref None in
         Engine.spawn eng ~name:"accel" (fun () ->
-            let port = Accel.untimed_port (Ast_interp.array_memory data) in
-            result :=
-              Some (Accel.run ~ports ~engine:eng hw ~port ~args:[ 0; a; b ]));
+            let port = ported_port ~ports data in
+            result := Some (Accel.run ~engine:eng hw ~port ~args:[ 0; a; b ]));
         Engine.run eng;
         Option.get !result
       in

@@ -17,7 +17,7 @@ let in_sim_timed eng f =
   let start = Engine.now eng in
   in_sim eng (fun () ->
       let v = f () in
-      (v, Engine.now_p () - start))
+      (v, Engine.now eng - start))
 
 (* A bus on its own engine: the components built on it, and the
    processes that drive them, run there. *)
@@ -103,7 +103,7 @@ let test_bus_serializes_masters () =
   for i = 0 to 2 do
     Engine.spawn eng ~name:(Printf.sprintf "m%d" i) (fun () ->
         ignore (Bus.read_word bus (i * 8));
-        finish_times := Engine.now_p () :: !finish_times)
+        finish_times := Engine.now eng :: !finish_times)
   done;
   Engine.run eng;
   let sorted = List.sort_uniq compare !finish_times in
@@ -230,7 +230,7 @@ let test_cache_invalidate_keeps_racing_store () =
     let pass_end = ref 0 in
     Engine.spawn eng ~name:"host" (fun () ->
         Cache.invalidate_all cache;
-        pass_end := Engine.now_p () - start);
+        pass_end := Engine.now eng - start);
     Option.iter
       (fun (addr, at) ->
         Engine.spawn eng ~name:"cpu" (fun () ->
@@ -269,11 +269,10 @@ let test_cache_eviction () =
 
 (* ------------------------- Scratchpad ----------------------------- *)
 
-(* A scratchpad no process drives: its engine never runs. *)
-let idle_pad ~words = Scratchpad.create ~engine:(Engine.create ()) ~words
+let make_pad ~words = Scratchpad.create ~words ~access_latency:1 ~ports:1
 
 let test_scratchpad_windows () =
-  let pad = idle_pad ~words:64 ~access_latency:1 in
+  let pad = make_pad ~words:64 in
   Scratchpad.map_window pad ~base:0x10000 ~words:16;
   Scratchpad.map_window pad ~base:0x40000 ~words:16;
   check_int "first window at 0" 0 (Scratchpad.local_of_vaddr pad 0x10000);
@@ -287,7 +286,7 @@ let test_scratchpad_windows () =
      | exception Scratchpad.Out_of_window _ -> true)
 
 let test_scratchpad_overlap_rejected () =
-  let pad = idle_pad ~words:64 ~access_latency:1 in
+  let pad = make_pad ~words:64 in
   Scratchpad.map_window pad ~base:0x1000 ~words:16;
   check_bool "overlap rejected" true
     (match Scratchpad.map_window pad ~base:0x1000 ~words:4 with
@@ -295,23 +294,26 @@ let test_scratchpad_overlap_rejected () =
      | exception Invalid_argument _ -> true)
 
 let test_scratchpad_capacity () =
-  let pad = idle_pad ~words:8 ~access_latency:1 in
+  let pad = make_pad ~words:8 in
   check_bool "over capacity rejected" true
     (match Scratchpad.map_window pad ~base:0 ~words:9 with
      | () -> false
      | exception Invalid_argument _ -> true)
 
+(* Accesses are untimed; [hold] prices a group issued together at the
+   access latency per group of [ports]. *)
 let test_scratchpad_rw () =
-  let eng = Engine.create () in
-  let pad = Scratchpad.create ~engine:eng ~words:8 ~access_latency:2 in
-  Scratchpad.map_window pad ~base:0x2000 ~words:8;
-  let v, elapsed =
-    in_sim_timed eng (fun () ->
-        Scratchpad.store pad 0x2008 55;
-        Scratchpad.load pad 0x2008)
+  let holds ports =
+    let pad = Scratchpad.create ~words:8 ~access_latency:2 ~ports in
+    Scratchpad.map_window pad ~base:0x2000 ~words:8;
+    Scratchpad.store pad 0x2008 55;
+    check_int "value" 55 (Scratchpad.load pad 0x2008);
+    List.map (Scratchpad.hold pad) [ 0; 1; 2; 3 ]
   in
-  check_int "value" 55 v;
-  check_int "2 accesses x 2 cycles" 4 elapsed
+  Alcotest.(check (list int)) "1 port: 2 cycles per access" [ 0; 2; 4; 6 ]
+    (holds 1);
+  Alcotest.(check (list int)) "2 ports: 2 cycles per pair" [ 0; 2; 2; 4 ]
+    (holds 2)
 
 (* ------------------------- Dma ------------------------------------ *)
 
@@ -321,7 +323,7 @@ let test_dma_copy_roundtrip () =
     Phys_mem.write phys (i * 8) (i + 1)
   done;
   let eng = Bus.engine bus in
-  let pad = Scratchpad.create ~engine:eng ~words:128 ~access_latency:1 in
+  let pad = make_pad ~words:128 in
   let dma = Dma.create bus in
   in_sim eng (fun () ->
       Dma.copy_in dma pad ~src_phys:0 ~dst_word:0 ~words:100;
@@ -341,7 +343,7 @@ let test_dma_scattered () =
     Phys_mem.write phys (32768 + (i * 8)) (900 + i)
   done;
   let eng = Bus.engine bus in
-  let pad = Scratchpad.create ~engine:eng ~words:64 ~access_latency:1 in
+  let pad = make_pad ~words:64 in
   let dma = Dma.create bus in
   in_sim eng (fun () ->
       Dma.copy_in_scattered dma pad
@@ -353,7 +355,7 @@ let test_dma_scattered () =
 let test_dma_burst_cheaper_than_words () =
   let _, bus = make_bus () in
   let eng = Bus.engine bus in
-  let pad = Scratchpad.create ~engine:eng ~words:256 ~access_latency:1 in
+  let pad = make_pad ~words:256 in
   let dma = Dma.create ~setup_cycles:0 bus in
   let _, burst_time =
     in_sim_timed eng (fun () ->
@@ -417,7 +419,7 @@ let prop_scratchpad_window_translation =
   QCheck.Test.make ~count:100 ~name:"scratchpad: window translation is affine"
     QCheck.(pair (int_range 1 64) (int_bound 63))
     (fun (words, probe) ->
-      let pad = idle_pad ~words:128 ~access_latency:1 in
+      let pad = make_pad ~words:128 in
       let base = 0x4000 in
       Scratchpad.map_window pad ~base ~words;
       let probe = probe mod words in

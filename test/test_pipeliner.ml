@@ -17,7 +17,7 @@ let accel_run ?(pipeline = false) kernel ~data ~args =
   Engine.spawn eng ~name:"accel" (fun () ->
       let port = Accel.untimed_port (Ast_interp.array_memory data) in
       let value = Accel.run ~engine:eng hw ~port ~args in
-      result := Some (value, Engine.now_p ()));
+      result := Some (value, Engine.now eng));
   Engine.run eng;
   (Option.get !result, hw)
 

@@ -41,24 +41,22 @@ let replace ~sub ~by text =
 
 (* Run a compiled module inside a private engine, like the
    model-executor tests do for [Accel.run]. *)
-let run_program ?(ports = 1) ?max_edges prog ~port ~args =
+let run_program ?max_edges prog ~port ~args =
   let eng = Engine.create () in
   let out = ref None in
   let stats = Accel.fresh_stats () in
   Engine.spawn eng ~name:"rtl" (fun () ->
-      out :=
-        Some (Eval.run ~stats ~ports ?max_edges ~engine:eng prog ~port ~args));
+      out := Some (Eval.run ~stats ?max_edges ~engine:eng prog ~port ~args));
   Engine.run eng;
   (Option.get !out, stats)
 
 let compile text = Eval.compile (Parse.parse_module text)
 
-let eval_run ?ports text ~port ~args =
-  run_program ?ports (compile text) ~port ~args
+let eval_run text ~port ~args = run_program (compile text) ~port ~args
 
 (* The same kernel through both executors, untimed memory: returns
    ((ret, data, fsm_cycles) per backend). *)
-let both_backends ?(ports = 1) ?(unroll = 1) kernel ~data ~args =
+let both_backends ?(unroll = 1) kernel ~data ~args =
   let hw = Fsm.synthesize ~unroll kernel in
   let model_data = Array.copy data in
   let model_ret = ref None in
@@ -67,12 +65,12 @@ let both_backends ?(ports = 1) ?(unroll = 1) kernel ~data ~args =
   Engine.spawn eng ~name:"accel" (fun () ->
       let port = Accel.untimed_port (Ast_interp.array_memory model_data) in
       model_ret :=
-        Some (Accel.run ~stats:model_stats ~ports ~engine:eng hw ~port ~args));
+        Some (Accel.run ~stats:model_stats ~engine:eng hw ~port ~args));
   Engine.run eng;
   let text = Vmht_hls.Verilog.emit hw in
   let rtl_data = Array.copy data in
   let out, rtl_stats =
-    eval_run ~ports text
+    eval_run text
       ~port:(Accel.untimed_port (Ast_interp.array_memory rtl_data))
       ~args
   in
@@ -571,7 +569,7 @@ let test_budgets () =
           ~port:(untimed_of [||]) ~args:[ 1 ]
       with
       | _ -> ()
-      | exception Eval.Edge_budget n -> stopped := Some (n, Engine.now_p ()));
+      | exception Eval.Edge_budget n -> stopped := Some (n, Engine.now eng));
   Engine.run eng;
   (match !stopped with
   | Some (n, cycle) ->
@@ -697,12 +695,12 @@ let concurrent_run ~backend ~banks ~ports threads =
   in
   let span, rets =
     Vmht.Launch.run_to_completion soc (fun () ->
-        let t0 = Engine.now_p () in
+        let t0 = Vmht.Soc.now soc in
         let running =
           List.mapi
             (fun i ((inst : W.instance), hw) ->
-              Vmht_rt.Hthreads.spawn ~name:(Printf.sprintf "ht%d" i)
-                (fun () ->
+              Vmht_rt.Hthreads.spawn ~engine:(Vmht.Soc.engine soc)
+                ~name:(Printf.sprintf "ht%d" i) (fun () ->
                   Vmht.Launch.run_hw soc hw
                     { Vmht.Launch.args = inst.W.args; buffers = [] }))
             threads
@@ -712,7 +710,7 @@ let concurrent_run ~backend ~banks ~ports threads =
             (fun t -> (Vmht_rt.Hthreads.join t).Vmht.Launch.ret)
             running
         in
-        (Engine.now_p () - t0, rets))
+        (Vmht.Soc.now soc - t0, rets))
   in
   let load = Vmht_vm.Addr_space.load_word aspace in
   let correct =

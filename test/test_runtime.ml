@@ -64,7 +64,7 @@ let test_condvar_signal () =
       while not !ready do
         Sync.Condvar.wait cv m
       done;
-      observed_at := Engine.now_p ();
+      observed_at := Engine.now eng;
       Sync.Mutex.unlock m);
   Engine.spawn eng ~name:"producer" (fun () ->
       Engine.wait_on eng 50;
@@ -110,7 +110,7 @@ let test_barrier_releases_together () =
       Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
           Engine.wait_on eng delay;
           Sync.Barrier.await b;
-          times := Engine.now_p () :: !times))
+          times := Engine.now eng :: !times))
     [ 5; 20; 35 ];
   Engine.run eng;
   Alcotest.(check (list int)) "all release at the last arrival" [ 35; 35; 35 ]
@@ -122,7 +122,7 @@ let test_completion_before_and_after () =
   ignore
     (run_sim (fun eng ->
          let c = Sync.Completion.create () in
-         Engine.fork ~name:"producer" (fun () ->
+         Engine.spawn eng ~name:"producer" (fun () ->
              Engine.wait_on eng 7;
              Sync.Completion.complete c 42);
          check_int "await" 42 (Sync.Completion.await c);
@@ -134,7 +134,7 @@ let test_hthreads_join () =
   ignore
     (run_sim (fun eng ->
          let t =
-           Hthreads.spawn ~name:"child" (fun () ->
+           Hthreads.spawn ~engine:eng ~name:"child" (fun () ->
                Engine.wait_on eng 11;
                123)
          in
@@ -144,8 +144,10 @@ let test_hthreads_join () =
 let test_hthreads_exception_propagates () =
   let caught = ref false in
   ignore
-    (run_sim (fun _ ->
-         let t = Hthreads.spawn ~name:"bad" (fun () -> failwith "kaput") in
+    (run_sim (fun eng ->
+         let t =
+           Hthreads.spawn ~engine:eng ~name:"bad" (fun () -> failwith "kaput")
+         in
          match Hthreads.join t with
          | _ -> ()
          | exception Failure _ -> caught := true));
@@ -157,7 +159,8 @@ let test_hthreads_parallel_joins () =
     (run_sim (fun eng ->
          let threads =
            List.init 5 (fun i ->
-               Hthreads.spawn ~name:(Printf.sprintf "t%d" i) (fun () ->
+               Hthreads.spawn ~engine:eng ~name:(Printf.sprintf "t%d" i)
+                 (fun () ->
                    Engine.wait_on eng (i * 3);
                    i * 10))
          in

@@ -58,7 +58,7 @@ let test_wait_advances_time () =
   Engine.spawn eng ~name:"p" (fun () ->
       Engine.wait_on eng 10;
       Engine.wait_on eng 5;
-      finished_at := Engine.now_p ());
+      finished_at := Engine.now eng);
   Engine.run eng;
   check_int "time advanced" 15 !finished_at
 
@@ -80,11 +80,11 @@ let test_fork () =
   let eng = Engine.create () in
   let results = ref [] in
   Engine.spawn eng ~name:"parent" (fun () ->
-      Engine.fork ~name:"child" (fun () ->
+      Engine.spawn eng ~name:"child" (fun () ->
           Engine.wait_on eng 3;
-          results := ("child", Engine.now_p ()) :: !results);
+          results := ("child", Engine.now eng) :: !results);
       Engine.wait_on eng 1;
-      results := ("parent", Engine.now_p ()) :: !results);
+      results := ("parent", Engine.now eng) :: !results);
   Engine.run eng;
   Alcotest.(check (list (pair string int)))
     "parent then child" [ ("parent", 1); ("child", 3) ]
@@ -96,7 +96,7 @@ let test_suspend_resume () =
   let woke_at = ref (-1) in
   Engine.spawn eng ~name:"sleeper" (fun () ->
       Engine.suspend (fun resume -> resumer := Some resume);
-      woke_at := Engine.now_p ());
+      woke_at := Engine.now eng);
   Engine.spawn eng ~name:"waker" (fun () ->
       Engine.wait_on eng 42;
       match !resumer with Some r -> r () | None -> Alcotest.fail "no resumer");
@@ -146,10 +146,8 @@ let test_not_in_process () =
   let raises f =
     match f () with () -> false | exception Engine.Not_in_process -> true
   in
-  check_bool "now_p outside process raises" true
-    (raises (fun () -> ignore (Engine.now_p ())));
-  check_bool "fork outside process raises" true
-    (raises (fun () -> Engine.fork ~name:"p" ignore));
+  check_bool "suspend outside process raises" true
+    (raises (fun () -> Engine.suspend ignore));
   (* A held handle waits only while its engine runs: not outside any
      run, and not from a process of another engine. *)
   let eng = Engine.create () in
@@ -172,7 +170,7 @@ let test_determinism () =
     for i = 0 to 9 do
       Engine.spawn eng ~name:(string_of_int i) (fun () ->
           Engine.wait_on eng (i * 3 mod 7);
-          Buffer.add_string log (Printf.sprintf "%d@%d;" i (Engine.now_p ())))
+          Buffer.add_string log (Printf.sprintf "%d@%d;" i (Engine.now eng)))
     done;
     Engine.run eng;
     Buffer.contents log
@@ -183,8 +181,8 @@ let test_determinism () =
    [body] under a handler that counts every effect it performs and
    forwards it ([None]) to the engine's own handler, so the process
    behaves exactly as without it.  Only a wait some queued event must
-   precede, and a suspend, may yield; fast-forwarded waits, [now_p] and
-   [fork] are plain calls.  A timing gate cannot tell whether the fast
+   precede, and a suspend, may yield; fast-forwarded waits, [now] and
+   [spawn] are plain calls.  A timing gate cannot tell whether the fast
    path still avoids the effect; this count can. *)
 let counting effects body () =
   Effect.Deep.match_with body ()
@@ -197,18 +195,18 @@ let counting effects body () =
           None);
     }
 
-let waits_then_fork eng ended () =
+let waits_then_spawn eng ended () =
   for _ = 1 to 1000 do
     Engine.wait_on eng 1
   done;
-  ended := Engine.now_p ();
-  Engine.fork ~name:"child" ignore
+  ended := Engine.now eng;
+  Engine.spawn eng ~name:"child" ignore
 
 let test_lone_waits_perform_no_effect () =
   let eng = Engine.create () in
   let effects = ref 0 and ended = ref (-1) in
   Engine.spawn eng ~name:"counted"
-    (counting effects (waits_then_fork eng ended));
+    (counting effects (waits_then_spawn eng ended));
   Engine.run eng;
   check_int "effects" 0 !effects;
   check_int "ended at" 1000 !ended;
@@ -218,7 +216,7 @@ let test_contended_waits_yield () =
   let eng = Engine.create () in
   let effects = ref 0 and ended = ref (-1) in
   Engine.spawn eng ~name:"counted"
-    (counting effects (waits_then_fork eng ended));
+    (counting effects (waits_then_spawn eng ended));
   (* Wakes every cycle, so each of the counted waits ties with it. *)
   Engine.spawn eng ~name:"ticker" (fun () ->
       for _ = 1 to 1000 do
@@ -251,7 +249,7 @@ let test_lone_run_performs_no_effect () =
   Engine.spawn eng ~name:"counted"
     (counting effects (fun () ->
          Engine.waits_on eng costs;
-         ended := Engine.now_p ()));
+         ended := Engine.now eng));
   Engine.run eng;
   check_int "effects" 0 !effects;
   check_int "ended at" total !ended;
@@ -267,7 +265,7 @@ let test_contended_run_yields_per_wait () =
     Engine.spawn eng ~name:"counted"
       (counting effects (fun () ->
            issue eng (Array.make 1000 1);
-           ended := Engine.now_p ()));
+           ended := Engine.now eng));
     Engine.spawn eng ~name:"ticker" (fun () ->
         for _ = 1 to 1000 do
           Engine.wait_on eng 1
@@ -360,7 +358,7 @@ let run_engine_case ?(split = false) ~fastpath (procs, until) =
   let rec proc acts () =
     let pid = !next_pid in
     incr next_pid;
-    let record step = log := (Engine.now_p (), pid, step) :: !log in
+    let record step = log := (Engine.now eng, pid, step) :: !log in
     List.iteri
       (fun step act ->
         record step;
@@ -369,7 +367,7 @@ let run_engine_case ?(split = false) ~fastpath (procs, until) =
         | Run costs ->
           if split then Array.iter (Engine.wait_on eng) costs
           else Engine.waits_on eng costs
-        | Fork p -> Engine.fork ~name:"child" (proc p)
+        | Fork p -> Engine.spawn eng ~name:"child" (proc p)
         | Park -> Engine.suspend (fun resume -> Queue.push resume parked)
         | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt parked))
       acts;
@@ -435,7 +433,7 @@ let test_resource_serializes () =
   for i = 1 to 3 do
     Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
         Resource.use bus ~cycles:10;
-        finish := (i, Engine.now_p ()) :: !finish)
+        finish := (i, Engine.now eng) :: !finish)
   done;
   Engine.run eng;
   Alcotest.(check (list (pair int int)))
@@ -529,7 +527,7 @@ let suite =
     Alcotest.test_case "engine: stuck detection" `Quick test_stuck_detection;
     Alcotest.test_case "engine: not in process" `Quick test_not_in_process;
     Alcotest.test_case "engine: deterministic" `Quick test_determinism;
-    Alcotest.test_case "engine: lone waits, now_p, fork perform no effect"
+    Alcotest.test_case "engine: lone waits, now, spawn perform no effect"
       `Quick test_lone_waits_perform_no_effect;
     Alcotest.test_case "engine: contended waits yield" `Quick
       test_contended_waits_yield;

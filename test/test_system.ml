@@ -170,16 +170,13 @@ let test_multi_thread_concurrent () =
                  (Workload.kernel w)) in
   let r1, r2 =
     Launch.run_to_completion soc (fun () ->
-        let t1 =
-          Vmht_rt.Hthreads.spawn ~name:"ht1" (fun () ->
+        let spawn name (i : Workload.instance) =
+          Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) ~name (fun () ->
               Launch.run_hw soc hw
-                { Launch.args = i1.Workload.args; buffers = [] })
+                { Launch.args = i.Workload.args; buffers = [] })
         in
-        let t2 =
-          Vmht_rt.Hthreads.spawn ~name:"ht2" (fun () ->
-              Launch.run_hw soc hw
-                { Launch.args = i2.Workload.args; buffers = [] })
-        in
+        let t1 = spawn "ht1" i1 in
+        let t2 = spawn "ht2" i2 in
         (Vmht_rt.Hthreads.join t1, Vmht_rt.Hthreads.join t2))
   in
   check_bool "thread 1 result" true (r1.Launch.ret = i1.Workload.expected_ret);
@@ -198,13 +195,15 @@ let test_deterministic_cycles () =
   in
   check_int "same cycle count across runs" (run ()) (run ())
 
-(* A VM thread's memory access allocates nothing on its way through
-   the accelerator, the wrapper port, the TLB, the stream buffer and
-   the bus: what a lone run allocates is set-up (the compiled states,
-   the MMU, the buffer's lines) plus a line's fill now and then, a few
-   words per access in all where per-access lists and closures cost
-   about a hundred. *)
-let minor_words_per_access name ~size =
+(* A hardware thread's memory access allocates nothing on its way
+   through the accelerator and the wrapper: a VM access through the
+   port, the TLB, the stream buffer and the bus, a DMA access through
+   the scratchpad.  What a lone run allocates is set-up (the compiled
+   states, the MMU, the buffer's lines; the DMA style's page lists and
+   copy bursts) plus a line's fill now and then, a few words per access
+   in all where per-access lists and closures cost about a hundred and
+   a forked process per access about forty. *)
+let minor_words_per_access mode name ~size =
   let config = Config.default in
   let w = Registry.find name in
   let soc = Soc.create config in
@@ -212,29 +211,37 @@ let minor_words_per_access name ~size =
   let request =
     { Launch.args = instance.Workload.args; buffers = instance.Workload.buffers }
   in
+  let style = if mode = Dma then Wrapper.Dma_iface else Wrapper.Vm_iface in
   let hw =
     Flow.run_exn
-      (Flow.Request.of_kernel ~config ~style:Wrapper.Vm_iface
-         (Workload.kernel w))
+      (Flow.Request.of_kernel ~config ~style (Workload.kernel w))
   in
   let before = Gc.minor_words () in
   let result =
     Launch.run_to_completion soc (fun () -> Launch.run_hw soc hw request)
   in
   let words = Gc.minor_words () -. before in
-  check_result w Vm instance result;
+  check_result w mode instance result;
   let s = Option.get result.Launch.accel_stats in
   words /. float_of_int (s.Vmht_hls.Accel.loads + s.Vmht_hls.Accel.stores)
 
-let test_vm_access_allocation_budget () =
+let access_allocation_budget mode ~bound points =
   List.iter
     (fun (name, size) ->
-      let per_access = minor_words_per_access name ~size in
+      let per_access = minor_words_per_access mode name ~size in
       check_bool
-        (Printf.sprintf "%s vm %d: %.1f minor words per access < 32" name size
-           per_access)
-        true (per_access < 32.))
+        (Printf.sprintf "%s %s %d: %.1f minor words per access < %.0f" name
+           (mode_name mode) size per_access bound)
+        true (per_access < bound))
+    points
+
+let test_vm_access_allocation_budget () =
+  access_allocation_budget Vm ~bound:32.
     [ ("vecadd", 4096); ("stencil3", 4096); ("spmv", 512) ]
+
+let test_dma_access_allocation_budget () =
+  access_allocation_budget Dma ~bound:8.
+    [ ("vecadd", 4096); ("saxpy", 4096); ("spmv", 512) ]
 
 let suite =
   [
@@ -258,4 +265,6 @@ let suite =
       test_deterministic_cycles;
     Alcotest.test_case "vm: access allocation budget" `Quick
       test_vm_access_allocation_budget;
+    Alcotest.test_case "dma: access allocation budget" `Quick
+      test_dma_access_allocation_budget;
   ]

@@ -32,7 +32,7 @@ let in_sim_timed bus f =
   let start = Engine.now (Bus.engine bus) in
   in_sim bus (fun () ->
       let v = f () in
-      (v, Engine.now_p () - start))
+      (v, Engine.now (Bus.engine bus) - start))
 
 (* ------------------------- Frame_alloc ---------------------------- *)
 

@@ -87,7 +87,7 @@ let rtl_eval () =
     Vmht_hls.Accel.untimed_port (Vmht_lang.Ast_interp.array_memory data)
   in
   let eng = Vmht_sim.Engine.create () in
-  Vmht_sim.Engine.spawn eng ~name:"rtl" (fun () ->
+  Vmht_sim.Engine.spawn eng (fun () ->
       ignore
         (Vmht_rtl.Eval.run ~engine:eng (Lazy.force stencil3_program) ~port
            ~args:[ 0; n * 8; n - 1 ]));
@@ -103,7 +103,7 @@ let hls_accel () =
     Vmht_hls.Accel.untimed_port (Vmht_lang.Ast_interp.array_memory data)
   in
   let eng = Vmht_sim.Engine.create () in
-  Vmht_sim.Engine.spawn eng ~name:"accel" (fun () ->
+  Vmht_sim.Engine.spawn eng (fun () ->
       ignore
         (Vmht_hls.Accel.run ~engine:eng (Lazy.force stencil3_u4b4).Vmht.Flow.fsm
            ~port ~args:[ 0; n * 8; n - 1 ]));
@@ -191,7 +191,7 @@ let mmu_translate_churn () =
   in
   let base = Vmht_vm.Addr_space.alloc aspace ~bytes:(8 * 4096) in
   let mmu = Vmht_vm.Mmu.create Vmht_vm.Mmu.default_config bus aspace in
-  Vmht_sim.Engine.spawn eng ~name:"bench" (fun () ->
+  Vmht_sim.Engine.spawn eng (fun () ->
       (* 8 pages of working set against a 16-entry TLB: after the 8
          cold misses every translate is a hit — the fast path. *)
       for i = 0 to 4095 do
@@ -211,12 +211,12 @@ let engine_wait () =
       Engine.wait_on eng 1
     done
   in
-  Engine.spawn eng ~name:"lone" (ticks 4096);
+  Engine.spawn eng (ticks 4096);
   Engine.run eng;
-  Engine.spawn eng ~name:"a" (ticks 1024);
-  Engine.spawn eng ~name:"b" (ticks 1024);
+  Engine.spawn eng (ticks 1024);
+  Engine.spawn eng (ticks 1024);
   Engine.run eng;
-  Engine.spawn eng ~name:"join" (fun () ->
+  Engine.spawn eng (fun () ->
       for _ = 1 to 256 do
         let remaining = ref 2 and parked = ref ignore in
         let child () =
@@ -224,8 +224,8 @@ let engine_wait () =
           decr remaining;
           if !remaining = 0 then !parked ()
         in
-        Engine.spawn eng ~name:"child" child;
-        Engine.spawn eng ~name:"child" child;
+        Engine.spawn eng child;
+        Engine.spawn eng child;
         Engine.suspend (fun resume -> parked := resume)
       done);
   Engine.run eng
@@ -244,8 +244,7 @@ let multi_thread_pair () =
   in
   Vmht.Launch.run_to_completion soc (fun () ->
       let spawn inst =
-        Vmht_rt.Hthreads.spawn ~engine:(Vmht.Soc.engine soc) ~name:"ht"
-          (fun () ->
+        Vmht_rt.Hthreads.spawn ~engine:(Vmht.Soc.engine soc) (fun () ->
             Vmht.Launch.run_hw soc hw
               { Vmht.Launch.args = inst.Workload.args; buffers = [] })
       in

@@ -243,24 +243,14 @@ let mode_conv =
 let if_some set flag config =
   match flag with Some v -> set config v | None -> config
 
-(* [run] and [trace] build their system the same way: the flags onto
-   the config, then [Common.run] builds the SoC and the workload
-   instance and runs it — all under {!checked}, so a bad geometry flag
-   is exit 1 wherever the library rejects it. *)
-let simulate ?trace_events ~observe ~tlb2 ~walk_cache mode w ~size config k =
-  let enable_tlb2 config entries =
-    Vmht.Config.with_tlb2 config
-      { Vmht_vm.Tlb2.default_config with Vmht_vm.Tlb2.enabled = true; entries }
+(* "--component mmu" matches every numbered instance ("mmu", "mmu1",
+   ...); an exact instance name still selects just it. *)
+let component_matches c name =
+  let rec base i =
+    if i > 0 && name.[i - 1] >= '0' && name.[i - 1] <= '9' then base (i - 1)
+    else i
   in
-  checked
-    (fun () ->
-      let config =
-        config ()
-        |> if_some enable_tlb2 tlb2
-        |> if_some Vmht.Config.with_walk_cache walk_cache
-      in
-      Vmht_eval.Common.run ~config ?trace_events ~observe mode w ~size)
-    k
+  name = c || String.sub name 0 (base (String.length name)) = c
 
 let run_cmd =
   let workload_arg =
@@ -301,7 +291,10 @@ let run_cmd =
       value
       & opt (some int) None
       & info [ "trace" ] ~docv:"N"
-          ~doc:"Record the system trace and print its first $(docv) events.")
+          ~doc:
+            "Record the system trace and print its first $(docv) events \
+             (after $(b,--component)/$(b,--kind)), with the number the \
+             trace ring dropped.")
   in
   let trace_out =
     Arg.(
@@ -309,8 +302,27 @@ let run_cmd =
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
-            "Record the system trace and write it as Chrome-trace JSON \
-             (load in Perfetto or chrome://tracing) to $(docv).")
+            "Record the system trace and write its events (after \
+             $(b,--component)/$(b,--kind)) as Chrome-trace JSON (load in \
+             Perfetto or chrome://tracing) to $(docv).")
+  in
+  let component =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "component" ] ~docv:"NAME"
+          ~doc:
+            "Keep only trace events from this component (bus, mmu, dram, \
+             dma, ...); a base name matches every numbered instance.")
+  in
+  let kind =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "kind" ] ~docv:"TAG"
+          ~doc:
+            "Keep only trace events of this kind (tlb_miss, bus_txn, \
+             page_fault, ...).")
   in
   let metrics_json =
     Arg.(
@@ -338,8 +350,8 @@ let run_cmd =
     Arg.(value & opt int 1 & info [ "unroll" ] ~doc:"Loop unroll factor.")
   in
   let action wname mode size tlb tlb2 walk_cache page_shift stats trace_n
-      trace_out metrics_json spans_out pipeline unroll banks backend opt_level
-      passes =
+      trace_out component kind metrics_json spans_out pipeline unroll banks
+      backend opt_level passes =
     match Vmht_workloads.Registry.find wname with
     | exception Not_found ->
       Printf.eprintf "unknown workload '%s' (try: vmht list)\n" wname;
@@ -351,49 +363,92 @@ let run_cmd =
         "--backend rtl does not support --pipeline (the emitted FSM is \
          unpipelined)\n";
       1
+    | _ when (match trace_n with Some n -> n < 0 | None -> false) ->
+      Printf.eprintf "error: --trace takes a count of events, not %d\n"
+        (Option.get trace_n);
+      1
     | w ->
       let size =
         Option.value ~default:w.Vmht_workloads.Workload.default_size size
       in
-      let observe = Option.is_some trace_out || Option.is_some metrics_json in
+      let observe =
+        Option.is_some trace_n || Option.is_some trace_out
+        || Option.is_some metrics_json
+      in
+      let enable_tlb2 config entries =
+        Vmht.Config.with_tlb2 config
+          {
+            Vmht_vm.Tlb2.default_config with
+            Vmht_vm.Tlb2.enabled = true;
+            entries;
+          }
+      in
       if Option.is_some spans_out then Vmht_obs.Span.enable true;
-      simulate ?trace_events:trace_n ~observe ~tlb2 ~walk_cache mode w ~size
-        (fun () ->
+      (* The flags onto the config, then [Common.run] builds the SoC and
+         the workload instance and runs it, all under {!checked}, so a
+         bad geometry flag is exit 1 wherever the library rejects it. *)
+      checked (fun () ->
           let config = config_with_opt Vmht.Config.default opt_level passes in
           let config = Vmht.Config.with_backend config backend in
           let config = Vmht.Config.with_unroll config unroll in
           let config = Vmht.Config.with_banks config banks in
           let config = Vmht.Config.with_pipelining config pipeline in
-          let config = if_some Vmht.Config.with_tlb_entries tlb config in
-          if_some Vmht.Config.with_page_shift page_shift config)
+          let config =
+            config
+            |> if_some Vmht.Config.with_tlb_entries tlb
+            |> if_some Vmht.Config.with_page_shift page_shift
+            |> if_some enable_tlb2 tlb2
+            |> if_some Vmht.Config.with_walk_cache walk_cache
+          in
+          Vmht_eval.Common.run ~config ~observe mode w ~size)
       @@ fun o ->
       let r = o.Vmht_eval.Common.result in
+      let soc = o.Vmht_eval.Common.soc in
+      let ring = Vmht.Soc.trace soc in
+      let keep (e : Vmht_obs.Event.t) =
+        (match component with
+         | Some c -> component_matches c e.Vmht_obs.Event.component
+         | None -> true)
+        &&
+        match kind with
+        | Some k -> Vmht_obs.Event.label e.Vmht_obs.Event.kind = k
+        | None -> true
+      in
+      let events = List.filter keep (Vmht_sim.Trace.events ring) in
+      let n_events = List.length events in
+      if
+        (Option.is_some component || Option.is_some kind)
+        && events = []
+        && Vmht_sim.Trace.count ring > 0
+      then
+        Printf.eprintf
+          "no events matched the filter (check --component/--kind against \
+           the unfiltered dump)\n";
       let trace_ok =
         match trace_out with
         | Some path ->
           write_json "trace" path
-            (Vmht_obs.Chrome_trace.to_json
-               ~pid:(Vmht.Soc.id o.Vmht_eval.Common.soc)
-               (Vmht_sim.Trace.events (Vmht.Soc.trace o.Vmht_eval.Common.soc)))
+            (Vmht_obs.Chrome_trace.to_json ~pid:(Vmht.Soc.id soc) events)
         | None -> true
       in
       let spans_ok =
         match spans_out with Some path -> write_spans path | None -> true
       in
-      let report_json () =
-        Vmht.Report.to_json
-          (Vmht.Report.gather o.Vmht_eval.Common.soc ~workload:wname
-             ~mode:(Vmht_eval.Common.mode_name mode)
-             ~size r)
+      let report () =
+        Vmht.Report.gather soc ~workload:wname
+          ~mode:(Vmht_eval.Common.mode_name mode)
+          ~size r
       in
       let metrics_ok =
         match metrics_json with
-        | Some path when path <> "-" -> write_json "metrics" path (report_json ())
+        | Some path when path <> "-" ->
+          write_json "metrics" path (Vmht.Report.to_json (report ()))
         | Some _ | None -> true
       in
       if metrics_json = Some "-" then
         (* Machine-readable mode: the report JSON is the only stdout. *)
-        print_endline (Vmht_obs.Json.to_string_pretty (report_json ()))
+        print_endline
+          (Vmht_obs.Json.to_string_pretty (Vmht.Report.to_json (report ())))
       else begin
         Printf.printf "%s / %s / size %d: %s cycles (%s)\n" wname
           (Vmht_eval.Common.mode_name mode)
@@ -415,7 +470,7 @@ let run_cmd =
          | None -> ());
         (match trace_out with
          | Some path when trace_ok ->
-           Printf.printf "  trace written to %s\n" path
+           Printf.printf "  trace written to %s (%d events)\n" path n_events
          | _ -> ());
         (match spans_out with
          | Some path when spans_ok ->
@@ -427,12 +482,9 @@ let run_cmd =
          | _ -> ());
         (match trace_n with
          | Some n ->
-           let events =
-             Vmht_sim.Trace.events (Vmht.Soc.trace o.Vmht_eval.Common.soc)
-           in
-           Printf.printf "  trace (%d of %d events):\n"
-             (min n (List.length events))
-             (List.length events);
+           Printf.printf "  trace (%d of %d events, %d dropped by the ring):\n"
+             (min n n_events) n_events
+             (Vmht_sim.Trace.dropped ring);
            List.iteri
              (fun i e ->
                if i < n then
@@ -440,13 +492,8 @@ let run_cmd =
              events
          | None -> ());
         if stats then begin
-          let report =
-            Vmht.Report.gather o.Vmht_eval.Common.soc ~workload:wname
-              ~mode:(Vmht_eval.Common.mode_name mode)
-              ~size r
-          in
           print_newline ();
-          print_string (Vmht.Report.to_string report)
+          print_string (Vmht.Report.to_string (report ()))
         end
       end;
       if not o.Vmht_eval.Common.correct then 1
@@ -457,132 +504,9 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a benchmark workload on the simulated SoC.")
     Term.(
       const action $ workload_arg $ mode $ size $ tlb $ tlb2 $ walk_cache
-      $ page_shift $ stats $ trace_n $ trace_out $ metrics_json $ spans_out
-      $ pipeline $ unroll $ banks_arg $ backend_arg $ opt_level_arg
-      $ passes_arg)
-
-(* ------------------------- trace ---------------------------------- *)
-
-let trace_cmd =
-  let workload_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Vmht_eval.Common.Vm
-      & info [ "mode" ] ~doc:"Execution style: sw, vm or dma.")
-  in
-  let size = Arg.(value & opt (some int) None & info [ "size" ]) in
-  let component =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "component" ] ~docv:"NAME"
-          ~doc:"Only events from this component (bus, mmu, dram, ...).")
-  in
-  let kind =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "kind" ] ~docv:"TAG"
-          ~doc:
-            "Only events of this kind (tlb_miss, bus_txn, page_fault, ...).")
-  in
-  let limit =
-    Arg.(
-      value & opt int 40
-      & info [ "limit" ] ~docv:"N" ~doc:"Print at most $(docv) events.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the (filtered) events as Chrome-trace JSON instead of \
-             text.")
-  in
-  let tlb2 =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tlb2" ] ~docv:"ENTRIES"
-          ~doc:"Enable the shared second-level TLB with $(docv) entries.")
-  in
-  let walk_cache =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "walk-cache" ] ~docv:"ENTRIES"
-          ~doc:"Give each page-table walker a $(docv)-entry walk cache.")
-  in
-  let action wname mode size tlb2 walk_cache component kind limit out =
-    match Vmht_workloads.Registry.find wname with
-    | exception Not_found ->
-      Printf.eprintf "unknown workload '%s' (try: vmht list)\n" wname;
-      1
-    | w ->
-      let size =
-        Option.value ~default:w.Vmht_workloads.Workload.default_size size
-      in
-      simulate ~observe:true ~tlb2 ~walk_cache mode w ~size (fun () ->
-          Vmht.Config.default)
-      @@ fun o ->
-      let tr = Vmht.Soc.trace o.Vmht_eval.Common.soc in
-      (* "--component mmu" matches every numbered instance ("mmu",
-         "mmu1", ...); an exact instance name still selects just it. *)
-      let base name =
-        let n = String.length name in
-        let rec go i = if i > 0 && name.[i - 1] >= '0' && name.[i - 1] <= '9' then go (i - 1) else i in
-        String.sub name 0 (go n)
-      in
-      let keep (e : Vmht_obs.Event.t) =
-        (match component with
-         | Some c ->
-           e.Vmht_obs.Event.component = c
-           || base e.Vmht_obs.Event.component = c
-         | None -> true)
-        && (match kind with
-            | Some k -> Vmht_obs.Event.label e.Vmht_obs.Event.kind = k
-            | None -> true)
-      in
-      let events = List.filter keep (Vmht_sim.Trace.events tr) in
-      if events = [] && Vmht_sim.Trace.count tr > 0 then
-        Printf.eprintf
-          "no events matched the filter (check --component/--kind against \
-           the unfiltered dump)\n";
-      let write_ok = ref true in
-      (match out with
-       | Some path ->
-         if write_json "trace" path (Vmht_obs.Chrome_trace.to_json events) then
-           Printf.printf "%d events written to %s\n" (List.length events)
-             path
-         else write_ok := false
-       | None ->
-         let dropped = Vmht_sim.Trace.dropped tr in
-         if dropped > 0 then
-           Printf.printf "... %d earlier events dropped ...\n" dropped;
-         List.iteri
-           (fun i e ->
-             if i < limit then
-               print_endline (Vmht_obs.Event.to_string e))
-           events;
-         if List.length events > limit then
-           Printf.printf "... %d more events (raise --limit) ...\n"
-             (List.length events - limit));
-      if not o.Vmht_eval.Common.correct then 1
-      else if not !write_ok then exit_write_failed
-      else 0
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a workload with event observation on and dump or export its \
-          typed trace.")
-    Term.(
-      const action $ workload_arg $ mode $ size $ tlb2 $ walk_cache
-      $ component $ kind $ limit $ out)
+      $ page_shift $ stats $ trace_n $ trace_out $ component $ kind
+      $ metrics_json $ spans_out $ pipeline $ unroll $ banks_arg $ backend_arg
+      $ opt_level_arg $ passes_arg)
 
 (* ------------------------- system --------------------------------- *)
 
@@ -1717,7 +1641,6 @@ let () =
             compile_cmd;
             synth_cmd;
             run_cmd;
-            trace_cmd;
             system_cmd;
             bench_cmd;
             serve_cmd;

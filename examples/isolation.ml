@@ -49,12 +49,11 @@ let () =
   in
   let ra, rb =
     Launch.run_to_completion soc (fun () ->
-        let spawn name mmu =
-          Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) ~name (fun () ->
-              run mmu)
+        let spawn mmu =
+          Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) (fun () -> run mmu)
         in
-        let ta = spawn "proc-a" mmu_a in
-        let tb = spawn "proc-b" mmu_b in
+        let ta = spawn mmu_a in
+        let tb = spawn mmu_b in
         (Vmht_rt.Hthreads.join ta, Vmht_rt.Hthreads.join tb))
   in
   Printf.printf

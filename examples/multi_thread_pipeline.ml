@@ -59,14 +59,14 @@ let () =
           produce frame;
           (* Hardware stage 2: smooth.  Runs as its own thread. *)
           let t_sm =
-            Hthreads.spawn ~engine:(Soc.engine soc) ~name:"stencil" (fun () ->
+            Hthreads.spawn ~engine:(Soc.engine soc) (fun () ->
                 Launch.run_hw soc stencil
                   { Launch.args = [ raw; smooth; n - 1 ]; buffers = [] })
           in
           ignore (Hthreads.join t_sm);
           (* Hardware stage 3: histogram the smoothed frame. *)
           let t_h =
-            Hthreads.spawn ~engine:(Soc.engine soc) ~name:"hist" (fun () ->
+            Hthreads.spawn ~engine:(Soc.engine soc) (fun () ->
                 Launch.run_hw soc hist
                   { Launch.args = [ smooth; histo; n ]; buffers = [] })
           in

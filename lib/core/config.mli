@@ -73,7 +73,11 @@ val with_banks : t -> int -> t
 val with_fault : t -> Vmht_fault.Plan.t -> t
 
 val with_seed : t -> int -> t
-(** Seed for workload data and the fault schedule. *)
+(** Seed of the fault schedule: every injector stream of an SoC built
+    from the config is drawn from it ({!Soc.make_injector}).  Workload
+    data has its own seed ([Vmht_eval.Common.run ?seed], 42 by
+    default); of the experiments only [robust] passes this one there
+    too. *)
 
 val with_opt_level : t -> int -> t
 (** Raises [Invalid_argument] naming the level when it is outside

@@ -184,18 +184,6 @@ let reset_cache () =
   Mutex.unlock cache_mutex;
   Vmht_rtl.Eval.reset_memo ()
 
-let sync_cache_metrics m =
-  let s = cache_stats () in
-  Vmht_obs.Metrics.set_counter
-    (Vmht_obs.Metrics.counter m "flow.synth_cache_hits")
-    s.cache_hits;
-  Vmht_obs.Metrics.set_counter
-    (Vmht_obs.Metrics.counter m "flow.synth_cache_misses")
-    s.cache_misses;
-  Vmht_obs.Metrics.set_counter
-    (Vmht_obs.Metrics.counter m "flow.synth_cache_entries")
-    s.cache_entries
-
 (* The memo-miss producer: consult the persistent backend (if any),
    fall back to a fresh synthesis, write fresh results through.  A
    failed write-back still returns the synthesized hardware alongside

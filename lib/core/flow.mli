@@ -164,8 +164,3 @@ val reset_cache : unit -> unit
     Also empties the RTL evaluator's compiled-program memo
     ({!Vmht_rtl.Eval.reset_memo}), so nothing derived from a dropped
     [hw_thread] outlives it. *)
-
-val sync_cache_metrics : Vmht_obs.Metrics.t -> unit
-(** Publish the cache counters into a metrics registry as
-    ["flow.synth_cache_hits"/"flow.synth_cache_misses"/
-    "flow.synth_cache_entries"]. *)

@@ -232,16 +232,18 @@ let pin_and_chunk soc buffer =
 let run_hw_dma soc (hw : Flow.hw_thread) request =
   let engine = Soc.engine soc in
   let t0 = Soc.now soc in
-  let pad, dma = Soc.make_scratchpad soc in
   let total_words =
     List.fold_left (fun acc b -> acc + b.words) 0 request.buffers
   in
-  if total_words > Scratchpad.capacity_words pad then
+  let capacity = (Soc.config soc).Config.scratchpad_words in
+  if total_words > capacity then
     raise
       (Window_overflow
-         (Printf.sprintf
-            "buffers need %d words but the scratchpad holds %d" total_words
-            (Scratchpad.capacity_words pad)));
+         (Printf.sprintf "buffers need %d words but the scratchpad holds %d"
+            total_words capacity));
+  (* The scratchpad is built with exactly the words its windows map:
+     the configured capacity is the bound, not an allocation. *)
+  let pad, dma = Soc.make_scratchpad soc ~words:total_words in
   (* Page pinning is the DMA style's analogue of translation; spans
      are measured so the staging/draining segments can report pure copy
      time.  All of this runs in the launching process, serially. *)

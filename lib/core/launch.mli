@@ -34,8 +34,10 @@ type result = {
 }
 
 exception Window_overflow of string
-(** The DMA style's buffers exceed the scratchpad capacity — the
-    failure mode VM-enabled threads do not have. *)
+(** The DMA style's buffers exceed the scratchpad capacity
+    ([Config.scratchpad_words]) — the failure mode VM-enabled threads
+    do not have.  Buffers that fit are staged into a scratchpad of
+    exactly their words. *)
 
 val run_sw : Soc.t -> Vmht_ir.Ir.func -> request -> result
 
@@ -57,4 +59,6 @@ val run_hw : Soc.t -> Flow.hw_thread -> request -> result
 
 val run_to_completion : Soc.t -> (unit -> 'a) -> 'a
 (** Run [main] as the root process until the system quiesces and
-    return its value (re-raising its exception, if any). *)
+    return its value (re-raising its exception, if any).  A [main] or
+    thread left parked when the system quiesces raises
+    {!Vmht_sim.Engine.Stuck} ({!Soc.run}). *)

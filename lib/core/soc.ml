@@ -130,8 +130,8 @@ let cpu t = t.cpu
 let now t = Engine.now t.engine
 
 let run t main =
-  Engine.spawn t.engine ~name:"main" main;
-  Engine.run t.engine
+  Engine.spawn t.engine main;
+  Engine.run ~check_quiescent:true t.engine
 
 let trace t = t.trace
 
@@ -210,9 +210,6 @@ let install_observers t =
 let enable_tracing t =
   Vmht_sim.Trace.enable t.trace true;
   t.observing <- true;
-  (* Event-queue contention: sizes of same-timestamp dispatch batches. *)
-  let batch_hist = Metrics.histogram t.metrics "engine.dispatch_batch" in
-  Engine.observe_batches t.engine (Metrics.observe batch_hist);
   install_observers t
 
 let make_mmu ?aspace t =
@@ -315,12 +312,7 @@ let vm_port_metered t mmu =
   in
   (port, (fun () -> Cache.flush buffer), meter)
 
-let make_scratchpad ?words t =
-  let words =
-    match words with
-    | Some w -> w
-    | None -> t.config.Config.scratchpad_words
-  in
+let make_scratchpad t ~words =
   let pad =
     Scratchpad.create ~words ~access_latency:1
       ~ports:

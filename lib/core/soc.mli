@@ -41,7 +41,10 @@ val now : t -> int
 
 val run : t -> (unit -> unit) -> unit
 (** Spawn [main] as the root simulated process and run the engine to
-    quiescence.  Exceptions raised inside propagate. *)
+    quiescence.  Exceptions raised inside propagate.  A process still
+    parked when the event queue drains (a [main] or a thread that waits
+    on something nothing will ever signal) raises
+    {!Vmht_sim.Engine.Stuck}, naming how many and the cycle. *)
 
 val make_mmu : ?aspace:Vmht_vm.Addr_space.t * int -> t -> Vmht_vm.Mmu.t
 (** A fresh MMU (private TLB) for one VM-enabled hardware thread;
@@ -78,9 +81,12 @@ val vm_port_metered :
     completes; the third is the port's attribution meter (read it after
     the thread completes). *)
 
-val make_scratchpad : ?words:int -> t -> Vmht_mem.Scratchpad.t * Vmht_mem.Dma.t
+val make_scratchpad :
+  t -> words:int -> Vmht_mem.Scratchpad.t * Vmht_mem.Dma.t
 (** Scratchpad + DMA engine for one copy-based accelerator.  The
-    scratchpad has the ports the schedule was arbitrated for
+    scratchpad holds [words] words (the launcher passes what the run's
+    windows map, after checking it against [Config.scratchpad_words]),
+    has the ports the schedule was arbitrated for
     ({!Vmht_hls.Schedule.mem_total_ports} of [Config.resources]) and a
     one-cycle access latency. *)
 
@@ -135,7 +141,7 @@ val emit :
   t -> component:string -> ?duration:int -> Vmht_obs.Event.kind -> unit
 (** Record one event as [component] would: stamped at
     [now - duration] and routed to the trace ring and metrics.  Used by
-    the launcher for phase/thread markers. *)
+    the launcher for phase, pass and fault-recovery markers. *)
 
 val emitter : t -> component:string -> Vmht_obs.Event.emitter
 (** The observer hook {!emit} is built from, for handing to components

@@ -95,8 +95,8 @@ let rejection = function
          steps)
   | _ -> None
 
-let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
-    mode (w : Workload.t) ~size =
+let run ?(config = Config.default) ?(seed = 42) ?(observe = false) mode
+    (w : Workload.t) ~size =
   Vmht_obs.Span.with_span ~cat:"eval"
     (Printf.sprintf "run:%s/%s" w.Workload.name (mode_name mode))
     (fun () ->
@@ -105,7 +105,7 @@ let run ?(config = Config.default) ?(seed = 42) ?trace_events ?(observe = false)
      are those of the allocation a zero size reaches. *)
   if size < 1 then invalid_arg "Addr_space.alloc: non-positive size";
   let soc = Soc.create config in
-  if observe || Option.is_some trace_events then Soc.enable_tracing soc;
+  if observe then Soc.enable_tracing soc;
   let instance = w.Workload.setup (Soc.aspace soc) ~size ~seed in
   let request =
     { Launch.args = instance.Workload.args; buffers = instance.Workload.buffers }

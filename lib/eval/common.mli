@@ -17,7 +17,6 @@ type outcome = {
 val run :
   ?config:Vmht.Config.t ->
   ?seed:int ->
-  ?trace_events:int ->
   ?observe:bool ->
   mode ->
   Vmht_workloads.Workload.t ->
@@ -26,11 +25,10 @@ val run :
 (** Build a fresh SoC, set the workload up, synthesize (hardware
     styles), execute, verify the outputs, and {!record} the run in the
     open ledger, if any.  A [size] below 1 raises
-    [Invalid_argument] before anything is built.  [trace_events] enables
-    the SoC trace before running (the value is advisory — the trace's
-    own capacity bounds retention); [observe] (default false) does the
-    same without implying the CLI's textual dump — both turn typed
-    event observation on via {!Vmht.Soc.enable_tracing}. *)
+    [Invalid_argument] before anything is built.  [seed] (default 42)
+    draws the workload's data.  [observe] (default false) turns typed
+    event observation on ({!Vmht.Soc.enable_tracing}) before the run,
+    so the SoC's trace ring holds its events afterwards. *)
 
 val rejection : exn -> string option
 (** The message for an input {!run} cannot build or finish: a flag

@@ -33,10 +33,9 @@ let measure config (w : Workload.t) ~size n =
     Launch.run_to_completion soc (fun () ->
         let t0 = Soc.now soc in
         let threads =
-          List.mapi
-            (fun i (inst : Workload.instance) ->
-              Hthreads.spawn ~engine:(Soc.engine soc)
-                ~name:(Printf.sprintf "ht%d" i) (fun () ->
+          List.map
+            (fun (inst : Workload.instance) ->
+              Hthreads.spawn ~engine:(Soc.engine soc) (fun () ->
                   Launch.run_hw soc hw
                     { Launch.args = inst.Workload.args; buffers = [] }))
             instances

@@ -19,8 +19,6 @@ let create ~words ~access_latency ~ports =
     next_free = 0;
   }
 
-let capacity_words t = Array.length t.data
-
 let hold t n = t.latency * Vmht_util.Bits.ceil_div n t.ports
 
 let overlaps a_base a_words b_base b_words =

@@ -18,8 +18,6 @@ val create : words:int -> access_latency:int -> ports:int -> t
     each access taking [access_latency] cycles.  Its accesses are
     untimed; {!hold} prices them. *)
 
-val capacity_words : t -> int
-
 val hold : t -> int -> int
 (** [hold t n] is the cycles [n] accesses issued together take:
     [access_latency] per group of [ports], later groups queueing behind

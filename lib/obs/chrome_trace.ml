@@ -57,18 +57,18 @@ let group_events ~process_name ~pid events =
              ~name:"thread_name" ~value:component)
          order
   in
-  let trace_events =
+  let entries =
     List.map
       (fun (e : Event.t) ->
         event_json ~pid ~tid:(Hashtbl.find tids e.Event.component) e)
       events
   in
-  metadata @ trace_events
+  metadata @ entries
 
-let wrap trace_events =
+let wrap entries =
   Json.Obj
     [
-      ("traceEvents", Json.List trace_events);
+      ("traceEvents", Json.List entries);
       (* Timestamps are fabric cycles, not microseconds; ns display
          keeps Perfetto from rescaling them confusingly. *)
       ("displayTimeUnit", Json.String "ns");

@@ -16,8 +16,6 @@ type kind =
   | Fsm_state of { block : string }
   | Phase_begin of { phase : string }
   | Phase_end of { phase : string }
-  | Thread_spawn of { thread : string }
-  | Thread_join of { thread : string }
   | Fault_inject of { target : string; fault : string }
   | Fault_retry of { target : string; fault : string; attempt : int }
   | Fault_abort of { target : string; fault : string }
@@ -47,8 +45,6 @@ let label = function
   | Fsm_state _ -> "fsm_state"
   | Phase_begin _ -> "phase_begin"
   | Phase_end _ -> "phase_end"
-  | Thread_spawn _ -> "thread_spawn"
-  | Thread_join _ -> "thread_join"
   | Fault_inject _ -> "fault_inject"
   | Fault_retry _ -> "fault_retry"
   | Fault_abort _ -> "fault_abort"
@@ -81,8 +77,6 @@ let args = function
   | Fsm_state { block } -> [ ("block", Json.String block) ]
   | Phase_begin { phase } | Phase_end { phase } ->
     [ ("phase", Json.String phase) ]
-  | Thread_spawn { thread } | Thread_join { thread } ->
-    [ ("thread", Json.String thread) ]
   | Fault_inject { target; fault } | Fault_abort { target; fault } ->
     [ ("target", Json.String target); ("fault", Json.String fault) ]
   | Fault_retry { target; fault; attempt }
@@ -126,8 +120,6 @@ let kind_to_string = function
   | Fsm_state { block } -> Printf.sprintf "fsm_state %s" block
   | Phase_begin { phase } -> Printf.sprintf "phase_begin %s" phase
   | Phase_end { phase } -> Printf.sprintf "phase_end %s" phase
-  | Thread_spawn { thread } -> Printf.sprintf "thread_spawn %s" thread
-  | Thread_join { thread } -> Printf.sprintf "thread_join %s" thread
   | Fault_inject { target; fault } ->
     Printf.sprintf "fault_inject %s@%s" fault target
   | Fault_retry { target; fault; attempt } ->

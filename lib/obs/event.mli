@@ -31,8 +31,6 @@ type kind =
   | Fsm_state of { block : string }  (** accelerator FSM block entry *)
   | Phase_begin of { phase : string }
   | Phase_end of { phase : string }
-  | Thread_spawn of { thread : string }
-  | Thread_join of { thread : string }
   | Fault_inject of { target : string; fault : string }
       (** an injected perturbation absorbed locally; the duration is
           the stall it cost *)

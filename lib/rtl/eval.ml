@@ -371,7 +371,7 @@ type chan_spec = {
   rdata : int;
 }
 
-type chan_state = Idle | Busy | Ready | Presented
+type chan_state = Idle | Presented
 
 type chan = {
   spec : chan_spec;
@@ -702,9 +702,8 @@ let run ?(stats = Accel.fresh_stats ()) ?(max_edges = 50_000_000) ~engine
       p.channels
   in
   let every = Array.init (Array.length chans) Fun.id in
-  (* Channels in [Presented], and in [Busy] or [Ready]: while both
-     counts are 0 no channel needs releasing or presenting. *)
-  let presented = ref 0 and in_flight = ref 0 in
+  (* Channels in [Presented]: while 0, no channel needs releasing. *)
+  let presented = ref 0 in
   let rec any_issuing cands k =
     k < Array.length cands
     &&
@@ -765,12 +764,6 @@ let run ?(stats = Accel.fresh_stats ()) ?(max_edges = 50_000_000) ~engine
       end
     end
   in
-  let present_ready c =
-    if c.cst = Ready then begin
-      decr in_flight;
-      present c
-    end
-  in
   while not !finished do
     incr edges;
     if !edges > max_edges then raise (Edge_budget max_edges);
@@ -817,36 +810,26 @@ let run ?(stats = Accel.fresh_stats ()) ?(max_edges = 50_000_000) ~engine
       if !n_accepted > 0 then begin
         let n = !n_accepted in
         n_accepted := 0;
-        if read_state () = sval then begin
-          (* The FSM holds this state for the accesses: issue them one
-             after another in channel order and wait the port's price
-             for the group, exactly like the model's memory cycle, and
-             present every ack at completion, so the next edge is the
-             acked advance. *)
-          for k = 0 to n - 1 do
-            service accepted.(k)
-          done;
-          Engine.wait_on engine (port.Accel.hold n);
-          for k = 0 to n - 1 do
-            present accepted.(k)
-          done
-        end
-        else
-          (* The FSM advanced while its request was still out — the
-             emitted hold bug.  Service each access in a process of its
-             own, so the run still makes progress and the divergence
-             (spurious requests, wrong cycles) is observable. *)
-          for k = 0 to n - 1 do
-            let c = accepted.(k) in
-            c.cst <- Busy;
-            incr in_flight;
-            Engine.spawn engine ~name:"mem-async" (fun () ->
-                service c;
-                Engine.wait_on engine (port.Accel.hold 1);
-                c.cst <- Ready)
-          done
-      end;
-      if !in_flight > 0 then Array.iter present_ready chans
+        (* A memory state holds itself until its acks arrive.  One that
+           advances with a request out has no counterpart in the model,
+           whose memory cycle completes its accesses before the FSM
+           moves on. *)
+        let next = read_state () in
+        if next <> sval then
+          fail "edge %d: state %d advanced to %d with %s_req outstanding"
+            !edges sval next accepted.(0).spec.prefix;
+        (* Issue the accesses one after another in channel order and
+           wait the port's price for the group, exactly like the model's
+           memory cycle, and present every ack at completion, so the
+           next edge is the acked advance. *)
+        for k = 0 to n - 1 do
+          service accepted.(k)
+        done;
+        Engine.wait_on engine (port.Accel.hold n);
+        for k = 0 to n - 1 do
+          present accepted.(k)
+        done
+      end
     end
   done;
   {

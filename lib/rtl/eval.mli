@@ -33,7 +33,10 @@
     after another, in channel order, in the evaluator's own process,
     which then waits the port's [hold] for the group — the order and
     the waits of the model's memory cycle — so cycle counts match, not
-    just results.
+    just results.  A state that leaves on the edge that raised its
+    request, before the ack, has no model counterpart: it is an
+    {!Rtl_error} naming the edge, both states and the channel
+    (["edge 7: state 3 advanced to 4 with mem_req outstanding"]).
 
     Edge accounting: the entry edge of a state costs one cycle (pure
     states advance simulated time by one; memory states advance it by

@@ -28,6 +28,8 @@ type eprof = {
   mutable flushed_now : time;
   mutable first_flush : bool;
   batch : Vmht_obs.Histogram.t;
+  mutable batch_at : time; (* timestamp of the open dispatch batch *)
+  mutable batch_len : int;
 }
 
 type t = {
@@ -37,9 +39,6 @@ type t = {
   mutable executed : int;
   mutable fast_forwards : int;
   profile : eprof option;
-  mutable batch_sink : (int -> unit) option;
-  mutable batch_at : time; (* timestamp of the open dispatch batch *)
-  mutable batch_len : int;
   fastpath : bool;
   mutable horizon : time; (* [run ?until] bound; fast-forward never crosses *)
   mutable running : bool; (* inside [run]: its processes may wait *)
@@ -64,6 +63,8 @@ let fresh_eprof () =
     flushed_now = 0;
     first_flush = true;
     batch = Vmht_obs.Histogram.create ();
+    batch_at = -1;
+    batch_len = 0;
   }
 
 let create ?(fastpath = true) () =
@@ -75,17 +76,12 @@ let create ?(fastpath = true) () =
     fast_forwards = 0;
     profile =
       (if Vmht_obs.Profile.enabled () then Some (fresh_eprof ()) else None);
-    batch_sink = None;
-    batch_at = -1;
-    batch_len = 0;
     fastpath;
     horizon = max_int;
     running = false;
   }
 
 let now t = t.now
-
-let observe_batches t sink = t.batch_sink <- Some sink
 
 (* Charge the host time since the previous clock read to the phase
    current until now. *)
@@ -163,25 +159,32 @@ let exec_process t fn =
           | _ -> None);
     }
 
-let spawn t ~name:_ fn = schedule t ~at:t.now (fun () -> exec_process t fn)
+let spawn t fn = schedule t ~at:t.now (fun () -> exec_process t fn)
 
-let tracking_batches t = t.batch_sink <> None || t.profile <> None
+(* Sizes of same-timestamp dispatch batches, a measure of event-queue
+   contention: a dispatch at the open batch's time extends it, any
+   other closes it into the histogram and opens the next. *)
+let flush_batch p =
+  if p.batch_len > 0 then begin
+    Vmht_obs.Histogram.observe p.batch p.batch_len;
+    p.batch_len <- 0;
+    p.batch_at <- -1
+  end
 
-let flush_batch t =
-  if t.batch_len > 0 then begin
-    (match t.batch_sink with Some f -> f t.batch_len | None -> ());
-    (match t.profile with
-    | Some p -> Vmht_obs.Histogram.observe p.batch t.batch_len
-    | None -> ());
-    t.batch_len <- 0;
-    t.batch_at <- -1
+let count_dispatch p at =
+  p.dispatches <- p.dispatches + 1;
+  if at = p.batch_at then p.batch_len <- p.batch_len + 1
+  else begin
+    flush_batch p;
+    p.batch_at <- at;
+    p.batch_len <- 1
   end
 
 let flush_profile t =
   match t.profile with
   | None -> ()
   | Some p ->
-    flush_batch t;
+    flush_batch p;
     charge_host p;
     Vmht_obs.Profile.flush ~cycles:p.cycles ~host_ns:p.host_ns
       ~dispatches:p.dispatches
@@ -208,16 +211,7 @@ let run ?until ?(check_quiescent = false) t =
         let action = Event_queue.pop_payload_exn t.queue in
         t.now <- at;
         t.executed <- t.executed + 1;
-        if tracking_batches t then
-          if at = t.batch_at then t.batch_len <- t.batch_len + 1
-          else begin
-            flush_batch t;
-            t.batch_at <- at;
-            t.batch_len <- 1
-          end;
-        (match t.profile with
-        | Some p -> p.dispatches <- p.dispatches + 1
-        | None -> ());
+        (match t.profile with Some p -> count_dispatch p at | None -> ());
         action ();
         loop ()
       end
@@ -226,7 +220,6 @@ let run ?until ?(check_quiescent = false) t =
   let was_running = t.running in
   t.running <- true;
   Fun.protect ~finally:(fun () -> t.running <- was_running) loop;
-  flush_batch t;
   flush_profile t;
   if check_quiescent && t.suspended > 0 then
     raise

@@ -72,10 +72,12 @@ val waits_on : t -> int array -> unit
     instructions advances time with.  Same precondition as
     {!wait_on}. *)
 
-val spawn : t -> name:string -> (unit -> unit) -> unit
+val spawn : t -> (unit -> unit) -> unit
 (** Register a new process to start at the current time.  From one of
     the engine's own processes it is a plain call that never yields:
-    the caller runs on and the child starts after it gives up control. *)
+    the caller runs on and the child starts after it gives up control.
+    A process has no name: an engine keeps nothing per process but its
+    continuation. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and calls [register
@@ -100,7 +102,7 @@ val fast_forwards : t -> int
     reference; a fused {!waits_on} run counts once however many waits
     it covers. *)
 
-(** {2 Profiling and batch observation} *)
+(** {2 Profiling} *)
 
 type phase = Vmht_obs.Profile.phase
 
@@ -119,10 +121,6 @@ val with_phase : t -> phase -> (unit -> 'a) -> 'a
     phase entry or exit, a dispatch resuming another phase) and each
     slice goes to the phase current over it; entering the phase that
     is already current reads nothing.  Deltas are flushed to
-    {!Vmht_obs.Profile} at the end of every {!run}. *)
-
-val observe_batches : t -> (int -> unit) -> unit
-(** Install a sink called with the size of every batch of events
-    dispatched at the same timestamp (a measure of event-queue
-    contention).  Independent of profiling; the SoC points this at its
-    ["engine.dispatch_batch"] metrics histogram when observing. *)
+    {!Vmht_obs.Profile} at the end of every {!run}, together with the
+    sizes of the batches of events a profiled engine dispatched at the
+    same timestamp (a measure of event-queue contention). *)

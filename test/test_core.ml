@@ -110,6 +110,21 @@ let test_soc_run_executes () =
   check_bool "main ran" true !ran;
   check_int "time advanced" 5 (Soc.now soc)
 
+(* A main that parks on something nothing will signal is a deadlock,
+   and the run says so, with the cycle it stopped at, rather than
+   reporting a main that never ran. *)
+let test_soc_run_names_deadlock () =
+  let soc = Soc.create Config.default in
+  match
+    Launch.run_to_completion soc (fun () ->
+        Vmht_sim.Engine.wait_on (Soc.engine soc) 7;
+        Vmht_sim.Engine.suspend ignore)
+  with
+  | () -> Alcotest.fail "a parked main completed"
+  | exception Vmht_sim.Engine.Stuck msg ->
+    Alcotest.(check string)
+      "stuck, named" "1 process(es) still suspended at t=7" msg
+
 let test_report_gathers_and_renders () =
   let w = Vmht_workloads.Registry.find "vecadd" in
   let soc = Soc.create Config.default in
@@ -267,6 +282,8 @@ let suite =
     Alcotest.test_case "flow: compile_sw" `Quick test_compile_sw_runs;
     Alcotest.test_case "soc: fresh mmus" `Quick test_soc_fresh_mmus;
     Alcotest.test_case "soc: run executes" `Quick test_soc_run_executes;
+    Alcotest.test_case "soc: a deadlocked run is named" `Quick
+      test_soc_run_names_deadlock;
     Alcotest.test_case "launch: exception propagation" `Quick
       test_run_to_completion_propagates;
     Alcotest.test_case "report: gathers and renders" `Quick

@@ -152,8 +152,8 @@ let observe ~compiled ~beside ~prepare f =
     Launch.run_to_completion soc (fun () ->
         let t0 = Soc.now soc in
         let spawn = Hthreads.spawn ~engine:(Soc.engine soc) in
-        let sw_thread = spawn ~name:"sw" sw in
-        let hw_thread = Option.map (fun run -> spawn ~name:"hw" run) partner in
+        let sw_thread = spawn sw in
+        let hw_thread = Option.map spawn partner in
         let ret = Hthreads.join sw_thread in
         let beside = Option.map Hthreads.join hw_thread in
         (ret, beside, Soc.now soc - t0))

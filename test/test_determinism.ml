@@ -214,17 +214,7 @@ let test_cache_counters () =
   let stats = Flow.cache_stats () in
   Alcotest.(check int) "sweep: one synthesis" 1 stats.Flow.cache_misses;
   Alcotest.(check int) "sweep: four table hits" 4 stats.Flow.cache_hits;
-  let m = Vmht_obs.Metrics.create () in
-  Flow.sync_cache_metrics m;
-  let snap = Vmht_obs.Metrics.snapshot m in
-  Alcotest.(check (list (pair string int)))
-    "counters surface through vmht_obs"
-    [
-      ("flow.synth_cache_entries", 1);
-      ("flow.synth_cache_hits", 4);
-      ("flow.synth_cache_misses", 1);
-    ]
-    snap.Vmht_obs.Metrics.counters
+  Alcotest.(check int) "sweep: one entry" 1 stats.Flow.cache_entries
 
 let test_cache_concurrent_single_flight () =
   Flow.reset_cache ();

@@ -22,7 +22,7 @@ let accel_run ?resources ?(unroll = 1) ?(ports = 1) kernel ~data ~args =
   let eng = Engine.create () in
   let result = ref None in
   let stats = Accel.fresh_stats () in
-  Engine.spawn eng ~name:"accel" (fun () ->
+  Engine.spawn eng (fun () ->
       let port = ported_port ~ports data in
       result := Some (Accel.run ~stats ~engine:eng hw ~port ~args));
   Engine.run eng;
@@ -140,7 +140,7 @@ let test_accel_timed_port_stalls () =
   let hw = Fsm.synthesize k in
   let eng = Engine.create () in
   let finished = ref 0 in
-  Engine.spawn eng ~name:"accel" (fun () ->
+  Engine.spawn eng (fun () ->
       let data = [| 10; 20; 30 |] in
       let mem = Ast_interp.array_memory data in
       let port =
@@ -177,7 +177,7 @@ let test_dual_port_overlaps () =
   let run_with ports =
     let eng = Engine.create () in
     let span = ref 0 in
-    Engine.spawn eng ~name:"accel" (fun () ->
+    Engine.spawn eng (fun () ->
         let data = [| 1; 2 |] in
         let mem = Ast_interp.array_memory data in
         let port =
@@ -250,7 +250,7 @@ let prop_dual_port_equivalence =
       let run ports data =
         let eng = Engine.create () in
         let result = ref None in
-        Engine.spawn eng ~name:"accel" (fun () ->
+        Engine.spawn eng (fun () ->
             let port = ported_port ~ports data in
             result := Some (Accel.run ~engine:eng hw ~port ~args:[ 0; a; b ]));
         Engine.run eng;

@@ -134,7 +134,7 @@ let test_inline_end_to_end_synthesis () =
     Array.map (fun v -> (max 0 (min 100 v)) * 5) (Array.sub data 0 8)
   in
   let eng = Vmht_sim.Engine.create () in
-  Vmht_sim.Engine.spawn eng ~name:"accel" (fun () ->
+  Vmht_sim.Engine.spawn eng (fun () ->
       let port = Vmht_hls.Accel.untimed_port (Ast_interp.array_memory data) in
       ignore
         (Vmht_hls.Accel.run ~engine:eng hw.Vmht.Flow.fsm ~port

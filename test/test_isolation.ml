@@ -168,8 +168,7 @@ let test_fault_through_thread_join () =
   check_bool "fault re-raised at join" true
     (in_soc soc (fun () ->
          let t =
-           Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) ~name:"wild"
-             (fun () ->
+           Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) (fun () ->
                Launch.run_hw soc hw
                  { Launch.args = [ 0x300000 ]; buffers = [] })
          in

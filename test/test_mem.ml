@@ -9,7 +9,7 @@ let check_bool = Alcotest.(check bool)
    value (with the cycles it took). *)
 let in_sim eng f =
   let result = ref None in
-  Engine.spawn eng ~name:"test" (fun () -> result := Some (f ()));
+  Engine.spawn eng (fun () -> result := Some (f ()));
   Engine.run eng;
   Option.get !result
 
@@ -101,7 +101,7 @@ let test_bus_serializes_masters () =
   let eng = Bus.engine bus in
   let finish_times = ref [] in
   for i = 0 to 2 do
-    Engine.spawn eng ~name:(Printf.sprintf "m%d" i) (fun () ->
+    Engine.spawn eng (fun () ->
         ignore (Bus.read_word bus (i * 8));
         finish_times := Engine.now eng :: !finish_times)
   done;
@@ -228,12 +228,12 @@ let test_cache_invalidate_keeps_racing_store () =
         ignore (Cache.read cache ~addr:32 ~phys:32));
     let start = Engine.now eng in
     let pass_end = ref 0 in
-    Engine.spawn eng ~name:"host" (fun () ->
+    Engine.spawn eng (fun () ->
         Cache.invalidate_all cache;
         pass_end := Engine.now eng - start);
     Option.iter
       (fun (addr, at) ->
-        Engine.spawn eng ~name:"cpu" (fun () ->
+        Engine.spawn eng (fun () ->
             Engine.wait_on eng at;
             Cache.write cache ~addr ~phys:addr 7))
       store;

@@ -453,7 +453,7 @@ let test_profile_exact_attribution_engine () =
           ()
         done
       in
-      Vmht_sim.Engine.spawn eng ~name:"t" (fun () ->
+      Vmht_sim.Engine.spawn eng (fun () ->
           Vmht_sim.Engine.with_phase eng Profile.Actor (fun () ->
               Vmht_sim.Engine.wait_on eng 10);
           Vmht_sim.Engine.with_phase eng Profile.Memory (fun () ->

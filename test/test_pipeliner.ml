@@ -14,7 +14,7 @@ let accel_run ?(pipeline = false) kernel ~data ~args =
   let hw = Fsm.synthesize ~pipeline kernel in
   let eng = Engine.create () in
   let result = ref None in
-  Engine.spawn eng ~name:"accel" (fun () ->
+  Engine.spawn eng (fun () ->
       let port = Accel.untimed_port (Ast_interp.array_memory data) in
       let value = Accel.run ~engine:eng hw ~port ~args in
       result := Some (value, Engine.now eng));

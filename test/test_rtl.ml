@@ -45,7 +45,7 @@ let run_program ?max_edges prog ~port ~args =
   let eng = Engine.create () in
   let out = ref None in
   let stats = Accel.fresh_stats () in
-  Engine.spawn eng ~name:"rtl" (fun () ->
+  Engine.spawn eng (fun () ->
       out := Some (Eval.run ~stats ?max_edges ~engine:eng prog ~port ~args));
   Engine.run eng;
   (Option.get !out, stats)
@@ -62,7 +62,7 @@ let both_backends ?(unroll = 1) kernel ~data ~args =
   let model_ret = ref None in
   let model_stats = Accel.fresh_stats () in
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"accel" (fun () ->
+  Engine.spawn eng (fun () ->
       let port = Accel.untimed_port (Ast_interp.array_memory model_data) in
       model_ret :=
         Some (Accel.run ~stats:model_stats ~engine:eng hw ~port ~args));
@@ -297,6 +297,30 @@ let test_request_hold_bug () =
   check_int "hold bug: stale data doubles the first word" 10
     (Option.get buggy.Eval.result)
 
+(* A memory state that raises its request and moves on without waiting
+   for the ack has no counterpart in the model, whose memory cycle
+   completes before the FSM advances: the run stops at that edge with
+   an error naming it, both states and the channel, instead of
+   servicing the access behind the FSM's back. *)
+let test_advance_with_request_out () =
+  let eager =
+    replace (two_loads ~deassert:true)
+      ~sub:
+        "          mem_addr <= arg0;\n\
+        \          if (mem_ack) begin\n\
+        \            r1 <= mem_rdata;\n\
+        \            mem_req <= 1'b0;\n\
+        \            state <= 3'd1;\n\
+        \          end\n"
+      ~by:"          mem_addr <= arg0;\n          state <= 3'd1;\n"
+  in
+  match eval_run eager ~port:(untimed_of [| 5; 9 |]) ~args:[ 0 ] with
+  | exception Eval.Rtl_error msg ->
+    Alcotest.(check string)
+      "the first divergent edge" "edge 2: state 0 advanced to 1 with \
+                                  mem_req outstanding" msg
+  | _ -> Alcotest.fail "a state left with its request out ran to done"
+
 (* The missing-reset regression: with the reset clause gutted, the
    first sampled request line is X — a hard error, not a quiet zero. *)
 let test_missing_reset_is_x () =
@@ -477,7 +501,7 @@ let test_shared_program () =
     let eng = Engine.create () in
     let results = ref [] in
     for _ = 1 to procs do
-      Engine.spawn eng ~name:"rtl" (fun () ->
+      Engine.spawn eng (fun () ->
           for _ = 1 to runs do
             let r = run_once eng in
             results := r :: !results
@@ -563,7 +587,7 @@ let test_budgets () =
   in
   let eng = Engine.create () in
   let stopped = ref None in
-  Engine.spawn eng ~name:"rtl" (fun () ->
+  Engine.spawn eng (fun () ->
       match
         Eval.run ~max_edges:100 ~engine:eng (compile spin)
           ~port:(untimed_of [||]) ~args:[ 1 ]
@@ -697,10 +721,9 @@ let concurrent_run ~backend ~banks ~ports threads =
     Vmht.Launch.run_to_completion soc (fun () ->
         let t0 = Vmht.Soc.now soc in
         let running =
-          List.mapi
-            (fun i ((inst : W.instance), hw) ->
-              Vmht_rt.Hthreads.spawn ~engine:(Vmht.Soc.engine soc)
-                ~name:(Printf.sprintf "ht%d" i) (fun () ->
+          List.map
+            (fun ((inst : W.instance), hw) ->
+              Vmht_rt.Hthreads.spawn ~engine:(Vmht.Soc.engine soc) (fun () ->
                   Vmht.Launch.run_hw soc hw
                     { Vmht.Launch.args = inst.W.args; buffers = [] }))
             threads
@@ -822,6 +845,8 @@ let suite =
       test_request_hold_bug;
     Alcotest.test_case "eval: missing reset is a hard X error" `Quick
       test_missing_reset_is_x;
+    Alcotest.test_case "eval: advancing with a request out is an error"
+      `Quick test_advance_with_request_out;
     Alcotest.test_case "emitter: >>> is signed" `Quick test_shr_signedness;
     Alcotest.test_case "emitter: terminator operands forwarded" `Quick
       test_terminator_forwarding;

@@ -7,7 +7,7 @@ let check_bool = Alcotest.(check bool)
 
 let run_sim f =
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"main" (fun () -> f eng);
+  Engine.spawn eng (fun () -> f eng);
   Engine.run eng;
   eng
 
@@ -26,8 +26,8 @@ let test_mutex_exclusion () =
     decr inside;
     Sync.Mutex.unlock m
   in
-  for i = 1 to 4 do
-    Engine.spawn eng ~name:(Printf.sprintf "w%d" i) worker
+  for _ = 1 to 4 do
+    Engine.spawn eng worker
   done;
   Engine.run eng;
   check_int "never two holders" 1 !max_inside
@@ -59,14 +59,14 @@ let test_condvar_signal () =
   let ready = ref false in
   let observed_at = ref (-1) in
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"waiter" (fun () ->
+  Engine.spawn eng (fun () ->
       Sync.Mutex.lock m;
       while not !ready do
         Sync.Condvar.wait cv m
       done;
       observed_at := Engine.now eng;
       Sync.Mutex.unlock m);
-  Engine.spawn eng ~name:"producer" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.wait_on eng 50;
       Sync.Mutex.lock m;
       ready := true;
@@ -81,8 +81,8 @@ let test_condvar_broadcast () =
   let released = ref 0 in
   let go = ref false in
   let eng = Engine.create () in
-  for i = 1 to 3 do
-    Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+  for _ = 1 to 3 do
+    Engine.spawn eng (fun () ->
         Sync.Mutex.lock m;
         while not !go do
           Sync.Condvar.wait cv m
@@ -90,7 +90,7 @@ let test_condvar_broadcast () =
         incr released;
         Sync.Mutex.unlock m)
   done;
-  Engine.spawn eng ~name:"waker" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.wait_on eng 10;
       Sync.Mutex.lock m;
       go := true;
@@ -105,9 +105,9 @@ let test_barrier_releases_together () =
   let b = Sync.Barrier.create ~parties:3 in
   let times = ref [] in
   let eng = Engine.create () in
-  List.iteri
-    (fun i delay ->
-      Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
+  List.iter
+    (fun delay ->
+      Engine.spawn eng (fun () ->
           Engine.wait_on eng delay;
           Sync.Barrier.await b;
           times := Engine.now eng :: !times))
@@ -122,7 +122,7 @@ let test_completion_before_and_after () =
   ignore
     (run_sim (fun eng ->
          let c = Sync.Completion.create () in
-         Engine.spawn eng ~name:"producer" (fun () ->
+         Engine.spawn eng (fun () ->
              Engine.wait_on eng 7;
              Sync.Completion.complete c 42);
          check_int "await" 42 (Sync.Completion.await c);
@@ -134,7 +134,7 @@ let test_hthreads_join () =
   ignore
     (run_sim (fun eng ->
          let t =
-           Hthreads.spawn ~engine:eng ~name:"child" (fun () ->
+           Hthreads.spawn ~engine:eng (fun () ->
                Engine.wait_on eng 11;
                123)
          in
@@ -146,7 +146,7 @@ let test_hthreads_exception_propagates () =
   ignore
     (run_sim (fun eng ->
          let t =
-           Hthreads.spawn ~engine:eng ~name:"bad" (fun () -> failwith "kaput")
+           Hthreads.spawn ~engine:eng (fun () -> failwith "kaput")
          in
          match Hthreads.join t with
          | _ -> ()
@@ -159,8 +159,7 @@ let test_hthreads_parallel_joins () =
     (run_sim (fun eng ->
          let threads =
            List.init 5 (fun i ->
-               Hthreads.spawn ~engine:eng ~name:(Printf.sprintf "t%d" i)
-                 (fun () ->
+               Hthreads.spawn ~engine:eng (fun () ->
                    Engine.wait_on eng (i * 3);
                    i * 10))
          in

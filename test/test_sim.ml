@@ -55,7 +55,7 @@ let test_queue_interleaved () =
 let test_wait_advances_time () =
   let eng = Engine.create () in
   let finished_at = ref (-1) in
-  Engine.spawn eng ~name:"p" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.wait_on eng 10;
       Engine.wait_on eng 5;
       finished_at := Engine.now eng);
@@ -69,9 +69,9 @@ let test_parallel_processes () =
     Engine.wait_on eng delay;
     order := name :: !order
   in
-  Engine.spawn eng ~name:"slow" (proc "slow" 20);
-  Engine.spawn eng ~name:"fast" (proc "fast" 5);
-  Engine.spawn eng ~name:"mid" (proc "mid" 10);
+  Engine.spawn eng (proc "slow" 20);
+  Engine.spawn eng (proc "fast" 5);
+  Engine.spawn eng (proc "mid" 10);
   Engine.run eng;
   Alcotest.(check (list string)) "completion order" [ "fast"; "mid"; "slow" ]
     (List.rev !order)
@@ -79,8 +79,8 @@ let test_parallel_processes () =
 let test_fork () =
   let eng = Engine.create () in
   let results = ref [] in
-  Engine.spawn eng ~name:"parent" (fun () ->
-      Engine.spawn eng ~name:"child" (fun () ->
+  Engine.spawn eng (fun () ->
+      Engine.spawn eng (fun () ->
           Engine.wait_on eng 3;
           results := ("child", Engine.now eng) :: !results);
       Engine.wait_on eng 1;
@@ -94,10 +94,10 @@ let test_suspend_resume () =
   let eng = Engine.create () in
   let resumer = ref None in
   let woke_at = ref (-1) in
-  Engine.spawn eng ~name:"sleeper" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.suspend (fun resume -> resumer := Some resume);
       woke_at := Engine.now eng);
-  Engine.spawn eng ~name:"waker" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.wait_on eng 42;
       match !resumer with Some r -> r () | None -> Alcotest.fail "no resumer");
   Engine.run eng;
@@ -106,9 +106,9 @@ let test_suspend_resume () =
 let test_double_resume_rejected () =
   let eng = Engine.create () in
   let resumer = ref None in
-  Engine.spawn eng ~name:"sleeper" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.suspend (fun resume -> resumer := Some resume));
-  Engine.spawn eng ~name:"waker" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.wait_on eng 1;
       match !resumer with
       | Some r ->
@@ -121,7 +121,7 @@ let test_double_resume_rejected () =
 let test_run_until () =
   let eng = Engine.create () in
   let progress = ref 0 in
-  Engine.spawn eng ~name:"ticker" (fun () ->
+  Engine.spawn eng (fun () ->
       let rec loop () =
         Engine.wait_on eng 10;
         incr progress;
@@ -135,7 +135,7 @@ let test_run_until () =
 
 let test_stuck_detection () =
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"forever" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.suspend (fun _resume -> ()));
   check_bool "raises Stuck" true
     (match Engine.run ~check_quiescent:true eng with
@@ -157,7 +157,7 @@ let test_not_in_process () =
     (raises (fun () -> Engine.waits_on eng [| 1 |]));
   let other = Engine.create () in
   let from_other = ref false in
-  Engine.spawn other ~name:"p" (fun () ->
+  Engine.spawn other (fun () ->
       from_other := raises (fun () -> Engine.wait_on eng 1));
   Engine.run other;
   check_bool "wait_on from another engine's process raises" true !from_other;
@@ -168,7 +168,7 @@ let test_determinism () =
     let eng = Engine.create () in
     let log = Buffer.create 64 in
     for i = 0 to 9 do
-      Engine.spawn eng ~name:(string_of_int i) (fun () ->
+      Engine.spawn eng (fun () ->
           Engine.wait_on eng (i * 3 mod 7);
           Buffer.add_string log (Printf.sprintf "%d@%d;" i (Engine.now eng)))
     done;
@@ -200,13 +200,12 @@ let waits_then_spawn eng ended () =
     Engine.wait_on eng 1
   done;
   ended := Engine.now eng;
-  Engine.spawn eng ~name:"child" ignore
+  Engine.spawn eng ignore
 
 let test_lone_waits_perform_no_effect () =
   let eng = Engine.create () in
   let effects = ref 0 and ended = ref (-1) in
-  Engine.spawn eng ~name:"counted"
-    (counting effects (waits_then_spawn eng ended));
+  Engine.spawn eng (counting effects (waits_then_spawn eng ended));
   Engine.run eng;
   check_int "effects" 0 !effects;
   check_int "ended at" 1000 !ended;
@@ -215,10 +214,9 @@ let test_lone_waits_perform_no_effect () =
 let test_contended_waits_yield () =
   let eng = Engine.create () in
   let effects = ref 0 and ended = ref (-1) in
-  Engine.spawn eng ~name:"counted"
-    (counting effects (waits_then_spawn eng ended));
+  Engine.spawn eng (counting effects (waits_then_spawn eng ended));
   (* Wakes every cycle, so each of the counted waits ties with it. *)
-  Engine.spawn eng ~name:"ticker" (fun () ->
+  Engine.spawn eng (fun () ->
       for _ = 1 to 1000 do
         Engine.wait_on eng 1
       done);
@@ -231,7 +229,7 @@ let test_contended_waits_yield () =
    a chain far longer than any stack holds runs in constant space. *)
 let test_long_fast_forward_chain () =
   let eng = Engine.create () in
-  Engine.spawn eng ~name:"chain" (fun () ->
+  Engine.spawn eng (fun () ->
       for _ = 1 to 2_000_000 do
         Engine.wait_on eng 1
       done);
@@ -246,7 +244,7 @@ let test_lone_run_performs_no_effect () =
   let effects = ref 0 and ended = ref (-1) in
   let costs = Array.init 1000 (fun i -> if i mod 7 = 3 then 3 else 1) in
   let total = Array.fold_left ( + ) 0 costs in
-  Engine.spawn eng ~name:"counted"
+  Engine.spawn eng
     (counting effects (fun () ->
          Engine.waits_on eng costs;
          ended := Engine.now eng));
@@ -262,11 +260,11 @@ let test_contended_run_yields_per_wait () =
   let effects_of issue =
     let eng = Engine.create () in
     let effects = ref 0 and ended = ref (-1) in
-    Engine.spawn eng ~name:"counted"
+    Engine.spawn eng
       (counting effects (fun () ->
            issue eng (Array.make 1000 1);
            ended := Engine.now eng));
-    Engine.spawn eng ~name:"ticker" (fun () ->
+    Engine.spawn eng (fun () ->
         for _ = 1 to 1000 do
           Engine.wait_on eng 1
         done);
@@ -367,13 +365,13 @@ let run_engine_case ?(split = false) ~fastpath (procs, until) =
         | Run costs ->
           if split then Array.iter (Engine.wait_on eng) costs
           else Engine.waits_on eng costs
-        | Fork p -> Engine.spawn eng ~name:"child" (proc p)
+        | Fork p -> Engine.spawn eng (proc p)
         | Park -> Engine.suspend (fun resume -> Queue.push resume parked)
         | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt parked))
       acts;
     record (List.length acts)
   in
-  List.iter (fun p -> Engine.spawn eng ~name:"proc" (proc p)) procs;
+  List.iter (fun p -> Engine.spawn eng (proc p)) procs;
   Option.iter
     (fun u ->
       Engine.run ~until:u eng;
@@ -431,7 +429,7 @@ let test_resource_serializes () =
   let bus = Resource.create ~engine:eng in
   let finish = ref [] in
   for i = 1 to 3 do
-    Engine.spawn eng ~name:(Printf.sprintf "p%d" i) (fun () ->
+    Engine.spawn eng (fun () ->
         Resource.use bus ~cycles:10;
         finish := (i, Engine.now eng) :: !finish)
   done;
@@ -445,7 +443,7 @@ let test_resource_stats () =
   let eng = Engine.create () in
   let r = Resource.create ~engine:eng in
   for _ = 1 to 4 do
-    Engine.spawn eng ~name:"u" (fun () -> Resource.use r ~cycles:5)
+    Engine.spawn eng (fun () -> Resource.use r ~cycles:5)
   done;
   Engine.run eng;
   let s = Resource.stats r in
@@ -458,7 +456,7 @@ let test_resource_stats () =
 let test_resource_utilization () =
   let eng = Engine.create () in
   let r = Resource.create ~engine:eng in
-  Engine.spawn eng ~name:"u" (fun () ->
+  Engine.spawn eng (fun () ->
       Engine.wait_on eng 10;
       Resource.use r ~cycles:10);
   Engine.run eng;

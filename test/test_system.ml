@@ -125,7 +125,23 @@ let test_window_overflow_detected () =
            Launch.run_hw soc hw request)
      with
      | _ -> false
-     | exception Launch.Window_overflow _ -> true)
+     | exception Launch.Window_overflow _ -> true);
+  (* The bound is exact: vecadd 64's three 64-word buffers fill a
+     192-word scratchpad and run, and one word more than the capacity
+     is refused with the words named. *)
+  let at_capacity words =
+    run_workload
+      ~config:{ Config.default with Config.scratchpad_words = words }
+      Dma w ~size:64
+  in
+  let soc, instance, result = at_capacity 192 in
+  check_result w Dma instance result;
+  check_outputs soc w Dma instance;
+  match at_capacity 191 with
+  | _ -> Alcotest.fail "192 words of buffers ran on a 191-word scratchpad"
+  | exception Launch.Window_overflow msg ->
+    Alcotest.(check string)
+      "one word over" "buffers need 192 words but the scratchpad holds 191" msg
 
 let test_demand_paging_in_vm_mode () =
   (* A kernel writing a lazily-allocated output region must fault its
@@ -170,13 +186,13 @@ let test_multi_thread_concurrent () =
                  (Workload.kernel w)) in
   let r1, r2 =
     Launch.run_to_completion soc (fun () ->
-        let spawn name (i : Workload.instance) =
-          Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) ~name (fun () ->
+        let spawn (i : Workload.instance) =
+          Vmht_rt.Hthreads.spawn ~engine:(Soc.engine soc) (fun () ->
               Launch.run_hw soc hw
                 { Launch.args = i.Workload.args; buffers = [] })
         in
-        let t1 = spawn "ht1" i1 in
-        let t2 = spawn "ht2" i2 in
+        let t1 = spawn i1 in
+        let t2 = spawn i2 in
         (Vmht_rt.Hthreads.join t1, Vmht_rt.Hthreads.join t2))
   in
   check_bool "thread 1 result" true (r1.Launch.ret = i1.Workload.expected_ret);

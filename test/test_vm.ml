@@ -24,7 +24,7 @@ let make_world ?(page_shift = 12) () =
 let in_sim bus f =
   let eng = Bus.engine bus in
   let result = ref None in
-  Engine.spawn eng ~name:"test" (fun () -> result := Some (f ()));
+  Engine.spawn eng (fun () -> result := Some (f ()));
   Engine.run eng;
   Option.get !result
 

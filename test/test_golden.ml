@@ -64,6 +64,32 @@ let test_random_golden () =
   check_string "md5" "9196b07d3b1a91a09822f8e35d67aa90"
     (Digest.to_hex (Digest.string out))
 
+(* Random kernels 0-99 at unroll 1 and 4, synthesized at the default O2
+   in both wrapper styles: the emitter's Verilog.  The registry kernels
+   of the synth grid never print [%], [^], [|], [>>>], [>]/[>=], unary
+   [-], [~] or [{63'b0, x == 0}]; these kernels print each of them, so
+   every operator branch of the emitter has its bytes pinned. *)
+let test_emitter_golden () =
+  let buf = Buffer.create (1 lsl 22) in
+  for seed = 0 to 99 do
+    let kernel = Gen_prog.gen_kernel seed in
+    List.iter
+      (fun (unroll, style) ->
+        let config = Config.with_unroll Config.default unroll in
+        let hw =
+          Flow.run_exn
+            (Flow.Request.of_kernel ~config ~style ~cache:false kernel)
+        in
+        Buffer.add_string buf hw.Flow.verilog)
+      (let* unroll = [ 1; 4 ] in
+       let* style = [ Vmht.Wrapper.Vm_iface; Vmht.Wrapper.Dma_iface ] in
+       [ (unroll, style) ])
+  done;
+  let verilog = Buffer.contents buf in
+  check_int "bytes" 4_227_490 (String.length verilog);
+  check_string "md5" "dad55c099c8fe2ee0cdc6524aa9fed9c"
+    (Digest.to_hex (Digest.string verilog))
+
 (* --- time bounds ----------------------------------------------------- *)
 
 (* [if (x > i) { r = r + i; ...] nested [depth] deep. *)
@@ -127,6 +153,8 @@ let suite =
       test_synth_golden;
     Alcotest.test_case "random programs: O2 report and IR" `Quick
       test_random_golden;
+    Alcotest.test_case "random programs: Verilog (400 modules)" `Quick
+      test_emitter_golden;
     Alcotest.test_case "time: 2000-deep if, lower + O2 < 3 s" `Quick
       test_deep_if_o2;
     Alcotest.test_case "time: 8000-deep if, lower < 0.5 s" `Quick

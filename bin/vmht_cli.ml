@@ -322,7 +322,8 @@ let run_cmd =
       & info [ "kind" ] ~docv:"TAG"
           ~doc:
             "Keep only trace events of this kind (tlb_miss, bus_txn, \
-             page_fault, ...).")
+             page_fault, ...); a tag no event carries is refused with the \
+             list of tags.")
   in
   let metrics_json =
     Arg.(
@@ -366,6 +367,14 @@ let run_cmd =
     | _ when (match trace_n with Some n -> n < 0 | None -> false) ->
       Printf.eprintf "error: --trace takes a count of events, not %d\n"
         (Option.get trace_n);
+      1
+    | _
+      when match kind with
+           | Some k -> not (List.mem k Vmht_obs.Event.labels)
+           | None -> false ->
+      Printf.eprintf "error: --kind takes one of %s, not %s\n"
+        (String.concat ", " Vmht_obs.Event.labels)
+        (Option.get kind);
       1
     | w ->
       let size =

@@ -52,6 +52,15 @@ let label = function
   | Pass_run _ -> "pass_run"
   | Note _ -> "note"
 
+let labels =
+  [
+    "bus_txn"; "cache_hit"; "cache_miss"; "dma_burst"; "dram_row_hit";
+    "dram_row_miss"; "fault_abort"; "fault_inject"; "fault_recover";
+    "fault_retry"; "fsm_state"; "note"; "page_fault"; "pass_run";
+    "phase_begin"; "phase_end"; "ptw_walk"; "tlb2_hit"; "tlb2_miss";
+    "tlb_hit"; "tlb_miss";
+  ]
+
 let args = function
   | Tlb_hit { vaddr; asid }
   | Tlb_miss { vaddr; asid }

@@ -60,6 +60,10 @@ val label : kind -> string
 (** Stable snake_case tag of the constructor ("tlb_miss", "bus_txn",
     ...), used for filtering and as the Chrome-trace event name. *)
 
+val labels : string list
+(** Every tag {!label} gives, one per constructor, in sorted order: the
+    values a kind filter can match. *)
+
 val args : kind -> (string * Json.t) list
 (** The payload as JSON fields (the Chrome-trace ["args"] object). *)
 

@@ -118,19 +118,30 @@ let schedule t ~at action =
 
 let profiled t = t.profile <> None
 
-let with_phase t ph f =
+(* The handover to [ph'] reads the clock once: [saved] is not entered
+   between the two phases. *)
+let with_phases t ph f ph' g =
   match t.profile with
-  | None -> f ()
+  | None -> g (f ())
   | Some p -> (
     let saved = p.cur_phase in
     switch_phase p (Vmht_obs.Profile.phase_index ph);
-    match f () with
+    match
+      let x = f () in
+      switch_phase p (Vmht_obs.Profile.phase_index ph');
+      g x
+    with
     | v ->
       switch_phase p saved;
       v
     | exception e ->
       switch_phase p saved;
       raise e)
+
+(* [f] returns in [ph] (a nested phase restores it, a resumed dispatch
+   re-enters the phase it was scheduled in), so the handover to [ph]
+   itself reads nothing. *)
+let with_phase t ph f = with_phases t ph f ph Fun.id
 
 let exec_process t fn =
   let open Effect.Deep in

@@ -124,3 +124,11 @@ val with_phase : t -> phase -> (unit -> 'a) -> 'a
     {!Vmht_obs.Profile} at the end of every {!run}, together with the
     sizes of the batches of events a profiled engine dispatched at the
     same timestamp (a measure of event-queue contention). *)
+
+val with_phases : t -> phase -> (unit -> 'a) -> phase -> ('a -> 'b) -> 'b
+(** [with_phases t ph f ph' g] is
+    [let x = with_phase t ph f in with_phase t ph' (fun () -> g x)]
+    with one clock read where [ph] hands over to [ph'] instead of two
+    (the phase current before is never entered in between).  For two
+    steps with no simulated time between them, such as a translation
+    and the access it enables. *)

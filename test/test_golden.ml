@@ -133,6 +133,10 @@ let test_deep_if_o2 () =
   within "lower + O2 of a 2000-deep if nest" 3.0 (fun () ->
       ignore (Pass_manager.optimize (Lower.lower_kernel k)))
 
+let test_deep_if_licm () =
+  let f = Lower.lower_kernel (kernel (deep_if 4000)) in
+  within "LICM on a 4000-deep if nest" 0.5 (fun () -> ignore (Licm.run f))
+
 let test_deep_if_lower () =
   let k = kernel (deep_if 8000) in
   let f =
@@ -157,6 +161,8 @@ let suite =
       test_emitter_golden;
     Alcotest.test_case "time: 2000-deep if, lower + O2 < 3 s" `Quick
       test_deep_if_o2;
+    Alcotest.test_case "time: 4000-deep if, LICM < 0.5 s" `Quick
+      test_deep_if_licm;
     Alcotest.test_case "time: 8000-deep if, lower < 0.5 s" `Quick
       test_deep_if_lower;
     Alcotest.test_case "time: 8000-term sum, lower + O2 < 1 s" `Quick

@@ -59,6 +59,95 @@ let test_straight_line_no_back_edges () =
   let doms = Dominators.compute f in
   check_int "no loops" 0 (List.length (Dominators.back_edges f doms))
 
+(* The reference: dominator sets by the iterative dataflow fixpoint
+   over the reachable subgraph, [dom(b) = {b} + meet of dom(p)] over
+   b's reachable predecessors.  Unreachable blocks get the singleton
+   {b}; a label that carries no block is dominated by nothing. *)
+module Labelset = Set.Make (Int)
+
+let oracle_dominates (f : Ir.func) =
+  let entry_label = (Ir.entry f).Ir.label in
+  let index = Ir.block_index f in
+  let reach = Hashtbl.create 16 in
+  let rec visit l =
+    if not (Hashtbl.mem reach l) then begin
+      Hashtbl.replace reach l ();
+      List.iter visit (Ir.successors (Hashtbl.find index l).Ir.term)
+    end
+  in
+  visit entry_label;
+  let all =
+    List.fold_left
+      (fun acc (b : Ir.block) ->
+        if Hashtbl.mem reach b.label then Labelset.add b.label acc else acc)
+      Labelset.empty f.blocks
+  in
+  let doms = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.block) ->
+      Hashtbl.replace doms b.label
+        (if b.label = entry_label then Labelset.singleton entry_label
+         else if not (Hashtbl.mem reach b.label) then
+           Labelset.singleton b.label
+         else all))
+    f.blocks;
+  let preds = Ir.predecessors f in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (b : Ir.block) ->
+        if b.label <> entry_label && Hashtbl.mem reach b.label then begin
+          let meet =
+            List.filter (Hashtbl.mem reach)
+              (Option.value ~default:[] (Hashtbl.find_opt preds b.label))
+            |> List.map (Hashtbl.find doms)
+            |> List.fold_left Labelset.inter all
+          in
+          let updated = Labelset.add b.label meet in
+          if not (Labelset.equal updated (Hashtbl.find doms b.label)) then begin
+            Hashtbl.replace doms b.label updated;
+            changed := true
+          end
+        end)
+      f.blocks
+  done;
+  fun a b ->
+    match Hashtbl.find_opt doms b with
+    | Some set -> Labelset.mem a set
+    | None -> false
+
+(* Every label pair, absent labels on either side included. *)
+let agrees_with_oracle f =
+  let doms = Dominators.compute f in
+  let oracle = oracle_dominates f in
+  let bound = Ir.label_bound f in
+  let ok = ref true in
+  for a = -1 to bound do
+    for b = -1 to bound do
+      if Dominators.dominates doms a b <> oracle a b then ok := false
+    done
+  done;
+  !ok
+
+let prop_dominators_match_oracle =
+  QCheck.Test.make ~count:150
+    ~name:"dominators match the set fixpoint (unroll 1/4, before/after O2)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000))
+    (fun seed ->
+      List.for_all
+        (fun factor ->
+          let kernel, _ =
+            Ast_unroll.unroll_kernel ~factor (Gen_prog.gen_kernel seed)
+          in
+          (* Lowering leaves unreachable blocks after returns; O2
+             removes them and merges, threads and hoists. *)
+          let f = Lower.lower_kernel kernel in
+          let before = agrees_with_oracle f in
+          ignore (Pass_manager.optimize f);
+          before && agrees_with_oracle f)
+        [ 1; 4 ])
+
 let test_natural_loop_members () =
   let f = compile loop_with_invariant_src in
   let doms = Dominators.compute f in
@@ -190,6 +279,7 @@ let suite =
       test_licm_keeps_variant_code;
     Alcotest.test_case "licm: fires on mmul" `Quick
       test_licm_improves_mmul_schedule;
+    QCheck_alcotest.to_alcotest prop_dominators_match_oracle;
     QCheck_alcotest.to_alcotest prop_licm_preserves_semantics;
     QCheck_alcotest.to_alcotest prop_licm_then_pipeline_valid;
   ]

@@ -183,6 +183,45 @@ let ring_property =
            events
            (List.init (min n capacity) (fun i -> max 0 (n - capacity) + i)))
 
+(* ------------------------- Event tags ----------------------------- *)
+
+(* One event of each kind: its tag is in [Event.labels], and the tags
+   of all kinds are exactly that list. *)
+let test_event_labels () =
+  let kinds =
+    [
+      Event.Tlb_hit { vaddr = 0; asid = 0 };
+      Event.Tlb_miss { vaddr = 0; asid = 0 };
+      Event.Tlb2_hit { vaddr = 0; asid = 0 };
+      Event.Tlb2_miss { vaddr = 0; asid = 0 };
+      Event.Ptw_walk { vaddr = 0; levels = 1 };
+      Event.Page_fault { vaddr = 0; asid = 0 };
+      Event.Bus_txn { op = Event.Read; addr = 0; words = 1 };
+      Event.Dram_row_hit { bank = 0 };
+      Event.Dram_row_miss { bank = 0 };
+      Event.Dma_burst { op = Event.Write; words = 1 };
+      Event.Cache_hit { op = Event.Read; addr = 0 };
+      Event.Cache_miss { op = Event.Write; addr = 0 };
+      Event.Fsm_state { block = "L0" };
+      Event.Phase_begin { phase = "stage" };
+      Event.Phase_end { phase = "stage" };
+      Event.Fault_inject { target = "bus"; fault = "delay" };
+      Event.Fault_retry { target = "bus"; fault = "delay"; attempt = 1 };
+      Event.Fault_abort { target = "bus"; fault = "delay" };
+      Event.Fault_recover { target = "bus"; fault = "delay"; attempt = 1 };
+      Event.Pass_run { pass = "dce"; rewrites = 0; kernel = "k" };
+      Event.Note "note";
+    ]
+  in
+  List.iter
+    (fun k ->
+      check_bool (Event.label k ^ " listed") true
+        (List.mem (Event.label k) Event.labels))
+    kinds;
+  Alcotest.(check (list string))
+    "one tag per kind, sorted" Event.labels
+    (List.sort_uniq compare (List.map Event.label kinds))
+
 (* ------------------------- Chrome trace --------------------------- *)
 
 let sample_events =
@@ -694,6 +733,8 @@ let suite =
       test_perf_diff_missing_metric;
     Alcotest.test_case "perf diff: bench schemas only" `Quick
       test_perf_diff_schema;
+    Alcotest.test_case "events: every kind's tag is listed" `Quick
+      test_event_labels;
     Alcotest.test_case "chrome: export shape" `Quick test_chrome_trace_shape;
     Alcotest.test_case "attribution: waterfall" `Quick test_waterfall_renders;
     Alcotest.test_case "attribution: sums to total (all workloads x styles)"

@@ -157,14 +157,14 @@ let suite =
       test_synth_golden;
     Alcotest.test_case "random programs: O2 report and IR" `Quick
       test_random_golden;
-    Alcotest.test_case "random programs: Verilog (400 modules)" `Quick
-      test_emitter_golden;
     Alcotest.test_case "time: 2000-deep if, lower + O2 < 3 s" `Quick
       test_deep_if_o2;
-    Alcotest.test_case "time: 4000-deep if, LICM < 0.5 s" `Quick
-      test_deep_if_licm;
     Alcotest.test_case "time: 8000-deep if, lower < 0.5 s" `Quick
       test_deep_if_lower;
     Alcotest.test_case "time: 8000-term sum, lower + O2 < 1 s" `Quick
       test_long_sum_o2;
+    Alcotest.test_case "random programs: Verilog (400 modules)" `Quick
+      test_emitter_golden;
+    Alcotest.test_case "time: 4000-deep if, LICM < 0.5 s" `Quick
+      test_deep_if_licm;
   ]

@@ -279,7 +279,7 @@ let suite =
       test_licm_keeps_variant_code;
     Alcotest.test_case "licm: fires on mmul" `Quick
       test_licm_improves_mmul_schedule;
-    QCheck_alcotest.to_alcotest prop_dominators_match_oracle;
     QCheck_alcotest.to_alcotest prop_licm_preserves_semantics;
     QCheck_alcotest.to_alcotest prop_licm_then_pipeline_valid;
+    QCheck_alcotest.to_alcotest prop_dominators_match_oracle;
   ]

@@ -733,8 +733,6 @@ let suite =
       test_perf_diff_missing_metric;
     Alcotest.test_case "perf diff: bench schemas only" `Quick
       test_perf_diff_schema;
-    Alcotest.test_case "events: every kind's tag is listed" `Quick
-      test_event_labels;
     Alcotest.test_case "chrome: export shape" `Quick test_chrome_trace_shape;
     Alcotest.test_case "attribution: waterfall" `Quick test_waterfall_renders;
     Alcotest.test_case "attribution: sums to total (all workloads x styles)"
@@ -743,4 +741,6 @@ let suite =
       test_metrics_cover_components;
     Alcotest.test_case "events: dma bursts + phases" `Quick
       test_dma_burst_events;
+    Alcotest.test_case "events: every kind's tag is listed" `Quick
+      test_event_labels;
   ]

@@ -1,12 +1,11 @@
 (* Bechamel micro-benchmarks behind [vmht perf micro] and [vmht perf
    snapshot]: one target per table/figure plus targets for the
    simulator machinery itself (event queue, MMU translation), for
-   single synthesis stages (scheduler, pipeliner, Verilog emit), for
-   the model's accelerator run alone and for the RTL evaluator's parse
-   and run.  Target names, bodies and
-   Bechamel settings are what the committed BENCH_eval.json measured;
-   change any of them and the perf gate no longer compares like with
-   like. *)
+   single synthesis stages (IR verifier, scheduler, pipeliner, Verilog
+   emit), for the model's accelerator run alone and for the RTL
+   evaluator's parse and run.  Target names, bodies and Bechamel
+   settings are what the committed BENCH_eval.json measured; change any
+   of them and the perf gate no longer compares like with like. *)
 
 open Bechamel
 module Workload = Vmht_workloads.Workload
@@ -50,6 +49,10 @@ let hls_pipeline () =
     (Vmht_hls.Pipeliner.plan_loops
        ~resources:fsm.Vmht_hls.Fsm.schedule.Vmht_hls.Schedule.resources
        fsm.Vmht_hls.Fsm.func)
+
+(* The IR verifier alone, on the same function after O2: the check the
+   pass manager runs after every pass application. *)
+let ir_verify () = Vmht_ir.Verify.run (Lazy.force stencil3_fsm).Vmht_hls.Fsm.func
 
 let hls_emit () =
   ignore
@@ -288,6 +291,7 @@ let targets : (string * Test.t Lazy.t) list =
     t "hls.emit" hls_emit;
     t "hls.pipeline" hls_pipeline;
     t "hls.schedule" hls_schedule;
+    t "ir.verify" ir_verify;
     t "rtl.eval" rtl_eval;
     t "rtl.parse" rtl_parse;
     t "sim.engine-wait" engine_wait;

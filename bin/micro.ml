@@ -52,7 +52,8 @@ let hls_pipeline () =
 
 (* The IR verifier alone, on the same function after O2: the check the
    pass manager runs after every pass application. *)
-let ir_verify () = Vmht_ir.Verify.run (Lazy.force stencil3_fsm).Vmht_hls.Fsm.func
+let ir_verify () =
+  Vmht_ir.Verify.run (Lazy.force stencil3_fsm).Vmht_hls.Fsm.func
 
 let hls_emit () =
   ignore

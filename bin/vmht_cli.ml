@@ -1458,6 +1458,10 @@ let perf_snapshot_cmd =
     let fields =
       manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code
     in
+    (* The micro rows run alone: an idle pool domain would still join
+       every stop-the-world minor collection and slow them.  The
+       manifest has already recorded the pool's width. *)
+    Vmht_par.Parmap.shutdown ();
     let micro = Micro.estimates Micro.targets in
     Micro.print micro;
     match json with

@@ -133,10 +133,24 @@ module Trace = struct
     Array.of_list (List.rev !steps)
 end
 
+let add_stats buf s =
+  let str = Buffer.add_string buf
+  and int n = Buffer.add_string buf (string_of_int n) in
+  int s.ir_instrs;
+  str " IR instrs in ";
+  int s.blocks;
+  str " blocks, ";
+  int s.states;
+  str " FSM states, ";
+  int s.reg_count;
+  str " registers, ";
+  int s.unrolled_loops;
+  str " loop(s) unrolled, ";
+  int s.pipelined_loops;
+  str " pipelined; ";
+  Pass_manager.add_report buf s.opt_report
+
 let stats_to_string s =
-  Printf.sprintf
-    "%d IR instrs in %d blocks, %d FSM states, %d registers, %d loop(s) \
-     unrolled, %d pipelined; %s"
-    s.ir_instrs s.blocks s.states s.reg_count s.unrolled_loops
-    s.pipelined_loops
-    (Pass_manager.report_to_string s.opt_report)
+  let buf = Buffer.create 256 in
+  add_stats buf s;
+  Buffer.contents buf

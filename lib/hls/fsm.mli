@@ -61,4 +61,10 @@ module Trace : sig
   val compile_block : Schedule.block_schedule -> block
 end
 
+val add_stats : Buffer.t -> stats -> unit
+(** Write the one-line statistics summary (sizes, then the optimizer's
+    {!Pass_manager.add_report} line) into a buffer, as the Verilog
+    header does. *)
+
 val stats_to_string : stats -> string
+(** {!add_stats}'s line as a string. *)

@@ -427,7 +427,7 @@ let emit_with_wrapper (hw : Fsm.t) ~wrapper_ports =
   str buf "// Generated by vmht HLS — hardware thread '";
   str buf hw.Fsm.name;
   str buf "'\n// ";
-  str buf (Fsm.stats_to_string hw.Fsm.stats);
+  Fsm.add_stats buf hw.Fsm.stats;
   chr buf '\n';
   (let m = hw.Fsm.schedule.Schedule.resources.Schedule.mem in
    if m.Schedule.banks > 1 then begin

@@ -74,6 +74,10 @@ let def_of = function
   | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Load (d, _) -> Some d
   | Store _ -> None
 
+let def_reg = function
+  | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Load (d, _) -> d
+  | Store _ -> -1
+
 let iter_def k = function
   | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Load (d, _) -> k d
   | Store _ -> ()

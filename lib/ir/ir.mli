@@ -62,6 +62,11 @@ val entry : func -> block
 val def_of : instr -> reg option
 (** The register an instruction defines, if any. *)
 
+val def_reg : instr -> reg
+(** The register an instruction defines, or -1 for a [Store], which
+    defines none: {!def_of} without the option, for per-instruction
+    paths that must not allocate. *)
+
 val iter_def : (reg -> unit) -> instr -> unit
 (** [iter_def k i] calls [k] on the register [i] defines, if any. *)
 

@@ -7,8 +7,7 @@ let hoistable_op = function
 
 (* Create (or reuse) a preheader for [header]: a block that all
    non-loop predecessors enter instead of the header.  Returns it. *)
-let make_preheader (f : Ir.func) ~header ~loop_labels =
-  let in_loop l = List.mem l loop_labels in
+let make_preheader (f : Ir.func) ~header ~in_loop =
   let pre_label = Ir.fresh_label f in
   let pre = { Ir.label = pre_label; instrs = []; term = Ir.Jmp header } in
   (* Redirect entering edges. *)
@@ -37,25 +36,38 @@ let make_preheader (f : Ir.func) ~header ~loop_labels =
   end;
   pre
 
+(* Loop membership, definition counts and the invariant and emitted
+   marks are arrays: labels index one, registers the others. *)
 let process_loop (f : Ir.func) ~live ~header ~loop_labels =
-  let in_loop l = List.mem l loop_labels in
+  let labels =
+    List.fold_left
+      (fun n l -> max n (l + 1))
+      (max 0 f.Ir.next_label) loop_labels
+  in
+  let member = Array.make labels false in
+  List.iter (fun l -> if l >= 0 then member.(l) <- true) loop_labels;
+  let in_loop l = l >= 0 && l < labels && member.(l) in
   let loop_blocks =
     List.filter (fun (b : Ir.block) -> in_loop b.label) f.blocks
   in
-  (* Definition counts inside the loop. *)
-  let def_count : (Ir.reg, int) Hashtbl.t = Hashtbl.create 32 in
+  (* Definition counts inside the loop, by register: the allocator's
+     range and any register a loop instruction defines past it. *)
+  let regs =
+    List.fold_left
+      (fun n (b : Ir.block) ->
+        List.fold_left (fun n i -> max n (Ir.def_reg i + 1)) n b.Ir.instrs)
+      (max 0 f.Ir.next_reg) loop_blocks
+  in
+  let def_count = Array.make regs 0 in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun i ->
-          match Ir.def_of i with
-          | Some d ->
-            Hashtbl.replace def_count d
-              (1 + Option.value ~default:0 (Hashtbl.find_opt def_count d))
-          | None -> ())
+          let d = Ir.def_reg i in
+          if d >= 0 then def_count.(d) <- def_count.(d) + 1)
         b.Ir.instrs)
     loop_blocks;
-  let defined_in_loop r = Hashtbl.mem def_count r in
+  let defined_in_loop r = r >= 0 && r < regs && def_count.(r) > 0 in
   (* Liveness constraints. *)
   let exit_targets =
     List.concat_map
@@ -65,15 +77,17 @@ let process_loop (f : Ir.func) ~live ~header ~loop_labels =
     |> List.sort_uniq compare
   in
   let live_in l d = Liveness.mem_live_in (Lazy.force live) l d in
-  (* Fixpoint: grow the set of invariant definitions. *)
-  let invariant : (Ir.reg, unit) Hashtbl.t = Hashtbl.create 8 in
-  let operands_invariant instr =
-    let ok = ref true in
-    Ir.iter_uses
-      (fun r ->
-        if defined_in_loop r && not (Hashtbl.mem invariant r) then ok := false)
-      instr;
-    !ok
+  (* Fixpoint: grow the set of invariant definitions.  Only registers
+     defined in the loop are ever marked. *)
+  let invariant = Array.make regs false in
+  let operand_invariant = function
+    | Ir.Reg r -> (not (defined_in_loop r)) || invariant.(r)
+    | Ir.Imm _ -> true
+  in
+  let operands_invariant = function
+    | Ir.Bin (_, _, a, b) | Ir.Store (a, b) ->
+      operand_invariant a && operand_invariant b
+    | Ir.Un (_, _, a) | Ir.Mov (_, a) | Ir.Load (_, a) -> operand_invariant a
   in
   (* Per loop block, which of its instructions are marked. *)
   let marks =
@@ -89,60 +103,59 @@ let process_loop (f : Ir.func) ~live ~header ~loop_labels =
       (fun ((b : Ir.block), marked) ->
         List.iteri
           (fun idx instr ->
-            if not marked.(idx) then
-              match Ir.def_of instr with
-              | Some d
-                when hoistable_op instr
-                     && Hashtbl.find_opt def_count d = Some 1
-                     && (not (live_in header d))
-                     && not (List.exists (fun l -> live_in l d) exit_targets)
-                     && operands_invariant instr ->
+            if not marked.(idx) then begin
+              let d = Ir.def_reg instr in
+              if
+                d >= 0 && hoistable_op instr
+                && def_count.(d) = 1
+                && (not (live_in header d))
+                && (not (List.exists (fun l -> live_in l d) exit_targets))
+                && operands_invariant instr
+              then begin
                 marked.(idx) <- true;
                 incr n_marked;
-                Hashtbl.replace invariant d ();
+                invariant.(d) <- true;
                 changed := true
-              | Some _ | None -> ())
+              end
+            end)
           b.Ir.instrs)
       marks
   done;
   if !n_marked = 0 then 0
   else begin
-    let pre = make_preheader f ~header ~loop_labels in
+    let pre = make_preheader f ~header ~in_loop in
     (* Emit hoisted instructions in dependency order: repeatedly take
        marked instructions whose invariant operands are already
        emitted. *)
-    let emitted : (Ir.reg, unit) Hashtbl.t = Hashtbl.create 8 in
+    let emitted = Array.make regs false in
     let pending = ref [] in
     List.iter
       (fun ((b : Ir.block), marked) ->
         List.iteri
-          (fun idx instr ->
-            if marked.(idx) then
-              pending := (instr, Ir.def_of instr) :: !pending)
+          (fun idx instr -> if marked.(idx) then pending := instr :: !pending)
           b.Ir.instrs;
         (* Drop the hoisted instructions from the body. *)
         b.Ir.instrs <- List.filteri (fun idx _ -> not marked.(idx)) b.Ir.instrs)
       marks;
     let pending = ref (List.rev !pending) in
     let hoisted = ref [] in
-    let ready (instr, _) =
-      let ok = ref true in
-      Ir.iter_uses
-        (fun r ->
-          if Hashtbl.mem invariant r && not (Hashtbl.mem emitted r) then
-            ok := false)
-        instr;
-      !ok
+    let operand_ready = function
+      | Ir.Reg r ->
+        (not (defined_in_loop r)) || (not invariant.(r)) || emitted.(r)
+      | Ir.Imm _ -> true
+    in
+    let ready = function
+      | Ir.Bin (_, _, a, b) | Ir.Store (a, b) ->
+        operand_ready a && operand_ready b
+      | Ir.Un (_, _, a) | Ir.Mov (_, a) | Ir.Load (_, a) -> operand_ready a
     in
     while !pending <> [] do
       let now, later = List.partition ready !pending in
       assert (now <> []);
       List.iter
-        (fun (instr, def) ->
+        (fun instr ->
           hoisted := instr :: !hoisted;
-          match def with
-          | Some d -> Hashtbl.replace emitted d ()
-          | None -> ())
+          emitted.(Ir.def_reg instr) <- true)
         now;
       pending := later
     done;

@@ -34,17 +34,68 @@ let mem_bit bits base r =
 
 let rec popcount w acc = if w = 0 then acc else popcount (w land (w - 1)) (acc + 1)
 
+(* The use/def vectors while one scan fills them.  They start at
+   [next_reg]'s width; a register past it (IR the verifier rejects, or
+   a pass mid-rewrite) widens every block's vector in place, so the
+   vectors cover every register the blocks mention. *)
+type scan = {
+  nblocks : int;
+  mutable width : int;  (** words per block *)
+  mutable limit : int;  (** registers below it fit: [width * int_size] *)
+  mutable use : int array;
+  mutable def : int array;
+}
+
+let widen v r =
+  if r < 0 then invalid_arg "Liveness.compute: negative register";
+  let width = max (bit_words (r + 1)) (2 * v.width) in
+  let grow bits =
+    let wide = Array.make (v.nblocks * width) 0 in
+    for i = 0 to v.nblocks - 1 do
+      Array.blit bits (i * v.width) wide (i * width) v.width
+    done;
+    wide
+  in
+  v.use <- grow v.use;
+  v.def <- grow v.def;
+  v.width <- width;
+  v.limit <- width * Sys.int_size
+
 (* [use] = registers read before any write in the block; [def] = every
-   register the block writes. *)
-let block_use_def use def base (b : Ir.block) =
-  let read r = if not (mem_bit def base r) then add_bit use base r in
-  let write d = add_bit def base d in
-  List.iter
-    (fun instr ->
-      Ir.iter_uses read instr;
-      Ir.iter_def write instr)
-    b.instrs;
-  Ir.iter_term_uses read b.term
+   register the block writes.  Operands are matched directly, reads
+   before the write, as [Ir.iter_uses]/[Ir.iter_def] order them. *)
+let read v i r =
+  if r < 0 || r >= v.limit then widen v r;
+  let base = i * v.width in
+  if not (mem_bit v.def base r) then add_bit v.use base r
+
+let read_operand v i = function Ir.Reg r -> read v i r | Ir.Imm _ -> ()
+
+let write v i d =
+  if d < 0 || d >= v.limit then widen v d;
+  add_bit v.def (i * v.width) d
+
+let rec scan_instrs v i = function
+  | [] -> ()
+  | instr :: rest ->
+    (match instr with
+     | Ir.Bin (_, d, a, b) ->
+       read_operand v i a;
+       read_operand v i b;
+       write v i d
+     | Ir.Un (_, d, a) | Ir.Mov (d, a) | Ir.Load (d, a) ->
+       read_operand v i a;
+       write v i d
+     | Ir.Store (a, b) ->
+       read_operand v i a;
+       read_operand v i b);
+    scan_instrs v i rest
+
+let scan_block v i (b : Ir.block) =
+  scan_instrs v i b.instrs;
+  match b.term with
+  | Ir.Br (c, _, _) | Ir.Ret (Some c) -> read_operand v i c
+  | Ir.Jmp _ | Ir.Ret None -> ()
 
 let compute (f : Ir.func) =
   (* Reverse block order converges fast for the reducible CFGs the
@@ -72,25 +123,18 @@ let compute (f : Ir.func) =
         | Ir.Ret _ -> [||])
       blocks
   in
-  (* The vectors cover the allocator's range and every register the
-     blocks mention past it. *)
-  let regs = ref f.Ir.next_reg in
-  let see r =
-    if r < 0 then invalid_arg "Liveness.compute: negative register";
-    if r >= !regs then regs := r + 1
+  let width = bit_words (max 0 f.Ir.next_reg) in
+  let v =
+    {
+      nblocks = n;
+      width;
+      limit = width * Sys.int_size;
+      use = Array.make (n * width) 0;
+      def = Array.make (n * width) 0;
+    }
   in
-  Array.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun instr ->
-          Ir.iter_uses see instr;
-          Ir.iter_def see instr)
-        b.instrs;
-      Ir.iter_term_uses see b.term)
-    blocks;
-  let words = bit_words !regs in
-  let use = Array.make (n * words) 0 and def = Array.make (n * words) 0 in
-  Array.iteri (fun i b -> block_use_def use def (i * words) b) blocks;
+  Array.iteri (scan_block v) blocks;
+  let words = v.width and use = v.use and def = v.def in
   let live_in = Array.make (n * words) 0 in
   let live_out = Array.make (n * words) 0 in
   let changed = ref true in

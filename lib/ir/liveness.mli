@@ -5,6 +5,12 @@ module Regset : Set.S with type elt = Ir.reg
 type t
 
 val compute : Ir.func -> t
+(** One scan of the blocks builds every block's use and def bit
+    vectors, sized by [next_reg] and widened in place for any register
+    the blocks mention past it; a backward fixpoint over the CFG then
+    gives the live sets.  Raises [Invalid_argument] on a negative
+    register or label and [Not_found] on a branch to a label that no
+    block carries. *)
 
 val live_in : t -> Ir.label -> Regset.t
 

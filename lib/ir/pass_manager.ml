@@ -100,26 +100,32 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
   let runs = Array.make n 0 in
   let rewrites = Array.make n 0 in
   let iterations = ref 0 in
-  let rec go () =
+  (* Applications in a row that rewrote nothing.  A pass that reports
+     no rewrite leaves the IR as it found it, so once every pass of the
+     schedule has been quiet in turn, the round under way would end
+     with zero rewrites as well: stop there instead of re-applying (and
+     re-verifying) passes on IR they have already left alone.  Rounds
+     started are counted as before. *)
+  let quiet = ref 0 in
+  let rec round () =
     incr iterations;
-    let round = ref 0 in
-    List.iteri
-      (fun i (p : Pass.t) ->
-        let c = p.run f in
-        (if verify then
-           match Verify.run f with
-           | () -> ()
-           | exception Verify.Error msg ->
-             failwith
-               (Printf.sprintf "pass %s broke the IR invariants: %s" p.name
-                  msg));
-        runs.(i) <- runs.(i) + 1;
-        rewrites.(i) <- rewrites.(i) + c;
-        round := !round + c)
-      sched.passes;
-    if !round > 0 && !iterations < max_iterations then go ()
+    apply 0 sched.passes
+  and apply i = function
+    | [] -> if !iterations < max_iterations then round ()
+    | (p : Pass.t) :: rest ->
+      let c = p.run f in
+      (if verify then
+         match Verify.run f with
+         | () -> ()
+         | exception Verify.Error msg ->
+           failwith
+             (Printf.sprintf "pass %s broke the IR invariants: %s" p.name msg));
+      runs.(i) <- runs.(i) + 1;
+      rewrites.(i) <- rewrites.(i) + c;
+      if c = 0 then incr quiet else quiet := 0;
+      if !quiet < n then apply (i + 1) rest
   in
-  if n > 0 then go ();
+  if n > 0 then round ();
   let stats =
     List.mapi
       (fun i (p : Pass.t) ->
@@ -146,13 +152,37 @@ let rewrites report name =
   | Some s -> s.rewrites
   | None -> 0
 
+(* The header line every emitted module carries, written into the
+   caller's buffer: no format string, no intermediate string but each
+   number's digits. *)
+let add_report buf r =
+  let str = Buffer.add_string buf
+  and int n = Buffer.add_string buf (string_of_int n) in
+  str "opt[";
+  str r.schedule_name;
+  str "]: ";
+  int r.iterations;
+  str " iter(s), ";
+  (match r.stats with
+   | [] -> str "no passes"
+   | first :: rest ->
+     let stat s =
+       str s.pass;
+       Buffer.add_char buf '=';
+       int s.rewrites
+     in
+     stat first;
+     List.iter
+       (fun s ->
+         Buffer.add_char buf ' ';
+         stat s)
+       rest);
+  str ", instrs ";
+  int r.instrs_before;
+  str " -> ";
+  int r.instrs_after
+
 let report_to_string r =
-  let per_pass =
-    match r.stats with
-    | [] -> "no passes"
-    | stats ->
-      String.concat " "
-        (List.map (fun s -> Printf.sprintf "%s=%d" s.pass s.rewrites) stats)
-  in
-  Printf.sprintf "opt[%s]: %d iter(s), %s, instrs %d -> %d" r.schedule_name
-    r.iterations per_pass r.instrs_before r.instrs_after
+  let buf = Buffer.create 160 in
+  add_report buf r;
+  Buffer.contents buf

@@ -68,73 +68,114 @@ let const_fold (f : Ir.func) =
    were recorded.  Redefining a register visits only its own index
    list: an entry removed or overwritten since stays listed, so each
    listed entry goes only if it is still in the table and still
-   mentions the register — exactly the entries that mention it. *)
+   mentions the register — exactly the entries that mention it.
+
+   Each application builds its tables once and clears them per block.
+   They are keyed through [Hashtbl.Make] with hash and equality written
+   out for registers, operands and [cse_key], so no key goes through the
+   polymorphic hash or compare.  No pass iterates a table, so the hash
+   decides no rewrite. *)
+
+(* Immediates and keys are spread over the buckets; a register, dense
+   and small, is its own hash. *)
+let mix h =
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+module Reg_tbl = Hashtbl.Make (struct
+  type t = Ir.reg
+
+  let equal = Int.equal
+
+  let hash r = r land max_int
+end)
+
+let operand_equal a b =
+  match (a, b) with
+  | Ir.Reg x, Ir.Reg y | Ir.Imm x, Ir.Imm y -> x = y
+  | Ir.Reg _, Ir.Imm _ | Ir.Imm _, Ir.Reg _ -> false
+
+let operand_hash = function
+  | Ir.Reg r -> r land max_int
+  | Ir.Imm n -> mix n
+
+let mentions d = function Ir.Reg r -> r = d | Ir.Imm _ -> false
+
+module Operand_tbl = Hashtbl.Make (struct
+  type t = Ir.operand
+
+  let equal = operand_equal
+
+  let hash = operand_hash
+end)
+
 let push index r x =
-  Hashtbl.replace index r
-    (x :: Option.value ~default:[] (Hashtbl.find_opt index r))
+  Reg_tbl.replace index r
+    (x :: Option.value ~default:[] (Reg_tbl.find_opt index r))
 
 let copy_prop (f : Ir.func) =
   let changed = ref 0 in
-  let subst map op =
+  let map : Ir.operand Reg_tbl.t = Reg_tbl.create 16 in
+  (* [copies_of s]: the registers recorded as copies of [s].  A
+     register whose mapping has changed since stays listed and is
+     skipped when [s] is redefined. *)
+  let copies_of : Ir.reg list Reg_tbl.t = Reg_tbl.create 16 in
+  let subst op =
     match op with
     | Ir.Reg r -> (
-      match Hashtbl.find_opt map r with
+      match Reg_tbl.find_opt map r with
       | Some replacement ->
         incr changed;
         replacement
       | None -> op)
     | Ir.Imm _ -> op
   in
+  (* Drop any mapping that mentions a redefined register. *)
+  let invalidate d =
+    Reg_tbl.remove map d;
+    match Reg_tbl.find_opt copies_of d with
+    | None -> ()
+    | Some copies ->
+      Reg_tbl.remove copies_of d;
+      List.iter
+        (fun r ->
+          match Reg_tbl.find_opt map r with
+          | Some (Ir.Reg s) when s = d -> Reg_tbl.remove map r
+          | Some _ | None -> ())
+        copies
+  in
+  let record d src =
+    Reg_tbl.replace map d src;
+    match src with
+    | Ir.Reg s -> push copies_of s d
+    | Ir.Imm _ -> ()
+  in
   List.iter
     (fun (b : Ir.block) ->
-      let map : (Ir.reg, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
-      (* [copies_of s]: the registers recorded as copies of [s].  A
-         register whose mapping has changed since stays listed and is
-         skipped when [s] is redefined. *)
-      let copies_of : (Ir.reg, Ir.reg list) Hashtbl.t = Hashtbl.create 16 in
-      (* Drop any mapping that mentions a redefined register. *)
-      let invalidate d =
-        Hashtbl.remove map d;
-        match Hashtbl.find_opt copies_of d with
-        | None -> ()
-        | Some copies ->
-          Hashtbl.remove copies_of d;
-          List.iter
-            (fun r ->
-              match Hashtbl.find_opt map r with
-              | Some (Ir.Reg s) when s = d -> Hashtbl.remove map r
-              | Some _ | None -> ())
-            copies
-      in
-      let record d src =
-        Hashtbl.replace map d src;
-        match src with
-        | Ir.Reg s -> push copies_of s d
-        | Ir.Imm _ -> ()
-      in
+      Reg_tbl.clear map;
+      Reg_tbl.clear copies_of;
       b.instrs <-
         List.map
           (fun instr ->
             let instr' =
               match instr with
-              | Ir.Bin (op, d, a, c) -> Ir.Bin (op, d, subst map a, subst map c)
-              | Ir.Un (op, d, a) -> Ir.Un (op, d, subst map a)
-              | Ir.Mov (d, a) -> Ir.Mov (d, subst map a)
-              | Ir.Load (d, a) -> Ir.Load (d, subst map a)
-              | Ir.Store (a, v) -> Ir.Store (subst map a, subst map v)
+              | Ir.Bin (op, d, a, c) -> Ir.Bin (op, d, subst a, subst c)
+              | Ir.Un (op, d, a) -> Ir.Un (op, d, subst a)
+              | Ir.Mov (d, a) -> Ir.Mov (d, subst a)
+              | Ir.Load (d, a) -> Ir.Load (d, subst a)
+              | Ir.Store (a, v) -> Ir.Store (subst a, subst v)
             in
-            (match Ir.def_of instr' with
-             | Some d -> invalidate d
-             | None -> ());
+            let d = Ir.def_reg instr' in
+            if d >= 0 then invalidate d;
             (match instr' with
-             | Ir.Mov (d, src) when src <> Ir.Reg d -> record d src
+             | Ir.Mov (d, src) when not (mentions d src) -> record d src
              | Ir.Mov _ | Ir.Bin _ | Ir.Un _ | Ir.Load _ | Ir.Store _ -> ());
             instr')
           b.instrs;
       b.term <-
         (match b.term with
-         | Ir.Br (c, l1, l2) -> Ir.Br (subst map c, l1, l2)
-         | Ir.Ret (Some v) -> Ir.Ret (Some (subst map v))
+         | Ir.Br (c, l1, l2) -> Ir.Br (subst c, l1, l2)
+         | Ir.Ret (Some v) -> Ir.Ret (Some (subst v))
          | (Ir.Ret None | Ir.Jmp _) as t -> t))
     f.blocks;
   !changed
@@ -156,54 +197,86 @@ let commutative = function
   | Ast.Gt | Ast.Ge ->
     false
 
+(* The order [compare] gives operands: every register before every
+   immediate, each kind by value. *)
+let operand_compare a b =
+  match (a, b) with
+  | Ir.Reg x, Ir.Reg y | Ir.Imm x, Ir.Imm y -> Int.compare x y
+  | Ir.Reg _, Ir.Imm _ -> -1
+  | Ir.Imm _, Ir.Reg _ -> 1
+
 let canonical_key op a b =
-  if commutative op && compare b a < 0 then Kbin (op, b, a) else Kbin (op, a, b)
+  if commutative op && operand_compare b a < 0 then Kbin (op, b, a)
+  else Kbin (op, a, b)
 
 let key_mentions r = function
-  | Kbin (_, a, b) -> a = Ir.Reg r || b = Ir.Reg r
-  | Kun (_, a) | Kload a -> a = Ir.Reg r
+  | Kbin (_, a, b) -> mentions r a || mentions r b
+  | Kun (_, a) | Kload a -> mentions r a
+
+(* Operators are constant constructors, so [==] compares them; the
+   hash leaves them out (one block rarely applies two operators to the
+   same operands). *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = cse_key
+
+  let equal k k' =
+    match (k, k') with
+    | Kbin (op, a, b), Kbin (op', a', b') ->
+      op == op' && operand_equal a a' && operand_equal b b'
+    | Kun (op, a), Kun (op', a') -> op == op' && operand_equal a a'
+    | Kload a, Kload a' -> operand_equal a a'
+    | (Kbin _ | Kun _ | Kload _), _ -> false
+
+  let hash = function
+    | Kbin (_, a, b) -> mix ((3 * operand_hash a) + operand_hash b)
+    | Kun (_, a) -> mix ((3 * operand_hash a) + 1)
+    | Kload a -> mix ((3 * operand_hash a) + 2)
+end)
 
 let cse (f : Ir.func) =
   let changed = ref 0 in
+  let table : Ir.reg Key_tbl.t = Key_tbl.create 16 in
+  (* [keys_of r]: the keys recorded with value [r] or mentioning [r];
+     [loads]: the load keys recorded since the last store. *)
+  let keys_of : cse_key list Reg_tbl.t = Reg_tbl.create 16 in
+  let loads = ref [] in
+  let record k d =
+    Key_tbl.replace table k d;
+    push keys_of d k;
+    let mention = function
+      | Ir.Reg r when r <> d -> push keys_of r k
+      | Ir.Reg _ | Ir.Imm _ -> ()
+    in
+    match k with
+    | Kbin (_, a, c) ->
+      mention a;
+      if not (operand_equal c a) then mention c
+    | Kun (_, a) -> mention a
+    | Kload a ->
+      mention a;
+      loads := k :: !loads
+  in
+  let invalidate_reg d =
+    match Reg_tbl.find_opt keys_of d with
+    | None -> ()
+    | Some keys ->
+      Reg_tbl.remove keys_of d;
+      List.iter
+        (fun k ->
+          match Key_tbl.find_opt table k with
+          | Some v when v = d || key_mentions d k -> Key_tbl.remove table k
+          | Some _ | None -> ())
+        keys
+  in
+  let invalidate_loads () =
+    List.iter (Key_tbl.remove table) !loads;
+    loads := []
+  in
   List.iter
     (fun (b : Ir.block) ->
-      let table : (cse_key, Ir.reg) Hashtbl.t = Hashtbl.create 16 in
-      (* [keys_of r]: the keys recorded with value [r] or mentioning
-         [r]; [loads]: the load keys recorded since the last store. *)
-      let keys_of : (Ir.reg, cse_key list) Hashtbl.t = Hashtbl.create 16 in
-      let loads = ref [] in
-      let record k d =
-        Hashtbl.replace table k d;
-        push keys_of d k;
-        let mention = function
-          | Ir.Reg r when r <> d -> push keys_of r k
-          | Ir.Reg _ | Ir.Imm _ -> ()
-        in
-        match k with
-        | Kbin (_, a, c) ->
-          mention a;
-          if c <> a then mention c
-        | Kun (_, a) -> mention a
-        | Kload a ->
-          mention a;
-          loads := k :: !loads
-      in
-      let invalidate_reg d =
-        match Hashtbl.find_opt keys_of d with
-        | None -> ()
-        | Some keys ->
-          Hashtbl.remove keys_of d;
-          List.iter
-            (fun k ->
-              match Hashtbl.find_opt table k with
-              | Some v when v = d || key_mentions d k -> Hashtbl.remove table k
-              | Some _ | None -> ())
-            keys
-      in
-      let invalidate_loads () =
-        List.iter (Hashtbl.remove table) !loads;
-        loads := []
-      in
+      Key_tbl.clear table;
+      Reg_tbl.clear keys_of;
+      loads := [];
       b.instrs <-
         List.map
           (fun instr ->
@@ -214,27 +287,24 @@ let cse (f : Ir.func) =
               | Ir.Load (_, a) -> Some (Kload a)
               | Ir.Mov _ | Ir.Store _ -> None
             in
+            (* Every keyed instruction defines a register. *)
+            let d = Ir.def_reg instr in
             let instr' =
-              match (key, Ir.def_of instr) with
-              | Some k, Some d -> (
-                match Hashtbl.find_opt table k with
+              match key with
+              | Some k -> (
+                match Key_tbl.find_opt table k with
                 | Some prior ->
                   incr changed;
                   Ir.Mov (d, Ir.Reg prior)
                 | None -> instr)
-              | (Some _ | None), _ -> instr
+              | None -> instr
             in
-            (match Ir.def_of instr' with
-             | Some d -> invalidate_reg d
-             | None -> ());
+            if d >= 0 then invalidate_reg d;
             (match (instr', key) with
              | Ir.Mov _, _ -> ()
-             | _, Some k -> (
-               match Ir.def_of instr' with
-               (* An instruction like [r = r + 1] must not be recorded:
-                  its key refers to the pre-redefinition value of [r]. *)
-               | Some d when not (key_mentions d k) -> record k d
-               | Some _ | None -> ())
+             (* An instruction like [r = r + 1] must not be recorded:
+                its key refers to the pre-redefinition value of [r]. *)
+             | _, Some k -> if not (key_mentions d k) then record k d
              | _, None -> ());
             (match instr' with
              | Ir.Store _ -> invalidate_loads ()
@@ -433,55 +503,53 @@ let simplify_cfg (f : Ir.func) =
    the redefined register on either side. *)
 let store_forward (f : Ir.func) =
   let changed = ref 0 in
+  let table : Ir.operand Operand_tbl.t = Operand_tbl.create 16 in
+  (* [addrs_of r]: the addresses whose entry mentioned [r] on either
+     side when recorded. *)
+  let addrs_of : Ir.operand list Reg_tbl.t = Reg_tbl.create 16 in
+  let record a v =
+    Operand_tbl.replace table a v;
+    (match a with Ir.Reg r -> push addrs_of r a | Ir.Imm _ -> ());
+    match v with
+    | Ir.Reg r when not (mentions r a) -> push addrs_of r a
+    | Ir.Reg _ | Ir.Imm _ -> ()
+  in
+  let invalidate d =
+    match Reg_tbl.find_opt addrs_of d with
+    | None -> ()
+    | Some addrs ->
+      Reg_tbl.remove addrs_of d;
+      List.iter
+        (fun a ->
+          match Operand_tbl.find_opt table a with
+          | Some v when mentions d a || mentions d v ->
+            Operand_tbl.remove table a
+          | Some _ | None -> ())
+        addrs
+  in
   List.iter
     (fun (b : Ir.block) ->
-      let table : (Ir.operand, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
-      (* [addrs_of r]: the addresses whose entry mentioned [r] on
-         either side when recorded. *)
-      let addrs_of : (Ir.reg, Ir.operand list) Hashtbl.t = Hashtbl.create 16 in
-      let mentions d = function
-        | Ir.Reg r -> r = d
-        | Ir.Imm _ -> false
-      in
-      let record a v =
-        Hashtbl.replace table a v;
-        (match a with Ir.Reg r -> push addrs_of r a | Ir.Imm _ -> ());
-        match v with
-        | Ir.Reg r when not (mentions r a) -> push addrs_of r a
-        | Ir.Reg _ | Ir.Imm _ -> ()
-      in
-      let invalidate d =
-        match Hashtbl.find_opt addrs_of d with
-        | None -> ()
-        | Some addrs ->
-          Hashtbl.remove addrs_of d;
-          List.iter
-            (fun a ->
-              match Hashtbl.find_opt table a with
-              | Some v when mentions d a || mentions d v -> Hashtbl.remove table a
-              | Some _ | None -> ())
-            addrs
-      in
+      Operand_tbl.clear table;
+      Reg_tbl.clear addrs_of;
       b.instrs <-
         List.map
           (fun instr ->
             let instr' =
               match instr with
               | Ir.Load (d, a) -> (
-                match Hashtbl.find_opt table a with
-                | Some v when v <> Ir.Reg d ->
+                match Operand_tbl.find_opt table a with
+                | Some v when not (mentions d v) ->
                   incr changed;
                   Ir.Mov (d, v)
                 | Some _ | None -> instr)
               | Ir.Bin _ | Ir.Un _ | Ir.Mov _ | Ir.Store _ -> instr
             in
-            (match Ir.def_of instr' with
-             | Some d -> invalidate d
-             | None -> ());
+            let d = Ir.def_reg instr' in
+            if d >= 0 then invalidate d;
             (match instr' with
              | Ir.Store (a, v) ->
-               Hashtbl.reset table;
-               Hashtbl.reset addrs_of;
+               Operand_tbl.clear table;
+               Reg_tbl.clear addrs_of;
                record a v
              | Ir.Load (d, a) -> record a (Ir.Reg d)
              | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> ());
@@ -501,52 +569,54 @@ let store_forward (f : Ir.func) =
    root and the pass converges in one application per chain. *)
 let fold_offsets (f : Ir.func) =
   let changed = ref 0 in
+  (* reg -> (base operand, constant offset) with reg = base + offset *)
+  let table : (Ir.operand * int) Reg_tbl.t = Reg_tbl.create 16 in
+  (* [offsets_of b]: the registers recorded as offsets from [b]. *)
+  let offsets_of : Ir.reg list Reg_tbl.t = Reg_tbl.create 16 in
+  let record d ((base, _) as entry) =
+    Reg_tbl.replace table d entry;
+    match base with
+    | Ir.Reg b -> push offsets_of b d
+    | Ir.Imm _ -> ()
+  in
+  let invalidate d =
+    Reg_tbl.remove table d;
+    match Reg_tbl.find_opt offsets_of d with
+    | None -> ()
+    | Some regs ->
+      Reg_tbl.remove offsets_of d;
+      List.iter
+        (fun r ->
+          match Reg_tbl.find_opt table r with
+          | Some (Ir.Reg b, _) when b = d -> Reg_tbl.remove table r
+          | Some _ | None -> ())
+        regs
+  in
+  let base_offset = function
+    | Ir.Reg s -> (
+      match Reg_tbl.find_opt table s with
+      | Some entry -> Some entry
+      | None -> Some (Ir.Reg s, 0))
+    | Ir.Imm _ -> None
+  in
   List.iter
     (fun (b : Ir.block) ->
-      (* reg -> (base operand, constant offset) with reg = base + offset *)
-      let table : (Ir.reg, Ir.operand * int) Hashtbl.t = Hashtbl.create 16 in
-      (* [offsets_of b]: the registers recorded as offsets from [b]. *)
-      let offsets_of : (Ir.reg, Ir.reg list) Hashtbl.t = Hashtbl.create 16 in
-      let record d ((base, _) as entry) =
-        Hashtbl.replace table d entry;
-        match base with
-        | Ir.Reg b -> push offsets_of b d
-        | Ir.Imm _ -> ()
-      in
-      let invalidate d =
-        Hashtbl.remove table d;
-        match Hashtbl.find_opt offsets_of d with
-        | None -> ()
-        | Some regs ->
-          Hashtbl.remove offsets_of d;
-          List.iter
-            (fun r ->
-              match Hashtbl.find_opt table r with
-              | Some (Ir.Reg b, _) when b = d -> Hashtbl.remove table r
-              | Some _ | None -> ())
-            regs
-      in
+      Reg_tbl.clear table;
+      Reg_tbl.clear offsets_of;
       b.instrs <-
         List.map
           (fun instr ->
-            let base_offset = function
-              | Ir.Reg s -> (
-                match Hashtbl.find_opt table s with
-                | Some entry -> Some entry
-                | None -> Some (Ir.Reg s, 0))
-              | Ir.Imm _ -> None
-            in
             let instr' =
               match instr with
               | Ir.Bin (Vmht_lang.Ast.Add, d, Ir.Reg s, Ir.Imm n)
               | Ir.Bin (Vmht_lang.Ast.Add, d, Ir.Imm n, Ir.Reg s) -> (
-                match Hashtbl.find_opt table s with
+                match Reg_tbl.find_opt table s with
                 | Some (base, k) ->
                   incr changed;
                   Ir.Bin (Vmht_lang.Ast.Add, d, base, Ir.Imm (k + n))
                 | None -> instr)
               | Ir.Bin (Vmht_lang.Ast.Sub, d, Ir.Reg s, Ir.Imm n) -> (
-                match Hashtbl.find_opt table s with
+                match Reg_tbl.find_opt table s with
                 | Some (base, k) ->
                   incr changed;
                   Ir.Bin (Vmht_lang.Ast.Sub, d, base, Ir.Imm (n - k))
@@ -554,20 +624,21 @@ let fold_offsets (f : Ir.func) =
               | Ir.Bin _ | Ir.Un _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ ->
                 instr
             in
-            (match Ir.def_of instr' with
-             | Some d -> invalidate d
-             | None -> ());
+            let d = Ir.def_reg instr' in
+            if d >= 0 then invalidate d;
             (match instr' with
              | Ir.Bin (Vmht_lang.Ast.Add, d, a, Ir.Imm n)
              | Ir.Bin (Vmht_lang.Ast.Add, d, Ir.Imm n, a) -> (
                match base_offset a with
                (* [d = d + n] must not be recorded: the base refers to
                   the pre-redefinition value of [d]. *)
-               | Some (base, k) when base <> Ir.Reg d -> record d (base, k + n)
+               | Some (base, k) when not (mentions d base) ->
+                 record d (base, k + n)
                | Some _ | None -> ())
              | Ir.Bin (Vmht_lang.Ast.Sub, d, a, Ir.Imm n) -> (
                match base_offset a with
-               | Some (base, k) when base <> Ir.Reg d -> record d (base, k - n)
+               | Some (base, k) when not (mentions d base) ->
+                 record d (base, k - n)
                | Some _ | None -> ())
              | Ir.Bin _ | Ir.Un _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ -> ());
             instr')

@@ -2,16 +2,22 @@ exception Error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
-(* [block_at]: every block by label, built once by {!run} after the
+(* [block_at]: every block by label, [no_block] where there is none;
+   built once by {!run}, and read for reachability only after the
    labels and branch targets are checked. *)
+let no_block = { Ir.label = -1; instrs = []; term = Ir.Ret None }
+
 let reachable_labels (f : Ir.func) block_at =
   let seen = Array.make (Array.length block_at) false in
   let rec visit l =
     if not seen.(l) then begin
       seen.(l) <- true;
-      match block_at.(l) with
-      | Some (b : Ir.block) -> List.iter visit (Ir.successors b.term)
-      | None -> ()
+      match block_at.(l).Ir.term with
+      | Ir.Jmp s -> visit s
+      | Ir.Br (_, s1, s2) ->
+        visit s1;
+        visit s2
+      | Ir.Ret _ -> ()
     end
   in
   visit (Ir.entry f).label;
@@ -25,57 +31,77 @@ let instr_ctx f (b : Ir.block) instr =
   Printf.sprintf "%s: block L%d: %s" f.Ir.fname b.label
     (Ir.instr_to_string instr)
 
-let check_instr f (b : Ir.block) instr =
-  Ir.iter_def
-    (fun d ->
-      if out_of_range f d then
-        fail "%s: defined register r%d outside allocator range [0, %d)"
-          (instr_ctx f b instr) d f.Ir.next_reg)
-    instr;
-  Ir.iter_uses
-    (fun r ->
-      if out_of_range f r then
-        fail "%s: register r%d outside allocator range [0, %d)"
-          (instr_ctx f b instr) r f.Ir.next_reg)
-    instr
+let term_ctx f (b : Ir.block) =
+  Printf.sprintf "%s: block L%d: %s" f.Ir.fname b.label
+    (Ir.term_to_string b.term)
+
+let check_def f b instr d =
+  if out_of_range f d then
+    fail "%s: defined register r%d outside allocator range [0, %d)"
+      (instr_ctx f b instr) d f.Ir.next_reg
+
+let check_use f b instr = function
+  | Ir.Reg r when out_of_range f r ->
+    fail "%s: register r%d outside allocator range [0, %d)"
+      (instr_ctx f b instr) r f.Ir.next_reg
+  | Ir.Reg _ | Ir.Imm _ -> ()
+
+(* Operands are matched directly, the definition before the uses, so
+   the first offending operand is the one [Ir.iter_def] and then
+   [Ir.iter_uses] would reach first. *)
+let rec check_instrs f b = function
+  | [] -> ()
+  | instr :: rest ->
+    (match instr with
+     | Ir.Bin (_, d, x, y) ->
+       check_def f b instr d;
+       check_use f b instr x;
+       check_use f b instr y
+     | Ir.Un (_, d, x) | Ir.Mov (d, x) | Ir.Load (d, x) ->
+       check_def f b instr d;
+       check_use f b instr x
+     | Ir.Store (x, y) ->
+       check_use f b instr x;
+       check_use f b instr y);
+    check_instrs f b rest
+
+let check_target f block_at b l =
+  if l < 0 || l >= f.Ir.next_label then
+    fail "%s: target L%d outside allocator range [0, %d)" (term_ctx f b) l
+      f.Ir.next_label;
+  if block_at.(l) == no_block then
+    fail "%s: target L%d has no block" (term_ctx f b) l
 
 let check_term f block_at (b : Ir.block) =
-  let ctx () =
-    Printf.sprintf "%s: block L%d: %s" f.Ir.fname b.label
-      (Ir.term_to_string b.term)
-  in
-  Ir.iter_term_uses
-    (fun r ->
-      if out_of_range f r then
-        fail "%s: register r%d outside allocator range [0, %d)" (ctx ()) r
-          f.Ir.next_reg)
-    b.term;
-  List.iter
-    (fun l ->
-      if l < 0 || l >= f.Ir.next_label then
-        fail "%s: target L%d outside allocator range [0, %d)" (ctx ()) l
-          f.Ir.next_label;
-      if Option.is_none block_at.(l) then
-        fail "%s: target L%d has no block" (ctx ()) l)
-    (Ir.successors b.term)
+  (match b.term with
+   | Ir.Br (Ir.Reg r, _, _) | Ir.Ret (Some (Ir.Reg r)) when out_of_range f r ->
+     fail "%s: register r%d outside allocator range [0, %d)" (term_ctx f b) r
+       f.Ir.next_reg
+   | Ir.Br _ | Ir.Ret _ | Ir.Jmp _ -> ());
+  match b.term with
+  | Ir.Jmp l -> check_target f block_at b l
+  | Ir.Br (_, l1, l2) ->
+    check_target f block_at b l1;
+    if l2 <> l1 then check_target f block_at b l2
+  | Ir.Ret _ -> ()
 
 let run (f : Ir.func) =
   (* CFG shape: non-empty, unique labels, in-range counters. *)
   if f.Ir.blocks = [] then fail "%s: function has no blocks" f.Ir.fname;
-  let block_at = Array.make (max 0 f.Ir.next_label) None in
+  let block_at = Array.make (max 0 f.Ir.next_label) no_block in
   List.iter
     (fun (b : Ir.block) ->
       let in_range = b.Ir.label >= 0 && b.Ir.label < f.Ir.next_label in
-      if in_range && Option.is_some block_at.(b.Ir.label) then
+      if in_range && block_at.(b.Ir.label) != no_block then
         fail "%s: duplicate block label L%d" f.Ir.fname b.Ir.label;
       if not in_range then
         fail "%s: block label L%d outside allocator range [0, %d)" f.Ir.fname
           b.Ir.label f.Ir.next_label;
-      block_at.(b.Ir.label) <- Some b)
+      block_at.(b.Ir.label) <- b)
     f.blocks;
   List.iter
     (fun (b : Ir.block) ->
-      List.iter (check_instr f b) b.instrs;
+      check_instrs f b b.instrs;
       check_term f block_at b)
     f.blocks;
   (* Def-before-use on every path: a register live into the entry block

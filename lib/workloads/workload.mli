@@ -27,7 +27,14 @@ type t = {
 }
 
 val kernel : t -> Vmht_lang.Ast.kernel
-(** Parse + typecheck the workload's kernel (cached per call site). *)
+(** Parse and typecheck the workload's kernel source.  Nothing is
+    cached: every call does both again (about 35 µs for a registry
+    kernel) and returns a fresh AST.  Keep it so rather than hand every
+    caller one shared AST: the values built from it would then share
+    its strings (the kernel's name, say), and [Marshal] output depends
+    on sharing.  The [serve-warm] benchmark compares each round's
+    marshaled replies with the first round's; with a shared AST most
+    of them differ. *)
 
 (** {2 Setup helpers} *)
 

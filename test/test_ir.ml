@@ -185,6 +185,24 @@ let test_max_live_positive () =
   let info = Liveness.compute f in
   check_bool "pressure >= 3" true (Liveness.max_live f info >= 3)
 
+(* The one-scan analysis against the two-scan oracle in ir_oracle.ml:
+   the same live-in and live-out sets at every label (a label with no
+   block raises [Not_found] in both). *)
+let same_liveness (f : Ir.func) =
+  let info = Liveness.compute f and oracle = Ir_oracle.Liveness.compute f in
+  let at get l =
+    match get l with regs -> Some regs | exception Not_found -> None
+  in
+  let lib get l = at (fun l -> Liveness.Regset.elements (get info l)) l
+  and ref_ get l =
+    at (fun l -> Ir_oracle.Liveness.Regset.elements (get oracle l)) l
+  in
+  List.for_all
+    (fun l ->
+      lib Liveness.live_in l = ref_ Ir_oracle.Liveness.live_in l
+      && lib Liveness.live_out l = ref_ Ir_oracle.Liveness.live_out l)
+    (List.init (Ir.label_bound f + 2) (fun l -> l - 1))
+
 (* Registers at or past [next_reg] (IR the verifier would reject) are
    still analysed: the vectors widen to the registers the blocks
    mention.  r70 also lands in a second bit-vector word. *)
@@ -201,7 +219,30 @@ let test_liveness_past_next_reg () =
   Alcotest.(check (list int)) "into L1" [ 5; 9 ] (elements l1);
   Alcotest.(check (list int)) "into L0" [ 0; 9 ] (elements l0);
   check_bool "r70 live out of L0" false (Liveness.mem_live_out info l0 70);
-  Alcotest.(check int) "pressure" 2 (Liveness.max_live f info)
+  Alcotest.(check int) "pressure" 2 (Liveness.max_live f info);
+  check_bool "oracle agrees" true (same_liveness f)
+
+(* Each generated kernel at unroll 1 and 4, as lowered and after O2,
+   with [next_reg] as the allocator left it, halved and zero: most
+   registers then lie past it, and the vectors widen from no words at
+   all. *)
+let prop_liveness_matches_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"liveness matches the two-scan oracle, registers past next_reg too"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100000))
+    (fun seed ->
+      let kernel = Gen_prog.gen_kernel ~returns:(seed mod 4 <> 0) seed in
+      List.for_all
+        (fun (factor, optimize) ->
+          let kernel, _ = Ast_unroll.unroll_kernel ~factor kernel in
+          let f = Lower.lower_kernel kernel in
+          if optimize then ignore (Pass_manager.optimize f);
+          List.for_all
+            (fun next_reg ->
+              f.Ir.next_reg <- next_reg;
+              same_liveness f)
+            [ f.Ir.next_reg; f.Ir.next_reg / 2; 0 ])
+        [ (1, false); (1, true); (4, false); (4, true) ])
 
 (* ---------------------- unrolling ---------------------------------- *)
 
@@ -326,6 +367,7 @@ let suite =
     Alcotest.test_case "liveness: pressure" `Quick test_max_live_positive;
     Alcotest.test_case "liveness: registers past next_reg" `Quick
       test_liveness_past_next_reg;
+    QCheck_alcotest.to_alcotest prop_liveness_matches_oracle;
     Alcotest.test_case "unroll: applies" `Quick test_unroll_applies;
     Alcotest.test_case "unroll: preserves semantics" `Quick
       test_unroll_preserves_semantics;

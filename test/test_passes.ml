@@ -587,6 +587,306 @@ let prop_verifier_accepts_all_pass_output =
       | (_ : Pass_manager.report) -> true
       | exception Failure _ -> false)
 
+(* ---------------------- the zero-rewrite contract ------------------ *)
+
+(* Blocks are the only mutable parts below a function, so copying them
+   and the record is a deep enough copy for a pass to rewrite. *)
+let copy_func (f : Ir.func) =
+  {
+    f with
+    Ir.blocks =
+      List.map (fun (b : Ir.block) -> { b with Ir.label = b.Ir.label }) f.blocks;
+  }
+
+(* Structural, not by [Marshal] bytes: a rewrite may leave equal IR
+   with different sharing. *)
+let same_ir (a : Ir.func) (b : Ir.func) =
+  a.Ir.next_reg = b.Ir.next_reg
+  && a.Ir.next_label = b.Ir.next_label
+  && List.equal
+       (fun (x : Ir.block) (y : Ir.block) ->
+         x.label = y.label && x.instrs = y.instrs && x.term = y.term)
+       a.Ir.blocks b.Ir.blocks
+
+let o2_passes () = (Pass_manager.o2 ()).Pass_manager.passes
+
+(* A generated kernel at unroll 1 and 4, each as lowered and after one
+   round of the O2 schedule; one seed in four makes a void kernel. *)
+let pass_inputs seed =
+  let kernel = Gen_prog.gen_kernel ~returns:(seed mod 4 <> 0) seed in
+  List.concat_map
+    (fun factor ->
+      let kernel, _ = Ast_unroll.unroll_kernel ~factor kernel in
+      let lowered = Lower.lower_kernel kernel in
+      let rounded = copy_func lowered in
+      List.iter (fun (p : Pass.t) -> ignore (p.Pass.run rounded)) (o2_passes ());
+      [ lowered; rounded ])
+    [ 1; 4 ]
+
+(* [Pass_manager.run] stops once every pass in turn has reported zero
+   rewrites since the last rewrite; that is the joint fixpoint only if
+   a pass reporting zero leaves the IR as it found it. *)
+let prop_quiet_pass_leaves_ir =
+  QCheck.Test.make ~count:200
+    ~name:"a pass reporting zero rewrites leaves the IR unchanged" seed_arb
+    (fun seed ->
+      List.for_all
+        (fun f ->
+          List.for_all
+            (fun (p : Pass.t) ->
+              let g = copy_func f in
+              p.Pass.run g > 0 || same_ir f g)
+            (o2_passes ()))
+        (pass_inputs seed))
+
+(* The pass manager applies the schedule in rounds, but a round whose
+   passes were all quiet already is cut short: the counts are those of
+   full rounds, with fewer applications in the last one. *)
+let test_fixpoint_stops_when_quiet () =
+  let f =
+    Lower.lower_kernel
+      (Vmht_lang.Parser.parse_kernel
+         "kernel f(x: int) : int { var y: int = x * 1; return y + 0; }")
+  in
+  let applied = ref [] in
+  let counting name rewrites =
+    {
+      Pass.name;
+      doc = "";
+      kind = Pass.Cleanup;
+      run =
+        (fun _ ->
+          applied := name :: !applied;
+          match !rewrites with
+          | [] -> 0
+          | c :: rest ->
+            rewrites := rest;
+            c);
+    }
+  in
+  let sched =
+    {
+      Pass_manager.sname = "test";
+      passes =
+        [
+          counting "a" (ref [ 0; 0 ]);
+          counting "b" (ref [ 2; 0 ]);
+          counting "c" (ref [ 0; 0 ]);
+        ];
+    }
+  in
+  let r = Pass_manager.run sched f in
+  Alcotest.(check (list string))
+    "applications" [ "a"; "b"; "c"; "a"; "b" ] (List.rev !applied);
+  check_int "rounds started" 2 r.Pass_manager.iterations;
+  Alcotest.(check (list (pair int int)))
+    "applications and rewrites per pass"
+    [ (2, 0); (2, 2); (1, 0) ]
+    (List.map
+       (fun (s : Pass_manager.pass_stat) -> (s.runs, s.rewrites))
+       r.Pass_manager.stats)
+
+(* ---------------------- the verifier against its oracle -------------- *)
+
+(* One fault of the given kind injected into [f] in place, at a place
+   [rng] picks; [false] when [f] has no such place. *)
+let inject rng (f : Ir.func) kind =
+  let module Rng = Vmht_util.Rng in
+  let pick l = Rng.pick rng (Array.of_list l) in
+  let bad_reg () = if Rng.bool rng then f.Ir.next_reg else -1 in
+  let instr_sites keep =
+    List.concat_map
+      (fun (b : Ir.block) ->
+        List.mapi (fun k i -> (b, k, i)) b.instrs
+        |> List.filter (fun (_, _, i) -> keep i))
+      f.Ir.blocks
+  in
+  let replace (b : Ir.block) k instr =
+    b.instrs <- List.mapi (fun j i -> if j = k then instr else i) b.instrs
+  in
+  match kind with
+  | `None -> false
+  | `Def -> (
+    match instr_sites (fun i -> Ir.def_of i <> None) with
+    | [] -> false
+    | sites ->
+      let b, k, i = pick sites in
+      let d = bad_reg () in
+      replace b k
+        (match i with
+         | Ir.Bin (op, _, x, y) -> Ir.Bin (op, d, x, y)
+         | Ir.Un (op, _, x) -> Ir.Un (op, d, x)
+         | Ir.Mov (_, x) -> Ir.Mov (d, x)
+         | Ir.Load (_, x) -> Ir.Load (d, x)
+         | Ir.Store _ -> i);
+      true)
+  | `Use -> (
+    match instr_sites (fun _ -> true) with
+    | [] -> false
+    | sites ->
+      let b, k, i = pick sites in
+      let r = Ir.Reg (bad_reg ()) and first = Rng.bool rng in
+      replace b k
+        (match i with
+         | Ir.Bin (op, d, x, y) ->
+           if first then Ir.Bin (op, d, r, y) else Ir.Bin (op, d, x, r)
+         | Ir.Store (x, y) -> if first then Ir.Store (r, y) else Ir.Store (x, r)
+         | Ir.Un (op, d, _) -> Ir.Un (op, d, r)
+         | Ir.Mov (d, _) -> Ir.Mov (d, r)
+         | Ir.Load (d, _) -> Ir.Load (d, r));
+      true)
+  | `Every_operand -> (
+    (* Each register of one instruction out of range, each by a
+       different value, so the message names the one checked first. *)
+    match instr_sites (fun _ -> true) with
+    | [] -> false
+    | sites ->
+      let b, k, i = pick sites in
+      let d = f.Ir.next_reg and x = Ir.Reg (-1)
+      and y = Ir.Reg (f.Ir.next_reg + 1) in
+      replace b k
+        (match i with
+         | Ir.Bin (op, _, _, _) -> Ir.Bin (op, d, x, y)
+         | Ir.Store _ -> Ir.Store (x, y)
+         | Ir.Un (op, _, _) -> Ir.Un (op, d, x)
+         | Ir.Mov _ -> Ir.Mov (d, x)
+         | Ir.Load _ -> Ir.Load (d, x));
+      true)
+  | `Term -> (
+    match
+      List.filter
+        (fun (b : Ir.block) ->
+          match b.term with
+          | Ir.Br _ | Ir.Ret (Some _) -> true
+          | Ir.Jmp _ | Ir.Ret None -> false)
+        f.Ir.blocks
+    with
+    | [] -> false
+    | blocks ->
+      let b = pick blocks in
+      let r = Ir.Reg (bad_reg ()) in
+      b.term <-
+        (match b.term with
+         | Ir.Br (_, l1, l2) -> Ir.Br (r, l1, l2)
+         | Ir.Ret _ | Ir.Jmp _ -> Ir.Ret (Some r));
+      true)
+  | `Target ->
+    let present = List.map (fun (b : Ir.block) -> b.Ir.label) f.Ir.blocks in
+    let missing =
+      f.Ir.next_label :: -1
+      :: List.filter
+           (fun l -> not (List.mem l present))
+           (List.init f.Ir.next_label Fun.id)
+    in
+    let b = pick f.Ir.blocks and l = pick missing in
+    b.term <-
+      (match b.term with
+       | Ir.Br (c, l1, l2) ->
+         if Rng.bool rng then Ir.Br (c, l, l2) else Ir.Br (c, l1, l)
+       | Ir.Jmp _ | Ir.Ret _ -> Ir.Jmp l);
+    true
+  | `Use_before_def -> (
+    (* A use of a register with one definition, moved from after that
+       definition in its block to just before it. *)
+    let defs = Hashtbl.create 64 in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter
+          (fun i ->
+            Ir.iter_def
+              (fun d ->
+                Hashtbl.replace defs d
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt defs d)))
+              i)
+          b.instrs)
+      f.Ir.blocks;
+    let reads r i =
+      let hit = ref false in
+      Ir.iter_uses (fun u -> if u = r then hit := true) i;
+      !hit
+    in
+    let moves =
+      List.concat_map
+        (fun (b : Ir.block) ->
+          let instrs = Array.of_list b.instrs in
+          let n = Array.length instrs in
+          List.concat
+            (List.init n (fun k ->
+                 match Ir.def_of instrs.(k) with
+                 | Some d when Hashtbl.find_opt defs d = Some 1 ->
+                   List.filter_map
+                     (fun j ->
+                       if j > k && reads d instrs.(j) then Some (b, k, j)
+                       else None)
+                     (List.init n Fun.id)
+                 | Some _ | None -> [])))
+        f.Ir.blocks
+    in
+    match moves with
+    | [] -> false
+    | moves ->
+      let b, k, j = pick moves in
+      let instrs = Array.of_list b.instrs in
+      let moved = instrs.(j) in
+      b.instrs <-
+        List.concat
+          (List.mapi
+             (fun m i ->
+               if m = k then [ moved; i ] else if m = j then [] else [ i ])
+             b.instrs);
+      true)
+  | `Ret_arity -> (
+    match
+      List.filter
+        (fun (b : Ir.block) ->
+          match b.term with Ir.Ret _ -> true | Ir.Jmp _ | Ir.Br _ -> false)
+        f.Ir.blocks
+    with
+    | [] -> false
+    | blocks ->
+      let b = pick blocks in
+      b.term <-
+        (match b.term with
+         | Ir.Ret None -> Ir.Ret (Some (Ir.Imm 0))
+         | Ir.Ret (Some _) | Ir.Jmp _ | Ir.Br _ -> Ir.Ret None);
+      true)
+
+let verdict check f =
+  match check f with
+  | Ok () -> "ok"
+  | Error msg -> "error: " ^ msg
+  | exception e -> "raised " ^ Printexc.to_string e
+
+(* Each fault kind on each of a kernel's four IR forms: the verifier
+   gives the oracle's answer, [Ok] or the same message. *)
+let prop_verifier_matches_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"verifier matches the three-scan oracle on injected faults"
+    seed_arb (fun seed ->
+      let rng = Vmht_util.Rng.create seed in
+      List.for_all
+        (fun f ->
+          List.for_all
+            (fun kind ->
+              let g = copy_func f in
+              ignore (inject rng g kind);
+              let got = verdict Verify.check g
+              and want = verdict Ir_oracle.Verify.check g in
+              got = want
+              || QCheck.Test.fail_reportf "verifier %S, oracle %S on\n%s" got
+                   want (Ir.func_to_string g))
+            [
+              `None;
+              `Def;
+              `Use;
+              `Every_operand;
+              `Term;
+              `Target;
+              `Use_before_def;
+              `Ret_arity;
+            ])
+        (pass_inputs seed))
+
 let suite =
   [
     Alcotest.test_case "registry: builtins present" `Quick
@@ -645,4 +945,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_each_pass_preserves_semantics;
     QCheck_alcotest.to_alcotest prop_each_preset_preserves_semantics;
     QCheck_alcotest.to_alcotest prop_verifier_accepts_all_pass_output;
+    QCheck_alcotest.to_alcotest prop_verifier_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_quiet_pass_leaves_ir;
+    Alcotest.test_case "fixpoint: stops when every pass is quiet" `Quick
+      test_fixpoint_stops_when_quiet;
   ]

@@ -104,8 +104,9 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
      no rewrite leaves the IR as it found it, so once every pass of the
      schedule has been quiet in turn, the round under way would end
      with zero rewrites as well: stop there instead of re-applying (and
-     re-verifying) passes on IR they have already left alone.  Rounds
-     started are counted as before. *)
+     re-verifying) passes on IR they have already left alone.
+     [iterations] counts rounds started, the one cut short included,
+     so it reads as if that round had run to its end. *)
   let quiet = ref 0 in
   let rec round () =
     incr iterations;

@@ -134,8 +134,7 @@ module Trace = struct
 end
 
 let add_stats buf s =
-  let str = Buffer.add_string buf
-  and int n = Buffer.add_string buf (string_of_int n) in
+  let str = Buffer.add_string buf and int = Vmht_util.Buf.add_int buf in
   int s.ir_instrs;
   str " IR instrs in ";
   int s.blocks;

@@ -10,11 +10,7 @@ let str = Buffer.add_string
 
 let chr = Buffer.add_char
 
-(* Decimal digits of a non-negative int (everything the emitter
-   numbers: states, widths, registers, labels, channels, immediates). *)
-let rec add_int buf n =
-  if n >= 10 then add_int buf (n / 10);
-  chr buf (Char.unsafe_chr (48 + (n mod 10)))
+let add_int = Vmht_util.Buf.add_int
 
 let operand buf = function
   | Ir.Reg r ->

@@ -154,11 +154,9 @@ let rewrites report name =
   | None -> 0
 
 (* The header line every emitted module carries, written into the
-   caller's buffer: no format string, no intermediate string but each
-   number's digits. *)
+   caller's buffer: no format string and no intermediate string. *)
 let add_report buf r =
-  let str = Buffer.add_string buf
-  and int n = Buffer.add_string buf (string_of_int n) in
+  let str = Buffer.add_string buf and int = Vmht_util.Buf.add_int buf in
   str "opt[";
   str r.schedule_name;
   str "]: ";

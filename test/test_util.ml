@@ -145,6 +145,21 @@ let prop_geomean_le_mean =
       let xs = List.map (fun x -> x +. 0.001) xs in
       Stats.geomean xs <= Stats.mean xs +. 1e-9)
 
+let buf_int n =
+  let b = Buffer.create 24 in
+  Vmht_util.Buf.add_int b n;
+  Buffer.contents b
+
+let test_buf_add_int_edges () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n) (buf_int n))
+    [ 0; 9; 10; -1; -9; -10; max_int; min_int; min_int + 1 ]
+
+let prop_buf_add_int =
+  QCheck.Test.make ~name:"buf: add_int prints as string_of_int" QCheck.int
+    (fun n -> buf_int n = string_of_int n)
+
 let suite =
   [
     Alcotest.test_case "bits: is_pow2" `Quick test_is_pow2;
@@ -167,4 +182,6 @@ let suite =
     Alcotest.test_case "plot: empty" `Quick test_plot_empty;
     QCheck_alcotest.to_alcotest prop_align_up_ge;
     QCheck_alcotest.to_alcotest prop_geomean_le_mean;
+    Alcotest.test_case "buf: add_int edges" `Quick test_buf_add_int_edges;
+    QCheck_alcotest.to_alcotest prop_buf_add_int;
   ]

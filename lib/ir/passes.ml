@@ -326,13 +326,8 @@ let dce_once (f : Ir.func) =
       (* Backward, so consing onto [keep] restores program order. *)
       let keep = ref [] in
       Liveness.iter_live_after info b (fun instr live ->
-          let dead =
-            Ir.is_pure instr
-            &&
-            match Ir.def_of instr with
-            | Some d -> not (live d)
-            | None -> false
-          in
+          (* A pure instruction always defines a register. *)
+          let dead = Ir.is_pure instr && not (live (Ir.def_reg instr)) in
           if dead then incr removed else keep := instr :: !keep);
       b.instrs <- !keep)
     f.blocks;
@@ -718,7 +713,10 @@ let coalesce (f : Ir.func) =
       in
       let rec rewrite = function
         | instr :: Ir.Mov (d, Ir.Reg t) :: rest
-          when Ir.def_of instr = Some t && t <> d && not (used_after rest t)
+          when Ir.is_pure instr
+               && Ir.def_reg instr = t
+               && t <> d
+               && not (used_after rest t)
           ->
           incr changed;
           rewrite (with_def instr d :: rest)

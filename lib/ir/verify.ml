@@ -72,18 +72,22 @@ let check_target f block_at b l =
   if block_at.(l) == no_block then
     fail "%s: target L%d has no block" (term_ctx f b) l
 
+let check_term_use f b = function
+  | Ir.Reg r when out_of_range f r ->
+    fail "%s: register r%d outside allocator range [0, %d)" (term_ctx f b) r
+      f.Ir.next_reg
+  | Ir.Reg _ | Ir.Imm _ -> ()
+
+(* The operand before the targets, each target once. *)
 let check_term f block_at (b : Ir.block) =
-  (match b.term with
-   | Ir.Br (Ir.Reg r, _, _) | Ir.Ret (Some (Ir.Reg r)) when out_of_range f r ->
-     fail "%s: register r%d outside allocator range [0, %d)" (term_ctx f b) r
-       f.Ir.next_reg
-   | Ir.Br _ | Ir.Ret _ | Ir.Jmp _ -> ());
   match b.term with
   | Ir.Jmp l -> check_target f block_at b l
-  | Ir.Br (_, l1, l2) ->
+  | Ir.Br (c, l1, l2) ->
+    check_term_use f b c;
     check_target f block_at b l1;
     if l2 <> l1 then check_target f block_at b l2
-  | Ir.Ret _ -> ()
+  | Ir.Ret (Some c) -> check_term_use f b c
+  | Ir.Ret None -> ()
 
 let run (f : Ir.func) =
   (* CFG shape: non-empty, unique labels, in-range counters. *)

@@ -603,10 +603,7 @@ let copy_func (f : Ir.func) =
 let same_ir (a : Ir.func) (b : Ir.func) =
   a.Ir.next_reg = b.Ir.next_reg
   && a.Ir.next_label = b.Ir.next_label
-  && List.equal
-       (fun (x : Ir.block) (y : Ir.block) ->
-         x.label = y.label && x.instrs = y.instrs && x.term = y.term)
-       a.Ir.blocks b.Ir.blocks
+  && a.Ir.blocks = b.Ir.blocks
 
 let o2_passes () = (Pass_manager.o2 ()).Pass_manager.passes
 

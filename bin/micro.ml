@@ -1,9 +1,9 @@
 (* Bechamel micro-benchmarks behind [vmht perf micro] and [vmht perf
    snapshot]: one target per table/figure plus targets for the
-   simulator machinery itself (event queue, MMU translation), for
-   single synthesis stages (IR verifier, scheduler, pipeliner, Verilog
-   emit), for the model's accelerator run alone and for the RTL
-   evaluator's parse and run.  Target names, bodies and Bechamel
+   simulator machinery itself (event queue, MMU translation, SoC
+   creation), for single synthesis stages (IR verifier, scheduler,
+   pipeliner, Verilog emit), for the model's accelerator run alone and
+   for the RTL evaluator's parse and run.  Target names, bodies and Bechamel
    settings are what the committed BENCH_eval.json measured; change any
    of them and the perf gate no longer compares like with like. *)
 
@@ -257,6 +257,10 @@ let multi_thread_pair () =
       ignore (Vmht_rt.Hthreads.join t1);
       ignore (Vmht_rt.Hthreads.join t2))
 
+(* The SoC a served execute builds before its set-up: engine, memory,
+   bus, CPU and its cache, no workload. *)
+let soc_create () = ignore (Vmht.Soc.create Vmht.Config.default : Vmht.Soc.t)
+
 (* The data set-up of the sim benchmark's largest points, each on a
    fresh SoC: a streaming kernel's arrays and a scattered search tree. *)
 let workload_setup () =
@@ -288,6 +292,7 @@ let targets : (string * Test.t Lazy.t) list =
           (Vmht_eval.Common.synthesize ~config ~cache:false
              Vmht.Wrapper.Vm_iface (Lazy.force vecadd)));
     t "fig6.two-threads" multi_thread_pair;
+    t "core.soc-create" soc_create;
     t "hls.accel" hls_accel;
     t "hls.emit" hls_emit;
     t "hls.pipeline" hls_pipeline;

@@ -176,13 +176,6 @@ let cache_stats () =
     cache_entries = entries;
   }
 
-let reset_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache_table;
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0;
-  Mutex.unlock cache_mutex;
-  Vmht_rtl.Eval.reset_memo ()
 
 (* The memo-miss producer: consult the persistent backend (if any),
    fall back to a fresh synthesis, write fresh results through.  A
@@ -235,6 +228,76 @@ let synthesize_cached i kernel : (hw_thread, error) result =
   in
   Mutex.lock cache_mutex;
   acquire ()
+
+(* --- software compile memo ------------------------------------------ *)
+
+(* [compile_sw] reads the two optimizer fields and the kernel, and
+   nothing else, so its result is memoized under a digest of exactly
+   those, beside the synthesis memo and dropped with it.  As there, the
+   stored fields are compared structurally on a hit, so a digest
+   collision compiles again instead of returning another kernel's
+   code.  Not single-flight: two domains that miss on one key at once
+   both compile, and both return the first result stored. *)
+
+type sw_entry = {
+  sw_opt_level : int;
+  sw_passes : string list option;
+  sw_kernel : Ast.kernel;
+  sw_func : Vmht_ir.Ir.func;
+}
+
+let sw_mutex = Mutex.create ()
+
+let sw_table : (Digest.t, sw_entry) Hashtbl.t = Hashtbl.create 16
+
+let sw_find ~key ~opt_level ~passes kernel =
+  match Hashtbl.find_opt sw_table key with
+  | Some e
+    when e.sw_opt_level = opt_level && e.sw_passes = passes
+         && e.sw_kernel = kernel ->
+    Some e.sw_func
+  | Some _ | None -> None
+
+let compile_sw (config : Config.t) kernel =
+  let opt_level = config.Config.opt_level and passes = config.Config.passes in
+  let key =
+    Digest.string
+      (Marshal.to_string (opt_level, passes, kernel) [ Marshal.No_sharing ])
+  in
+  match
+    Mutex.protect sw_mutex (fun () -> sw_find ~key ~opt_level ~passes kernel)
+  with
+  | Some func -> func
+  | None ->
+    Vmht_lang.Typecheck.check_kernel kernel;
+    (* Software threads get the same pass schedule but no unrolling: the
+       scalar CPU gains nothing from wider loop bodies. *)
+    let func = Vmht_ir.Lower.lower_kernel kernel in
+    ignore
+      (Vmht_ir.Pass_manager.optimize
+         ~schedule:(Config.schedule_of ~opt_level ~passes)
+         func);
+    Mutex.protect sw_mutex (fun () ->
+        match sw_find ~key ~opt_level ~passes kernel with
+        | Some first -> first
+        | None ->
+          Hashtbl.replace sw_table key
+            {
+              sw_opt_level = opt_level;
+              sw_passes = passes;
+              sw_kernel = kernel;
+              sw_func = func;
+            };
+          func)
+
+let reset_cache () =
+  Mutex.lock cache_mutex;
+  Hashtbl.reset cache_table;
+  Atomic.set cache_hits 0;
+  Atomic.set cache_misses 0;
+  Mutex.unlock cache_mutex;
+  Mutex.protect sw_mutex (fun () -> Hashtbl.reset sw_table);
+  Vmht_rtl.Eval.reset_memo ()
 
 (* --- the consolidated request API ---------------------------------- *)
 
@@ -314,15 +377,6 @@ let raise_error = function
   | Store_error _ as e -> raise (Sys_error (error_to_string e))
 
 let run_exn r = match run r with Ok hw -> hw | Error e -> raise_error e
-
-let compile_sw (config : Config.t) kernel =
-  Vmht_lang.Typecheck.check_kernel kernel;
-  (* Software threads get the same pass schedule but no unrolling: the
-     scalar CPU gains nothing from wider loop bodies. *)
-  let func = Vmht_ir.Lower.lower_kernel kernel in
-  ignore
-    (Vmht_ir.Pass_manager.optimize ~schedule:(Config.schedule config) func);
-  func
 
 let summary t =
   Printf.sprintf

@@ -145,7 +145,16 @@ val set_store : store_backend option -> unit
 
 val compile_sw : Config.t -> Vmht_lang.Ast.kernel -> Vmht_ir.Ir.func
 (** The software path: the same front end and optimizer, no HLS.  Used
-    for software-thread execution and as the Table 5 baseline. *)
+    for software-thread execution and as the Table 5 baseline.
+
+    Memoized process-wide beside the synthesis memo, under a digest of
+    exactly what it reads: the config's [opt_level] and [passes] and
+    the kernel (compared structurally on a hit, so a digest collision
+    compiles again).  Configs that differ elsewhere share one result.
+    The returned function is that shared value: callers must not
+    mutate it ({!Vmht_cpu.Cpu.run_func} only reads it).  Safe under
+    concurrent callers on several domains; {!reset_cache} drops it,
+    and {!cache_stats} does not count it. *)
 
 val summary : hw_thread -> string
 
@@ -161,6 +170,6 @@ val cache_stats : unit -> cache_stats
 
 val reset_cache : unit -> unit
 (** Drop every entry and zero the counters (tests, micro-benchmarks).
-    Also empties the RTL evaluator's compiled-program memo
-    ({!Vmht_rtl.Eval.reset_memo}), so nothing derived from a dropped
-    [hw_thread] outlives it. *)
+    Also empties the {!compile_sw} memo and the RTL evaluator's
+    compiled-program memo ({!Vmht_rtl.Eval.reset_memo}), so nothing
+    derived from a dropped [hw_thread] outlives it. *)

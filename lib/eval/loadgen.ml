@@ -22,10 +22,14 @@ let handle (req : Proto.request) =
   | Proto.Synthesize { kernel; style; config } -> (
     match Flow.run (Flow.Request.of_kernel ~config ~style kernel) with
     | Ok hw ->
-      (* The deterministic projection: no wall-clock field. *)
+      (* The deterministic projection: no wall-clock field.  The name
+         is the request's own (the memo hit check makes it equal to
+         the held AST's), so a reply shares strings with its request
+         alone, whether a synthesis or a store decode filled the memo,
+         and its marshaled bytes do not depend on which did. *)
       Proto.Synthesized
         {
-          kname = hw.Flow.kernel.Vmht_lang.Ast.kname;
+          kname = kernel.Vmht_lang.Ast.kname;
           states = hw.Flow.fsm.Vmht_hls.Fsm.stats.Vmht_hls.Fsm.states;
           total_area = hw.Flow.total_area;
           verilog_bytes = String.length hw.Flow.verilog;

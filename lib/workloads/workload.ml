@@ -18,10 +18,22 @@ type t = {
   setup : Addr_space.t -> size:int -> seed:int -> instance;
 }
 
+(* Every AST handed out so far, by the source it was parsed from.  A
+   table under a mutex rather than a [Lazy] per workload: two domains
+   forcing one [Lazy] at once can raise [CamlinternalLazy.Undefined]. *)
+let parsed : (string, Vmht_lang.Ast.kernel) Hashtbl.t = Hashtbl.create 16
+
+let parsed_mutex = Mutex.create ()
+
 let kernel t =
-  let k = Vmht_lang.Parser.parse_kernel t.source in
-  Vmht_lang.Typecheck.check_kernel k;
-  k
+  Mutex.protect parsed_mutex (fun () ->
+      match Hashtbl.find_opt parsed t.source with
+      | Some k -> k
+      | None ->
+        let k = Vmht_lang.Parser.parse_kernel t.source in
+        Vmht_lang.Typecheck.check_kernel k;
+        Hashtbl.add parsed t.source k;
+        k)
 
 let word_bytes = Vmht_mem.Phys_mem.word_bytes
 

@@ -27,14 +27,13 @@ type t = {
 }
 
 val kernel : t -> Vmht_lang.Ast.kernel
-(** Parse and typecheck the workload's kernel source.  Nothing is
-    cached: every call does both again (about 35 µs for a registry
-    kernel) and returns a fresh AST.  Keep it so rather than hand every
-    caller one shared AST: the values built from it would then share
-    its strings (the kernel's name, say), and [Marshal] output depends
-    on sharing.  The [serve-warm] benchmark compares each round's
-    marshaled replies with the first round's; with a shared AST most
-    of them differ. *)
+(** The workload's kernel, parsed and typechecked on the first call
+    for its source and the very same AST on every later one, from any
+    domain (the AST is immutable).  Values built from it share its
+    strings, and [Marshal] output depends on sharing; so a served
+    reply takes the kernel's name from its own request
+    ([Loadgen.handle]), never from the AST the synthesis memo holds,
+    which a fresh synthesis or a store decode may have supplied. *)
 
 (** {2 Setup helpers} *)
 

@@ -92,6 +92,54 @@ let test_compile_sw_runs () =
   let func = Flow.compile_sw Config.default (Workload.kernel vecadd) in
   check_bool "has blocks" true (Vmht_ir.Ir.block_count func > 0)
 
+(* compile_sw is memoized on what it reads: the opt level, the pass
+   list and the kernel.  A memoized function runs as a fresh one does. *)
+let test_compile_sw_memo () =
+  Flow.reset_cache ();
+  let kernel = Workload.kernel vecadd in
+  let config = Config.default in
+  let f = Flow.compile_sw config kernel in
+  check_bool "same key, same function" true
+    (f == Flow.compile_sw config kernel);
+  check_bool "fields outside the key share it" true
+    (f
+    == Flow.compile_sw
+         (Config.with_unroll (Config.with_tlb_entries config 64) 4)
+         kernel);
+  check_bool "an equal kernel parsed again shares it" true
+    (f
+    == Flow.compile_sw config
+         (Vmht_lang.Parser.parse_kernel vecadd.Workload.source));
+  check_bool "another opt level, another function" true
+    (f != Flow.compile_sw (Config.with_opt_level config 0) kernel);
+  check_bool "another pass list, another function" true
+    (f != Flow.compile_sw (Config.with_passes config (Some [ "dce" ])) kernel);
+  check_int "not counted as synthesis" 0 (Flow.cache_stats ()).Flow.cache_hits;
+  Flow.reset_cache ();
+  let g = Flow.compile_sw config kernel in
+  check_bool "compiled again after a reset" true (f != g);
+  let run func =
+    let soc = Soc.create config in
+    let inst = vecadd.Workload.setup (Soc.aspace soc) ~size:64 ~seed:3 in
+    let r =
+      Launch.run_to_completion soc (fun () ->
+          Launch.run_sw soc func
+            { Launch.args = inst.Workload.args; buffers = inst.Workload.buffers })
+    in
+    (r.Launch.total_cycles, r.Launch.ret)
+  in
+  let memoized = run f in
+  check_bool "it runs" true (fst memoized > 0);
+  Alcotest.(check (pair int (option int)))
+    "cycle-identical" memoized (run g)
+
+(* Workload.kernel parses a source once and hands out that AST. *)
+let test_workload_kernel_shared () =
+  List.iter
+    (fun (w : Workload.t) ->
+      check_bool w.Workload.name true (Workload.kernel w == Workload.kernel w))
+    Vmht_workloads.Registry.all
+
 (* ------------------------- Soc ------------------------------------ *)
 
 let test_soc_fresh_mmus () =
@@ -280,6 +328,9 @@ let suite =
     Alcotest.test_case "flow: synth time" `Quick
       test_flow_synthesis_time_recorded;
     Alcotest.test_case "flow: compile_sw" `Quick test_compile_sw_runs;
+    Alcotest.test_case "flow: compile_sw memo" `Quick test_compile_sw_memo;
+    Alcotest.test_case "workload: one AST per kernel" `Quick
+      test_workload_kernel_shared;
     Alcotest.test_case "soc: fresh mmus" `Quick test_soc_fresh_mmus;
     Alcotest.test_case "soc: run executes" `Quick test_soc_run_executes;
     Alcotest.test_case "soc: a deadlocked run is named" `Quick

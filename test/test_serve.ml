@@ -262,6 +262,50 @@ let test_server_store_warm () =
         (List.map reply_sig cold_replies)
         (List.map reply_sig warm_replies))
 
+(* The benchmark's serve rounds in small: a 64-request mix in batches
+   of 8 against one store, three rounds with a fresh memo each.  The
+   first round synthesizes and fills the store; the other two are
+   answered from it, each sending the batches in another order.  Every
+   batch's marshaled replies, sharing included, must be the first
+   round's bytes. *)
+let test_replies_stable_across_rounds () =
+  let store = open_store () in
+  Store.install store;
+  Fun.protect
+    ~finally:(fun () ->
+      Flow.set_store None;
+      Flow.reset_cache ())
+    (fun () ->
+      let reqs = Array.of_list (small_mix 64) in
+      let round order =
+        Flow.reset_cache ();
+        let server = Server.create ~store ~handle:Loadgen.handle () in
+        let replies =
+          List.map
+            (fun b ->
+              let batch = Array.to_list (Array.sub reqs (b * 8) 8) in
+              (b, Marshal.to_string (Server.run_batch server batch) []))
+            order
+        in
+        Server.shutdown server;
+        List.sort compare replies
+      in
+      let first = round (List.init 8 Fun.id) in
+      Alcotest.(check int) "the first round filled the store" 0
+        (Store.stats store).Store.hits;
+      List.iter
+        (fun order ->
+          List.iter2
+            (fun (b, bytes) (_, again) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "batch %d, order %s" b
+                   (String.concat "," (List.map string_of_int order)))
+                true (bytes = again))
+            first (round order))
+        [ [ 7; 6; 5; 4; 3; 2; 1; 0 ]; [ 3; 0; 6; 1; 7; 4; 2; 5 ] ];
+      Alcotest.(check bool) "later rounds read the store" true
+        ((Store.stats store).Store.hits > 0))
+
 let crash_request rid attempts_to_survive =
   {
     Proto.rid;
@@ -472,6 +516,8 @@ let () =
             test_substrate_determinism;
           Alcotest.test_case "warm store answers everything" `Quick
             test_server_store_warm;
+          Alcotest.test_case "replies byte-stable across rounds" `Quick
+            test_replies_stable_across_rounds;
           Alcotest.test_case "retries across worker death" `Quick
             test_retry_on_worker_death;
           Alcotest.test_case "bounded retry gives up" `Quick

@@ -121,22 +121,25 @@ let write_word t addr value =
   record_fault t;
   observe t ~duration:latency Event.Write addr 1
 
-let read_burst t ~addr ~words =
+let read_burst_into t ~addr ~words dst ~pos =
   Resource.acquire t.resource;
   let latency =
     with_fault t ~addr
       (t.arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
   in
   Engine.wait_on t.engine latency;
-  let data = Array.make words 0 in
   for i = 0 to words - 1 do
-    data.(i) <- Phys_mem.read t.mem (addr + (i * Phys_mem.word_bytes))
+    dst.(pos + i) <- Phys_mem.read t.mem (addr + (i * Phys_mem.word_bytes))
   done;
   Resource.release t.resource;
   t.reads <- t.reads + 1;
   t.words_moved <- t.words_moved + words;
   record_fault t;
-  observe t ~duration:latency Event.Read addr words;
+  observe t ~duration:latency Event.Read addr words
+
+let read_burst t ~addr ~words =
+  let data = Array.make words 0 in
+  read_burst_into t ~addr ~words data ~pos:0;
   data
 
 let write_burst t ~addr data =

@@ -41,6 +41,11 @@ val read_burst : t -> addr:int -> words:int -> int array
 (** Timed sequential burst read (one bus transaction) into a fresh
     array. *)
 
+val read_burst_into : t -> addr:int -> words:int -> int array -> pos:int -> unit
+(** {!read_burst} into the given array from index [pos] on: the words
+    land once the transaction's wait is over, and nothing is
+    allocated. *)
+
 val write_burst : t -> addr:int -> int array -> unit
 (** Timed sequential burst write (one bus transaction). *)
 

@@ -17,23 +17,23 @@ type stats = {
   invalidations : int;
 }
 
-type line = {
-  mutable valid : bool;
-  mutable dirty : bool;
-  mutable tag : int;
-  mutable phys_base : int; (* physical address of the line's first byte *)
-  mutable last_use : int;
-  mutable data : int array;
-}
-
 type t = {
   config : config;
   bus : Bus.t;
   engine : Vmht_sim.Engine.t;
-  sets : line array array;
+  ways : int;
+  words : int; (* words per line *)
   line_shift : int; (* log2 line_bytes *)
   set_mask : int; (* sets - 1: the set index is the line address's low bits *)
   tag_shift : int; (* log2 line_bytes + log2 sets *)
+  (* One entry per line; way [w] of set [s] is line [s * ways + w]. *)
+  valid : bool array;
+  dirty : bool array;
+  filling : bool array; (* taken over by a fill whose words have not landed *)
+  tags : int array;
+  phys_base : int array; (* physical address of the line's first byte *)
+  last_use : int array;
+  data : int array; (* line [l]'s words from [l * words] on *)
   mutable clock : int;
   mutable read_hits : int;
   mutable read_misses : int;
@@ -49,26 +49,25 @@ let create ?(config = default_config) bus =
   let n_sets = max 1 (lines / config.ways) in
   assert (Vmht_util.Bits.is_pow2 config.line_bytes);
   assert (Vmht_util.Bits.is_pow2 n_sets);
-  let words_per_line = config.line_bytes / Phys_mem.word_bytes in
+  let lines = n_sets * config.ways in
+  let words = config.line_bytes / Phys_mem.word_bytes in
   let line_shift = Vmht_util.Bits.log2 config.line_bytes in
   {
     config;
     bus;
     engine = Bus.engine bus;
+    ways = config.ways;
+    words;
     line_shift;
     set_mask = n_sets - 1;
     tag_shift = line_shift + Vmht_util.Bits.log2 n_sets;
-    sets =
-      Array.init n_sets (fun _ ->
-          Array.init config.ways (fun _ ->
-              {
-                valid = false;
-                dirty = false;
-                tag = -1;
-                phys_base = 0;
-                last_use = 0;
-                data = Array.make words_per_line 0;
-              }));
+    valid = Array.make lines false;
+    dirty = Array.make lines false;
+    filling = Array.make lines false;
+    tags = Array.make lines (-1);
+    phys_base = Array.make lines 0;
+    last_use = Array.make lines 0;
+    data = Array.make (lines * words) 0;
     clock = 0;
     read_hits = 0;
     read_misses = 0;
@@ -83,53 +82,88 @@ let set_observer t f = t.observer <- Some f
 
 (* Addresses are non-negative, so shifts and masks pick the same set,
    tag and word as division and remainder would. *)
-let set_of t addr = t.sets.((addr lsr t.line_shift) land t.set_mask)
+let set_base t addr = ((addr lsr t.line_shift) land t.set_mask) * t.ways
 
 let tag_of t addr = addr lsr t.tag_shift
 
-let word_in_line t addr =
-  (addr land (t.config.line_bytes - 1)) / Phys_mem.word_bytes
+(* Where [addr]'s word of line [l] sits in [data]. *)
+let word t l addr =
+  (l * t.words) + ((addr land (t.config.line_bytes - 1)) / Phys_mem.word_bytes)
 
-(* The way of [lines] holding [tag], from [i] on; -1 when none does. *)
-let rec find_way lines tag i =
-  if i >= Array.length lines then -1
-  else
-    let l = lines.(i) in
-    if l.valid && l.tag = tag then i else find_way lines tag (i + 1)
+(* The line holding [tag] among lines [l] to [stop - 1]; -1 when none
+   does.  A top-level function: a local closure would be allocated on
+   every access. *)
+let rec find_line t tag l stop =
+  if l >= stop then -1
+  else if Array.unsafe_get t.valid l && Array.unsafe_get t.tags l = tag then l
+  else find_line t tag (l + 1) stop
 
-let victim lines =
-  let best = ref lines.(0) in
-  for i = 0 to Array.length lines - 1 do
-    let l = lines.(i) in
-    if not l.valid then best := l
-    else if !best.valid && l.last_use < !best.last_use then best := l
+let lookup t addr =
+  let base = set_base t addr in
+  find_line t (tag_of t addr) base (base + t.ways)
+
+(* The line to evict from the set whose first line is [base]: the last
+   invalid way, else the least recently used, the first among ties.  A
+   line another fill has taken over is never picked; -1 when every
+   line of the set is. *)
+let victim t base =
+  let best = ref (-1) in
+  for l = base to base + t.ways - 1 do
+    if t.filling.(l) then ()
+    else if not t.valid.(l) then best := l
+    else if
+      !best < 0 || (t.valid.(!best) && t.last_use.(l) < t.last_use.(!best))
+    then best := l
   done;
   !best
 
 (* Clean from the moment the burst copies the data: a store that lands
    while the burst waits for the bus re-dirties the line. *)
-let write_back t line =
-  if line.valid && line.dirty then begin
+let write_back t l =
+  if t.valid.(l) && t.dirty.(l) then begin
     t.writebacks <- t.writebacks + 1;
-    line.dirty <- false;
-    Bus.write_burst t.bus ~addr:line.phys_base (Array.copy line.data)
+    t.dirty.(l) <- false;
+    Bus.write_burst t.bus ~addr:t.phys_base.(l)
+      (Array.sub t.data (l * t.words) t.words)
   end
 
 (* Bring the line containing [addr]/[phys] into the cache, evicting
-   (and writing back) the victim.  Returns the filled line. *)
-let fill t addr phys =
-  let line_base_phys = Vmht_util.Bits.align_down phys t.config.line_bytes in
-  let words = t.config.line_bytes / Phys_mem.word_bytes in
-  let line = victim (set_of t addr) in
-  write_back t line;
-  let data = Bus.read_burst t.bus ~addr:line_base_phys ~words in
-  line.valid <- true;
-  line.dirty <- false;
-  line.tag <- tag_of t addr;
-  line.phys_base <- line_base_phys;
-  line.last_use <- t.clock;
-  line.data <- data;
-  line
+   (and writing back) a victim; returns the filled line.  The victim
+   keeps its old line, valid, while it is written back, so a store
+   from another process can hit it again: it is then written back
+   again.  Once it is clean the fill takes it over — from then until
+   the new words land no access hits it and no other fill picks it —
+   and a store to its old line misses and refills it elsewhere.  A
+   fill whose victim another fill took over meanwhile picks again; one
+   that finds every line of its set taken over waits a cycle first. *)
+let rec fill t addr phys =
+  let l = victim t (set_base t addr) in
+  if l >= 0 then take_over t addr phys l
+  else begin
+    Vmht_sim.Engine.wait_on t.engine 1;
+    fill t addr phys
+  end
+
+and take_over t addr phys l =
+  if t.filling.(l) then fill t addr phys
+  else if t.valid.(l) && t.dirty.(l) then begin
+    write_back t l;
+    take_over t addr phys l
+  end
+  else begin
+    let line_base_phys = Vmht_util.Bits.align_down phys t.config.line_bytes in
+    t.valid.(l) <- false;
+    t.filling.(l) <- true;
+    Bus.read_burst_into t.bus ~addr:line_base_phys ~words:t.words t.data
+      ~pos:(l * t.words);
+    t.filling.(l) <- false;
+    t.valid.(l) <- true;
+    t.dirty.(l) <- false;
+    t.tags.(l) <- tag_of t addr;
+    t.phys_base.(l) <- line_base_phys;
+    t.last_use.(l) <- t.clock;
+    l
+  end
 
 (* A hit's latency, reported to the observer. *)
 let hit t op addr =
@@ -144,42 +178,39 @@ let miss t op addr phys =
   match t.observer with
   | Some f ->
     let t0 = Vmht_sim.Engine.now t.engine in
-    let line = fill t addr phys in
+    let l = fill t addr phys in
     let duration = Vmht_sim.Engine.now t.engine - t0 in
     f ~duration (Vmht_obs.Event.Cache_miss { op; addr });
-    line
+    l
   | None -> fill t addr phys
 
 let read t ~addr ~phys =
   t.clock <- t.clock + 1;
-  let lines = set_of t addr in
-  let way = find_way lines (tag_of t addr) 0 in
-  if way >= 0 then begin
-    let line = lines.(way) in
+  let l = lookup t addr in
+  if l >= 0 then begin
     t.read_hits <- t.read_hits + 1;
-    line.last_use <- t.clock;
+    t.last_use.(l) <- t.clock;
     hit t Vmht_obs.Event.Read addr;
-    line.data.(word_in_line t addr)
+    t.data.(word t l addr)
   end
   else begin
     t.read_misses <- t.read_misses + 1;
-    (miss t Vmht_obs.Event.Read addr phys).data.(word_in_line t addr)
+    t.data.(word t (miss t Vmht_obs.Event.Read addr phys) addr)
   end
 
-let store t line addr value =
-  line.last_use <- t.clock;
-  line.data.(word_in_line t addr) <- value;
-  line.dirty <- true
+let store t l addr value =
+  t.last_use.(l) <- t.clock;
+  t.data.(word t l addr) <- value;
+  t.dirty.(l) <- true
 
 let write t ~addr ~phys value =
   t.clock <- t.clock + 1;
-  let lines = set_of t addr in
-  let way = find_way lines (tag_of t addr) 0 in
-  if way >= 0 then begin
+  let l = lookup t addr in
+  if l >= 0 then begin
     t.write_hits <- t.write_hits + 1;
     (* A hit stores before its latency elapses, so maintenance that
        runs meanwhile finds the line dirty and writes the store back. *)
-    store t lines.(way) addr value;
+    store t l addr value;
     hit t Vmht_obs.Event.Write addr
   end
   else begin
@@ -188,7 +219,9 @@ let write t ~addr ~phys value =
   end
 
 let flush t =
-  Array.iter (fun set -> Array.iter (write_back t) set) t.sets
+  for l = 0 to Array.length t.valid - 1 do
+    write_back t l
+  done
 
 (* Dirty lines are written back before the kill: silently discarding
    them would lose stores that never reached memory (the bug class a
@@ -196,23 +229,17 @@ let flush t =
    line a store re-dirtied during its own write-back stays. *)
 let invalidate_all t =
   t.invalidations <- t.invalidations + 1;
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun l ->
-          write_back t l;
-          if not l.dirty then l.valid <- false)
-        set)
-    t.sets
+  for l = 0 to Array.length t.valid - 1 do
+    write_back t l;
+    if not t.dirty.(l) then t.valid.(l) <- false
+  done
 
 let dirty_lines t =
-  Array.fold_left
-    (fun acc set ->
-      acc
-      + Array.fold_left
-          (fun a l -> if l.valid && l.dirty then a + 1 else a)
-          0 set)
-    0 t.sets
+  let n = ref 0 in
+  for l = 0 to Array.length t.valid - 1 do
+    if t.valid.(l) && t.dirty.(l) then incr n
+  done;
+  !n
 
 let stats (t : t) : stats =
   {

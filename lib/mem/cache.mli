@@ -11,7 +11,14 @@
     The cache is indexed by the addresses it is given — the simulated
     CPU hands it virtual addresses and resolves the physical address
     itself — so [read]/[write] take both the (indexing) address and the
-    physical address used for fills and write-backs. *)
+    physical address used for fills and write-backs.
+
+    Its lines live in flat arrays, one entry per line (valid, dirty,
+    tag, physical base, last use) and one [int array] of every line's
+    words, so {!create} allocates a few arrays rather than a record and
+    a data array per line.  A fill's burst lands in its line's slot of
+    that array, so the fill of a clean victim allocates nothing; a
+    write-back copies the line's words before it waits for the bus. *)
 
 type config = {
   size_bytes : int;
@@ -41,8 +48,16 @@ val create : ?config:config -> Bus.t -> t
 
 val read : t -> addr:int -> phys:int -> int
 (** Timed.  On a miss the containing line is fetched over the bus
-    (evicting — and writing back, if dirty — the victim).  A hit
-    allocates nothing. *)
+    (evicting — and writing back, if dirty — the victim: the last
+    invalid way of the set, else its least recently used, the first
+    among ties).  A hit allocates nothing.
+
+    A store from another process to the victim while it is written
+    back is written back too before the victim is reused.  From then
+    until the fill's words land, the victim answers no access and no
+    other fill picks it: an access to its old line misses, and a fill
+    that finds every way of its set taken so waits a cycle and picks
+    again.  A single process never meets either case. *)
 
 val write : t -> addr:int -> phys:int -> int -> unit
 (** Timed write-allocate: the line is fetched on a miss, updated in

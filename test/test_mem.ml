@@ -35,16 +35,94 @@ let test_phys_rw () =
   check_int "read back" 42 (Phys_mem.read m 0);
   check_int "read back high" 7 (Phys_mem.read m 1016)
 
+(* 33 chunks of 2 KiB, the last one a partial chunk of three words. *)
+let model_bytes = (32 * 2048) + 24
+
 let test_phys_bad_address () =
-  let m = Phys_mem.create ~bytes:1024 in
-  let rejects addr =
-    match Phys_mem.read m addr with
-    | _ -> false
-    | exception Phys_mem.Bad_address _ -> true
+  List.iter
+    (fun bytes ->
+      let m = Phys_mem.create ~bytes in
+      let rejects what f =
+        check_bool what true
+          (match f () with
+           | () -> false
+           | exception Phys_mem.Bad_address _ -> true)
+      in
+      List.iter
+        (fun (what, addr) ->
+          let at = Printf.sprintf "%s (%d of %d bytes)" what addr bytes in
+          rejects ("read " ^ at) (fun () -> ignore (Phys_mem.read m addr));
+          rejects ("zero write " ^ at) (fun () -> Phys_mem.write m addr 0);
+          rejects ("write " ^ at) (fun () -> Phys_mem.write m addr 9))
+        [
+          ("unaligned", 4);
+          ("unaligned", bytes - 4);
+          ("negative", -8);
+          ("negative", min_int);
+          ("out of range", bytes);
+          ("out of range", bytes + 2048);
+          ("out of range", max_int - 7);
+        ])
+    [ 1024; model_bytes ]
+
+(* Reads where nothing non-zero was written, past the highest chunk
+   written, are zero and allocate nothing; nor do zero writes there. *)
+let test_phys_far_reads_allocate_nothing () =
+  let bytes = 64 * 1024 * 1024 in
+  let m = Phys_mem.create ~bytes in
+  Phys_mem.write m 8 5;
+  let before = Gc.minor_words () in
+  let sum = ref 0 and addr = ref 4096 in
+  while !addr < bytes do
+    sum := !sum + Phys_mem.read m !addr + Phys_mem.read m (!addr + 2040);
+    Phys_mem.write m !addr 0;
+    addr := !addr + 2048
+  done;
+  sum := !sum + Phys_mem.read m (bytes - 8);
+  let words = Gc.minor_words () -. before in
+  check_int "far reads are zero" 0 !sum;
+  check_int "the written word" 5 (Phys_mem.read m 8);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
+(* Phys_mem against a Hashtbl of the words written: random aligned
+   reads and writes, zeros often, over the whole range and at the
+   first word, the last and both sides of every chunk boundary. *)
+let prop_phys_matches_model =
+  let special =
+    0 :: (model_bytes - 8)
+    :: List.concat_map (fun k -> [ (k * 2048) - 8; k * 2048 ]) (List.init 32 succ)
   in
-  check_bool "unaligned" true (rejects 4);
-  check_bool "negative" true (rejects (-8));
-  check_bool "out of range" true (rejects 1024)
+  let addr =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, map (fun w -> w * 8) (int_bound ((model_bytes / 8) - 1)));
+          (1, oneofl special);
+        ])
+  in
+  let value = QCheck.Gen.(frequency [ (1, return 0); (3, int_range (-999) 999) ]) in
+  QCheck.Test.make ~count:200 ~name:"phys: random reads and writes match a table"
+    QCheck.(
+      make
+        ~print:
+          Print.(list (pair int (option int)))
+        Gen.(list_size (int_bound 300) (pair addr (opt value))))
+    (fun ops ->
+      let m = Phys_mem.create ~bytes:model_bytes in
+      let model = Hashtbl.create 64 in
+      let expect a = Option.value ~default:0 (Hashtbl.find_opt model a) in
+      List.for_all
+        (fun (a, write) ->
+          match write with
+          | Some v ->
+            Phys_mem.write m a v;
+            Hashtbl.replace model a v;
+            true
+          | None -> Phys_mem.read m a = expect a)
+        ops
+      && List.for_all
+           (fun w -> Phys_mem.read m (w * 8) = expect (w * 8))
+           (List.init (model_bytes / 8) Fun.id))
 
 (* ------------------------- Dram ----------------------------------- *)
 
@@ -252,6 +330,51 @@ let test_cache_invalidate_keeps_racing_store () =
     check_int (Printf.sprintf "dirty line written back (%d)" at) 1 m0
   done
 
+(* A fill evicts a dirty line while another process stores to that
+   line.  Whenever the store lands — while the victim's write-back
+   waits for the bus, while the new line's burst does, or after the
+   fill — it must reach memory, and the fill must still read its own
+   line. *)
+let test_cache_fill_keeps_racing_store () =
+  (* One way, two sets: lines 0 and 64 share set 0.  A dirty 1 at 0;
+     memory holds 5 at 64.  [race ?store ()] runs a read of 64 beside
+     a store of 7 to 0 issued at cycle [store] (alone without it), then
+     flushes, and returns the word read, memory's word at 0 and the
+     cycles the read took. *)
+  let config =
+    { Cache.size_bytes = 64; line_bytes = 32; ways = 1; hit_latency = 1 }
+  in
+  let race ?store () =
+    let phys, bus = make_bus () in
+    Phys_mem.write phys 64 5;
+    let cache = Cache.create ~config bus in
+    let eng = Bus.engine bus in
+    in_sim eng (fun () -> Cache.write cache ~addr:0 ~phys:0 1);
+    let start = Engine.now eng in
+    let read = ref 0 and fill_end = ref 0 in
+    Engine.spawn eng (fun () ->
+        read := Cache.read cache ~addr:64 ~phys:64;
+        fill_end := Engine.now eng - start);
+    Option.iter
+      (fun at ->
+        Engine.spawn eng (fun () ->
+            Engine.wait_on eng at;
+            Cache.write cache ~addr:0 ~phys:0 7))
+      store;
+    Engine.run eng;
+    in_sim eng (fun () -> Cache.flush cache);
+    (!read, Phys_mem.read phys 0, !fill_end)
+  in
+  let v, m0, fill = race () in
+  check_int "the fill reads its line" 5 v;
+  check_int "the victim is written back" 1 m0;
+  check_bool "the fill writes back and then reads" true (fill > 2);
+  for at = 0 to fill do
+    let v, m0, _ = race ~store:at () in
+    check_int (Printf.sprintf "read beside a store at %d" at) 5 v;
+    check_int (Printf.sprintf "store at %d reaches memory" at) 7 m0
+  done
+
 let test_cache_eviction () =
   let phys, bus = make_bus () in
   let config =
@@ -401,6 +524,132 @@ let prop_cache_matches_flat_memory =
       Array.for_all Fun.id
         (Array.init 256 (fun i -> Phys_mem.read phys (i * 8) = shadow.(i))))
 
+(* The cache against its record-of-lines forerunner (cache_oracle.ml):
+   one random single-process sequence of reads, writes, flushes and
+   invalidations over a 32 KiB region, on random geometries.  Every
+   value read, the engine time and dirty lines after each operation,
+   and at the end (after a flush) the stats, the bus's stats and memory
+   must be equal. *)
+type cache_op = Read of int | Write of int * int | Flush | Invalidate
+
+let cache_op_to_string = function
+  | Read w -> Printf.sprintf "read %d" w
+  | Write (w, v) -> Printf.sprintf "write %d %d" w v
+  | Flush -> "flush"
+  | Invalidate -> "invalidate"
+
+let region_words = 4096
+
+type cache_ops = {
+  read : addr:int -> phys:int -> int;
+  write : addr:int -> phys:int -> int -> unit;
+  flush : unit -> unit;
+  invalidate_all : unit -> unit;
+  dirty_lines : unit -> int;
+  stats : unit -> Cache.stats;
+}
+
+let drive_cache make ops =
+  let phys, bus = make_bus () in
+  for w = 0 to region_words - 1 do
+    Phys_mem.write phys (w * 8) ((w * 37) + 1)
+  done;
+  let c = make bus in
+  let eng = Bus.engine bus in
+  let steps =
+    in_sim eng (fun () ->
+        let steps =
+          List.map
+            (fun op ->
+              let v =
+                match op with
+                | Read w -> c.read ~addr:(w * 8) ~phys:(w * 8)
+                | Write (w, v) ->
+                  c.write ~addr:(w * 8) ~phys:(w * 8) v;
+                  -1
+                | Flush ->
+                  c.flush ();
+                  -1
+                | Invalidate ->
+                  c.invalidate_all ();
+                  -1
+              in
+              (v, Engine.now eng, c.dirty_lines ()))
+            ops
+        in
+        c.flush ();
+        steps)
+  in
+  ( steps,
+    c.stats (),
+    Bus.stats bus,
+    Engine.now eng,
+    List.init region_words (fun w -> Phys_mem.read phys (w * 8)) )
+
+let prop_cache_matches_oracle =
+  let geometry =
+    QCheck.Gen.(
+      quad (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 16; 32; 64 ])
+        (int_range 1 3))
+  in
+  (* Two in three words from two hot windows of 48, so lines are hit
+     again.  The windows lie 16 KiB apart: the same cache sets, and the
+     same DRAM banks in other rows, so the order in which a set's ways
+     are written back shows in the bus's time. *)
+  let word =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, int_bound (region_words - 1));
+          (1, int_range 64 111);
+          (1, int_range 2112 2159);
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (10, map (fun w -> Read w) word);
+          (8, map2 (fun w v -> Write (w, v)) word (int_bound 9999));
+          (1, return Flush);
+          (1, return Invalidate);
+        ])
+  in
+  QCheck.Test.make ~count:300
+    ~name:"cache: flat lines match the record-of-lines oracle"
+    (QCheck.make
+       ~print:(fun ((ways, sets, line, lat), ops) ->
+         Printf.sprintf "%d ways, %d sets, %d-byte lines, hit latency %d: %s"
+           ways sets line lat
+           (String.concat "; " (List.map cache_op_to_string ops)))
+       QCheck.Gen.(pair geometry (list_size (int_bound 150) op)))
+    (fun ((ways, sets, line_bytes, hit_latency), ops) ->
+      let config =
+        { Cache.size_bytes = ways * sets * line_bytes; line_bytes; ways; hit_latency }
+      in
+      let flat bus =
+        let c = Cache.create ~config bus in
+        {
+          read = Cache.read c;
+          write = Cache.write c;
+          flush = (fun () -> Cache.flush c);
+          invalidate_all = (fun () -> Cache.invalidate_all c);
+          dirty_lines = (fun () -> Cache.dirty_lines c);
+          stats = (fun () -> Cache.stats c);
+        }
+      and oracle bus =
+        let c = Cache_oracle.create ~config bus in
+        {
+          read = Cache_oracle.read c;
+          write = Cache_oracle.write c;
+          flush = (fun () -> Cache_oracle.flush c);
+          invalidate_all = (fun () -> Cache_oracle.invalidate_all c);
+          dirty_lines = (fun () -> Cache_oracle.dirty_lines c);
+          stats = (fun () -> Cache_oracle.stats c);
+        }
+      in
+      drive_cache flat ops = drive_cache oracle ops)
+
 let prop_dram_burst_no_worse_than_singles =
   QCheck.Test.make ~count:100 ~name:"dram: bursts never cost more than singles"
     QCheck.(pair (int_bound 4000) (int_range 1 64))
@@ -429,6 +678,8 @@ let suite =
   [
     Alcotest.test_case "phys: read/write" `Quick test_phys_rw;
     Alcotest.test_case "phys: bad address" `Quick test_phys_bad_address;
+    Alcotest.test_case "phys: far reads allocate nothing" `Quick
+      test_phys_far_reads_allocate_nothing;
     Alcotest.test_case "dram: row hit cheaper" `Quick test_dram_row_hit_cheaper;
     Alcotest.test_case "dram: burst amortizes" `Quick test_dram_burst_amortizes;
     Alcotest.test_case "dram: stats" `Quick test_dram_stats;
@@ -448,6 +699,8 @@ let suite =
       test_cache_invalidate_preserves_dirty;
     Alcotest.test_case "cache: invalidate keeps a racing store" `Quick
       test_cache_invalidate_keeps_racing_store;
+    Alcotest.test_case "cache: a fill keeps a racing store" `Quick
+      test_cache_fill_keeps_racing_store;
     Alcotest.test_case "cache: eviction" `Quick test_cache_eviction;
     Alcotest.test_case "scratchpad: windows" `Quick test_scratchpad_windows;
     Alcotest.test_case "scratchpad: overlap rejected" `Quick
@@ -459,6 +712,8 @@ let suite =
     Alcotest.test_case "dma: bursts amortize" `Quick
       test_dma_burst_cheaper_than_words;
     QCheck_alcotest.to_alcotest prop_cache_matches_flat_memory;
+    QCheck_alcotest.to_alcotest prop_cache_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_phys_matches_model;
     QCheck_alcotest.to_alcotest prop_dram_burst_no_worse_than_singles;
     QCheck_alcotest.to_alcotest prop_scratchpad_window_translation;
   ]

@@ -26,10 +26,12 @@ type t = {
   line_shift : int; (* log2 line_bytes *)
   set_mask : int; (* sets - 1: the set index is the line address's low bits *)
   tag_shift : int; (* log2 line_bytes + log2 sets *)
-  (* One entry per line; way [w] of set [s] is line [s * ways + w]. *)
-  valid : bool array;
-  dirty : bool array;
-  filling : bool array; (* taken over by a fill whose words have not landed *)
+  (* One entry per line; way [w] of set [s] is line [s * ways + w].  A
+     flag takes a byte per line: the 512 lines of a 16 KiB cache fit
+     the minor heap. *)
+  valid : Bytes.t;
+  dirty : Bytes.t;
+  filling : Bytes.t; (* taken over by a fill whose words have not landed *)
   tags : int array;
   phys_base : int array; (* physical address of the line's first byte *)
   last_use : int array;
@@ -61,9 +63,9 @@ let create ?(config = default_config) bus =
     line_shift;
     set_mask = n_sets - 1;
     tag_shift = line_shift + Vmht_util.Bits.log2 n_sets;
-    valid = Array.make lines false;
-    dirty = Array.make lines false;
-    filling = Array.make lines false;
+    valid = Bytes.make lines '\000';
+    dirty = Bytes.make lines '\000';
+    filling = Bytes.make lines '\000';
     tags = Array.make lines (-1);
     phys_base = Array.make lines 0;
     last_use = Array.make lines 0;
@@ -80,6 +82,11 @@ let create ?(config = default_config) bus =
 
 let set_observer t f = t.observer <- Some f
 
+(* Line [l]'s flag in [valid], [dirty] or [filling]. *)
+let flag b l = Bytes.get b l <> '\000'
+
+let set_flag b l v = Bytes.set b l (if v then '\001' else '\000')
+
 (* Addresses are non-negative, so shifts and masks pick the same set,
    tag and word as division and remainder would. *)
 let set_base t addr = ((addr lsr t.line_shift) land t.set_mask) * t.ways
@@ -95,7 +102,7 @@ let word t l addr =
    every access. *)
 let rec find_line t tag l stop =
   if l >= stop then -1
-  else if Array.unsafe_get t.valid l && Array.unsafe_get t.tags l = tag then l
+  else if flag t.valid l && Array.unsafe_get t.tags l = tag then l
   else find_line t tag (l + 1) stop
 
 let lookup t addr =
@@ -109,10 +116,10 @@ let lookup t addr =
 let victim t base =
   let best = ref (-1) in
   for l = base to base + t.ways - 1 do
-    if t.filling.(l) then ()
-    else if not t.valid.(l) then best := l
+    if flag t.filling l then ()
+    else if not (flag t.valid l) then best := l
     else if
-      !best < 0 || (t.valid.(!best) && t.last_use.(l) < t.last_use.(!best))
+      !best < 0 || (flag t.valid !best && t.last_use.(l) < t.last_use.(!best))
     then best := l
   done;
   !best
@@ -120,9 +127,9 @@ let victim t base =
 (* Clean from the moment the burst copies the data: a store that lands
    while the burst waits for the bus re-dirties the line. *)
 let write_back t l =
-  if t.valid.(l) && t.dirty.(l) then begin
+  if flag t.valid l && flag t.dirty l then begin
     t.writebacks <- t.writebacks + 1;
-    t.dirty.(l) <- false;
+    set_flag t.dirty l false;
     Bus.write_burst t.bus ~addr:t.phys_base.(l)
       (Array.sub t.data (l * t.words) t.words)
   end
@@ -145,20 +152,20 @@ let rec fill t addr phys =
   end
 
 and take_over t addr phys l =
-  if t.filling.(l) then fill t addr phys
-  else if t.valid.(l) && t.dirty.(l) then begin
+  if flag t.filling l then fill t addr phys
+  else if flag t.valid l && flag t.dirty l then begin
     write_back t l;
     take_over t addr phys l
   end
   else begin
     let line_base_phys = Vmht_util.Bits.align_down phys t.config.line_bytes in
-    t.valid.(l) <- false;
-    t.filling.(l) <- true;
+    set_flag t.valid l false;
+    set_flag t.filling l true;
     Bus.read_burst_into t.bus ~addr:line_base_phys ~words:t.words t.data
       ~pos:(l * t.words);
-    t.filling.(l) <- false;
-    t.valid.(l) <- true;
-    t.dirty.(l) <- false;
+    set_flag t.filling l false;
+    set_flag t.valid l true;
+    set_flag t.dirty l false;
     t.tags.(l) <- tag_of t addr;
     t.phys_base.(l) <- line_base_phys;
     t.last_use.(l) <- t.clock;
@@ -201,7 +208,7 @@ let read t ~addr ~phys =
 let store t l addr value =
   t.last_use.(l) <- t.clock;
   t.data.(word t l addr) <- value;
-  t.dirty.(l) <- true
+  set_flag t.dirty l true
 
 let write t ~addr ~phys value =
   t.clock <- t.clock + 1;
@@ -219,7 +226,7 @@ let write t ~addr ~phys value =
   end
 
 let flush t =
-  for l = 0 to Array.length t.valid - 1 do
+  for l = 0 to Array.length t.tags - 1 do
     write_back t l
   done
 
@@ -229,15 +236,15 @@ let flush t =
    line a store re-dirtied during its own write-back stays. *)
 let invalidate_all t =
   t.invalidations <- t.invalidations + 1;
-  for l = 0 to Array.length t.valid - 1 do
+  for l = 0 to Array.length t.tags - 1 do
     write_back t l;
-    if not t.dirty.(l) then t.valid.(l) <- false
+    if not (flag t.dirty l) then set_flag t.valid l false
   done
 
 let dirty_lines t =
   let n = ref 0 in
-  for l = 0 to Array.length t.valid - 1 do
-    if t.valid.(l) && t.dirty.(l) then incr n
+  for l = 0 to Array.length t.tags - 1 do
+    if flag t.valid l && flag t.dirty l then incr n
   done;
   !n
 

@@ -14,9 +14,9 @@
     physical address used for fills and write-backs.
 
     Its lines live in flat arrays, one entry per line (valid, dirty,
-    tag, physical base, last use) and one [int array] of every line's
-    words, so {!create} allocates a few arrays rather than a record and
-    a data array per line.  A fill's burst lands in its line's slot of
+    tag, physical base, last use; a flag takes a byte) and one
+    [int array] of every line's words, so {!create} allocates a few
+    arrays rather than a record and a data array per line.  A fill's burst lands in its line's slot of
     that array, so the fill of a clean victim allocates nothing; a
     write-back copies the line's words before it waits for the bus. *)
 

@@ -176,59 +176,6 @@ let cache_stats () =
     cache_entries = entries;
   }
 
-
-(* The memo-miss producer: consult the persistent backend (if any),
-   fall back to a fresh synthesis, write fresh results through.  A
-   failed write-back still returns the synthesized hardware alongside
-   the error — the memo keeps the result either way, so one unwritable
-   directory costs one error per key, not the synthesis work. *)
-let produce ~key i kernel =
-  match !store_backend with
-  | None -> (synthesize_uncached i kernel, None)
-  | Some b -> (
-    match b.store_load ~key kernel with
-    | Some hw -> (hw, None)
-    | None ->
-      let hw = synthesize_uncached i kernel in
-      (match b.store_save ~key kernel hw with
-       | Ok () -> (hw, None)
-       | Error e -> (hw, Some e)))
-
-let synthesize_cached i kernel : (hw_thread, error) result =
-  let key = key i kernel in
-  let rec acquire () =
-    (* Called with [cache_mutex] held; returns with it released. *)
-    match Hashtbl.find_opt cache_table key with
-    | Some { state = Ready (i', k, hw) } when i' = i && k = kernel ->
-      Mutex.unlock cache_mutex;
-      Atomic.incr cache_hits;
-      Ok hw
-    | Some ({ state = In_flight } as _slot) ->
-      Condition.wait cache_cond cache_mutex;
-      acquire ()
-    | Some { state = Ready _ } (* digest collision *) | None ->
-      let slot = { state = In_flight } in
-      Hashtbl.replace cache_table key slot;
-      Mutex.unlock cache_mutex;
-      Atomic.incr cache_misses;
-      let hw, save_err =
-        try produce ~key i kernel
-        with e ->
-          Mutex.lock cache_mutex;
-          Hashtbl.remove cache_table key;
-          Condition.broadcast cache_cond;
-          Mutex.unlock cache_mutex;
-          raise e
-      in
-      Mutex.lock cache_mutex;
-      slot.state <- Ready (i, kernel, hw);
-      Condition.broadcast cache_cond;
-      Mutex.unlock cache_mutex;
-      (match save_err with None -> Ok hw | Some e -> Error e)
-  in
-  Mutex.lock cache_mutex;
-  acquire ()
-
 (* --- software compile memo ------------------------------------------ *)
 
 (* [compile_sw] reads the two optimizer fields and the kernel, and
@@ -298,6 +245,58 @@ let reset_cache () =
   Mutex.unlock cache_mutex;
   Mutex.protect sw_mutex (fun () -> Hashtbl.reset sw_table);
   Vmht_rtl.Eval.reset_memo ()
+
+(* The memo-miss producer: consult the persistent backend (if any),
+   fall back to a fresh synthesis, write fresh results through.  A
+   failed write-back still returns the synthesized hardware alongside
+   the error — the memo keeps the result either way, so one unwritable
+   directory costs one error per key, not the synthesis work. *)
+let produce ~key i kernel =
+  match !store_backend with
+  | None -> (synthesize_uncached i kernel, None)
+  | Some b -> (
+    match b.store_load ~key kernel with
+    | Some hw -> (hw, None)
+    | None ->
+      let hw = synthesize_uncached i kernel in
+      (match b.store_save ~key kernel hw with
+       | Ok () -> (hw, None)
+       | Error e -> (hw, Some e)))
+
+let synthesize_cached i kernel : (hw_thread, error) result =
+  let key = key i kernel in
+  let rec acquire () =
+    (* Called with [cache_mutex] held; returns with it released. *)
+    match Hashtbl.find_opt cache_table key with
+    | Some { state = Ready (i', k, hw) } when i' = i && k = kernel ->
+      Mutex.unlock cache_mutex;
+      Atomic.incr cache_hits;
+      Ok hw
+    | Some ({ state = In_flight } as _slot) ->
+      Condition.wait cache_cond cache_mutex;
+      acquire ()
+    | Some { state = Ready _ } (* digest collision *) | None ->
+      let slot = { state = In_flight } in
+      Hashtbl.replace cache_table key slot;
+      Mutex.unlock cache_mutex;
+      Atomic.incr cache_misses;
+      let hw, save_err =
+        try produce ~key i kernel
+        with e ->
+          Mutex.lock cache_mutex;
+          Hashtbl.remove cache_table key;
+          Condition.broadcast cache_cond;
+          Mutex.unlock cache_mutex;
+          raise e
+      in
+      Mutex.lock cache_mutex;
+      slot.state <- Ready (i, kernel, hw);
+      Condition.broadcast cache_cond;
+      Mutex.unlock cache_mutex;
+      (match save_err with None -> Ok hw | Some e -> Error e)
+  in
+  Mutex.lock cache_mutex;
+  acquire ()
 
 (* --- the consolidated request API ---------------------------------- *)
 

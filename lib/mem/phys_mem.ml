@@ -44,8 +44,8 @@ let read t addr =
     let c = Array.unsafe_get chunks ci in
     if c == empty_chunk then 0 else Array.unsafe_get c (i land chunk_mask)
 
-(* An index covering chunk [ci]: the current one doubled as often as it
-   takes, at most [n_chunks] long. *)
+(* Make the index cover chunk [ci]: the current one doubled as often as
+   it takes, at most [n_chunks] long. *)
 let grow t ci =
   let old = t.chunks in
   let rec size n = if n > ci then n else size (2 * n) in
@@ -53,21 +53,17 @@ let grow t ci =
     Array.make (min t.n_chunks (size (max 1 (Array.length old)))) empty_chunk
   in
   Array.blit old 0 chunks 0 (Array.length old);
-  t.chunks <- chunks;
-  chunks
+  t.chunks <- chunks
 
 let write t addr value =
   let i = index t addr in
   let ci = i lsr chunk_shift in
-  let chunks = t.chunks in
-  let c =
-    if ci < Array.length chunks then Array.unsafe_get chunks ci
-    else empty_chunk
-  in
+  let indexed = ci < Array.length t.chunks in
+  let c = if indexed then Array.unsafe_get t.chunks ci else empty_chunk in
   if c != empty_chunk then Array.unsafe_set c (i land chunk_mask) value
   else if value <> 0 then begin
-    let chunks = if ci < Array.length chunks then chunks else grow t ci in
+    if not indexed then grow t ci;
     let fresh = Array.make chunk_words 0 in
-    Array.unsafe_set chunks ci fresh;
+    Array.unsafe_set t.chunks ci fresh;
     Array.unsafe_set fresh (i land chunk_mask) value
   end

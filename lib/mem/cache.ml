@@ -102,7 +102,7 @@ let word t l addr =
    every access. *)
 let rec find_line t tag l stop =
   if l >= stop then -1
-  else if flag t.valid l && Array.unsafe_get t.tags l = tag then l
+  else if flag t.valid l && t.tags.(l) = tag then l
   else find_line t tag (l + 1) stop
 
 let lookup t addr =

@@ -291,8 +291,9 @@ let test_replies_stable_across_rounds () =
         List.sort compare replies
       in
       let first = round (List.init 8 Fun.id) in
-      Alcotest.(check int) "the first round filled the store" 0
-        (Store.stats store).Store.hits;
+      let st = Store.stats store in
+      Alcotest.(check bool) "the first round filled the store" true
+        (st.Store.hits = 0 && st.Store.saves > 0);
       List.iter
         (fun order ->
           List.iter2

@@ -16,9 +16,10 @@
     Its lines live in flat arrays, one entry per line (valid, dirty,
     tag, physical base, last use; a flag takes a byte) and one
     [int array] of every line's words, so {!create} allocates a few
-    arrays rather than a record and a data array per line.  A fill's burst lands in its line's slot of
-    that array, so the fill of a clean victim allocates nothing; a
-    write-back copies the line's words before it waits for the bus. *)
+    arrays rather than a record and a data array per line.  A fill's
+    burst lands in its line's slot of that array, so the fill of a
+    clean victim allocates nothing; a write-back copies the line's
+    words before it waits for the bus. *)
 
 type config = {
   size_bytes : int;
@@ -56,8 +57,8 @@ val read : t -> addr:int -> phys:int -> int
     back is written back too before the victim is reused.  From then
     until the fill's words land, the victim answers no access and no
     other fill picks it: an access to its old line misses, and a fill
-    that finds every way of its set taken so waits a cycle and picks
-    again.  A single process never meets either case. *)
+    that finds every way of its set held by other fills waits a cycle
+    and picks again.  A single process never meets either case. *)
 
 val write : t -> addr:int -> phys:int -> int -> unit
 (** Timed write-allocate: the line is fetched on a miss, updated in

@@ -1,11 +1,12 @@
 (* Bechamel micro-benchmarks behind [vmht perf micro] and [vmht perf
    snapshot]: one target per table/figure plus targets for the
-   simulator machinery itself (event queue, MMU translation, SoC
-   creation), for single synthesis stages (IR verifier, scheduler,
-   pipeliner, Verilog emit), for the model's accelerator run alone and
-   for the RTL evaluator's parse and run.  Target names, bodies and Bechamel
-   settings are what the committed BENCH_eval.json measured; change any
-   of them and the perf gate no longer compares like with like. *)
+   simulator machinery itself (event queue, MMU translation, the VM
+   port, SoC creation), for single synthesis stages (IR verifier,
+   scheduler, pipeliner, Verilog emit), for the model's accelerator run
+   alone and for the RTL evaluator's parse and run.  Target names,
+   bodies and Bechamel settings are what the committed BENCH_eval.json
+   measured; change any of them and the perf gate no longer compares
+   like with like. *)
 
 open Bechamel
 module Workload = Vmht_workloads.Workload
@@ -203,6 +204,23 @@ let mmu_translate_churn () =
       done);
   Vmht_sim.Engine.run eng
 
+(* The VM wrapper's port on a fresh SoC: the same 8-page stream as
+   sim.mmu-translate through [Soc.vm_port_metered]'s load, with the
+   default 16-entry TLB and stream buffer, so each load is a
+   translate, a buffer lookup and, once per line, a bus burst. *)
+let mem_vm_port () =
+  let soc = Vmht.Soc.create Vmht.Config.default in
+  let base =
+    Vmht_vm.Addr_space.alloc (Vmht.Soc.aspace soc) ~bytes:(8 * 4096)
+  in
+  let port, _flush, _meter =
+    Vmht.Soc.vm_port_metered soc (Vmht.Soc.make_mmu soc)
+  in
+  Vmht.Soc.run soc (fun () ->
+      for i = 0 to 4095 do
+        ignore (port.Vmht_hls.Accel.load (base + (i * 8 mod 32768)))
+      done)
+
 (* The engine's own machinery, no component model: a lone process's
    waits (each fast-forwarded), two processes ticking in lockstep (each
    wait yields to the other) and two-child joins (two spawns, a suspend
@@ -298,6 +316,7 @@ let targets : (string * Test.t Lazy.t) list =
     t "hls.pipeline" hls_pipeline;
     t "hls.schedule" hls_schedule;
     t "ir.verify" ir_verify;
+    t "mem.vm-port" mem_vm_port;
     t "rtl.eval" rtl_eval;
     t "rtl.parse" rtl_parse;
     t "sim.engine-wait" engine_wait;

@@ -691,6 +691,7 @@ let manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code =
   [
     ("schema", Json.String "vmht-bench/4");
     ("git_rev", Json.String (git_rev ()));
+    ("build_profile", Json.String Build_info.profile);
     ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
     ("seed", Json.Int config.Vmht.Config.seed);
     ("fault", Json.String (Vmht_fault.Plan.to_string config.Vmht.Config.fault));

@@ -9,7 +9,9 @@
    deterministic: any difference is a move, whatever the threshold.  A
    metric of OLD that NEW lacks fails the gate, so a rename or a
    dropped experiment cannot silently weaken it; a metric only NEW has
-   is listed. *)
+   is listed.  Host times of builds in different dune profiles do not
+   compare, so a differing "build_profile" is named, but it fails
+   nothing: the counts still hold. *)
 
 type row = {
   metric : string;
@@ -27,6 +29,7 @@ type report = {
   moved : moved list; (* manifest order *)
   dropped : string list; (* in OLD, absent from NEW *)
   added : string list; (* in NEW only *)
+  build_profiles : string * string; (* OLD's, NEW's *)
 }
 
 let schema = "vmht-bench/4"
@@ -100,6 +103,10 @@ let extract manifest =
   time "total_seconds" manifest "total_seconds";
   List.rev !acc
 
+let build_profile manifest =
+  Option.value ~default:"unknown"
+    (Option.bind (Json.member "build_profile" manifest) Json.to_str)
+
 let delta_pct old_v new_v =
   if old_v = 0. then if new_v = 0. then 0. else infinity
   else (new_v -. old_v) /. old_v *. 100.
@@ -136,6 +143,7 @@ let diff ?(threshold = 10.) ~old_manifest ~new_manifest () =
       List.filter_map
         (fun (k, _) -> if Hashtbl.mem old_tbl k then None else Some k)
         new_metrics;
+    build_profiles = (build_profile old_manifest, build_profile new_manifest);
   }
 
 let complete r = (r.rows <> [] || r.counts > 0) && r.dropped = []
@@ -143,6 +151,8 @@ let complete r = (r.rows <> [] || r.counts > 0) && r.dropped = []
 let render ~threshold r =
   let buf = Buffer.create 512 in
   let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  (let old_p, new_p = r.build_profiles in
+   if old_p <> new_p then line "build profile: %s -> %s" old_p new_p);
   line "%-40s %14s %14s %9s" "metric" "old" "new" "delta";
   List.iter
     (fun row ->

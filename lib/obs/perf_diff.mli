@@ -7,7 +7,10 @@
     equal: a count that differs has moved, whatever the threshold.  A
     metric of the old manifest that the new one lacks makes the
     comparison incomplete (see {!complete}), so renames can't silently
-    weaken the gate. *)
+    weaken the gate.  Each manifest's ["build_profile"] (the dune
+    profile its binary was built in) is read too: host times of two
+    profiles do not compare, so {!render} names a difference, but it
+    fails nothing. *)
 
 type row = {
   metric : string;  (** e.g. ["fig1.seconds"], ["micro.vm/.../run.ns_per_run"] *)
@@ -29,6 +32,8 @@ type report = {
   moved : moved list;  (** counts that differ, manifest order *)
   dropped : string list;  (** metrics of OLD that NEW lacks *)
   added : string list;  (** metrics only NEW has — listed, never failing *)
+  build_profiles : string * string;
+      (** OLD's and NEW's ["build_profile"]; ["unknown"] where absent *)
 }
 
 val check_manifest : Json.t -> (Json.t, string) result
@@ -48,4 +53,5 @@ val complete : report -> bool
 val render : threshold:float -> report -> string
 (** Aligned table of the host-time rows and the moved counts, plus the
     verdict: moved counts, regressions, an incomplete comparison, or
-    ok. *)
+    ok.  When the build profiles differ, a first line names both
+    ([build profile: OLD -> NEW]). *)

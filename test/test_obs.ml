@@ -670,6 +670,37 @@ let test_perf_diff_missing_metric () =
   check_bool "nothing compared fails" true
     (r.Perf_diff.rows = [] && not (Perf_diff.complete r))
 
+(* Host times of two build profiles do not compare: the diff names
+   both, reads a manifest without the key as unknown and fails
+   nothing, and prints no extra line when the profiles agree. *)
+let test_perf_diff_build_profile () =
+  let m = manifest [ ("fig1", 0.5, counts 120) ] in
+  let built profile =
+    match m with
+    | Json.Obj fields ->
+      Json.Obj (("build_profile", Json.String profile) :: fields)
+    | j -> j
+  in
+  let diff old_m new_m =
+    let r = Perf_diff.diff ~old_manifest:old_m ~new_manifest:new_m () in
+    (r, Perf_diff.render ~threshold:10. r)
+  in
+  let _, plain = diff m m in
+  let r, text = diff (built "dev") (built "release") in
+  Alcotest.(check (pair string string))
+    "both profiles" ("dev", "release") r.Perf_diff.build_profiles;
+  Alcotest.(check string)
+    "one line ahead of the table" ("build profile: dev -> release\n" ^ plain)
+    text;
+  check_bool "fails nothing" true
+    (Perf_diff.complete r && r.Perf_diff.regressions = []
+    && r.Perf_diff.moved = []);
+  let _, text = diff m (built "release") in
+  check_bool "absent key reads unknown" true
+    (contains text "build profile: unknown -> release\n");
+  let _, text = diff (built "release") (built "release") in
+  Alcotest.(check string) "one profile: no extra line" plain text
+
 let test_perf_diff_schema () =
   let check j = Perf_diff.check_manifest j in
   let ok j = Result.is_ok (check j) in
@@ -733,6 +764,8 @@ let suite =
       test_perf_diff_missing_metric;
     Alcotest.test_case "perf diff: bench schemas only" `Quick
       test_perf_diff_schema;
+    Alcotest.test_case "perf diff: build profiles named" `Quick
+      test_perf_diff_build_profile;
     Alcotest.test_case "chrome: export shape" `Quick test_chrome_trace_shape;
     Alcotest.test_case "attribution: waterfall" `Quick test_waterfall_renders;
     Alcotest.test_case "attribution: sums to total (all workloads x styles)"

@@ -885,8 +885,7 @@ let bench_cmd =
 
 (* Both service commands share the store plumbing: open (or skip) the
    persistent content-addressed store, install it into the flow so
-   every synthesis in this process — and in workers forked after this
-   point — reads and writes through it. *)
+   every synthesis in this process reads and writes through it. *)
 
 let store_dir_arg =
   Arg.(
@@ -903,23 +902,13 @@ let no_store_arg =
     value & flag
     & info [ "no-store" ] ~doc:"Run without the persistent synthesis store.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Forked worker processes (default 0: execute in-process on the \
-           domain pool, see $(b,--jobs)).  Output is byte-identical at any \
-           shard count.")
-
 let serve_jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domain-pool width for the in-process substrate (ignored when \
-           $(b,--shards) > 0; processes and domains do not mix across \
-           $(b,fork)).")
+          "Domain-pool width the server runs each batch on.  Output is \
+           byte-identical at any width.")
 
 let open_store store_dir no_store =
   if no_store then Ok None
@@ -963,22 +952,18 @@ let loadgen_cmd =
             "Fail (exit 1) unless the store hit rate over this batch's \
              synthesis keys reaches $(docv) — the CI warm-store gate.")
   in
-  let action requests shards seed store_dir no_store jobs metrics_json
+  let action requests seed store_dir no_store jobs metrics_json
       require_hit_rate =
     match open_store store_dir no_store with
     | Error e -> store_error e
     | Ok store ->
-      (* Fork the worker fleet before any domain can exist; only then
-         widen the in-process pool (when there is no fleet). *)
+      Vmht_par.Parmap.set_jobs jobs;
       let server =
-        Vmht_serve.Server.create ~shards ?store
-          ~handle:Vmht_eval.Loadgen.handle ()
+        Vmht_serve.Server.create ?store ~handle:Vmht_eval.Loadgen.handle ()
       in
-      if shards = 0 then Vmht_par.Parmap.set_jobs jobs;
       let config = Vmht.Config.with_seed Vmht.Config.default seed in
       let reqs = Vmht_eval.Loadgen.mix ~config ~requests ~seed in
       let report = Vmht_eval.Loadgen.run ?store ~server ~seed reqs in
-      Vmht_serve.Server.shutdown server;
       print_string report.Vmht_eval.Loadgen.output;
       prerr_string report.Vmht_eval.Loadgen.perf_line;
       let metrics_ok =
@@ -1007,154 +992,18 @@ let loadgen_cmd =
          "Drive a seeded synthesis/execution request mix through the batch \
           server and report throughput, latency and store hit rate.")
     Term.(
-      const action $ requests $ shards_arg $ seed $ store_dir_arg
-      $ no_store_arg $ serve_jobs_arg $ metrics_json $ require_hit_rate)
-
-(* The keys each op takes.  A key outside its op's list rejects the
-   line, so a misspelt or misplaced field never falls back to a default
-   unseen. *)
-let serve_keys =
-  [
-    ( "synth",
-      [ "op"; "workload"; "source"; "name"; "style"; "unroll"; "opt"; "tlb" ] );
-    ("run", [ "op"; "workload"; "mode"; "size"; "unroll"; "opt"; "tlb" ]);
-  ]
-
-(* One request per JSON line; a blank line (or EOF) flushes the batch.
-   Example lines:
-     {"op":"synth","workload":"vecadd","style":"dma","unroll":2}
-     {"op":"synth","source":"kernel k(n: int): int { return n; }"}
-     {"op":"run","workload":"mmul","mode":"vm","size":8}
-   A key of the wrong type or with an unknown value rejects the line
-   with a message that names the key. *)
-let serve_line_to_job line =
-  let module J = Vmht_obs.Json in
-  let ( let* ) = Result.bind in
-  let reject fmt = Printf.ksprintf (fun msg -> Error (`Request msg)) fmt in
-  match J.of_string line with
-  | exception J.Parse_error msg -> Error (`Frontend msg)
-  | J.Obj fields -> (
-    (* [None] when the key is absent; a present key must convert. *)
-    let field key conv expected =
-      match List.assoc_opt key fields with
-      | None -> Ok None
-      | Some v -> (
-        match conv v with
-        | Some x -> Ok (Some x)
-        | None -> reject "%S must be %s" key expected)
-    in
-    let str key = field key J.to_str "a string" in
-    let int key = field key J.to_int "an integer" in
-    let choice key name values =
-      let choices = List.map (fun v -> (name v, v)) values in
-      field key
-        (fun v -> Option.bind (J.to_str v) (fun s -> List.assoc_opt s choices))
-        ("one of "
-        ^ String.concat ", "
-            (List.map (fun (n, _) -> Printf.sprintf "%S" n) choices))
-    in
-    let workload wname =
-      match Vmht_workloads.Registry.find wname with
-      | w -> Ok w
-      | exception Not_found -> reject "unknown workload %S" wname
-    in
-    let* op = str "op" in
-    match Option.map (fun op -> (op, List.assoc_opt op serve_keys)) op with
-    | None -> reject "missing \"op\""
-    | Some (op, None) -> reject "unknown op %S" op
-    | Some (op, Some keys) -> (
-      match List.find_opt (fun (k, _) -> not (List.mem k keys)) fields with
-      | Some (k, _) -> reject "unknown key %S for op %S" k op
-      | None -> (
-        let* unroll = int "unroll" in
-        let* opt = int "opt" in
-        let* tlb = int "tlb" in
-        (* An unroll factor or optimization level out of range, and the
-           TLB geometry the SoC would refuse, refused for synthesis too
-           (with the message [run] gives), so no reply prices hardware
-           that cannot exist and no line synthesizes an unroll without
-           bound. *)
-        let* config =
-          match
-            let config =
-              Vmht.Config.default
-              |> if_some Vmht.Config.with_unroll unroll
-              |> if_some Vmht.Config.with_opt_level opt
-              |> if_some Vmht.Config.with_tlb_entries tlb
-            in
-            Vmht_vm.Tlb.validate config.Vmht.Config.mmu.Vmht_vm.Mmu.tlb;
-            config
-          with
-          | config -> Ok config
-          | exception Invalid_argument msg -> Error (`Request msg)
-        in
-        let* wname = str "workload" in
-        match op with
-        | "synth" -> (
-          let* style =
-            choice "style" Vmht.Wrapper.style_name
-              [ Vmht.Wrapper.Vm_iface; Vmht.Wrapper.Dma_iface ]
-          in
-          let style = Option.value style ~default:Vmht.Wrapper.Vm_iface in
-          let* source = str "source" in
-          let* name = str "name" in
-          match (wname, source) with
-          | Some wname, _ ->
-            let* w = workload wname in
-            Ok
-              (Vmht_serve.Proto.Synthesize
-                 { kernel = Vmht_workloads.Workload.kernel w; style; config })
-          | None, Some source -> (
-            match Vmht.Flow.frontend_program source with
-            | Error e -> Error (`Frontend (Vmht.Flow.error_to_string e))
-            | Ok [] -> reject "source contains no kernels"
-            | Ok (first :: _ as program) -> (
-              let kernel =
-                match name with
-                | None -> Some first
-                | Some n ->
-                  List.find_opt
-                    (fun (k : Vmht_lang.Ast.kernel) ->
-                      k.Vmht_lang.Ast.kname = n)
-                    program
-              in
-              match kernel with
-              | None -> reject "no kernel with the requested name"
-              | Some kernel ->
-                Ok (Vmht_serve.Proto.Synthesize { kernel; style; config })))
-          | None, None -> reject "synth needs \"workload\" or \"source\"")
-        | _ (* run *) -> (
-          let* mode =
-            choice "mode" Vmht_serve.Proto.mode_name
-              Vmht_serve.Proto.[ Sw; Vm; Dma ]
-          in
-          let* size = int "size" in
-          match wname with
-          | None -> reject "run needs \"workload\""
-          | Some wname ->
-            let* w = workload wname in
-            Ok
-              (Vmht_serve.Proto.Execute
-                 {
-                   workload = wname;
-                   mode = Option.value mode ~default:Vmht_serve.Proto.Vm;
-                   size =
-                     Option.value size
-                       ~default:w.Vmht_workloads.Workload.default_size;
-                   config;
-                 })))))
-  | _ -> reject "a request must be a JSON object"
+      const action $ requests $ seed $ store_dir_arg $ no_store_arg
+      $ serve_jobs_arg $ metrics_json $ require_hit_rate)
 
 let serve_cmd =
-  let action shards store_dir no_store jobs =
+  let action store_dir no_store jobs =
     match open_store store_dir no_store with
     | Error e -> store_error e
     | Ok store ->
+      Vmht_par.Parmap.set_jobs jobs;
       let server =
-        Vmht_serve.Server.create ~shards ?store
-          ~handle:Vmht_eval.Loadgen.handle ()
+        Vmht_serve.Server.create ?store ~handle:Vmht_eval.Loadgen.handle ()
       in
-      if shards = 0 then Vmht_par.Parmap.set_jobs jobs;
       let module J = Vmht_obs.Json in
       let next_rid = ref 0 in
       let batch = ref [] in
@@ -1202,11 +1051,9 @@ let serve_cmd =
            else begin
              let rid = !next_rid in
              incr next_rid;
-             match serve_line_to_job line with
+             match Vmht_serve.Proto.job_of_line line with
              | Ok job ->
-               batch :=
-                 { Vmht_serve.Proto.rid; attempt = 1; deadline_ms = None; job }
-                 :: !batch
+               batch := { Vmht_serve.Proto.rid; deadline_ms = None; job } :: !batch
              | Error (`Frontend msg) ->
                worst := max !worst exit_frontend;
                prefailed := (rid, "failed", msg) :: !prefailed
@@ -1216,7 +1063,6 @@ let serve_cmd =
            end
          done
        with End_of_file -> flush_batch ());
-      Vmht_serve.Server.shutdown server;
       !worst
   in
   let man =
@@ -1225,7 +1071,8 @@ let serve_cmd =
       `P
         "Each request line is one JSON object.  A key its op does not take, \
          a value of the wrong type or an unknown value fails the line with \
-         a message naming the key.";
+         a message naming the key.  So does a key given twice, whichever \
+         value it repeats.";
       `I ("$(b,op)", "\"synth\" or \"run\"; required.");
       `I
         ( "$(b,workload)",
@@ -1254,8 +1101,7 @@ let serve_cmd =
           or EOF flushes a batch), JSON-line replies in request order on \
           stdout, deduplicated against the persistent store.")
     Term.(
-      const action $ shards_arg $ store_dir_arg $ no_store_arg
-      $ serve_jobs_arg)
+      const action $ store_dir_arg $ no_store_arg $ serve_jobs_arg)
 
 (* ------------------------- profile -------------------------------- *)
 

@@ -87,7 +87,7 @@ let mix ~config ~requests ~seed =
               config;
             }
       in
-      { Proto.rid; attempt = 1; deadline_ms = None; job })
+      { Proto.rid; deadline_ms = None; job })
 
 type report = {
   output : string;
@@ -199,10 +199,9 @@ let run ?store ~(server : Server.t) ~seed (reqs : Proto.request list) =
   let manifest =
     Json.Obj
       ([
-         ("schema", Json.String "vmht-loadgen/1");
+         ("schema", Json.String "vmht-loadgen/2");
          ("requests", Json.Int (List.length reqs));
          ("seed", Json.Int seed);
-         ("shards", Json.Int (Server.shards server));
          ("jobs", Json.Int (Vmht_par.Parmap.jobs ()));
          ("elapsed_s", Json.Float elapsed);
          ("throughput_rps", Json.Float throughput);
@@ -214,7 +213,6 @@ let run ?store ~(server : Server.t) ~seed (reqs : Proto.request list) =
                ("completed", Json.Int stats.Server.completed);
                ("failed", Json.Int stats.Server.failed);
                ("expired", Json.Int stats.Server.expired);
-               ("retried", Json.Int stats.Server.retried);
                ("deduped", Json.Int stats.Server.deduped);
                ("key_hits", Json.Int stats.Server.key_hits);
                ("key_misses", Json.Int stats.Server.key_misses);

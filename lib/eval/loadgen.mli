@@ -8,9 +8,9 @@
 
     The printed report is built only from the request list and the
     reply outcomes, both of which are deterministic, so stdout is
-    byte-identical between a cold and a warm store, at any shard
-    count, and on the in-process substrate — the timing-bearing
-    numbers live exclusively in the manifest. *)
+    byte-identical between a cold and a warm store and at any pool
+    width — the timing-bearing numbers live exclusively in the
+    manifest. *)
 
 val subjects : string list
 (** The six kernels the mix draws from. *)
@@ -30,7 +30,7 @@ val mix :
 
 type report = {
   output : string;  (** deterministic, for stdout *)
-  manifest : Vmht_obs.Json.t;  (** schema [vmht-loadgen/1]; carries timing *)
+  manifest : Vmht_obs.Json.t;  (** schema [vmht-loadgen/2]; carries timing *)
   failures : int;  (** replies with a [Failed] or incorrect outcome *)
   hit_rate : float;  (** store hit rate over this batch's synthesis keys *)
   perf_line : string;

@@ -1,13 +1,11 @@
-(** Batch-server wire protocol: jobs, requests, replies, and the
-    length-prefixed [Marshal] framing the server and its forked workers
-    speak over pipes.
+(** Batch-server protocol: jobs, requests, replies, the JSON request
+    line [vmht serve] reads, and a length-prefixed [Marshal] framing.
 
-    Everything on the wire is plain data (ASTs, configs, strings, ints
-    — no closures, no custom blocks), so [Marshal] round-trips it
-    byte-exactly between processes built from the same binary.
-    Outcomes deliberately carry no wall-clock fields: a reply must be
-    byte-identical whichever worker (or how many) produced it, which is
-    what makes the server's output reproducible at any shard width. *)
+    Every value here is plain data (ASTs, configs, strings, ints — no
+    closures, no custom blocks), so [Marshal] round-trips it
+    byte-exactly.  Outcomes deliberately carry no wall-clock fields: a reply must be
+    byte-identical whichever pool domain produced it, which is what
+    makes the server's output reproducible at any pool width. *)
 
 type mode = Sw | Vm | Dma
 
@@ -34,12 +32,23 @@ val synthesis_key : job -> string option
     inner synthesis still benefits from the store, but the server
     cannot name the kernel without the workload registry). *)
 
+val job_of_line :
+  string -> (job, [ `Frontend of string | `Request of string ]) result
+(** Decode one [vmht serve] request line, a JSON object such as
+    [{"op":"synth","workload":"vecadd","style":"dma","unroll":2}],
+    [{"op":"synth","source":"kernel k(n: int): int { return n; }"}] or
+    [{"op":"run","workload":"mmul","mode":"vm","size":8}].  A line
+    that is not JSON, or whose [source] does not parse or typecheck,
+    is [`Frontend]; a missing or unknown op, a key given twice or one
+    its op does not take, a value of the wrong type, an unknown value
+    and a config the SoC would refuse are [`Request], with a message
+    that names the key.  Never raises. *)
+
 type request = {
   rid : int;  (** caller-assigned; replies are ordered by it *)
-  attempt : int;  (** 1 on first dispatch; bumped on worker-death retry *)
   deadline_ms : int option;
       (** budget from batch submission; expired requests fail without
-          dispatch.  [None] (the default) never expires. *)
+          running.  [None] (the default) never expires. *)
   job : job;
 }
 
@@ -60,15 +69,14 @@ val outcome_to_string : outcome -> string
 
 (** {2 Framing}
 
-    [u64-le length][Marshal payload] on raw file descriptors — no
-    channel buffering, so [Unix.select] on the descriptor is an exact
-    "a message may be read" signal in the server's event loop. *)
+    [u64-le length][Marshal payload] on raw file descriptors, with no
+    channel buffering.  No server path uses it; [benchmark/bench.ml]
+    times a round trip of each reply through a pipe with it. *)
 
 val write_msg : Unix.file_descr -> 'a -> unit
 (** Raises [Unix.Unix_error] (e.g. [EPIPE] once SIGPIPE is ignored)
-    when the peer is gone — the server turns that into worker-death
-    handling. *)
+    when the peer is gone. *)
 
 val read_msg : Unix.file_descr -> 'a option
 (** Blocking read of one message; [None] on EOF, including EOF in the
-    middle of a frame (a worker that died mid-write). *)
+    middle of a frame. *)

@@ -1,19 +1,15 @@
 (* Synthesis-as-a-service tests: the persistent content-addressed
    store (codec round-trips, corruption and version-skew fallback,
-   promotion into the flow memo), the sharded batch server (substrate
-   determinism, dedup, retry-on-worker-death, deadlines) and the
-   consolidated Flow request API.
-
-   This suite lives in its own executable on purpose: the sharded
-   server forks worker processes, which must happen while the process
-   is still single-domain — so nothing here ever widens the
-   [Vmht_par.Parmap] pool. *)
+   promotion into the flow memo), the batch server (the same replies
+   and counters at pool widths 1 and 2, dedup, deadlines), the request
+   line decoder and the consolidated Flow request API. *)
 
 module Flow = Vmht.Flow
 module Store = Vmht_serve.Store
 module Proto = Vmht_serve.Proto
 module Server = Vmht_serve.Server
 module Loadgen = Vmht_eval.Loadgen
+module Parmap = Vmht_par.Parmap
 open Vmht
 
 let temp_counter = ref 0
@@ -202,27 +198,49 @@ let small_mix requests =
 let reply_sig (r : Proto.reply) =
   (r.Proto.rid, Proto.outcome_to_string r.Proto.outcome)
 
-let test_substrate_determinism () =
+let counters_of (st : Server.stats) =
+  [
+    ("submitted", st.Server.submitted);
+    ("completed", st.Server.completed);
+    ("failed", st.Server.failed);
+    ("expired", st.Server.expired);
+    ("deduped", st.Server.deduped);
+    ("key_hits", st.Server.key_hits);
+    ("key_misses", st.Server.key_misses);
+  ]
+
+(* One mix through a fresh server and an empty memo on a pool of one
+   domain and of two: the same replies in rid order, the same
+   counters.  The mix gets two in-batch duplicates and an expired
+   copy, and goes in in reverse rid order. *)
+let test_pool_widths_agree () =
   Flow.set_store None;
-  let reqs = small_mix 10 in
-  let run shards =
-    let server = Server.create ~shards ~handle:Loadgen.handle () in
-    let replies = Server.run_batch server reqs in
-    Server.shutdown server;
-    List.map reply_sig replies
+  let mix = small_mix 24 in
+  let dups =
+    List.filter
+      (fun (r : Proto.request) -> Option.is_some (Proto.synthesis_key r.Proto.job))
+      mix
+    |> List.filteri (fun i _ -> i < 2)
+    |> List.mapi (fun i (r : Proto.request) -> { r with Proto.rid = 24 + i })
   in
-  (* Fork the widest fleet first; every substrate must agree, and the
-     replies arrive in rid order. *)
-  let sharded2 = run 2 in
-  let sharded1 = run 1 in
-  let inproc = run 0 in
-  Alcotest.(check (list (pair int string)))
-    "1 shard = 2 shards" sharded2 sharded1;
-  Alcotest.(check (list (pair int string)))
-    "in-process = sharded" sharded2 inproc;
+  let expired = { (List.hd dups) with Proto.rid = 26; deadline_ms = Some 0 } in
+  let reqs = List.rev (mix @ dups @ [ expired ]) in
+  let run jobs =
+    Parmap.set_jobs jobs;
+    Fun.protect ~finally:Parmap.shutdown (fun () ->
+        Flow.reset_cache ();
+        let server = Server.create ~handle:Loadgen.handle () in
+        let replies = Server.run_batch server reqs in
+        (List.map reply_sig replies, counters_of (Server.stats server)))
+  in
+  let replies1, counters1 = run 1 in
+  let replies2, counters2 = run 2 in
+  Alcotest.(check (list (pair int string))) "replies" replies1 replies2;
+  Alcotest.(check (list (pair string int))) "counters" counters1 counters2;
   Alcotest.(check (list int))
-    "rid order" (List.init 10 Fun.id)
-    (List.map fst inproc)
+    "rid order" (List.init 27 Fun.id) (List.map fst replies2);
+  Alcotest.(check (list int)) "deduped, expired" [ 2; 1 ]
+    (List.map (fun k -> List.assoc k counters2) [ "deduped"; "expired" ])
 
 let test_server_store_warm () =
   let dir = fresh_dir () in
@@ -245,7 +263,6 @@ let test_server_store_warm () =
       in
       let cold = Server.create ~store:s1 ~handle:Loadgen.handle () in
       let cold_replies = Server.run_batch cold reqs in
-      Server.shutdown cold;
       (* A second server over the same directory sees every key. *)
       let s2 = match Store.open_ ~dir () with
         | Ok s -> s
@@ -253,7 +270,6 @@ let test_server_store_warm () =
       in
       let warm = Server.create ~store:s2 ~handle:Loadgen.handle () in
       let warm_replies = Server.run_batch warm reqs in
-      Server.shutdown warm;
       Alcotest.(check (float 0.0001)) "warm hit rate" 1.0 (Server.hit_rate warm);
       Alcotest.(check bool) "cold hit rate below 1" true
         (Server.hit_rate cold < 1.0);
@@ -280,15 +296,12 @@ let test_replies_stable_across_rounds () =
       let round order =
         Flow.reset_cache ();
         let server = Server.create ~store ~handle:Loadgen.handle () in
-        let replies =
-          List.map
-            (fun b ->
-              let batch = Array.to_list (Array.sub reqs (b * 8) 8) in
-              (b, Marshal.to_string (Server.run_batch server batch) []))
-            order
-        in
-        Server.shutdown server;
-        List.sort compare replies
+        List.map
+          (fun b ->
+            let batch = Array.to_list (Array.sub reqs (b * 8) 8) in
+            (b, Marshal.to_string (Server.run_batch server batch) []))
+          order
+        |> List.sort compare
       in
       let first = round (List.init 8 Fun.id) in
       let st = Store.stats store in
@@ -307,117 +320,42 @@ let test_replies_stable_across_rounds () =
       Alcotest.(check bool) "later rounds read the store" true
         ((Store.stats store).Store.hits > 0))
 
-let crash_request rid attempts_to_survive =
-  {
-    Proto.rid;
-    attempt = 1;
-    deadline_ms = None;
-    job =
-      Proto.Execute
-        {
-          workload = "__crash__";
-          mode = Proto.Sw;
-          size = attempts_to_survive;
-          config = Config.default;
-        };
-  }
-
-(* Kills the whole worker process below the crash threshold; the
-   server must respawn and retry. *)
-let crashy_handle (req : Proto.request) =
-  match req.Proto.job with
-  | Proto.Execute { workload = "__crash__"; size; _ } ->
-    if req.Proto.attempt < size then Unix._exit 13
-    else
-      Proto.Executed
-        { cycles = req.Proto.attempt; correct = true; ret = None }
-  | _ -> Proto.Failed "unexpected job"
-
-let test_retry_on_worker_death () =
-  let server = Server.create ~shards:1 ~handle:crashy_handle () in
-  let replies = Server.run_batch server [ crash_request 0 2 ] in
-  Server.shutdown server;
-  (match replies with
-  | [ { Proto.rid = 0; outcome = Proto.Executed { cycles; _ } } ] ->
-    Alcotest.(check int) "succeeded on attempt 2" 2 cycles
-  | [ { Proto.outcome; _ } ] ->
-    Alcotest.failf "unexpected outcome: %s" (Proto.outcome_to_string outcome)
-  | _ -> Alcotest.fail "expected one reply");
-  let st = Server.stats server in
-  Alcotest.(check bool) "retry recorded" true (st.Server.retried >= 1)
-
-let test_gives_up_after_max_attempts () =
-  let server = Server.create ~shards:1 ~handle:crashy_handle () in
-  let replies =
-    Server.run_batch server [ crash_request 0 99; crash_request 1 1 ]
-  in
-  Server.shutdown server;
-  match List.map reply_sig replies with
-  | [ (0, msg); (1, ok) ] ->
-    Alcotest.(check string) "gave up" "failed: worker died (3 attempts)" msg;
-    Alcotest.(check bool) "innocent bystander answered" true
-      (String.length ok > 0 && String.sub ok 0 8 = "executed")
-  | _ -> Alcotest.fail "expected two replies"
-
-(* Every planner test runs on both substrates: in-process and one
-   forked worker. *)
-let substrates = [ 0; 1 ]
-
-let test_deadline_expiry () =
-  List.iter
-    (fun shards ->
-      let server = Server.create ~shards ~handle:crashy_handle () in
-      let req =
-        {
-          (crash_request 0 1) with
-          Proto.deadline_ms = Some 0 (* expired on arrival *);
-        }
-      in
-      let replies = Server.run_batch server [ req ] in
-      Server.shutdown server;
-      (match List.map reply_sig replies with
-      | [ (0, msg) ] ->
-        Alcotest.(check string) "expired without dispatch"
-          "failed: deadline of 0 ms exceeded before dispatch" msg
-      | _ -> Alcotest.fail "expected one reply");
-      Alcotest.(check int)
-        (Printf.sprintf "counted expired (shards %d)" shards)
-        1 (Server.stats server).Server.expired)
-    substrates
-
 let synth_request ?deadline_ms rid wname =
   let job =
     Proto.Synthesize
       { kernel = kernel_of wname; style = Wrapper.Vm_iface; config = Config.default }
   in
-  { Proto.rid; attempt = 1; deadline_ms; job }
+  { Proto.rid; deadline_ms; job }
+
+let test_deadline_expiry () =
+  let server =
+    Server.create ~handle:(fun _ -> Proto.Failed "ran an expired request") ()
+  in
+  let req = synth_request ~deadline_ms:0 (* expired on arrival *) 0 "vecadd" in
+  (match List.map reply_sig (Server.run_batch server [ req ]) with
+  | [ (0, msg) ] ->
+    Alcotest.(check string) "expired without running"
+      "failed: deadline of 0 ms exceeded before dispatch" msg
+  | _ -> Alcotest.fail "expected one reply");
+  Alcotest.(check int) "counted expired" 1 (Server.stats server).Server.expired
 
 let test_batch_dedup () =
   Flow.set_store None;
-  List.iter
-    (fun shards ->
-      let reqs = List.init 6 (fun rid -> synth_request rid "vecadd") in
-      let server = Server.create ~shards ~handle:Loadgen.handle () in
-      let replies = Server.run_batch server reqs in
-      Server.shutdown server;
-      let st = Server.stats server in
-      let label what = Printf.sprintf "%s (shards %d)" what shards in
-      Alcotest.(check int) (label "five replies deduped") 5 st.Server.deduped;
-      Alcotest.(check int)
-        (label "five key hits (in-batch)")
-        5 st.Server.key_hits;
-      match List.map reply_sig replies with
-      | (_, first) :: rest ->
-        List.iter
-          (fun (_, o) -> Alcotest.(check string) "cloned outcome" first o)
-          rest
-      | [] -> Alcotest.fail "no replies")
-    substrates
+  let reqs = List.init 6 (fun rid -> synth_request rid "vecadd") in
+  let server = Server.create ~handle:Loadgen.handle () in
+  let replies = Server.run_batch server reqs in
+  let st = Server.stats server in
+  Alcotest.(check int) "five replies deduped" 5 st.Server.deduped;
+  Alcotest.(check int) "five key hits (in-batch)" 5 st.Server.key_hits;
+  match List.map reply_sig replies with
+  | (_, first) :: rest ->
+    List.iter (fun (_, o) -> Alcotest.(check string) "cloned outcome" first o) rest
+  | [] -> Alcotest.fail "no replies"
 
-(* The planner decides every batch the same way on every substrate.
-   A deadline is a member's own: an expired member neither fails its
-   live group-mates nor rides on their run. *)
-let test_planner_alike () =
+(* The planner's decisions on three small batches.  A deadline is a
+   member's own: an expired member neither fails its live group-mates
+   nor rides on their run. *)
+let test_planner_decisions () =
   Flow.set_store None;
   let counters deduped expired completed failed key_hits =
     [
@@ -428,33 +366,22 @@ let test_planner_alike () =
       ("key_hits", key_hits);
     ]
   in
-  let run shards batch =
-    let server = Server.create ~shards ~handle:Loadgen.handle () in
-    let replies = Server.run_batch server batch in
-    Server.shutdown server;
-    let st = Server.stats server in
-    ( List.map reply_sig replies,
-      counters st.Server.deduped st.Server.expired st.Server.completed
-        st.Server.failed st.Server.key_hits )
-  in
   let status (rid, msg) =
     (rid, if String.starts_with ~prefix:"synthesized" msg then "synthesized" else msg)
   in
   let expired = "failed: deadline of 0 ms exceeded before dispatch" in
   List.iter
     (fun (name, batch, want_replies, want_counters) ->
-      let replies, stats = run 0 batch in
+      let server = Server.create ~handle:Loadgen.handle () in
+      let replies = Server.run_batch server batch in
+      let st = Server.stats server in
       Alcotest.(check (list (pair int string)))
-        (name ^ ": replies") want_replies (List.map status replies);
+        (name ^ ": replies") want_replies
+        (List.map (fun r -> status (reply_sig r)) replies);
       Alcotest.(check (list (pair string int)))
-        (name ^ ": counters") want_counters stats;
-      List.iter
-        (fun shards ->
-          let label what = Printf.sprintf "%s: %s, shards %d = 0" name what shards in
-          let r, st = run shards batch in
-          Alcotest.(check (list (pair int string))) (label "replies") replies r;
-          Alcotest.(check (list (pair string int))) (label "counters") stats st)
-        [ 1; 2 ])
+        (name ^ ": counters") want_counters
+        (counters st.Server.deduped st.Server.expired st.Server.completed
+           st.Server.failed st.Server.key_hits))
     [
       ( "six vecadd",
         List.init 6 (fun rid -> synth_request rid "vecadd"),
@@ -471,6 +398,123 @@ let test_planner_alike () =
         [ (0, "synthesized"); (1, expired) ],
         counters 0 1 1 1 1 );
     ]
+
+(* --- request lines ------------------------------------------------- *)
+
+let decode line =
+  match Proto.job_of_line line with
+  | Ok _ -> "ok"
+  | Error (`Frontend msg) -> "frontend: " ^ msg
+  | Error (`Request msg) -> "request: " ^ msg
+
+(* A repeated key rejects its line: no value of the two wins unseen. *)
+let test_repeated_key () =
+  List.iter
+    (fun (line, want) -> Alcotest.(check string) line want (decode line))
+    [
+      ( {|{"op":"run","workload":"list_sum","size":64,"size":-1}|},
+        {|request: duplicate key "size"|} );
+      ( {|{"op":"synth","workload":"vecadd","op":"run"}|},
+        {|request: duplicate key "op"|} );
+      ({|{"op":"run","workload":"list_sum","size":64}|}, "ok");
+    ]
+
+(* Well-formed lines over the registry, both ops, every optional key. *)
+let gen_valid_line =
+  let open QCheck.Gen in
+  let* w = oneofl Vmht_workloads.Registry.all in
+  let name = Printf.sprintf "%S" w.Vmht_workloads.Workload.name in
+  let* knobs =
+    flatten_l
+      [
+        map (Printf.sprintf {|"unroll":%d|}) (oneofl [ 1; 2; 4; 64 ]);
+        map (Printf.sprintf {|"opt":%d|}) (int_bound 2);
+        map (Printf.sprintf {|"tlb":%d|}) (oneofl [ 16; 64 ]);
+      ]
+  in
+  let* knobs = map (fun n -> List.filteri (fun i _ -> i < n) knobs) (int_bound 3) in
+  let* op =
+    oneof
+      [
+        map
+          (fun style ->
+            [ {|"op":"synth"|}; {|"workload":|} ^ name; {|"style":|} ^ style ])
+          (oneofl [ {|"vm"|}; {|"dma"|} ]);
+        map
+          (fun (mode, size) ->
+            [
+              {|"op":"run"|};
+              {|"workload":|} ^ name;
+              {|"mode":|} ^ mode;
+              Printf.sprintf {|"size":%d|} size;
+            ])
+          (pair (oneofl [ {|"sw"|}; {|"vm"|}; {|"dma"|} ]) (int_range 1 512));
+        return
+          [
+            {|"op":"synth"|};
+            {|"source":|}
+            ^ Vmht_obs.Json.(to_string (String w.Vmht_workloads.Workload.source));
+          ];
+      ]
+  in
+  return ("{" ^ String.concat "," (op @ knobs) ^ "}")
+
+(* A valid line with one key's value replaced by one of another type. *)
+let retype line =
+  let open QCheck.Gen in
+  let module J = Vmht_obs.Json in
+  match J.of_string line with
+  | J.Obj fields ->
+    let* i = int_bound (List.length fields - 1) in
+    let* v =
+      oneofl
+        [
+          J.Null;
+          J.Bool true;
+          J.Int (-1);
+          J.Int max_int;
+          J.Float 2.5;
+          J.String "vm";
+          J.String "";
+          J.List [ J.Int 1 ];
+          J.Obj [ ("op", J.String "run") ];
+        ]
+    in
+    return
+      (J.to_string (J.Obj (List.mapi (fun j (k, x) -> (k, if i = j then v else x)) fields)))
+  | _ -> return line
+
+let gen_line =
+  let open QCheck.Gen in
+  let mutate line =
+    let n = String.length line in
+    frequency
+      [
+        (2, map (fun k -> String.sub line 0 k) (int_bound n));
+        ( 3,
+          let* flips = list_size (int_range 1 4) (pair (int_bound (n - 1)) (int_range 1 255)) in
+          let b = Bytes.of_string line in
+          List.iter
+            (fun (i, x) ->
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+            flips;
+          return (Bytes.to_string b) );
+        (3, retype line);
+      ]
+  in
+  frequency
+    [
+      (1, string_size ~gen:char (int_bound 256));
+      (1, gen_valid_line);
+      (6, gen_valid_line >>= mutate);
+    ]
+  |> map (fun s -> if String.length s < 2048 then s else String.sub s 0 2047)
+
+let prop_line_decoder_total =
+  QCheck.Test.make ~count:1000 ~name:"job_of_line is total"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_line)
+    (fun line ->
+      match Proto.job_of_line line with Ok _ | Error _ -> true)
 
 (* --- request-key config folding ------------------------------------ *)
 
@@ -496,42 +540,37 @@ let test_request_config_folding () =
   Alcotest.(check bool) "scratchpad changes the hardware" true
     (smaller.Flow.wrapper_area <> base.Flow.wrapper_area)
 
-let () =
-  Alcotest.run "vmht-serve"
-    [
-      ( "store",
-        [
-          QCheck_alcotest.to_alcotest prop_entry_roundtrip;
-          Alcotest.test_case "decode is total on junk" `Quick test_decode_total;
-          Alcotest.test_case "save/load round-trip" `Quick test_store_save_load;
-          Alcotest.test_case "corrupt + version-skew fallback" `Quick
-            test_store_corrupt_fallback;
-          Alcotest.test_case "unwritable dir is typed" `Quick
-            test_store_unwritable;
-          Alcotest.test_case "flow promotes disk hits" `Quick
-            test_flow_promotion;
-        ] );
-      ( "server",
-        [
-          Alcotest.test_case "substrates agree byte-for-byte" `Quick
-            test_substrate_determinism;
-          Alcotest.test_case "warm store answers everything" `Quick
-            test_server_store_warm;
-          Alcotest.test_case "replies byte-stable across rounds" `Quick
-            test_replies_stable_across_rounds;
-          Alcotest.test_case "retries across worker death" `Quick
-            test_retry_on_worker_death;
-          Alcotest.test_case "bounded retry gives up" `Quick
-            test_gives_up_after_max_attempts;
-          Alcotest.test_case "deadlines expire undispatched" `Quick
-            test_deadline_expiry;
-          Alcotest.test_case "in-batch dedup fans out" `Quick test_batch_dedup;
-          Alcotest.test_case "planner alike on every substrate" `Quick
-            test_planner_alike;
-        ] );
-      ( "flow-api",
-        [
-          Alcotest.test_case "request key folds the config" `Quick
-            test_request_config_folding;
-        ] );
-    ]
+let store_suite =
+  [
+    QCheck_alcotest.to_alcotest prop_entry_roundtrip;
+    Alcotest.test_case "decode is total on junk" `Quick test_decode_total;
+    Alcotest.test_case "save/load round-trip" `Quick test_store_save_load;
+    Alcotest.test_case "corrupt + version-skew fallback" `Quick
+      test_store_corrupt_fallback;
+    Alcotest.test_case "unwritable dir is typed" `Quick test_store_unwritable;
+    Alcotest.test_case "flow promotes disk hits" `Quick test_flow_promotion;
+  ]
+
+let server_suite =
+  [
+    Alcotest.test_case "pool widths 1 and 2 agree" `Quick
+      test_pool_widths_agree;
+    Alcotest.test_case "warm store answers everything" `Quick
+      test_server_store_warm;
+    Alcotest.test_case "replies byte-stable across rounds" `Quick
+      test_replies_stable_across_rounds;
+    Alcotest.test_case "deadlines expire undispatched" `Quick
+      test_deadline_expiry;
+    Alcotest.test_case "in-batch dedup fans out" `Quick test_batch_dedup;
+    Alcotest.test_case "planner decides each batch" `Quick
+      test_planner_decisions;
+    Alcotest.test_case "a repeated key rejects the line" `Quick
+      test_repeated_key;
+    QCheck_alcotest.to_alcotest prop_line_decoder_total;
+  ]
+
+let flow_api_suite =
+  [
+    Alcotest.test_case "request key folds the config" `Quick
+      test_request_config_folding;
+  ]

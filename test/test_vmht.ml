@@ -23,4 +23,7 @@ let () =
       ("system", Test_system.suite);
       ("determinism", Test_determinism.suite);
       ("fault", Test_fault.suite);
+      ("store", Test_serve.store_suite);
+      ("server", Test_serve.server_suite);
+      ("flow-api", Test_serve.flow_api_suite);
     ]

@@ -92,15 +92,13 @@ let split ~batch_t0 (g : group) =
       | Some d -> elapsed_ms < float_of_int d)
     g
 
-(* The one place replies and their counters are recorded.  A rid is
-   recorded at most once. *)
+(* The one place replies and their counters are recorded.  The groups
+   partition the batch, so each rid is recorded once. *)
 let record (t : t) replies (req : Proto.request) outcome =
-  if not (Hashtbl.mem replies req.Proto.rid) then begin
-    Hashtbl.replace replies req.Proto.rid { Proto.rid = req.Proto.rid; outcome };
-    match outcome with
-    | Proto.Failed _ -> t.failed <- t.failed + 1
-    | Proto.Synthesized _ | Proto.Executed _ -> t.completed <- t.completed + 1
-  end
+  Hashtbl.replace replies req.Proto.rid { Proto.rid = req.Proto.rid; outcome };
+  match outcome with
+  | Proto.Failed _ -> t.failed <- t.failed + 1
+  | Proto.Synthesized _ | Proto.Executed _ -> t.completed <- t.completed + 1
 
 let expire (t : t) replies =
   List.iter (fun (req : Proto.request) ->

@@ -218,7 +218,8 @@ let test_pool_widths_agree () =
   let mix = small_mix 24 in
   let dups =
     List.filter
-      (fun (r : Proto.request) -> Option.is_some (Proto.synthesis_key r.Proto.job))
+      (fun (r : Proto.request) ->
+        Option.is_some (Proto.synthesis_key r.Proto.job))
       mix
     |> List.filteri (fun i _ -> i < 2)
     |> List.mapi (fun i (r : Proto.request) -> { r with Proto.rid = 24 + i })
@@ -349,7 +350,9 @@ let test_batch_dedup () =
   Alcotest.(check int) "five key hits (in-batch)" 5 st.Server.key_hits;
   match List.map reply_sig replies with
   | (_, first) :: rest ->
-    List.iter (fun (_, o) -> Alcotest.(check string) "cloned outcome" first o) rest
+    List.iter
+      (fun (_, o) -> Alcotest.(check string) "cloned outcome" first o)
+      rest
   | [] -> Alcotest.fail "no replies"
 
 (* The planner's decisions on three small batches.  A deadline is a
@@ -419,7 +422,8 @@ let test_repeated_key () =
       ({|{"op":"run","workload":"list_sum","size":64}|}, "ok");
     ]
 
-(* Well-formed lines over the registry, both ops, every optional key. *)
+(* Well-formed lines over the registry: both ops, with and without the
+   config keys. *)
 let gen_valid_line =
   let open QCheck.Gen in
   let* w = oneofl Vmht_workloads.Registry.all in
@@ -432,7 +436,8 @@ let gen_valid_line =
         map (Printf.sprintf {|"tlb":%d|}) (oneofl [ 16; 64 ]);
       ]
   in
-  let* knobs = map (fun n -> List.filteri (fun i _ -> i < n) knobs) (int_bound 3) in
+  let* n = int_bound 3 in
+  let knobs = List.filteri (fun i _ -> i < n) knobs in
   let* op =
     oneof
       [
@@ -453,7 +458,8 @@ let gen_valid_line =
           [
             {|"op":"synth"|};
             {|"source":|}
-            ^ Vmht_obs.Json.(to_string (String w.Vmht_workloads.Workload.source));
+            ^ Vmht_obs.Json.(
+                to_string (String w.Vmht_workloads.Workload.source));
           ];
       ]
   in
@@ -480,8 +486,10 @@ let retype line =
           J.Obj [ ("op", J.String "run") ];
         ]
     in
-    return
-      (J.to_string (J.Obj (List.mapi (fun j (k, x) -> (k, if i = j then v else x)) fields)))
+    let fields =
+      List.mapi (fun j (k, x) -> (k, if i = j then v else x)) fields
+    in
+    return (J.to_string (J.Obj fields))
   | _ -> return line
 
 let gen_line =
@@ -492,7 +500,10 @@ let gen_line =
       [
         (2, map (fun k -> String.sub line 0 k) (int_bound n));
         ( 3,
-          let* flips = list_size (int_range 1 4) (pair (int_bound (n - 1)) (int_range 1 255)) in
+          let* flips =
+            list_size (int_range 1 4)
+              (pair (int_bound (n - 1)) (int_range 1 255))
+          in
           let b = Bytes.of_string line in
           List.iter
             (fun (i, x) ->

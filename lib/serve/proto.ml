@@ -64,6 +64,8 @@ let job_of_line line =
       | w -> Ok w
       | exception Not_found -> reject "unknown workload %S" wname
     in
+    (* A key that repeats an earlier one, found in one pass: a line's
+       length is the client's to choose. *)
     let seen = Hashtbl.create 8 in
     let repeated (k, _) =
       Hashtbl.mem seen k || (Hashtbl.replace seen k (); false)

@@ -3,9 +3,10 @@
 
     Every value here is plain data (ASTs, configs, strings, ints — no
     closures, no custom blocks), so [Marshal] round-trips it
-    byte-exactly.  Outcomes deliberately carry no wall-clock fields: a reply must be
-    byte-identical whichever pool domain produced it, which is what
-    makes the server's output reproducible at any pool width. *)
+    byte-exactly.  Outcomes deliberately carry no wall-clock fields: a
+    reply must be byte-identical whichever pool domain produced it,
+    which is what makes the server's output reproducible at any pool
+    width. *)
 
 type mode = Sw | Vm | Dma
 

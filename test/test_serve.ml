@@ -564,7 +564,7 @@ let store_suite =
 
 let server_suite =
   [
-    Alcotest.test_case "pool widths 1 and 2 agree" `Quick
+    Alcotest.test_case "pool widths one and two agree" `Quick
       test_pool_widths_agree;
     Alcotest.test_case "warm store answers everything" `Quick
       test_server_store_warm;

@@ -32,7 +32,7 @@ type outcome = {
    assignment straight into its slot; any other body buffers its edge's
    assignments in the commit arrays, applied in statement order
    (nonblocking, last write wins).  All of it is allocated per run; the
-   compiled program only holds closures over slot numbers. *)
+   compiled program only holds closures and arrays of slot numbers. *)
 type st = {
   v : int array;
   known : bool array;
@@ -266,12 +266,123 @@ let[@inline] buffer st slot v known =
   st.cknown.(i) <- known;
   st.ncommit <- i + 1
 
-(* [in_place] bodies write each slot as they assign it; the others
-   buffer the write for [run] to apply at the end of the edge.  A
-   constant commits as it is and a register is copied with its X bit,
-   with no expression code in between. *)
-let rec compile_stmts var target ~in_place stmts : st -> unit =
-  match Array.of_list (List.map (compile_stmt var target ~in_place) stmts) with
+let rec reads acc = function
+  | Ast.Lit _ -> acc
+  | Ast.Var n -> n :: acc
+  | Ast.Signed e | Ast.Unop (_, e) -> reads acc e
+  | Ast.Concat es -> List.fold_left reads acc es
+  | Ast.Binop (_, l, r) -> reads (reads acc l) r
+  | Ast.Ternary (c, t, f) -> reads (reads (reads acc c) t) f
+
+(* The names a statement reads or assigns, [if] bodies included. *)
+let rec touches acc = function
+  | Ast.Assign (n, e) -> reads (n :: acc) e
+  | Ast.If (c, body) -> List.fold_left touches (reads acc c) body
+
+(* The leaf shapes of an assignment's right-hand side: a constant, a
+   register, [+] of two registers or of a register and a constant, and
+   [<<] by a constant (neither operator depends on signedness).  Only
+   syntactic leaves are resolved, left operand first, so an unknown
+   identifier fails as {!compile_expr} would fail on it. *)
+type leaf_stmt =
+  | Set of int
+  | Copy of int
+  | Add of int * int
+  | Add_k of int * int
+  | Shl_k of int * int
+
+let leaf_stmt var = function
+  | (Ast.Lit _ | Ast.Var _) as e -> (
+    match leaf var e with
+    | Some (Const k) -> Some (Set k)
+    | Some (Slot i) -> Some (Copy i)
+    | None -> None)
+  | Ast.Binop
+      ( (("+" | "<<") as op),
+        ((Ast.Lit _ | Ast.Var _) as l),
+        ((Ast.Lit _ | Ast.Var _) as r) ) -> (
+    match (op, leaf var l, leaf var r) with
+    | "+", Some (Slot a), Some (Slot b) -> Some (Add (a, b))
+    | "+", Some (Slot a), Some (Const k) | "+", Some (Const k), Some (Slot a) ->
+      Some (Add_k (a, k))
+    | "<<", Some (Slot a), Some (Const k) -> Some (Shl_k (a, k land 63))
+    | _ -> None)
+  | _ -> None
+
+(* A body's grouped leaf assignments as parallel arrays, ordered by
+   shape: the [i]th writes slot [dst.(i)] from [a.(i)] and [b.(i)],
+   which hold slots or constants as the shape reads them.  Sets run
+   from 0, and each other shape from the index its field names. *)
+type groups = {
+  dst : int array;
+  a : int array;  (** a [Set]'s constant, or the (first) source slot *)
+  b : int array;  (** an [Add]'s second slot, or an [Add_k]/[Shl_k] constant *)
+  copies : int;
+  adds : int;
+  add_ks : int;
+  shifts : int;
+}
+
+let groups_of leaves =
+  let rank = function
+    | Set _ -> 0
+    | Copy _ -> 1
+    | Add _ -> 2
+    | Add_k _ -> 3
+    | Shl_k _ -> 4
+  in
+  let leaves =
+    List.stable_sort (fun (_, x) (_, y) -> compare (rank x) (rank y)) leaves
+  in
+  let column f = Array.of_list (List.map f leaves) in
+  let start r = List.length (List.filter (fun (_, l) -> rank l < r) leaves) in
+  {
+    dst = column fst;
+    a =
+      column (function
+        | _, Set k -> k
+        | _, (Copy s | Add (s, _) | Add_k (s, _) | Shl_k (s, _)) -> s);
+    b =
+      column (function
+        | _, (Add (_, x) | Add_k (_, x) | Shl_k (_, x)) -> x
+        | _, (Set _ | Copy _) -> 0);
+    copies = start 1;
+    adds = start 2;
+    add_ks = start 3;
+    shifts = start 4;
+  }
+
+(* Each loop writes its targets' words and X bits as the statements
+   would in place. *)
+let run_groups g st =
+  let v = st.v and known = st.known and dst = g.dst and a = g.a and b = g.b in
+  for i = 0 to g.copies - 1 do
+    let d = dst.(i) in
+    v.(d) <- a.(i);
+    known.(d) <- true
+  done;
+  for i = g.copies to g.adds - 1 do
+    let d = dst.(i) and s = a.(i) in
+    v.(d) <- v.(s);
+    known.(d) <- known.(s)
+  done;
+  for i = g.adds to g.add_ks - 1 do
+    let d = dst.(i) and s = a.(i) and t = b.(i) in
+    v.(d) <- v.(s) + v.(t);
+    known.(d) <- known.(s) && known.(t)
+  done;
+  for i = g.add_ks to g.shifts - 1 do
+    let d = dst.(i) and s = a.(i) in
+    v.(d) <- v.(s) + b.(i);
+    known.(d) <- known.(s)
+  done;
+  for i = g.shifts to Array.length dst - 1 do
+    let d = dst.(i) and s = a.(i) in
+    v.(d) <- v.(s) lsl b.(i);
+    known.(d) <- known.(s)
+  done
+
+let seq = function
   | [||] -> fun _ -> ()
   | [| s |] -> s
   | codes ->
@@ -280,22 +391,61 @@ let rec compile_stmts var target ~in_place stmts : st -> unit =
         codes.(i) st
       done
 
+(* [in_place] bodies write each slot as they assign it; the others
+   buffer the write for [run] to apply at the end of the edge.  An
+   in-place body runs its leaf assignments first, as groups, and then
+   its other statements, in order, as closures.  A leaf assignment
+   joins the groups when no earlier statement of the body (an [if]
+   condition or body included) reads or assigns its target: the body
+   reads only entry values (see {!in_place}), so no statement reads the
+   target at all and every later write to it still runs after it.  The
+   slots, X bits and errors of an edge are the statement-order ones. *)
+let rec compile_stmts var target ~in_place stmts : st -> unit =
+  if not in_place then
+    seq (Array.of_list (List.map (compile_stmt var target ~in_place) stmts))
+  else
+    let leaves, rest, _ =
+      List.fold_left
+        (fun (leaves, rest, touched) s ->
+          let as_closure () = compile_stmt var target ~in_place s :: rest in
+          let leaves, rest =
+            match s with
+            | Ast.Assign (n, e) -> (
+              let slot = target n in
+              match if List.mem n touched then None else leaf_stmt var e with
+              | Some l -> ((slot, l) :: leaves, rest)
+              | None -> (leaves, as_closure ()))
+            | Ast.If _ -> (leaves, as_closure ())
+          in
+          (leaves, rest, touches touched s))
+        ([], [], []) stmts
+    in
+    let codes = Array.of_list (List.rev rest) in
+    match leaves with
+    | [] -> seq codes
+    | _ -> (
+      let g = groups_of (List.rev leaves) in
+      match codes with
+      | [||] -> fun st -> run_groups g st
+      | [| s |] ->
+        fun st ->
+          run_groups g st;
+          s st
+      | _ ->
+        fun st ->
+          run_groups g st;
+          for i = 0 to Array.length codes - 1 do
+            codes.(i) st
+          done)
+
 and compile_stmt var target ~in_place = function
   | Ast.Assign (n, e) -> (
     let slot = target n in
     let c, _ = compile_expr var e in
     match (leaf var e, in_place) with
-    | Some (Const k), true ->
-      fun st ->
-        st.v.(slot) <- k;
-        st.known.(slot) <- true
     | Some (Const k), false -> fun st -> buffer st slot k true
-    | Some (Slot i), true ->
-      fun st ->
-        st.v.(slot) <- st.v.(i);
-        st.known.(slot) <- st.known.(i)
     | Some (Slot i), false -> fun st -> buffer st slot st.v.(i) st.known.(i)
-    | None, true ->
+    | _, true ->
       fun st ->
         st.x <- false;
         let v = c st in
@@ -331,14 +481,6 @@ let rec assigned acc stmts =
       | Ast.Assign (n, _) -> n :: acc
       | Ast.If (_, b) -> assigned acc b)
     acc stmts
-
-let rec reads acc = function
-  | Ast.Lit _ -> acc
-  | Ast.Var n -> n :: acc
-  | Ast.Signed e | Ast.Unop (_, e) -> reads acc e
-  | Ast.Concat es -> List.fold_left reads acc es
-  | Ast.Binop (_, l, r) -> reads (reads acc l) r
-  | Ast.Ternary (c, t, f) -> reads (reads (reads acc c) t) f
 
 (* Committing in place is buffering by another name when no statement —
    [if] conditions included — reads a name an earlier statement of the
@@ -790,9 +932,9 @@ let run ?(stats = Accel.fresh_stats ()) ?(max_edges = 50_000_000) ~engine
        run's slots. *)
     let consume = !presented > 0 in
     arm.code st;
-    apply ();
+    if st.ncommit > 0 then apply ();
     if consume then ()
-    else if any_issuing cands 0 then
+    else if Array.length cands > 0 && any_issuing cands 0 then
       stats.Accel.fsm_cycles <- stats.Accel.fsm_cycles + 1
     else if sval <> p.s_idle && sval <> p.s_done then begin
       Engine.wait_on engine 1;

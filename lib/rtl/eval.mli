@@ -12,11 +12,18 @@
     per-run state, puts the [case] arms in an array indexed by state
     value, and resolves each channel's [req/ack/we/addr/wdata/rdata]
     signals to slots.  Each arm also records the channels whose [req]
-    it assigns, so an edge checks and accepts requests only there; a
-    body in which no statement reads a name an earlier one assigns
-    commits in place instead of through the buffer; and a constant or
-    register assignment, a [+] of registers and constants and a [<<] by
-    a constant read their slots with no closure in between.  Unknown
+    it assigns, so an edge checks and accepts requests only there, and
+    a body in which no statement reads a name an earlier one assigns
+    commits in place instead of through the buffer.  Such a body (an
+    arm, the reset clause or a nested [if] body) runs its leaf
+    assignments — a constant, a register copy, a [+] of two registers
+    or of a register and a constant, a [<<] by a constant — as typed
+    groups: parallel arrays of slots and constants, one loop per
+    shape, ahead of its other statements, which stay closures and run
+    in order.  A leaf joins the groups only when no earlier statement
+    of its body reads or assigns its target; as the body reads only
+    entry values, every slot, X bit and error is the one statement
+    order gives.  Unknown
     identifiers, assignments to non-registers, unsupported operators or
     concatenations, case labels that are not [localparam]s, missing
     [S_IDLE]/[S_DONE] and unrecognized channel prefixes are
@@ -98,11 +105,12 @@ val run :
     accumulates loads/stores/fsm_cycles with the model's meanings;
     [max_edges] bounds the run (default 50M edges) so an FSM that
     deadlocks or spins fails instead of hanging.  Each edge runs its
-    arm's code, applies what it buffered, then classifies itself; only
-    the arm's own channels are checked for new requests (every channel
-    on the first edge, where a [req] the reset left X must fail), and
-    releasing and presenting cost nothing while no ack is held and no
-    access is out.  Raises
+    arm's code, applies what it buffered (if anything), then
+    classifies itself; only the arm's own channels are checked for
+    new requests (every channel on the first edge, where a [req] the
+    reset left X must fail), an arm that drives none skips the check,
+    and releasing and presenting cost nothing while no ack is held and
+    no access is out.  Nothing is allocated per edge.  Raises
     {!Edge_budget} past [max_edges], {!Rtl_error} on protocol or X
     violations, [Invalid_argument] on an argument-count mismatch, and
     lets port-side exceptions (faults, aborts) pass through

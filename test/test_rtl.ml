@@ -577,6 +577,244 @@ let test_read_after_write () =
   check_int "write, then a condition that reads it" 41
     (run "r1 <= r1 + 64'd1; if (r1 == 64'd41) result <= r1;")
 
+(* An in-place arm runs its leaf assignments first, as groups, and only
+   a leaf whose target no earlier statement reads or assigns may join
+   them.  [r1 <= 64'd7] read by an earlier [result <= r1] stays behind
+   it; an assignment inside an [if] still wins over a top-level one
+   before it, and loses to one after it. *)
+let test_grouped_leaves_keep_order () =
+  let run body =
+    let out, _ =
+      eval_run (with_r1 body) ~port:(untimed_of [||]) ~args:[ 41 ]
+    in
+    Option.get out.Eval.result
+  in
+  check_int "a target read earlier is not moved" 41
+    (run "result <= r1; r1 <= 64'd7;");
+  check_int "an if overrides a top-level assignment before it" 2
+    (run "result <= 64'd1; if (r1) result <= 64'd2;");
+  check_int "a top-level assignment after an if overrides it" 1
+    (run "if (r1) result <= 64'd2; result <= 64'd1;")
+
+(* ------------- arms against a tree-walking reading ----------------- *)
+
+module A = Vmht_rtl.Ast
+
+let lit v = A.Lit { A.width = 64; value = v; signed = false }
+
+(* The registers a random arm assigns, besides [result]. *)
+let arm_regs = [ "r0"; "r1"; "r2"; "r3" ]
+
+(* A module whose state 0 runs [body] on one edge, after a reset that
+   gives each register of [inits] its value and leaves the others X;
+   state 1 then copies register [probe] to [result], so a run shows
+   what the edge left in it. *)
+let arm_module ~inits ~probe body =
+  let port ?(is_reg = false) dir width pname =
+    { A.dir; is_reg; width; pname }
+  in
+  let state v = { A.width = 2; value = v; signed = false } in
+  {
+    A.mname = "ht_arm";
+    ports =
+      [
+        port A.Input 1 "clk";
+        port A.Input 1 "rst";
+        port A.Input 1 "start";
+        port A.Input 64 "arg0";
+        port A.Input 64 "arg1";
+        port ~is_reg:true A.Output 1 "done";
+        port ~is_reg:true A.Output 64 "result";
+      ];
+    params = [ ("S_IDLE", state 2); ("S_DONE", state 3) ];
+    regs = ("state", 2) :: List.map (fun r -> (r, 64)) arm_regs;
+    reset =
+      [
+        A.Assign ("state", A.Var "S_IDLE");
+        A.Assign ("done", lit 0);
+        A.Assign ("result", lit 0);
+      ]
+      @ List.map (fun (r, v) -> A.Assign (r, lit v)) inits;
+    arms =
+      [
+        ( A.Kid "S_IDLE",
+          [
+            A.If
+              ( A.Var "start",
+                [ A.Assign ("done", lit 0); A.Assign ("state", lit 0) ] );
+          ] );
+        (A.Knum 0, body @ [ A.Assign ("state", lit 1) ]);
+        ( A.Knum 1,
+          [
+            A.Assign ("result", A.Var probe);
+            A.Assign ("done", lit 1);
+            A.Assign ("state", A.Var "S_DONE");
+          ] );
+        (A.Kid "S_DONE", [ A.Assign ("done", lit 1) ]);
+      ];
+  }
+
+(* The reference reading of [body]: every right-hand side and condition
+   of an edge sees the edge's entry values, the edge's writes land at
+   its end in statement order, and [None] is X.  X flows through [+],
+   [-] and [<<]; an X condition stops the run. *)
+let rec ref_expr env = function
+  | A.Lit l -> Some l.A.value
+  | A.Var n -> List.assoc n env
+  | A.Binop (op, l, r) -> (
+    match (ref_expr env l, ref_expr env r) with
+    | Some a, Some b -> (
+      match op with
+      | "+" -> Some (a + b)
+      | "-" -> Some (a - b)
+      | "<<" -> Some (a lsl (b land 63))
+      | _ -> invalid_arg op)
+    | _ -> None)
+  | _ -> invalid_arg "ref_expr"
+
+let rec ref_writes env writes stmts =
+  List.fold_left
+    (fun writes -> function
+      | A.Assign (n, e) -> (n, ref_expr env e) :: writes
+      | A.If (c, body) -> (
+        match ref_expr env c with
+        | None ->
+          raise
+            (Eval.Rtl_error "X in a branch condition (uninitialized control)")
+        | Some 0 -> writes
+        | Some _ -> ref_writes env writes body))
+    writes stmts
+
+let ref_probe ~inits ~args ~probe body =
+  let env =
+    [ ("arg0", Some (List.nth args 0)); ("arg1", Some (List.nth args 1));
+      ("result", Some 0) ]
+    @ List.map (fun r -> (r, List.assoc_opt r inits)) arm_regs
+  in
+  let writes = List.rev (ref_writes env [] body) in
+  List.assoc probe
+    (List.fold_left
+       (fun env (n, v) -> (n, v) :: List.remove_assoc n env)
+       env writes)
+
+let rec show_expr = function
+  | A.Lit l -> string_of_int l.A.value
+  | A.Var n -> n
+  | A.Binop (op, l, r) ->
+    Printf.sprintf "(%s %s %s)" (show_expr l) op (show_expr r)
+  | _ -> "?"
+
+let rec show_stmt = function
+  | A.Assign (n, e) -> Printf.sprintf "%s <= %s;" n (show_expr e)
+  | A.If (c, body) ->
+    Printf.sprintf "if (%s) begin %s end" (show_expr c)
+      (String.concat " " (List.map show_stmt body))
+
+(* Bodies over four registers and [result]: literals, copies, the three
+   leaf binops, a [-] that stays a closure, and [if]s, nested, on
+   registers the reset may leave X.  With five targets, a target
+   assigned twice and a name read before a later statement assigns it
+   are common, and so are bodies that read a name after assigning it,
+   which buffer their writes. *)
+let arb_arm =
+  let open QCheck.Gen in
+  let reg = oneofl arm_regs in
+  let name = oneofl ("arg0" :: "arg1" :: "result" :: arm_regs) in
+  let expr =
+    frequency
+      [
+        (2, map lit (0 -- 1000));
+        (2, map (fun n -> A.Var n) name);
+        (2, map2 (fun a b -> A.Binop ("+", A.Var a, A.Var b)) name name);
+        (1, map2 (fun a k -> A.Binop ("+", A.Var a, lit k)) name (0 -- 100));
+        (1, map2 (fun k a -> A.Binop ("+", lit k, A.Var a)) (0 -- 100) name);
+        (2, map2 (fun a k -> A.Binop ("<<", A.Var a, lit k)) name (0 -- 70));
+        (1, map2 (fun a b -> A.Binop ("-", A.Var a, A.Var b)) name name);
+      ]
+  in
+  let assign =
+    map2 (fun n e -> A.Assign (n, e)) (oneofl ("result" :: arm_regs)) expr
+  in
+  let rec stmt depth =
+    if depth = 0 then assign
+    else
+      frequency
+        [
+          (4, assign);
+          ( 1,
+            map2
+              (fun c body -> A.If (A.Var c, body))
+              reg
+              (list_size (1 -- 3) (stmt (depth - 1))) );
+        ]
+  in
+  let inits =
+    map
+      (List.filter_map (fun (r, v) -> Option.map (fun v -> (r, v)) v))
+      (flatten_l
+         (List.map
+            (fun r -> map (fun v -> (r, v)) (opt ~ratio:0.75 (0 -- 50)))
+            arm_regs))
+  in
+  QCheck.make
+    ~print:(fun ((inits, args), probe, body) ->
+      Printf.sprintf "inits [%s], args [%s], probe %s, body: %s"
+        (String.concat "; "
+           (List.map (fun (r, v) -> Printf.sprintf "%s=%d" r v) inits))
+        (String.concat "; " (List.map string_of_int args))
+        probe
+        (String.concat " " (List.map show_stmt body)))
+    (triple
+       (pair inits (list_repeat 2 (0 -- 1000)))
+       (oneofl ("result" :: arm_regs))
+       (list_size (1 -- 8) (stmt 2)))
+
+let prop_arms_match_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"eval: arms = nonblocking reading (results, X, errors)" arb_arm
+    (fun ((inits, args), probe, body) ->
+      let outcome f =
+        match f () with v -> Ok v | exception Eval.Rtl_error m -> Error m
+      in
+      let evaluated () =
+        let prog = Eval.compile (arm_module ~inits ~probe body) in
+        (fst (run_program prog ~port:(untimed_of [||]) ~args)).Eval.result
+      in
+      outcome evaluated
+      = outcome (fun () -> ref_probe ~inits ~args ~probe body))
+
+(* A run allocates its per-run state and nothing per clock edge: the
+   same program over 64 and 4,096 elements allocates the same minor
+   words. *)
+let test_eval_allocates_nothing_per_edge () =
+  let prog =
+    Eval.load (Vmht_hls.Verilog.emit (Fsm.synthesize vecadd_kernel))
+  in
+  let minor_words n =
+    let data = Array.init (3 * n) (fun i -> i) in
+    let eng = Engine.create () in
+    let words = ref 0. and edges = ref 0 in
+    Engine.spawn eng (fun () ->
+        let before = Gc.minor_words () in
+        let out =
+          Eval.run ~engine:eng prog ~port:(untimed_of data)
+            ~args:[ 0; n * 8; 2 * n * 8; n ]
+        in
+        words := Gc.minor_words () -. before;
+        edges := out.Eval.edges);
+    Engine.run eng;
+    check_int
+      (Printf.sprintf "c[%d]" (n - 1))
+      ((2 * (n - 1)) + n)
+      data.((3 * n) - 1);
+    (!words, !edges)
+  in
+  let small, small_edges = minor_words 64 in
+  let large, large_edges = minor_words 4096 in
+  check_bool "the larger run has more edges" true
+    (large_edges > 32 * small_edges);
+  Alcotest.(check (float 0.)) "minor words at 64 and 4096 elements" small large
+
 (* The edge budget is its own exception, not an emitter bug's
    [Rtl_error], and the command line and the server word it, as they do
    the software thread's step budget. *)
@@ -861,6 +1099,11 @@ let suite =
       test_request_inside_if;
     Alcotest.test_case "eval: a read after a write sees the old value" `Quick
       test_read_after_write;
+    Alcotest.test_case "eval: grouped leaves keep statement order" `Quick
+      test_grouped_leaves_keep_order;
+    QCheck_alcotest.to_alcotest prop_arms_match_reference;
+    Alcotest.test_case "eval: nothing allocated per edge" `Quick
+      test_eval_allocates_nothing_per_edge;
     Alcotest.test_case "eval: the edge and step budgets" `Quick test_budgets;
     QCheck_alcotest.to_alcotest prop_rtl_differential;
     Alcotest.test_case "concurrent threads: model = rtl (fig6 set-up)" `Quick

@@ -253,18 +253,44 @@ let unmap_page t space ~vaddr =
   | None -> ());
   List.iter (fun mmu -> Mmu.invalidate_page mmu ~vaddr) t.mmu_list
 
+(* One access of a profiled VM port: [store] writes [value], a load
+   returns the word.  Translate hands over to Memory directly, with no
+   simulated cycle between them, so the host clock is read three times
+   (entering Translate, the handover, leaving Memory), and no closure
+   is built. *)
+let profiled_access engine meter mmu buffer ~store vaddr value =
+  let saved = Engine.enter_phase engine Vmht_obs.Profile.Translate in
+  match
+    let t0 = Engine.now engine in
+    let phys = Mmu.translate mmu ~vaddr in
+    let t1 = Engine.now engine in
+    meter.translate_cycles <- meter.translate_cycles + (t1 - t0);
+    ignore (Engine.enter_phase engine Vmht_obs.Profile.Memory : Engine.phase);
+    let v =
+      if store then begin
+        Cache.write buffer ~addr:vaddr ~phys value;
+        0
+      end
+      else Cache.read buffer ~addr:vaddr ~phys
+    in
+    meter.mem_cycles <- meter.mem_cycles + (Engine.now engine - t1);
+    v
+  with
+  | v ->
+    ignore (Engine.enter_phase engine saved : Engine.phase);
+    v
+  | exception e ->
+    ignore (Engine.enter_phase engine saved : Engine.phase);
+    raise e
+
 (* The VM wrapper's data path: translate through the thread's private
    TLB/walker, then go through its small stream buffer so consecutive
    words ride one bus burst.  The launcher drives it one access at a
    time, so the meter's spans never overlap.  The meter reads the SoC's
    own engine; only a profiled engine enters the Translate and Memory
-   phases, so an unprofiled access builds no closure.  A profiled one
-   hands Translate over to Memory directly: no simulated cycle passes
-   between them, and the host clock is read three times per access
-   (entering Translate, the handover, leaving Memory) instead of
-   four.  The returned [flush] drains the buffer's dirty lines (timed);
-   the launcher calls it when the thread completes, before handing
-   results back to the host. *)
+   phases ({!profiled_access}).  The returned [flush] drains the
+   buffer's dirty lines (timed); the launcher calls it when the thread
+   completes, before handing results back to the host. *)
 let vm_port_metered t mmu =
   let engine = t.engine in
   let buffer =
@@ -276,30 +302,18 @@ let vm_port_metered t mmu =
     Cache.set_observer buffer (emitter t ~component:buf_name);
   let meter = { translate_cycles = 0; mem_cycles = 0 } in
   let port =
-    if Engine.profiled engine then begin
-      let access vaddr mem =
-        let t0 = Engine.now engine in
-        Engine.with_phases engine Vmht_obs.Profile.Translate
-          (fun () -> Mmu.translate mmu ~vaddr)
-          Vmht_obs.Profile.Memory
-          (fun phys ->
-            let t1 = Engine.now engine in
-            meter.translate_cycles <- meter.translate_cycles + (t1 - t0);
-            let v = mem phys in
-            meter.mem_cycles <- meter.mem_cycles + (Engine.now engine - t1);
-            v)
-      in
+    if Engine.profiled engine then
       {
         Accel.load =
           (fun vaddr ->
-            access vaddr (fun phys -> Cache.read buffer ~addr:vaddr ~phys));
+            profiled_access engine meter mmu buffer ~store:false vaddr 0);
         Accel.store =
           (fun vaddr value ->
-            access vaddr (fun phys ->
-                Cache.write buffer ~addr:vaddr ~phys value));
+            ignore
+              (profiled_access engine meter mmu buffer ~store:true vaddr value
+                : int));
         Accel.hold = Fun.const 0;
       }
-    end
     else begin
       let translate vaddr =
         let t0 = Engine.now engine in

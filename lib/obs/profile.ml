@@ -22,6 +22,13 @@ let phase_index = function
   | Memory -> 2
   | Translate -> 3
 
+let phase_of_index = function
+  | 0 -> Dispatch
+  | 1 -> Actor
+  | 2 -> Memory
+  | 3 -> Translate
+  | i -> invalid_arg (Printf.sprintf "Profile.phase_of_index %d" i)
+
 let phase_name = function
   | Dispatch -> "dispatch"
   | Actor -> "actor"

@@ -21,6 +21,9 @@ val n_phases : int
 
 val phase_index : phase -> int
 
+val phase_of_index : int -> phase
+(** The inverse of {!phase_index}, on [0 .. n_phases - 1]. *)
+
 val phase_name : phase -> string
 
 val all_phases : phase list

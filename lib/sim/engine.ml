@@ -3,6 +3,10 @@ type time = int
 exception Not_in_process
 exception Stuck of string
 
+(* The previous host clock read.  A record of floats only holds them
+   unboxed, so storing a read allocates nothing. *)
+type host_clock = { mutable at : float }
+
 (* Per-engine profiling state, allocated only when the process-wide
    profile (Vmht_obs.Profile) is enabled at [create] time.
 
@@ -24,7 +28,7 @@ type eprof = {
   cycles : int array;
   host_ns : float array;
   mutable dispatches : int;
-  mutable last_host : float;
+  last_host : host_clock;
   mutable flushed_now : time;
   mutable first_flush : bool;
   batch : Vmht_obs.Histogram.t;
@@ -59,7 +63,7 @@ let fresh_eprof () =
     cycles = Array.make Vmht_obs.Profile.n_phases 0;
     host_ns = Array.make Vmht_obs.Profile.n_phases 0.;
     dispatches = 0;
-    last_host = 0.;
+    last_host = { at = 0. };
     flushed_now = 0;
     first_flush = true;
     batch = Vmht_obs.Histogram.create ();
@@ -88,8 +92,8 @@ let now t = t.now
 let charge_host p =
   let h = Unix.gettimeofday () in
   p.host_ns.(p.cur_phase) <-
-    p.host_ns.(p.cur_phase) +. ((h -. p.last_host) *. 1e9);
-  p.last_host <- h
+    p.host_ns.(p.cur_phase) +. ((h -. p.last_host.at) *. 1e9);
+  p.last_host.at <- h
 
 (* Make [ph] the current phase, charging the slice that ends here to
    the phase it replaces. *)
@@ -118,30 +122,31 @@ let schedule t ~at action =
 
 let profiled t = t.profile <> None
 
-(* The handover to [ph'] reads the clock once: [saved] is not entered
-   between the two phases. *)
-let with_phases t ph f ph' g =
+(* Entering the phase that is already current reads nothing, so a
+   handover from one entered phase to the next reads the clock once. *)
+let enter_phase t ph =
   match t.profile with
-  | None -> g (f ())
-  | Some p -> (
+  | None -> ph
+  | Some p ->
     let saved = p.cur_phase in
     switch_phase p (Vmht_obs.Profile.phase_index ph);
-    match
-      let x = f () in
-      switch_phase p (Vmht_obs.Profile.phase_index ph');
-      g x
-    with
-    | v ->
-      switch_phase p saved;
-      v
-    | exception e ->
-      switch_phase p saved;
-      raise e)
+    Vmht_obs.Profile.phase_of_index saved
 
 (* [f] returns in [ph] (a nested phase restores it, a resumed dispatch
-   re-enters the phase it was scheduled in), so the handover to [ph]
-   itself reads nothing. *)
-let with_phase t ph f = with_phases t ph f ph Fun.id
+   re-enters the phase it was scheduled in), so leaving restores the
+   phase current before. *)
+let with_phase t ph f =
+  match t.profile with
+  | None -> f ()
+  | Some _ -> (
+    let saved = enter_phase t ph in
+    match f () with
+    | v ->
+      ignore (enter_phase t saved : phase);
+      v
+    | exception e ->
+      ignore (enter_phase t saved : phase);
+      raise e)
 
 let exec_process t fn =
   let open Effect.Deep in
@@ -213,7 +218,7 @@ let run ?until ?(check_quiescent = false) t =
   let horizon = match until with None -> max_int | Some u -> u in
   t.horizon <- horizon;
   (match t.profile with
-  | Some p -> p.last_host <- Unix.gettimeofday ()
+  | Some p -> p.last_host.at <- Unix.gettimeofday ()
   | None -> ());
   let rec loop () =
     if not (Event_queue.is_empty t.queue) then begin

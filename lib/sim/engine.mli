@@ -109,7 +109,7 @@ type phase = Vmht_obs.Profile.phase
 val profiled : t -> bool
 (** Whether the process-wide profile ({!Vmht_obs.Profile.enable}) was
     on when this engine was created.  A caller on a hot path tests it
-    once and enters no phase (and builds no closure) when it is off. *)
+    once and enters no phase when it is off. *)
 
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
 (** Attribute simulated time consumed by [f] (its waits and the waits
@@ -125,10 +125,13 @@ val with_phase : t -> phase -> (unit -> 'a) -> 'a
     sizes of the batches of events a profiled engine dispatched at the
     same timestamp (a measure of event-queue contention). *)
 
-val with_phases : t -> phase -> (unit -> 'a) -> phase -> ('a -> 'b) -> 'b
-(** [with_phases t ph f ph' g] is
-    [let x = with_phase t ph f in with_phase t ph' (fun () -> g x)]
-    with one clock read where [ph] hands over to [ph'] instead of two
-    (the phase current before is never entered in between).  For two
-    steps with no simulated time between them, such as a translation
-    and the access it enables. *)
+val enter_phase : t -> phase -> phase
+(** [enter_phase t ph] makes [ph] the current phase of a {!profiled}
+    engine and returns the phase it replaces; on any other engine it
+    does nothing and returns [ph].  It is {!with_phase} without the
+    closure, for a hot path: the caller enters the returned phase
+    again when it leaves, by an exception too, and the attribution is
+    {!with_phase}'s.  Entering a phase from another entered phase
+    hands over with one clock read, so a translation and the access it
+    enables, with no simulated time between them, read the clock three
+    times in all.  Neither the call nor its clock read allocates. *)

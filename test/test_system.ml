@@ -255,6 +255,19 @@ let test_vm_access_allocation_budget () =
   access_allocation_budget Vm ~bound:32.
     [ ("vecadd", 4096); ("stencil3", 4096); ("spmv", 512) ]
 
+(* The same on a profiled engine, whose VM port enters the Translate
+   and Memory phases and reads the host clock three times on every
+   access: neither the phase changes nor the clock reads allocate, so
+   a profiled access costs what an unprofiled one does (about 1 word),
+   where closures per access cost about 24. *)
+let test_profiled_vm_access_allocation_budget () =
+  Vmht_obs.Profile.enable true;
+  Fun.protect
+    ~finally:(fun () -> Vmht_obs.Profile.enable false)
+    (fun () ->
+      access_allocation_budget Vm ~bound:8.
+        [ ("vecadd", 4096); ("stencil3", 4096); ("spmv", 512) ])
+
 let test_dma_access_allocation_budget () =
   access_allocation_budget Dma ~bound:8.
     [ ("vecadd", 4096); ("saxpy", 4096); ("spmv", 512) ]
@@ -281,6 +294,8 @@ let suite =
       test_deterministic_cycles;
     Alcotest.test_case "vm: access allocation budget" `Quick
       test_vm_access_allocation_budget;
+    Alcotest.test_case "vm: profiled access allocation budget" `Quick
+      test_profiled_vm_access_allocation_budget;
     Alcotest.test_case "dma: access allocation budget" `Quick
       test_dma_access_allocation_budget;
   ]

@@ -14,20 +14,31 @@ open Vmht
 
 let temp_counter = ref 0
 
-let fresh_dir () =
+(* [f] over a fresh store directory ([Store.open_] creates it), which
+   is removed afterwards with the entries in it: a store is flat. *)
+let with_dir f =
   incr temp_counter;
-  let d =
+  let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "vmht-serve-test-%d-%d" (Unix.getpid ()) !temp_counter)
   in
-  (* [Store.open_] creates it. *)
-  d
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
 
-let open_store () =
-  match Store.open_ ~dir:(fresh_dir ()) () with
+let open_at dir =
+  match Store.open_ ~dir () with
   | Ok s -> s
   | Error e -> Alcotest.failf "store open failed: %s" (Flow.error_to_string e)
+
+let with_store f = with_dir (fun dir -> f (open_at dir))
 
 let kernel_of w = Vmht_workloads.Workload.kernel (Vmht_workloads.Registry.find w)
 
@@ -109,7 +120,7 @@ let test_decode_total () =
 (* --- store --------------------------------------------------------- *)
 
 let test_store_save_load () =
-  let s = open_store () in
+  with_store @@ fun s ->
   let config, style, kernel, hw = synth "vecadd" in
   let key = Flow.cache_key config style kernel in
   Alcotest.(check bool) "absent before save" false (Store.contains s ~key);
@@ -126,7 +137,7 @@ let test_store_save_load () =
   Alcotest.(check int) "one hit" 1 st.Store.hits
 
 let test_store_corrupt_fallback () =
-  let s = open_store () in
+  with_store @@ fun s ->
   let config, style, kernel, hw = synth "list_sum" in
   let key = Flow.cache_key config style kernel in
   (match Store.save s ~key kernel hw with
@@ -168,7 +179,7 @@ let test_flow_promotion () =
   (* A disk hit is promoted into the memo: second process-lifetime
      (simulated by reset_cache) answers from the store, not a fresh
      synthesis. *)
-  let s = open_store () in
+  with_store @@ fun s ->
   Store.install s;
   Fun.protect
     ~finally:(fun () ->
@@ -244,11 +255,8 @@ let test_pool_widths_agree () =
     (List.map (fun k -> List.assoc k counters2) [ "deduped"; "expired" ])
 
 let test_server_store_warm () =
-  let dir = fresh_dir () in
-  let s1 = match Store.open_ ~dir () with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "open: %s" (Flow.error_to_string e)
-  in
+  with_dir @@ fun dir ->
+  let s1 = open_at dir in
   Store.install s1;
   Fun.protect
     ~finally:(fun () ->
@@ -265,10 +273,7 @@ let test_server_store_warm () =
       let cold = Server.create ~store:s1 ~handle:Loadgen.handle () in
       let cold_replies = Server.run_batch cold reqs in
       (* A second server over the same directory sees every key. *)
-      let s2 = match Store.open_ ~dir () with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "reopen: %s" (Flow.error_to_string e)
-      in
+      let s2 = open_at dir in
       let warm = Server.create ~store:s2 ~handle:Loadgen.handle () in
       let warm_replies = Server.run_batch warm reqs in
       Alcotest.(check (float 0.0001)) "warm hit rate" 1.0 (Server.hit_rate warm);
@@ -286,7 +291,7 @@ let test_server_store_warm () =
    batch's marshaled replies, sharing included, must be the first
    round's bytes. *)
 let test_replies_stable_across_rounds () =
-  let store = open_store () in
+  with_store @@ fun store ->
   Store.install store;
   Fun.protect
     ~finally:(fun () ->

@@ -132,6 +132,15 @@ let checked build k =
       1
     | None -> raise e)
 
+(* A count flag below [least] is refused before any work, with exit 1:
+   a negative request count, or no copy of a kernel in a design. *)
+let at_least ~flag least n k =
+  if n < least then begin
+    Printf.eprintf "error: %s must be at least %d, not %d\n" flag least n;
+    1
+  end
+  else k ()
+
 (* The optimizer flags onto [config], with the schedule resolved eagerly
    so a typo'd pass name or a level out of range fails with exit 1
    before any work happens, whatever command carried the flag. *)
@@ -331,9 +340,10 @@ let run_cmd =
       & opt ~vopt:(Some "-") (some string) None
       & info [ "metrics-json" ] ~docv:"FILE"
           ~doc:
-            "Emit the machine-readable report (metrics registry, phase \
-             attribution) as JSON: with no argument on stdout, replacing \
-             the usual summary; with $(docv), written there alongside it.")
+            "Emit the machine-readable report (phase attribution, the \
+             SoC's counters, gauges and duration histograms) as JSON: with \
+             no argument on stdout, replacing the usual summary; with \
+             $(docv), written there alongside it.")
   in
   let pipeline =
     Arg.(value & flag & info [ "pipeline" ] ~doc:"Modulo-schedule inner loops.")
@@ -547,6 +557,7 @@ let system_cmd =
     Arg.(value & flag & info [ "top" ] ~doc:"Print the system-top RTL stub.")
   in
   let action file iface copies device emit_top =
+    at_least ~flag:"--copies" 1 copies @@ fun () ->
     with_program file (fun program ->
         let config = Vmht.Config.default in
         let threads =
@@ -588,8 +599,7 @@ let eval_jobs_arg =
 
 (* Set the pool width and zero the pass totals the manifest reads. *)
 let start_eval jobs =
-  Vmht_par.Parmap.set_jobs
-    (Option.value jobs ~default:(Domain.recommended_domain_count ()));
+  Vmht_par.Parmap.set_jobs jobs;
   Vmht_ir.Pass_manager.reset_totals ()
 
 (* One manifest row: an experiment's wall time, its output size, and
@@ -783,21 +793,22 @@ let bench_cmd =
   in
   let action jobs fault_rate seed metrics_json spans_out opt_level passes names
       =
-    start_eval jobs;
-    if Option.is_some spans_out then Vmht_obs.Span.enable true;
     let config = Vmht.Config.default in
     let config =
       match seed with
       | Some s -> Vmht.Config.with_seed config s
       | None -> config
     in
-    let config =
-      match fault_rate with
-      | Some rate ->
-        Vmht.Config.with_fault config (Vmht_fault.Plan.uniform ~rate)
-      | None -> config
-    in
+    checked (fun () ->
+        match fault_rate with
+        | Some rate ->
+          Vmht.Config.with_fault config (Vmht_fault.Plan.uniform ~rate)
+        | None -> config)
+    @@ fun config ->
     with_schedule config opt_level passes @@ fun (config, sched) ->
+    start_eval
+      (Option.value jobs ~default:(Domain.recommended_domain_count ()));
+    if Option.is_some spans_out then Vmht_obs.Span.enable true;
     let rows = ref [] in
     let run_timed name f =
       let out, row = timed name f in
@@ -954,6 +965,7 @@ let loadgen_cmd =
   in
   let action requests seed store_dir no_store jobs metrics_json
       require_hit_rate =
+    at_least ~flag:"--requests" 0 requests @@ fun () ->
     match open_store store_dir no_store with
     | Error e -> store_error e
     | Ok store ->
@@ -1279,13 +1291,12 @@ let perf_snapshot_cmd =
             "Write the snapshot to $(docv) as a bench manifest with a \
              $(b,micro) section (the committed BENCH_eval.json is one).")
   in
-  let action jobs json =
-    start_eval jobs;
+  let action json =
+    start_eval 1;
     let config = Vmht.Config.default in
     let sched = Vmht.Config.schedule config in
-    Printf.printf "perf: %d experiments, %d jobs\n%!"
-      (List.length Vmht_eval.Experiment.all)
-      (Vmht_par.Parmap.jobs ());
+    Printf.printf "perf: %d experiments\n%!"
+      (List.length Vmht_eval.Experiment.all);
     let t0 = Unix.gettimeofday () in
     let rows =
       List.map
@@ -1305,10 +1316,6 @@ let perf_snapshot_cmd =
     let fields =
       manifest_fields ~config ~sched ~rows ~total_seconds ~mismatches ~code
     in
-    (* The micro rows run alone: an idle pool domain would still join
-       every stop-the-world minor collection and slow them.  The
-       manifest has already recorded the pool's width. *)
-    Vmht_par.Parmap.shutdown ();
     let micro = Micro.estimates Micro.targets in
     Micro.print micro;
     match json with
@@ -1326,10 +1333,10 @@ let perf_snapshot_cmd =
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:
-         "Time every experiment, one at a time under the default \
-          configuration, then every micro-benchmark: the perf gate's \
-          input.  Fails on any wrong result.")
-    Term.(const action $ eval_jobs_arg $ json)
+         "Time every experiment, one at a time on one domain under the \
+          default configuration, then every micro-benchmark: the perf \
+          gate's input.  Fails on any wrong result.")
+    Term.(const action $ json)
 
 let perf_cmd =
   Cmd.group

@@ -338,7 +338,7 @@ let run_hw_once soc hw request =
    charged to the fault attribution bucket, keeping the partition
    invariant (attribution sums to [total_cycles]) intact. *)
 (* Surface what the optimizer did to this thread's datapath in the
-   trace and metrics: one [Pass_run] event per scheduled pass, and
+   trace and counters: one [Pass_run] event per scheduled pass, and
    cumulative [pass.*] counters over every launch on this SoC. *)
 let observe_passes soc (hw : Flow.hw_thread) =
   let report = hw.Flow.fsm.Vmht_hls.Fsm.stats.Vmht_hls.Fsm.opt_report in
@@ -353,10 +353,8 @@ let observe_passes soc (hw : Flow.hw_thread) =
                rewrites = s.Vmht_ir.Pass_manager.rewrites;
                kernel;
              });
-      Vmht_obs.Metrics.incr
-        ~by:s.Vmht_ir.Pass_manager.rewrites
-        (Vmht_obs.Metrics.counter (Soc.metrics soc)
-           (Printf.sprintf "pass.%s.rewrites" s.Vmht_ir.Pass_manager.pass)))
+      Soc.add_pass_rewrites soc ~pass:s.Vmht_ir.Pass_manager.pass
+        s.Vmht_ir.Pass_manager.rewrites)
     report.Vmht_ir.Pass_manager.stats
 
 let run_hw soc hw request =
@@ -385,8 +383,7 @@ let run_hw soc hw request =
     | exception Vmht_fault.Injector.Abort { component; fault } ->
       Soc.emit soc ~component:"launch"
         (Vmht_obs.Event.Fault_abort { target = component; fault });
-      Vmht_obs.Metrics.incr
-        (Vmht_obs.Metrics.counter (Soc.metrics soc) "fault.thread_aborts");
+      Soc.count_thread_abort soc;
       go (attempt + 1) ~last_abort:(Some (component, fault))
   in
   go 1 ~last_abort:None

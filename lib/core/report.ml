@@ -14,11 +14,12 @@ type t = {
   cpu : Cpu.stats;
   cpu_cache : Cache.stats;
   mapped_pages : int;
-  metrics : Vmht_obs.Metrics.snapshot;
+  counters : (string * int) list;
+  gauges : (string * float) list;
+  histograms : (string * Vmht_obs.Histogram.t) list;
 }
 
 let gather soc ~workload ~mode ~size result =
-  Soc.sync_metrics soc;
   {
     workload;
     mode;
@@ -29,7 +30,9 @@ let gather soc ~workload ~mode ~size result =
     cpu = Cpu.stats (Soc.cpu soc);
     cpu_cache = Cache.stats (Cpu.cache (Soc.cpu soc));
     mapped_pages = Vmht_vm.Addr_space.mapped_pages (Soc.aspace soc);
-    metrics = Vmht_obs.Metrics.snapshot (Soc.metrics soc);
+    counters = Soc.counters soc;
+    gauges = Soc.gauges soc;
+    histograms = Soc.histograms soc;
   }
 
 let to_string t =
@@ -85,10 +88,32 @@ let to_string t =
     (Vmht_obs.Attribution.waterfall t.result.Launch.attribution);
   Buffer.contents buf
 
+let histogram_json h =
+  let module J = Vmht_obs.Json in
+  let module H = Vmht_obs.Histogram in
+  let s = H.summary h in
+  J.Obj
+    [
+      ("count", J.Int s.H.count);
+      ("sum", J.Int s.H.sum);
+      ("min", J.Int s.H.min);
+      ("max", J.Int s.H.max);
+      ("p50", J.Int s.H.p50);
+      ("p90", J.Int s.H.p90);
+      ("p95", J.Int s.H.p95);
+      ("p99", J.Int s.H.p99);
+      ( "buckets",
+        J.List
+          (List.map
+             (fun (le, c) -> J.List [ J.Int le; J.Int c ])
+             (H.nonzero_buckets h)) );
+    ]
+
 let to_json t =
   let module J = Vmht_obs.Json in
   let r = t.result in
   let opt f = function Some v -> f v | None -> J.Null in
+  let fields f l = J.Obj (List.map (fun (k, v) -> (k, f v)) l) in
   J.Obj
     [
       ("workload", J.String t.workload);
@@ -107,5 +132,11 @@ let to_json t =
       ("page_faults", J.Int r.Launch.page_faults);
       ( "tlb_hit_rate",
         opt (fun v -> J.Float v) r.Launch.tlb_hit_rate );
-      ("metrics", Vmht_obs.Metrics.snapshot_to_json t.metrics);
+      ( "metrics",
+        J.Obj
+          [
+            ("counters", fields (fun v -> J.Int v) t.counters);
+            ("gauges", fields (fun v -> J.Float v) t.gauges);
+            ("histograms", fields histogram_json t.histograms);
+          ] );
     ]

@@ -13,19 +13,22 @@ type t = {
   cpu : Vmht_cpu.Cpu.stats;
   cpu_cache : Vmht_mem.Cache.stats;
   mapped_pages : int;
-  metrics : Vmht_obs.Metrics.snapshot;
-      (** uniform ["component.metric"] view; counters synced at gather *)
+  counters : (string * int) list;  (** {!Soc.counters} at gather *)
+  gauges : (string * float) list;  (** {!Soc.gauges} at gather *)
+  histograms : (string * Vmht_obs.Histogram.t) list;
+      (** {!Soc.histograms}: the SoC's own, read when rendered *)
 }
 
 val gather :
   Soc.t -> workload:string -> mode:string -> size:int -> Launch.result -> t
-(** Snapshot all component statistics after a run on [soc] (calls
-    {!Soc.sync_metrics} first, so the metrics snapshot is coherent). *)
+(** Read all component statistics after a run on [soc]. *)
 
 val to_string : t -> string
 (** Multi-section human-readable rendering, ending with the run's
     cycle-attribution waterfall. *)
 
 val to_json : t -> Vmht_obs.Json.t
-(** Machine-readable report: run identity, phases, attribution and the
-    full metrics snapshot (the CLI's [--metrics-json] payload). *)
+(** Machine-readable report: run identity, phases, attribution and a
+    [metrics] object of the counters, gauges and histograms, each in
+    name order, a histogram as its count, sum, min, max, p50–p99 and
+    populated buckets (the CLI's [--metrics-json] payload). *)

@@ -14,7 +14,7 @@ module Cpu = Vmht_cpu.Cpu
 module Accel = Vmht_hls.Accel
 module Cache = Vmht_mem.Cache
 module Event = Vmht_obs.Event
-module Metrics = Vmht_obs.Metrics
+module Histogram = Vmht_obs.Histogram
 module Fi = Vmht_fault.Injector
 
 type port_meter = {
@@ -46,8 +46,10 @@ type t = {
   mutable mmu_list : Mmu.t list;
   mutable next_asid : int;
   trace : Vmht_sim.Trace.t;
-  metrics : Metrics.t;
   mutable observing : bool;
+  mutable histograms : (string * Histogram.t) list; (* made at first sample *)
+  mutable pass_rewrites : (string * int ref) list; (* pass name, rewrites *)
+  mutable thread_aborts : int;
   mutable dmas : Dma.t list;
   mutable stream_buffers : Cache.t list;
   mutable injectors : Fi.t list;
@@ -94,8 +96,10 @@ let create (config : Config.t) =
       mmu_list = [];
       next_asid = 1;
       trace = Vmht_sim.Trace.create ();
-      metrics = Metrics.create ();
       observing = false;
+      histograms = [];
+      pass_rewrites = [];
+      thread_aborts = 0;
       dmas = [];
       stream_buffers = [];
       injectors = [];
@@ -135,15 +139,24 @@ let run t main =
 
 let trace t = t.trace
 
-let metrics t = t.metrics
-
 let observing t = t.observing
 
-(* Duration histograms fed live as span events stream by — these need
-   per-event samples, so they cannot be synced from component counters
-   after the fact like everything in [sync_metrics]. *)
-let feed_metrics t ~duration kind =
-  let observe name v = Metrics.observe (Metrics.histogram t.metrics name) v in
+(* Duration histograms fed live as span events stream by: these need
+   per-event samples, which no component keeps.  Each is made at its
+   first sample (a histogram holds 944 buckets), so an unobserved SoC
+   has none. *)
+let feed_histograms t ~duration kind =
+  let observe name v =
+    let h =
+      match List.assoc_opt name t.histograms with
+      | Some h -> h
+      | None ->
+        let h = Histogram.create () in
+        t.histograms <- (name, h) :: t.histograms;
+        h
+    in
+    Histogram.observe h v
+  in
   match kind with
   | Event.Bus_txn { words; _ } ->
     observe "bus.txn_cycles" duration;
@@ -164,7 +177,7 @@ let emitter t ~component : Event.emitter =
  fun ?(duration = 0) kind ->
   let at = Engine.now t.engine - duration in
   Vmht_sim.Trace.record t.trace ~at ~duration ~component kind;
-  feed_metrics t ~duration kind
+  feed_histograms t ~duration kind
 
 let emit t ~component ?duration kind = emitter t ~component ?duration kind
 
@@ -377,86 +390,114 @@ let bus_stats t = Bus.stats t.bus
 
 let dram_row_hit_rate t = Dram.row_hit_rate t.dram
 
-(* Pull-model half of the metrics story: component counters are copied
-   into the registry under "component.metric" names whenever a caller
-   wants a coherent snapshot.  (Histograms are push-fed by the
-   observers, see [feed_metrics].) *)
-let sync_metrics t =
-  let c name v = Metrics.set_counter (Metrics.counter t.metrics name) v in
-  let g name v = Metrics.set_gauge (Metrics.gauge t.metrics name) v in
+let add_pass_rewrites t ~pass n =
+  match List.assoc_opt pass t.pass_rewrites with
+  | Some r -> r := !r + n
+  | None -> t.pass_rewrites <- (pass, ref n) :: t.pass_rewrites
+
+let count_thread_abort t = t.thread_aborts <- t.thread_aborts + 1
+
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
+(* Read from the components' own stats on every call; nothing is kept
+   beside them.  The fault counters exist only with fault injection on,
+   a pass's counter after the first launch that ran it, and
+   [fault.thread_aborts] after the first abort. *)
+let counters t =
   let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
-  c "mmu.accesses" (sum (fun m -> (Mmu.stats m).Mmu.accesses) t.mmu_list);
-  c "mmu.tlb_hits" (sum (fun m -> (Mmu.stats m).Mmu.tlb_hits) t.mmu_list);
-  c "mmu.tlb_misses" (sum (fun m -> (Mmu.stats m).Mmu.tlb_misses) t.mmu_list);
-  c "mmu.page_faults"
-    (sum (fun m -> (Mmu.stats m).Mmu.page_faults) t.mmu_list);
-  c "mmu.walk_cycles"
-    (sum (fun m -> (Mmu.stats m).Mmu.walk_cycles) t.mmu_list);
-  c "tlb.lookups" (sum (fun m -> (Mmu.tlb_stats m).Tlb.lookups) t.mmu_list);
-  c "tlb.hits" (sum (fun m -> (Mmu.tlb_stats m).Tlb.hits) t.mmu_list);
-  c "tlb.evictions"
-    (sum (fun m -> (Mmu.tlb_stats m).Tlb.evictions) t.mmu_list);
-  c "tlb.memo_hits" (sum Mmu.tlb_memo_hits t.mmu_list);
-  c "engine.dispatches" (Engine.events_executed t.engine);
-  c "engine.fast_forwards" (Engine.fast_forwards t.engine);
-  c "ptw.walks" (sum (fun m -> (Mmu.ptw_stats m).Ptw.walks) t.mmu_list);
-  c "ptw.level_reads"
-    (sum (fun m -> (Mmu.ptw_stats m).Ptw.level_reads) t.mmu_list);
-  c "ptw.failed_walks"
-    (sum (fun m -> (Mmu.ptw_stats m).Ptw.failed_walks) t.mmu_list);
-  (let s =
-     match t.tlb2 with
-     | Some l2 -> Tlb2.stats l2
-     | None -> { Tlb.lookups = 0; hits = 0; evictions = 0 }
-   in
-   c "tlb2.lookups" s.Tlb.lookups;
-   c "tlb2.hits" s.Tlb.hits;
-   c "tlb2.misses" (s.Tlb.lookups - s.Tlb.hits);
-   c "tlb2.evictions" s.Tlb.evictions);
-  c "walk_cache.hits"
-    (sum (fun m -> (Mmu.ptw_stats m).Ptw.walk_cache_hits) t.mmu_list);
-  c "walk_cache.misses"
-    (sum (fun m -> (Mmu.ptw_stats m).Ptw.walk_cache_misses) t.mmu_list);
+  let mmu f = sum (fun m -> f (Mmu.stats m)) t.mmu_list in
+  let tlb f = sum (fun m -> f (Mmu.tlb_stats m)) t.mmu_list in
+  let ptw f = sum (fun m -> f (Mmu.ptw_stats m)) t.mmu_list in
+  let l2 =
+    match t.tlb2 with
+    | Some l2 -> Tlb2.stats l2
+    | None -> { Tlb.lookups = 0; hits = 0; evictions = 0 }
+  in
   let b = Bus.stats t.bus in
-  c "bus.reads" b.Bus.reads;
-  c "bus.writes" b.Bus.writes;
-  c "bus.words_moved" b.Bus.words_moved;
-  c "bus.transactions" b.Bus.bus.Vmht_sim.Resource.transactions;
-  c "bus.busy_cycles" b.Bus.bus.Vmht_sim.Resource.busy_cycles;
-  c "bus.wait_cycles" b.Bus.bus.Vmht_sim.Resource.wait_cycles;
-  g "bus.max_queue" (float_of_int b.Bus.bus.Vmht_sim.Resource.max_queue);
+  let r = b.Bus.bus in
   let d = Dram.stats t.dram in
-  c "dram.accesses" d.Dram.accesses;
-  c "dram.row_hits" d.Dram.row_hits;
-  c "dram.row_misses" d.Dram.row_misses;
-  g "dram.row_hit_rate" (Dram.row_hit_rate t.dram);
   let l1 = Cache.stats (Cpu.cache t.cpu) in
-  c "cache.read_hits" l1.Cache.read_hits;
-  c "cache.read_misses" l1.Cache.read_misses;
-  c "cache.write_hits" l1.Cache.write_hits;
-  c "cache.write_misses" l1.Cache.write_misses;
-  c "cache.writebacks" l1.Cache.writebacks;
-  c "cache.invalidations" l1.Cache.invalidations;
-  let buf_sum f = sum (fun b -> f (Cache.stats b)) t.stream_buffers in
-  c "stream_buffer.read_hits" (buf_sum (fun s -> s.Cache.read_hits));
-  c "stream_buffer.read_misses" (buf_sum (fun s -> s.Cache.read_misses));
-  c "stream_buffer.write_hits" (buf_sum (fun s -> s.Cache.write_hits));
-  c "stream_buffer.write_misses" (buf_sum (fun s -> s.Cache.write_misses));
-  c "stream_buffer.writebacks" (buf_sum (fun s -> s.Cache.writebacks));
-  c "dma.transfers" (sum (fun d -> (Dma.stats d).Dma.transfers) t.dmas);
-  c "dma.words_in" (sum (fun d -> (Dma.stats d).Dma.words_in) t.dmas);
-  c "dma.words_out" (sum (fun d -> (Dma.stats d).Dma.words_out) t.dmas);
+  let buf f = sum (fun b -> f (Cache.stats b)) t.stream_buffers in
+  let dma f = sum (fun d -> f (Dma.stats d)) t.dmas in
   let cs = Cpu.stats t.cpu in
-  c "cpu.instructions" cs.Cpu.instructions;
-  c "cpu.branches" cs.Cpu.branches;
-  c "cpu.mem_accesses" cs.Cpu.mem_accesses;
-  c "cpu.faults" cs.Cpu.faults;
-  c "cpu.mem_cycles" cs.Cpu.mem_cycles;
-  (if t.injectors <> [] then begin
-     let fs = fault_stats t in
-     c "fault.injected" fs.Fi.injected;
-     c "fault.stall_cycles" fs.Fi.stall_cycles;
-     c "fault.retries" fs.Fi.retries;
-     c "fault.aborts" fs.Fi.aborts
-   end);
-  c "mem.mapped_pages" (Addr_space.mapped_pages t.aspace)
+  let fault =
+    if t.injectors = [] then []
+    else begin
+      let fs = fault_stats t in
+      [
+        ("fault.injected", fs.Fi.injected);
+        ("fault.stall_cycles", fs.Fi.stall_cycles);
+        ("fault.retries", fs.Fi.retries);
+        ("fault.aborts", fs.Fi.aborts);
+      ]
+    end
+  in
+  let aborts =
+    if t.thread_aborts = 0 then []
+    else [ ("fault.thread_aborts", t.thread_aborts) ]
+  in
+  let passes =
+    List.map (fun (p, n) -> ("pass." ^ p ^ ".rewrites", !n)) t.pass_rewrites
+  in
+  by_name
+    ([
+       ("mmu.accesses", mmu (fun s -> s.Mmu.accesses));
+       ("mmu.tlb_hits", mmu (fun s -> s.Mmu.tlb_hits));
+       ("mmu.tlb_misses", mmu (fun s -> s.Mmu.tlb_misses));
+       ("mmu.page_faults", mmu (fun s -> s.Mmu.page_faults));
+       ("mmu.walk_cycles", mmu (fun s -> s.Mmu.walk_cycles));
+       ("tlb.lookups", tlb (fun s -> s.Tlb.lookups));
+       ("tlb.hits", tlb (fun s -> s.Tlb.hits));
+       ("tlb.evictions", tlb (fun s -> s.Tlb.evictions));
+       ("tlb.memo_hits", sum Mmu.tlb_memo_hits t.mmu_list);
+       ("engine.dispatches", Engine.events_executed t.engine);
+       ("engine.fast_forwards", Engine.fast_forwards t.engine);
+       ("ptw.walks", ptw (fun s -> s.Ptw.walks));
+       ("ptw.level_reads", ptw (fun s -> s.Ptw.level_reads));
+       ("ptw.failed_walks", ptw (fun s -> s.Ptw.failed_walks));
+       ("tlb2.lookups", l2.Tlb.lookups);
+       ("tlb2.hits", l2.Tlb.hits);
+       ("tlb2.misses", l2.Tlb.lookups - l2.Tlb.hits);
+       ("tlb2.evictions", l2.Tlb.evictions);
+       ("walk_cache.hits", ptw (fun s -> s.Ptw.walk_cache_hits));
+       ("walk_cache.misses", ptw (fun s -> s.Ptw.walk_cache_misses));
+       ("bus.reads", b.Bus.reads);
+       ("bus.writes", b.Bus.writes);
+       ("bus.words_moved", b.Bus.words_moved);
+       ("bus.transactions", r.Vmht_sim.Resource.transactions);
+       ("bus.busy_cycles", r.Vmht_sim.Resource.busy_cycles);
+       ("bus.wait_cycles", r.Vmht_sim.Resource.wait_cycles);
+       ("dram.accesses", d.Dram.accesses);
+       ("dram.row_hits", d.Dram.row_hits);
+       ("dram.row_misses", d.Dram.row_misses);
+       ("cache.read_hits", l1.Cache.read_hits);
+       ("cache.read_misses", l1.Cache.read_misses);
+       ("cache.write_hits", l1.Cache.write_hits);
+       ("cache.write_misses", l1.Cache.write_misses);
+       ("cache.writebacks", l1.Cache.writebacks);
+       ("cache.invalidations", l1.Cache.invalidations);
+       ("stream_buffer.read_hits", buf (fun s -> s.Cache.read_hits));
+       ("stream_buffer.read_misses", buf (fun s -> s.Cache.read_misses));
+       ("stream_buffer.write_hits", buf (fun s -> s.Cache.write_hits));
+       ("stream_buffer.write_misses", buf (fun s -> s.Cache.write_misses));
+       ("stream_buffer.writebacks", buf (fun s -> s.Cache.writebacks));
+       ("dma.transfers", dma (fun s -> s.Dma.transfers));
+       ("dma.words_in", dma (fun s -> s.Dma.words_in));
+       ("dma.words_out", dma (fun s -> s.Dma.words_out));
+       ("cpu.instructions", cs.Cpu.instructions);
+       ("cpu.branches", cs.Cpu.branches);
+       ("cpu.mem_accesses", cs.Cpu.mem_accesses);
+       ("cpu.faults", cs.Cpu.faults);
+       ("cpu.mem_cycles", cs.Cpu.mem_cycles);
+       ("mem.mapped_pages", Addr_space.mapped_pages t.aspace);
+     ]
+    @ fault @ aborts @ passes)
+
+let gauges t =
+  [
+    ( "bus.max_queue",
+      float_of_int (Bus.stats t.bus).Bus.bus.Vmht_sim.Resource.max_queue );
+    ("dram.row_hit_rate", Dram.row_hit_rate t.dram);
+  ]
+
+let histograms t = by_name t.histograms

@@ -1,11 +1,11 @@
 (** The composed system-on-chip: CPU + shared bus + DRAM + one process
     address space, onto which hardware threads are instantiated.
 
-    The SoC also owns the observability layer: a {!Vmht_obs.Metrics.t}
-    registry every component's counters are synced into under
-    ["component.metric"] names, and (once {!enable_tracing} is called)
-    typed-event observers on every component feeding the bounded trace
-    ring and the duration histograms. *)
+    The SoC also owns the observability layer: {!counters} and
+    {!gauges} read every component's stats under ["component.metric"]
+    names, and (once {!enable_tracing} is called) typed-event observers
+    on every component feed the bounded trace ring and the duration
+    {!histograms}. *)
 
 type t
 
@@ -124,23 +124,40 @@ val enable_tracing : t -> unit
 
 val observing : t -> bool
 
-val metrics : t -> Vmht_obs.Metrics.t
-(** The SoC-wide metrics registry.  Duration histograms are fed live
-    while observing; call {!sync_metrics} before snapshotting so the
-    counters reflect the components' current totals. *)
-
-val sync_metrics : t -> unit
-(** Copy every component's counters into the registry
+val counters : t -> (string * int) list
+(** Every component's current counters, sorted by name
     (["mmu.tlb_misses"], ["tlb2.hits"], ["walk_cache.misses"],
     ["bus.wait_cycles"], ["dram.row_hits"], ["cache.read_misses"],
-    ["dma.words_in"], ...).  Works whether or not tracing was enabled.
-    The bench's run ledger ([Vmht_eval.Common.record]) sums the synced
-    counters of every run into its manifest. *)
+    ["dma.words_in"], ...), read from the components' stats on each
+    call, whether or not tracing was enabled.  The four [fault.*]
+    injector counters are listed when fault injection is on,
+    ["pass.<name>.rewrites"] once a hardware launch ran that pass
+    ({!add_pass_rewrites}) and ["fault.thread_aborts"] once a thread
+    aborted ({!count_thread_abort}).  The bench's run ledger
+    ([Vmht_eval.Common.record]) sums them over every run into its
+    manifest. *)
+
+val gauges : t -> (string * float) list
+(** ["bus.max_queue"] and ["dram.row_hit_rate"], computed when asked. *)
+
+val histograms : t -> (string * Vmht_obs.Histogram.t) list
+(** The duration histograms the observers fill ([bus.txn_cycles],
+    [mmu.walk_cycles], [dma.burst_words], ...), sorted by name.  Each is
+    made at its first sample and listed from then on, so an unobserved
+    run has none.  The values are the SoC's own, not copies. *)
+
+val add_pass_rewrites : t -> pass:string -> int -> unit
+(** Add one launch's rewrites of optimizer pass [pass] to its
+    ["pass.<pass>.rewrites"] counter. *)
+
+val count_thread_abort : t -> unit
+(** Count one aborted hardware-thread attempt in
+    ["fault.thread_aborts"]. *)
 
 val emit :
   t -> component:string -> ?duration:int -> Vmht_obs.Event.kind -> unit
 (** Record one event as [component] would: stamped at
-    [now - duration] and routed to the trace ring and metrics.  Used by
+    [now - duration] and routed to the trace ring and histograms.  Used by
     the launcher for phase, pass and fault-recovery markers. *)
 
 val emitter : t -> component:string -> Vmht_obs.Event.emitter

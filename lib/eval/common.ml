@@ -41,7 +41,6 @@ let record ~label ~correct ~cycles ?attribution soc =
   match Atomic.get open_ledger with
   | None -> ()
   | Some t ->
-    Soc.sync_metrics soc;
     let segments =
       match attribution with
       | None -> []
@@ -50,10 +49,7 @@ let record ~label ~correct ~cycles ?attribution soc =
           (fun (k, v) -> ("attr." ^ k, v))
           (Vmht_obs.Attribution.to_list a)
     in
-    let counts =
-      (("cycles", cycles) :: segments)
-      @ Vmht_obs.Metrics.counters (Soc.metrics soc)
-    in
+    let counts = (("cycles", cycles) :: segments) @ Soc.counters soc in
     Mutex.protect ledger_mutex (fun () ->
         t.run_count <- t.run_count + 1;
         List.iter

@@ -46,8 +46,7 @@ type ledger = {
   counts : (string * int) list;
       (** integer sums over those runs, sorted by name: ["cycles"], one
           ["attr.<segment>"] per {!Vmht_obs.Attribution} segment (runs
-          that pass one), and every counter of the SoC's metrics
-          registry after {!Vmht.Soc.sync_metrics} *)
+          that pass one), and every counter of {!Vmht.Soc.counters} *)
   mismatches : string list;  (** labels of the wrong runs, sorted *)
 }
 
@@ -62,7 +61,7 @@ val record :
     [attribution] segments and its SoC's counters, and [label] to the
     mismatches unless [correct].  {!run} does this itself; an experiment
     that drives {!Vmht.Launch} directly calls it once per measured point.
-    With no ledger open it returns at once: no sync, no lock. *)
+    With no ledger open it returns at once: no counter read, no lock. *)
 
 val with_ledger : (unit -> 'a) -> 'a * ledger
 (** Run the thunk with a fresh ledger open and return its value with

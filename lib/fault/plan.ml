@@ -38,7 +38,9 @@ let none =
   }
 
 let uniform ~rate =
-  if rate <= 0. then none
+  if not (rate >= 0. && rate <= 1.) then
+    invalid_arg (Printf.sprintf "Plan.uniform: rate %g is outside 0..1" rate);
+  if rate = 0. then none
   else
     {
       none with

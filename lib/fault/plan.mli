@@ -50,8 +50,9 @@ val none : t
 
 val uniform : rate:float -> t
 (** Every fault class at probability [rate] with the default cycle
-    costs — the knob the [robust] experiment sweeps.  [rate <= 0.]
-    returns {!none}. *)
+    costs — the knob the [robust] experiment sweeps.  [rate = 0.]
+    returns {!none}; a rate outside 0..1, or NaN, raises
+    [Invalid_argument]. *)
 
 val to_string : t -> string
 (** Compact summary: ["off"], ["uniform 0.005"], or the per-class

@@ -56,8 +56,6 @@ let add_block f label =
   f.blocks <- f.blocks @ [ b ];
   b
 
-let find_block f label = List.find (fun b -> b.label = label) f.blocks
-
 let block_index f =
   let index = Hashtbl.create (2 * List.length f.blocks) in
   List.iter

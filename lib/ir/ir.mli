@@ -49,12 +49,10 @@ val fresh_label : func -> label
 val add_block : func -> label -> block
 (** Create and append an (initially empty, [Ret None]-terminated) block. *)
 
-val find_block : func -> label -> block
-(** Raises [Not_found] for labels with no block. *)
-
 val block_index : func -> (label, block) Hashtbl.t
-(** Every block by label, built in one pass: the first block wins for a
-    duplicated label, as with {!find_block}. *)
+(** Every block by label, built in one pass: the first block in
+    [blocks] wins for a duplicated label.  A label with no block is
+    absent. *)
 
 val entry : func -> block
 (** The entry block.  Raises [Invalid_argument] on an empty function. *)

@@ -2,11 +2,11 @@
 
     Every simulated component reports what it did as one of these
     constructors instead of a rendered string, so exporters (the
-    Chrome-trace writer, the CLI's trace dump, metrics feeds) can
-    dispatch on the event without re-parsing text.  An event carries
-    the component instance that produced it, its start cycle and, for
-    span-like events (bus transactions, page-table walks, DMA bursts,
-    faults), a duration in cycles. *)
+    Chrome-trace writer, the CLI's trace dump, the SoC's duration
+    histograms) can dispatch on the event without re-parsing text.  An
+    event carries the component instance that produced it, its start
+    cycle and, for span-like events (bus transactions, page-table
+    walks, DMA bursts, faults), a duration in cycles. *)
 
 type mem_op = Read | Write
 
@@ -54,7 +54,7 @@ type t = {
 
 type emitter = ?duration:int -> kind -> unit
 (** The observer hook components call: the installer (the SoC) stamps
-    the cycle and routes the event to the trace ring and metrics. *)
+    the cycle and routes the event to the trace ring and histograms. *)
 
 val label : kind -> string
 (** Stable snake_case tag of the constructor ("tlb_miss", "bus_txn",

@@ -43,7 +43,7 @@ val quantile : t -> float -> int
 val nonzero_buckets : t -> (int * int) list
 (** [(inclusive upper bound, count)] for populated buckets, ascending. *)
 
-(** {2 Bucket geometry} (exposed for tests and for the metrics layer) *)
+(** {2 Bucket geometry} (exposed for tests) *)
 
 val bucket_index : int -> int
 

@@ -77,8 +77,6 @@ module Completion = struct
       (match t.value with
        | Some v -> v
        | None -> assert false)
-
-  let is_completed t = t.value <> None
 end
 
 module Barrier = struct

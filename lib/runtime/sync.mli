@@ -44,8 +44,6 @@ module Completion : sig
 
   val await : 'a t -> 'a
   (** Returns immediately if already completed. *)
-
-  val is_completed : 'a t -> bool
 end
 
 module Barrier : sig

@@ -21,7 +21,7 @@ val quantile_bucket : q:float -> int array -> int
 (** Index of the bucket containing the [q]-quantile of a histogram
     given per-bucket counts (the first populated bucket whose
     cumulative count reaches [q] of the total); -1 if all counts are
-    zero.  Used by the metrics registry's log2 histograms. *)
+    zero.  Used by [Vmht_obs.Histogram.quantile]. *)
 
 val percent_delta : float -> float -> float
 (** [percent_delta base v] is [(v - base) / base * 100.]. *)

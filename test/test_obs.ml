@@ -1,4 +1,4 @@
-(* Observability layer: JSON round-trips, metrics histograms, the
+(* Observability layer: JSON round-trips, histograms, the SoC's counters, the
    trace ring's retention properties, Chrome-trace export shape, and —
    the load-bearing invariant — per-phase cycle attribution summing
    exactly to every run's total cycles, for every workload in every
@@ -62,46 +62,45 @@ let test_json_parse_errors () =
   check_bool "trailing garbage" true (fails "[1, 2] x");
   check_bool "bare word" true (fails "frue")
 
-(* ------------------------- Metrics -------------------------------- *)
+(* ------------------------- Histograms ----------------------------- *)
 
 let test_histogram_buckets () =
   (* HDR geometry: 16 sub-buckets per power of two, so values below 32
      are recorded exactly and every bucket above keeps relative width
      <= 1/16. *)
   for v = 0 to 31 do
-    check_int "small values are exact" v (Metrics.bucket_index v);
-    check_int "small uppers are the value" v (Metrics.bucket_upper v)
+    check_int "small values are exact" v (Histogram.bucket_index v);
+    check_int "small uppers are the value" v (Histogram.bucket_upper v)
   done;
-  check_int "32 opens the first lossy bucket" 32 (Metrics.bucket_index 32);
-  check_int "33 shares it" 32 (Metrics.bucket_index 33);
-  check_int "34 is the next" 33 (Metrics.bucket_index 34);
+  check_int "32 opens the first lossy bucket" 32 (Histogram.bucket_index 32);
+  check_int "33 shares it" 32 (Histogram.bucket_index 33);
+  check_int "34 is the next" 33 (Histogram.bucket_index 34);
   (* Every bucket's upper bound must land in that bucket, the next
      value in the next one, and the bucket width must respect the
      1/16 relative-error contract. *)
   for k = 1 to 400 do
     let lower = Histogram.bucket_lower k in
-    let upper = Metrics.bucket_upper k in
-    check_int "lower in bucket" k (Metrics.bucket_index lower);
-    check_int "upper in bucket" k (Metrics.bucket_index upper);
-    check_int "upper+1 in next" (k + 1) (Metrics.bucket_index (upper + 1));
+    let upper = Histogram.bucket_upper k in
+    check_int "lower in bucket" k (Histogram.bucket_index lower);
+    check_int "upper in bucket" k (Histogram.bucket_index upper);
+    check_int "upper+1 in next" (k + 1) (Histogram.bucket_index (upper + 1));
     check_bool "relative width <= 1/16" true
       (16 * (upper - lower) <= max 16 lower)
   done
 
 let test_histogram_snapshot () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "t.lat" in
-  List.iter (Metrics.observe h) [ 1; 1; 2; 3; 100 ];
-  let s = Metrics.histogram_snapshot h in
-  check_int "count" 5 s.Metrics.count;
-  check_int "sum" 107 s.Metrics.sum;
-  check_int "min" 1 s.Metrics.min;
-  check_int "max" 100 s.Metrics.max;
+  let h = Histogram.create () in
+  List.iter (Histogram.observe h) [ 1; 1; 2; 3; 100 ];
+  let s = Histogram.summary h in
+  check_int "count" 5 s.Histogram.count;
+  check_int "sum" 107 s.Histogram.sum;
+  check_int "min" 1 s.Histogram.min;
+  check_int "max" 100 s.Histogram.max;
   (* Rank ceil(0.5 * 5) = 3 -> the third smallest sample, exactly. *)
-  check_int "p50" 2 s.Metrics.p50;
+  check_int "p50" 2 s.Histogram.p50;
   (* p95 hits the top bucket; quantiles clamp to the observed max. *)
-  check_int "p95 clamped to max" 100 s.Metrics.p95;
-  check_int "p99 clamped to max" 100 s.Metrics.p99
+  check_int "p95 clamped to max" 100 s.Histogram.p95;
+  check_int "p99 clamped to max" 100 s.Histogram.p99
 
 let test_histogram_merge () =
   let a = Histogram.create () and b = Histogram.create () in
@@ -146,20 +145,33 @@ let quantile_oracle_property =
       && Histogram.quantile h q >= oracle
       && 16 * (Histogram.quantile h q - oracle) <= max 16 oracle)
 
+(* A fresh SoC lists its 49 component counters and no histogram; a
+   pass's counter appears with the first launch that ran it (even at
+   zero rewrites) and sums over launches, the abort count appears with
+   the first abort, and every list stays in name order. *)
 let test_metrics_snapshot_sorted () =
-  let m = Metrics.create () in
-  Metrics.incr (Metrics.counter m "b.two");
-  Metrics.incr ~by:5 (Metrics.counter m "a.one");
-  Metrics.set_gauge (Metrics.gauge m "g.rate") 0.5;
-  let s = Metrics.snapshot m in
-  check_bool "counters sorted" true
-    (List.map fst s.Metrics.counters = [ "a.one"; "b.two" ]);
-  check_int "incr by" 5 (List.assoc "a.one" s.Metrics.counters);
-  (* The JSON rendering parses back. *)
-  let json = Json.of_string (Json.to_string (Metrics.snapshot_to_json s)) in
-  match Json.member "counters" json with
-  | Some (Json.Obj _) -> ()
-  | _ -> Alcotest.fail "counters object expected"
+  let soc = Vmht.Soc.create Vmht.Config.default in
+  let sorted l =
+    let names = List.map fst l in
+    names = List.sort_uniq String.compare names
+  in
+  check_int "fixed counters" 49 (List.length (Vmht.Soc.counters soc));
+  check_bool "no histogram before a sample" true
+    (Vmht.Soc.histograms soc = []);
+  check_bool "gauges sorted" true
+    (List.map fst (Vmht.Soc.gauges soc)
+    = [ "bus.max_queue"; "dram.row_hit_rate" ]);
+  Vmht.Soc.add_pass_rewrites soc ~pass:"dce" 2;
+  Vmht.Soc.add_pass_rewrites soc ~pass:"cse" 0;
+  Vmht.Soc.add_pass_rewrites soc ~pass:"dce" 3;
+  Vmht.Soc.count_thread_abort soc;
+  let counters = Vmht.Soc.counters soc in
+  check_int "summed over launches" 5
+    (List.assoc "pass.dce.rewrites" counters);
+  check_int "listed at zero" 0 (List.assoc "pass.cse.rewrites" counters);
+  check_int "aborts" 1 (List.assoc "fault.thread_aborts" counters);
+  check_int "three more" 52 (List.length counters);
+  check_bool "counters sorted" true (sorted counters)
 
 (* ------------------------- Trace ring (qcheck) -------------------- *)
 
@@ -360,7 +372,7 @@ let test_metrics_cover_components () =
     Vmht.Report.gather soc ~workload:"vecadd" ~mode:"vm" ~size:512
       o.Vmht_eval.Common.result
   in
-  let counters = report.Vmht.Report.metrics.Metrics.counters in
+  let counters = report.Vmht.Report.counters in
   let positive name =
     match List.assoc_opt name counters with
     | Some v -> v > 0
@@ -380,11 +392,9 @@ let test_metrics_cover_components () =
   check_bool "counter exists even when zero" true
     (List.mem_assoc "dma.transfers" counters);
   (* Observers fed the duration histograms while the run was traced. *)
-  let hist name =
-    List.assoc_opt name report.Vmht.Report.metrics.Metrics.histograms
-  in
+  let hist name = List.assoc_opt name report.Vmht.Report.histograms in
   (match hist "bus.txn_cycles" with
-   | Some h -> check_bool "bus latency samples" true (h.Metrics.count > 0)
+   | Some h -> check_bool "bus latency samples" true (Histogram.count h > 0)
    | None -> Alcotest.fail "bus.txn_cycles histogram missing");
   (* And the machine-readable report parses back as JSON. *)
   let json =

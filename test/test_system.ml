@@ -272,6 +272,21 @@ let test_dma_access_allocation_budget () =
   access_allocation_budget Dma ~bound:8.
     [ ("vecadd", 4096); ("saxpy", 4096); ("spmv", 512) ]
 
+(* Every sim, rtl and served execute op builds a fresh SoC, so what
+   [Soc.create] allocates is on their timed paths: the components'
+   state (about 350 minor words), and nothing for observation, whose
+   histograms are made at their first sample.  The 944-bucket
+   histograms of an eager registry would cost thousands. *)
+let test_soc_create_allocation_budget () =
+  ignore (Soc.create Config.default : Soc.t);
+  let before = Gc.minor_words () in
+  let soc = Soc.create Config.default in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity soc : Soc.t);
+  check_bool
+    (Printf.sprintf "Soc.create: %.0f minor words < 400" words)
+    true (words < 400.)
+
 let suite =
   [
     Alcotest.test_case "all workloads x all modes" `Slow
@@ -298,4 +313,6 @@ let suite =
       test_profiled_vm_access_allocation_budget;
     Alcotest.test_case "dma: access allocation budget" `Quick
       test_dma_access_allocation_budget;
+    Alcotest.test_case "soc: create allocation budget" `Quick
+      test_soc_create_allocation_budget;
   ]

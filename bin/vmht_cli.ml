@@ -572,7 +572,7 @@ let system_cmd =
         print_string (Vmht.Sysgen.summary design);
         if emit_top then begin
           print_newline ();
-          print_string design.Vmht.Sysgen.top_verilog
+          print_string (Vmht.Sysgen.top_verilog design)
         end)
   in
   Cmd.v
@@ -1452,7 +1452,7 @@ let passes_cmd =
         Printf.printf "  %-16s %-8s %s\n" p.Vmht_ir.Pass.name
           (Vmht_ir.Pass.kind_name p.Vmht_ir.Pass.kind)
           p.Vmht_ir.Pass.doc)
-      (Vmht_ir.Pass.all ());
+      Vmht_ir.Pass.all;
     print_endline "presets:";
     List.iter
       (fun (s : Vmht_ir.Pass_manager.schedule) ->
@@ -1463,9 +1463,9 @@ let passes_cmd =
              String.concat ", "
                (List.map (fun (p : Vmht_ir.Pass.t) -> p.Vmht_ir.Pass.name) ps)))
       [
-        Vmht_ir.Pass_manager.o0 ();
-        Vmht_ir.Pass_manager.o1 ();
-        Vmht_ir.Pass_manager.o2 ();
+        Vmht_ir.Pass_manager.o0;
+        Vmht_ir.Pass_manager.o1;
+        Vmht_ir.Pass_manager.o2;
       ];
     0
   in

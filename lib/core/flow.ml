@@ -79,7 +79,6 @@ type store_fault =
 
 type error =
   | Frontend of { loc : Vmht_lang.Loc.t; msg : string }
-  | Unknown_kernel of string
   | Store_error of { path : string; fault : store_fault }
 
 let store_fault_to_string = function
@@ -92,7 +91,6 @@ let error_to_string = function
   | Frontend { loc; msg } ->
     Printf.sprintf "line %d, col %d: %s" loc.Vmht_lang.Loc.line
       loc.Vmht_lang.Loc.col msg
-  | Unknown_kernel name -> Printf.sprintf "no kernel named '%s'" name
   | Store_error { path; fault } ->
     Printf.sprintf "%s: %s" path (store_fault_to_string fault)
 
@@ -301,10 +299,7 @@ let synthesize_cached i kernel : (hw_thread, error) result =
 (* --- the consolidated request API ---------------------------------- *)
 
 module Request = struct
-  type payload =
-    | Kernel of Ast.kernel
-    | Source of string
-    | Program of { source : string; kname : string }
+  type payload = Kernel of Ast.kernel | Source of string
 
   type t = {
     payload : payload;
@@ -322,9 +317,6 @@ module Request = struct
 
   let of_source ?config ?style ?cache source =
     make ?config ?style ?cache (Source source)
-
-  let of_program ?config ?style ?cache ~name source =
-    make ?config ?style ?cache (Program { source; kname = name })
 end
 
 (* The front end reports lexical/syntactic/type/inlining problems by
@@ -364,15 +356,9 @@ let run (r : Request.t) : (hw_thread, error) result =
            Vmht_obs.Span.with_span ~cat:"flow" "parse" (fun () ->
                Vmht_lang.Parser.parse_kernel source)))
       with_kernel
-  | Request.Program { source; kname } ->
-    Result.bind (frontend_program source) (fun program ->
-        match Vmht_lang.Ast.find_kernel program kname with
-        | Some kernel -> with_kernel kernel
-        | None -> Error (Unknown_kernel kname))
 
 let raise_error = function
   | Frontend { loc; msg } -> raise (Vmht_lang.Loc.Error (loc, msg))
-  | Unknown_kernel _ -> raise Not_found
   | Store_error _ as e -> raise (Sys_error (error_to_string e))
 
 let run_exn r = match run r with Ok hw -> hw | Error e -> raise_error e

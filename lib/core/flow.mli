@@ -3,9 +3,11 @@
     bind -> wrapper synthesis -> RTL emission -> area roll-up.
 
     The front door is {!Request.t} + {!run}: one record naming what to
-    synthesize (an AST, a single-kernel source, or a kernel of a
-    multi-kernel program), under which {!Config.t} and wrapper style,
-    and whether the process-wide memo may answer. *)
+    synthesize (an AST or a single-kernel source), under which
+    {!Config.t} and wrapper style, and whether the process-wide memo may
+    answer.  A kernel of a multi-kernel program is requested by its
+    AST: {!frontend_program}, {!Vmht_lang.Ast.find_kernel}, then
+    {!Request.of_kernel}. *)
 
 type hw_thread = {
   kernel : Vmht_lang.Ast.kernel;
@@ -36,8 +38,6 @@ type store_fault =
 type error =
   | Frontend of { loc : Vmht_lang.Loc.t; msg : string }
       (** lexical / syntactic / type / inlining problem at [loc] *)
-  | Unknown_kernel of string
-      (** the program has no kernel with the requested name *)
   | Store_error of { path : string; fault : store_fault }
       (** the persistent synthesis store failed; only [Store_unwritable]
           ever surfaces from {!run} — mismatched or corrupt entries are
@@ -53,9 +53,6 @@ module Request : sig
   type payload =
     | Kernel of Vmht_lang.Ast.kernel  (** already parsed and checked *)
     | Source of string  (** single-kernel source text *)
-    | Program of { source : string; kname : string }
-        (** multi-kernel source; synthesize kernel [kname] after
-            whole-program typecheck and inlining *)
 
   type t = {
     payload : payload;
@@ -67,27 +64,17 @@ module Request : sig
             *measure* synthesis must, or they time a table lookup *)
   }
 
-  val make :
-    ?config:Config.t -> ?style:Wrapper.style -> ?cache:bool -> payload -> t
-  (** Defaults: {!Config.default}, [Vm_iface], [cache = true]. *)
-
   val of_kernel :
     ?config:Config.t ->
     ?style:Wrapper.style ->
     ?cache:bool ->
     Vmht_lang.Ast.kernel ->
     t
+  (** Defaults: {!Config.default}, [Vm_iface], [cache = true]. *)
 
   val of_source :
     ?config:Config.t -> ?style:Wrapper.style -> ?cache:bool -> string -> t
-
-  val of_program :
-    ?config:Config.t ->
-    ?style:Wrapper.style ->
-    ?cache:bool ->
-    name:string ->
-    string ->
-    t
+  (** As {!of_kernel}, for source the flow parses. *)
 end
 
 val run : Request.t -> (hw_thread, error) result
@@ -103,7 +90,7 @@ val run : Request.t -> (hw_thread, error) result
 
 val run_exn : Request.t -> hw_thread
 (** {!run}, raising: {!Vmht_lang.Loc.Error} on front-end errors,
-    [Not_found] on unknown kernels, [Sys_error] on store faults. *)
+    [Sys_error] on store faults. *)
 
 val cache_key : Config.t -> Wrapper.style -> Vmht_lang.Ast.kernel -> string
 (** The content-addressed synthesis key: a hex digest of the kernel AST
@@ -117,9 +104,10 @@ val cache_key : Config.t -> Wrapper.style -> Vmht_lang.Ast.kernel -> string
     store and the batch server all address results by it. *)
 
 val frontend_program : string -> (Vmht_lang.Ast.program, error) result
-(** Parse, typecheck and inline a multi-kernel source — the front-end
-    half of a [Program] request, for callers that stop before
-    synthesis (e.g. [vmht compile]). *)
+(** Parse, typecheck and inline a multi-kernel source: the front end
+    of [vmht compile], [vmht synth], [vmht system] and a [vmht serve]
+    source line, which then request a kernel of the program with
+    {!Request.of_kernel}. *)
 
 (** {2 Persistent store backend}
 

@@ -99,7 +99,7 @@ let run_sw soc func request =
   let mem = after.Cpu.mem_cycles - before.Cpu.mem_cycles in
   (* The CPU runs as one process, so its load/store spans partition
      the compute phase exactly: what is not memory time is execution. *)
-  let fault = faults * Cpu.fault_penalty cpu in
+  let fault = faults * Vmht_cpu.Cost_model.fault_penalty in
   let attribution =
     {
       Vmht_obs.Attribution.zero with

@@ -41,19 +41,15 @@ exception Window_overflow of string
 
 val run_sw : Soc.t -> Vmht_ir.Ir.func -> request -> result
 
-val run_hw_vm : Soc.t -> Flow.hw_thread -> request -> result
-
-val run_hw_dma : Soc.t -> Flow.hw_thread -> request -> result
-(** Pin + translate pages, stage [In]/[InOut] buffers into the
-    scratchpad over DMA, run, drain [Out]/[InOut] buffers, invalidate
-    the CPU cache. *)
-
 val run_hw : Soc.t -> Flow.hw_thread -> request -> result
-(** Dispatch on the thread's wrapper style, with thread-level fault
-    recovery: if an injected {!Vmht_fault.Injector.Abort} escapes the
-    run (a DMA transfer abort), the whole attempt is re-run until it
-    completes — termination is guaranteed by the plan's injection
-    budget.  Cycles lost to discarded attempts are added to
+(** Run a hardware thread in its wrapper style.  A VM thread works on
+    memory directly; a DMA thread pins and translates its pages, stages
+    [In]/[InOut] buffers into the scratchpad over DMA, runs, drains
+    [Out]/[InOut] buffers and invalidates the CPU cache.  Either style
+    gets thread-level fault recovery: if an injected
+    {!Vmht_fault.Injector.Abort} escapes the run (a DMA transfer
+    abort), the whole attempt is re-run until it completes —
+    termination is guaranteed by the plan's injection budget.  Cycles lost to discarded attempts are added to
     [total_cycles] and the [fault] attribution bucket, and the final
     success emits a [Fault_recover] event. *)
 

@@ -357,7 +357,7 @@ let vm_port_metered t mmu =
 
 let make_scratchpad t ~words =
   let pad =
-    Scratchpad.create ~words ~access_latency:1
+    Scratchpad.create ~words
       ~ports:
         (Vmht_hls.Schedule.mem_total_ports
            t.config.Config.resources.Vmht_hls.Schedule.mem)

@@ -33,7 +33,6 @@ type design = {
   total_area : Optypes.area;
   fits : bool;
   utilization : (string * float) list;
-  top_verilog : string;
 }
 
 (* AXI interconnect, host (PS-PL) bridge, clock/reset infrastructure. *)
@@ -65,7 +64,7 @@ let total_of placements =
         (Optypes.scale_area p.instances p.thread.Flow.total_area))
     static_overhead placements
 
-let emit_top device placements =
+let top_verilog { device; placements; _ } =
   let buf = Buffer.create 2048 in
   let bp fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   bp "// System top generated by vmht sysgen — target %s\n" device.device_name;
@@ -111,7 +110,6 @@ let compose ?(device = zynq_7020) threads =
     total_area;
     fits = fits_device device total_area;
     utilization = utilization_of device total_area;
-    top_verilog = emit_top device placements;
   }
 
 let max_instances ?(device = zynq_7020) thread =

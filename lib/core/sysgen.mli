@@ -34,7 +34,6 @@ type design = {
   total_area : Vmht_hls.Optypes.area;
   fits : bool;
   utilization : (string * float) list; (** resource -> fraction used *)
-  top_verilog : string;
 }
 
 val static_overhead : Vmht_hls.Optypes.area
@@ -49,3 +48,7 @@ val max_instances : ?device:device -> Flow.hw_thread -> int
     static infrastructure — the thread-density metric of Table 6. *)
 
 val summary : design -> string
+
+val top_verilog : design -> string
+(** The top-level RTL stub: one instance per copy of each thread,
+    about 300 bytes each, built when called. *)

@@ -1,41 +1,33 @@
 module Ir = Vmht_ir.Ir
 module Ast = Vmht_lang.Ast
 
-type t = {
-  alu : int;
-  cmp : int;
-  mul : int;
-  div : int;
-  shift : int;
-  mov : int;
-  branch : int;
-  mem_issue : int;
-  fault_penalty : int;
-}
+let alu = 1
 
-let default =
-  {
-    alu = 1;
-    cmp = 1;
-    mul = 3;
-    div = 20;
-    shift = 1;
-    mov = 1;
-    branch = 2;
-    mem_issue = 1;
-    fault_penalty = 3000;
-  }
+let cmp = 1
 
-let binop_cycles t = function
-  | Ast.Add | Ast.Sub | Ast.And | Ast.Or | Ast.Xor | Ast.Land | Ast.Lor ->
-    t.alu
-  | Ast.Mul -> t.mul
-  | Ast.Div | Ast.Rem -> t.div
-  | Ast.Shl | Ast.Shr -> t.shift
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> t.cmp
+let mul = 3
 
-let instr_cycles t = function
-  | Ir.Bin (op, _, _, _) -> binop_cycles t op
-  | Ir.Un _ -> t.alu
-  | Ir.Mov _ -> t.mov
-  | Ir.Load _ | Ir.Store _ -> t.mem_issue
+let div = 20
+
+let shift = 1
+
+let mov = 1
+
+let branch = 2
+
+let mem_issue = 1
+
+let fault_penalty = 3000
+
+let binop_cycles = function
+  | Ast.Add | Ast.Sub | Ast.And | Ast.Or | Ast.Xor | Ast.Land | Ast.Lor -> alu
+  | Ast.Mul -> mul
+  | Ast.Div | Ast.Rem -> div
+  | Ast.Shl | Ast.Shr -> shift
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> cmp
+
+let instr_cycles = function
+  | Ir.Bin (op, _, _, _) -> binop_cycles op
+  | Ir.Un _ -> alu
+  | Ir.Mov _ -> mov
+  | Ir.Load _ | Ir.Store _ -> mem_issue

@@ -3,21 +3,15 @@
     The CPU shares the fabric clock with the accelerators (as on a
     Zynq-class SoC after normalizing clock ratios into per-instruction
     costs).  Loads/stores pay the issue cost here plus the timed cache
-    access. *)
+    access.  The costs are constants: 1 cycle for an ALU operation, a
+    comparison, a shift, a move or a load/store issue, 3 for a multiply
+    and 20 for a division or remainder. *)
 
-type t = {
-  alu : int;
-  cmp : int;
-  mul : int;
-  div : int;
-  shift : int;
-  mov : int;
-  branch : int; (** per conditional branch (mispredict amortized) *)
-  mem_issue : int; (** address-generation/issue cost of a load/store *)
-  fault_penalty : int; (** demand-page fault handling on the CPU *)
-}
+val branch : int
+(** Per conditional branch, mispredicts amortized: 2 cycles. *)
 
-val default : t
+val fault_penalty : int
+(** Demand-page fault handling on the CPU: 3,000 cycles. *)
 
-val instr_cycles : t -> Vmht_ir.Ir.instr -> int
+val instr_cycles : Vmht_ir.Ir.instr -> int
 (** Cost of one instruction, memory access time excluded. *)

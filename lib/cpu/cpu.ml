@@ -13,7 +13,6 @@ type stats = {
 }
 
 type t = {
-  cost : Cost_model.t;
   engine : Engine.t;
   cache : Cache.t;
   aspace : Addr_space.t;
@@ -25,11 +24,10 @@ type t = {
   mutable observer : Vmht_obs.Event.emitter option;
 }
 
-let create ?(cost = Cost_model.default) ?cache_config bus aspace =
+let create bus aspace =
   {
-    cost;
     engine = Vmht_mem.Bus.engine bus;
-    cache = Cache.create ?config:cache_config bus;
+    cache = Cache.create bus;
     aspace;
     instructions = 0;
     branches = 0;
@@ -41,8 +39,6 @@ let create ?(cost = Cost_model.default) ?cache_config bus aspace =
 
 let set_observer t f = t.observer <- Some f
 
-let fault_penalty t = t.cost.Cost_model.fault_penalty
-
 (* Resolve a virtual address, paying the fault penalty when demand
    paging has to install the page.  The page table is read on every
    access, so an unmap needs no hook here. *)
@@ -51,10 +47,10 @@ let resolve t vaddr =
   if paddr >= 0 then paddr
   else begin
     t.faults <- t.faults + 1;
-    Engine.wait_on t.engine t.cost.Cost_model.fault_penalty;
+    Engine.wait_on t.engine Cost_model.fault_penalty;
     (match t.observer with
     | Some f ->
-      f ~duration:t.cost.Cost_model.fault_penalty
+      f ~duration:Cost_model.fault_penalty
         (Vmht_obs.Event.Page_fault { vaddr; asid = 0 })
     | None -> ());
     if not (Addr_space.handle_fault t.aspace ~vaddr) then
@@ -106,7 +102,7 @@ type block = {
   term : Ir.terminator;
 }
 
-let compile_block cost regs (b : Ir.block) =
+let compile_block regs (b : Ir.block) =
   let segments = ref [] and ops = ref [] and costs = ref [] in
   (* End the open segment with [access] (if any) and the cost [last]. *)
   let close last access =
@@ -128,7 +124,7 @@ let compile_block cost regs (b : Ir.block) =
   in
   List.iter
     (fun instr ->
-      let c = Cost_model.instr_cycles cost instr in
+      let c = Cost_model.instr_cycles instr in
       match instr with
       | Ir.Load (d, a) -> close (Some c) (Load (d, a))
       | Ir.Store (a, v) -> close (Some c) (Store (a, v))
@@ -138,7 +134,7 @@ let compile_block cost regs (b : Ir.block) =
     b.Ir.instrs;
   close
     (match b.Ir.term with
-    | Ir.Br _ -> Some cost.Cost_model.branch
+    | Ir.Br _ -> Some Cost_model.branch
     | Ir.Jmp _ | Ir.Ret _ -> None)
     No_access;
   {
@@ -160,7 +156,7 @@ let run_func ?(max_steps = 100_000_000) t (f : Ir.func) ~args =
   let blocks = Array.make (Ir.label_bound f) None in
   List.iter
     (fun (b : Ir.block) ->
-      blocks.(b.Ir.label) <- Some (compile_block t.cost regs b))
+      blocks.(b.Ir.label) <- Some (compile_block regs b))
     f.Ir.blocks;
   let exec_segment s =
     t.instructions <- t.instructions + s.retired;

@@ -4,8 +4,8 @@
     flow consumes) with per-instruction cycle costs, loads and stores
     through a private L1 cache, untimed address translation (the CPU's
     own MMU is assumed warm; its demand-page faults still pay the
-    handler penalty), and demand paging against the shared address
-    space. *)
+    handler penalty, {!Cost_model.fault_penalty}), and demand paging
+    against the shared address space. *)
 
 type stats = {
   instructions : int;
@@ -20,12 +20,10 @@ type stats = {
 
 type t
 
-val create :
-  ?cost:Cost_model.t ->
-  ?cache_config:Vmht_mem.Cache.config ->
-  Vmht_mem.Bus.t ->
-  Vmht_vm.Addr_space.t ->
-  t
+val create : Vmht_mem.Bus.t -> Vmht_vm.Addr_space.t -> t
+(** A CPU on [bus] with a private L1 of the default
+    {!Vmht_mem.Cache.default_config} geometry, paying the
+    {!Cost_model} costs. *)
 
 val run_func :
   ?max_steps:int -> t -> Vmht_ir.Ir.func -> args:int list -> int option
@@ -61,8 +59,5 @@ val set_observer : t -> Vmht_obs.Event.emitter -> unit
     ({!Vmht_obs.Event.kind.Page_fault} with [asid = 0], duration = the
     handler penalty).  Cache events come from the L1 itself via
     {!Vmht_mem.Cache.set_observer} on {!cache}. *)
-
-val fault_penalty : t -> int
-(** The configured demand-page fault handler cost, in cycles. *)
 
 val stats : t -> stats

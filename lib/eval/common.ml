@@ -2,9 +2,9 @@ open Vmht
 module Workload = Vmht_workloads.Workload
 module Addr_space = Vmht_vm.Addr_space
 
-type mode = Sw | Vm | Dma
+type mode = Vmht_serve.Proto.mode = Sw | Vm | Dma
 
-let mode_name = function Sw -> "sw" | Vm -> "vm" | Dma -> "dma"
+let mode_name = Vmht_serve.Proto.mode_name
 
 type outcome = {
   result : Launch.result;

@@ -2,7 +2,8 @@
     a fresh SoC in a given style and collect everything the tables and
     figures report. *)
 
-type mode = Sw | Vm | Dma
+type mode = Vmht_serve.Proto.mode = Sw | Vm | Dma
+(** The server protocol's execution styles, re-exported. *)
 
 val mode_name : mode -> string
 

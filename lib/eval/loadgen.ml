@@ -39,13 +39,7 @@ let handle (req : Proto.request) =
     match Vmht_workloads.Registry.find workload with
     | exception Not_found ->
       Proto.Failed (Printf.sprintf "unknown workload %S" workload)
-    | w ->
-      let mode =
-        match mode with
-        | Proto.Sw -> Common.Sw
-        | Proto.Vm -> Common.Vm
-        | Proto.Dma -> Common.Dma
-      in
+    | w -> (
       match Common.run ~config mode w ~size with
       | o ->
         Proto.Executed
@@ -57,7 +51,7 @@ let handle (req : Proto.request) =
       | exception e -> (
         match Common.rejection e with
         | Some msg -> Proto.Failed msg
-        | None -> raise e))
+        | None -> raise e)))
 
 let mix ~config ~requests ~seed =
   let rng = Random.State.make [| 0x10adc3; seed |] in

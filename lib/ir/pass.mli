@@ -3,10 +3,9 @@
     A pass is a named, documented rewrite over an {!Ir.func} that
     preserves observable semantics and reports how many rewrites it
     performed (so a driver can iterate a schedule to a fixpoint and
-    attribute statistics per pass).  Passes register themselves in a
-    process-wide registry, mirroring {!Vmht_eval.Experiment}: listings,
-    CLI selection ([--passes a,b,c]) and documentation are all derived
-    from the registry, so adding a pass is one [register] call. *)
+    attribute statistics per pass).  {!all} lists every pass of the
+    flow: listings, CLI selection ([--passes a,b,c]) and documentation
+    are all derived from it, so adding a pass is one entry there. *)
 
 type kind =
   | Scalar  (** straight-line rewrites of individual instructions *)
@@ -16,7 +15,7 @@ type kind =
   | Cleanup  (** dead-code removal *)
 
 type t = {
-  name : string;  (** unique registry key, e.g. ["const_fold"] *)
+  name : string;  (** unique key, e.g. ["const_fold"] *)
   doc : string;  (** one-line description for listings *)
   kind : kind;
   run : Ir.func -> int;  (** apply once; returns the rewrite count *)
@@ -24,14 +23,7 @@ type t = {
 
 val kind_name : kind -> string
 
-val register : t -> unit
-(** Add a pass to the registry.  Raises [Invalid_argument] if a pass
-    with the same name is already registered. *)
-
-val all : unit -> t list
-(** Every registered pass, in registration order. *)
+val all : t list
+(** Every pass of {!Passes}, in listing order. *)
 
 val find : string -> t option
-
-val names : unit -> string list
-(** Registered pass names, in registration order. *)

@@ -1,26 +1,13 @@
-(* Make sure every builtin pass is in the registry before any schedule
-   is built: linking any consumer of the pass manager is enough. *)
-let () = Passes.register_builtins ()
-
 type schedule = { sname : string; passes : Pass.t list }
 
-let preset name pass_names =
-  {
-    sname = name;
-    passes =
-      List.map
-        (fun n ->
-          match Pass.find n with
-          | Some p -> p
-          | None -> invalid_arg ("Pass_manager: unregistered builtin " ^ n))
-        pass_names;
-  }
+let preset sname names =
+  { sname; passes = List.map (fun n -> Option.get (Pass.find n)) names }
 
-let o0 () = { sname = "O0"; passes = [] }
+let o0 = { sname = "O0"; passes = [] }
 
-let o1 () = preset "O1" [ "const_fold"; "copy_prop"; "dce"; "simplify_cfg" ]
+let o1 = preset "O1" [ "const_fold"; "copy_prop"; "dce"; "simplify_cfg" ]
 
-let o2 () =
+let o2 =
   preset "O2"
     [
       "const_fold";
@@ -34,7 +21,7 @@ let o2 () =
       "simplify_cfg";
     ]
 
-let of_opt_level n = if n <= 0 then o0 () else if n = 1 then o1 () else o2 ()
+let of_opt_level n = if n <= 0 then o0 else if n = 1 then o1 else o2
 
 let of_names names =
   let rec resolve acc = function
@@ -45,7 +32,8 @@ let of_names names =
       | None ->
         Error
           (Printf.sprintf "unknown pass %S (known: %s)" n
-             (String.concat ", " (Pass.names ()))))
+             (String.concat ", "
+                (List.map (fun (p : Pass.t) -> p.name) Pass.all))))
   in
   match resolve [] names with
   | Ok passes -> Ok { sname = "custom:" ^ String.concat "," names; passes }
@@ -89,13 +77,15 @@ let totals () =
 let reset_totals () =
   Mutex.protect totals_mutex (fun () -> Hashtbl.reset totals_tbl)
 
-let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
+(* Rounds a schedule may start before it stops short of a fixpoint. *)
+let max_iterations = 20
+
+let run sched (f : Ir.func) =
   let instrs_before = Ir.instr_count f in
   let blocks_before = Ir.block_count f in
-  (if verify then
-     match Verify.run f with
-     | () -> ()
-     | exception Verify.Error msg -> failwith ("input IR invalid: " ^ msg));
+  (match Verify.run f with
+   | () -> ()
+   | exception Verify.Error msg -> failwith ("input IR invalid: " ^ msg));
   let n = List.length sched.passes in
   let runs = Array.make n 0 in
   let rewrites = Array.make n 0 in
@@ -115,12 +105,11 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
     | [] -> if !iterations < max_iterations then round ()
     | (p : Pass.t) :: rest ->
       let c = p.run f in
-      (if verify then
-         match Verify.run f with
-         | () -> ()
-         | exception Verify.Error msg ->
-           failwith
-             (Printf.sprintf "pass %s broke the IR invariants: %s" p.name msg));
+      (match Verify.run f with
+       | () -> ()
+       | exception Verify.Error msg ->
+         failwith
+           (Printf.sprintf "pass %s broke the IR invariants: %s" p.name msg));
       runs.(i) <- runs.(i) + 1;
       rewrites.(i) <- rewrites.(i) + c;
       if c = 0 then incr quiet else quiet := 0;
@@ -144,9 +133,7 @@ let run ?(verify = true) ?(max_iterations = 20) sched (f : Ir.func) =
     blocks_after = Ir.block_count f;
   }
 
-let optimize ?schedule f =
-  let sched = match schedule with Some s -> s | None -> o2 () in
-  run sched f
+let optimize ?(schedule = o2) f = run schedule f
 
 let rewrites report name =
   match List.find_opt (fun s -> s.pass = name) report.stats with

@@ -1,35 +1,32 @@
-(** Pass scheduling: run an ordered list of registered passes to a
-    bounded joint fixpoint, verifying the IR between passes.
+(** Pass scheduling: run an ordered list of passes to a bounded joint
+    fixpoint, verifying the IR between passes.
 
     Schedules come from three places: the [-O0]/[-O1]/[-O2] presets
     ({!of_opt_level}), an explicit pass list ({!of_names}, backing the
     CLIs' [--passes a,b,c]), or directly from {!Pass.t} values.  The
     report records per-pass application and rewrite counts so callers
     (HLS statistics, the bench manifest, the opt-level ablation) can
-    attribute the work.
-
-    Linking this module registers every builtin pass
-    ({!Passes.register_builtins}). *)
+    attribute the work. *)
 
 type schedule = {
   sname : string;  (** display name: ["O0"], ["O2"], ["custom:..."] *)
   passes : Pass.t list;  (** run in order, repeated to a fixpoint *)
 }
 
-val o0 : unit -> schedule
+val o0 : schedule
 (** No optimization: the IR is synthesized as lowered. *)
 
-val o1 : unit -> schedule
+val o1 : schedule
 (** Fast cleanup: const_fold, copy_prop, dce, simplify_cfg. *)
 
-val o2 : unit -> schedule
+val o2 : schedule
 (** Everything, including the memory passes and licm. *)
 
 val of_opt_level : int -> schedule
 (** Clamped: [<= 0] is {!o0}, [1] is {!o1}, [>= 2] is {!o2}. *)
 
 val of_names : string list -> (schedule, string) result
-(** Resolve an explicit pass list against the registry; [Error msg]
+(** Resolve an explicit pass list against {!Pass.all}; [Error msg]
     names the first unknown pass. *)
 
 type pass_stat = {
@@ -50,16 +47,16 @@ type report = {
   blocks_after : int;
 }
 
-val run : ?verify:bool -> ?max_iterations:int -> schedule -> Ir.func -> report
+val run : schedule -> Ir.func -> report
 (** Apply the schedule in rounds, every pass once per round in order,
     until every pass in turn has reported zero rewrites since the last
-    rewrite (or [max_iterations], default 20, rounds have run).  A pass
-    that reports zero rewrites must leave the IR unchanged, so the rest
-    of that round would rewrite nothing either: it is not applied, and
-    [iterations] counts it among the rounds started, as if it had run
-    to its end.  With [verify] (the default) the {!Verify} checker runs
-    after every pass application and failures are re-raised as
-    [Failure] naming the offending pass. *)
+    rewrite (or 20 rounds have run).  A pass that reports zero rewrites
+    must leave the IR unchanged, so the rest of that round would
+    rewrite nothing either: it is not applied, and [iterations] counts
+    it among the rounds started, as if it had run to its end.  The
+    {!Verify} checker runs on the input and after every pass
+    application; a failure is re-raised as [Failure] naming the
+    offending pass. *)
 
 val optimize : ?schedule:schedule -> Ir.func -> report
 (** [run] under the default ({!o2}) schedule. *)

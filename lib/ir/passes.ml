@@ -727,83 +727,4 @@ let coalesce (f : Ir.func) =
     f.blocks;
   !changed
 
-(* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-(* ------------------------------------------------------------------ *)
-
 let licm = Licm.run
-
-let registered = ref false
-
-let register_builtins () =
-  if not !registered then begin
-    registered := true;
-    List.iter Pass.register
-      [
-        {
-          Pass.name = "const_fold";
-          doc =
-            "fold constant operations, algebraic identities, and \
-             constant branches";
-          kind = Pass.Scalar;
-          run = const_fold;
-        };
-        {
-          Pass.name = "copy_prop";
-          doc = "propagate Mov sources into later uses (block-local)";
-          kind = Pass.Scalar;
-          run = copy_prop;
-        };
-        {
-          Pass.name = "cse";
-          doc =
-            "share repeated pure computations and repeated loads \
-             (block-local value numbering)";
-          kind = Pass.Scalar;
-          run = cse;
-        };
-        {
-          Pass.name = "store_forward";
-          doc =
-            "forward stored values to later loads from the same \
-             address, skipping the memory port";
-          kind = Pass.Memory;
-          run = store_forward;
-        };
-        {
-          Pass.name = "strength_reduce";
-          doc =
-            "collapse add-immediate address chains; multiply by 2^k+-1 \
-             via shift and add/sub";
-          kind = Pass.Memory;
-          run = strength_reduce;
-        };
-        {
-          Pass.name = "licm";
-          doc = "hoist loop-invariant computations into a preheader";
-          kind = Pass.Loop;
-          run = licm;
-        };
-        {
-          Pass.name = "coalesce";
-          doc =
-            "fold [t = op; d = t] pairs so the operation writes its destination directly";
-          kind = Pass.Cleanup;
-          run = coalesce;
-        };
-        {
-          Pass.name = "dce";
-          doc = "delete pure instructions whose results are never used";
-          kind = Pass.Cleanup;
-          run = dce;
-        };
-        {
-          Pass.name = "simplify_cfg";
-          doc =
-            "thread trivial jumps, drop unreachable blocks, merge \
-             single-predecessor chains";
-          kind = Pass.Cfg;
-          run = simplify_cfg;
-        };
-      ]
-  end

@@ -6,8 +6,7 @@
     iterate a schedule to a fixpoint and report per-pass statistics.
 
     The functions below are also exposed directly for tests; production
-    callers go through the {!Pass} registry ({!register_builtins}) and
-    {!Pass_manager}. *)
+    callers go through the {!Pass} list and {!Pass_manager}. *)
 
 val const_fold : Ir.func -> int
 (** Fold constant operations and algebraic identities:
@@ -54,8 +53,3 @@ val dce : Ir.func -> int
 val simplify_cfg : Ir.func -> int
 (** Delete unreachable blocks, thread trivial jumps, and merge blocks
     joined by an unconditional edge with a unique predecessor. *)
-
-val register_builtins : unit -> unit
-(** Register every pass above in the {!Pass} registry.  Idempotent;
-    invoked from {!Pass_manager}'s module initializer so linking any
-    pass-manager consumer populates the registry. *)

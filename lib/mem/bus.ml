@@ -13,7 +13,6 @@ type stats = {
 
 type t = {
   engine : Engine.t;
-  arbitration_cycles : int;
   mem : Phys_mem.t;
   dram : Dram.t;
   resource : Resource.t;
@@ -30,10 +29,12 @@ type t = {
   mutable drawn_cycles : int;
 }
 
-let create ?(arbitration_cycles = 2) ~engine mem dram =
+(* Cycles a transaction spends winning the bus before its DRAM access. *)
+let arbitration_cycles = 2
+
+let create ~engine mem dram =
   {
     engine;
-    arbitration_cycles;
     mem;
     dram;
     resource = Resource.create ~engine;
@@ -66,7 +67,7 @@ let with_fault t ~addr latency =
     let plan = Fi.plan inj in
     if Fi.fires inj ~rate:plan.Fp.bus_error_rate then begin
       let extra =
-        plan.Fp.bus_error_cycles + t.arbitration_cycles
+        plan.Fp.bus_error_cycles + arbitration_cycles
         + Dram.access_latency t.dram ~addr
       in
       t.drawn <- "bus_error";
@@ -97,7 +98,7 @@ let observe t ~duration op addr words =
 let read_word t addr =
   Resource.acquire t.resource;
   let latency =
-    with_fault t ~addr (t.arbitration_cycles + Dram.access_latency t.dram ~addr)
+    with_fault t ~addr (arbitration_cycles + Dram.access_latency t.dram ~addr)
   in
   Engine.wait_on t.engine latency;
   let v = Phys_mem.read t.mem addr in
@@ -111,7 +112,7 @@ let read_word t addr =
 let write_word t addr value =
   Resource.acquire t.resource;
   let latency =
-    with_fault t ~addr (t.arbitration_cycles + Dram.access_latency t.dram ~addr)
+    with_fault t ~addr (arbitration_cycles + Dram.access_latency t.dram ~addr)
   in
   Engine.wait_on t.engine latency;
   Phys_mem.write t.mem addr value;
@@ -125,7 +126,7 @@ let read_burst_into t ~addr ~words dst ~pos =
   Resource.acquire t.resource;
   let latency =
     with_fault t ~addr
-      (t.arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
+      (arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
   in
   Engine.wait_on t.engine latency;
   for i = 0 to words - 1 do
@@ -147,7 +148,7 @@ let write_burst t ~addr data =
   Resource.acquire t.resource;
   let latency =
     with_fault t ~addr
-      (t.arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
+      (arbitration_cycles + Dram.burst_latency t.dram ~addr ~words)
   in
   Engine.wait_on t.engine latency;
   for i = 0 to words - 1 do

@@ -15,14 +15,9 @@ type stats = {
   bus : Vmht_sim.Resource.stats;
 }
 
-val create :
-  ?arbitration_cycles:int ->
-  engine:Vmht_sim.Engine.t ->
-  Phys_mem.t ->
-  Dram.t ->
-  t
-(** A bus whose transactions run as processes of [engine] (default
-    arbitration latency: 2 cycles per transaction).  The bus waits on
+val create : engine:Vmht_sim.Engine.t -> Phys_mem.t -> Dram.t -> t
+(** A bus whose transactions run as processes of [engine], each paying
+    2 cycles of arbitration before its DRAM access.  The bus waits on
     that handle, and every component built on the bus (caches, the
     CPU, MMUs, walkers, DMA engines) takes it from {!engine}, so no
     access on the memory path looks its engine up. *)

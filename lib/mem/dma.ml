@@ -6,8 +6,6 @@ type stats = { transfers : int; words_in : int; words_out : int }
 type t = {
   bus : Bus.t;
   engine : Vmht_sim.Engine.t;
-  setup_cycles : int;
-  burst_words : int;
   mutable transfers : int;
   mutable words_in : int;
   mutable words_out : int;
@@ -15,12 +13,16 @@ type t = {
   mutable fault : Fi.t option;
 }
 
-let create ?(setup_cycles = 120) ?(burst_words = 64) bus =
+(* Driver and descriptor programming, paid once per transfer. *)
+let setup_cycles = 120
+
+(* The longest bus transaction a transfer issues. *)
+let burst_words = 64
+
+let create bus =
   {
     bus;
     engine = Bus.engine bus;
-    setup_cycles;
-    burst_words;
     transfers = 0;
     words_in = 0;
     words_out = 0;
@@ -61,7 +63,7 @@ let burst_in_raw t pad ~src_phys ~dst_word ~words =
   let rec go offset =
     if offset < words then begin
       maybe_abort t;
-      let chunk = min t.burst_words (words - offset) in
+      let chunk = min burst_words (words - offset) in
       let data =
         Bus.read_burst t.bus
           ~addr:(src_phys + (offset * Phys_mem.word_bytes))
@@ -78,7 +80,7 @@ let burst_in_raw t pad ~src_phys ~dst_word ~words =
 let burst_out_raw t pad ~src_word ~dst_phys ~words =
   let rec go offset =
     if offset < words then begin
-      let chunk = min t.burst_words (words - offset) in
+      let chunk = min burst_words (words - offset) in
       let data =
         Array.init chunk (fun i ->
             Scratchpad.read_local pad (src_word + offset + i))
@@ -91,25 +93,11 @@ let burst_out_raw t pad ~src_word ~dst_phys ~words =
   in
   go 0
 
-let copy_in t pad ~src_phys ~dst_word ~words =
-  t.transfers <- t.transfers + 1;
-  t.words_in <- t.words_in + words;
-  observed t ~op:Vmht_obs.Event.Read ~words (fun () ->
-      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
-      burst_in_raw t pad ~src_phys ~dst_word ~words)
-
-let copy_out t pad ~src_word ~dst_phys ~words =
-  t.transfers <- t.transfers + 1;
-  t.words_out <- t.words_out + words;
-  observed t ~op:Vmht_obs.Event.Write ~words (fun () ->
-      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
-      burst_out_raw t pad ~src_word ~dst_phys ~words)
-
 let copy_in_scattered t pad ~chunks ~dst_word =
   t.transfers <- t.transfers + 1;
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 chunks in
   observed t ~op:Vmht_obs.Event.Read ~words:total (fun () ->
-      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
+      Vmht_sim.Engine.wait_on t.engine setup_cycles;
       let _ =
         List.fold_left
           (fun dst (src_phys, words) ->
@@ -124,7 +112,7 @@ let copy_out_scattered t pad ~src_word ~chunks =
   t.transfers <- t.transfers + 1;
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 chunks in
   observed t ~op:Vmht_obs.Event.Write ~words:total (fun () ->
-      Vmht_sim.Engine.wait_on t.engine t.setup_cycles;
+      Vmht_sim.Engine.wait_on t.engine setup_cycles;
       let _ =
         List.fold_left
           (fun src (dst_phys, words) ->

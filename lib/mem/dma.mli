@@ -1,32 +1,27 @@
 (** DMA engine moving data between DRAM and a scratchpad in bursts.
 
-    Transfers are performed in [burst_words]-sized bus transactions
-    after a fixed programming/setup delay per transfer, matching how a
-    copy-based accelerator interface stages its inputs and drains its
-    outputs. *)
+    Transfers are performed in bus transactions of at most 64 words
+    after a setup delay of 120 cycles per transfer (driver and
+    descriptor programming), matching how a copy-based accelerator
+    interface stages its inputs and drains its outputs. *)
 
 type t
 
 type stats = { transfers : int; words_in : int; words_out : int }
 
-val create : ?setup_cycles:int -> ?burst_words:int -> Bus.t -> t
-(** Defaults: 120 setup cycles (driver + descriptor programming),
-    64-word bursts. *)
-
-val copy_in : t -> Scratchpad.t -> src_phys:int -> dst_word:int -> words:int -> unit
-(** Timed DRAM -> scratchpad copy. *)
-
-val copy_out : t -> Scratchpad.t -> src_word:int -> dst_phys:int -> words:int -> unit
-(** Timed scratchpad -> DRAM copy. *)
+val create : Bus.t -> t
 
 val copy_in_scattered :
   t -> Scratchpad.t -> chunks:(int * int) list -> dst_word:int -> unit
-(** Descriptor-chained copy of non-contiguous physical [(phys, words)]
-    chunks (one page each, typically) into consecutive scratchpad
-    words: one setup delay, then per-chunk bursts. *)
+(** Timed DRAM -> scratchpad copy: a descriptor chain of physical
+    [(phys, words)] chunks (one page each, typically; a contiguous
+    range is one chunk) into consecutive scratchpad words, one setup
+    delay, then per-chunk bursts. *)
 
 val copy_out_scattered :
   t -> Scratchpad.t -> src_word:int -> chunks:(int * int) list -> unit
+(** Timed scratchpad -> DRAM copy of consecutive scratchpad words into
+    the physical chunks, as {!copy_in_scattered}. *)
 
 val set_observer : t -> Vmht_obs.Event.emitter -> unit
 (** Install an observer receiving one

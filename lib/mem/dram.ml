@@ -1,13 +1,14 @@
-type config = {
-  t_cas : int;
-  t_rcd : int;
-  t_rp : int;
-  row_bytes : int;
-  banks : int;
-}
+(* Fabric cycles: column access (row already open), activate (row
+   open) and precharge (row close). *)
+let t_cas = 14
 
-let default_config =
-  { t_cas = 14; t_rcd = 14; t_rp = 14; row_bytes = 2048; banks = 8 }
+let t_rcd = 14
+
+let t_rp = 14
+
+let row_bytes = 2048
+
+let banks = 8
 
 module Fi = Vmht_fault.Injector
 module Fp = Vmht_fault.Plan
@@ -15,7 +16,6 @@ module Fp = Vmht_fault.Plan
 type stats = { accesses : int; row_hits : int; row_misses : int }
 
 type t = {
-  config : config;
   open_rows : int array; (* per bank; -1 = closed *)
   mutable accesses : int;
   mutable row_hits : int;
@@ -24,13 +24,9 @@ type t = {
   mutable fault : Fi.t option;
 }
 
-
-let create ?(config = default_config) () =
-  assert (Vmht_util.Bits.is_pow2 config.row_bytes);
-  assert (Vmht_util.Bits.is_pow2 config.banks);
+let create () =
   {
-    config;
-    open_rows = Array.make config.banks (-1);
+    open_rows = Array.make banks (-1);
     accesses = 0;
     row_hits = 0;
     row_misses = 0;
@@ -42,21 +38,21 @@ let set_observer t f = t.observer <- Some f
 
 let set_fault t inj = t.fault <- Some inj
 
-let row_of t addr = addr / t.config.row_bytes
+let row_of addr = addr / row_bytes
 
-let bank_of t addr = row_of t addr land (t.config.banks - 1)
+let bank_of addr = row_of addr land (banks - 1)
 
 let access_latency t ~addr =
   t.accesses <- t.accesses + 1;
-  let row = row_of t addr in
-  let bank = bank_of t addr in
+  let row = row_of addr in
+  let bank = bank_of addr in
   let base =
     if t.open_rows.(bank) = row then begin
       t.row_hits <- t.row_hits + 1;
       (match t.observer with
       | Some f -> f (Vmht_obs.Event.Dram_row_hit { bank })
       | None -> ());
-      t.config.t_cas
+      t_cas
     end
     else begin
       t.row_misses <- t.row_misses + 1;
@@ -64,8 +60,8 @@ let access_latency t ~addr =
       | Some f -> f (Vmht_obs.Event.Dram_row_miss { bank })
       | None -> ());
       let penalty =
-        if t.open_rows.(bank) = -1 then t.config.t_rcd + t.config.t_cas
-        else t.config.t_rp + t.config.t_rcd + t.config.t_cas
+        if t.open_rows.(bank) = -1 then t_rcd + t_cas
+        else t_rp + t_rcd + t_cas
       in
       t.open_rows.(bank) <- row;
       penalty
@@ -88,7 +84,7 @@ let burst_latency t ~addr ~words =
     let latency = ref (access_latency t ~addr) in
     for i = 1 to words - 1 do
       let a = addr + (i * word) in
-      if row_of t a <> row_of t (a - word) then
+      if row_of a <> row_of (a - word) then
         latency := !latency + access_latency t ~addr:a
       else begin
         t.accesses <- t.accesses + 1;

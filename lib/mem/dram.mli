@@ -3,25 +3,17 @@
     An access to the currently open row of its bank costs the CAS
     latency; any other access pays precharge + activate + CAS.  The
     model only produces latencies — data lives in {!Phys_mem} — so the
-    bus can charge time and move words separately. *)
+    bus can charge time and move words separately.
 
-type config = {
-  t_cas : int; (** column access, row already open *)
-  t_rcd : int; (** activate (row open) *)
-  t_rp : int; (** precharge (row close) *)
-  row_bytes : int; (** row-buffer size; a power of two *)
-  banks : int; (** power of two *)
-}
-
-val default_config : config
-(** 14 / 14 / 14 fabric cycles, 2 KiB rows, 8 banks — DDR3-ish numbers
-    expressed in 100 MHz fabric cycles. *)
+    The timings are constants, DDR3-ish numbers in 100 MHz fabric
+    cycles: 14 cycles each for CAS, activate and precharge, 2 KiB rows
+    and 8 banks. *)
 
 type t
 
 type stats = { accesses : int; row_hits : int; row_misses : int }
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val access_latency : t -> addr:int -> int
 (** Latency of a single-beat access at [addr]; updates open-row state. *)

@@ -2,7 +2,6 @@ type window = { base : int; words : int; local_word : int }
 
 type t = {
   data : int array;
-  latency : int;
   ports : int;
   mutable windows : window list;
   mutable next_free : int;
@@ -10,16 +9,18 @@ type t = {
 
 exception Out_of_window of int
 
-let create ~words ~access_latency ~ports =
+(* Cycles one BRAM access takes. *)
+let access_latency = 1
+
+let create ~words ~ports =
   {
     data = Array.make words 0;
-    latency = access_latency;
     ports;
     windows = [];
     next_free = 0;
   }
 
-let hold t n = t.latency * Vmht_util.Bits.ceil_div n t.ports
+let hold t n = access_latency * Vmht_util.Bits.ceil_div n t.ports
 
 let overlaps a_base a_words b_base b_words =
   let a_end = a_base + (a_words * Phys_mem.word_bytes) in

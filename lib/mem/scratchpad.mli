@@ -13,15 +13,15 @@ type t
 
 exception Out_of_window of int
 
-val create : words:int -> access_latency:int -> ports:int -> t
+val create : words:int -> ports:int -> t
 (** A scratchpad of [words] words with [ports >= 1] same-cycle ports,
-    each access taking [access_latency] cycles.  Its accesses are
-    untimed; {!hold} prices them. *)
+    each access taking one cycle.  Its accesses are untimed; {!hold}
+    prices them. *)
 
 val hold : t -> int -> int
-(** [hold t n] is the cycles [n] accesses issued together take:
-    [access_latency] per group of [ports], later groups queueing behind
-    earlier ones.  [hold t 0 = 0]. *)
+(** [hold t n] is the cycles [n] accesses issued together take: one
+    per group of [ports], later groups queueing behind earlier ones.
+    [hold t 0 = 0]. *)
 
 val map_window : t -> base:int -> words:int -> unit
 (** Bind the next free scratchpad region to virtual range

@@ -37,7 +37,7 @@ let total t = List.fold_left (fun acc (_, v) -> acc + v) 0 (to_list t)
 
 let to_json t = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (to_list t))
 
-let waterfall ?width t =
+let waterfall t =
   (* Timeline order: staging happens first, then the translated/compute
      interleaving, then the drain. *)
   let ordered =
@@ -54,5 +54,5 @@ let waterfall ?width t =
     |> List.filter (fun (_, v) -> v > 0)
     |> List.map (fun (k, v) -> (k, float_of_int v))
   in
-  Vmht_util.Ascii_plot.waterfall ?width ~title:"cycle attribution"
-    ~unit:"cycles" ordered
+  Vmht_util.Ascii_plot.waterfall ~title:"cycle attribution" ~unit:"cycles"
+    ordered

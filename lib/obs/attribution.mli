@@ -36,6 +36,6 @@ val to_list : t -> (string * int) list
 
 val to_json : t -> Json.t
 
-val waterfall : ?width:int -> t -> string
+val waterfall : t -> string
 (** ASCII waterfall (cumulative horizontal bars) of the non-zero
     segments in timeline order. *)

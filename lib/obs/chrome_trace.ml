@@ -46,10 +46,10 @@ let event_json ~pid ~tid (e : Event.t) =
     (* Instantaneous: thread-scoped instant event. *)
     Json.Obj (common @ [ ("ph", Json.String "i"); ("s", Json.String "t") ])
 
-let group_events ~process_name ~pid events =
+let group_events ~pid events =
   let tids, order = tids_of_events events in
   let metadata =
-    metadata_event ~pid ~tid:0 ~name:"process_name" ~value:process_name
+    metadata_event ~pid ~tid:0 ~name:"process_name" ~value:"vmht-soc"
     :: List.map
          (fun component ->
            metadata_event ~pid
@@ -74,8 +74,6 @@ let wrap entries =
       ("displayTimeUnit", Json.String "ns");
     ]
 
-let to_json ?(process_name = "vmht-soc") ?(pid = 1) events =
-  wrap (group_events ~process_name ~pid events)
+let to_json ?(pid = 1) events = wrap (group_events ~pid events)
 
-let to_string ?process_name ?pid events =
-  Json.to_string_pretty (to_json ?process_name ?pid events)
+let to_string events = Json.to_string_pretty (to_json events)

@@ -123,8 +123,6 @@ let map (type b) t (f : 'a -> b) xs =
          results)
   end
 
-let run t thunks = map t (fun f -> f ()) thunks
-
 let shutdown t =
   Mutex.lock t.m;
   if t.live then begin

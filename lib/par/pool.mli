@@ -37,10 +37,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     failing element is re-raised (with its backtrace) after all tasks
     of this call have settled. *)
 
-val run : t -> (unit -> 'a) list -> 'a list
-(** [run pool thunks] is [map pool (fun f -> f ()) thunks] — ordered
-    heterogeneous fan-out. *)
-
 val shutdown : t -> unit
 (** Stop accepting work, join the worker domains.  Idempotent.  [map]
     on a shut-down pool raises [Invalid_argument]. *)

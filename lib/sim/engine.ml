@@ -44,7 +44,6 @@ type t = {
   mutable fast_forwards : int;
   profile : eprof option;
   fastpath : bool;
-  mutable horizon : time; (* [run ?until] bound; fast-forward never crosses *)
   mutable running : bool; (* inside [run]: its processes may wait *)
 }
 
@@ -81,7 +80,6 @@ let create ?(fastpath = true) () =
     profile =
       (if Vmht_obs.Profile.enabled () then Some (fresh_eprof ()) else None);
     fastpath;
-    horizon = max_int;
     running = false;
   }
 
@@ -214,23 +212,19 @@ let flush_profile t =
     p.first_flush <- false;
     Vmht_obs.Histogram.reset p.batch
 
-let run ?until ?(check_quiescent = false) t =
-  let horizon = match until with None -> max_int | Some u -> u in
-  t.horizon <- horizon;
+let run ?(check_quiescent = false) t =
   (match t.profile with
   | Some p -> p.last_host.at <- Unix.gettimeofday ()
   | None -> ());
   let rec loop () =
     if not (Event_queue.is_empty t.queue) then begin
       let at = Event_queue.min_time_exn t.queue in
-      if at <= horizon then begin
-        let action = Event_queue.pop_payload_exn t.queue in
-        t.now <- at;
-        t.executed <- t.executed + 1;
-        (match t.profile with Some p -> count_dispatch p at | None -> ());
-        action ();
-        loop ()
-      end
+      let action = Event_queue.pop_payload_exn t.queue in
+      t.now <- at;
+      t.executed <- t.executed + 1;
+      (match t.profile with Some p -> count_dispatch p at | None -> ());
+      action ();
+      loop ()
     end
   in
   let was_running = t.running in
@@ -249,12 +243,11 @@ let fast_forwards t = t.fast_forwards
 
 (* A wait nothing queued can observe — the queue holds no event at or
    before [target] (strict compare: an event tied at [target] carries a
-   smaller sequence number and must dispatch first) and [target] does
-   not cross the run horizon — moves the clock here, in the caller:
-   observationally identical to the heap round-trip it replaces, and
-   no effect is performed. *)
+   smaller sequence number and must dispatch first) — moves the clock
+   here, in the caller: observationally identical to the heap
+   round-trip it replaces, and no effect is performed. *)
 let can_fast_forward t target =
-  t.fastpath && target <= t.horizon
+  t.fastpath
   && (Event_queue.is_empty t.queue || Event_queue.min_time_exn t.queue > target)
 
 (* The profiler is charged inline exactly as [schedule]'s wrapper would

@@ -38,12 +38,12 @@ exception Stuck of string
 val create : ?fastpath:bool -> unit -> t
 (** [fastpath] (default [true]) enables the single-runnable wait fast
     path: when the event queue holds no event at or before the target
-    time of a {!wait_on} (or the end of a {!waits_on} run) and the
-    target is within the {!run} horizon, the clock is advanced in the
-    caller and the call returns — no effect, no heap round-trip, no
-    dispatch.  The schedule produced is observationally identical —
-    cycle counts, event order and profile attribution do not change —
-    only the heap traffic and dispatch count do.  The simulator always
+    time of a {!wait_on} (or the end of a {!waits_on} run), the clock
+    is advanced in the caller and the call returns — no effect, no
+    heap round-trip, no dispatch.  The schedule produced is
+    observationally identical — cycle counts, event order and profile
+    attribution do not change — only the heap traffic and dispatch
+    count do.  The simulator always
     runs with it on; [~fastpath:false] is the reference the unit tests
     compare it against. *)
 
@@ -55,22 +55,21 @@ val wait_on : t -> int -> unit
     process of [t], by [n >= 0] cycles (raises [Not_in_process] when
     [t] is not running).  [wait_on t 0] returns at once.  With the fast
     path on (see {!create}), when no queued event falls at or before
-    the target and the target is within the {!run} horizon, the clock
-    is moved in place and the call returns without yielding; otherwise
-    the process performs an effect and resumes from the event queue. *)
+    the target, the clock is moved in place and the call returns
+    without yielding; otherwise the process performs an effect and
+    resumes from the event queue. *)
 
 val waits_on : t -> int array -> unit
 (** [waits_on t costs] is [Array.iter (wait_on t) costs], cycle for
     cycle and tie for tie: every same-cycle race a queued event runs
     against one of the waits goes the way it would for that wait.  With
     the fast path on, when no queued event falls at or before the end
-    of the whole run and the end is within the {!run} horizon, the
-    clock moves once (one fast-forward); otherwise the next wait is
-    issued on its own and the rest of the run is tried again after it.
-    On [~fastpath:false] the waits are always issued one at a time.
-    The primitive a memory-free stretch of accelerator states or CPU
-    instructions advances time with.  Same precondition as
-    {!wait_on}. *)
+    of the whole run, the clock moves once (one fast-forward);
+    otherwise the next wait is issued on its own and the rest of the
+    run is tried again after it.  On [~fastpath:false] the waits are
+    always issued one at a time.  The primitive a memory-free stretch
+    of accelerator states or CPU instructions advances time with.  Same
+    precondition as {!wait_on}. *)
 
 val spawn : t -> (unit -> unit) -> unit
 (** Register a new process to start at the current time.  From one of
@@ -86,11 +85,11 @@ val suspend : ((unit -> unit) -> unit) -> unit
     twice raises [Invalid_argument]; calling [suspend] outside a process
     raises [Not_in_process]. *)
 
-val run : ?until:time -> ?check_quiescent:bool -> t -> unit
-(** Execute events until the queue is empty or simulated time would
-    exceed [until]; the engine's processes may wait only during the
-    call.  With [check_quiescent] (default false), raise {!Stuck} if
-    suspended processes remain once the queue drains. *)
+val run : ?check_quiescent:bool -> t -> unit
+(** Execute events until the queue is empty; the engine's processes
+    may wait only during the call.  With [check_quiescent] (default
+    false), raise {!Stuck} if suspended processes remain once the
+    queue drains. *)
 
 val events_executed : t -> int
 (** Total events the engine has dispatched (a work measure). *)

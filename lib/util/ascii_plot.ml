@@ -2,8 +2,12 @@ type series = { label : string; points : (float * float) list }
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&' |]
 
-let render ?(width = 64) ?(height = 18) ?(logx = false) ?(logy = false)
-    ~title ~xlabel ~ylabel series =
+(* Chart area in characters. *)
+let width = 64
+
+let height = 18
+
+let render ?(logx = false) ?(logy = false) ~title ~xlabel ~ylabel series =
   let tx v = if logx then log10 v else v in
   let ty v = if logy then log10 v else v in
   let keep (x, y) = (not (logx && x <= 0.)) && not (logy && y <= 0.) in
@@ -76,7 +80,8 @@ let render ?(width = 64) ?(height = 18) ?(logx = false) ?(logy = false)
     series;
   Buffer.contents buf
 
-let waterfall ?(width = 48) ~title ~unit segments =
+let waterfall ~title ~unit segments =
+  let width = 48 in
   let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. segments in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -113,7 +118,3 @@ let waterfall ?(width = 48) ~title ~unit segments =
     ()
   end;
   Buffer.contents buf
-
-let print ?width ?height ?logx ?logy ~title ~xlabel ~ylabel series =
-  print_string
-    (render ?width ?height ?logx ?logy ~title ~xlabel ~ylabel series ^ "\n")

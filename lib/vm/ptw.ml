@@ -13,7 +13,6 @@ type t = {
   bus : Vmht_mem.Bus.t;
   engine : Vmht_sim.Engine.t;
   pt : Page_table.t;
-  per_level_overhead : int;
   (* Direct-mapped page-walk cache: memoizes which level-1 entries were
      recently seen valid, keyed (and tagged) by the L1 entry's physical
      address.  [-1] = empty slot; a zero-length array disables it. *)
@@ -26,7 +25,10 @@ type t = {
   mutable fault : Fi.t option;
 }
 
-let create ?(per_level_overhead = 2) ?(walk_cache_entries = 0) bus pt =
+(* The walker state machine's cycles per level, before the level read. *)
+let per_level_overhead = 2
+
+let create ?(walk_cache_entries = 0) bus pt =
   if walk_cache_entries < 0 then
     invalid_arg "Ptw.create: negative walk-cache size";
   if walk_cache_entries > Tlb.max_entries then
@@ -37,7 +39,6 @@ let create ?(per_level_overhead = 2) ?(walk_cache_entries = 0) bus pt =
     bus;
     engine = Vmht_mem.Bus.engine bus;
     pt;
-    per_level_overhead;
     walk_cache = Array.make walk_cache_entries (-1);
     walks = 0;
     level_reads = 0;
@@ -58,7 +59,7 @@ let set_fault t inj = t.fault <- Some inj
 let read_levels t addrs =
   List.iter
     (fun addr ->
-      Vmht_sim.Engine.wait_on t.engine t.per_level_overhead;
+      Vmht_sim.Engine.wait_on t.engine per_level_overhead;
       (match t.fault with
       | Some inj when Fi.fires inj ~rate:(Fi.plan inj).Fp.walk_stall_rate ->
         let cycles = (Fi.plan inj).Fp.walk_stall_cycles in

@@ -2,7 +2,7 @@
 
     On a TLB miss the walker issues real bus reads for each page-table
     level (so walk latency includes DRAM and bus-contention effects),
-    plus a fixed per-level state-machine overhead. *)
+    plus a state-machine overhead of 2 cycles per level. *)
 
 type t
 
@@ -14,16 +14,10 @@ type stats = {
   walk_cache_misses : int;
 }
 
-val create :
-  ?per_level_overhead:int ->
-  ?walk_cache_entries:int ->
-  Vmht_mem.Bus.t ->
-  Page_table.t ->
-  t
-(** Default per-level overhead: 2 cycles.  [walk_cache_entries] sizes a
-    direct-mapped page-walk cache over level-1 entries; a hit skips the
-    L1 bus read so a warm two-level walk issues one read instead of
-    two.  Default 0 = disabled.  Raises [Invalid_argument], before
+val create : ?walk_cache_entries:int -> Vmht_mem.Bus.t -> Page_table.t -> t
+(** [walk_cache_entries] sizes a direct-mapped page-walk cache over
+    level-1 entries; a hit skips the L1 bus read so a warm two-level
+    walk issues one read instead of two.  Default 0 = disabled.  Raises [Invalid_argument], before
     allocating, on a negative size or one above {!Tlb.max_entries}. *)
 
 val set_fault : t -> Vmht_fault.Injector.t -> unit

@@ -293,7 +293,7 @@ let test_sysgen_top_mentions_instances () =
       (Flow.Request.of_kernel ~style:Wrapper.Vm_iface (Workload.kernel vecadd)) in
   let design = Sysgen.compose [ (hw, 2) ] in
   let has sub =
-    let s = design.Sysgen.top_verilog in
+    let s = Sysgen.top_verilog design in
     let n = String.length sub in
     let rec go i =
       i + n <= String.length s && (String.sub s i n = sub || go (i + 1))

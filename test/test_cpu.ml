@@ -49,14 +49,14 @@ let stats_of c =
    conditional branch, translation through the page table on every
    access (demand paging pays the handler penalty), and every access's
    span summed into [mem_cycles]. *)
-let reference_run ?max_steps ?(cost = Cost_model.default) counts ~engine
+let reference_run ?max_steps counts ~engine
     ~cache ~aspace f ~args =
   let resolve vaddr =
     match Addr_space.translate aspace vaddr with
     | Some paddr -> paddr
     | None -> (
       counts.faults <- counts.faults + 1;
-      Engine.wait_on engine cost.Cost_model.fault_penalty;
+      Engine.wait_on engine Cost_model.fault_penalty;
       if not (Addr_space.handle_fault aspace ~vaddr) then
         raise (Addr_space.Segfault vaddr);
       match Addr_space.translate aspace vaddr with
@@ -90,11 +90,11 @@ let reference_run ?max_steps ?(cost = Cost_model.default) counts ~engine
       Ir_interp.on_instr =
         (fun instr ->
           counts.instructions <- counts.instructions + 1;
-          Engine.wait_on engine (Cost_model.instr_cycles cost instr));
+          Engine.wait_on engine (Cost_model.instr_cycles instr));
       on_branch =
         (fun ~taken:_ ->
           counts.branches <- counts.branches + 1;
-          Engine.wait_on engine cost.Cost_model.branch);
+          Engine.wait_on engine Cost_model.branch);
     }
   in
   Ir_interp.run ?max_steps ~hooks memory f ~args

@@ -123,10 +123,14 @@ let test_inline_rejects_multi_return_callee () =
      | exception Inline.Inline_error _ -> true)
 
 let test_inline_end_to_end_synthesis () =
+  let apply =
+    match Vmht.Flow.frontend_program program_src with
+    | Ok program -> Option.get (Ast.find_kernel program "apply")
+    | Error e -> Alcotest.fail (Vmht.Flow.error_to_string e)
+  in
   let hw =
     Vmht.Flow.run_exn
-      (Vmht.Flow.Request.of_program ~style:Vmht.Wrapper.Vm_iface ~name:"apply"
-         program_src)
+      (Vmht.Flow.Request.of_kernel ~style:Vmht.Wrapper.Vm_iface apply)
   in
   (* Run the synthesized (inlined) accelerator and compare. *)
   let data = Array.init 16 (fun i -> (i * 29) - 60) in

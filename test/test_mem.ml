@@ -392,7 +392,7 @@ let test_cache_eviction () =
 
 (* ------------------------- Scratchpad ----------------------------- *)
 
-let make_pad ~words = Scratchpad.create ~words ~access_latency:1 ~ports:1
+let make_pad ~words = Scratchpad.create ~words ~ports:1
 
 let test_scratchpad_windows () =
   let pad = make_pad ~words:64 in
@@ -423,19 +423,19 @@ let test_scratchpad_capacity () =
      | () -> false
      | exception Invalid_argument _ -> true)
 
-(* Accesses are untimed; [hold] prices a group issued together at the
-   access latency per group of [ports]. *)
+(* Accesses are untimed; [hold] prices a group issued together at one
+   cycle per group of [ports]. *)
 let test_scratchpad_rw () =
   let holds ports =
-    let pad = Scratchpad.create ~words:8 ~access_latency:2 ~ports in
+    let pad = Scratchpad.create ~words:8 ~ports in
     Scratchpad.map_window pad ~base:0x2000 ~words:8;
     Scratchpad.store pad 0x2008 55;
     check_int "value" 55 (Scratchpad.load pad 0x2008);
     List.map (Scratchpad.hold pad) [ 0; 1; 2; 3 ]
   in
-  Alcotest.(check (list int)) "1 port: 2 cycles per access" [ 0; 2; 4; 6 ]
+  Alcotest.(check (list int)) "1 port: a cycle per access" [ 0; 1; 2; 3 ]
     (holds 1);
-  Alcotest.(check (list int)) "2 ports: 2 cycles per pair" [ 0; 2; 2; 4 ]
+  Alcotest.(check (list int)) "2 ports: a cycle per pair" [ 0; 1; 1; 2 ]
     (holds 2)
 
 (* ------------------------- Dma ------------------------------------ *)
@@ -449,9 +449,9 @@ let test_dma_copy_roundtrip () =
   let pad = make_pad ~words:128 in
   let dma = Dma.create bus in
   in_sim eng (fun () ->
-      Dma.copy_in dma pad ~src_phys:0 ~dst_word:0 ~words:100;
+      Dma.copy_in_scattered dma pad ~chunks:[ (0, 100) ] ~dst_word:0;
       (* mirror back to a different DRAM region *)
-      Dma.copy_out dma pad ~src_word:0 ~dst_phys:4096 ~words:100);
+      Dma.copy_out_scattered dma pad ~src_word:0 ~chunks:[ (4096, 100) ]);
   for i = 0 to 99 do
     check_int "copied" (i + 1) (Phys_mem.read phys (4096 + (i * 8)))
   done;
@@ -479,10 +479,10 @@ let test_dma_burst_cheaper_than_words () =
   let _, bus = make_bus () in
   let eng = Bus.engine bus in
   let pad = make_pad ~words:256 in
-  let dma = Dma.create ~setup_cycles:0 bus in
+  let dma = Dma.create bus in
   let _, burst_time =
     in_sim_timed eng (fun () ->
-        Dma.copy_in dma pad ~src_phys:0 ~dst_word:0 ~words:256)
+        Dma.copy_in_scattered dma pad ~chunks:[ (0, 256) ] ~dst_word:0)
   in
   let _, bus2 = make_bus () in
   let _, word_time =

@@ -66,11 +66,6 @@ let test_nested_map_no_deadlock () =
         (List.init 6 (fun i -> List.map (fun j -> (10 * i) + j) [ 1; 2; 3 ]))
         grid)
 
-let test_run_heterogeneous () =
-  with_pool ~domains:3 (fun pool ->
-      check_strings "thunks in order" [ "a"; "b"; "c" ]
-        (Pool.run pool [ (fun () -> "a"); (fun () -> "b"); (fun () -> "c") ]))
-
 let test_shutdown () =
   let pool = Pool.create ~domains:3 in
   check_ints "works before shutdown" [ 2 ] (Pool.map pool (fun x -> x + 1) [ 1 ]);
@@ -114,7 +109,6 @@ let suite =
       test_earliest_exception_wins;
     Alcotest.test_case "pool: nested map (work helping)" `Quick
       test_nested_map_no_deadlock;
-    Alcotest.test_case "pool: run thunks" `Quick test_run_heterogeneous;
     Alcotest.test_case "pool: shutdown semantics" `Quick test_shutdown;
     Alcotest.test_case "parmap: knob + shared pool" `Quick test_parmap_knob;
     QCheck_alcotest.to_alcotest prop_map_matches_list_map;

@@ -15,25 +15,19 @@ let contains ~sub s =
 (* ---------------------- registry ----------------------------------- *)
 
 let test_registry_populated () =
-  let names = Pass.names () in
-  List.iter
-    (fun n ->
-      check_bool (n ^ " registered") true (List.mem n names);
-      match Pass.find n with
-      | Some p -> check_bool (n ^ " documented") true (p.Pass.doc <> "")
-      | None -> Alcotest.fail (n ^ " not found"))
+  Alcotest.(check (list string))
+    "every pass, in listing order"
     [
       "const_fold"; "copy_prop"; "cse"; "store_forward"; "strength_reduce";
-      "licm"; "dce"; "coalesce"; "simplify_cfg";
+      "licm"; "coalesce"; "dce"; "simplify_cfg";
     ]
-
-let test_register_rejects_duplicates () =
-  match
-    Pass.register
-      { Pass.name = "dce"; doc = "dup"; kind = Pass.Cleanup; run = (fun _ -> 0) }
-  with
-  | () -> Alcotest.fail "duplicate registration accepted"
-  | exception Invalid_argument _ -> ()
+    (List.map (fun (p : Pass.t) -> p.Pass.name) Pass.all);
+  List.iter
+    (fun (p : Pass.t) ->
+      check_bool (p.Pass.name ^ " documented") true (p.Pass.doc <> "");
+      check_bool (p.Pass.name ^ " found") true
+        (match Pass.find p.Pass.name with Some q -> q == p | None -> false))
+    Pass.all
 
 let test_of_names_round_trip () =
   match Pass_manager.of_names [ "dce"; "const_fold" ] with
@@ -556,7 +550,7 @@ let prop_each_pass_preserves_semantics =
       List.for_all
         (fun (p : Pass.t) ->
           differential kernel ~args (fun f -> ignore (p.Pass.run f)))
-        (Pass.all ()))
+        Pass.all)
 
 let prop_each_preset_preserves_semantics =
   QCheck.Test.make ~count:150
@@ -605,7 +599,7 @@ let same_ir (a : Ir.func) (b : Ir.func) =
   && a.Ir.next_label = b.Ir.next_label
   && a.Ir.blocks = b.Ir.blocks
 
-let o2_passes () = (Pass_manager.o2 ()).Pass_manager.passes
+let o2_passes = Pass_manager.o2.Pass_manager.passes
 
 (* A generated kernel at unroll 1 and 4, each as lowered and after one
    round of the O2 schedule; one seed in four makes a void kernel. *)
@@ -616,7 +610,7 @@ let pass_inputs seed =
       let kernel, _ = Ast_unroll.unroll_kernel ~factor kernel in
       let lowered = Lower.lower_kernel kernel in
       let rounded = copy_func lowered in
-      List.iter (fun (p : Pass.t) -> ignore (p.Pass.run rounded)) (o2_passes ());
+      List.iter (fun (p : Pass.t) -> ignore (p.Pass.run rounded)) o2_passes;
       [ lowered; rounded ])
     [ 1; 4 ]
 
@@ -633,7 +627,7 @@ let prop_quiet_pass_leaves_ir =
             (fun (p : Pass.t) ->
               let g = copy_func f in
               p.Pass.run g > 0 || same_ir f g)
-            (o2_passes ()))
+            o2_passes)
         (pass_inputs seed))
 
 (* The pass manager applies the schedule in rounds, but a round whose
@@ -888,8 +882,6 @@ let suite =
   [
     Alcotest.test_case "registry: builtins present" `Quick
       test_registry_populated;
-    Alcotest.test_case "registry: duplicate rejected" `Quick
-      test_register_rejects_duplicates;
     Alcotest.test_case "schedule: of_names round trip" `Quick
       test_of_names_round_trip;
     Alcotest.test_case "schedule: unknown pass error" `Quick

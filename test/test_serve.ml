@@ -2,7 +2,8 @@
    store (codec round-trips, corruption and version-skew fallback,
    promotion into the flow memo), the batch server (the same replies
    and counters at pool widths 1 and 2, dedup, deadlines), the request
-   line decoder and the consolidated Flow request API. *)
+   line decoder, the consolidated Flow request API, and mutated
+   registry kernels through both. *)
 
 module Flow = Vmht.Flow
 module Store = Vmht_serve.Store
@@ -556,6 +557,174 @@ let test_request_config_folding () =
   Alcotest.(check bool) "scratchpad changes the hardware" true
     (smaller.Flow.wrapper_area <> base.Flow.wrapper_area)
 
+(* --- mutated registry kernels --------------------------------------- *)
+
+(* Kernel source from outside — a [vmht serve] synth line, a file given
+   to the CLI — reaches the front end, the optimizer and the HLS back
+   end.  Registry kernels with a few mutations each must come back from
+   [Flow.run] and from the line decoder as [Ok] or a typed [Error],
+   never as an exception. *)
+
+let binary_ops =
+  [
+    "+"; "-"; "*"; "/"; "%"; "<<"; ">>"; "<"; "<="; ">"; ">="; "=="; "!=";
+    "&"; "|"; "^"; "&&"; "||";
+  ]
+
+let mutant_literals = [ 0; -1; 63; 64; 1 lsl 40; max_int ]
+
+(* [(start, length)] of every binary operator in [src], the longest
+   that matches at each place. *)
+let operator_spans src =
+  let n = String.length src in
+  let at i op =
+    let k = String.length op in
+    i + k <= n && String.sub src i k = op
+  in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else if not (String.contains "+-*/%<>=!&|^" src.[i]) then scan (i + 1) acc
+    else
+      match
+        List.filter (at i) binary_ops
+        |> List.sort (fun a b -> compare (String.length b) (String.length a))
+      with
+      | op :: _ -> scan (i + String.length op) ((i, String.length op) :: acc)
+      | [] -> scan (i + 1) acc
+  in
+  scan 0 []
+
+(* [(start, length)] of every decimal literal that does not end a name. *)
+let literal_spans src =
+  let n = String.length src in
+  let digit i = i < n && src.[i] >= '0' && src.[i] <= '9' in
+  let name_char i =
+    i >= 0
+    && (digit i
+       || src.[i] = '_'
+       || (src.[i] >= 'a' && src.[i] <= 'z')
+       || (src.[i] >= 'A' && src.[i] <= 'Z'))
+  in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else if digit i && not (name_char (i - 1)) then begin
+      let j = ref i in
+      while digit !j do
+        incr j
+      done;
+      scan !j ((i, !j - i) :: acc)
+    end
+    else scan (i + 1) acc
+  in
+  scan 0 []
+
+(* One mutation: a byte set to a printable character, a truncation, a
+   deleted span, a binary operator swapped for another, or a literal
+   replaced by an edge value. *)
+let mutate src =
+  let open QCheck.Gen in
+  let n = String.length src in
+  let replace (i, len) by =
+    String.sub src 0 i ^ by ^ String.sub src (i + len) (n - i - len)
+  in
+  let in_span spans f =
+    match spans with [] -> return src | _ -> oneofl spans >>= f
+  in
+  if n = 0 then return src
+  else
+    (* The operator and literal mutations keep most kernels well formed,
+       so they get twice the weight of the three that mostly break
+       the syntax. *)
+    int_bound 6 >>= function
+    | 0 ->
+      map2
+        (fun i c -> replace (i, 1) (String.make 1 c))
+        (int_bound (n - 1)) printable
+    | 1 -> map (fun k -> String.sub src 0 k) (int_bound n)
+    | 2 ->
+      let* i = int_bound (n - 1) in
+      map (fun len -> replace (i, min len (n - i)) "") (int_range 1 64)
+    | 3 | 4 ->
+      in_span (operator_spans src) (fun span ->
+          map (replace span) (oneofl binary_ops))
+    | _ ->
+      in_span (literal_spans src) (fun span ->
+          map (fun v -> replace span (string_of_int v)) (oneofl mutant_literals))
+
+let rec mutate_n k src =
+  if k = 0 then QCheck.Gen.return src
+  else QCheck.Gen.(mutate src >>= mutate_n (k - 1))
+
+let gen_mutant =
+  let open QCheck.Gen in
+  let* w = oneofl Vmht_workloads.Registry.all in
+  let* k = int_range 1 3 in
+  mutate_n k w.Vmht_workloads.Workload.source
+
+(* Up to 400 copies of one registry kernel, each renamed, with up to
+   three mutations: synth lines far over 2 KB. *)
+let gen_big_source =
+  let open QCheck.Gen in
+  let* w = oneofl Vmht_workloads.Registry.all in
+  let* copies = int_range 2 400 in
+  let* k = int_bound 3 in
+  let source = w.Vmht_workloads.Workload.source in
+  let name = (Vmht_workloads.Workload.kernel w).Vmht_lang.Ast.kname in
+  let header = "kernel " ^ name ^ "(" in
+  let at = ref 0 in
+  while String.sub source !at (String.length header) <> header do
+    incr at
+  done;
+  let renamed i =
+    String.sub source 0 !at
+    ^ Printf.sprintf "kernel %s_%d(" name i
+    ^ String.sub source
+        (!at + String.length header)
+        (String.length source - !at - String.length header)
+  in
+  mutate_n k (String.concat "\n" (List.init copies renamed))
+
+let synth_line source =
+  Vmht_obs.Json.(
+    to_string (Obj [ ("op", String "synth"); ("source", String source) ]))
+
+let decodes source =
+  match Proto.job_of_line (synth_line source) with Ok _ | Error _ -> true
+
+(* Both styles, at O2 unroll 1 and at O0 unroll 4 pipelined. *)
+let mutant_configs =
+  let o0 = Config.with_opt_level Config.default 0 in
+  [
+    Config.default;
+    Config.with_pipelining (Config.with_unroll o0 4) true;
+  ]
+
+let prop_mutated_kernels_total =
+  QCheck.Test.make ~count:400
+    ~name:"mutated registry kernels: flow and decoder are total"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutant)
+    (fun source ->
+      List.for_all
+        (fun config ->
+          List.for_all
+            (fun style ->
+              match
+                Flow.run
+                  (Flow.Request.of_source ~cache:false ~config ~style source)
+              with
+              | Ok _ | Error _ -> true)
+            [ Wrapper.Vm_iface; Wrapper.Dma_iface ])
+        mutant_configs
+      && decodes source)
+
+let prop_big_lines_total =
+  QCheck.Test.make ~count:40
+    ~name:"synth lines of up to 400 mutated kernels decode"
+    (QCheck.make
+       ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) s)
+       gen_big_source)
+    decodes
+
 let store_suite =
   [
     QCheck_alcotest.to_alcotest prop_entry_roundtrip;
@@ -589,4 +758,6 @@ let flow_api_suite =
   [
     Alcotest.test_case "request key folds the config" `Quick
       test_request_config_folding;
+    QCheck_alcotest.to_alcotest prop_mutated_kernels_total;
+    QCheck_alcotest.to_alcotest prop_big_lines_total;
   ]

@@ -118,21 +118,6 @@ let test_double_resume_rejected () =
       | None -> Alcotest.fail "no resumer");
   Engine.run eng
 
-let test_run_until () =
-  let eng = Engine.create () in
-  let progress = ref 0 in
-  Engine.spawn eng (fun () ->
-      let rec loop () =
-        Engine.wait_on eng 10;
-        incr progress;
-        if !progress < 100 then loop ()
-      in
-      loop ());
-  Engine.run ~until:35 eng;
-  check_int "three ticks fit in 35 cycles" 3 !progress;
-  Engine.run eng;
-  check_int "finishes when resumed" 100 !progress
-
 let test_stuck_detection () =
   let eng = Engine.create () in
   Engine.spawn eng (fun () ->
@@ -277,9 +262,9 @@ let test_contended_run_yields_per_wait () =
   check_int "run effects" per_wait (effects_of Engine.waits_on)
 
 (* The single-runnable wait fast path against the plain heap
-   round-trip: random process sets mixing waits (0 included), forks,
-   suspend/resume pairs and a [run ~until] stop must log the same
-   (time, process, step) sequence and end at the same time with the
+   round-trip: random process sets mixing waits (0 included), forks
+   and suspend/resume pairs must log the same (time, process, step)
+   sequence and end at the same time with the
    fast path on (what the simulator runs) and off (the reference), and
    each absorbed wait must replace exactly one dispatch.  A second
    property adds runs of waits ([Run]), issued through [Engine.waits_on]
@@ -335,20 +320,14 @@ let rec gen_actions ?(runs = false) depth =
 
 let arb_engine_case ?runs () =
   QCheck.make
-    ~print:(fun (procs, until) ->
-      Printf.sprintf "until %s: %s"
-        (match until with Some u -> string_of_int u | None -> "-")
-        (String.concat " | " (List.map show_actions procs)))
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 1 4) (gen_actions ?runs 2))
-        (opt (int_bound 12)))
+    ~print:(fun procs -> String.concat " | " (List.map show_actions procs))
+    QCheck.Gen.(list_size (int_range 1 4) (gen_actions ?runs 2))
 
 (* Each process logs (now, pid, step) before every action and once at
    its end; [Park] hands its resume to a shared queue that [Wake] (or,
    once the engine drains, the loop below) pops in order.  [split]
    issues a [Run]'s costs as separate waits. *)
-let run_engine_case ?(split = false) ~fastpath (procs, until) =
+let run_engine_case ?(split = false) ~fastpath procs =
   let eng = Engine.create ~fastpath () in
   let log = ref [] in
   let parked = Queue.create () in
@@ -372,11 +351,6 @@ let run_engine_case ?(split = false) ~fastpath (procs, until) =
     record (List.length acts)
   in
   List.iter (fun p -> Engine.spawn eng (proc p)) procs;
-  Option.iter
-    (fun u ->
-      Engine.run ~until:u eng;
-      log := (Engine.now eng, -1, -1) :: !log)
-    until;
   Engine.run eng;
   while not (Queue.is_empty parked) do
     Queue.pop parked ();
@@ -521,7 +495,6 @@ let suite =
     Alcotest.test_case "engine: suspend/resume" `Quick test_suspend_resume;
     Alcotest.test_case "engine: double resume rejected" `Quick
       test_double_resume_rejected;
-    Alcotest.test_case "engine: run until" `Quick test_run_until;
     Alcotest.test_case "engine: stuck detection" `Quick test_stuck_detection;
     Alcotest.test_case "engine: not in process" `Quick test_not_in_process;
     Alcotest.test_case "engine: deterministic" `Quick test_determinism;

@@ -2,9 +2,17 @@
     that some caller varies, with the defaults every experiment starts
     from.  Each experiment in the evaluation varies exactly the fields
     its figure sweeps.  Values no caller varies are constants where
-    they are used: DRAM, bus, CPU cache and DMA timings in their
-    modules, the rest in {!Soc}, {!Launch} and {!Wrapper}.  Synthesis
-    reads only part of the record (see {!Flow.cache_key}). *)
+    they are used: the DRAM timings and geometry
+    ({!Vmht_mem.Dram}: 14-cycle CAS, activate and precharge, 2 KiB
+    rows, 8 banks), bus arbitration ({!Vmht_mem.Bus}: 2 cycles), the
+    walker's per-level overhead ({!Vmht_vm.Ptw}: 2 cycles), the
+    scratchpad's access latency ({!Vmht_mem.Scratchpad}: 1 cycle), DMA
+    setup and burst length ({!Vmht_mem.Dma}: 120 cycles, 64 words), the
+    CPU's instruction costs and fault penalty
+    ({!Vmht_cpu.Cost_model}) and its cache geometry
+    ({!Vmht_mem.Cache.default_config}); the rest live in {!Soc},
+    {!Launch} and {!Wrapper}.  Synthesis reads only part of the record
+    (see {!Flow.cache_key}). *)
 
 type backend =
   | Model  (** the model-level FSM executor ({!Vmht_hls.Accel}) *)

@@ -49,8 +49,7 @@ let stats_of c =
    conditional branch, translation through the page table on every
    access (demand paging pays the handler penalty), and every access's
    span summed into [mem_cycles]. *)
-let reference_run ?max_steps counts ~engine
-    ~cache ~aspace f ~args =
+let reference_run ?max_steps counts ~engine ~cache ~aspace f ~args =
   let resolve vaddr =
     match Addr_space.translate aspace vaddr with
     | Some paddr -> paddr

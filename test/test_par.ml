@@ -7,8 +7,6 @@ let check_int = Alcotest.(check int)
 
 let check_ints = Alcotest.(check (list int))
 
-let check_strings = Alcotest.(check (list string))
-
 let with_pool ~domains f =
   let pool = Pool.create ~domains in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)

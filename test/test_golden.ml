@@ -43,6 +43,56 @@ let test_synth_golden () =
   check_string "md5" "a43721b5d004babd440d922659b38715"
     (Digest.to_hex (Digest.string verilog))
 
+(* What the Verilog shows of the scheduler and the pipeliner only in
+   part: every block's schedule ([Schedule.to_string]) and every loop
+   plan's fields, at each point. *)
+let add_schedule_and_plans buf (hw : Flow.hw_thread) =
+  let fsm = hw.Flow.fsm in
+  Buffer.add_string buf (Vmht_hls.Schedule.to_string fsm.Vmht_hls.Fsm.schedule);
+  List.iter
+    (fun (p : Vmht_hls.Pipeliner.plan) ->
+      Buffer.add_string buf
+        (Printf.sprintf "plan L%d/L%d ii=%d depth=%d fsm=%d rec=%d res=%d\n"
+           p.header p.body p.ii p.depth p.unpipelined_cycles p.rec_mii
+           p.res_mii))
+    fsm.Vmht_hls.Fsm.plans
+
+(* The registry x unroll {1,4,16} x banks {1,2,4} x opt {0,2} x
+   pipelining {off,on} in the VM style (360 points), then random
+   kernels 0-199 pipelined at O2, unroll {1,4} x banks {1,4} (800
+   points): schedules and plans. *)
+let test_schedule_golden () =
+  let buf = Buffer.create (1 lsl 22) in
+  let config ~unroll ~banks ~opt ~pipeline =
+    let c = Config.with_banks (Config.with_unroll Config.default unroll) banks in
+    Config.with_pipelining (Config.with_opt_level c opt) pipeline
+  in
+  List.iter
+    (fun (name, config) ->
+      let source = (Registry.find name).Workload.source in
+      add_schedule_and_plans buf
+        (Flow.run_exn (Flow.Request.of_source ~config ~cache:false source)))
+    (let* name = Registry.names in
+     let* unroll = [ 1; 4; 16 ] in
+     let* banks = [ 1; 2; 4 ] in
+     let* opt = [ 0; 2 ] in
+     let* pipeline = [ false; true ] in
+     [ (name, config ~unroll ~banks ~opt ~pipeline) ]);
+  for seed = 0 to 199 do
+    let kernel = Gen_prog.gen_kernel seed in
+    List.iter
+      (fun config ->
+        add_schedule_and_plans buf
+          (Flow.run_exn (Flow.Request.of_kernel ~config ~cache:false kernel)))
+      (let* unroll = [ 1; 4 ] in
+       let* banks = [ 1; 4 ] in
+       [ config ~unroll ~banks ~opt:2 ~pipeline:true ])
+  done;
+  let out = Buffer.contents buf in
+  check_int "bytes" 1_766_701 (String.length out);
+  check_string "md5" "67b0d1f85ef7c3c4f7ee9f58044871f3"
+    (Digest.to_hex (Digest.string out))
+
 (* Random kernels 0-499 at unroll 1 and 4, lowered and optimized at O2:
    the pass report (rewrite counts per pass) followed by the IR. *)
 let test_random_golden () =
@@ -167,4 +217,6 @@ let suite =
       test_emitter_golden;
     Alcotest.test_case "time: 4000-deep if, LICM < 0.5 s" `Quick
       test_deep_if_licm;
+    Alcotest.test_case "schedules and loop plans of both grids" `Quick
+      test_schedule_golden;
   ]

@@ -2,8 +2,8 @@
    snapshot]: one target per table/figure plus targets for the
    simulator machinery itself (event queue, MMU translation, the VM
    port, SoC creation), for single synthesis stages (IR verifier,
-   scheduler, pipeliner, Verilog emit), for the model's accelerator run
-   alone and for the RTL evaluator's parse and run.  Target names,
+   scheduler, pipeliner, binding, Verilog emit), for the model's
+   accelerator run alone and for the RTL evaluator's parse and run.  Target names,
    bodies and Bechamel settings are what the committed BENCH_eval.json
    measured; change any of them and the perf gate no longer compares
    like with like. *)
@@ -50,6 +50,9 @@ let hls_pipeline () =
     (Vmht_hls.Pipeliner.plan_loops
        ~resources:fsm.Vmht_hls.Fsm.schedule.Vmht_hls.Schedule.resources
        fsm.Vmht_hls.Fsm.func)
+
+let hls_bind () =
+  ignore (Vmht_hls.Bind.bind (Lazy.force stencil3_fsm).Vmht_hls.Fsm.schedule)
 
 (* The IR verifier alone, on the same function after O2: the check the
    pass manager runs after every pass application. *)
@@ -312,6 +315,7 @@ let targets : (string * Test.t Lazy.t) list =
     t "fig6.two-threads" multi_thread_pair;
     t "core.soc-create" soc_create;
     t "hls.accel" hls_accel;
+    t "hls.bind" hls_bind;
     t "hls.emit" hls_emit;
     t "hls.pipeline" hls_pipeline;
     t "hls.schedule" hls_schedule;

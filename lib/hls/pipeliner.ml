@@ -65,28 +65,25 @@ let defs_in instrs =
 
 (* The loop's induction registers: regs whose only in-loop definitions
    form the chain  r' = r + imm ; r = r'  (what lowering produces for
-   [i = i + 1]), or directly  r = r + imm. *)
+   [i = i + 1]), or directly  r = r + imm.  The body's copies are
+   gathered first, so each add is matched against them in one lookup. *)
 let induction_regs instrs defs =
+  let once r = Hashtbl.find_opt defs r = Some 1 in
+  let copies = Hashtbl.create 8 in
+  Array.iter
+    (function
+      | Ir.Mov (r', Ir.Reg s) -> Hashtbl.replace copies (r', s) ()
+      | Ir.Bin _ | Ir.Un _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ -> ())
+    instrs;
   let inductions = Hashtbl.create 4 in
   Array.iter
     (fun instr ->
       match instr with
       | Ir.Bin (Ast.Add, d, Ir.Reg r, Ir.Imm _)
-      | Ir.Bin (Ast.Add, d, Ir.Imm _, Ir.Reg r) -> (
+      | Ir.Bin (Ast.Add, d, Ir.Imm _, Ir.Reg r) ->
         (* d = r + c; is r then Mov'd back from d (or d = r)? *)
-        if d = r && Hashtbl.find_opt defs d = Some 1 then
-          Hashtbl.replace inductions r ()
-        else
-          Array.iter
-            (fun instr2 ->
-              match instr2 with
-              | Ir.Mov (r', Ir.Reg s)
-                when r' = r && s = d
-                     && Hashtbl.find_opt defs r = Some 1
-                     && Hashtbl.find_opt defs d = Some 1 ->
-                Hashtbl.replace inductions r ()
-              | _ -> ())
-            instrs)
+        if (d = r && once d) || (Hashtbl.mem copies (r, d) && once r && once d)
+        then Hashtbl.replace inductions r ()
       | _ -> ())
     instrs;
   inductions
@@ -94,38 +91,46 @@ let induction_regs instrs defs =
 (* An address register is "streaming" when it is computed inside the
    loop as  base + (ind << k)  with [base] loop-invariant: iterations
    then touch distinct words of distinct arrays (restrict assumption).
-   Returns the base register for disjointness comparison. *)
-let streaming_base instrs defs inductions addr_op =
+   Maps each such register to its base register (the last such
+   definition's) for disjointness comparison. *)
+let streaming_bases instrs defs inductions =
   let invariant r = not (Hashtbl.mem defs r) in
+  let shifted = Hashtbl.create 8 in
+  Array.iter
+    (function
+      | Ir.Bin (Ast.Shl, d, Ir.Reg src, Ir.Imm _) when Hashtbl.mem inductions src ->
+        Hashtbl.replace shifted d ()
+      | _ -> ())
+    instrs;
   let shifted_induction = function
-    | Ir.Reg r ->
-      Array.exists
-        (fun instr ->
-          match instr with
-          | Ir.Bin (Ast.Shl, d, Ir.Reg src, Ir.Imm _) ->
-            d = r && Hashtbl.mem inductions src
-          | _ -> false)
-        instrs
+    | Ir.Reg r -> Hashtbl.mem shifted r
     | Ir.Imm _ -> false
   in
-  match addr_op with
-  | Ir.Reg addr_reg ->
-    Array.fold_left
-      (fun acc instr ->
-        match instr with
-        | Ir.Bin (Ast.Add, d, Ir.Reg base, off)
-          when d = addr_reg && invariant base && shifted_induction off ->
-          Some base
-        | Ir.Bin (Ast.Add, d, off, Ir.Reg base)
-          when d = addr_reg && invariant base && shifted_induction off ->
-          Some base
-        | _ -> acc)
-      None instrs
-  | Ir.Imm _ -> None
+  let bases = Hashtbl.create 8 in
+  Array.iter
+    (fun instr ->
+      match instr with
+      | Ir.Bin (Ast.Add, d, Ir.Reg base, off)
+        when invariant base && shifted_induction off ->
+        Hashtbl.replace bases d base
+      | Ir.Bin (Ast.Add, d, off, Ir.Reg base)
+        when invariant base && shifted_induction off ->
+        Hashtbl.replace bases d base
+      | _ -> ())
+    instrs;
+  bases
 
 let mem_addr_op = function
   | Ir.Load (_, addr) | Ir.Store (addr, _) -> Some addr
   | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> None
+
+(* The indices of the loads and stores, in program order. *)
+let accesses instrs =
+  let acc = ref [] in
+  for i = Array.length instrs - 1 downto 0 do
+    if is_mem instrs.(i) then acc := i :: !acc
+  done;
+  Array.of_list !acc
 
 (* ------------------------------------------------------------------ *)
 (* Inter-iteration (distance-1) dependence edges                       *)
@@ -133,8 +138,7 @@ let mem_addr_op = function
 
 (* (producer, consumer, delay): start(consumer) >= start(producer) +
    delay - II. *)
-let inter_iteration_edges instrs defs inductions =
-  let n = Array.length instrs in
+let inter_iteration_edges instrs mems defs inductions =
   let edges = ref [] in
   (* Register recurrences: the LAST def of r feeds every use of r at or
      before it (those uses read the previous iteration's value). *)
@@ -155,34 +159,34 @@ let inter_iteration_edges instrs defs inductions =
           | Some _ | None -> ())
         instr)
     instrs;
-  (* Memory recurrences, unless provably streaming-disjoint.  Each
-     access's streaming base takes two scans of the body to derive, so
-     it is derived once per instruction. *)
-  let bases =
-    Array.map
-      (fun instr ->
-        match mem_addr_op instr with
-        | Some addr -> streaming_base instrs defs inductions addr
-        | None -> None)
-      instrs
+  (* Memory recurrences between the accesses, unless provably
+     streaming-disjoint. *)
+  let streaming = streaming_bases instrs defs inductions in
+  let base i =
+    match mem_addr_op instrs.(i) with
+    | Some (Ir.Reg r) -> Hashtbl.find_opt streaming r
+    | Some (Ir.Imm _) | None -> None
   in
-  let mems = Array.map is_mem instrs and stores = Array.map is_store instrs in
-  for p = 0 to n - 1 do
-    for u = 0 to n - 1 do
-      if mems.(p) && mems.(u) && (stores.(p) || stores.(u)) then begin
-        let disjoint =
-          match (bases.(p), bases.(u)) with
-          | Some bp, Some bu ->
-            (* Streaming against distinct restrict bases never recurs;
-               the same base recurs only if one is a store to the very
-               same induction offset — which streaming rules out. *)
-            bp <> bu || not (stores.(p) && stores.(u))
-          | _ -> false
-        in
-        if not disjoint then edges := (p, u, 1) :: !edges
-      end
-    done
-  done;
+  let bases = Array.map base mems in
+  let stores = Array.map (fun i -> is_store instrs.(i)) mems in
+  Array.iteri
+    (fun a p ->
+      Array.iteri
+        (fun b u ->
+          if stores.(a) || stores.(b) then begin
+            let disjoint =
+              match (bases.(a), bases.(b)) with
+              | Some bp, Some bu ->
+                (* Streaming against distinct restrict bases never recurs;
+                   the same base recurs only if one is a store to the very
+                   same induction offset — which streaming rules out. *)
+                bp <> bu || not (stores.(a) && stores.(b))
+              | _ -> false
+            in
+            if not disjoint then edges := (p, u, 1) :: !edges
+          end)
+        mems)
+    mems;
   !edges
 
 (* ------------------------------------------------------------------ *)
@@ -211,21 +215,18 @@ let resource_min_ii resources instrs =
    form conflict with everything.  So each set is a clique needing
    [ceil (|set| / ports_per_bank)] distinct modulo slots.  With one
    bank this is exactly the old [ceil (mem_count / ports)] bound. *)
-let bank_min_ii (m : Schedule.mem_model) instrs addrs =
-  let n = Array.length instrs in
-  let mii = ref 1 in
-  for i = 0 to n - 1 do
-    if is_mem instrs.(i) then begin
-      let conflicts = ref 0 in
-      for j = 0 to n - 1 do
-        if is_mem instrs.(j)
-           && not (Schedule.Bank.provably_distinct m addrs.(i) addrs.(j))
-        then incr conflicts
-      done;
-      mii := max !mii (Vmht_util.Bits.ceil_div !conflicts m.Schedule.ports_per_bank)
-    end
-  done;
-  !mii
+let bank_min_ii (m : Schedule.mem_model) mems addrs =
+  Array.fold_left
+    (fun mii i ->
+      let conflicts =
+        Array.fold_left
+          (fun c j ->
+            if Schedule.Bank.provably_distinct m addrs.(i) addrs.(j) then c
+            else c + 1)
+          0 mems
+      in
+      max mii (Vmht_util.Bits.ceil_div conflicts m.Schedule.ports_per_bank))
+    1 mems
 
 (* Recurrence-constrained minimum II: an inter-iteration edge
    (producer [p], consumer [u], delay) closes a cycle whose intra part
@@ -237,30 +238,32 @@ let bank_min_ii (m : Schedule.mem_model) instrs addrs =
    when ports are plentiful. *)
 let recurrence_min_ii instrs intra inter =
   let n = Array.length instrs in
-  (* Longest intra path from [u] to every later instruction, computed
-     once per consumer [u] that some inter edge names. *)
-  let from = Array.make n [||] in
-  let dist_from u =
-    if Array.length from.(u) = 0 then begin
-      let dist = Array.make n min_int in
-      dist.(u) <- 0;
-      (* intra edges only go forward in program order *)
-      for j = u + 1 to n - 1 do
-        List.iter
-          (fun (i, delay) ->
-            if i >= u && dist.(i) > min_int then
-              dist.(j) <- max dist.(j) (dist.(i) + delay))
-          intra.(j)
+  (* Longest intra path to [p] from every earlier instruction, computed
+     once per producer [p] that some inter edge names: a loop has far
+     fewer producers (its carried registers and its accesses) than
+     consumers. *)
+  let into = Array.make n [||] in
+  let dist_into p =
+    if Array.length into.(p) = 0 then begin
+      let dist = Array.make (p + 1) min_int in
+      dist.(p) <- 0;
+      (* intra edges only go forward in program order, so every path
+         from [j] to [p] is final before [j]'s in-edges are followed *)
+      for j = p downto 1 do
+        if dist.(j) > min_int then
+          List.iter
+            (fun (i, delay) -> dist.(i) <- max dist.(i) (dist.(j) + delay))
+            intra.(j)
       done;
-      from.(u) <- dist
+      into.(p) <- dist
     end;
-    from.(u)
+    into.(p)
   in
   List.fold_left
     (fun acc (p, u, delay) ->
       if u > p then acc
       else
-        let path = (dist_from u).(p) in
+        let path = (dist_into p).(u) in
         if path > min_int then max acc (delay + path) else acc)
     1 inter
 
@@ -316,25 +319,27 @@ let try_schedule resources ~ii instrs intra_edges addrs =
   done;
   if !ok then Some starts else None
 
-let plan_loop ~roots resources (h : Ir.block) (b : Ir.block) exit_l =
+let plan_loop regs resources (h : Ir.block) (b : Ir.block) exit_l =
   let instrs = Array.of_list (h.Ir.instrs @ b.Ir.instrs) in
   if Array.length instrs = 0 then None
   else begin
     let n = Array.length instrs in
-    let addrs = Schedule.Bank.addr_forms ~roots instrs in
+    let addrs = Schedule.Bank.addr_forms regs instrs in
     (* Dependences without the bank analysis: per block, the plain
-       FSM's; for the whole body, the pipeline's under one bank.  Edges
-       depend only on the two instructions they join, so each block's
-       own edges are the ones within its index range. *)
-    let flat = Schedule.dependence_edges instrs in
+       FSM's; for the whole body, the pipeline's under one bank.  The
+       edges within a block's index range imply every constraint between
+       its instructions (each implied path lies between its ends), so
+       each block's own edges are the ones within its range. *)
+    let flat = Schedule.dependence_edges regs instrs in
     let intra =
       if resources.Schedule.mem.Schedule.banks > 1 then
-        Schedule.dependence_edges ~addrs instrs
+        Schedule.dependence_edges ~addrs regs instrs
       else flat
     in
+    let mems = accesses instrs in
     let defs = defs_in instrs in
     let inductions = induction_regs instrs defs in
-    let inter = inter_iteration_edges instrs defs inductions in
+    let inter = inter_iteration_edges instrs mems defs inductions in
     (* What the plain FSM charges per iteration: the (resource-
        unconstrained) ASAP makespans of the two blocks, [instrs.(lo ..
        hi - 1)] each. *)
@@ -355,7 +360,7 @@ let plan_loop ~roots resources (h : Ir.block) (b : Ir.block) exit_l =
     let res_mii =
       max
         (resource_min_ii resources instrs)
-        (bank_min_ii resources.Schedule.mem instrs addrs)
+        (bank_min_ii resources.Schedule.mem mems addrs)
     in
     let rec_mii = recurrence_min_ii instrs intra inter in
     let min_ii = max res_mii rec_mii in
@@ -397,9 +402,9 @@ let plan_loop ~roots resources (h : Ir.block) (b : Ir.block) exit_l =
   end
 
 let plan_loops (f : Ir.func) ~resources =
-  let roots = Schedule.Bank.stable_args f in
+  let regs = Schedule.regs f in
   List.filter_map
-    (fun (h, b, exit_l) -> plan_loop ~roots resources h b exit_l)
+    (fun (h, b, exit_l) -> plan_loop regs resources h b exit_l)
     (find_candidate_loops f)
 
 let to_string p =

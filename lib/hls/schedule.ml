@@ -58,6 +58,35 @@ let resource_limit r = function
   | Optypes.Mem -> mem_total_ports r.mem
   | Optypes.Move -> unbounded
 
+(* --- per-register tables --------------------------------------------- *)
+
+(* What the address analysis and the dependence builder track per
+   register, indexed by register number.  They are made once per
+   function ([next_reg] entries: the verifier keeps every register below
+   it) and shared by its blocks: a pass over a block sets only the
+   entries of the registers the block mentions and {!clear}s them
+   before it returns, so a block costs its own length, not the
+   function's register count. *)
+type regs = {
+  root : int array;
+      (* the root symbol (< 0) of a stable argument, 0 for any other *)
+  live_in : int array;  (* the symbol a live-in read minted, or -1 *)
+  last_def : int array;  (* the block's latest writer so far, or -1 *)
+  readers : int list array;  (* the block's readers since [last_def] *)
+}
+
+let clear regs instrs =
+  let reset r =
+    regs.live_in.(r) <- -1;
+    regs.last_def.(r) <- -1;
+    regs.readers.(r) <- []
+  in
+  Array.iter
+    (fun instr ->
+      Ir.iter_def reset instr;
+      Ir.iter_uses reset instr)
+    instrs
+
 (* --- static bank analysis ------------------------------------------ *)
 
 (* Symbolic affine addresses over a straight-line block.  Every
@@ -107,71 +136,85 @@ module Bank = struct
      HLS flow imposes on top-level pointers), so two accesses rooted at
      different arguments never alias.  Only arguments whose register is
      never redefined anywhere in the function qualify: a reassigned
-     pointer variable may point into another argument's buffer. *)
+     pointer variable may point into another argument's buffer.  One
+     pass marks the argument registers any instruction defines. *)
   let stable_args (f : Ir.func) =
-    List.filter
-      (fun r ->
-        not
-          (List.exists
-             (fun (b : Ir.block) ->
-               List.exists (fun i -> Ir.def_of i = Some r) b.Ir.instrs)
-             f.Ir.blocks))
-      f.Ir.arg_regs
+    let bound = List.fold_left (fun m r -> max m (r + 1)) 0 f.Ir.arg_regs in
+    let redefined = Array.make bound false in
+    List.iter
+      (fun (b : Ir.block) ->
+        List.iter
+          (fun instr ->
+            let d = Ir.def_reg instr in
+            if d >= 0 && d < bound then redefined.(d) <- true)
+          b.Ir.instrs)
+      f.Ir.blocks;
+    List.filter (fun r -> not redefined.(r)) f.Ir.arg_regs
 
   (* Forward symbolic evaluation in program order.  Program order is
      the right reading frame even though the scheduler reorders: WAR
      edges let an overwriter start no earlier than the same cycle as a
      reader, so the value an instruction reads is always the one the
-     last preceding writer produced.  [roots] (the function's
-     {!stable_args}) get the negative symbol ids the root analysis of
-     {!provably_disjoint} looks for. *)
-  let addr_forms ?(roots = []) (instrs : Ir.instr array) : addr option array =
+     last preceding writer produced.  A register's value is the form
+     its latest writer in the block produced ([value], by instruction),
+     else a live-in symbol: the root symbol of a stable argument, or
+     one minted at the first read. *)
+  let addr_forms regs (instrs : Ir.instr array) : addr option array =
+    let n = Array.length instrs in
     let next_sym = ref 0 in
     let fresh () =
       let s = !next_sym in
       incr next_sym;
       { terms = [ (s, 1) ]; base = 0 }
     in
-    let root_sym : (Ir.reg, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iteri (fun k r -> Hashtbl.replace root_sym r (-(k + 1))) roots;
-    let env : (Ir.reg, addr) Hashtbl.t = Hashtbl.create 16 in
+    let value = Array.make n (const 0) in
     let read r =
-      match Hashtbl.find_opt env r with
-      | Some v -> v
-      | None ->
-        (* live-in register: one stable symbol per reg *)
-        let v =
-          match Hashtbl.find_opt root_sym r with
-          | Some s -> { terms = [ (s, 1) ]; base = 0 }
-          | None -> fresh ()
-        in
-        Hashtbl.replace env r v;
-        v
+      let k = regs.last_def.(r) in
+      if k >= 0 then value.(k)
+      else if regs.root.(r) < 0 then { terms = [ (regs.root.(r), 1) ]; base = 0 }
+      else if regs.live_in.(r) >= 0 then
+        { terms = [ (regs.live_in.(r), 1) ]; base = 0 }
+      else begin
+        regs.live_in.(r) <- !next_sym;
+        fresh ()
+      end
     in
     let operand = function Ir.Imm n -> const n | Ir.Reg r -> read r in
-    Array.map
-      (fun instr ->
-        let form =
+    let forms =
+      Array.mapi
+        (fun i instr ->
+          let define d v =
+            value.(i) <- v;
+            regs.last_def.(d) <- i
+          in
           match instr with
-          | Ir.Load (_, a) | Ir.Store (a, _) -> Some (operand a)
-          | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> None
-        in
-        (match instr with
-         | Ir.Mov (d, x) -> Hashtbl.replace env d (operand x)
-         | Ir.Bin (Ast.Add, d, x, y) ->
-           Hashtbl.replace env d (add (operand x) (operand y))
-         | Ir.Bin (Ast.Sub, d, x, y) ->
-           Hashtbl.replace env d (sub (operand x) (operand y))
-         | Ir.Bin (Ast.Shl, d, x, Ir.Imm k) when k >= 0 && k < 32 ->
-           Hashtbl.replace env d (scale (1 lsl k) (operand x))
-         | Ir.Bin (Ast.Mul, d, x, Ir.Imm k)
-         | Ir.Bin (Ast.Mul, d, Ir.Imm k, x) ->
-           Hashtbl.replace env d (scale k (operand x))
-         | Ir.Bin (_, d, _, _) | Ir.Un (_, d, _) | Ir.Load (d, _) ->
-           Hashtbl.replace env d (fresh ())
-         | Ir.Store _ -> ());
-        form)
-      instrs
+          | Ir.Load (d, a) ->
+            let form = operand a in
+            define d (fresh ());
+            Some form
+          | Ir.Store (a, _) -> Some (operand a)
+          | Ir.Mov (d, x) ->
+            define d (operand x);
+            None
+          | Ir.Bin (Ast.Add, d, x, y) ->
+            define d (add (operand x) (operand y));
+            None
+          | Ir.Bin (Ast.Sub, d, x, y) ->
+            define d (sub (operand x) (operand y));
+            None
+          | Ir.Bin (Ast.Shl, d, x, Ir.Imm k) when k >= 0 && k < 32 ->
+            define d (scale (1 lsl k) (operand x));
+            None
+          | Ir.Bin (Ast.Mul, d, x, Ir.Imm k) | Ir.Bin (Ast.Mul, d, Ir.Imm k, x) ->
+            define d (scale k (operand x));
+            None
+          | Ir.Bin (_, d, _, _) | Ir.Un (_, d, _) ->
+            define d (fresh ());
+            None)
+        instrs
+    in
+    clear regs instrs;
+    forms
 
   (* [x.terms = y.terms] without the polymorphic compare: the
      scheduler and pipeliner ask it for every pair of accesses. *)
@@ -256,62 +299,96 @@ let is_store = function
   | Ir.Store _ -> true
   | Ir.Load _ | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> false
 
+(* The function's register tables, its stable arguments tagged as
+   roots for {!Bank.provably_disjoint}. *)
+let regs (f : Ir.func) =
+  let n = max 0 f.Ir.next_reg in
+  let root = Array.make n 0 in
+  List.iteri (fun k r -> root.(r) <- -(k + 1)) (Bank.stable_args f);
+  {
+    root;
+    live_in = Array.make n (-1);
+    last_def = Array.make n (-1);
+    readers = Array.make n [];
+  }
+
 (* Dependence edges i -> j (i before j in program order) with minimum
-   start-to-start delays.  [addrs] (the block's affine address forms)
-   refines the memory ordering: store pairs and load/store pairs at
-   provably different addresses commute.  Callers pass it only under a
+   start-to-start delays, nearest edges only: RAW from the last writer
+   of each register [j] reads; WAR from the readers of the register [j]
+   writes since its last writer, and WAW from that writer; memory from
+   the last store, and for a store also from the loads since it.  A
+   pair two rules join keeps the larger delay.  [addrs] (the block's
+   affine address forms) refines the memory ordering: every pair of
+   accesses with a store among them is checked, and pairs at provably
+   different addresses commute.  Callers pass it only under a
    multi-bank model, so flat-memory schedules are bit-identical to the
    pre-banking scheduler. *)
-let dependence_edges ?addrs instrs =
+let dependence_edges ?addrs regs instrs =
   let n = Array.length instrs in
-  let edges = Array.make n [] in
   (* edges.(j) = list of (i, delay) constraints: start_j >= start_i + delay *)
-  (* What each instruction defines ([no_def] for nothing) and reads,
-     derived once instead of for every pair. *)
-  let no_def = min_int in
-  let defs = Array.make n no_def in
-  Array.iteri (fun i instr -> Ir.iter_def (fun d -> defs.(i) <- d) instr) instrs;
-  let uses =
-    Array.map
-      (fun instr ->
-        let regs = ref [] in
-        Ir.iter_uses (fun r -> regs := r :: !regs) instr;
-        !regs)
-      instrs
-  in
-  let rec mem (r : Ir.reg) = function
-    | [] -> false
-    | x :: rest -> x = r || mem r rest
-  in
-  let reads i r = mem r uses.(i) in
+  let edges = Array.make n [] in
   let lats = Array.map lat instrs in
-  let mems = Array.map is_mem instrs and stores = Array.map is_store instrs in
+  (* [j]'s predecessors so far: [mark.(i) = j] for each, with its
+     largest delay in [delay.(i)] *)
+  let mark = Array.make n (-1) and delay = Array.make n 0 in
+  let preds = ref [] in
+  let add j i d =
+    if mark.(i) = j then (if d > delay.(i) then delay.(i) <- d)
+    else begin
+      mark.(i) <- j;
+      delay.(i) <- d;
+      preds := i :: !preds
+    end
+  in
+  let last_store = ref (-1) and loads = ref [] and accesses = ref [] in
   for j = 0 to n - 1 do
-    let def_j = defs.(j) in
-    for i = 0 to j - 1 do
-      let def_i = defs.(i) in
-      (* the largest delay among the dependences found; -1 = none *)
-      let delay = ref (-1) in
-      (* RAW *)
-      if reads j def_i then delay := lats.(i);
-      (* WAR: j writes a register i reads *)
-      if reads i def_j && !delay < 0 then delay := 0;
+    let instr = instrs.(j) in
+    preds := [];
+    (* RAW *)
+    Ir.iter_uses
+      (fun r ->
+        let k = regs.last_def.(r) in
+        if k >= 0 then add j k lats.(k))
+      instr;
+    let d = Ir.def_reg instr in
+    if d >= 0 then begin
+      (* WAR: the overwriter starts no earlier than the readers *)
+      List.iter (fun i -> add j i 0) regs.readers.(d);
       (* WAW: commits in program order *)
-      (if def_i <> no_def && def_i = def_j then
-         let d = max 1 (lats.(i) - lats.(j) + 1) in
-         if d > !delay then delay := d);
-      (* Memory ordering: loads commute, everything else serializes —
-         unless the two accesses provably touch different addresses *)
-      if !delay < 1 && mems.(i) && mems.(j)
-         && (stores.(i) || stores.(j))
-         && not
-              (match addrs with
-               | Some a -> Bank.provably_disjoint a.(i) a.(j)
-               | None -> false)
-      then delay := 1;
-      if !delay >= 0 then edges.(j) <- (i, !delay) :: edges.(j)
-    done
+      let k = regs.last_def.(d) in
+      if k >= 0 then add j k (max 1 (lats.(k) - lats.(j) + 1))
+    end;
+    (* Memory ordering: loads commute, everything else serializes —
+       unless the two accesses provably touch different addresses *)
+    (match instr with
+     | Ir.Load _ | Ir.Store _ -> (
+       let store = is_store instr in
+       match addrs with
+       | Some a ->
+         List.iter
+           (fun i ->
+             if (store || is_store instrs.(i))
+                && not (Bank.provably_disjoint a.(i) a.(j))
+             then add j i 1)
+           !accesses;
+         accesses := j :: !accesses
+       | None ->
+         if !last_store >= 0 then add j !last_store 1;
+         if store then begin
+           List.iter (fun i -> add j i 1) !loads;
+           last_store := j;
+           loads := []
+         end
+         else loads := j :: !loads)
+     | Ir.Bin _ | Ir.Un _ | Ir.Mov _ -> ());
+    edges.(j) <- List.map (fun i -> (i, delay.(i))) !preds;
+    Ir.iter_uses (fun r -> regs.readers.(r) <- j :: regs.readers.(r)) instr;
+    if d >= 0 then begin
+      regs.last_def.(d) <- j;
+      regs.readers.(d) <- []
+    end
   done;
+  clear regs instrs;
   edges
 
 (* The dependence graph's out-edges: [(j, delay)] for each edge
@@ -338,96 +415,168 @@ let priorities instrs succ =
   done;
   prio
 
-let schedule_block ~roots resources (b : Ir.block) =
+(* List scheduling.  An instruction is released once every predecessor
+   has started, and is ready from the latest [start + delay] among them
+   on (and not in the cycle its last predecessor starts in).  Each
+   cycle admits ready instructions best first — highest priority, then
+   program order — while their class has units.  Released instructions
+   wait in one array per class, best last; a cycle that admits nothing
+   moves straight to the next cycle in which one gets ready. *)
+let schedule_block regs resources (b : Ir.block) =
   let instrs = Array.of_list b.instrs in
   let n = Array.length instrs in
   if n = 0 then
     { label = b.label; instrs; starts = [||]; makespan = 1 }
   else begin
     let banked = resources.mem.banks > 1 in
-    let addrs = Bank.addr_forms ~roots instrs in
-    let edges = dependence_edges ?addrs:(if banked then Some addrs else None) instrs in
+    let addrs = Bank.addr_forms regs instrs in
+    let edges =
+      dependence_edges ?addrs:(if banked then Some addrs else None) regs instrs
+    in
     let succ = successors edges in
     let prio = priorities instrs succ in
-    (* An instruction is ready once every predecessor has started and
-       the cycle has reached the latest [start + delay] among them:
-       [waiting.(j)] counts the predecessors not started yet and
-       [earliest.(j)] holds that bound over those started. *)
+    (* [waiting.(j)] counts the predecessors not started yet and
+       [earliest.(j)] holds the bound over those started. *)
     let waiting = Array.map List.length edges in
     let earliest = Array.make n 0 in
     let starts = Array.make n (-1) in
+    let classes = Optypes.class_count and mem = Optypes.class_index Optypes.Mem in
+    let cls = Array.map (fun i -> Optypes.class_index (Optypes.classify i)) instrs in
+    let limit = Array.make classes 0 in
+    List.iter
+      (fun c -> limit.(Optypes.class_index c) <- resource_limit resources c)
+      Optypes.all_classes;
+    (* [pending.(c).(0 .. count.(c) - 1)]: the released instructions of
+       class [c] not started yet, worst first *)
+    let worse a b =
+      let c = compare (prio.(a) : int) prio.(b) in
+      if c <> 0 then c else compare (b : int) a
+    in
+    let count = Array.make classes 0 in
+    Array.iter (fun c -> count.(c) <- count.(c) + 1) cls;
+    let pending = Array.map (fun k -> Array.make k 0) count in
+    Array.fill count 0 classes 0;
+    Array.iteri
+      (fun j w ->
+        if w = 0 then begin
+          let c = cls.(j) in
+          pending.(c).(count.(c)) <- j;
+          count.(c) <- count.(c) + 1
+        end)
+      waiting;
+    Array.iteri
+      (fun c q ->
+        if count.(c) > 1 then begin
+          let initial = Array.sub q 0 count.(c) in
+          Array.sort worse initial;
+          Array.blit initial 0 q 0 count.(c)
+        end)
+      pending;
+    let release j =
+      let c = cls.(j) in
+      let q = pending.(c) in
+      (* the first position whose instruction is better than [j] *)
+      let lo = ref 0 and hi = ref count.(c) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if worse q.(mid) j < 0 then lo := mid + 1 else hi := mid
+      done;
+      Array.blit q !lo q (!lo + 1) (count.(c) - !lo);
+      q.(!lo) <- j;
+      count.(c) <- count.(c) + 1
+    in
+    (* drop the started instructions of [pending.(c).(from ..)] *)
+    let compact c from =
+      let q = pending.(c) in
+      let w = ref from in
+      for p = from to count.(c) - 1 do
+        if starts.(q.(p)) < 0 then begin
+          q.(!w) <- q.(p);
+          incr w
+        end
+      done;
+      count.(c) <- !w
+    in
     let scheduled = ref 0 in
     let cycle = ref 0 in
-    (* [usage.(class_index cls)]: units of [cls] taken this cycle *)
-    let usage = Array.make Optypes.class_count 0 in
-    while !scheduled < n do
-      Array.fill usage 0 Optypes.class_count 0;
-      let mems_this_cycle = ref [] in
-      (* Instructions ready at this cycle, highest priority first. *)
-      let ready = ref [] in
-      for j = 0 to n - 1 do
-        if starts.(j) < 0 && waiting.(j) = 0 && earliest.(j) <= !cycle then
-          ready := j :: !ready
+    (* [usage.(c)]: units of class [c] taken this cycle *)
+    let usage = Array.make classes 0 in
+    let mems_this_cycle = ref [] in
+    (* released this cycle: ready from the next one at the earliest *)
+    let released = ref [] in
+    (* the earliest cycle a waiting instruction seen this cycle gets ready *)
+    let next = ref max_int in
+    let fits j =
+      let c = cls.(j) in
+      usage.(c) < limit.(c)
+      && (c <> mem || Bank.cycle_ok resources.mem (addrs.(j) :: !mems_this_cycle))
+    in
+    let admit j =
+      starts.(j) <- !cycle;
+      List.iter
+        (fun (k, delay) ->
+          waiting.(k) <- waiting.(k) - 1;
+          let e = !cycle + delay in
+          if e > earliest.(k) then earliest.(k) <- e;
+          if waiting.(k) = 0 then released := k :: !released)
+        succ.(j);
+      usage.(cls.(j)) <- usage.(cls.(j)) + 1;
+      if cls.(j) = mem then mems_this_cycle := addrs.(j) :: !mems_this_cycle;
+      incr scheduled
+    in
+    (* Class [c]'s ready instructions, best first, while units last. *)
+    let admit_class c =
+      let q = pending.(c) in
+      let p = ref (count.(c) - 1) in
+      while !p >= 0 && usage.(c) < limit.(c) do
+        let j = q.(!p) in
+        if earliest.(j) > !cycle then
+          (if earliest.(j) < !next then next := earliest.(j))
+        else if fits j then admit j;
+        decr p
       done;
-      (* highest priority first, then program order *)
-      let ready =
-        List.sort
-          (fun a b ->
-            let c = compare (prio.(b) : int) prio.(a) in
-            if c <> 0 then c else compare (a : int) b)
-          !ready
-      in
-      let try_admit j =
-        let cls = Optypes.classify instrs.(j) in
-        let used = usage.(Optypes.class_index cls) in
-        let admit =
-          used < resource_limit resources cls
-          && (cls <> Optypes.Mem
-             || Bank.cycle_ok resources.mem (addrs.(j) :: !mems_this_cycle))
-        in
-        if admit then begin
-          starts.(j) <- !cycle;
-          List.iter
-            (fun (k, delay) ->
-              waiting.(k) <- waiting.(k) - 1;
-              let e = !cycle + delay in
-              if e > earliest.(k) then earliest.(k) <- e)
-            succ.(j);
-          usage.(Optypes.class_index cls) <- used + 1;
-          if cls = Optypes.Mem then
-            mems_this_cycle := addrs.(j) :: !mems_this_cycle;
-          incr scheduled
-        end;
-        admit
-      in
-      if not banked then List.iter (fun j -> ignore (try_admit j)) ready
-      else begin
-        (* Bank affinity: a priority-order greedy pass would pair
-           accesses of different arrays (mutual "maybe same bank"
-           conflicts) and cap every cycle at one bank's ports.  Admit
-           conflict-free additions — accesses provably on a different
-           bank than everything already issued — first, then let the
-           leftovers fill the remaining ports of contended banks.
-           Within a cycle the inversion is harmless: co-issued is
-           co-issued.  Non-memory ops share no resource class with
-           memory, so their admission order is unchanged. *)
-        let mem_j j = Optypes.classify instrs.(j) = Optypes.Mem in
-        List.iter (fun j -> if not (mem_j j) then ignore (try_admit j)) ready;
-        List.iter
-          (fun j ->
-            if
-              mem_j j
-              && (!mems_this_cycle = []
-                 || List.for_all
-                      (Bank.provably_distinct resources.mem addrs.(j))
-                      !mems_this_cycle)
-            then ignore (try_admit j))
-          ready;
-        List.iter
-          (fun j -> if mem_j j && starts.(j) < 0 then ignore (try_admit j))
-          ready
-      end;
-      incr cycle
+      compact c (!p + 1)
+    in
+    (* Bank affinity: a priority-order greedy pass would pair accesses
+       of different arrays (mutual "maybe same bank" conflicts) and cap
+       every cycle at one bank's ports.  Admit conflict-free additions
+       — accesses provably on a different bank than everything already
+       issued — first, then let the leftovers fill the remaining ports
+       of contended banks.  Within a cycle the inversion is harmless:
+       co-issued is co-issued.  Non-memory ops share no resource class
+       with memory, so their admission order is unchanged. *)
+    let admit_banked_mem () =
+      let q = pending.(mem) in
+      for p = count.(mem) - 1 downto 0 do
+        let j = q.(p) in
+        if earliest.(j) > !cycle then
+          (if earliest.(j) < !next then next := earliest.(j))
+        else if
+          (!mems_this_cycle = []
+          || List.for_all
+               (Bank.provably_distinct resources.mem addrs.(j))
+               !mems_this_cycle)
+          && fits j
+        then admit j
+      done;
+      for p = count.(mem) - 1 downto 0 do
+        let j = q.(p) in
+        if starts.(j) < 0 && earliest.(j) <= !cycle && fits j then admit j
+      done;
+      compact mem 0
+    in
+    while !scheduled < n do
+      Array.fill usage 0 classes 0;
+      mems_this_cycle := [];
+      next := max_int;
+      let before = !scheduled in
+      for c = 0 to classes - 1 do
+        if c = mem && banked then admit_banked_mem () else admit_class c
+      done;
+      List.iter release !released;
+      released := [];
+      if !scheduled = before && !next < max_int then cycle := !next
+      else incr cycle
     done;
     let makespan = ref 1 in
     Array.iteri
@@ -437,10 +586,10 @@ let schedule_block ~roots resources (b : Ir.block) =
   end
 
 let schedule_func ?(resources = default_resources) (f : Ir.func) =
-  let roots = Bank.stable_args f in
+  let regs = regs f in
   {
     func = f;
-    blocks = List.map (schedule_block ~roots resources) f.blocks;
+    blocks = List.map (schedule_block regs resources) f.blocks;
     resources;
   }
 
@@ -474,15 +623,15 @@ let instrs_by_cycle b =
 
 let validate t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  let roots = Bank.stable_args t.func in
+  let regs = regs t.func in
   List.iter
     (fun b ->
       let n = Array.length b.instrs in
-      let addrs = Bank.addr_forms ~roots b.instrs in
+      let addrs = Bank.addr_forms regs b.instrs in
       let edges =
         dependence_edges
           ?addrs:(if t.resources.mem.banks > 1 then Some addrs else None)
-          b.instrs
+          regs b.instrs
       in
       for j = 0 to n - 1 do
         if b.starts.(j) < 0 then fail "L%d: instruction %d unscheduled" b.label j;

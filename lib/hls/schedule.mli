@@ -62,6 +62,14 @@ val resource_limit : resources -> Optypes.op_class -> int
     model's {!mem_total_ports} (refined per cycle by bank arbitration),
     [Move] a large max_int-safe bound (moves are wires). *)
 
+type regs
+(** Per-register tables for the blocks of one function (see {!regs}):
+    what the address analysis and the dependence builder track per
+    register, indexed by register number.  A pass over a block sets
+    only the entries of the registers it mentions and resets them
+    before it returns, so the tables serve block after block and a
+    block costs its own length, not the function's register count. *)
+
 (** Conservative static bank analysis: symbolic affine address forms
     over one straight-line block, and the per-cycle admissibility check
     the scheduler, the pipeliner and [validate] all share. *)
@@ -70,18 +78,10 @@ module Bank : sig
   (** [sum (coeff * opaque symbol) + constant]; live-in registers, load
       results and unanalyzable arithmetic mint fresh symbols *)
 
-  val stable_args : Vmht_ir.Ir.func -> Vmht_ir.Ir.reg list
-  (** The function's pointer-capable roots: argument registers never
-      redefined anywhere in the function.  Kernel arguments are
-      independent buffers (the restrict-style contract every HLS flow
-      imposes on top-level pointers), so accesses rooted at two
-      different stable arguments never alias. *)
-
-  val addr_forms :
-    ?roots:Vmht_ir.Ir.reg list -> Vmht_ir.Ir.instr array -> addr option array
+  val addr_forms : regs -> Vmht_ir.Ir.instr array -> addr option array
   (** The address form of each instruction ([Some] exactly for
-      [Load]/[Store]), read in program order.  [roots] (the function's
-      {!stable_args}, default none) tags those live-in registers as
+      [Load]/[Store]), read in program order in one pass.  The
+      function's stable arguments, as {!regs} records them, are the
       argument-buffer roots for {!provably_disjoint}. *)
 
   val provably_disjoint : addr option -> addr option -> bool
@@ -115,7 +115,21 @@ type t = {
   resources : resources;
 }
 
+val regs : Vmht_ir.Ir.func -> regs
+(** Fresh tables for the blocks of [f], sized by its [next_reg] (the
+    verifier keeps every register below it).  They record the
+    function's stable arguments — argument registers no instruction
+    redefines, found in one pass — as roots: kernel arguments are
+    independent buffers (the restrict-style contract every HLS flow
+    imposes on top-level pointers), so accesses rooted at two different
+    stable arguments never alias. *)
+
 val schedule_func : ?resources:resources -> Vmht_ir.Ir.func -> t
+(** Schedule every block of the function, highest priority first: an
+    instruction's priority is its longest dependence path to the end of
+    the block (the delays plus the latencies along it), ties going to
+    program order.  A cycle admits ready instructions in that order
+    while their class has units. *)
 
 val total_states : t -> int
 (** Sum of block makespans — the number of FSM states. *)
@@ -130,15 +144,42 @@ val instrs_by_cycle : block_schedule -> int list array
 
 val dependence_edges :
   ?addrs:Bank.addr option array ->
+  regs ->
   Vmht_ir.Ir.instr array ->
   (int * int) list array
 (** [edges.(j)] lists [(i, delay)] constraints [start_j >= start_i +
     delay] between instructions of one straight-line sequence (the
-    scheduler's own dependence model, exposed for the loop pipeliner).
-    With [addrs] (the sequence's {!Bank.addr_forms}), memory-ordering
-    edges between provably-disjoint accesses are dropped; callers
-    enable this only under a multi-bank model so flat-memory schedules
-    stay bit-identical to the pre-banking scheduler. *)
+    scheduler's own dependence model, exposed for the loop pipeliner),
+    built in one pass that keeps the nearest edges only:
+
+    - RAW: from the last writer of each register [j] reads, delay
+      [lat_i];
+    - WAR: from each reader of the register [j] writes since that
+      register's last writer, delay 0;
+    - WAW: from that last writer, delay [max 1 (lat_i - lat_j + 1)];
+    - memory: a load from the last store, a store from the last store
+      and every load since it, delay 1.
+
+    A pair that two rules join appears once, with the larger delay.
+    Every constraint of the all-pairs model (each earlier instruction
+    against each later one) is implied by a path of these edges lying
+    between its two ends, because every latency is at least 1: a read
+    [j] of a register [i] wrote and [k] overwrote follows the path
+    [i -> k] (WAW) [-> j] (RAW), at least [lat_i + 1]; a reader [i]
+    before a later writer [k] of the register [j] writes follows [i ->
+    k] (WAR, 0) [-> j] (WAW, at least 1); two writes with [k] between
+    follow [i -> k -> j], at least [lat_i - lat_j + 2]; two accesses
+    with a store [k] between follow the path through [k], at least 2.
+    Longest paths, the list scheduler's priorities and release times,
+    and the pipeliner's index-range filtered paths are therefore those
+    of the all-pairs model.
+
+    With [addrs] (the sequence's {!Bank.addr_forms}), every pair of
+    memory accesses with a store among them is checked instead, and
+    the pairs at provably disjoint addresses get no edge (the check
+    does not compose along a path); callers enable this only under a
+    multi-bank model so flat-memory schedules stay bit-identical to the
+    pre-banking scheduler. *)
 
 val validate : t -> unit
 (** Check every dependence, resource and bank-arbitration constraint of

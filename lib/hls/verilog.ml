@@ -208,9 +208,7 @@ let emit_body buf (hw : Fsm.t) =
       let label = b.Schedule.label in
       let instrs = b.Schedule.instrs in
       let starting = Schedule.instrs_by_cycle b in
-      let channel i =
-        Option.value ~default:0 (Hashtbl.find_opt fu_of (label, i))
-      in
+      let channel i = fu_of.(label).(i) in
       for c = 0 to b.Schedule.makespan - 1 do
         str buf "        ";
         state_lit buf state_bits (base.(label) + c);

@@ -1,6 +1,12 @@
 module Flow = Vmht.Flow
 
-let format_version = "vmht-store/1"
+(* Any change to a type inside a stored entry (the kernel AST, the
+   [Flow.hw_thread] and everything it holds: FSM, schedule, binding,
+   plans) bumps the version.  Keys digest only the input and the
+   kernel, so without a bump a new build would unmarshal an old
+   build's entries under unchanged keys as the new type.  Version 2:
+   [Bind.t]'s unit map became per-label arrays. *)
+let format_version = "vmht-store/2"
 
 type t = {
   dir : string;

@@ -20,9 +20,11 @@
 type t
 
 val format_version : string
-(** First line of every entry ([vmht-store/1]); bump on any layout
-    change so old caches read as version-mismatch misses, not
-    corruption. *)
+(** First line of every entry ([vmht-store/2]).  Bump it on any layout
+    change and on any change to a type inside a stored entry — the
+    kernel AST or anything a {!Vmht.Flow.hw_thread} holds — so old
+    caches read as version-mismatch misses instead of being
+    unmarshalled as the new type. *)
 
 val default_dir : unit -> string
 (** [$VMHT_STORE_DIR], else [$XDG_CACHE_HOME/vmht/store], else

@@ -165,6 +165,18 @@ let long_sum terms =
   Buffer.add_string b ";\n}\n";
   Buffer.contents b
 
+(* [return x * 1 + x * 2 + ... ;] with [terms] terms: one block whose
+   multiplies all wait for the one multiplier, the scheduler's widest
+   input per byte of source. *)
+let product_sum terms =
+  let b = Buffer.create (terms * 10) in
+  Buffer.add_string b "kernel sum(x: int) : int {\n  return x * 1";
+  for i = 2 to terms do
+    Buffer.add_string b (Printf.sprintf " + x * %d" i)
+  done;
+  Buffer.add_string b ";\n}\n";
+  Buffer.contents b
+
 let kernel source =
   let k = Vmht_lang.Parser.parse_kernel source in
   Vmht_lang.Typecheck.check_kernel k;
@@ -201,6 +213,11 @@ let test_long_sum_o2 () =
   within "lower + O2 of an 8000-term sum" 1.0 (fun () ->
       ignore (Pass_manager.optimize (Lower.lower_kernel k)))
 
+let test_product_sum_synth () =
+  let source = product_sum 8000 in
+  within "Flow.run of an 8000-term product sum" 1.5 (fun () ->
+      ignore (Flow.run_exn (Flow.Request.of_source ~cache:false source)))
+
 let suite =
   [
     Alcotest.test_case "synth grid Verilog (320 points)" `Quick
@@ -219,4 +236,6 @@ let suite =
       test_deep_if_licm;
     Alcotest.test_case "schedules and loop plans of both grids" `Quick
       test_schedule_golden;
+    Alcotest.test_case "time: 8000-term product sum, Flow.run < 1.5 s" `Quick
+      test_product_sum_synth;
   ]

@@ -271,6 +271,170 @@ let prop_unroll_accel_equivalence =
       let r2, _ = accel_run ~unroll:4 kernel ~data:d2 ~args:[ 0; a; b ] in
       r1 = r2 && d1 = d2)
 
+(* The scheduler against its all-pairs oracle (schedule_oracle.ml):
+   random kernels x unroll {1,4} x opt {0,2} x banks {1,2,4} x
+   {default resources, one unit per class}.  Per block, the oracle's
+   priority function over the library's nearest edges gives the
+   oracle's priorities; the library's starts and makespans are the
+   oracle's and satisfy every all-pairs edge; and every all-pairs edge
+   the builder drops or weakens is implied by a path of its edges
+   inside the edge's own index range (the range the pipeliner filters
+   by), at least as long as the argument for each rule behind it
+   promises. *)
+let check_block_against_oracle ~banked regs (lib : Schedule.block_schedule)
+    (oracle : Schedule.block_schedule) =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> QCheck.Test.fail_report (Printf.sprintf "L%d: %s" lib.label msg))
+      fmt
+  in
+  let instrs = lib.Schedule.instrs in
+  let n = Array.length instrs in
+  if lib.Schedule.starts <> oracle.Schedule.starts then fail "starts differ";
+  if lib.Schedule.makespan <> oracle.Schedule.makespan then fail "makespans differ";
+  let addrs = Schedule.Bank.addr_forms regs instrs in
+  let addrs = if banked then Some addrs else None in
+  let near = Schedule.dependence_edges ?addrs regs instrs in
+  let all = Schedule_oracle.dependence_edges ?addrs instrs in
+  let prio edges =
+    Schedule_oracle.priorities instrs (Schedule_oracle.successors edges)
+  in
+  if prio near <> prio all then fail "priorities differ";
+  (* [direct.(i * n + j)]: the nearest builder's delay on [i -> j] *)
+  let direct = Array.make (n * n) (-1) in
+  Array.iteri
+    (fun j preds -> List.iter (fun (i, d) -> direct.((i * n) + j) <- d) preds)
+    near;
+  let lat = Schedule_oracle.lat in
+  let def i = Vmht_ir.Ir.def_reg instrs.(i) in
+  let reads i r =
+    let found = ref false in
+    Vmht_ir.Ir.iter_uses (fun u -> if u = r then found := true) instrs.(i);
+    !found
+  in
+  let between i j p =
+    let rec go k = k < j && (p k || go (k + 1)) in
+    go (i + 1)
+  in
+  (* the longest path of nearest edges from [i] to each later
+     instruction, through instructions at or after [i] only *)
+  let longest i =
+    let dist = Array.make n min_int in
+    dist.(i) <- 0;
+    for v = i + 1 to n - 1 do
+      List.iter
+        (fun (u, d) ->
+          if u >= i && dist.(u) > min_int then dist.(v) <- max dist.(v) (dist.(u) + d))
+        near.(v)
+    done;
+    dist
+  in
+  Array.iteri
+    (fun j preds ->
+      if lib.Schedule.starts.(j) < 0 then fail "instruction %d unscheduled" j;
+      List.iter
+        (fun (i, d) ->
+          if lib.Schedule.starts.(j) < lib.Schedule.starts.(i) + d then
+            fail "all-pairs edge %d -> %d (%d) violated" i j d;
+          let kept = direct.((i * n) + j) in
+          if kept < d then begin
+            let path = (longest i).(j) in
+            (* each rule behind the pair: its delay, whether an
+               intervening instruction cuts it, and the path length the
+               argument through that instruction promises *)
+            let rules =
+              (if def i >= 0 && reads j (def i) then
+                 [ ("RAW", lat instrs.(i), between i j (fun k -> def k = def i),
+                    lat instrs.(i) + 1) ]
+               else [])
+              @ (if def j >= 0 && reads i (def j) then
+                   [ ("WAR", 0, between i j (fun k -> def k = def j), 1) ]
+                 else [])
+              @ (if def i >= 0 && def i = def j then
+                   [ ("WAW", max 1 (lat instrs.(i) - lat instrs.(j) + 1),
+                      between i j (fun k -> def k = def i),
+                      max 2 (lat instrs.(i) - lat instrs.(j) + 2)) ]
+                 else [])
+              @
+              if
+                (not banked)
+                && Schedule_oracle.is_mem instrs.(i)
+                && Schedule_oracle.is_mem instrs.(j)
+                && (Schedule_oracle.is_store instrs.(i)
+                   || Schedule_oracle.is_store instrs.(j))
+              then
+                [ ("memory", 1,
+                   between i j (fun k -> Schedule_oracle.is_store instrs.(k)),
+                   2) ]
+              else []
+            in
+            if rules = [] then fail "edge %d -> %d (%d) has no rule" i j d;
+            List.iter
+              (fun (rule, delay, cut, bound) ->
+                if delay > kept && not (cut && path >= bound && bound >= delay)
+                then
+                  fail "%s edge %d -> %d (%d) dropped, path %d" rule i j delay path)
+              rules
+          end)
+        preds)
+    all
+
+let prop_schedule_matches_oracle =
+  QCheck.Test.make ~count:100
+    ~name:"nearest-edge schedules match the all-pairs oracle" seed_arb
+    (fun seed ->
+      let kernel = Gen_prog.gen_kernel seed in
+      let ( let* ) l f = List.iter f l in
+      (let* unroll = [ 1; 4 ] in
+      let* opt = [ 0; 2 ] in
+      let unrolled, _ = Vmht_ir.Ast_unroll.unroll_kernel ~factor:unroll kernel in
+      let f = Vmht_ir.Lower.lower_kernel unrolled in
+      ignore
+        (Vmht_ir.Pass_manager.optimize
+           ~schedule:
+             (Vmht.Config.schedule (Vmht.Config.with_opt_level Vmht.Config.default opt))
+           f);
+      let regs = Schedule.regs f in
+      let* banks = [ 1; 2; 4 ] in
+      let mem = Schedule.banked_mem banks in
+      let* resources =
+        [
+          { Schedule.default_resources with Schedule.mem };
+          { Schedule.alu = 1; cmp = 1; mul = 1; div = 1; shift = 1; mem };
+        ]
+      in
+      let lib = Schedule.schedule_func ~resources f in
+      let oracle = Schedule_oracle.schedule_func ~resources f in
+      List.iter2 (check_block_against_oracle ~banked:(banks > 1) regs)
+        lib.Schedule.blocks oracle.Schedule.blocks);
+      true)
+
+(* A write nothing reads before the next write to its register: only
+   the WAW edge orders the two, and its delay covers the first
+   writer's longer latency (a division's 16 cycles, a multiply's 3).
+   Optimized random kernels rarely keep such a write. *)
+let test_dead_writes_match_oracle () =
+  let open Vmht_ir in
+  let f = Ir.create_func ~name:"dead" ~arg_count:2 ~returns_value:true in
+  let b = Ir.add_block f (Ir.fresh_label f) in
+  let r = Ir.fresh_reg f in
+  b.Ir.instrs <-
+    [
+      Ir.Bin (Vmht_lang.Ast.Div, r, Ir.Reg 0, Ir.Reg 1);
+      Ir.Mov (r, Ir.Reg 0);
+      Ir.Bin (Vmht_lang.Ast.Mul, r, Ir.Reg 0, Ir.Reg 1);
+      Ir.Mov (r, Ir.Imm 3);
+    ];
+  b.Ir.term <- Ir.Ret (Some (Ir.Reg r));
+  let resources = Schedule.default_resources in
+  let lib = Schedule.schedule_func ~resources f in
+  let oracle = Schedule_oracle.schedule_func ~resources f in
+  List.iter2
+    (check_block_against_oracle ~banked:false (Schedule.regs f))
+    lib.Schedule.blocks oracle.Schedule.blocks;
+  (* div at 0, mov at 16, mul at 17, mov at 20 *)
+  check_int "writes commit in program order" 21 (Schedule.total_states lib)
+
 (* ----------------------- memory model ----------------------------- *)
 
 (* Bank arbitration in isolation: every non-memory resource is
@@ -379,4 +543,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedule_always_valid;
     QCheck_alcotest.to_alcotest prop_dual_port_equivalence;
     QCheck_alcotest.to_alcotest prop_unroll_accel_equivalence;
+    QCheck_alcotest.to_alcotest prop_schedule_matches_oracle;
+    Alcotest.test_case "schedule: dead writes match the oracle" `Quick
+      test_dead_writes_match_oracle;
   ]

@@ -148,21 +148,29 @@ let test_store_corrupt_fallback () =
      clear the bad file so the next save repairs the store. *)
   let path = Store.path s ~key in
   let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
-  output_string oc "vmht-store/1\ndead";
+  output_string oc (Store.format_version ^ "\ndead");
   close_out oc;
   (match Store.load s ~key kernel with
   | None -> ()
   | Some _ -> Alcotest.fail "corrupt entry served");
   Alcotest.(check int) "counted corrupt" 1 (Store.stats s).Store.corrupt;
   Alcotest.(check bool) "bad entry dropped" false (Store.contains s ~key);
-  (* Version skew: a valid-shape entry from another format version. *)
+  (* Version skew: an entry encoded as today but stamped with the
+     previous format version, as a build before the bump left it. *)
+  let encoded = Store.encode_entry kernel hw in
+  let body =
+    String.sub encoded
+      (String.length Store.format_version)
+      (String.length encoded - String.length Store.format_version)
+  in
   let oc = open_out_bin path in
-  output_string oc "vmht-store/999\nx\ny";
+  output_string oc ("vmht-store/1" ^ body);
   close_out oc;
   (match Store.load s ~key kernel with
   | None -> ()
-  | Some _ -> Alcotest.fail "foreign version served");
+  | Some _ -> Alcotest.fail "previous version served");
   Alcotest.(check int) "counted skew" 1 (Store.stats s).Store.version_skew;
+  Alcotest.(check bool) "skewed entry dropped" false (Store.contains s ~key);
   (match Store.save s ~key kernel hw with
   | Ok () -> ()
   | Error e -> Alcotest.failf "re-save: %s" (Flow.error_to_string e));

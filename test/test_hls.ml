@@ -300,11 +300,6 @@ let check_block_against_oracle ~banked regs (lib : Schedule.block_schedule)
     Schedule_oracle.priorities instrs (Schedule_oracle.successors edges)
   in
   if prio near <> prio all then fail "priorities differ";
-  (* [direct.(i * n + j)]: the nearest builder's delay on [i -> j] *)
-  let direct = Array.make (n * n) (-1) in
-  Array.iteri
-    (fun j preds -> List.iter (fun (i, d) -> direct.((i * n) + j) <- d) preds)
-    near;
   let lat = Schedule_oracle.lat in
   let def i = Vmht_ir.Ir.def_reg instrs.(i) in
   let reads i r =
@@ -317,17 +312,23 @@ let check_block_against_oracle ~banked regs (lib : Schedule.block_schedule)
     go (i + 1)
   in
   (* the longest path of nearest edges from [i] to each later
-     instruction, through instructions at or after [i] only *)
+     instruction, through instructions at or after [i] only; computed
+     once per source, at its first dropped or weakened edge *)
+  let paths = Array.make n [||] in
   let longest i =
-    let dist = Array.make n min_int in
-    dist.(i) <- 0;
-    for v = i + 1 to n - 1 do
-      List.iter
-        (fun (u, d) ->
-          if u >= i && dist.(u) > min_int then dist.(v) <- max dist.(v) (dist.(u) + d))
-        near.(v)
-    done;
-    dist
+    if Array.length paths.(i) = 0 then begin
+      let dist = Array.make n min_int in
+      dist.(i) <- 0;
+      for v = i + 1 to n - 1 do
+        List.iter
+          (fun (u, d) ->
+            if u >= i && dist.(u) > min_int then
+              dist.(v) <- max dist.(v) (dist.(u) + d))
+          near.(v)
+      done;
+      paths.(i) <- dist
+    end;
+    paths.(i)
   in
   Array.iteri
     (fun j preds ->
@@ -336,7 +337,8 @@ let check_block_against_oracle ~banked regs (lib : Schedule.block_schedule)
         (fun (i, d) ->
           if lib.Schedule.starts.(j) < lib.Schedule.starts.(i) + d then
             fail "all-pairs edge %d -> %d (%d) violated" i j d;
-          let kept = direct.((i * n) + j) in
+          (* the nearest builder's delay on [i -> j], -1 for none *)
+          let kept = Option.value ~default:(-1) (List.assoc_opt i near.(j)) in
           if kept < d then begin
             let path = (longest i).(j) in
             (* each rule behind the pair: its delay, whether an
